@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint cover bench bench-json bench-check harness examples fuzz ci fmtcheck clean
+.PHONY: all build test race vet lint cover bench bench-json bench-check bench-e2e harness examples fuzz ci fmtcheck clean
 
 all: build test
 
@@ -58,6 +58,13 @@ bench-json:
 # failing on a >25% regression in any headline ratio metric.
 bench-check:
 	$(GO) run ./cmd/benchharness -check BENCH_9.json -check-out bench_fresh.json
+
+# The repo's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
+# all four workloads, timed, each run appended to $(BENCH_REPORT). Compare
+# two report files with `bash benchmark/run.sh -compare A.jsonl B.jsonl`.
+BENCH_REPORT ?= .bench_build/report.jsonl
+bench-e2e:
+	bash benchmark/run.sh --report $(BENCH_REPORT)
 
 # Regenerates every experiment in EXPERIMENTS.md.
 harness:

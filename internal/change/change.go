@@ -171,15 +171,32 @@ var ErrInvalidSet = errors.New("change: invalid operation set")
 // creNode, remArc, updNode, addArc; ties broken by operand ids for
 // determinism. See doc.go for why this order realizes every valid set.
 func (s Set) Canonical() []Op {
-	ops := append([]Op(nil), s...)
-	sort.SliceStable(ops, func(i, j int) bool {
-		ri, rj := ops[i].kindRank(), ops[j].kindRank()
-		if ri != rj {
-			return ri < rj
-		}
-		return ops[i].String() < ops[j].String()
-	})
-	return ops
+	// Render each tie-break key once: comparing by String() inside the
+	// sort would format two operations per comparison.
+	c := canonical{ops: append([]Op(nil), s...), keys: make([]string, len(s))}
+	for i, op := range c.ops {
+		c.keys[i] = op.String()
+	}
+	sort.Stable(c)
+	return c.ops
+}
+
+// canonical sorts operations by kind rank, then rendered form.
+type canonical struct {
+	ops  []Op
+	keys []string
+}
+
+func (c canonical) Len() int { return len(c.ops) }
+func (c canonical) Less(i, j int) bool {
+	if ri, rj := c.ops[i].kindRank(), c.ops[j].kindRank(); ri != rj {
+		return ri < rj
+	}
+	return c.keys[i] < c.keys[j]
+}
+func (c canonical) Swap(i, j int) {
+	c.ops[i], c.ops[j] = c.ops[j], c.ops[i]
+	c.keys[i], c.keys[j] = c.keys[j], c.keys[i]
 }
 
 // Validate checks the set against db per the paper's three conditions.

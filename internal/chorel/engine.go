@@ -3,6 +3,7 @@ package chorel
 import (
 	"context"
 
+	"repro/internal/change"
 	"repro/internal/doem"
 	"repro/internal/encoding"
 	"repro/internal/index"
@@ -92,6 +93,17 @@ func (db *DB) Invalidate() {
 	db.trans = nil
 	if db.indexed != nil {
 		db.indexed.Invalidate()
+	}
+}
+
+// Advance follows one Apply(t, ops) on the DOEM database: the secondary
+// indexes fold the step in (index.Graph.Advance) instead of being rebuilt;
+// the cached OEM encoding is discarded as by Invalidate.
+func (db *DB) Advance(t timestamp.Time, ops change.Set) {
+	db.enc = nil
+	db.trans = nil
+	if db.indexed != nil {
+		db.indexed.Advance(t, ops)
 	}
 }
 

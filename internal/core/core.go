@@ -65,7 +65,7 @@ func (c *DB) Apply(t timestamp.Time, ops change.Set) error {
 	if err := c.cdb.DOEM().Apply(t, ops); err != nil {
 		return err
 	}
-	c.cdb.Invalidate()
+	c.cdb.Advance(t, ops)
 	return nil
 }
 

@@ -20,6 +20,7 @@ import (
 	"strings"
 
 	"repro/internal/change"
+	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/symbol"
 	"repro/internal/timestamp"
@@ -102,8 +103,11 @@ type ArcEvent struct {
 //
 // Concurrency: read methods are pure lookups with no interior mutation, so
 // a Database is safe for any number of concurrent readers once built.
-// Apply and Truncate mutate in place and must exclude readers (see
-// lore.Store.ViewDOEM for the coordinated path).
+// Apply mutates in place and must exclude readers (see
+// lore.Store.ViewDOEM for the coordinated path); Truncate leaves the
+// receiver untouched and returns a new database. Structures derived from a
+// Database (internal/index, segment statistics) follow an Apply by folding
+// in the step's operations and Collected() under the same exclusion.
 type Database struct {
 	current *oem.Database
 	// outAll holds every arc ever present, per parent, in insertion order.
@@ -120,6 +124,12 @@ type Database struct {
 	// version counts successful Apply calls; secondary indexes compare it
 	// against the generation they were built at to detect staleness.
 	version uint64
+	// maxID is the largest id among current and deleted nodes, maintained
+	// by New, Apply and Unmarshal so MaxID is a field read.
+	maxID oem.NodeID
+	// collected lists the nodes the most recent Apply deleted from the
+	// current snapshot, ascending.
+	collected []oem.NodeID
 }
 
 // Version returns a counter that advances on every successful Apply.
@@ -127,6 +137,11 @@ type Database struct {
 // stable value; derived structures such as internal/index use it as the
 // graph generation of their cache keys.
 func (d *Database) Version() uint64 { return d.version }
+
+// mGCFullWalks counts step-boundary collections that had to walk the whole
+// current snapshot; in steady state collections follow the change set and
+// this stays flat (docs/observability.md).
+var mGCFullWalks = obs.NewCounter("doem_gc_full_walks_total")
 
 // Errors returned by Apply.
 var (
@@ -152,6 +167,7 @@ func New(o *oem.Database) *Database {
 		if arcs := cur.Out(id); len(arcs) > 0 {
 			d.outAll[id] = append([]oem.Arc(nil), arcs...)
 		}
+		d.maxID = id // ascending: the last one is the largest
 	}
 	return d
 }
@@ -349,6 +365,9 @@ func (d *Database) Apply(t timestamp.Time, ops change.Set) error {
 		switch o := op.(type) {
 		case change.CreNode:
 			d.nodeAnn[o.Node] = append(d.nodeAnn[o.Node], NodeAnnot{Kind: AnnotCre, At: t})
+			if o.Node > d.maxID {
+				d.maxID = o.Node
+			}
 		case change.UpdNode:
 			d.nodeAnn[o.Node] = append(d.nodeAnn[o.Node], NodeAnnot{Kind: AnnotUpd, At: t, Old: oldValues[o.Node]})
 		case change.AddArc:
@@ -370,22 +389,30 @@ func (d *Database) Apply(t timestamp.Time, ops change.Set) error {
 	}
 	// Nodes that became unreachable are deleted from the current snapshot
 	// (paper Section 2.2) but remain in the DOEM graph, still reachable
-	// through rem-annotated arcs; capture their final values before the
-	// collection drops them. The reachability walk is skipped when the
-	// step cannot have orphaned anything.
+	// through rem-annotated arcs; their final values are captured as the
+	// collection drops them. The collection is skipped when the step cannot
+	// have orphaned anything, and otherwise examines only what the step's
+	// removals and creations could have cut loose (oem.Database.Collect).
+	d.collected = nil
 	if ops.NeedsCollection(d.current) {
-		live := d.current.Reachable()
-		for _, id := range d.current.Nodes() {
-			if !live[id] {
-				d.deletedValues[id] = d.current.MustValue(id)
-			}
+		var full bool
+		d.collected, full = d.current.Collect(func(id oem.NodeID, v value.Value) {
+			d.deletedValues[id] = v
+		})
+		if full {
+			mGCFullWalks.Inc()
 		}
-		d.current.GarbageCollect()
 	}
 	d.steps = append(d.steps, t)
 	d.version++
 	return nil
 }
+
+// Collected returns the nodes the most recent Apply deleted from the current
+// snapshot by unreachability, ascending. Every arc of OutAll(n) not marked
+// IsDead was still in the snapshot when n was collected. The slice must not
+// be modified.
+func (d *Database) Collected() []oem.NodeID { return d.collected }
 
 func (d *Database) isDeleted(n oem.NodeID) bool {
 	_, dead := d.deletedValues[n]
@@ -626,20 +653,7 @@ func (d *Database) Equal(other *Database) bool {
 // MaxID returns the largest node id ever used in the database (including
 // nodes deleted from the current snapshot). Id allocators for change
 // scripts must stay above it, since ids are never reused.
-func (d *Database) MaxID() oem.NodeID {
-	var m oem.NodeID
-	for _, id := range d.current.Nodes() {
-		if id > m {
-			m = id
-		}
-	}
-	for id := range d.deletedValues {
-		if id > m {
-			m = id
-		}
-	}
-	return m
-}
+func (d *Database) MaxID() oem.NodeID { return d.maxID }
 
 // NumAnnotations returns the total count of node and arc annotations.
 func (d *Database) NumAnnotations() int {

@@ -184,6 +184,14 @@ func Unmarshal(data []byte) (*Database, error) {
 			return nil, fmt.Errorf("doem: unmarshal deleted value: %w", err)
 		}
 		d.deletedValues[oem.NodeID(wd.Node)] = v
+		if id := oem.NodeID(wd.Node); id > d.maxID {
+			d.maxID = id
+		}
+	}
+	// cur was decoded node by node and never collected, so its high-water
+	// mark is its largest id.
+	if m := cur.MaxID(); m > d.maxID {
+		d.maxID = m
 	}
 	for _, s := range w.Steps {
 		t, err := timestamp.Parse(s)

@@ -11,11 +11,15 @@
 // fuzz tests in this package enforce that.
 //
 // Index structures are built lazily on first use and keyed to
-// doem.Database.Version(), so a Graph self-detects staleness after Apply
-// even without an explicit Invalidate call. Mutation sites (lore.Store
-// ApplySet, QSS poll application) still call Invalidate as the documented
-// hook; both paths converge on dropping the generation's tables and every
-// cached view with them.
+// doem.Database.Version(). Mutation sites (lore.Store ApplySet, QSS poll
+// application, QSS replication) follow each doem.Database.Apply with
+// Advance, which folds the step's change set into the tables in place and
+// keeps every cached view of an instant before the step (history is
+// append-only, so those cannot change). The Version() check remains the
+// safety net: tables that are not exactly one generation behind when
+// Advance runs, or that a reader finds behind the database because a site
+// never called it, are rebuilt from scratch by buildTables — which is also
+// the first-use path and the oracle the delta path is tested against.
 //
 // Concurrency: Graph is safe for concurrent readers under the same
 // contract as doem.Database itself (mutators exclude readers). Internal
@@ -27,6 +31,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/change"
 	"repro/internal/doem"
 	"repro/internal/lorel"
 	"repro/internal/oem"
@@ -53,7 +58,7 @@ type Graph struct {
 	snapCap int
 
 	mu  sync.RWMutex
-	tab *tables // nil until first use; rebuilt when d.Version() moves
+	tab *tables // nil until first use; advanced or rebuilt when d.Version() moves
 }
 
 var (
@@ -88,9 +93,8 @@ func (g *Graph) SetCacheSizes(views, snapshots int) {
 func (g *Graph) DOEM() *doem.Database { return g.d }
 
 // Invalidate drops every index structure and cached view. The next read
-// rebuilds against the database's current generation. Mutation hooks
-// (lore.Store.ApplySet, QSS poll application) call this; the Version()
-// self-check makes a missed call safe but a made call immediate.
+// rebuilds against the database's current generation. It is the explicit
+// full drop; mutation sites use Advance instead.
 func (g *Graph) Invalidate() {
 	g.mu.Lock()
 	g.tab = nil
@@ -111,12 +115,13 @@ type symKey struct {
 	sym symbol.ID
 }
 
-// tables holds every structure derived from one database generation.
-// Dropping the tables drops all cached views and snapshots with it, which
-// is what keys the caches by (generation, T).
+// tables holds every structure derived from one database generation; gen
+// moves with Advance. The cached views and snapshots are keyed by T alone:
+// Advance evicts the ones a step can change, and dropping the tables drops
+// them all.
 type tables struct {
 	gen uint64
-	// nodes is AllNodeIDs() at build time: every node ever, ascending.
+	// nodes is AllNodeIDs(): every node ever, ascending.
 	nodes []oem.NodeID
 	// bySym records whether this generation's adjacency maps are keyed by
 	// interned symbol id (interning enabled at build time) or by string.
@@ -152,6 +157,13 @@ type tables struct {
 	views *lru[timestamp.Time, *view]
 	snaps *lru[timestamp.Time, *oem.Database]
 
+	// read records that a reader has consulted the tables since they were
+	// built or last advanced. Advance keeps up only tables that are being
+	// read: patching an index nobody consults would spend the write path's
+	// time and hold its memory for nothing (a subscription whose filter is
+	// never evaluated again would otherwise carry its tables forever).
+	read atomic.Bool
+
 	// hot is the most recently returned view. A single <at T> query calls
 	// OutAt once per traversed node with the same T, so this lock-free
 	// check turns the common repeat into one atomic load instead of a
@@ -183,6 +195,9 @@ func (g *Graph) tables() *tables {
 	t := g.tab
 	g.mu.RUnlock()
 	if t != nil && t.gen == gen {
+		if !t.read.Load() { // load first: readers share the line, one stores
+			t.read.Store(true)
+		}
 		return t
 	}
 	g.mu.Lock()
@@ -192,6 +207,7 @@ func (g *Graph) tables() *tables {
 	}
 	start := now()
 	g.tab = buildTables(g.d, gen, g.viewCap, g.snapCap)
+	g.tab.read.Store(true)
 	mBuilds.Inc()
 	mBuildNs.ObserveSince(start)
 	return g.tab
@@ -214,67 +230,191 @@ func buildTables(d *doem.Database, gen uint64, viewCap, snapCap int) *tables {
 		t.outLabeledSym = make(map[symKey][]oem.Arc)
 		t.outAllLabeledSym = make(map[symKey][]oem.Arc)
 	}
-	// appendCur/appendAll route an arc to the active keying and report
-	// whether it opened a new (parent, label) bucket. Labels reaching here
-	// were canonicalized at AddArc, so the Intern call is a lock-free hit.
-	appendCur := func(n oem.NodeID, a oem.Arc) (first bool) {
-		if t.bySym {
-			if id, _ := symbol.Intern(a.Label); id != symbol.None {
-				k := symKey{n, id}
-				first = len(t.outLabeledSym[k]) == 0
-				t.outLabeledSym[k] = append(t.outLabeledSym[k], a)
-				return first
-			}
-		}
-		k := labelKey{n, a.Label}
-		first = len(t.outLabeled[k]) == 0
-		t.outLabeled[k] = append(t.outLabeled[k], a)
-		return first
-	}
-	appendAll := func(n oem.NodeID, a oem.Arc) (first bool) {
-		if t.bySym {
-			if id, _ := symbol.Intern(a.Label); id != symbol.None {
-				k := symKey{n, id}
-				first = len(t.outAllLabeledSym[k]) == 0
-				t.outAllLabeledSym[k] = append(t.outAllLabeledSym[k], a)
-				return first
-			}
-		}
-		k := labelKey{n, a.Label}
-		first = len(t.outAllLabeled[k]) == 0
-		t.outAllLabeled[k] = append(t.outAllLabeled[k], a)
-		return first
-	}
 	root := d.Root()
 	for _, n := range t.nodes {
 		for _, a := range d.Out(n) {
-			lc := t.labelStats[a.Label]
-			if appendCur(n, a) {
-				lc.Parents++
-			}
-			lc.Arcs++
-			if n == root {
-				lc.RootOut++
-			}
-			t.labelStats[a.Label] = lc
-			t.arcTotal++
+			t.addArc(false, a, n == root)
 		}
 		for _, a := range d.OutAll(n) {
-			lc := t.labelStats[a.Label]
-			if appendAll(n, a) {
-				lc.AllParents++
-			}
-			lc.AllArcs++
-			if n == root {
-				lc.AllRootOut++
-			}
-			t.labelStats[a.Label] = lc
+			t.addArc(true, a, n == root)
 		}
 		if ups := d.UpdTriples(n); len(ups) > 0 {
 			t.updInfos[n] = ups
 		}
 	}
 	return t
+}
+
+// symOf resolves a label to the symbol its bucket is keyed by, when this
+// generation is symbol-keyed and the label could be interned. Labels
+// reaching here were canonicalized at AddArc, so Intern is a lock-free hit.
+func (t *tables) symOf(label string) (symbol.ID, bool) {
+	if t.bySym {
+		if id, _ := symbol.Intern(label); id != symbol.None {
+			return id, true
+		}
+	}
+	return symbol.None, false
+}
+
+// addArc appends a to its (parent, label) bucket of the current relation,
+// or of the full one when all, and counts it in the label statistics.
+func (t *tables) addArc(all bool, a oem.Arc, fromRoot bool) {
+	var first bool
+	if id, ok := t.symOf(a.Label); ok {
+		m, k := t.outLabeledSym, symKey{a.Parent, id}
+		if all {
+			m = t.outAllLabeledSym
+		}
+		first = len(m[k]) == 0
+		m[k] = append(m[k], a)
+	} else {
+		m, k := t.outLabeled, labelKey{a.Parent, a.Label}
+		if all {
+			m = t.outAllLabeled
+		}
+		first = len(m[k]) == 0
+		m[k] = append(m[k], a)
+	}
+	lc := t.labelStats[a.Label]
+	if all {
+		lc.AllArcs++
+		if first {
+			lc.AllParents++
+		}
+		if fromRoot {
+			lc.AllRootOut++
+		}
+	} else {
+		lc.Arcs++
+		if first {
+			lc.Parents++
+		}
+		if fromRoot {
+			lc.RootOut++
+		}
+		t.arcTotal++
+	}
+	t.labelStats[a.Label] = lc
+}
+
+// cutCurrent takes arcs out of the (n, label) bucket of the current
+// relation — the one arc a, or the whole bucket when a is nil — and
+// uncounts them. The surviving bucket is a fresh slice, never an in-place
+// shift, matching how oem.Database itself removes arcs.
+func (t *tables) cutCurrent(n oem.NodeID, label string, a *oem.Arc, fromRoot bool) {
+	id, bySym := t.symOf(label)
+	var bucket []oem.Arc
+	if bySym {
+		bucket = t.outLabeledSym[symKey{n, id}]
+	} else {
+		bucket = t.outLabeled[labelKey{n, label}]
+	}
+	var rest []oem.Arc
+	if a != nil {
+		rest = bucket
+		for i, x := range bucket {
+			if x == *a {
+				rest = append(bucket[:i:i], bucket[i+1:]...)
+				break
+			}
+		}
+	}
+	cut := len(bucket) - len(rest)
+	if cut == 0 {
+		return
+	}
+	switch {
+	case bySym && len(rest) == 0:
+		delete(t.outLabeledSym, symKey{n, id})
+	case bySym:
+		t.outLabeledSym[symKey{n, id}] = rest
+	case len(rest) == 0:
+		delete(t.outLabeled, labelKey{n, label})
+	default:
+		t.outLabeled[labelKey{n, label}] = rest
+	}
+	lc := t.labelStats[label]
+	lc.Arcs -= cut
+	if len(rest) == 0 {
+		lc.Parents--
+	}
+	if fromRoot {
+		lc.RootOut -= cut
+	}
+	t.labelStats[label] = lc
+	t.arcTotal -= cut
+}
+
+// Advance follows one doem.Database.Apply(at, ops) on the wrapped database:
+// it folds the step into the tables built for the generation before it, so
+// they equal what buildTables would produce now, and drops only the cached
+// views and snapshots of instants at or after the step. It must run under
+// the same exclusion as the Apply itself. Tables that are not exactly one
+// generation behind are dropped instead and the next read rebuilds them, so
+// a call that does not match the database's history degrades to
+// Invalidate; so are tables no reader has consulted since the previous
+// step, which are not worth keeping up.
+func (g *Graph) Advance(at timestamp.Time, ops change.Set) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	t := g.tab
+	if t == nil {
+		return
+	}
+	gen := g.d.Version()
+	if t.gen+1 != gen || t.bySym != symbol.Enabled() || !t.read.Load() {
+		g.tab = nil
+		return
+	}
+	t.advance(g.d, at, ops)
+	t.gen = gen
+	t.read.Store(false)
+	mAdvances.Inc()
+}
+
+func (t *tables) advance(d *doem.Database, at timestamp.Time, ops change.Set) {
+	root := d.Root()
+	// Canonical order is the order Apply appended arcs to Out and OutAll.
+	for _, op := range ops.Canonical() {
+		switch o := op.(type) {
+		case change.CreNode:
+			i := sort.Search(len(t.nodes), func(i int) bool { return t.nodes[i] >= o.Node })
+			t.nodes = append(t.nodes, 0)
+			copy(t.nodes[i+1:], t.nodes[i:])
+			t.nodes[i] = o.Node
+		case change.UpdNode:
+			t.updInfos[o.Node] = d.UpdTriples(o.Node)
+		case change.AddArc:
+			a := oem.Arc{Parent: o.Parent, Label: symbol.Canon(o.Label), Child: o.Child}
+			t.addArc(false, a, o.Parent == root)
+			// An arc seen for the first time carries this step's add as its
+			// only annotation; a re-added one keeps its place in OutAll.
+			if len(d.ArcAnnots(a)) == 1 {
+				t.addArc(true, a, o.Parent == root)
+			}
+		case change.RemArc:
+			a := oem.Arc{Parent: o.Parent, Label: o.Label, Child: o.Child}
+			t.cutCurrent(o.Parent, o.Label, &a, o.Parent == root)
+		}
+	}
+	t.annotTotal += len(ops)
+	// A collected node takes the arcs it still held out of the current
+	// relation; they stay in OutAll and so in the full one.
+	for _, n := range d.Collected() {
+		for _, a := range d.OutAll(n) {
+			t.cutCurrent(n, a.Label, nil, false)
+		}
+	}
+
+	stale := func(k timestamp.Time) bool { return !k.Before(at) }
+	t.mu.Lock()
+	t.views.removeIf(stale)
+	t.snaps.removeIf(stale)
+	t.mu.Unlock()
+	if h := t.hot.Load(); h != nil && stale(h.t) {
+		t.hot.Store(nil)
+	}
 }
 
 // --- lorel.Graph: plain delegates -----------------------------------------

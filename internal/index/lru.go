@@ -50,4 +50,16 @@ func (c *lru[K, V]) add(k K, v V) (evicted bool) {
 	return evicted
 }
 
+// removeIf drops every entry whose key satisfies drop.
+func (c *lru[K, V]) removeIf(drop func(K) bool) {
+	for el := c.ll.Front(); el != nil; {
+		next := el.Next()
+		if k := el.Value.(*lruEntry[K, V]).k; drop(k) {
+			c.ll.Remove(el)
+			delete(c.m, k)
+		}
+		el = next
+	}
+}
+
 func (c *lru[K, V]) len() int { return c.ll.Len() }

@@ -14,6 +14,7 @@ import (
 // collection is enabled. Names are documented in docs/indexing.md.
 var (
 	mBuilds          = obs.NewCounter("index_builds_total")
+	mAdvances        = obs.NewCounter("index_advances_total")
 	mBuildNs         = obs.NewHistogram("index_build_ns")
 	mCacheHits       = obs.NewCounter("index_snapshot_cache_hits_total")
 	mCacheMisses     = obs.NewCounter("index_snapshot_cache_misses_total")

@@ -60,7 +60,7 @@ type Store struct {
 	locks map[string]*sync.RWMutex
 
 	// indexes caches one secondary-index wrapper per DOEM name, created
-	// lazily by IndexedDOEM, invalidated by ApplySet and dropped when the
+	// lazily by IndexedDOEM, advanced by ApplySet and dropped when the
 	// database is replaced or deleted.
 	idxMu   sync.Mutex
 	indexes map[string]*index.Graph
@@ -381,22 +381,26 @@ func (s *Store) applySet(name string, t timestamp.Time, ops change.Set) error {
 		lk.Lock()
 		err := st.Apply(t, ops)
 		// A policy-triggered seal swaps in a fresh active segment; keep the
-		// live pointer current for GetDOEM/ViewDOEM callers.
-		s.doems[name] = st.Active()
-		lk.Unlock()
-		if err != nil {
-			return err
+		// live pointer current for GetDOEM/ViewDOEM callers. The index
+		// wrapper (if any) belongs to the old one and is forgotten.
+		if ad := st.Active(); ad != d {
+			s.doems[name] = ad
+			s.dropIndex(name)
+		} else if err == nil {
+			s.advanceIndex(name, t, ops)
 		}
-		s.invalidateIndex(name)
-		return nil
+		lk.Unlock()
+		return err
 	}
 	lk.Lock()
 	err := d.Apply(t, ops)
+	if err == nil {
+		s.advanceIndex(name, t, ops)
+	}
 	lk.Unlock()
 	if err != nil {
 		return err
 	}
-	s.invalidateIndex(name)
 	if l, ok := s.logs[name]; ok {
 		if _, err := l.AppendStep(t, ops); err != nil {
 			return fmt.Errorf("lore: %w", err)
@@ -519,7 +523,7 @@ func (s *Store) GetDOEM(name string) (*doem.Database, error) {
 
 // IndexedDOEM returns the store's secondary-index wrapper (internal/index)
 // for the named DOEM database, creating it on first use. The wrapper is
-// shared between callers; ApplySet invalidates it after every mutation.
+// shared between callers; ApplySet advances it by every change set.
 // Read through it under the database's read lock (ViewIndexed) whenever
 // writers may be active.
 func (s *Store) IndexedDOEM(name string) (*index.Graph, error) {
@@ -566,11 +570,13 @@ func (s *Store) ViewIndexed(name string, fn func(lorel.Graph) error) error {
 	return fn(ig)
 }
 
-// invalidateIndex drops the cached index structures for name, if any.
-func (s *Store) invalidateIndex(name string) {
+// advanceIndex folds a change set just applied to the named database into
+// its cached index structures, if any. The caller holds the database's
+// write lock.
+func (s *Store) advanceIndex(name string, t timestamp.Time, ops change.Set) {
 	s.idxMu.Lock()
 	if ig, ok := s.indexes[name]; ok {
-		ig.Invalidate()
+		ig.Advance(t, ops)
 	}
 	s.idxMu.Unlock()
 }

@@ -197,7 +197,14 @@ type specBuilder struct {
 	tags    map[string]uintptr
 	missing []string
 	consts  map[Expr]bool
-	statsCh map[string]plan.Stats
+	// stats holds, per database, its statistics provider and the totals
+	// read from it once for this prepare.
+	stats map[string]dbStats
+}
+
+type dbStats struct {
+	st     plan.Stats
+	totals plan.Card
 }
 
 func (b *specBuilder) build(q *Query, gens []FromItem, nStrict int) (*plan.Spec, bool) {
@@ -352,7 +359,7 @@ func (b *specBuilder) genSpec(i int, g FromItem, strict bool) (plan.GenSpec, boo
 		gs.Deps = append(gs.Deps, d)
 	}
 	sortInts(gs.Deps)
-	gs.Card = plan.CardOf(b.statsFor(b.genDB[i]), label)
+	gs.Card = b.cardFor(b.genDB[i], label)
 	return gs, true
 }
 
@@ -403,19 +410,22 @@ func (b *specBuilder) recordDB(name string) {
 	b.vers[name] = statsVersionOf(g)
 }
 
-func (b *specBuilder) statsFor(db string) plan.Stats {
+// cardFor returns the cardinalities for a generator over db filtering by
+// label, reading the database's totals on first use only.
+func (b *specBuilder) cardFor(db, label string) plan.Card {
 	if db == "" {
-		return nil
+		return plan.Card{}
 	}
-	if st, ok := b.statsCh[db]; ok {
-		return st
+	ds, ok := b.stats[db]
+	if !ok {
+		ds.st, _ = b.graphs[db].(plan.Stats)
+		ds.totals = plan.Totals(ds.st)
+		if b.stats == nil {
+			b.stats = make(map[string]dbStats)
+		}
+		b.stats[db] = ds
 	}
-	st, _ := b.graphs[db].(plan.Stats)
-	if b.statsCh == nil {
-		b.statsCh = make(map[string]plan.Stats)
-	}
-	b.statsCh[db] = st
-	return st
+	return ds.totals.ForLabel(ds.st, label)
 }
 
 // predKind classifies a conjunct's top operator for selectivity.

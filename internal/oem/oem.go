@@ -53,6 +53,15 @@ type Database struct {
 	arcSet map[Arc]struct{} // membership
 	root   NodeID
 	nextID NodeID
+
+	// swept records that a collection has run and every mutation since is
+	// accounted for in suspects: the nodes that may have become unreachable
+	// (children of removed arcs, nodes created since). While it holds, every
+	// unreachable node is reachable from an unreachable suspect, so Collect
+	// examines only the suspects' neighbourhood instead of walking the
+	// whole graph (see collect.go).
+	swept    bool
+	suspects []NodeID
 }
 
 // Common database errors.
@@ -83,6 +92,7 @@ func (db *Database) newNode(v value.Value) NodeID {
 	id := db.nextID
 	db.nextID++
 	db.values[id] = v
+	db.suspect(id)
 	return id
 }
 
@@ -119,6 +129,12 @@ func (db *Database) IsComplex(n NodeID) bool {
 
 // NumNodes returns the number of objects.
 func (db *Database) NumNodes() int { return len(db.values) }
+
+// MaxID returns the id high-water mark: the largest id ever allocated in
+// this database. It bounds every present id from above and equals the
+// largest present id while no node has been collected (ids are never
+// reused, so collected ids stay below it too).
+func (db *Database) MaxID() NodeID { return db.nextID - 1 }
 
 // NumArcs returns the number of arcs.
 func (db *Database) NumArcs() int { return len(db.arcSet) }
@@ -193,6 +209,7 @@ func (db *Database) CreateNodeWithID(n NodeID, v value.Value) error {
 	if n >= db.nextID {
 		db.nextID = n + 1
 	}
+	db.suspect(n)
 	return nil
 }
 
@@ -248,6 +265,7 @@ func (db *Database) RemoveArc(p NodeID, l string, c NodeID) error {
 	delete(db.arcSet, a)
 	db.out[p] = removeArc(db.out[p], a)
 	db.in[c] = removeArc(db.in[c], a)
+	db.suspect(c)
 	return nil
 }
 
@@ -276,35 +294,6 @@ func (db *Database) Reachable() map[NodeID]bool {
 		}
 	}
 	return seen
-}
-
-// GarbageCollect deletes every node unreachable from the root, along with
-// arcs among deleted nodes, and returns the ids removed (ascending). This
-// implements the paper's implicit deletion by unreachability, applied at the
-// end of each history step (Section 2.2).
-func (db *Database) GarbageCollect() []NodeID {
-	live := db.Reachable()
-	var dead []NodeID
-	for id := range db.values {
-		if !live[id] {
-			dead = append(dead, id)
-		}
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i] < dead[j] })
-	for _, id := range dead {
-		for _, a := range db.out[id] {
-			delete(db.arcSet, a)
-			db.in[a.Child] = removeArc(db.in[a.Child], a)
-		}
-		for _, a := range db.in[id] {
-			delete(db.arcSet, a)
-			db.out[a.Parent] = removeArc(db.out[a.Parent], a)
-		}
-		delete(db.out, id)
-		delete(db.in, id)
-		delete(db.values, id)
-	}
-	return dead
 }
 
 // Validate checks Definition 2.1's invariants: only complex nodes have
@@ -338,6 +327,9 @@ func (db *Database) Clone() *Database {
 		arcSet: make(map[Arc]struct{}, len(db.arcSet)),
 		root:   db.root,
 		nextID: db.nextID,
+
+		swept:    db.swept,
+		suspects: append([]NodeID(nil), db.suspects...),
 	}
 	for id, v := range db.values {
 		c.values[id] = v

@@ -17,21 +17,33 @@ type Stats interface {
 	LabelStats(label string) LabelCard
 }
 
-// CardOf fills a Card for one generator from a stats provider; a nil
-// provider yields the zero (unknown) Card. label may be empty for kinds
-// that do not filter by label (subtree, glob, group).
-func CardOf(st Stats, label string) Card {
+// Totals reads the label-independent statistics of a provider — one call
+// each — into a Card; a nil provider yields the zero (unknown) Card. A
+// caller costing several generators over one database reads the totals
+// once and adds each generator's label with ForLabel.
+func Totals(st Stats) Card {
 	if st == nil {
 		return Card{}
 	}
-	c := Card{
+	return Card{
 		Known:  true,
 		Nodes:  st.NodeCount(),
 		Arcs:   st.ArcCount(),
 		Annots: st.AnnotCount(),
 	}
-	if label != "" {
+}
+
+// ForLabel returns c with the per-label cardinalities of label filled in.
+// label may be empty for kinds that do not filter by label (subtree, glob,
+// group), and c may be the unknown Card; both return c unchanged.
+func (c Card) ForLabel(st Stats, label string) Card {
+	if c.Known && label != "" {
 		c.Label = st.LabelStats(label)
 	}
 	return c
+}
+
+// CardOf fills a Card for one generator from a stats provider.
+func CardOf(st Stats, label string) Card {
+	return Totals(st).ForLabel(st, label)
 }

@@ -517,7 +517,9 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 				next = m
 			}
 		}
-		if m := maxID(pkg); m > next {
+		// pkg was just built and never collected: its high-water mark is
+		// its largest id.
+		if m := pkg.MaxID(); m > next {
 			next = m
 		}
 		ops, err = oemdiff.Diff(prev, pkg, &oemdiff.Options{
@@ -597,11 +599,11 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 				return nil, fmt.Errorf("qss: applying changes: %w", err)
 			}
 			st.pruneRemap()
-			// Poll application is an index invalidation hook: cached
-			// snapshots of the pre-poll generation must not serve the
-			// filter query below.
+			// The index follows the step, so the filter query below reads
+			// post-poll tables without a rebuild; cached views of instants
+			// at or after t are dropped with it.
 			if st.ig != nil {
-				st.ig.Invalidate()
+				st.ig.Advance(t, ops)
 			}
 		}
 		st.pollTimes = append(st.pollTimes, t)
@@ -736,14 +738,4 @@ func (st *subState) pruneRemap() {
 			delete(st.remap, src)
 		}
 	}
-}
-
-func maxID(db *oem.Database) oem.NodeID {
-	var m oem.NodeID
-	for _, id := range db.Nodes() {
-		if id > m {
-			m = id
-		}
-	}
-	return m
 }

@@ -73,7 +73,7 @@ func (rs *ReplState) Apply(name string, data []byte) error {
 		}
 		st.pruneRemap()
 		if st.ig != nil {
-			st.ig.Invalidate()
+			st.ig.Advance(t, ops)
 		}
 	}
 	st.pollTimes = append(st.pollTimes, t)

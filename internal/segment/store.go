@@ -121,8 +121,8 @@ type Store struct {
 	ticks  atomic.Uint64
 	tierMu sync.Mutex
 
-	// statsC caches the planner-statistics summary (see stats.go).
-	statsC *statsCache
+	// statsC holds the planner-statistics summary (see stats.go).
+	statsC statsCache
 
 	stats OpenStats
 }
@@ -269,7 +269,6 @@ func newStore(dir string, pol *Policy) *Store {
 		cre:          make(map[oem.NodeID]timestamp.Time),
 		dead:         make(map[oem.NodeID]value.Value),
 		sealedStatus: make(map[oem.Arc]doem.AnnotKind),
-		statsC:       &statsCache{},
 	}
 	if pol != nil {
 		s.pol = *pol
@@ -310,8 +309,10 @@ func (s *Store) seedRegistryFromActive() {
 // mergeOps folds one applied change set into the store-level summaries:
 // new arcs append to the registry in canonical application order (the
 // order doem.Apply appends them to OutAll), created ids raise the
-// high-water mark. Call only after the set was applied successfully.
-func (s *Store) mergeOps(ops change.Set) {
+// high-water mark. Call only after the set was applied successfully. st,
+// when non-nil, is the statistics summary to advance by the registry's
+// growth.
+func (s *Store) mergeOps(ops change.Set, st *storeStats) {
 	for _, op := range ops.Canonical() {
 		switch o := op.(type) {
 		case change.AddArc:
@@ -321,6 +322,10 @@ func (s *Store) mergeOps(ops change.Set) {
 			if !s.member[a] {
 				s.member[a] = true
 				s.registry[o.Parent] = append(s.registry[o.Parent], a)
+				if st != nil {
+					first := countLabel(s.registry[o.Parent], a.Label, nil) == 1
+					st.addFull(a, first, o.Parent == s.active.Root())
+				}
 			}
 		case change.CreNode:
 			if o.Node > s.maxID {
@@ -347,7 +352,7 @@ func (s *Store) replayTail() (*doem.Database, int, error) {
 		if err := d.Apply(step.At, step.Ops); err != nil {
 			return fmt.Errorf("segment: replaying tail record %d: %w", seq, err)
 		}
-		s.mergeOps(step.Ops)
+		s.mergeOps(step.Ops, nil)
 		records++
 		return nil
 	})
@@ -371,7 +376,13 @@ func (s *Store) Apply(t timestamp.Time, ops change.Set) error {
 	if err := s.active.Apply(t, ops); err != nil {
 		return err
 	}
-	s.mergeOps(ops)
+	s.statsC.mu.Lock()
+	st := s.statsC.cur
+	s.mergeOps(ops, st)
+	if st != nil {
+		st.advanceCurrent(s.active, ops)
+	}
+	s.statsC.mu.Unlock()
 	s.activeAnnots += len(ops)
 	if s.firstActive.Equal(timestamp.PosInf) {
 		s.firstActive = t
@@ -782,6 +793,7 @@ func (s *Store) Truncate(t timestamp.Time) error {
 	s.sealedStatus = make(map[oem.Arc]doem.AnnotKind)
 	s.adoptActive(td)
 	s.seedRegistryFromActive()
+	s.dropStats()
 	if err := s.writeState(); err != nil {
 		return err
 	}
