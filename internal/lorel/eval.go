@@ -293,35 +293,6 @@ func (b binding) appendKey(dst []byte) []byte {
 	}
 }
 
-// visitKey is the comparable form of a binding's identity, used for the
-// per-step frontier dedup where allocating string keys would dominate.
-// All bindings in one frontier come from the same path head, so the key
-// does not need to discriminate graphs.
-type visitKey struct {
-	kind    bindKind
-	id      oem.NodeID
-	valKind uint8
-	val     string
-	hasAsOf bool
-	asOf    timestamp.Time
-}
-
-func (b binding) visitKey() visitKey {
-	k := visitKey{kind: b.kind}
-	switch b.kind {
-	case bNode:
-		k.id = b.id
-		k.hasAsOf = b.hasAsOf
-		if b.hasAsOf {
-			k.asOf = b.asOf
-		}
-	case bValue:
-		k.valKind = uint8(b.val.Kind())
-		k.val = b.val.String()
-	}
-	return k
-}
-
 func appendTimeKey(dst []byte, t timestamp.Time) []byte {
 	if !t.IsFinite() {
 		if t.Equal(timestamp.PosInf) {
@@ -346,31 +317,52 @@ func graphTag(g Graph) uintptr {
 	return 0
 }
 
-// env is an immutable chain of variable bindings.
-type env struct {
-	parent *env
-	name   string
-	b      binding
+// env is an evaluation's variable environment: a stack of (name, binding)
+// entries. bind writes a binding in place and release(mark) undoes it when
+// its scope ends, so once the stack has grown to the query's nesting depth
+// binding a variable allocates nothing. lookup scans from the top, so an
+// inner binding shadows an outer one of the same name. Each evaluation
+// (and each parallel worker's fork) owns one.
+type env struct{ vars []envVar }
+
+type envVar struct {
+	name string
+	b    binding
 }
 
-func (e *env) extend(name string, b binding) *env {
-	return &env{parent: e, name: name, b: b}
-}
+func (e *env) mark() int     { return len(e.vars) }
+func (e *env) release(m int) { e.vars = e.vars[:m] }
+
+func (e *env) bind(name string, b binding) { e.vars = append(e.vars, envVar{name, b}) }
 
 func (e *env) lookup(name string) (binding, bool) {
-	for x := e; x != nil; x = x.parent {
-		if x.name == name {
-			return x.b, true
+	for i := len(e.vars) - 1; i >= 0; i-- {
+		if e.vars[i].name == name {
+			return e.vars[i].b, true
 		}
 	}
 	return binding{}, false
 }
 
-// pathResult is one match of a path expression: the reached binding plus
-// the environment extended with any annotation variables bound on the way.
+// bindResult binds a materialized match: its annotation variables, then the
+// range variable.
+func (e *env) bindResult(name string, r pathResult) {
+	e.vars = append(e.vars, r.ext...)
+	e.bind(name, r.b)
+}
+
+// pathResult is one materialized match of a path expression: the reached
+// binding plus a snapshot of the annotation variables bound on the way (the
+// stack entries that bound them are gone by the time the match is used).
 type pathResult struct {
 	b   binding
-	env *env
+	ext []envVar
+}
+
+// with returns r's annotation snapshot extended by one variable; snapshots
+// are shared between sibling matches and never appended to in place.
+func (r pathResult) with(name string, b binding) []envVar {
+	return append(r.ext[:len(r.ext):len(r.ext)], envVar{name, b})
 }
 
 // evaluation carries the per-query state of one Eval call: an immutable
@@ -404,11 +396,23 @@ type evaluation struct {
 	// forks) marks <at T> operands with no variable dependencies; atMemo
 	// caches their resolved instants per evaluation, never across forks —
 	// workers each build their own memo so no synchronization is needed.
+	// litTimes (same provenance and sharing) holds the time coercion of
+	// each string literal, done once at prepare.
 	constTimes map[Expr]bool
 	atMemo     map[Expr]timeMemo
+	litTimes   map[*ConstExpr]timeMemo
+
+	// Binding-loop state, owned by this evaluation alone (a fork starts
+	// empty): the environment stack, the reused walkers of
+	// expression-embedded paths keyed by the expression that walks them,
+	// and buildRows' scratch.
+	env     env
+	walkers map[Expr]*pathWalker
+	ops     []operand
+	rowBuf  []Row
 }
 
-// timeMemo is one memoized constant time-expression resolution.
+// timeMemo is one memoized resolution of an expression to a time.
 type timeMemo struct {
 	t  timestamp.Time
 	ok bool
@@ -435,6 +439,7 @@ func (ev *evaluation) fork() *evaluation {
 		stream:     ev.stream,
 		trace:      ev.trace,
 		constTimes: ev.constTimes,
+		litTimes:   ev.litTimes,
 	}
 }
 
@@ -524,28 +529,22 @@ func (e *Engine) evalQuery(ev *evaluation, q *Query) (*Result, error) {
 	}
 	res := &Result{}
 	seen := make(map[string]bool)
-	emit := ev.emitter(q, &res.Rows, seen)
-	if err := ev.enumerate(gens, 0, strict, nil, emit); err != nil {
+	sink := func(row Row) { res.Rows = append(res.Rows, row) }
+	if err := ev.newWrittenExec(gens, strict, ev.emitter(q, seen, sink)).enumerate(0); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // emitter builds the tuple sink for one evaluation: it applies the where
-// clause, builds rows, and appends rows unseen in seen to *rows.
-func (ev *evaluation) emitter(q *Query, rows *[]Row, seen map[string]bool) func(*env) error {
-	return ev.emitterTo(q, seen, func(row Row) { *rows = append(*rows, row) })
-}
-
-// emitterTo is emitter with an arbitrary row sink instead of a slice: the
-// streaming parallel merge hands rows to a channel as they are produced
-// rather than buffering each shard to completion.
-func (ev *evaluation) emitterTo(q *Query, seen map[string]bool, sink func(Row)) func(*env) error {
+// clause to the bound tuple, builds its rows, and hands rows unseen in seen
+// to sink (a slice append, or the streaming parallel merge's channel).
+func (ev *evaluation) emitter(q *Query, seen map[string]bool, sink func(Row)) func() error {
 	var kb []byte // reused key buffer; map lookups on string(kb) do not allocate
-	return func(en *env) error {
+	return func() error {
 		ev.bindings++
 		if q.Where != nil {
-			ok, err := ev.evalBool(en, q.Where)
+			ok, err := ev.evalBool(q.Where)
 			if err != nil {
 				return err
 			}
@@ -553,7 +552,7 @@ func (ev *evaluation) emitterTo(q *Query, seen map[string]bool, sink func(Row)) 
 				return nil
 			}
 		}
-		built, err := ev.buildRows(en, q.Select)
+		built, err := ev.buildRows(q.Select)
 		if err != nil {
 			return err
 		}
@@ -570,110 +569,109 @@ func (ev *evaluation) emitterTo(q *Query, seen map[string]bool, sink func(Row)) 
 	}
 }
 
-// enumerate produces the cross product of generator bindings. Strict
-// generators (from clause) eliminate the tuple when empty; existential
-// generators (hoisted where paths) bind null instead, so disjunctions over
-// missing paths still evaluate.
-func (ev *evaluation) enumerate(gens []FromItem, i, strict int, en *env, emit func(*env) error) error {
+// writtenExec enumerates the cross product of generator bindings in
+// written order: the unplanned evaluator. Strict generators (from clause)
+// eliminate the tuple when empty; existential generators (hoisted where
+// paths) bind null instead, so disjunctions over missing paths still
+// evaluate.
+type writtenExec struct {
+	ev     *evaluation
+	gens   []FromItem
+	strict int // generators at index >= strict are existential
+	emit   func() error
+	gw     []*pathWalker // per generator, built on first use
+}
+
+func (ev *evaluation) newWrittenExec(gens []FromItem, strict int, emit func() error) *writtenExec {
+	return &writtenExec{ev: ev, gens: gens, strict: strict, emit: emit, gw: make([]*pathWalker, len(gens))}
+}
+
+// enumerate binds generators i.. and emits each completed tuple.
+func (x *writtenExec) enumerate(i int) error {
+	ev, en := x.ev, &x.ev.env
 	if err := ev.checkCancel(); err != nil {
 		return err
 	}
-	if i == len(gens) {
-		return emit(en)
+	if i == len(x.gens) {
+		return x.emit()
 	}
-	g := gens[i]
+	g := x.gens[i]
+	var n int
 	if ev.stream {
-		// Streaming: each binding flows into the next generator as the
-		// walker produces it; no candidate slice is held, and an errStop
-		// from a downstream consumer (a future limit-style sink)
-		// propagates up and stops the walk.
-		n := 0
-		if err := ev.walkPath(en, g.Path, func(r pathResult) error {
-			n++
-			return ev.enumerate(gens, i+1, strict, r.env.extend(g.Var, r.b), emit)
-		}); err != nil {
+		// Each binding flows into the next generator as the walker produces
+		// it; an errStop from a downstream consumer propagates up and stops
+		// the walk.
+		w := x.gw[i]
+		if w == nil {
+			w = ev.newWalker(g.Path)
+			w.yield = func(b binding) error {
+				m := en.mark()
+				en.bind(g.Var, b)
+				err := x.enumerate(i + 1)
+				en.release(m)
+				return err
+			}
+			x.gw[i] = w
+		}
+		if err := w.run(); err != nil {
 			return err
 		}
-		if n > 0 || i < strict {
-			return nil // strict with no bindings: no tuples
-		}
-		// Existential generator with no matches: bind the range variable
-		// and any annotation variables its path would have bound (and no
-		// earlier generator did) to null, so the rest of the where clause
-		// still evaluates.
-		return ev.enumerate(gens, i+1, strict, nullBind(en, g), emit)
-	}
-	results, err := ev.evalPath(en, g.Path)
-	if err != nil {
-		return err
-	}
-	if len(results) == 0 {
-		if i < strict {
-			return nil // strict: no bindings, no tuples
-		}
-		return ev.enumerate(gens, i+1, strict, nullBind(en, g), emit)
-	}
-	for _, r := range results {
-		if err := ev.enumerate(gens, i+1, strict, r.env.extend(g.Var, r.b), emit); err != nil {
+		n = w.n
+	} else {
+		results, err := ev.evalPath(g.Path)
+		if err != nil {
 			return err
 		}
+		n = len(results)
+		for _, r := range results {
+			m := en.mark()
+			en.bindResult(g.Var, r)
+			err := x.enumerate(i + 1)
+			en.release(m)
+			if err != nil {
+				return err
+			}
+		}
 	}
-	return nil
+	if n > 0 || i < x.strict {
+		return nil // strict with no bindings: no tuples
+	}
+	// Existential generator with no matches: null-bind so the rest of the
+	// where clause still evaluates.
+	m := en.mark()
+	en.bindNull(g)
+	err := x.enumerate(i + 1)
+	en.release(m)
+	return err
 }
 
-// evalPath evaluates a path expression in an environment.
-func (ev *evaluation) evalPath(en *env, p *PathExpr) ([]pathResult, error) {
-	var frontier []pathResult
-	if b, ok := en.lookup(p.Head); ok {
-		frontier = []pathResult{{b: b, env: en}}
-	} else if g, ok := ev.graphs[p.Head]; ok {
-		frontier = []pathResult{{b: nodeBinding(g, g.Root()), env: en}}
-	} else {
-		return nil, errf(p.P, "unknown name %q (neither a variable in scope nor a registered database)", p.Head)
+// pathHead resolves a path's head: a variable in scope, else a registered
+// database's root.
+func (ev *evaluation) pathHead(p *PathExpr) (binding, error) {
+	if b, ok := ev.env.lookup(p.Head); ok {
+		return b, nil
 	}
+	if g, ok := ev.graphs[p.Head]; ok {
+		return nodeBinding(g, g.Root()), nil
+	}
+	return binding{}, errf(p.P, "unknown name %q (neither a variable in scope nor a registered database)", p.Head)
+}
+
+// evalPath materializes the matches of a path expression under the current
+// environment, breadth first: the reference enumeration the streaming
+// walker is held to, and the partitioner of the parallel outer generator.
+func (ev *evaluation) evalPath(p *PathExpr) ([]pathResult, error) {
+	head, err := ev.pathHead(p)
+	if err != nil {
+		return nil, err
+	}
+	frontier := []pathResult{{b: head}}
 	for _, step := range p.Steps {
 		next := make([]pathResult, 0, len(frontier))
-		bindsVars := stepBindsVars(step)
-
-		// Dedup state. Frontiers are overwhelmingly uniform — node
-		// bindings sharing one as-of state — so dedup starts on bare
-		// NodeIDs and migrates to full visitKeys only if a binding breaks
-		// the pattern.
-		var (
-			ids map[oem.NodeID]bool
-			gen map[visitKey]bool
-			ref binding // as-of template shared by every entry in ids
-		)
-		fresh := func(b binding) bool {
-			if gen == nil && b.kind == bNode {
-				if ids == nil {
-					ids = make(map[oem.NodeID]bool, 2*len(frontier))
-					ref = b
-				}
-				if b.hasAsOf == ref.hasAsOf && (!b.hasAsOf || b.asOf == ref.asOf) {
-					if ids[b.id] {
-						return false
-					}
-					ids[b.id] = true
-					return true
-				}
-			}
-			if gen == nil {
-				gen = make(map[visitKey]bool, len(ids)+16)
-				for id := range ids {
-					rb := ref
-					rb.id = id
-					gen[rb.visitKey()] = true
-				}
-			}
-			k := b.visitKey()
-			if gen[k] {
-				return false
-			}
-			gen[k] = true
-			return true
-		}
-
+		// A step that binds no variables leaves environments unchanged, so
+		// identical targets from different parents are redundant.
+		dedup := !stepBindsVars(step)
+		var seen seenSet
 		for _, cur := range frontier {
 			if err := ev.checkCancel(); err != nil {
 				return nil, err
@@ -684,15 +682,12 @@ func (ev *evaluation) evalPath(en *env, p *PathExpr) ([]pathResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			if !bindsVars {
-				// Environments are unchanged, so identical targets from
-				// different parents are redundant.
+			if dedup {
 				kept := next[:start]
 				for _, r := range next[start:] {
-					if !fresh(r.b) {
-						continue
+					if seen.fresh(r.b) {
+						kept = append(kept, r)
 					}
-					kept = append(kept, r)
 				}
 				next = kept
 			}
@@ -705,31 +700,35 @@ func (ev *evaluation) evalPath(en *env, p *PathExpr) ([]pathResult, error) {
 	return frontier, nil
 }
 
-// pathAnnotVars collects the annotation variables a path binds.
-func pathAnnotVars(p *PathExpr) []string {
-	var vars []string
-	for _, s := range p.Steps {
-		for _, ann := range []*AnnotExpr{s.Arc, s.Node} {
-			if ann == nil {
-				continue
-			}
-			for _, v := range []string{ann.AtVar, ann.FromVar, ann.ToVar} {
-				if v != "" {
-					vars = append(vars, v)
+// vars lists the variables an annotation expression binds ("" where it
+// binds none).
+func (a *AnnotExpr) vars() [3]string {
+	if a == nil {
+		return [3]string{}
+	}
+	return [3]string{a.AtVar, a.FromVar, a.ToVar}
+}
+
+func stepBindsVars(s *PathStep) bool {
+	return s.Arc.vars() != [3]string{} || s.Node.vars() != [3]string{}
+}
+
+// bindNull binds an empty existential generator: the range variable and
+// the annotation variables its path would have bound go to null — except
+// names already bound in the enclosing scope, which must stay visible.
+// (Null-binding a name an earlier generator bound would shadow a real
+// binding and silently falsify predicates over it.)
+func (e *env) bindNull(g FromItem) {
+	e.bind(g.Var, binding{kind: bNull})
+	for _, s := range g.Path.Steps {
+		for _, vars := range [2][3]string{s.Arc.vars(), s.Node.vars()} {
+			for _, v := range vars {
+				if _, bound := e.lookup(v); v != "" && !bound {
+					e.bind(v, binding{kind: bNull})
 				}
 			}
 		}
 	}
-	return vars
-}
-
-func stepBindsVars(s *PathStep) bool {
-	for _, ann := range []*AnnotExpr{s.Arc, s.Node} {
-		if ann != nil && (ann.AtVar != "" || ann.FromVar != "" || ann.ToVar != "") {
-			return true
-		}
-	}
-	return false
 }
 
 // expandStep applies one path step to one binding, appending the reached
@@ -760,7 +759,7 @@ func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathSte
 			stack = stack[:len(stack)-1]
 			nb := cur.b
 			nb.id = n
-			out = append(out, pathResult{b: nb, env: cur.env})
+			out = append(out, pathResult{b: nb, ext: cur.ext})
 			for _, a := range ev.liveArcs(cur.b, g, n) {
 				if !seen[a.Child] {
 					seen[a.Child] = true
@@ -774,7 +773,7 @@ func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathSte
 	// Select candidate (arc, envExtension) pairs according to the arc
 	// annotation expression.
 	out := dst
-	appendChild := func(child oem.NodeID, en *env, asOf *timestamp.Time) error {
+	appendChild := func(child oem.NodeID, ext []envVar, asOf *timestamp.Time) error {
 		nb := cur.b
 		nb.id = child
 		if asOf != nil {
@@ -782,7 +781,7 @@ func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathSte
 			nb.asOf = *asOf
 		}
 		var err error
-		out, err = ev.applyNodeAnnot(out, pathResult{b: nb, env: en}, step.Node)
+		out, err = ev.applyNodeAnnot(out, pathResult{b: nb, ext: ext}, step.Node)
 		return err
 	}
 
@@ -793,7 +792,7 @@ func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathSte
 		// in the same insertion order the scan below would produce.
 		if ls, ok := g.(LabelSeeker); ok && exactLabel(step) && !cur.b.hasAsOf {
 			for _, a := range ls.OutLabeled(cur.b.id, step.Label) {
-				if err := appendChild(a.Child, cur.env, nil); err != nil {
+				if err := appendChild(a.Child, cur.ext, nil); err != nil {
 					return nil, err
 				}
 			}
@@ -803,7 +802,7 @@ func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathSte
 			if !labelMatch(step, a.Label) {
 				continue
 			}
-			if err := appendChild(a.Child, cur.env, nil); err != nil {
+			if err := appendChild(a.Child, cur.ext, nil); err != nil {
 				return nil, err
 			}
 		}
@@ -824,17 +823,17 @@ func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathSte
 				if ann.Kind != wantKind {
 					continue
 				}
-				en := cur.env
+				ext := cur.ext
 				if step.Arc.AtVar != "" {
-					en = en.extend(step.Arc.AtVar, valueBinding(value.Time(ann.At)))
+					ext = cur.with(step.Arc.AtVar, valueBinding(value.Time(ann.At)))
 				}
-				if err := appendChild(a.Child, en, nil); err != nil {
+				if err := appendChild(a.Child, ext, nil); err != nil {
 					return nil, err
 				}
 			}
 		}
 	case step.Arc.Op == OpAt:
-		t, ok, err := ev.evalTime(cur.env, step.Arc.AtExpr)
+		t, ok, err := ev.evalTimeUnder(cur.ext, step.Arc.AtExpr)
 		if err != nil {
 			return nil, err
 		}
@@ -849,7 +848,7 @@ func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathSte
 				if !labelMatch(step, a.Label) {
 					continue
 				}
-				if err := appendChild(a.Child, cur.env, &t); err != nil {
+				if err := appendChild(a.Child, cur.ext, &t); err != nil {
 					return nil, err
 				}
 			}
@@ -860,7 +859,7 @@ func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathSte
 				continue
 			}
 			if g.ArcLiveAt(a, t) {
-				if err := appendChild(a.Child, cur.env, &t); err != nil {
+				if err := appendChild(a.Child, cur.ext, &t); err != nil {
 					return nil, err
 				}
 			}
@@ -969,7 +968,7 @@ func (ev *evaluation) expandGroup(dst []pathResult, cur pathResult, grp *PathGro
 	for _, n := range ids {
 		nb := cur.b
 		nb.id = n
-		out = append(out, pathResult{b: nb, env: cur.env})
+		out = append(out, pathResult{b: nb, ext: cur.ext})
 	}
 	return out
 }
@@ -1009,35 +1008,33 @@ func (ev *evaluation) applyNodeAnnot(dst []pathResult, r pathResult, ann *AnnotE
 		if !ok {
 			return dst, nil
 		}
-		en := r.env
 		if ann.AtVar != "" {
-			en = en.extend(ann.AtVar, valueBinding(value.Time(ct)))
+			r.ext = r.with(ann.AtVar, valueBinding(value.Time(ct)))
 		}
-		return append(dst, pathResult{b: r.b, env: en}), nil
+		return append(dst, r), nil
 	case OpUpd:
 		for _, u := range g.UpdTriples(r.b.id) {
-			en := r.env
+			ur := r
 			if ann.AtVar != "" {
-				en = en.extend(ann.AtVar, valueBinding(value.Time(u.At)))
+				ur.ext = ur.with(ann.AtVar, valueBinding(value.Time(u.At)))
 			}
 			if ann.FromVar != "" {
-				en = en.extend(ann.FromVar, valueBinding(u.Old))
+				ur.ext = ur.with(ann.FromVar, valueBinding(u.Old))
 			}
 			if ann.ToVar != "" {
-				en = en.extend(ann.ToVar, valueBinding(u.New))
+				ur.ext = ur.with(ann.ToVar, valueBinding(u.New))
 			}
-			dst = append(dst, pathResult{b: r.b, env: en})
+			dst = append(dst, ur)
 		}
 		return dst, nil
 	case OpAt:
-		t, ok, err := ev.evalTime(r.env, ann.AtExpr)
+		t, ok, err := ev.evalTimeUnder(r.ext, ann.AtExpr)
 		if err != nil || !ok {
 			return dst, err
 		}
-		nb := r.b
-		nb.hasAsOf = true
-		nb.asOf = t
-		return append(dst, pathResult{b: nb, env: r.env}), nil
+		r.b.hasAsOf = true
+		r.b.asOf = t
+		return append(dst, r), nil
 	default:
 		return dst, errf(ann.P, "%s annotation cannot follow a label", ann.Op)
 	}
@@ -1069,12 +1066,12 @@ func annotKindFor(op AnnotOp) doem.AnnotKind {
 // time values). Time operands the planner proved environment-independent
 // resolve once per evaluation instead of once per binding (constant
 // <at T> hoisting).
-func (ev *evaluation) evalTime(en *env, ex Expr) (timestamp.Time, bool, error) {
+func (ev *evaluation) evalTime(ex Expr) (timestamp.Time, bool, error) {
 	if ev.constTimes != nil && ev.constTimes[ex] {
 		if m, ok := ev.atMemo[ex]; ok {
 			return m.t, m.ok, nil
 		}
-		t, ok, err := ev.evalTimeUncached(en, ex)
+		t, ok, err := ev.evalTimeUncached(ex)
 		if err != nil {
 			return t, ok, err
 		}
@@ -1084,16 +1081,26 @@ func (ev *evaluation) evalTime(en *env, ex Expr) (timestamp.Time, bool, error) {
 		ev.atMemo[ex] = timeMemo{t: t, ok: ok}
 		return t, ok, nil
 	}
-	return ev.evalTimeUncached(en, ex)
+	return ev.evalTimeUncached(ex)
 }
 
-func (ev *evaluation) evalTimeUncached(en *env, ex Expr) (timestamp.Time, bool, error) {
-	bs, err := ev.evalOperand(en, ex)
+// evalTimeUnder is evalTime with a materialized match's annotation
+// variables in scope.
+func (ev *evaluation) evalTimeUnder(ext []envVar, ex Expr) (timestamp.Time, bool, error) {
+	m := ev.env.mark()
+	ev.env.vars = append(ev.env.vars, ext...)
+	t, ok, err := ev.evalTime(ex)
+	ev.env.release(m)
+	return t, ok, err
+}
+
+func (ev *evaluation) evalTimeUncached(ex Expr) (timestamp.Time, bool, error) {
+	bs, err := ev.evalOperand(ex)
 	if err != nil {
 		return timestamp.Time{}, false, err
 	}
-	for _, b := range bs {
-		v, ok := b.valueOf()
+	for i := 0; i < bs.n; i++ {
+		v, ok := bs.at(i).valueOf()
 		if !ok {
 			continue
 		}
@@ -1111,42 +1118,72 @@ func (ev *evaluation) evalTimeUncached(en *env, ex Expr) (timestamp.Time, bool, 
 	return timestamp.Time{}, false, nil
 }
 
-// evalOperand evaluates an expression to its set of bindings.
-func (ev *evaluation) evalOperand(en *env, ex Expr) ([]binding, error) {
+// operand is the set of bindings an expression denotes. A constant, a
+// bound variable or a computed value denotes exactly one, held inline so
+// reading it allocates nothing; only a path that still has steps (or
+// arithmetic over one) can denote several.
+type operand struct {
+	n    int
+	one  binding   // the binding when n == 1 and many is nil
+	many []binding // the bindings otherwise
+}
+
+func single(b binding) operand { return operand{n: 1, one: b} }
+
+func several(bs []binding) operand { return operand{n: len(bs), many: bs} }
+
+func (o *operand) at(i int) binding {
+	if o.many != nil {
+		return o.many[i]
+	}
+	return o.one
+}
+
+// evalOperand evaluates an expression to the bindings it denotes.
+func (ev *evaluation) evalOperand(ex Expr) (operand, error) {
 	switch x := ex.(type) {
 	case *ConstExpr:
-		return []binding{valueBinding(x.Val)}, nil
+		return single(valueBinding(x.Val)), nil
 	case *TimeRefExpr:
-		return []binding{valueBinding(value.Time(ev.pollTime(x.Index)))}, nil
+		return single(valueBinding(value.Time(ev.pollTime(x.Index)))), nil
 	case *PathValueExpr:
-		rs, err := ev.evalPath(en, x.Path)
-		if err != nil {
-			return nil, err
+		if len(x.Path.Steps) == 0 { // a variable (or database root): read it
+			b, err := ev.pathHead(x.Path)
+			return single(b), err
 		}
-		bs := make([]binding, 0, len(rs))
+		var bs []binding
+		if ev.stream {
+			w := ev.walker(x, x.Path)
+			w.yield = func(b binding) error { bs = append(bs, b); return nil }
+			if err := w.run(); err != nil {
+				return operand{}, err
+			}
+			return several(bs), nil
+		}
+		rs, err := ev.evalPath(x.Path)
 		for _, r := range rs {
 			bs = append(bs, r.b)
 		}
-		return bs, nil
+		return several(bs), err
 	case *BinExpr:
 		switch x.Op {
 		case "+", "-", "*", "/":
-			ls, err := ev.evalOperand(en, x.L)
+			ls, err := ev.evalOperand(x.L)
 			if err != nil {
-				return nil, err
+				return operand{}, err
 			}
-			rs, err := ev.evalOperand(en, x.R)
+			rs, err := ev.evalOperand(x.R)
 			if err != nil {
-				return nil, err
+				return operand{}, err
 			}
 			var out []binding
-			for _, l := range ls {
-				lv, lok := l.valueOf()
+			for i := 0; i < ls.n; i++ {
+				lv, lok := ls.at(i).valueOf()
 				if !lok {
 					continue
 				}
-				for _, r := range rs {
-					rv, rok := r.valueOf()
+				for j := 0; j < rs.n; j++ {
+					rv, rok := rs.at(j).valueOf()
 					if !rok {
 						continue
 					}
@@ -1155,188 +1192,165 @@ func (ev *evaluation) evalOperand(en *env, ex Expr) ([]binding, error) {
 					}
 				}
 			}
-			return out, nil
+			return several(out), nil
 		default:
 			// A boolean expression in operand position.
-			ok, err := ev.evalBool(en, x)
-			if err != nil {
-				return nil, err
-			}
-			return []binding{valueBinding(value.Bool(ok))}, nil
+			ok, err := ev.evalBool(x)
+			return single(valueBinding(value.Bool(ok))), err
 		}
 	case *NotExpr, *ExistsExpr:
-		ok, err := ev.evalBool(en, ex)
-		if err != nil {
-			return nil, err
-		}
-		return []binding{valueBinding(value.Bool(ok))}, nil
+		ok, err := ev.evalBool(ex)
+		return single(valueBinding(value.Bool(ok))), err
 	case *AggExpr:
-		v, err := ev.evalAggregate(en, x)
-		if err != nil {
-			return nil, err
-		}
-		return []binding{valueBinding(v)}, nil
+		v, err := ev.evalAggregate(x)
+		return single(valueBinding(v)), err
 	}
-	return nil, errf(ex.Pos(), "cannot evaluate expression %s", ex)
+	return operand{}, errf(ex.Pos(), "cannot evaluate expression %s", ex)
 }
 
-// evalAggregate folds an aggregate function over a path's matches in the
-// current tuple environment. count tallies matches; min/max/sum/avg fold
-// the coercible numeric (or, for min/max, comparable) values and yield null
-// on an empty fold.
-func (ev *evaluation) evalAggregate(en *env, agg *AggExpr) (value.Value, error) {
-	// The fold consumes the walker's stream directly (when streaming is
-	// on) instead of materializing the match slice first; a count over a
-	// large path holds no intermediate state but the counter.
-	var acc value.Value
-	var cnt int64
-	n := 0
-	fold := func(r pathResult) error {
-		cnt++
-		if agg.Fn == "count" {
-			return nil
-		}
-		v, ok := r.b.valueOf()
-		if !ok || v.IsComplex() || v.Kind() == value.KindNull {
-			return nil
-		}
-		if n == 0 {
-			acc = v
-			n++
-			return nil
-		}
-		switch agg.Fn {
-		case "min":
-			if cmp, ok := value.Compare(v, acc); ok && cmp < 0 {
-				acc = v
-			}
-		case "max":
-			if cmp, ok := value.Compare(v, acc); ok && cmp > 0 {
-				acc = v
-			}
-		case "sum", "avg":
-			if s, ok := value.Arith("+", acc, v); ok {
-				acc = s
-			} else {
-				return nil
-			}
-		}
-		n++
+// aggFold folds an aggregate function over a path's matches. count tallies
+// matches; min/max/sum/avg fold the coercible numeric (or, for min/max,
+// comparable) values and yield null on an empty fold.
+type aggFold struct {
+	fn  string
+	acc value.Value
+	cnt int64
+	n   int
+}
+
+func (f *aggFold) add(b binding) error {
+	f.cnt++
+	if f.fn == "count" {
 		return nil
 	}
-	if ev.stream {
-		if err := ev.walkPath(en, agg.Path, fold); err != nil {
-			return value.Value{}, err
+	v, ok := b.valueOf()
+	if !ok || v.IsComplex() || v.Kind() == value.KindNull {
+		return nil
+	}
+	if f.n == 0 {
+		f.acc = v
+		f.n++
+		return nil
+	}
+	switch f.fn {
+	case "min":
+		if cmp, ok := value.Compare(v, f.acc); ok && cmp < 0 {
+			f.acc = v
 		}
-	} else {
-		rs, err := ev.evalPath(en, agg.Path)
-		if err != nil {
-			return value.Value{}, err
+	case "max":
+		if cmp, ok := value.Compare(v, f.acc); ok && cmp > 0 {
+			f.acc = v
 		}
+	case "sum", "avg":
+		s, ok := value.Arith("+", f.acc, v)
+		if !ok {
+			return nil
+		}
+		f.acc = s
+	}
+	f.n++
+	return nil
+}
+
+func (f *aggFold) result() value.Value {
+	switch {
+	case f.fn == "count":
+		return value.Int(f.cnt)
+	case f.n == 0:
+		return value.Null()
+	case f.fn == "avg":
+		if a, ok := value.Arith("/", f.acc, value.Int(int64(f.n))); ok {
+			return a
+		}
+		return value.Null()
+	}
+	return f.acc
+}
+
+// evalAggregate folds an aggregate over its path's matches under the
+// current tuple. When streaming, the fold consumes the walker's stream
+// directly: a count over a large path holds no state but the counter.
+func (ev *evaluation) evalAggregate(agg *AggExpr) (value.Value, error) {
+	if !ev.stream {
+		f := aggFold{fn: agg.Fn}
+		rs, err := ev.evalPath(agg.Path)
 		for _, r := range rs {
-			_ = fold(r)
+			_ = f.add(r.b)
 		}
+		return f.result(), err
 	}
-	if agg.Fn == "count" {
-		return value.Int(cnt), nil
+	w := ev.walker(agg, agg.Path)
+	f, _ := w.state.(*aggFold)
+	if f == nil {
+		f = new(aggFold)
+		w.state, w.yield = f, f.add
 	}
-	if n == 0 {
-		return value.Null(), nil
-	}
-	if agg.Fn == "avg" {
-		if a, ok := value.Arith("/", acc, value.Int(int64(n))); ok {
-			return a, nil
-		}
-		return value.Null(), nil
-	}
-	return acc, nil
+	*f = aggFold{fn: agg.Fn}
+	err := w.run()
+	return f.result(), err
 }
 
 // evalBool evaluates an expression as a predicate. Comparisons over path
 // sets are existential; coercion failures and null bindings yield false
 // (the Lorel "forgiving" semantics of Example 4.1).
-func (ev *evaluation) evalBool(en *env, ex Expr) (bool, error) {
+func (ev *evaluation) evalBool(ex Expr) (bool, error) {
 	switch x := ex.(type) {
 	case *BinExpr:
 		switch x.Op {
 		case "and":
-			l, err := ev.evalBool(en, x.L)
+			l, err := ev.evalBool(x.L)
 			if err != nil || !l {
 				return false, err
 			}
-			return ev.evalBool(en, x.R)
+			return ev.evalBool(x.R)
 		case "or":
-			l, err := ev.evalBool(en, x.L)
+			l, err := ev.evalBool(x.L)
 			if err != nil || l {
 				return l, err
 			}
-			return ev.evalBool(en, x.R)
-		case "=", "!=", "<", "<=", ">", ">=":
-			return ev.evalCompare(en, x)
-		case "like":
-			ls, err := ev.evalOperand(en, x.L)
-			if err != nil {
-				return false, err
-			}
-			rs, err := ev.evalOperand(en, x.R)
-			if err != nil {
-				return false, err
-			}
-			for _, l := range ls {
-				lv, lok := l.valueOf()
-				if !lok {
-					continue
-				}
-				for _, r := range rs {
-					rv, rok := r.valueOf()
-					if !rok || rv.Kind() != value.KindString {
-						continue
-					}
-					if lv.Like(rv.AsString()) {
-						return true, nil
-					}
-				}
-			}
-			return false, nil
+			return ev.evalBool(x.R)
+		case "=", "!=", "<", "<=", ">", ">=", "like":
+			return ev.evalCompare(x)
 		default:
 			return false, errf(x.P, "operator %q is not a predicate", x.Op)
 		}
 	case *NotExpr:
-		ok, err := ev.evalBool(en, x.E)
+		ok, err := ev.evalBool(x.E)
 		return !ok, err
 	case *ExistsExpr:
-		// Stream candidates and stop at the first witness. Materializing
-		// the whole x.In result set before testing a single candidate made
-		// exists pay for every match even when the first one satisfied;
-		// this walk does work proportional to the first witness's position.
-		// The walker is used here regardless of the REPRO_NOSTREAM gate:
-		// the short-circuit is a bugfix, not an optimization mode.
-		found := false
-		err := ev.walkPath(en, x.In, func(r pathResult) error {
-			ev.bindings++ // one candidate examined
-			ok, err := ev.evalBool(r.env.extend(x.Var, r.b), x.Cond)
-			if err != nil {
+		// Stream candidates and stop at the first witness, so the walk does
+		// work proportional to the witness's position. The walker is used
+		// here regardless of the REPRO_NOSTREAM gate: the short-circuit is a
+		// bugfix, not an optimization mode.
+		w := ev.walker(x, x.In)
+		if w.yield == nil {
+			en := &ev.env
+			w.yield = func(b binding) error {
+				ev.bindings++ // one candidate examined
+				m := en.mark()
+				en.bind(x.Var, b)
+				ok, err := ev.evalBool(x.Cond)
+				en.release(m)
+				if err == nil && ok {
+					err = errStop
+				}
 				return err
 			}
-			if ok {
-				found = true
-				return errStop
-			}
-			return nil
-		})
-		if err != nil && err != errStop {
-			return false, err
 		}
-		return found, nil
+		err := w.run()
+		if err == errStop {
+			return true, nil
+		}
+		return false, err
 	case *ConstExpr:
 		return x.Val.Truthy(), nil
 	case *PathValueExpr:
-		bs, err := ev.evalOperand(en, ex)
+		bs, err := ev.evalOperand(ex)
 		if err != nil {
 			return false, err
 		}
-		for _, b := range bs {
-			if v, ok := b.valueOf(); ok && v.Truthy() {
+		for i := 0; i < bs.n; i++ {
+			if v, ok := bs.at(i).valueOf(); ok && v.Truthy() {
 				return true, nil
 			}
 		}
@@ -1347,26 +1361,60 @@ func (ev *evaluation) evalBool(en *env, ex Expr) (bool, error) {
 	return false, errf(ex.Pos(), "cannot evaluate %s as a predicate", ex)
 }
 
-func (ev *evaluation) evalCompare(en *env, x *BinExpr) (bool, error) {
-	ls, err := ev.evalOperand(en, x.L)
+// litTime returns the memoized time coercion of ex when it is a string
+// literal prepared for this evaluation.
+func (ev *evaluation) litTime(ex Expr) (timeMemo, bool) {
+	if c, ok := ex.(*ConstExpr); ok && ev.litTimes != nil {
+		m, ok := ev.litTimes[c]
+		return m, ok
+	}
+	return timeMemo{}, false
+}
+
+// evalCompare evaluates a comparison or like: true when any pair of the
+// operands' values satisfies it. A string literal facing a time compares by
+// its coercion memoized at prepare, which is what value.Compare would
+// re-derive (layout by layout) for every binding.
+func (ev *evaluation) evalCompare(x *BinExpr) (bool, error) {
+	ls, err := ev.evalOperand(x.L)
 	if err != nil {
 		return false, err
 	}
-	rs, err := ev.evalOperand(en, x.R)
+	rs, err := ev.evalOperand(x.R)
 	if err != nil {
 		return false, err
 	}
-	for _, l := range ls {
-		lv, lok := l.valueOf()
+	lt, lLit := ev.litTime(x.L)
+	rt, rLit := ev.litTime(x.R)
+	for i := 0; i < ls.n; i++ {
+		lv, lok := ls.at(i).valueOf()
 		if !lok {
 			continue
 		}
-		for _, r := range rs {
-			rv, rok := r.valueOf()
+		for j := 0; j < rs.n; j++ {
+			rv, rok := rs.at(j).valueOf()
 			if !rok {
 				continue
 			}
-			cmp, ok := value.Compare(lv, rv)
+			if x.Op == "like" {
+				if rv.Kind() == value.KindString && lv.Like(rv.AsString()) {
+					return true, nil
+				}
+				continue
+			}
+			a, b := lv, rv
+			if rLit && a.Kind() == value.KindTime {
+				if !rt.ok {
+					continue // the literal is no time: incomparable
+				}
+				b = value.Time(rt.t)
+			} else if lLit && b.Kind() == value.KindTime {
+				if !lt.ok {
+					continue
+				}
+				a = value.Time(lt.t)
+			}
+			cmp, ok := value.Compare(a, b)
 			if !ok {
 				continue
 			}
@@ -1393,66 +1441,59 @@ func (ev *evaluation) evalCompare(en *env, x *BinExpr) (bool, error) {
 	return false, nil
 }
 
-// buildRows constructs result rows for one satisfied tuple. Select items
+// buildRows constructs result rows for the bound tuple. Select items
 // normally evaluate to single bindings; items that still denote sets fan
-// out into one row per combination.
-func (ev *evaluation) buildRows(en *env, items []SelectItem) ([]Row, error) {
-	cells := make([][]binding, len(items))
-	single := true
-	for i, item := range items {
-		bs, err := ev.evalOperand(en, item.Expr)
+// out into one row per combination. The returned slice is scratch, valid
+// until the next call.
+func (ev *evaluation) buildRows(items []SelectItem) ([]Row, error) {
+	ops := ev.ops[:0]
+	single, allNull := true, true
+	for _, item := range items {
+		op, err := ev.evalOperand(item.Expr)
 		if err != nil {
 			return nil, err
 		}
-		if len(bs) == 0 {
-			bs = []binding{{kind: bNull}}
+		if op.n == 0 {
+			op = operand{n: 1} // the null binding
 		}
-		if len(bs) != 1 {
+		if op.n != 1 {
 			single = false
+		} else if op.at(0).kind != bNull {
+			allNull = false
 		}
-		cells[i] = bs
+		ops = append(ops, op)
 	}
-	// Fast path: every item resolved to one binding — exactly one row, no
-	// cross-product recursion.
+	ev.ops = ops
+	rows := ev.rowBuf[:0]
 	if single {
-		allNull := true
-		row := Row{Cells: make([]Cell, len(items))}
-		for i, bs := range cells {
-			row.Cells[i] = Cell{Label: items[i].Label, b: bs[0]}
-			if bs[0].kind != bNull {
-				allNull = false
+		// Every item resolved to one binding — exactly one row (none when it
+		// is entirely null), no cross-product recursion.
+		if !allNull {
+			cells := make([]Cell, len(items))
+			for i := range ops {
+				cells[i] = Cell{Label: items[i].Label, b: ops[i].at(0)}
 			}
+			rows = append(rows, Row{Cells: cells})
 		}
-		if allNull {
-			return nil, nil
-		}
-		return []Row{row}, nil
+		ev.rowBuf = rows
+		return rows, nil
 	}
-	var rows []Row
 	var build func(i int, acc []Cell)
 	build = func(i int, acc []Cell) {
-		if i == len(items) {
-			rows = append(rows, Row{Cells: append([]Cell(nil), acc...)})
+		if i < len(items) {
+			for k := 0; k < ops[i].n; k++ {
+				build(i+1, append(acc, Cell{Label: items[i].Label, b: ops[i].at(k)}))
+			}
 			return
 		}
-		for _, b := range cells[i] {
-			build(i+1, append(acc, Cell{Label: items[i].Label, b: b}))
+		for _, c := range acc {
+			if c.b.kind != bNull { // rows that are entirely null are dropped
+				rows = append(rows, Row{Cells: append([]Cell(nil), acc...)})
+				return
+			}
 		}
 	}
 	build(0, nil)
-	// Drop rows that are entirely null.
-	var kept []Row
-	for _, r := range rows {
-		allNull := true
-		for _, c := range r.Cells {
-			if c.b.kind != bNull {
-				allNull = false
-				break
-			}
-		}
-		if !allNull {
-			kept = append(kept, r)
-		}
-	}
-	return kept, nil
+	ev.rowBuf = rows
+	return rows, nil
 }

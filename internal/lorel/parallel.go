@@ -24,7 +24,7 @@ func (ev *evaluation) evalParallel(q *Query, gens []FromItem, strict, workers in
 	if len(gens) == 0 {
 		return nil, false, nil
 	}
-	outer, err := ev.evalPath(nil, gens[0].Path)
+	outer, err := ev.evalPath(gens[0].Path)
 	if err != nil {
 		return nil, true, err
 	}
@@ -75,21 +75,24 @@ func (ev *evaluation) evalParallel(q *Query, gens []FromItem, strict, workers in
 			wev := ev.fork()
 			seen := make(map[string]bool)
 			rows := 0
-			var emit func(*env) error
+			var emit func() error
 			if ev.stream {
 				ch := chans[w]
 				// errAt/err are written before close(ch); the merge reads
 				// them only after draining ch, so close synchronizes the
 				// hand-off.
 				defer close(ch)
-				emit = wev.emitterTo(q, seen, func(row Row) { rows++; ch <- row })
+				emit = wev.emitter(q, seen, func(row Row) { rows++; ch <- row })
 			} else {
-				emit = wev.emitter(q, &sh.rows, seen)
+				emit = wev.emitter(q, seen, func(row Row) { sh.rows = append(sh.rows, row) })
 			}
+			wx := wev.newWrittenExec(gens, strict, emit)
 			for i := lo; i < hi; i++ {
-				r := outer[i]
-				en := r.env.extend(gens[0].Var, r.b)
-				if err := wev.enumerate(gens, 1, strict, en, emit); err != nil {
+				m := wev.env.mark()
+				wev.env.bindResult(gens[0].Var, outer[i])
+				err := wx.enumerate(1)
+				wev.env.release(m)
+				if err != nil {
 					sh.errAt, sh.err = i, err
 					break
 				}

@@ -2,6 +2,8 @@ package lorel
 
 import (
 	"repro/internal/plan"
+	"repro/internal/timestamp"
+	"repro/internal/value"
 )
 
 // This file connects the evaluator to internal/plan: it extracts a
@@ -35,6 +37,10 @@ type prepared struct {
 	// the evaluation memoizes them once instead of re-resolving per
 	// binding (constant time-expression hoisting).
 	constTimes map[Expr]bool
+	// litTimes holds the time coercion of each string literal in operand
+	// position, so a comparison against a time reads it instead of
+	// re-parsing the literal for every binding.
+	litTimes map[*ConstExpr]timeMemo
 
 	// Staleness pins: per consulted database, its identity tag and stats
 	// version at prepare time, plus head names that did not resolve
@@ -151,10 +157,12 @@ func prepareQuery(q *Query, graphs map[string]Graph) *prepared {
 		vers:   make(map[string]uint64),
 		tags:   make(map[string]uintptr),
 		consts: make(map[Expr]bool),
+		lits:   make(map[*ConstExpr]timeMemo),
 	}
 	pr := &prepared{
 		gens:       append(append([]FromItem{}, q.From...), q.WhereGens...),
 		constTimes: b.consts,
+		litTimes:   b.lits,
 		vers:       b.vers,
 		tags:       b.tags,
 	}
@@ -197,6 +205,7 @@ type specBuilder struct {
 	tags    map[string]uintptr
 	missing []string
 	consts  map[Expr]bool
+	lits    map[*ConstExpr]timeMemo // nil when only validating (StaticallySafe)
 	// stats holds, per database, its statistics provider and the totals
 	// read from it once for this prepare.
 	stats map[string]dbStats
@@ -473,7 +482,12 @@ func (c *exprCheck) depList() []int {
 // operand validates e in value position (evalOperand).
 func (c *exprCheck) operand(e Expr, locals map[string]bool) {
 	switch x := e.(type) {
-	case *ConstExpr, *TimeRefExpr:
+	case *ConstExpr:
+		if c.b.lits != nil && x.Val.Kind() == value.KindString {
+			t, err := timestamp.Parse(x.Val.AsString())
+			c.b.lits[x] = timeMemo{t: t, ok: err == nil}
+		}
+	case *TimeRefExpr:
 	case *PathValueExpr:
 		c.path(x.Path, locals)
 	case *AggExpr:

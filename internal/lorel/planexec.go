@@ -44,6 +44,9 @@ type plannedExec struct {
 	q    *Query
 	pr   *prepared
 	gens []FromItem
+	// gw[gi] is generator gi's walker, prepared on first use and rerun for
+	// every binding of the generators before it.
+	gw []*pathWalker
 	// idx[gi] is the candidate index of generator gi's current binding.
 	idx []int32
 	// actual[gi] counts the bindings generator gi produced (for the
@@ -58,6 +61,7 @@ type plannedExec struct {
 	ranked []rankedRow
 	best   map[string]int // row key -> index into ranked
 	kb     []byte
+	rank   []int32 // scratch: the rank of the row being collected
 }
 
 func newPlannedExec(ev *evaluation, q *Query, pr *prepared) *plannedExec {
@@ -66,11 +70,13 @@ func newPlannedExec(ev *evaluation, q *Query, pr *prepared) *plannedExec {
 		q:      q,
 		pr:     pr,
 		gens:   pr.gens,
+		gw:     make([]*pathWalker, len(pr.gens)),
 		idx:    make([]int32, len(pr.gens)),
 		actual: make([]int64, len(pr.gens)),
 	}
 	if pr.plan.Reordered {
 		x.best = make(map[string]int)
+		x.rank = make([]int32, pr.plan.NStrict+1)
 	} else {
 		x.seen = make(map[string]bool)
 	}
@@ -79,9 +85,9 @@ func newPlannedExec(ev *evaluation, q *Query, pr *prepared) *plannedExec {
 
 // applyPush evaluates the conjuncts placed at position p (first p
 // generators of the order bound).
-func (x *plannedExec) applyPush(en *env, p int) (bool, error) {
+func (x *plannedExec) applyPush(p int) (bool, error) {
 	for _, ci := range x.pr.plan.Push[p] {
-		ok, err := x.ev.evalBool(en, x.pr.conjs[ci])
+		ok, err := x.ev.evalBool(x.pr.conjs[ci])
 		if err != nil || !ok {
 			return false, err
 		}
@@ -89,49 +95,77 @@ func (x *plannedExec) applyPush(en *env, p int) (bool, error) {
 	return true, nil
 }
 
+// prepare builds generator gi's walker. next consumes one binding of the
+// generator's variable: it runs with the variable bound, for every match of
+// every run.
+func (x *plannedExec) prepare(gi int, next func() error) *pathWalker {
+	g, en := x.gens[gi], &x.ev.env
+	w := x.ev.newWalker(g.Path)
+	w.yield = func(b binding) error {
+		x.actual[gi]++
+		x.idx[gi]++
+		m := en.mark()
+		en.bind(g.Var, b)
+		err := next()
+		en.release(m)
+		return err
+	}
+	x.gw[gi] = w
+	return w
+}
+
+// bound runs next with one materialized match of generator gi bound.
+func (x *plannedExec) bound(gi int, r pathResult, next func() error) error {
+	en := &x.ev.env
+	m := en.mark()
+	en.bindResult(x.gens[gi].Var, r)
+	err := next()
+	en.release(m)
+	return err
+}
+
 // run enumerates the strict block from depth d (d generators of the
 // order already bound).
-func (x *plannedExec) run(en *env, d int) error {
+func (x *plannedExec) run(d int) error {
 	if err := x.ev.checkCancel(); err != nil {
 		return err
 	}
-	if ok, err := x.applyPush(en, d); err != nil || !ok {
+	if ok, err := x.applyPush(d); err != nil || !ok {
 		return err
 	}
 	pl := x.pr.plan
 	if d == pl.NStrict {
-		sat, err := x.existSat(en, 0)
+		sat, err := x.existSat(0)
 		if err != nil {
 			return err
 		}
 		if sat {
-			return x.emit(en)
+			return x.emit()
 		}
 		return nil
 	}
 	gi := pl.Order[d]
-	g := x.gens[gi]
 	if x.ev.stream {
 		// Stream candidates through the walker instead of materializing the
 		// generator's binding list. The walker yields in the exact order
-		// evalPath would return, so the candidate index k (the written-order
+		// evalPath would return, so the candidate index (the written-order
 		// rank component for reordered plans) is just a running counter.
-		k := int32(0)
-		return x.ev.walkPath(en, g.Path, func(r pathResult) error {
-			x.actual[gi]++
-			x.idx[gi] = k
-			k++
-			return x.run(r.env.extend(g.Var, r.b), d+1)
-		})
+		w := x.gw[gi]
+		if w == nil {
+			w = x.prepare(gi, func() error { return x.run(d + 1) })
+		}
+		x.idx[gi] = -1
+		return w.run()
 	}
-	results, err := x.ev.evalPath(en, g.Path)
+	results, err := x.ev.evalPath(x.gens[gi].Path)
 	if err != nil {
 		return err
 	}
 	x.actual[gi] += int64(len(results))
+	next := func() error { return x.run(d + 1) }
 	for k, r := range results {
 		x.idx[gi] = int32(k)
-		if err := x.run(r.env.extend(g.Var, r.b), d+1); err != nil {
+		if err := x.bound(gi, r, next); err != nil {
 			return err
 		}
 	}
@@ -142,13 +176,13 @@ func (x *plannedExec) run(en *env, d int) error {
 // bound) for one completion satisfying every remaining pushed conjunct.
 // Empty generators null-bind their variables exactly as the written-order
 // evaluator does, so predicates over missing paths see the same nulls.
-func (x *plannedExec) existSat(en *env, d int) (bool, error) {
+func (x *plannedExec) existSat(d int) (bool, error) {
 	if err := x.ev.checkCancel(); err != nil {
 		return false, err
 	}
 	pl := x.pr.plan
 	if d > 0 {
-		if ok, err := x.applyPush(en, pl.NStrict+d); err != nil || !ok {
+		if ok, err := x.applyPush(pl.NStrict + d); err != nil || !ok {
 			return false, err
 		}
 	}
@@ -156,62 +190,56 @@ func (x *plannedExec) existSat(en *env, d int) (bool, error) {
 		return true, nil
 	}
 	gi := pl.Order[pl.NStrict+d]
-	g := x.gens[gi]
+	// The search needs one satisfying completion, reported as errStop:
+	// streaming, candidates past the witness are never generated at all,
+	// and actual[gi] counts only the candidates actually examined.
+	var n int
+	var err error
 	if x.ev.stream {
-		// Existential search only needs one satisfying completion, so the
-		// walker stops producing candidates at the first one: candidates
-		// past the witness are never generated at all, and actual[gi]
-		// counts only the candidates actually examined.
-		n := 0
-		sat := false
-		err := x.ev.walkPath(en, g.Path, func(r pathResult) error {
-			n++
-			x.actual[gi]++
-			s, err := x.existSat(r.env.extend(g.Var, r.b), d+1)
-			if err != nil {
-				return err
-			}
-			if s {
-				sat = true
-				return errStop
-			}
-			return nil
-		})
-		if err != nil && err != errStop {
-			return false, err
+		w := x.gw[gi]
+		if w == nil {
+			w = x.prepare(gi, func() error { return x.witness(d + 1) })
 		}
-		if sat {
+		err = w.run()
+		n = w.n
+	} else {
+		var results []pathResult
+		results, err = x.ev.evalPath(x.gens[gi].Path)
+		x.actual[gi] += int64(len(results))
+		n = len(results)
+		next := func() error { return x.witness(d + 1) }
+		for i := 0; i < n && err == nil; i++ {
+			err = x.bound(gi, results[i], next)
+		}
+	}
+	if err != nil || n > 0 {
+		if err == errStop {
 			return true, nil
 		}
-		if n == 0 {
-			return x.existSat(nullBind(en, g), d+1)
-		}
-		return false, nil
-	}
-	results, err := x.ev.evalPath(en, g.Path)
-	if err != nil {
 		return false, err
 	}
-	x.actual[gi] += int64(len(results))
-	if len(results) == 0 {
-		return x.existSat(nullBind(en, g), d+1)
-	}
-	for _, r := range results {
-		sat, err := x.existSat(r.env.extend(g.Var, r.b), d+1)
-		if err != nil {
-			return false, err
-		}
-		if sat {
-			return true, nil
-		}
-	}
-	return false, nil
+	en := &x.ev.env
+	m := en.mark()
+	en.bindNull(x.gens[gi])
+	sat, err := x.existSat(d + 1)
+	en.release(m)
+	return sat, err
 }
 
-// emit builds and collects the rows of one satisfied strict tuple.
-func (x *plannedExec) emit(en *env) error {
+// witness reports a satisfying completion from existential depth d as
+// errStop.
+func (x *plannedExec) witness(d int) error {
+	sat, err := x.existSat(d)
+	if err == nil && sat {
+		err = errStop
+	}
+	return err
+}
+
+// emit builds and collects the rows of the bound strict tuple.
+func (x *plannedExec) emit() error {
 	x.ev.bindings++
-	built, err := x.ev.buildRows(en, x.q.Select)
+	built, err := x.ev.buildRows(x.q.Select)
 	if err != nil {
 		return err
 	}
@@ -228,19 +256,18 @@ func (x *plannedExec) emit(en *env) error {
 		}
 		return nil
 	}
+	copy(x.rank, x.idx[:pl.NStrict]) // strict gens are written-order 0..NStrict-1
 	for ri, row := range built {
-		rank := make([]int32, pl.NStrict+1)
-		copy(rank, x.idx[:pl.NStrict]) // strict gens are written-order 0..NStrict-1
-		rank[pl.NStrict] = int32(ri)
-		k := row.key()
-		if bi, ok := x.best[k]; ok {
+		x.rank[pl.NStrict] = int32(ri)
+		x.kb = row.appendKey(x.kb[:0])
+		if bi, ok := x.best[string(x.kb)]; ok {
 			x.ev.dedupHits++
-			if rankLess(rank, x.ranked[bi].rank) {
-				x.ranked[bi].rank = rank
+			if rankLess(x.rank, x.ranked[bi].rank) {
+				copy(x.ranked[bi].rank, x.rank)
 			}
 		} else {
-			x.best[k] = len(x.ranked)
-			x.ranked = append(x.ranked, rankedRow{row: row, rank: rank})
+			x.best[string(x.kb)] = len(x.ranked)
+			x.ranked = append(x.ranked, rankedRow{row: row, rank: append([]int32(nil), x.rank...)})
 		}
 	}
 	return nil
@@ -276,7 +303,7 @@ func (e *Engine) evalPlanned(ev *evaluation, q *Query, pr *prepared) (*Result, e
 	if pl.Reordered {
 		mPlanReordered.Inc()
 	}
-	ev.constTimes = pr.constTimes
+	ev.constTimes, ev.litTimes = pr.constTimes, pr.litTimes
 
 	sp := ev.trace.StartSpan("plan")
 	vars := make([]string, len(pl.Order))
@@ -296,7 +323,7 @@ func (e *Engine) evalPlanned(ev *evaluation, q *Query, pr *prepared) (*Result, e
 		}
 	}
 	x := newPlannedExec(ev, q, pr)
-	if err := x.run(nil, 0); err != nil {
+	if err := x.run(0); err != nil {
 		return nil, err
 	}
 	x.flushTrace()
@@ -323,7 +350,7 @@ func (x *plannedExec) flushTrace() {
 func (e *Engine) evalPlannedParallel(ev *evaluation, q *Query, pr *prepared, workers int) (*Result, bool, error) {
 	pl := pr.plan
 	parent := newPlannedExec(ev, q, pr)
-	if ok, err := parent.applyPush(nil, 0); err != nil || !ok {
+	if ok, err := parent.applyPush(0); err != nil || !ok {
 		if err != nil {
 			return nil, true, err
 		}
@@ -331,7 +358,7 @@ func (e *Engine) evalPlannedParallel(ev *evaluation, q *Query, pr *prepared, wor
 	}
 	o0 := pl.Order[0]
 	g := pr.gens[o0]
-	outer, err := ev.evalPath(nil, g.Path)
+	outer, err := ev.evalPath(g.Path)
 	if err != nil {
 		return nil, true, err
 	}
@@ -359,10 +386,10 @@ func (e *Engine) evalPlannedParallel(ev *evaluation, q *Query, pr *prepared, wor
 			sp := ev.trace.StartSpan("worker")
 			wev := ev.fork()
 			x := newPlannedExec(wev, q, pr)
+			next := func() error { return x.run(1) }
 			for i := lo; i < hi; i++ {
-				r := outer[i]
 				x.idx[o0] = int32(i)
-				if err := x.run(r.env.extend(g.Var, r.b), 1); err != nil {
+				if err := x.bound(o0, outer[i], next); err != nil {
 					sh.errAt, sh.err = i, err
 					break
 				}

@@ -15,17 +15,25 @@ import (
 // depth-first path walker that yields matches one at a time instead of
 // materializing []pathResult frontiers. Consumers stop the walk early by
 // returning errStop from the yield — `exists` stops at its first witness,
-// enumerate streams generator bindings into the next generator without
-// holding a candidate slice, and the planned executor's existential
-// search stops expanding the instant a completion satisfies.
+// generator bindings stream into the next generator without a candidate
+// slice, and the planned executor's existential search stops expanding
+// the instant a completion satisfies.
 //
-// The walker is provably order-identical to the materializing BFS in
-// evalPath: both visit the step-k matches of a path in the same sequence
-// (the DFS emission order at depth k is the concatenation, over depth
-// k-1 matches in order, of each match's expansions — exactly the order
-// the BFS frontier loop appends them), and both apply the same per-step
-// first-occurrence dedup, so the dedup decisions coincide too. The
-// streaming-vs-materialized parity suite holds both halves to that.
+// A walker is prepared once per evaluation for each path position (a
+// generator, an exists, an aggregate) and reused for every outer binding:
+// its step matchers, its graph's fast-path interfaces, its consumer and its
+// dedup scratch all survive from one run to the next, and the annotation
+// variables a match binds are written to the evaluation's environment
+// stack for the duration of the yield. In steady state a run allocates
+// nothing.
+//
+// The walker is order-identical to the materializing BFS in evalPath: both
+// visit the step-k matches of a path in the same sequence (the DFS
+// emission order at depth k is the concatenation, over depth k-1 matches in
+// order, of each match's expansions — exactly the order the BFS frontier
+// loop appends them), and both apply the same per-step first-occurrence
+// dedup, so the dedup decisions coincide too. The streaming-vs-materialized
+// parity suite holds both halves to that.
 //
 // One semantic note, documented in docs/eval.md: early termination can
 // skip path-expansion work the materializing evaluator would have done
@@ -35,13 +43,14 @@ import (
 // set of *successful* results is unchanged; only doomed work is skipped.
 
 // errStop is the sentinel a pathYield returns to end a walk early. It
-// never escapes the package: walkPath returns it to the caller that
+// never escapes the package: run returns it to the caller whose consumer
 // injected it, which converts it back to a normal stop.
 var errStop = errors.New("lorel: stop iteration")
 
-// pathYield consumes one path match. Returning errStop ends the walk
-// early and successfully; any other error aborts it.
-type pathYield func(pathResult) error
+// pathYield consumes one path match; the annotation variables the match
+// bound are in the evaluation's environment while it runs. Returning
+// errStop ends the walk early and successfully; any other error aborts it.
+type pathYield func(binding) error
 
 // streamDisabled flips the evaluator back to materialize-then-filter
 // enumeration (the pre-streaming reference semantics) for A/B parity
@@ -66,11 +75,9 @@ func StreamingEnabled() bool { return !streamDisabled.Load() }
 // value.
 func SetStreaming(on bool) (prev bool) { return !streamDisabled.Swap(!on) }
 
-// stepCtx is the per-step state of one walk: the resolved label matcher
-// (symbol id, canonical pattern) and the step's persistent dedup sets.
-// Resolving once per walk instead of once per binding is itself a win —
-// the materializing evaluator re-asserted optional interfaces and
-// re-examined the label for every frontier element.
+// stepCtx is one step of a prepared walker: the resolved label matcher
+// (symbol id, canonical pattern) and the step's first-occurrence dedup
+// scratch.
 type stepCtx struct {
 	step  *PathStep
 	binds bool // step binds annotation variables; dedup must not apply
@@ -79,17 +86,42 @@ type stepCtx struct {
 	symOK bool   // sym resolved: interning on and the label is interned
 	canon string // canonical pattern for fallback equality scans
 
-	// Per-step dedup, identical to evalPath's fresh closure: starts on
-	// bare NodeIDs under a shared as-of template and migrates to full
-	// visitKeys only if a binding breaks the pattern.
-	ids map[oem.NodeID]bool
-	gen map[visitKey]bool
-	ref binding
+	// unique: expanding one binding through this step reaches each node at
+	// most once. OEM arcs are a set, so one parent has one (label, child)
+	// arc: an exact label cannot repeat a child, and closures and groups
+	// collect their reached set. A glob can reach one child through two
+	// labels, and a variable-less <add>/<rem>/<upd> repeats a node per
+	// annotation.
+	unique bool
+	// dedup: the step filters repeated deliveries within one run. Never for
+	// a binding step (each match is distinct by its variables), and not for
+	// a unique first step, whose single parent is the head.
+	dedup bool
+	seen  seenSet
 }
+
+// seenSet is a first-occurrence filter over delivered nodes: scanned while
+// small, hashed past seenScan, and reused from one run to the next. One
+// walk's bindings share the head's graph, so the node id and the
+// time-travel instant identify a binding.
+type seenSet struct {
+	few  []seenKey
+	many map[seenKey]struct{}
+}
+
+type seenKey struct {
+	id      oem.NodeID
+	hasAsOf bool
+	asOf    timestamp.Time
+}
+
+// seenScan is the largest set kept as a scanned slice.
+const seenScan = 8
 
 func (st *stepCtx) init(s *PathStep) {
 	st.step = s
 	st.binds = stepBindsVars(s)
+	st.unique = true
 	if s.Group == nil && !s.Hash {
 		st.exact = exactLabel(s)
 		st.canon = s.Label
@@ -99,6 +131,7 @@ func (st *stepCtx) init(s *PathStep) {
 				st.canon = symbol.String(id)
 			}
 		}
+		st.unique = st.exact && (s.Arc == nil || s.Arc.Op == OpAt) && (s.Node == nil || s.Node.Op != OpUpd)
 	}
 }
 
@@ -112,91 +145,118 @@ func (st *stepCtx) match(label string) bool {
 	return value.Str(label).Like(st.step.Label)
 }
 
-// fresh is evalPath's per-step first-occurrence dedup as a method.
-func (st *stepCtx) fresh(b binding) bool {
-	if st.gen == nil && b.kind == bNode {
-		if st.ids == nil {
-			st.ids = make(map[oem.NodeID]bool, 16)
-			st.ref = b
-		}
-		if b.hasAsOf == st.ref.hasAsOf && (!b.hasAsOf || b.asOf == st.ref.asOf) {
-			if st.ids[b.id] {
-				return false
-			}
-			st.ids[b.id] = true
-			return true
-		}
+// fresh records b and reports whether this is its first occurrence.
+func (s *seenSet) fresh(b binding) bool {
+	k := seenKey{id: b.id, hasAsOf: b.hasAsOf}
+	if b.hasAsOf {
+		k.asOf = b.asOf
 	}
-	if st.gen == nil {
-		st.gen = make(map[visitKey]bool, len(st.ids)+16)
-		for id := range st.ids {
-			rb := st.ref
-			rb.id = id
-			st.gen[rb.visitKey()] = true
+	if len(s.few) > seenScan {
+		if _, dup := s.many[k]; dup {
+			return false
+		}
+		s.many[k] = struct{}{}
+		return true
+	}
+	for _, f := range s.few {
+		if f == k {
+			return false
 		}
 	}
-	k := b.visitKey()
-	if st.gen[k] {
-		return false
+	s.few = append(s.few, k)
+	if len(s.few) > seenScan {
+		if s.many == nil {
+			s.many = make(map[seenKey]struct{}, 4*seenScan)
+		}
+		for _, f := range s.few {
+			s.many[f] = struct{}{}
+		}
 	}
-	st.gen[k] = true
 	return true
 }
 
-// pathWalker carries one walk's hoisted state: the head graph's optional
-// fast-path interfaces (asserted once per walk, not once per binding)
-// and the per-step contexts. All bindings reached from one head share
-// its graph, so the hoist is sound.
-type pathWalker struct {
-	ev    *evaluation
-	yield pathYield
-	steps []stepCtx
-
-	g     Graph
-	ls    LabelSeeker
-	hasLS bool
-	as    AllLabelSeeker
-	hasAS bool
-	ts    TimeSeeker
-	hasTS bool
-	ss    SymSeeker
-	hasSS bool
+func (s *seenSet) reset() {
+	if len(s.few) > seenScan {
+		clear(s.many)
+	}
+	s.few = s.few[:0]
 }
 
-// walkPath streams the matches of p under en to yield, in exactly the
-// order evalPath would materialize them. yield returning errStop ends
-// the walk early; walkPath returns errStop in that case so the caller
-// can distinguish its own stop from a real error.
-func (ev *evaluation) walkPath(en *env, p *PathExpr, yield pathYield) error {
-	var head pathResult
-	if b, ok := en.lookup(p.Head); ok {
-		head = pathResult{b: b, env: en}
-	} else if g, ok := ev.graphs[p.Head]; ok {
-		head = pathResult{b: nodeBinding(g, g.Root()), env: en}
-	} else {
-		return errf(p.P, "unknown name %q (neither a variable in scope nor a registered database)", p.Head)
-	}
-	if len(p.Steps) == 0 {
-		return yield(head)
-	}
-	w := pathWalker{ev: ev, yield: yield, steps: make([]stepCtx, len(p.Steps))}
+// pathWalker is one path position prepared for an evaluation: the step
+// contexts, the head graph's optional fast-path interfaces (asserted when
+// the graph changes, not once per binding) and the consumer of its
+// matches. All bindings reached from one head share its graph, so the
+// hoist is sound.
+type pathWalker struct {
+	ev    *evaluation
+	path  *PathExpr
+	steps []stepCtx
+	// yield consumes the matches. Whoever walks this position installs it,
+	// normally once: a position has one consumer for the whole evaluation.
+	// state is that consumer's to keep between runs.
+	yield pathYield
+	state any
+	n     int // matches delivered by the latest run
+
+	g  Graph
+	ls LabelSeeker // nil where g does not provide it, as are the next three
+	as AllLabelSeeker
+	ts TimeSeeker
+	ss SymSeeker
+}
+
+func (ev *evaluation) newWalker(p *PathExpr) *pathWalker {
+	w := &pathWalker{ev: ev, path: p, steps: make([]stepCtx, len(p.Steps))}
 	for i, s := range p.Steps {
-		w.steps[i].init(s)
+		st := &w.steps[i]
+		st.init(s)
+		st.dedup = !st.binds && !(i == 0 && st.unique)
 	}
-	if head.b.kind == bNode {
-		w.g = head.b.g
-		w.ls, w.hasLS = w.g.(LabelSeeker)
-		w.as, w.hasAS = w.g.(AllLabelSeeker)
-		w.ts, w.hasTS = w.g.(TimeSeeker)
-		w.ss, w.hasSS = w.g.(SymSeeker)
+	return w
+}
+
+// walker returns the evaluation's walker for the path an expression walks,
+// preparing it on first use.
+func (ev *evaluation) walker(at Expr, p *PathExpr) *pathWalker {
+	w := ev.walkers[at]
+	if w == nil {
+		if ev.walkers == nil {
+			ev.walkers = make(map[Expr]*pathWalker)
+		}
+		w = ev.newWalker(p)
+		ev.walkers[at] = w
+	}
+	return w
+}
+
+// run streams the path's matches under the current environment to the
+// walker's consumer, in exactly the order evalPath would materialize them.
+// A consumer returning errStop ends the walk early; run returns errStop in
+// that case so the caller can distinguish its own stop from a real error.
+func (w *pathWalker) run() error {
+	head, err := w.ev.pathHead(w.path)
+	if err != nil {
+		return err
+	}
+	w.n = 0
+	if head.kind == bNode && head.g != w.g {
+		w.g = head.g
+		w.ls, _ = w.g.(LabelSeeker)
+		w.as, _ = w.g.(AllLabelSeeker)
+		w.ts, _ = w.g.(TimeSeeker)
+		w.ss, _ = w.g.(SymSeeker)
+	}
+	for i := range w.steps {
+		w.steps[i].seen.reset()
 	}
 	return w.walk(head, 0)
 }
 
 // walk expands cur through the steps from depth on, yielding completed
 // matches.
-func (w *pathWalker) walk(cur pathResult, depth int) error {
+func (w *pathWalker) walk(cur binding, depth int) error {
 	if depth == len(w.steps) {
+		w.n++
 		return w.yield(cur)
 	}
 	if err := w.ev.checkCancel(); err != nil {
@@ -206,36 +266,19 @@ func (w *pathWalker) walk(cur pathResult, depth int) error {
 }
 
 // deliver applies depth's dedup to one reached binding and recurses.
-func (w *pathWalker) deliver(r pathResult, depth int) error {
-	st := &w.steps[depth]
-	if !st.binds && !st.fresh(r.b) {
+func (w *pathWalker) deliver(b binding, depth int) error {
+	if st := &w.steps[depth]; st.dedup && !st.seen.fresh(b) {
 		return nil
 	}
-	return w.walk(r, depth+1)
-}
-
-// liveArcs is evaluation.liveArcs with the TimeSeeker assertion hoisted.
-func (w *pathWalker) liveArcs(b binding, n oem.NodeID) []oem.Arc {
-	if !b.hasAsOf {
-		return w.g.Out(n)
-	}
-	if w.hasTS {
-		return w.ts.OutAt(n, b.asOf)
-	}
-	var arcs []oem.Arc
-	for _, a := range w.g.OutAll(n) {
-		if w.g.ArcLiveAt(a, b.asOf) {
-			arcs = append(arcs, a)
-		}
-	}
-	return arcs
+	return w.walk(b, depth+1)
 }
 
 // expand applies one path step to one binding, delivering each reached
 // binding. It mirrors evaluation.expandStep case for case; the only
-// differences are streaming delivery and the hoisted per-step matcher.
-func (w *pathWalker) expand(cur pathResult, depth int) error {
-	if cur.b.kind != bNode {
+// differences are streaming delivery, the hoisted per-step matcher and
+// annotation variables bound on the stack instead of in a snapshot.
+func (w *pathWalker) expand(cur binding, depth int) error {
+	if cur.kind != bNode {
 		return nil // cannot traverse from a value or null
 	}
 	st := &w.steps[depth]
@@ -246,8 +289,8 @@ func (w *pathWalker) expand(cur pathResult, depth int) error {
 	// materialize their reached set (the quantifier closure needs it) and
 	// stream the sorted result.
 	if step.Group != nil {
-		for _, r := range w.ev.expandGroup(nil, cur, step.Group) {
-			if err := w.deliver(r, depth); err != nil {
+		for _, r := range w.ev.expandGroup(nil, pathResult{b: cur}, step.Group) {
+			if err := w.deliver(r.b, depth); err != nil {
 				return err
 			}
 		}
@@ -258,20 +301,19 @@ func (w *pathWalker) expand(cur pathResult, depth int) error {
 	// in the same stack order the materializing walker produced — an
 	// exists over guide.# stops the closure at its first witness.
 	if step.Hash {
-		seen := map[oem.NodeID]bool{cur.b.id: true}
-		stack := []oem.NodeID{cur.b.id}
+		seen := map[oem.NodeID]bool{cur.id: true}
+		stack := []oem.NodeID{cur.id}
 		for len(stack) > 0 {
 			if err := w.ev.checkCancel(); err != nil {
 				return err
 			}
-			n := stack[len(stack)-1]
+			nb := cur
+			nb.id = stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			nb := cur.b
-			nb.id = n
-			if err := w.deliver(pathResult{b: nb, env: cur.env}, depth); err != nil {
+			if err := w.deliver(nb, depth); err != nil {
 				return err
 			}
-			for _, a := range w.liveArcs(cur.b, n) {
+			for _, a := range w.ev.liveArcs(cur, g, nb.id) {
 				if !seen[a.Child] {
 					seen[a.Child] = true
 					stack = append(stack, a.Child)
@@ -287,31 +329,31 @@ func (w *pathWalker) expand(cur pathResult, depth int) error {
 		// adjacency index when the graph provides one — by symbol id when
 		// the tables are sym-keyed, by string otherwise. Both return arcs
 		// in the same insertion order the scan below would produce.
-		if st.exact && !cur.b.hasAsOf {
-			if w.hasSS && st.symOK {
-				if arcs, ok := w.ss.OutLabeledSym(cur.b.id, st.sym); ok {
+		if st.exact && !cur.hasAsOf {
+			if w.ss != nil && st.symOK {
+				if arcs, ok := w.ss.OutLabeledSym(cur.id, st.sym); ok {
 					for _, a := range arcs {
-						if err := w.child(cur, depth, a.Child, cur.env, nil); err != nil {
+						if err := w.child(cur, depth, a.Child, nil); err != nil {
 							return err
 						}
 					}
 					return nil
 				}
 			}
-			if w.hasLS {
-				for _, a := range w.ls.OutLabeled(cur.b.id, step.Label) {
-					if err := w.child(cur, depth, a.Child, cur.env, nil); err != nil {
+			if w.ls != nil {
+				for _, a := range w.ls.OutLabeled(cur.id, step.Label) {
+					if err := w.child(cur, depth, a.Child, nil); err != nil {
 						return err
 					}
 				}
 				return nil
 			}
 		}
-		for _, a := range w.liveArcs(cur.b, cur.b.id) {
+		for _, a := range w.ev.liveArcs(cur, g, cur.id) {
 			if !st.match(a.Label) {
 				continue
 			}
-			if err := w.child(cur, depth, a.Child, cur.env, nil); err != nil {
+			if err := w.child(cur, depth, a.Child, nil); err != nil {
 				return err
 			}
 		}
@@ -320,16 +362,17 @@ func (w *pathWalker) expand(cur pathResult, depth int) error {
 		// Exact-label annotation steps read the (parent, label) slice of
 		// the full arc relation instead of scanning every arc ever.
 		arcs, served := []oem.Arc(nil), false
-		if st.exact && w.hasSS && st.symOK {
-			arcs, served = w.ss.OutAllLabeledSym(cur.b.id, st.sym)
+		if st.exact && w.ss != nil && st.symOK {
+			arcs, served = w.ss.OutAllLabeledSym(cur.id, st.sym)
 		}
 		if !served {
-			if st.exact && w.hasAS {
-				arcs = w.as.OutAllLabeled(cur.b.id, step.Label)
+			if st.exact && w.as != nil {
+				arcs = w.as.OutAllLabeled(cur.id, step.Label)
 			} else {
-				arcs = g.OutAll(cur.b.id)
+				arcs = g.OutAll(cur.id)
 			}
 		}
+		en := &w.ev.env
 		for _, a := range arcs {
 			if !st.match(a.Label) {
 				continue
@@ -338,40 +381,42 @@ func (w *pathWalker) expand(cur pathResult, depth int) error {
 				if ann.Kind != wantKind {
 					continue
 				}
-				en := cur.env
+				m := en.mark()
 				if step.Arc.AtVar != "" {
-					en = en.extend(step.Arc.AtVar, valueBinding(value.Time(ann.At)))
+					en.bind(step.Arc.AtVar, valueBinding(value.Time(ann.At)))
 				}
-				if err := w.child(cur, depth, a.Child, en, nil); err != nil {
+				err := w.child(cur, depth, a.Child, nil)
+				en.release(m)
+				if err != nil {
 					return err
 				}
 			}
 		}
 	case step.Arc.Op == OpAt:
-		t, ok, err := w.ev.evalTime(cur.env, step.Arc.AtExpr)
+		t, ok, err := w.ev.evalTime(step.Arc.AtExpr)
 		if err != nil {
 			return err
 		}
 		if !ok {
 			return nil
 		}
-		if w.hasTS {
-			for _, a := range w.ts.OutAt(cur.b.id, t) {
+		if w.ts != nil {
+			for _, a := range w.ts.OutAt(cur.id, t) {
 				if !st.match(a.Label) {
 					continue
 				}
-				if err := w.child(cur, depth, a.Child, cur.env, &t); err != nil {
+				if err := w.child(cur, depth, a.Child, &t); err != nil {
 					return err
 				}
 			}
 			return nil
 		}
-		for _, a := range g.OutAll(cur.b.id) {
+		for _, a := range g.OutAll(cur.id) {
 			if !st.match(a.Label) {
 				continue
 			}
 			if g.ArcLiveAt(a, t) {
-				if err := w.child(cur, depth, a.Child, cur.env, &t); err != nil {
+				if err := w.child(cur, depth, a.Child, &t); err != nil {
 					return err
 				}
 			}
@@ -385,71 +430,58 @@ func (w *pathWalker) expand(cur pathResult, depth int) error {
 // child applies the step's node annotation to one reached child and
 // delivers the survivors — the streaming form of appendChild +
 // applyNodeAnnot.
-func (w *pathWalker) child(cur pathResult, depth int, id oem.NodeID, en *env, asOf *timestamp.Time) error {
-	nb := cur.b
-	nb.id = id
+func (w *pathWalker) child(cur binding, depth int, id oem.NodeID, asOf *timestamp.Time) error {
+	cur.id = id
 	if asOf != nil {
-		nb.hasAsOf = true
-		nb.asOf = *asOf
+		cur.hasAsOf = true
+		cur.asOf = *asOf
 	}
-	r := pathResult{b: nb, env: en}
 	ann := w.steps[depth].step.Node
 	if ann == nil {
-		return w.deliver(r, depth)
+		return w.deliver(cur, depth)
 	}
-	g := w.g
+	en := &w.ev.env
 	switch ann.Op {
 	case OpCre:
-		ct, ok := g.CreTime(r.b.id)
+		ct, ok := w.g.CreTime(id)
 		if !ok {
 			return nil
 		}
+		m := en.mark()
 		if ann.AtVar != "" {
-			r.env = r.env.extend(ann.AtVar, valueBinding(value.Time(ct)))
+			en.bind(ann.AtVar, valueBinding(value.Time(ct)))
 		}
-		return w.deliver(r, depth)
+		err := w.deliver(cur, depth)
+		en.release(m)
+		return err
 	case OpUpd:
-		for _, u := range g.UpdTriples(r.b.id) {
-			en := r.env
+		for _, u := range w.g.UpdTriples(id) {
+			m := en.mark()
 			if ann.AtVar != "" {
-				en = en.extend(ann.AtVar, valueBinding(value.Time(u.At)))
+				en.bind(ann.AtVar, valueBinding(value.Time(u.At)))
 			}
 			if ann.FromVar != "" {
-				en = en.extend(ann.FromVar, valueBinding(u.Old))
+				en.bind(ann.FromVar, valueBinding(u.Old))
 			}
 			if ann.ToVar != "" {
-				en = en.extend(ann.ToVar, valueBinding(u.New))
+				en.bind(ann.ToVar, valueBinding(u.New))
 			}
-			if err := w.deliver(pathResult{b: r.b, env: en}, depth); err != nil {
+			err := w.deliver(cur, depth)
+			en.release(m)
+			if err != nil {
 				return err
 			}
 		}
 		return nil
 	case OpAt:
-		t, ok, err := w.ev.evalTime(r.env, ann.AtExpr)
+		t, ok, err := w.ev.evalTime(ann.AtExpr)
 		if err != nil || !ok {
 			return err
 		}
-		r.b.hasAsOf = true
-		r.b.asOf = t
-		return w.deliver(r, depth)
+		cur.hasAsOf = true
+		cur.asOf = t
+		return w.deliver(cur, depth)
 	default:
 		return errf(ann.P, "%s annotation cannot follow a label", ann.Op)
 	}
-}
-
-// nullBind extends en for an empty existential generator: the range
-// variable and the annotation variables its path would have bound go to
-// null — except names already bound in the enclosing scope, which must
-// stay visible. (Null-binding a name an earlier generator bound would
-// shadow a real binding and silently falsify predicates over it.)
-func nullBind(en *env, g FromItem) *env {
-	nen := en.extend(g.Var, binding{kind: bNull})
-	for _, v := range pathAnnotVars(g.Path) {
-		if _, bound := en.lookup(v); bound {
-			continue
-		}
-		nen = nen.extend(v, binding{kind: bNull})
-	}
-	return nen
 }

@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/change"
+	"repro/internal/doem"
+	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/symbol"
+	"repro/internal/timestamp"
 	"repro/internal/value"
 )
 
@@ -225,5 +229,271 @@ func TestStepMatchAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("stepCtx.match allocates %.1f per call, want 0", allocs)
+	}
+}
+
+// joinEngine builds a guide of n restaurants, each with a name, a cuisine
+// and a price, of which exactly `hits` are thai and cheap; the prices of
+// those are then updated once, so they alone carry <upd> annotations.
+func joinEngine(t testing.TB, n, hits int) *Engine {
+	t.Helper()
+	b := oem.NewBuilder()
+	var prices []oem.NodeID
+	for i := 0; i < n; i++ {
+		r := b.ComplexArc(b.Root(), "restaurant")
+		b.AtomArc(r, "name", value.Str(fmt.Sprintf("r%04d", i)))
+		cuisine, price := "diner", int64(50)
+		if i%(n/hits) == 0 && len(prices) < hits {
+			cuisine, price = "thai", 5
+		}
+		b.AtomArc(r, "cuisine", value.Str(cuisine))
+		p := b.AtomArc(r, "price", value.Int(price))
+		if cuisine == "thai" {
+			prices = append(prices, p)
+		}
+	}
+	var ops change.Set
+	for _, p := range prices {
+		ops = append(ops, change.UpdNode{Node: p, Value: value.Int(7)})
+	}
+	d, err := doem.FromHistory(b.Build(), change.History{{At: timestamp.MustParse("1Jan97"), Ops: ops}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := NewEngine()
+	e.Register("guide", d)
+	return e
+}
+
+// TestBindingLoopAllocsFollowRows guards the binding loop: a query's
+// allocations follow the rows it returns, not the bindings it examines.
+// Ten times the restaurants with the same handful of rows must cost less
+// than twice the allocations (the parent commit paid ~10x: a dedup map, a
+// chain node and a closure per binding).
+func TestBindingLoopAllocsFollowRows(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	defer SetStreaming(SetStreaming(true)) // the materializing evaluator's speed is not defended
+	for _, q := range []string{
+		`select N from guide.restaurant R, R.name N, R.cuisine C, R.price P where C = "thai" and P < 10`,
+		`select N, T, NV from guide.restaurant R, R.name N, R.price<upd at T to NV> where T > "1996-12-31T00:00:00Z" and NV > 6`,
+	} {
+		var allocs [2]float64
+		for i, n := range []int{200, 2000} {
+			e := joinEngine(t, n, 5)
+			res, err := e.Query(q) // also warms the parse and plan caches
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 5 {
+				t.Fatalf("%d restaurants: %d rows, want 5: %s", n, len(res.Rows), q)
+			}
+			allocs[i] = testing.AllocsPerRun(10, func() {
+				if _, err := e.Query(q); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("%.0f allocs on 200 restaurants, %.0f on 2000: %s", allocs[0], allocs[1], q)
+		if allocs[1] >= 2*allocs[0] {
+			t.Errorf("allocations follow bindings: %.0f on 200 restaurants, %.0f on 2000: %s", allocs[0], allocs[1], q)
+		}
+	}
+}
+
+// bothWays evaluates q streaming and materializing and requires identical
+// output, which it returns. With parsed set the query is parsed but not
+// canonicalized, so its multi-step paths reach the walker whole instead of
+// as single-step generators.
+func bothWays(t *testing.T, e *Engine, q string, parsed bool) *Result {
+	t.Helper()
+	run := func() *Result {
+		var res *Result
+		var err error
+		if parsed {
+			var pq *Query
+			if pq, err = Parse(q); err == nil {
+				res, err = e.Eval(pq)
+			}
+		} else {
+			res, err = e.Query(q)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		return res
+	}
+	streamed := run()
+	prev := SetStreaming(false)
+	materialized := run()
+	SetStreaming(prev)
+	if streamed.String() != materialized.String() {
+		t.Errorf("%s:\nstreaming:\n%s\nmaterializing:\n%s", q, streamed, materialized)
+	}
+	return streamed
+}
+
+// count returns the single integer a `select count(...)` query yields.
+func count(t *testing.T, e *Engine, q string) int64 {
+	t.Helper()
+	res := bothWays(t, e, q, false)
+	if len(res.Rows) != 1 {
+		t.Fatalf("%s: %d rows, want 1", q, len(res.Rows))
+	}
+	v, _ := res.Rows[0].Cells[0].Value()
+	return v.AsInt()
+}
+
+// TestWalkerDedup pins the per-step first-occurrence dedup now that its set
+// is built lazily from scratch and skipped where a step cannot repeat a
+// node: every case a step can deliver a node twice must still yield it
+// once, binding steps must never be deduped, and the order of first
+// occurrences must not move.
+func TestWalkerDedup(t *testing.T) {
+	// root -a-> p1, p2, p3; the b-children overlap (c1 under all three, c2
+	// under two), and x reaches c1 and c2 through two labels (ab, ac).
+	b := oem.NewBuilder()
+	p1, p2, p3 := b.ComplexArc(b.Root(), "a"), b.ComplexArc(b.Root(), "a"), b.ComplexArc(b.Root(), "a")
+	c1 := b.AtomArc(p1, "b", value.Int(1))
+	c2 := b.AtomArc(p1, "b", value.Int(2))
+	b.Arc(p2, "b", c2)
+	c3 := b.AtomArc(p2, "b", value.Int(3))
+	b.Arc(p2, "b", c1)
+	b.Arc(p3, "b", c1)
+	x := b.ComplexArc(b.Root(), "x")
+	b.Arc(x, "ab", c1)
+	b.Arc(x, "ac", c1)
+	b.Arc(x, "ab", c2)
+	b.Arc(p3, "back", b.Root()) // a cycle through the root
+	db := b.Build()
+	e := NewEngine()
+	e.Register("guide", NewOEMGraph(db))
+
+	if n := count(t, e, `select count(guide.a.b)`); n != 3 {
+		t.Errorf("children shared between parents: count(guide.a.b) = %d, want 3", n)
+	}
+	if n := count(t, e, `select count(guide.x.a%)`); n != 2 {
+		t.Errorf("one child through two glob-matched labels: count(guide.x.a%%) = %d, want 2", n)
+	}
+	if n := count(t, e, `select count(guide.x.%)`); n != 2 {
+		t.Errorf("bare glob from one head: count(guide.x.%%) = %d, want 2", n)
+	}
+	if n, want := count(t, e, `select count(guide.#)`), int64(len(db.Nodes())); n != want {
+		t.Errorf("closure over a cycle: count(guide.#) = %d, want %d", n, want)
+	}
+	// root -> 50 a -> one shared b -> 50 c -> one shared leaf: more than
+	// seenScan distinct nodes at a step, so its set migrates to the map.
+	we := NewEngine()
+	we.Register("guide", NewOEMGraph(buildFanout(50)))
+	if n := count(t, we, `select count(guide.a.b.c)`); n != 50 {
+		t.Errorf("wide fanout under a shared node: count(guide.a.b.c) = %d, want 50", n)
+	}
+	if n := count(t, we, `select count(guide.a.b.c.leaf)`); n != 1 {
+		t.Errorf("shared leaf under a wide fanout: count(guide.a.b.c.leaf) = %d, want 1", n)
+	}
+
+	// First-occurrence order: the whole two-step path in one walk.
+	res := bothWays(t, e, `select X from guide.a.b X`, true)
+	var got []oem.NodeID
+	for _, row := range res.Rows {
+		got = append(got, row.Cells[0].Node())
+	}
+	if want := []oem.NodeID{c1, c2, c3}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("first-occurrence order: got %v, want %v", got, want)
+	}
+	// The same walk examines each shared child once, not once per parent.
+	pq, err := Parse(`select X from guide.a.b X`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := obs.NewTrace("dedup")
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	if _, err := e.EvalContext(obs.WithTrace(t.Context(), tr), pq); err != nil {
+		t.Fatal(err)
+	}
+	if n := tr.Stats()["bindings"]; n != 3 {
+		t.Errorf("guide.a.b examined %d bindings, want 3 (one per distinct child)", n)
+	}
+
+	// Binding steps are never deduped: an arc added, removed and added again
+	// matches <add at T> once per annotation, a node updated twice matches
+	// <upd at T> twice — even though arc and node are the same each time.
+	hb := oem.NewBuilder()
+	root := hb.Root()
+	n := hb.AtomArc(root, "x", value.Int(0))
+	day := func(d int) timestamp.Time { return timestamp.MustParse(fmt.Sprintf("%dJan97", d)) }
+	d, err := doem.FromHistory(hb.Build(), change.History{
+		{At: day(1), Ops: change.Set{change.UpdNode{Node: n, Value: value.Int(1)}, change.CreNode{Node: 90, Value: value.Int(9)}, change.AddArc{Parent: root, Label: "y", Child: 90}}},
+		{At: day(2), Ops: change.Set{change.UpdNode{Node: n, Value: value.Int(2)}, change.AddArc{Parent: root, Label: "keep", Child: 90}, change.RemArc{Parent: root, Label: "y", Child: 90}}},
+		{At: day(3), Ops: change.Set{change.AddArc{Parent: root, Label: "y", Child: 90}}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	he := NewEngine()
+	he.Register("guide", d)
+	if n := count(t, he, `select count(guide.<add at T>y)`); n != 2 {
+		t.Errorf("count(guide.<add at T>y) = %d, want 2 (one per add annotation)", n)
+	}
+	if n := count(t, he, `select count(guide.x<upd at T>)`); n != 2 {
+		t.Errorf("count(guide.x<upd at T>) = %d, want 2 (one per upd annotation)", n)
+	}
+	if res := bothWays(t, he, `select T from guide.<add at T>y Y`, false); len(res.Rows) != 2 {
+		t.Errorf("select T from guide.<add at T>y Y: %d rows, want 2", len(res.Rows))
+	}
+}
+
+// TestEnvironmentScoping pins the scoping rules the in-place environment
+// must keep: inner bindings shadow outer ones of the same name and are
+// undone when their scope ends, and operands that denote sets keep their
+// set semantics.
+func TestEnvironmentScoping(t *testing.T) {
+	e, pids, _ := paperEngine(t)
+	col := func(res *Result) []string {
+		var out []string
+		for _, row := range res.Rows {
+			v, _ := row.Cells[len(row.Cells)-1].Value()
+			out = append(out, v.String())
+		}
+		return out
+	}
+
+	// An annotation variable reusing an outer name shadows it for the rest
+	// of the tuple: T is the comment's add-time, not the restaurant's.
+	want := col(bothWays(t, e, `select T2 from guide.<add at T>restaurant R, R.<add at T2>comment C`, false))
+	got := col(bothWays(t, e, `select T from guide.<add at T>restaurant R, R.<add at T>comment C`, false))
+	if len(want) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("reused annotation variable: got %v, want %v", got, want)
+	}
+	// ...and the shadow ends with the inner generator's scope: where the
+	// comment generator is existential and empty, the outer T shows through
+	// (TestExistentialNullBindNoShadow holds the null-binding half of this).
+	res := bothWays(t, e, `select R, T from guide.<add at T>restaurant R where R.<add at T>zzz = 1 or T >= 1Jan80`, false)
+	if len(res.Rows) == 0 {
+		t.Error("outer T lost after an empty inner generator reusing its name")
+	}
+
+	// exists nested twice, the inner one reusing the outer variable's name:
+	// the inner X ranges over the outer X's comments and shadows it only
+	// inside its own condition.
+	nested := `select R from guide.restaurant R where exists X in R.parking : ((exists X in X.comment : X = "usually full") and exists Y in X.address : Y = "Lytton lot 2")`
+	plain := `select R from guide.restaurant R where exists P in R.parking : ((exists C in P.comment : C = "usually full") and exists Y in P.address : Y = "Lytton lot 2")`
+	gotIDs, wantIDs := ids(bothWays(t, e, nested, false)), ids(bothWays(t, e, plain, false))
+	if len(wantIDs) == 0 || !containsID(wantIDs, pids.Bangkok) || fmt.Sprint(gotIDs) != fmt.Sprint(wantIDs) {
+		t.Errorf("nested exists reusing a name: got %v, want %v", gotIDs, wantIDs)
+	}
+
+	// A select item that still denotes a set fans out into one row per
+	// member; a comparison over a set is true when any member satisfies it.
+	oe, _ := oemEngine(t)
+	fan := bothWays(t, oe, `select R.name, R.# from guide.restaurant R where R.# = "Lytton lot 2"`, true)
+	perName := map[string]int{}
+	for _, row := range fan.Rows {
+		v, _ := row.Cells[0].Value()
+		perName[v.AsString()]++
+	}
+	if len(perName) != 1 || perName["Bangkok Cuisine"] < 5 {
+		t.Errorf("set-valued select item: rows per restaurant %v; want a fan-out for Bangkok Cuisine, the one restaurant that still reaches the parking lot", perName)
 	}
 }
