@@ -7,7 +7,8 @@ GO ?= go
 all: build test
 
 # Mirrors .github/workflows/ci.yml locally: formatting gate, build, vet,
-# tests, and the race-detector run that gates the parallel evaluator.
+# tests, and the race-detector run that gates concurrent callers sharing
+# one engine, store or service.
 # (CI additionally runs `make lint`, which needs network access to
 # install its tools.)
 ci: fmtcheck build test race

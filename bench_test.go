@@ -401,34 +401,3 @@ func BenchmarkUpdateCompile(b *testing.B) {
 		}
 	}
 }
-
-// --- B11: parallel vs serial query evaluation ---
-
-// BenchmarkParallelEval measures the worker-pool evaluation mode against
-// serial on a reachability-heavy query (every restaurant's `#` closure
-// walks the shared parking/nearby-eats component, so work per outer
-// binding is large and uniform). Speedup requires a multi-core host;
-// workers beyond GOMAXPROCS cannot help.
-func BenchmarkParallelEval(b *testing.B) {
-	_, d := generate(b, 300, 4, 8)
-	eng := lorel.NewEngine()
-	eng.Register("guide", d)
-	parsed, err := lorel.Parse(`select R.name from guide.restaurant R, R.# C where C = "no such value"`)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := lorel.Canonicalize(parsed); err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			eng.SetParallelism(workers)
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Eval(parsed); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}

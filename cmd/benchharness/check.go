@@ -33,7 +33,6 @@ type headlineMetric struct {
 }
 
 var headlineMetrics = []headlineMetric{
-	{"parallel_speedup_4", func(r *benchReport) float64 { return r.ParallelSpeedup4 }, true},
 	{"planner_selective_speedup_10k", func(r *benchReport) float64 { return r.PlannerSelectiveSpeedup10k }, true},
 	{"index_at_query_speedup_10k", func(r *benchReport) float64 { return r.IndexAtQuerySpeedup10k }, true},
 	{"index_at_snapshot_speedup_10k", func(r *benchReport) float64 { return r.IndexAtSnapshotSpeedup10k }, true},
@@ -42,7 +41,6 @@ var headlineMetrics = []headlineMetric{
 	{"repl_ackone_poll_overhead", func(r *benchReport) float64 { return r.ReplAckOnePollOverhead }, false},
 	{"incr_notify_speedup_10k", func(r *benchReport) float64 { return r.IncrNotifySpeedup10k }, true},
 	{"incr_notify_flatness_10x", func(r *benchReport) float64 { return r.IncrNotifyFlatness10x }, false},
-	{"intern_eval_speedup_10k", func(r *benchReport) float64 { return r.InternEvalSpeedup10k }, true},
 	{"exists_early_exit_ratio", func(r *benchReport) float64 { return r.ExistsEarlyExitRatio }, true},
 }
 

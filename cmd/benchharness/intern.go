@@ -59,22 +59,19 @@ func newExistsDB(n, pos int) *doem.Database {
 }
 
 // internEngine wraps d in an indexed graph and a fresh engine, so the A/B
-// compares the same stack: string-keyed index tables and materialized
-// evaluation on one side, symbol-keyed tables and streaming on the other.
+// compares the same stack: string-keyed index tables on one side,
+// symbol-keyed tables on the other.
 func internEngine(d *doem.Database) *lorel.Engine {
 	e := lorel.NewEngine()
 	e.Register("guide", index.NewGraph(d))
 	return e
 }
 
-// internQueries is the mixed eval op the B16 speedup measures: a count
-// aggregate (streaming folds the path instead of materializing it), a
-// selective two-generator traversal (per-binding exact-label matching,
-// where interned probes pay), and an existential with an immediate
-// witness. The exists leg is near-free in BOTH modes — the early-exit fix
-// is deliberately ungated — so it anchors the workload shape without
-// differentiating the A/B; the differentiation comes from the streamed
-// aggregate and the symbol-keyed traversal.
+// internQueries is the mixed eval op the B16 table measures: count and max
+// aggregates, a selective two-generator traversal (per-binding exact-label
+// matching, where interned probes pay), and an existential with an
+// immediate witness, which anchors the workload shape without
+// differentiating the A/B.
 func internQueries(e *lorel.Engine) {
 	if _, err := e.Query(`select count(guide.restaurant.attr03)`); err != nil {
 		panic(err)
@@ -90,29 +87,19 @@ func internQueries(e *lorel.Engine) {
 	}
 }
 
-// withGates runs fn with interning and streaming forced to on, restoring
-// the previous gate state after.
+// withGates runs fn with interning forced on or off, restoring the
+// previous gate state after.
 func withGates(on bool, fn func()) {
-	pi := symbol.SetEnabled(on)
-	ps := lorel.SetStreaming(on)
-	defer func() {
-		symbol.SetEnabled(pi)
-		lorel.SetStreaming(ps)
-	}()
+	defer symbol.SetEnabled(symbol.SetEnabled(on))
 	fn()
 }
 
 func b16() {
-	fmt.Println("\n-- B16: interned symbols + streaming evaluation vs string + materialized --")
-	// The middle tier is pinned at 10k even under -quick: the B16a
-	// acceptance bar is defined at 10k objects, and the mixed workload's
-	// advantage narrows at toy sizes where fixed per-query overhead
-	// dominates the per-binding costs the gates remove.
-	tiers := []int{scale(1000), 10000, scale(100000)}
-	var speedup10k float64
+	fmt.Println("\n-- B16: interned symbols vs string-keyed labels --")
+	tiers := []int{scale(1000), scale(10000), scale(100000)}
 	fmt.Printf("  %8s %12s %12s %9s %12s %12s\n",
 		"objects", "string/op", "intern/op", "speedup", "rss-string", "rss-intern")
-	for ti, n := range tiers {
+	for _, n := range tiers {
 		var offNs, onNs time.Duration
 		var offHeap, onHeap int64
 		withGates(false, func() {
@@ -129,12 +116,8 @@ func b16() {
 			e := internEngine(d)
 			onNs = measure(func() { internQueries(e) })
 		})
-		sp := float64(offNs) / float64(onNs)
-		if ti == 1 {
-			speedup10k = sp
-		}
 		fmt.Printf("  %8d %12s %12s %8.1fx %9.1f MiB %9.1f MiB\n",
-			n, offNs, onNs, sp, float64(offHeap)/(1<<20), float64(onHeap)/(1<<20))
+			n, offNs, onNs, float64(offNs)/float64(onNs), float64(offHeap)/(1<<20), float64(onHeap)/(1<<20))
 	}
 
 	// Early-exit behavior: with the witness first, exists must cost a
@@ -161,38 +144,32 @@ func b16() {
 	fmt.Printf("  exists early-exit: witness-first %s, witness-last %s (%.1fx)\n",
 		earlyNs, lateNs, ratio)
 
-	check("B16a", "interned+streaming >= 1.5x over string+materialized at 10k objects",
-		speedup10k >= 1.5)
 	check("B16b", "exists cost proportional to witness position (late/early >= 5x)",
 		ratio >= 5)
 }
 
-// runInternJSON is B16 in JSON form. The gated headlines are the 10k-tier
-// mixed-workload speedup of interned+streaming evaluation over
-// string+materialized (acceptance bar >= 1.5) and the exists early-exit
-// ratio (witness-last over witness-first cost; a collapse back toward 1
-// means exists is materializing again).
+// runInternJSON is B16 in JSON form: the interning A/B as reported
+// benchmarks, and the gated exists early-exit ratio (witness-last over
+// witness-first cost; a collapse back toward 1 means exists is
+// materializing its candidates again).
 func runInternJSON(report *benchReport, bench func(string, func(*testing.B)) testing.BenchmarkResult) error {
 	obs.SetEnabled(false)
 	nsOp := func(r testing.BenchmarkResult) float64 { return float64(r.T.Nanoseconds()) / float64(r.N) }
 
-	run := func(name string, n int, gates bool) float64 {
-		var ns float64
+	run := func(name string, n int, gates bool) {
 		withGates(gates, func() {
 			e := internEngine(newInternDB(n))
-			ns = nsOp(bench(name, func(b *testing.B) {
+			bench(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					internQueries(e)
 				}
-			}))
+			})
 		})
-		return ns
 	}
 	run("intern-eval-1k-string", 1000, false)
 	run("intern-eval-1k-intern", 1000, true)
-	str10k := run("intern-eval-10k-string", 10000, false)
-	int10k := run("intern-eval-10k-intern", 10000, true)
-	report.InternEvalSpeedup10k = str10k / int10k
+	run("intern-eval-10k-string", 10000, false)
+	run("intern-eval-10k-intern", 10000, true)
 
 	var early, late float64
 	withGates(true, func() {

@@ -50,10 +50,6 @@ type benchReport struct {
 	// are noise.
 	ObsEnabledOverheadPct float64       `json:"obs_enabled_overhead_pct"`
 	Benchmarks            []benchResult `json:"benchmarks"`
-	// ParallelSpeedup4 is eval-obs-on ns/op over lorel-parallel4 ns/op:
-	// the same workload serial vs 4 evaluation workers, both with
-	// collection enabled (the B11 headline as a machine-relative ratio).
-	ParallelSpeedup4 float64 `json:"parallel_speedup_4"`
 	// PlannerSelectiveSpeedup10k is the cost-based planner's headline: a
 	// selective-predicate join over the ~10k-annotation tier where written
 	// order expands every restaurant's subtree before testing the price,
@@ -110,12 +106,6 @@ type benchReport struct {
 	// (incr-match-100k-incr / incr-match-10k-incr): a change set touching
 	// k subscriptions costs O(k), not O(total), so this stays near 1.
 	IncrNotifyFlatness10x float64 `json:"incr_notify_flatness_10x"`
-	// InternEvalSpeedup10k is the interned+streaming evaluator's headline:
-	// a mixed exact-label traversal plus early-witness exists workload over
-	// 10k objects, string-keyed and materialized over symbol-keyed and
-	// streamed (intern-eval-10k-string / intern-eval-10k-intern). The
-	// acceptance bar is >= 1.5.
-	InternEvalSpeedup10k float64 `json:"intern_eval_speedup_10k"`
 	// ExistsEarlyExitRatio is the evidence that exists does work
 	// proportional to the witness position: the cost of an exists whose
 	// single witness is the last of 10k candidates over one whose witness
@@ -220,18 +210,6 @@ func runJSON(path string) error {
 
 	// The rest of the suite runs with collection enabled so the report's
 	// obs snapshot reflects the instrumented stack end to end.
-	par4 := bench("lorel-parallel4", func(b *testing.B) {
-		peng := paperEngine()
-		peng.SetParallelism(4)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := peng.Query(evalQuery); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	report.ParallelSpeedup4 = onNs / (float64(par4.T.Nanoseconds()) / float64(par4.N))
-
 	bench("chorel-translate", func(b *testing.B) {
 		const q = `select N from guide.restaurant R, R.name N where R.<add at T>price = "moderate" and T >= 1Jan97`
 		for i := 0; i < b.N; i++ {

@@ -9,16 +9,16 @@
 //	benchharness -check BASELINE.json [-check-out PATH]
 //
 // With -json, the harness instead runs a curated testing.Benchmark suite
-// (query evaluation with observability off and on, parallel evaluation,
-// the cost-based planner's selective-join headline, Chorel translation,
-// WAL appends, QSS poll cycles) and writes a machine-readable report with
+// (query evaluation with observability off and on, the cost-based
+// planner's selective-join headline, Chorel translation, WAL appends, QSS
+// poll cycles) and writes a machine-readable report with
 // per-benchmark ns/op, B/op, allocs/op, the measured observability
 // overhead, and a metrics snapshot.
 //
 // With -check, the harness runs the -json suite fresh and compares its
-// headline ratio metrics (parallel/planner/index speedups, segment
-// flatness factors) against the committed baseline report, exiting
-// nonzero on a >25% regression — the CI bench-regression gate.
+// headline ratio metrics (planner/index speedups, segment flatness
+// factors) against the committed baseline report, exiting nonzero on a
+// >25% regression — the CI bench-regression gate.
 // -check-out keeps the fresh report for upload as an artifact.
 package main
 
@@ -92,7 +92,6 @@ func main() {
 	b8()
 	b9()
 	b10()
-	b11()
 	b12()
 	b13()
 	b14()
@@ -360,66 +359,6 @@ func b10() {
 		})
 		fmt.Printf("  %8d %14s %14s %12s %12s\n", len(h), walPer, snapPer, load, recovery)
 	}
-}
-
-// b11 measures the parallel evaluation mode (Engine.SetParallelism)
-// against serial on a reachability-heavy query: every restaurant's `#`
-// closure walks the shared parking/nearby-eats component, so the work per
-// outer binding is large and uniform — the best case for partitioning the
-// binding stream. Speedup is bounded by the host's core count (the table
-// reports GOMAXPROCS); workers beyond it cannot help. It also gates on
-// the determinism guarantee: every worker count must reproduce the serial
-// result byte for byte.
-func b11() {
-	fmt.Println("\n-- B11: parallel query evaluation vs workers (R.# reachability query) --")
-	initial, h := guidegen.GenerateHistory(7, scale(300), 4, 8)
-	d, err := doem.FromHistory(initial, h)
-	if err != nil {
-		panic(err)
-	}
-	eng := lorel.NewEngine()
-	eng.Register("guide", d)
-	parsed, err := lorel.Parse(`select R.name from guide.restaurant R, R.# C where C = "no such value"`)
-	if err != nil {
-		panic(err)
-	}
-	if err := lorel.Canonicalize(parsed); err != nil {
-		panic(err)
-	}
-
-	serialRes, err := eng.Eval(parsed)
-	if err != nil {
-		panic(err)
-	}
-	serialOut := serialRes.String()
-	serialPer := measure(func() {
-		if _, err := eng.Eval(parsed); err != nil {
-			panic(err)
-		}
-	})
-
-	fmt.Printf("  GOMAXPROCS=%d\n", runtime.GOMAXPROCS(0))
-	fmt.Printf("  %8s %14s %9s\n", "workers", "time/query", "speedup")
-	fmt.Printf("  %8d %14s %8.2fx\n", 1, serialPer, 1.0)
-	identical := true
-	for _, workers := range []int{2, 4, 8} {
-		eng.SetParallelism(workers)
-		res, err := eng.Eval(parsed)
-		if err != nil {
-			panic(err)
-		}
-		if res.String() != serialOut {
-			identical = false
-		}
-		per := measure(func() {
-			if _, err := eng.Eval(parsed); err != nil {
-				panic(err)
-			}
-		})
-		fmt.Printf("  %8d %14s %8.2fx\n", workers, per, float64(serialPer)/float64(per))
-	}
-	eng.SetParallelism(1)
-	check("B11", "parallel results byte-identical to serial at every worker count", identical)
 }
 
 // b12 compares indexed evaluation (internal/index: adjacency indexes,

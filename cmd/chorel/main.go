@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	chorel [-store DIR] [-segments] [-translate] [-explain] [-strategy direct|translated] [-parallel N] [-noindex] [-noplanner] [QUERY...]
+//	chorel [-store DIR] [-segments] [-translate] [-explain] [-strategy direct|translated] [-noindex] [-noplanner] [QUERY...]
 //
 // With no QUERY arguments, chorel reads queries from standard input, one
 // per line. The built-in demo database "guide" (the paper's running
@@ -58,10 +58,9 @@ func main() {
 	translate := flag.Bool("translate", false, "print the Lorel translation instead of evaluating")
 	explain := flag.Bool("explain", false, "print the Chorel→Lorel rewrite plan instead of evaluating")
 	strategy := flag.String("strategy", "direct", "execution strategy: direct or translated")
-	parallel := flag.Int("parallel", 1, "evaluation workers (0 = GOMAXPROCS)")
 	noindex := flag.Bool("noindex", false, "disable secondary indexes and snapshot caching (unindexed baseline)")
 	noplanner := flag.Bool("noplanner", false, "disable the cost-based query planner (written-order baseline)")
-	nointern := flag.Bool("nointern", false, "disable symbol interning and streaming evaluation (string+materialized baseline)")
+	nointern := flag.Bool("nointern", false, "disable symbol interning (string-keyed baseline)")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
 
@@ -73,7 +72,6 @@ func main() {
 	}
 	if *nointern {
 		symbol.SetEnabled(false)
-		lorel.SetStreaming(false)
 	}
 
 	if *version {
@@ -84,7 +82,7 @@ func main() {
 	if *sealAnns > 0 || *sealAge > 0 {
 		pol = &segment.Policy{SealAnnotations: *sealAnns, SealAge: *sealAge}
 	}
-	if err := run(*storeDir, *segments, pol, *translate, *explain, *strategy, *parallel, flag.Args()); err != nil {
+	if err := run(*storeDir, *segments, pol, *translate, *explain, *strategy, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "chorel:", err)
 		os.Exit(1)
 	}
@@ -98,18 +96,16 @@ type session struct {
 	// mode, land in the right active segment).
 	store    *lore.Store
 	strategy string
-	parallel int
 }
 
-func run(storeDir string, segmented bool, pol *segment.Policy, translate, explain bool, strategy string, parallel int, queries []string) error {
+func run(storeDir string, segmented bool, pol *segment.Policy, translate, explain bool, strategy string, queries []string) error {
 	if strategy != "direct" && strategy != "translated" {
 		return fmt.Errorf("unknown strategy %q", strategy)
 	}
 	if segmented && storeDir == "" {
 		return fmt.Errorf("-segments needs -store")
 	}
-	s := &session{eng: lorel.NewEngine(), doems: make(map[string]*doem.Database), strategy: strategy, parallel: parallel}
-	s.eng.SetParallelism(parallel)
+	s := &session{eng: lorel.NewEngine(), doems: make(map[string]*doem.Database), strategy: strategy}
 
 	// The paper's running example is always available as "guide".
 	g, ids := guidegen.PaperGuide()
@@ -323,9 +319,7 @@ func (s *session) runQuery(q string) error {
 		// database; fall back to direct evaluation when the query is
 		// untranslatable (wildcards, virtual annotations).
 		if name := s.addressedDOEM(q); name != "" {
-			cdb := chorel.New(name, s.doems[name])
-			cdb.SetParallelism(s.parallel)
-			res, err := cdb.QueryTranslated(q)
+			res, err := chorel.New(name, s.doems[name]).QueryTranslated(q)
 			if err == nil {
 				fmt.Print(res)
 				return nil

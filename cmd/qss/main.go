@@ -4,7 +4,7 @@
 //
 // Usage:
 //
-//	qss [-listen ADDR] [-guide N] [-library N] [-evolve DUR] [-parallel N] [-waldir DIR] [-walsync POLICY] [-segments DIR] [-csv NAME=PATH:KEY:ROW]...
+//	qss [-listen ADDR] [-guide N] [-library N] [-evolve DUR] [-waldir DIR] [-walsync POLICY] [-segments DIR] [-csv NAME=PATH:KEY:ROW]...
 //
 // Persistence is either a flat per-subscription write-ahead log (-waldir)
 // or a time-partitioned segment store (-segments, with -seal-anns,
@@ -62,7 +62,6 @@ import (
 	"repro/internal/incr"
 	"repro/internal/index"
 	"repro/internal/library"
-	"repro/internal/lorel"
 	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/plan"
@@ -80,16 +79,15 @@ func (c *csvFlags) String() string     { return strings.Join(*c, ",") }
 func (c *csvFlags) Set(s string) error { *c = append(*c, s); return nil }
 
 type config struct {
-	listen   string
-	guideN   int
-	libN     int
-	evolve   time.Duration
-	seed     int64
-	parallel int
-	walDir   string
-	walSync  string
-	csvs     []string
-	admin    string
+	listen  string
+	guideN  int
+	libN    int
+	evolve  time.Duration
+	seed    int64
+	walDir  string
+	walSync string
+	csvs    []string
+	admin   string
 
 	segDir   string
 	sealAnns int
@@ -133,11 +131,10 @@ func main() {
 	flag.IntVar(&cfg.libN, "library", 30, "books in the demo library source")
 	flag.DurationVar(&cfg.evolve, "evolve", 2*time.Second, "interval between demo source changes")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for the demo sources")
-	flag.IntVar(&cfg.parallel, "parallel", 1, "query evaluation workers per poll (0 = GOMAXPROCS)")
 	noindex := flag.Bool("noindex", false, "disable secondary indexes and poll-time snapshot caching")
 	noplanner := flag.Bool("noplanner", false, "disable the cost-based query planner (written-order baseline)")
 	noincremental := flag.Bool("noincremental", false, "disable delta-driven incremental subscription matching (evaluate every filter on every poll)")
-	nointern := flag.Bool("nointern", false, "disable symbol interning and streaming evaluation (string+materialized baseline)")
+	nointern := flag.Bool("nointern", false, "disable symbol interning (string-keyed baseline)")
 	flag.StringVar(&cfg.walDir, "waldir", "", "directory for per-subscription write-ahead logs (empty: no persistence)")
 	flag.StringVar(&cfg.walSync, "walsync", "interval", "WAL durability: always | interval | never")
 	flag.StringVar(&cfg.segDir, "segments", "", "directory for per-subscription segmented history stores (mutually exclusive with -waldir; see docs/segments.md)")
@@ -195,7 +192,6 @@ func main() {
 	}
 	if *nointern {
 		symbol.SetEnabled(false)
-		lorel.SetStreaming(false)
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "qss:", err)
@@ -280,9 +276,6 @@ func run(cfg config) error {
 		MaxMessage:        cfg.maxMsg,
 		Linger:            cfg.linger,
 	})
-	if cfg.parallel != 1 {
-		srv.Service().SetParallelism(cfg.parallel)
-	}
 	if cfg.walDir != "" {
 		var pol wal.SyncPolicy
 		switch cfg.walSync {

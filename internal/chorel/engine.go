@@ -29,16 +29,13 @@ type DB struct {
 	// Lazily built translation-side state; invalidated by Invalidate.
 	enc   *encoding.Encoding
 	trans *lorel.Engine
-
-	// workers is replayed onto the lazily built translation engine.
-	workers int
 }
 
 // New wraps a DOEM database for querying under the given name (the head of
 // path expressions, e.g. "guide"). When indexing is enabled (the default;
 // see index.Enabled) the direct engine queries through an index.Graph.
 func New(name string, d *doem.Database) *DB {
-	db := &DB{name: name, d: d, direct: lorel.NewEngine(), workers: 1}
+	db := &DB{name: name, d: d, direct: lorel.NewEngine()}
 	db.SetIndexing(index.Enabled())
 	return db
 }
@@ -76,16 +73,6 @@ func (db *DB) SetPollTimes(times []timestamp.Time) {
 	}
 }
 
-// SetParallelism forwards the evaluation worker count to both execution
-// strategies (n <= 0 selects GOMAXPROCS; see lorel.Engine.SetParallelism).
-func (db *DB) SetParallelism(n int) {
-	db.direct.SetParallelism(n)
-	db.workers = db.direct.Parallelism()
-	if db.trans != nil {
-		db.trans.SetParallelism(db.workers)
-	}
-}
-
 // Invalidate discards the cached OEM encoding and the secondary indexes
 // after the DOEM database has been modified with Apply.
 func (db *DB) Invalidate() {
@@ -114,7 +101,6 @@ func (db *DB) Encoding() *encoding.Encoding {
 		db.trans = lorel.NewEngine()
 		db.trans.Register(db.name, lorel.NewOEMGraph(db.enc.DB))
 		db.trans.SetPollTimes(nil)
-		db.trans.SetParallelism(db.workers)
 	}
 	return db.enc
 }

@@ -1,9 +1,6 @@
 package incr
 
-import (
-	"os"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // disabled flips the package-wide default from incremental matching back
 // to unconditional full evaluation. It is consulted by qss.NewService and
@@ -13,16 +10,8 @@ import (
 // their own SetIncremental methods.
 var disabled atomic.Bool
 
-func init() {
-	if v := os.Getenv("REPRO_NOINCREMENTAL"); v != "" && v != "0" {
-		disabled.Store(true)
-	}
-}
-
 // Enabled reports whether new services use incremental matching by
-// default. The default is true; it is false when the REPRO_NOINCREMENTAL
-// environment variable is set to a non-empty value other than "0", or
-// after SetEnabled(false).
+// default. The default is true; it is false after SetEnabled(false).
 func Enabled() bool { return !disabled.Load() }
 
 // SetEnabled flips the package-wide default and returns the previous

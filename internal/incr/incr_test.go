@@ -306,14 +306,14 @@ func TestIndex(t *testing.T) {
 }
 
 func TestEnabledToggle(t *testing.T) {
+	defer SetEnabled(SetEnabled(true))
 	if !Enabled() {
-		t.Fatal("default not enabled")
+		t.Fatal("SetEnabled(true) did not enable")
 	}
-	prev := SetEnabled(false)
-	if !prev || Enabled() {
+	if prev := SetEnabled(false); !prev || Enabled() {
 		t.Errorf("SetEnabled(false): prev=%v enabled=%v", prev, Enabled())
 	}
-	if prev := SetEnabled(true); prev {
-		t.Errorf("SetEnabled(true) prev = %v", prev)
+	if prev := SetEnabled(true); prev || !Enabled() {
+		t.Errorf("SetEnabled(true): prev=%v enabled=%v", prev, Enabled())
 	}
 }

@@ -11,8 +11,8 @@ import (
 	"repro/internal/lore"
 )
 
-// TestConcurrentQueriesWithApplySet drives N goroutines of parallel Chorel
-// queries through Store.ViewDOEM while another goroutine feeds the
+// TestConcurrentQueriesWithApplySet drives N goroutines of concurrent
+// Chorel queries through Store.ViewDOEM while another goroutine feeds the
 // remaining history steps through WAL-backed ApplySet — the tentpole's
 // claim that one store serves readers and a writer at once. Run under
 // -race this is the stress gate for the graph layer's read-path contract.
@@ -59,7 +59,7 @@ func TestConcurrentQueriesWithApplySet(t *testing.T) {
 		}
 	}()
 
-	// Readers: parallel Chorel queries through the coordinated view.
+	// Readers: concurrent Chorel queries through the coordinated view.
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
 		go func(w int) {
@@ -67,9 +67,7 @@ func TestConcurrentQueriesWithApplySet(t *testing.T) {
 			for i := 0; i < 15; i++ {
 				q := queries[(w+i)%len(queries)]
 				err := s.ViewDOEM("guide", func(dd *doem.Database) error {
-					db := chorel.New("guide", dd)
-					db.SetParallelism(4)
-					_, qerr := db.Query(q)
+					_, qerr := chorel.New("guide", dd).Query(q)
 					return qerr
 				})
 				if err != nil {

@@ -3,8 +3,7 @@ package lorel
 import (
 	"context"
 	"reflect"
-	"runtime"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -22,14 +21,15 @@ import (
 // expression heads resolve to registered database names ("guide", or a QSS
 // polling-query name such as "LyttonRestaurants").
 //
-// Concurrency: one Engine is safe for concurrent use. Register,
-// SetPollTimes and SetParallelism swap copy-on-write state under a lock;
-// every evaluation snapshots that state once at the start, so concurrent
-// Query/Eval calls never observe a partial update. The registered graphs
-// themselves must honor the read-path contract documented on Graph:
-// queries only read, so graphs may be shared across goroutines as long as
-// nobody mutates them mid-query (lore.Store serializes mutation against
-// readers; QSS and the trigger manager mutate only between evaluations).
+// Concurrency: one Engine is safe for any number of concurrent callers.
+// Register and SetPollTimes swap copy-on-write state under a lock; every
+// evaluation snapshots that state once at the start and owns the rest of
+// its state, so concurrent Query/Eval calls never observe a partial update
+// or each other. The registered graphs themselves must honor the read-path
+// contract documented on Graph: queries only read, so graphs may be shared
+// across goroutines as long as nobody mutates them mid-query (lore.Store
+// serializes mutation against readers; QSS and the trigger manager mutate
+// only between evaluations).
 type Engine struct {
 	// mu guards the copy-on-write engine state below. The maps and slices
 	// it protects are never mutated in place once published: writers build
@@ -39,7 +39,6 @@ type Engine struct {
 	graphs    map[string]Graph
 	order     []string
 	pollTimes []timestamp.Time
-	workers   int
 
 	// cache holds parsed-and-canonicalized queries by source text.
 	// Evaluation never mutates a canonicalized AST, so cached queries are
@@ -67,14 +66,12 @@ type Engine struct {
 // on an old-generation hit) while still evicting one-off texts.
 const cacheLimit = 256
 
-// NewEngine returns an empty engine evaluating serially, with the
-// cost-based planner on unless the package default disables it
-// (REPRO_NOPLANNER / plan.SetEnabled).
+// NewEngine returns an empty engine, with the cost-based planner on unless
+// the package default disables it (REPRO_NOPLANNER / plan.SetEnabled).
 func NewEngine() *Engine {
 	return &Engine{
 		graphs:   make(map[string]Graph),
 		cache:    make(map[string]*Query),
-		workers:  1,
 		planning: plan.Enabled(),
 		plans:    make(map[string]*prepared),
 	}
@@ -114,28 +111,6 @@ func (e *Engine) SetPollTimes(times []timestamp.Time) {
 	e.mu.Lock()
 	e.pollTimes = copied
 	e.mu.Unlock()
-}
-
-// SetParallelism sets the number of worker goroutines used to evaluate the
-// outermost from-clause binding stream. n <= 0 selects runtime.GOMAXPROCS.
-// With n == 1 (the default) evaluation is strictly serial. Parallel
-// results are byte-identical to serial ones: bindings are partitioned in
-// order, per-worker shards preserve that order, and the merge deduplicates
-// in the same sequence serial evaluation would.
-func (e *Engine) SetParallelism(n int) {
-	if n <= 0 {
-		n = runtime.GOMAXPROCS(0)
-	}
-	e.mu.Lock()
-	e.workers = n
-	e.mu.Unlock()
-}
-
-// Parallelism returns the configured worker count.
-func (e *Engine) Parallelism() int {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.workers
 }
 
 // Query parses, canonicalizes and evaluates a query. Parsed queries are
@@ -247,13 +222,10 @@ func (b binding) valueOf() (value.Value, bool) {
 	}
 }
 
-// key returns a dedup key for result rows. Value keys carry the value's
-// kind so values of different kinds with identical renderings (Int(5) and
-// Real(5) both print "5") cannot collide.
-func (b binding) key() string { return string(b.appendKey(nil)) }
-
-// appendKey appends b's dedup key to dst. Dedup runs once per candidate
-// row, so this path sticks to strconv appends and avoids fmt.
+// appendKey appends b's dedup key for result rows to dst. Value keys carry
+// the value's kind so values of different kinds with identical renderings
+// (Int(5) and Real(5) both print "5") cannot collide. Dedup runs once per
+// candidate row, so this path sticks to strconv appends and avoids fmt.
 func (b binding) appendKey(dst []byte) []byte {
 	switch b.kind {
 	case bNode:
@@ -322,7 +294,7 @@ func graphTag(g Graph) uintptr {
 // its scope ends, so once the stack has grown to the query's nesting depth
 // binding a variable allocates nothing. lookup scans from the top, so an
 // inner binding shadows an outer one of the same name. Each evaluation
-// (and each parallel worker's fork) owns one.
+// owns one.
 type env struct{ vars []envVar }
 
 type envVar struct {
@@ -344,68 +316,37 @@ func (e *env) lookup(name string) (binding, bool) {
 	return binding{}, false
 }
 
-// bindResult binds a materialized match: its annotation variables, then the
-// range variable.
-func (e *env) bindResult(name string, r pathResult) {
-	e.vars = append(e.vars, r.ext...)
-	e.bind(name, r.b)
-}
-
-// pathResult is one materialized match of a path expression: the reached
-// binding plus a snapshot of the annotation variables bound on the way (the
-// stack entries that bound them are gone by the time the match is used).
-type pathResult struct {
-	b   binding
-	ext []envVar
-}
-
-// with returns r's annotation snapshot extended by one variable; snapshots
-// are shared between sibling matches and never appended to in place.
-func (r pathResult) with(name string, b binding) []envVar {
-	return append(r.ext[:len(r.ext):len(r.ext)], envVar{name, b})
-}
-
 // evaluation carries the per-query state of one Eval call: an immutable
 // snapshot of the engine's graphs and polling times, the caller's context,
 // and a cancellation-check counter. Engine state mutated after the
 // snapshot (Register, SetPollTimes) does not affect an evaluation in
 // flight, which is what makes one Engine safe for concurrent queries.
-// Each parallel worker gets its own evaluation (sharing the snapshots) so
-// the counter is not contended.
 type evaluation struct {
 	graphs    map[string]Graph
 	pollTimes []timestamp.Time
 	ctx       context.Context
 	tick      int
-	// stream snapshots StreamingEnabled() once per evaluation, so a gate
-	// flip mid-query cannot mix the two enumeration disciplines.
-	stream bool
 
 	// trace is the per-query trace from the context (nil when untraced;
-	// every call on a nil Trace is a no-op). Shared with forked workers —
-	// Trace is internally synchronized.
+	// every call on a nil Trace is a no-op).
 	trace *obs.Trace
 	// Per-evaluation stat counters: plain ints, not metrics, so the
-	// per-tuple hot path pays no atomics. Each parallel worker owns its
-	// forked evaluation's counters; the parent sums them after wg.Wait and
-	// flushes once, which keeps collection race-clean under -race.
+	// per-tuple hot path pays no atomics; finish flushes them once.
 	bindings  int64
 	dedupHits int64
 
-	// constTimes (set by the planned executor, shared read-only across
-	// forks) marks <at T> operands with no variable dependencies; atMemo
-	// caches their resolved instants per evaluation, never across forks —
-	// workers each build their own memo so no synchronization is needed.
-	// litTimes (same provenance and sharing) holds the time coercion of
-	// each string literal, done once at prepare.
+	// constTimes (set by the planned executor from its prepared plan, which
+	// concurrent evaluations share read-only) marks <at T> operands with no
+	// variable dependencies; atMemo caches their resolved instants for this
+	// evaluation. litTimes (same provenance) holds the time coercion of each
+	// string literal, done once at prepare.
 	constTimes map[Expr]bool
 	atMemo     map[Expr]timeMemo
 	litTimes   map[*ConstExpr]timeMemo
 
-	// Binding-loop state, owned by this evaluation alone (a fork starts
-	// empty): the environment stack, the reused walkers of
-	// expression-embedded paths keyed by the expression that walks them,
-	// and buildRows' scratch.
+	// Binding-loop state, owned by this evaluation alone: the environment
+	// stack, the reused walkers of expression-embedded paths keyed by the
+	// expression that walks them, and buildRows' scratch.
 	env     env
 	walkers map[Expr]*pathWalker
 	ops     []operand
@@ -426,21 +367,7 @@ func (e *Engine) newEvaluation(ctx context.Context) *evaluation {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return &evaluation{graphs: e.graphs, pollTimes: e.pollTimes, ctx: ctx, trace: tr, stream: StreamingEnabled()}
-}
-
-// fork clones the evaluation for a parallel worker: shared snapshots and
-// trace, own cancellation counter, stat counters and time memo.
-func (ev *evaluation) fork() *evaluation {
-	return &evaluation{
-		graphs:     ev.graphs,
-		pollTimes:  ev.pollTimes,
-		ctx:        ev.ctx,
-		stream:     ev.stream,
-		trace:      ev.trace,
-		constTimes: ev.constTimes,
-		litTimes:   ev.litTimes,
-	}
+	return &evaluation{graphs: e.graphs, pollTimes: e.pollTimes, ctx: ctx, trace: tr}
 }
 
 // finish flushes the evaluation's stats to the package metrics and trace.
@@ -492,10 +419,7 @@ func (e *Engine) Eval(q *Query) (*Result, error) {
 	return e.EvalContext(context.Background(), q)
 }
 
-// EvalContext evaluates a canonicalized query under a context. When the
-// engine's parallelism is above one, the outermost from-clause binding
-// stream is partitioned across that many workers; the merged result is
-// byte-identical to serial evaluation.
+// EvalContext evaluates a canonicalized query under a context.
 func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Result, error) {
 	start := obs.Now()
 	ev := e.newEvaluation(ctx)
@@ -503,9 +427,9 @@ func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Result, error) {
 	var res *Result
 	var err error
 	if pr := e.planFor(ev, q); pr != nil && pr.plan != nil {
-		res, err = e.evalPlanned(ev, q, pr)
+		res, err = ev.evalPlanned(q, pr)
 	} else {
-		res, err = e.evalQuery(ev, q)
+		res, err = ev.evalQuery(q)
 	}
 	rows := 0
 	if res != nil {
@@ -516,30 +440,23 @@ func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Result, error) {
 	return res, err
 }
 
-func (e *Engine) evalQuery(ev *evaluation, q *Query) (*Result, error) {
+func (ev *evaluation) evalQuery(q *Query) (*Result, error) {
 	gens := make([]FromItem, 0, len(q.From)+len(q.WhereGens))
 	gens = append(gens, q.From...)
 	gens = append(gens, q.WhereGens...)
 	strict := len(q.From) // generators at index >= strict are existential
-	if w := e.Parallelism(); w > 1 {
-		res, done, err := ev.evalParallel(q, gens, strict, w)
-		if done {
-			return res, err
-		}
-	}
 	res := &Result{}
-	seen := make(map[string]bool)
-	sink := func(row Row) { res.Rows = append(res.Rows, row) }
-	if err := ev.newWrittenExec(gens, strict, ev.emitter(q, seen, sink)).enumerate(0); err != nil {
+	if err := ev.newWrittenExec(gens, strict, ev.emitter(q, res)).enumerate(0); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // emitter builds the tuple sink for one evaluation: it applies the where
-// clause to the bound tuple, builds its rows, and hands rows unseen in seen
-// to sink (a slice append, or the streaming parallel merge's channel).
-func (ev *evaluation) emitter(q *Query, seen map[string]bool, sink func(Row)) func() error {
+// clause to the bound tuple, builds its rows, and appends the rows not
+// seen before to res.
+func (ev *evaluation) emitter(q *Query, res *Result) func() error {
+	seen := make(map[string]bool)
 	var kb []byte // reused key buffer; map lookups on string(kb) do not allocate
 	return func() error {
 		ev.bindings++
@@ -560,7 +477,7 @@ func (ev *evaluation) emitter(q *Query, seen map[string]bool, sink func(Row)) fu
 			kb = row.appendKey(kb[:0])
 			if !seen[string(kb)] {
 				seen[string(kb)] = true
-				sink(row)
+				res.Rows = append(res.Rows, row)
 			} else {
 				ev.dedupHits++
 			}
@@ -596,44 +513,24 @@ func (x *writtenExec) enumerate(i int) error {
 		return x.emit()
 	}
 	g := x.gens[i]
-	var n int
-	if ev.stream {
-		// Each binding flows into the next generator as the walker produces
-		// it; an errStop from a downstream consumer propagates up and stops
-		// the walk.
-		w := x.gw[i]
-		if w == nil {
-			w = ev.newWalker(g.Path)
-			w.yield = func(b binding) error {
-				m := en.mark()
-				en.bind(g.Var, b)
-				err := x.enumerate(i + 1)
-				en.release(m)
-				return err
-			}
-			x.gw[i] = w
-		}
-		if err := w.run(); err != nil {
-			return err
-		}
-		n = w.n
-	} else {
-		results, err := ev.evalPath(g.Path)
-		if err != nil {
-			return err
-		}
-		n = len(results)
-		for _, r := range results {
+	// Each binding flows into the next generator as the walker produces it;
+	// an errStop from a downstream consumer propagates up and stops the walk.
+	w := x.gw[i]
+	if w == nil {
+		w = ev.newWalker(g.Path)
+		w.yield = func(b binding) error {
 			m := en.mark()
-			en.bindResult(g.Var, r)
+			en.bind(g.Var, b)
 			err := x.enumerate(i + 1)
 			en.release(m)
-			if err != nil {
-				return err
-			}
+			return err
 		}
+		x.gw[i] = w
 	}
-	if n > 0 || i < x.strict {
+	if err := w.run(); err != nil {
+		return err
+	}
+	if w.n > 0 || i < x.strict {
 		return nil // strict with no bindings: no tuples
 	}
 	// Existential generator with no matches: null-bind so the rest of the
@@ -655,49 +552,6 @@ func (ev *evaluation) pathHead(p *PathExpr) (binding, error) {
 		return nodeBinding(g, g.Root()), nil
 	}
 	return binding{}, errf(p.P, "unknown name %q (neither a variable in scope nor a registered database)", p.Head)
-}
-
-// evalPath materializes the matches of a path expression under the current
-// environment, breadth first: the reference enumeration the streaming
-// walker is held to, and the partitioner of the parallel outer generator.
-func (ev *evaluation) evalPath(p *PathExpr) ([]pathResult, error) {
-	head, err := ev.pathHead(p)
-	if err != nil {
-		return nil, err
-	}
-	frontier := []pathResult{{b: head}}
-	for _, step := range p.Steps {
-		next := make([]pathResult, 0, len(frontier))
-		// A step that binds no variables leaves environments unchanged, so
-		// identical targets from different parents are redundant.
-		dedup := !stepBindsVars(step)
-		var seen seenSet
-		for _, cur := range frontier {
-			if err := ev.checkCancel(); err != nil {
-				return nil, err
-			}
-			start := len(next)
-			var err error
-			next, err = ev.expandStep(next, cur, step)
-			if err != nil {
-				return nil, err
-			}
-			if dedup {
-				kept := next[:start]
-				for _, r := range next[start:] {
-					if seen.fresh(r.b) {
-						kept = append(kept, r)
-					}
-				}
-				next = kept
-			}
-		}
-		frontier = next
-		if len(frontier) == 0 {
-			return nil, nil
-		}
-	}
-	return frontier, nil
 }
 
 // vars lists the variables an annotation expression binds ("" where it
@@ -731,152 +585,14 @@ func (e *env) bindNull(g FromItem) {
 	}
 }
 
-// expandStep applies one path step to one binding, appending the reached
-// bindings to dst. The append style lets one evalPath step accumulate its
-// whole frontier in a single slice instead of allocating a short-lived
-// slice per expanded binding.
-func (ev *evaluation) expandStep(dst []pathResult, cur pathResult, step *PathStep) ([]pathResult, error) {
-	if cur.b.kind != bNode {
-		return dst, nil // cannot traverse from a value or null
-	}
-	g := cur.b.g
-
-	// Regular path group: (a.b|c) with an optional quantifier.
-	if step.Group != nil {
-		return ev.expandGroup(dst, cur, step.Group), nil
-	}
-
-	// '#' wildcard: all nodes reachable in zero or more steps.
-	if step.Hash {
-		out := dst
-		seen := map[oem.NodeID]bool{cur.b.id: true}
-		stack := []oem.NodeID{cur.b.id}
-		for len(stack) > 0 {
-			if err := ev.checkCancel(); err != nil {
-				return dst, err
-			}
-			n := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			nb := cur.b
-			nb.id = n
-			out = append(out, pathResult{b: nb, ext: cur.ext})
-			for _, a := range ev.liveArcs(cur.b, g, n) {
-				if !seen[a.Child] {
-					seen[a.Child] = true
-					stack = append(stack, a.Child)
-				}
-			}
-		}
-		return out, nil
-	}
-
-	// Select candidate (arc, envExtension) pairs according to the arc
-	// annotation expression.
-	out := dst
-	appendChild := func(child oem.NodeID, ext []envVar, asOf *timestamp.Time) error {
-		nb := cur.b
-		nb.id = child
-		if asOf != nil {
-			nb.hasAsOf = true
-			nb.asOf = *asOf
-		}
-		var err error
-		out, err = ev.applyNodeAnnot(out, pathResult{b: nb, ext: ext}, step.Node)
-		return err
-	}
-
-	switch {
-	case step.Arc == nil:
-		// Exact-label steps over the current snapshot resolve from the
-		// adjacency index when the graph provides one; the arcs come back
-		// in the same insertion order the scan below would produce.
-		if ls, ok := g.(LabelSeeker); ok && exactLabel(step) && !cur.b.hasAsOf {
-			for _, a := range ls.OutLabeled(cur.b.id, step.Label) {
-				if err := appendChild(a.Child, cur.ext, nil); err != nil {
-					return nil, err
-				}
-			}
-			break
-		}
-		for _, a := range ev.liveArcs(cur.b, g, cur.b.id) {
-			if !labelMatch(step, a.Label) {
-				continue
-			}
-			if err := appendChild(a.Child, cur.ext, nil); err != nil {
-				return nil, err
-			}
-		}
-	case step.Arc.Op == OpAdd || step.Arc.Op == OpRem:
-		wantKind := annotKindFor(step.Arc.Op)
-		// Exact-label annotation steps read the (parent, label) slice of
-		// the full arc relation instead of scanning every arc ever; the
-		// index preserves insertion order within the label.
-		arcs := g.OutAll(cur.b.id)
-		if as, ok := g.(AllLabelSeeker); ok && exactLabel(step) {
-			arcs = as.OutAllLabeled(cur.b.id, step.Label)
-		}
-		for _, a := range arcs {
-			if !labelMatch(step, a.Label) {
-				continue
-			}
-			for _, ann := range g.ArcAnnots(a) {
-				if ann.Kind != wantKind {
-					continue
-				}
-				ext := cur.ext
-				if step.Arc.AtVar != "" {
-					ext = cur.with(step.Arc.AtVar, valueBinding(value.Time(ann.At)))
-				}
-				if err := appendChild(a.Child, ext, nil); err != nil {
-					return nil, err
-				}
-			}
-		}
-	case step.Arc.Op == OpAt:
-		t, ok, err := ev.evalTimeUnder(cur.ext, step.Arc.AtExpr)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			return dst, nil
-		}
-		// A materialized time-t view skips the per-arc annotation scans;
-		// it is OutAll filtered by liveness, so filtering it by label
-		// visits the same arcs in the same order as the fallback.
-		if ts, ok := g.(TimeSeeker); ok {
-			for _, a := range ts.OutAt(cur.b.id, t) {
-				if !labelMatch(step, a.Label) {
-					continue
-				}
-				if err := appendChild(a.Child, cur.ext, &t); err != nil {
-					return nil, err
-				}
-			}
-			break
-		}
-		for _, a := range g.OutAll(cur.b.id) {
-			if !labelMatch(step, a.Label) {
-				continue
-			}
-			if g.ArcLiveAt(a, t) {
-				if err := appendChild(a.Child, cur.ext, &t); err != nil {
-					return nil, err
-				}
-			}
-		}
-	default:
-		return nil, errf(step.P, "%s annotation cannot precede an arc label", step.Arc.Op)
-	}
-	return out, nil
-}
-
 // expandGroup applies a regular path group to one binding: each
 // application follows one of the alternative label sequences; the
 // quantifier controls repetition. Group labels support '%' globs like
-// ordinary steps. Bindings inherit the time-travel instant; environments
-// are unchanged (groups bind no variables).
-func (ev *evaluation) expandGroup(dst []pathResult, cur pathResult, grp *PathGroup) []pathResult {
-	g := cur.b.g
+// ordinary steps. It returns the reached node ids in ascending order; the
+// walker delivers them with cur's time-travel instant (groups bind no
+// variables).
+func (ev *evaluation) expandGroup(cur binding, grp *PathGroup) []oem.NodeID {
+	g := cur.g
 
 	ls, hasLS := g.(LabelSeeker)
 
@@ -886,7 +602,7 @@ func (ev *evaluation) expandGroup(dst []pathResult, cur pathResult, grp *PathGro
 		for _, label := range seq {
 			next := make(map[oem.NodeID]bool)
 			glob := strings.Contains(label, "%")
-			if hasLS && !glob && !cur.b.hasAsOf {
+			if hasLS && !glob && !cur.hasAsOf {
 				// Exact labels over the current snapshot come straight
 				// from the adjacency index; the frontier is a set, so
 				// arc order is immaterial here.
@@ -902,7 +618,7 @@ func (ev *evaluation) expandGroup(dst []pathResult, cur pathResult, grp *PathGro
 				continue
 			}
 			for n := range frontier {
-				for _, a := range ev.liveArcs(cur.b, g, n) {
+				for _, a := range ev.liveArcs(cur, g, n) {
 					if glob {
 						if !value.Str(a.Label).Like(label) {
 							continue
@@ -932,19 +648,19 @@ func (ev *evaluation) expandGroup(dst []pathResult, cur pathResult, grp *PathGro
 		return out
 	}
 
-	start := map[oem.NodeID]bool{cur.b.id: true}
+	start := map[oem.NodeID]bool{cur.id: true}
 	var reached map[oem.NodeID]bool
 	switch grp.Quant {
 	case 0:
 		reached = applyOnce(start)
 	case '?':
 		reached = applyOnce(start)
-		reached[cur.b.id] = true
+		reached[cur.id] = true
 	case '*', '+':
 		seen := make(map[oem.NodeID]bool)
 		frontier := start
 		if grp.Quant == '*' {
-			seen[cur.b.id] = true
+			seen[cur.id] = true
 		}
 		for len(frontier) > 0 {
 			next := applyOnce(frontier)
@@ -963,18 +679,8 @@ func (ev *evaluation) expandGroup(dst []pathResult, cur pathResult, grp *PathGro
 	for n := range reached {
 		ids = append(ids, n)
 	}
-	sortNodeIDs(ids)
-	out := dst
-	for _, n := range ids {
-		nb := cur.b
-		nb.id = n
-		out = append(out, pathResult{b: nb, ext: cur.ext})
-	}
-	return out
-}
-
-func sortNodeIDs(ids []oem.NodeID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	slices.Sort(ids)
+	return ids
 }
 
 // liveArcs returns the arcs of n visible to an unannotated step: the
@@ -993,60 +699,6 @@ func (ev *evaluation) liveArcs(b binding, g Graph, n oem.NodeID) []oem.Arc {
 		}
 	}
 	return arcs
-}
-
-// applyNodeAnnot filters/expands one reached node through a node annotation
-// expression, appending the surviving bindings to dst.
-func (ev *evaluation) applyNodeAnnot(dst []pathResult, r pathResult, ann *AnnotExpr) ([]pathResult, error) {
-	if ann == nil {
-		return append(dst, r), nil
-	}
-	g := r.b.g
-	switch ann.Op {
-	case OpCre:
-		ct, ok := g.CreTime(r.b.id)
-		if !ok {
-			return dst, nil
-		}
-		if ann.AtVar != "" {
-			r.ext = r.with(ann.AtVar, valueBinding(value.Time(ct)))
-		}
-		return append(dst, r), nil
-	case OpUpd:
-		for _, u := range g.UpdTriples(r.b.id) {
-			ur := r
-			if ann.AtVar != "" {
-				ur.ext = ur.with(ann.AtVar, valueBinding(value.Time(u.At)))
-			}
-			if ann.FromVar != "" {
-				ur.ext = ur.with(ann.FromVar, valueBinding(u.Old))
-			}
-			if ann.ToVar != "" {
-				ur.ext = ur.with(ann.ToVar, valueBinding(u.New))
-			}
-			dst = append(dst, ur)
-		}
-		return dst, nil
-	case OpAt:
-		t, ok, err := ev.evalTimeUnder(r.ext, ann.AtExpr)
-		if err != nil || !ok {
-			return dst, err
-		}
-		r.b.hasAsOf = true
-		r.b.asOf = t
-		return append(dst, r), nil
-	default:
-		return dst, errf(ann.P, "%s annotation cannot follow a label", ann.Op)
-	}
-}
-
-// labelMatch matches an arc label against a step: exact for quoted labels,
-// with '%' globbing otherwise.
-func labelMatch(step *PathStep, label string) bool {
-	if exactLabel(step) {
-		return step.Label == label
-	}
-	return value.Str(label).Like(step.Label)
 }
 
 // exactLabel reports whether the step's label matches by string equality
@@ -1082,16 +734,6 @@ func (ev *evaluation) evalTime(ex Expr) (timestamp.Time, bool, error) {
 		return t, ok, nil
 	}
 	return ev.evalTimeUncached(ex)
-}
-
-// evalTimeUnder is evalTime with a materialized match's annotation
-// variables in scope.
-func (ev *evaluation) evalTimeUnder(ext []envVar, ex Expr) (timestamp.Time, bool, error) {
-	m := ev.env.mark()
-	ev.env.vars = append(ev.env.vars, ext...)
-	t, ok, err := ev.evalTime(ex)
-	ev.env.release(m)
-	return t, ok, err
 }
 
 func (ev *evaluation) evalTimeUncached(ex Expr) (timestamp.Time, bool, error) {
@@ -1152,18 +794,9 @@ func (ev *evaluation) evalOperand(ex Expr) (operand, error) {
 			return single(b), err
 		}
 		var bs []binding
-		if ev.stream {
-			w := ev.walker(x, x.Path)
-			w.yield = func(b binding) error { bs = append(bs, b); return nil }
-			if err := w.run(); err != nil {
-				return operand{}, err
-			}
-			return several(bs), nil
-		}
-		rs, err := ev.evalPath(x.Path)
-		for _, r := range rs {
-			bs = append(bs, r.b)
-		}
+		w := ev.walker(x, x.Path)
+		w.yield = func(b binding) error { bs = append(bs, b); return nil }
+		err := w.run()
 		return several(bs), err
 	case *BinExpr:
 		switch x.Op {
@@ -1268,17 +901,9 @@ func (f *aggFold) result() value.Value {
 }
 
 // evalAggregate folds an aggregate over its path's matches under the
-// current tuple. When streaming, the fold consumes the walker's stream
-// directly: a count over a large path holds no state but the counter.
+// current tuple. The fold consumes the walker's stream directly: a count
+// over a large path holds no state but the counter.
 func (ev *evaluation) evalAggregate(agg *AggExpr) (value.Value, error) {
-	if !ev.stream {
-		f := aggFold{fn: agg.Fn}
-		rs, err := ev.evalPath(agg.Path)
-		for _, r := range rs {
-			_ = f.add(r.b)
-		}
-		return f.result(), err
-	}
 	w := ev.walker(agg, agg.Path)
 	f, _ := w.state.(*aggFold)
 	if f == nil {
@@ -1319,9 +944,7 @@ func (ev *evaluation) evalBool(ex Expr) (bool, error) {
 		return !ok, err
 	case *ExistsExpr:
 		// Stream candidates and stop at the first witness, so the walk does
-		// work proportional to the witness's position. The walker is used
-		// here regardless of the REPRO_NOSTREAM gate: the short-circuit is a
-		// bugfix, not an optimization mode.
+		// work proportional to the witness's position.
 		w := ev.walker(x, x.In)
 		if w.yield == nil {
 			en := &ev.env

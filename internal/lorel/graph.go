@@ -17,8 +17,8 @@ import (
 //
 // Concurrency contract: every method is a read. Implementations must be
 // safe for any number of concurrent readers as long as the underlying
-// database is not mutated mid-query — parallel evaluation fans one query
-// out across goroutines that all read the same Graph. Both *doem.Database
+// database is not mutated mid-query — concurrent callers of one Engine
+// (or of several engines registering the same graph) all read it at once. Both *doem.Database
 // and *oem.Database honor this (their read methods are pure map and slice
 // lookups with no interior caching); whoever mutates a shared database
 // (doem.Apply, oem mutators) must exclude running queries, e.g. via
@@ -52,9 +52,9 @@ var _ Graph = (*doem.Database)(nil)
 // The evaluator probes for the optional interfaces below with type
 // assertions and falls back to scanning Out/OutAll when a graph does not
 // provide them. Implementations must return arcs in the exact order the
-// fallback scan would produce (insertion order, filtered) — parallel
-// evaluation and the indexed/unindexed parity guarantee both depend on
-// byte-identical result ordering. internal/index provides all three.
+// fallback scan would produce (insertion order, filtered) — the
+// indexed/unindexed parity guarantee depends on byte-identical result
+// ordering. internal/index provides all three.
 
 // LabelSeeker is an optional Graph extension serving exact-label arc
 // lookups from an adjacency index instead of a scan over Out.

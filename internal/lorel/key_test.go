@@ -12,8 +12,8 @@ import (
 func TestBindingKeyKindCollision(t *testing.T) {
 	i := valueBinding(value.Int(5))
 	r := valueBinding(value.Real(5))
-	if i.key() == r.key() {
-		t.Fatalf("Int(5) and Real(5) share dedup key %q", i.key())
+	if ik, rk := i.appendKey(nil), r.appendKey(nil); string(ik) == string(rk) {
+		t.Fatalf("Int(5) and Real(5) share dedup key %q", ik)
 	}
 }
 
@@ -49,8 +49,8 @@ func TestRowKeyNoSeparatorCollision(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.a.key() == tc.b.key() {
-				t.Fatalf("distinct rows share dedup key %q", tc.a.key())
+			if ak, bk := tc.a.appendKey(nil), tc.b.appendKey(nil); string(ak) == string(bk) {
+				t.Fatalf("distinct rows share dedup key %q", ak)
 			}
 		})
 	}

@@ -14,7 +14,6 @@ var (
 	mCacheMisses = obs.NewCounter("lorel_parse_cache_misses_total")
 	mBindings    = obs.NewCounter("lorel_bindings_total")
 	mDedupHits   = obs.NewCounter("lorel_dedup_hits_total")
-	mParallel    = obs.NewCounter("lorel_parallel_queries_total")
 
 	// Planner metrics: plan-cache traffic, re-preparations forced by stale
 	// statistics, queries the validator sent back to the written-order

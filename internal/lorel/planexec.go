@@ -3,7 +3,6 @@ package lorel
 import (
 	"sort"
 	"strings"
-	"sync"
 )
 
 // This file is the planned executor: it enumerates generators in the
@@ -37,8 +36,7 @@ func rankLess(a, b []int32) bool {
 	return false
 }
 
-// plannedExec is the per-evaluation (or per-worker) state of one planned
-// execution.
+// plannedExec is the per-evaluation state of one planned execution.
 type plannedExec struct {
 	ev   *evaluation
 	q    *Query
@@ -114,16 +112,6 @@ func (x *plannedExec) prepare(gi int, next func() error) *pathWalker {
 	return w
 }
 
-// bound runs next with one materialized match of generator gi bound.
-func (x *plannedExec) bound(gi int, r pathResult, next func() error) error {
-	en := &x.ev.env
-	m := en.mark()
-	en.bindResult(x.gens[gi].Var, r)
-	err := next()
-	en.release(m)
-	return err
-}
-
 // run enumerates the strict block from depth d (d generators of the
 // order already bound).
 func (x *plannedExec) run(d int) error {
@@ -145,31 +133,15 @@ func (x *plannedExec) run(d int) error {
 		return nil
 	}
 	gi := pl.Order[d]
-	if x.ev.stream {
-		// Stream candidates through the walker instead of materializing the
-		// generator's binding list. The walker yields in the exact order
-		// evalPath would return, so the candidate index (the written-order
-		// rank component for reordered plans) is just a running counter.
-		w := x.gw[gi]
-		if w == nil {
-			w = x.prepare(gi, func() error { return x.run(d + 1) })
-		}
-		x.idx[gi] = -1
-		return w.run()
+	// Stream candidates through the walker. It yields in path order, so the
+	// candidate index (the written-order rank component for reordered
+	// plans) is just a running counter.
+	w := x.gw[gi]
+	if w == nil {
+		w = x.prepare(gi, func() error { return x.run(d + 1) })
 	}
-	results, err := x.ev.evalPath(x.gens[gi].Path)
-	if err != nil {
-		return err
-	}
-	x.actual[gi] += int64(len(results))
-	next := func() error { return x.run(d + 1) }
-	for k, r := range results {
-		x.idx[gi] = int32(k)
-		if err := x.bound(gi, r, next); err != nil {
-			return err
-		}
-	}
-	return nil
+	x.idx[gi] = -1
+	return w.run()
 }
 
 // existSat searches the existential block (d existential generators
@@ -191,28 +163,14 @@ func (x *plannedExec) existSat(d int) (bool, error) {
 	}
 	gi := pl.Order[pl.NStrict+d]
 	// The search needs one satisfying completion, reported as errStop:
-	// streaming, candidates past the witness are never generated at all,
-	// and actual[gi] counts only the candidates actually examined.
-	var n int
-	var err error
-	if x.ev.stream {
-		w := x.gw[gi]
-		if w == nil {
-			w = x.prepare(gi, func() error { return x.witness(d + 1) })
-		}
-		err = w.run()
-		n = w.n
-	} else {
-		var results []pathResult
-		results, err = x.ev.evalPath(x.gens[gi].Path)
-		x.actual[gi] += int64(len(results))
-		n = len(results)
-		next := func() error { return x.witness(d + 1) }
-		for i := 0; i < n && err == nil; i++ {
-			err = x.bound(gi, results[i], next)
-		}
+	// candidates past the witness are never generated at all, and
+	// actual[gi] counts only the candidates actually examined.
+	w := x.gw[gi]
+	if w == nil {
+		w = x.prepare(gi, func() error { return x.witness(d + 1) })
 	}
-	if err != nil || n > 0 {
+	err := w.run()
+	if err != nil || w.n > 0 {
 		if err == errStop {
 			return true, nil
 		}
@@ -273,13 +231,6 @@ func (x *plannedExec) emit() error {
 	return nil
 }
 
-func (x *plannedExec) emitted() int {
-	if x.pr.plan.Reordered {
-		return len(x.ranked)
-	}
-	return len(x.rows)
-}
-
 // finishRows returns the collected rows in written-enumeration order.
 func (x *plannedExec) finishRows() []Row {
 	if !x.pr.plan.Reordered {
@@ -295,9 +246,8 @@ func (x *plannedExec) finishRows() []Row {
 	return rows
 }
 
-// evalPlanned executes a prepared plan, in parallel when the engine's
-// parallelism allows.
-func (e *Engine) evalPlanned(ev *evaluation, q *Query, pr *prepared) (*Result, error) {
+// evalPlanned executes a prepared plan.
+func (ev *evaluation) evalPlanned(q *Query, pr *prepared) (*Result, error) {
 	pl := pr.plan
 	mPlanExecs.Inc()
 	if pl.Reordered {
@@ -316,12 +266,6 @@ func (e *Engine) evalPlanned(ev *evaluation, q *Query, pr *prepared) (*Result, e
 	}
 	sp.EndNote("order=%s mode=%s est_tuples=%.4g", strings.Join(vars, ","), mode, pl.EstTuples)
 
-	if w := e.Parallelism(); w > 1 && pl.NStrict > 0 {
-		res, done, err := e.evalPlannedParallel(ev, q, pr, w)
-		if done {
-			return res, err
-		}
-	}
 	x := newPlannedExec(ev, q, pr)
 	if err := x.run(0); err != nil {
 		return nil, err
@@ -338,123 +282,4 @@ func (x *plannedExec) flushTrace() {
 		x.ev.trace.Add("plan_actual_"+v, x.actual[gi])
 		x.ev.trace.Add("plan_est_"+v, int64(pl.Est[gi]+0.5))
 	}
-}
-
-// evalPlannedParallel partitions the plan's outermost generator across
-// workers, mirroring the legacy evalParallel merge discipline: contiguous
-// shards, first-occurrence dedup (or global rank merge when reordered),
-// and the minimum-index error. The outer generator of a plan order never
-// has dependencies (greedy only places satisfiable generators), so its
-// candidate list is computable up front. done=false falls back to the
-// serial planned path.
-func (e *Engine) evalPlannedParallel(ev *evaluation, q *Query, pr *prepared, workers int) (*Result, bool, error) {
-	pl := pr.plan
-	parent := newPlannedExec(ev, q, pr)
-	if ok, err := parent.applyPush(0); err != nil || !ok {
-		if err != nil {
-			return nil, true, err
-		}
-		return &Result{}, true, nil
-	}
-	o0 := pl.Order[0]
-	g := pr.gens[o0]
-	outer, err := ev.evalPath(g.Path)
-	if err != nil {
-		return nil, true, err
-	}
-	if len(outer) < 2 {
-		return nil, false, nil
-	}
-	if workers > len(outer) {
-		workers = len(outer)
-	}
-	mParallel.Inc()
-
-	type shard struct {
-		x     *plannedExec
-		errAt int
-		err   error
-	}
-	shards := make([]shard, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * len(outer) / workers
-		hi := (w + 1) * len(outer) / workers
-		wg.Add(1)
-		go func(w int, sh *shard, lo, hi int) {
-			defer wg.Done()
-			sp := ev.trace.StartSpan("worker")
-			wev := ev.fork()
-			x := newPlannedExec(wev, q, pr)
-			next := func() error { return x.run(1) }
-			for i := lo; i < hi; i++ {
-				x.idx[o0] = int32(i)
-				if err := x.bound(o0, outer[i], next); err != nil {
-					sh.errAt, sh.err = i, err
-					break
-				}
-			}
-			sh.x = x
-			sp.EndNote("w=%d range=[%d,%d) rows=%d", w, lo, hi, x.emitted())
-		}(w, &shards[w], lo, hi)
-	}
-	wg.Wait()
-
-	// Fold worker stats into the parent evaluation and exec.
-	parent.actual[o0] = int64(len(outer))
-	for i := range shards {
-		x := shards[i].x
-		ev.bindings += x.ev.bindings
-		ev.dedupHits += x.ev.dedupHits
-		for gi := range parent.actual {
-			if gi != o0 {
-				parent.actual[gi] += x.actual[gi]
-			}
-		}
-	}
-
-	var firstErr error
-	firstAt := -1
-	for i := range shards {
-		if shards[i].err != nil && (firstAt < 0 || shards[i].errAt < firstAt) {
-			firstAt, firstErr = shards[i].errAt, shards[i].err
-		}
-	}
-	if firstErr != nil {
-		return nil, true, firstErr
-	}
-
-	msp := ev.trace.StartSpan("merge")
-	if !pl.Reordered {
-		for i := range shards {
-			for _, row := range shards[i].x.rows {
-				parent.kb = row.appendKey(parent.kb[:0])
-				if !parent.seen[string(parent.kb)] {
-					parent.seen[string(parent.kb)] = true
-					parent.rows = append(parent.rows, row)
-				} else {
-					ev.dedupHits++
-				}
-			}
-		}
-	} else {
-		for i := range shards {
-			for _, rr := range shards[i].x.ranked {
-				k := rr.row.key()
-				if bi, ok := parent.best[k]; ok {
-					ev.dedupHits++
-					if rankLess(rr.rank, parent.ranked[bi].rank) {
-						parent.ranked[bi].rank = rr.rank
-					}
-				} else {
-					parent.best[k] = len(parent.ranked)
-					parent.ranked = append(parent.ranked, rr)
-				}
-			}
-		}
-	}
-	rows := parent.finishRows()
-	msp.EndNote("workers=%d rows=%d", workers, len(rows))
-	parent.flushTrace()
-	return &Result{Rows: rows}, true, nil
 }

@@ -49,13 +49,11 @@ func (c Cell) AsOf() (timestamp.Time, bool) { return c.b.asOf, c.b.hasAsOf }
 // (possibly time-travelled) value of the node.
 func (c Cell) Value() (value.Value, bool) { return c.b.valueOf() }
 
-// key returns the row's dedup key. Every component is length-prefixed so
-// labels or rendered values containing the join punctuation of adjacent
-// components cannot make two distinct rows collide.
-func (r Row) key() string { return string(r.appendKey(nil)) }
-
 // appendKey appends the row's dedup key to dst, reusing dst's capacity so
-// hot dedup loops can probe the seen-set without allocating per row.
+// hot dedup loops can probe the seen-set without allocating per row. Every
+// component is length-prefixed so labels or rendered values containing the
+// join punctuation of adjacent components cannot make two distinct rows
+// collide.
 func (r Row) appendKey(dst []byte) []byte {
 	var kb [64]byte
 	for _, c := range r.Cells {

@@ -2,8 +2,6 @@ package lorel
 
 import (
 	"errors"
-	"os"
-	"sync/atomic"
 
 	"repro/internal/oem"
 	"repro/internal/symbol"
@@ -11,9 +9,9 @@ import (
 	"repro/internal/value"
 )
 
-// This file is the streaming half of the evaluation core: a push-style
-// depth-first path walker that yields matches one at a time instead of
-// materializing []pathResult frontiers. Consumers stop the walk early by
+// This file is the evaluation core's path walker: a push-style depth-first
+// walker that yields a path's matches one at a time instead of
+// materializing frontiers. Consumers stop the walk early by
 // returning errStop from the yield — `exists` stops at its first witness,
 // generator bindings stream into the next generator without a candidate
 // slice, and the planned executor's existential search stops expanding
@@ -27,18 +25,18 @@ import (
 // stack for the duration of the yield. In steady state a run allocates
 // nothing.
 //
-// The walker is order-identical to the materializing BFS in evalPath: both
-// visit the step-k matches of a path in the same sequence (the DFS
-// emission order at depth k is the concatenation, over depth k-1 matches in
-// order, of each match's expansions — exactly the order the BFS frontier
-// loop appends them), and both apply the same per-step first-occurrence
-// dedup, so the dedup decisions coincide too. The streaming-vs-materialized
-// parity suite holds both halves to that.
+// The walk's order is the path's semantics: the step-k matches come out as
+// the concatenation, over the step-(k-1) matches in order, of each match's
+// expansions — the order a breadth-first frontier expansion appends them —
+// and each step delivers a node at most once unless the step binds
+// variables. The reference enumerator in oracle_test.go is that
+// breadth-first expansion, written over the base Graph methods alone, and
+// the differential test there holds the walker to it match for match.
 //
-// One semantic note, documented in docs/eval.md: early termination can
-// skip path-expansion work the materializing evaluator would have done
-// after the stopping point, so an error lurking past the first witness
-// of an `exists` is not surfaced. This mirrors the planner's contract
+// One semantic note, documented in docs/eval.md: early termination skips
+// path-expansion work after the stopping point, so an error lurking past
+// the first witness of an `exists` is not surfaced. This mirrors the
+// planner's contract
 // (pushed conjuncts must be pure and error-free for reordering) — the
 // set of *successful* results is unchanged; only doomed work is skipped.
 
@@ -51,29 +49,6 @@ var errStop = errors.New("lorel: stop iteration")
 // bound are in the evaluation's environment while it runs. Returning
 // errStop ends the walk early and successfully; any other error aborts it.
 type pathYield func(binding) error
-
-// streamDisabled flips the evaluator back to materialize-then-filter
-// enumeration (the pre-streaming reference semantics) for A/B parity
-// testing and benchmarking. The `exists` short-circuit is a bugfix, not
-// an optimization, and stays on either way.
-var streamDisabled atomic.Bool
-
-func init() {
-	if v := os.Getenv("REPRO_NOSTREAM"); v != "" && v != "0" {
-		streamDisabled.Store(true)
-	}
-}
-
-// StreamingEnabled reports whether evaluations stream generator and
-// aggregate bindings through the pull-free walker (the default) instead
-// of materializing candidate slices. REPRO_NOSTREAM or SetStreaming
-// turns it off — mirroring plan.Enabled. Each evaluation snapshots the
-// gate once when it starts.
-func StreamingEnabled() bool { return !streamDisabled.Load() }
-
-// SetStreaming sets the package-wide default and returns the previous
-// value.
-func SetStreaming(on bool) (prev bool) { return !streamDisabled.Swap(!on) }
 
 // stepCtx is one step of a prepared walker: the resolved label matcher
 // (symbol id, canonical pattern) and the step's first-occurrence dedup
@@ -230,7 +205,7 @@ func (ev *evaluation) walker(at Expr, p *PathExpr) *pathWalker {
 }
 
 // run streams the path's matches under the current environment to the
-// walker's consumer, in exactly the order evalPath would materialize them.
+// walker's consumer, in path order.
 // A consumer returning errStop ends the walk early; run returns errStop in
 // that case so the caller can distinguish its own stop from a real error.
 func (w *pathWalker) run() error {
@@ -274,9 +249,8 @@ func (w *pathWalker) deliver(b binding, depth int) error {
 }
 
 // expand applies one path step to one binding, delivering each reached
-// binding. It mirrors evaluation.expandStep case for case; the only
-// differences are streaming delivery, the hoisted per-step matcher and
-// annotation variables bound on the stack instead of in a snapshot.
+// binding; annotation variables the step binds are on the environment
+// stack while the delivery runs.
 func (w *pathWalker) expand(cur binding, depth int) error {
 	if cur.kind != bNode {
 		return nil // cannot traverse from a value or null
@@ -289,17 +263,19 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 	// materialize their reached set (the quantifier closure needs it) and
 	// stream the sorted result.
 	if step.Group != nil {
-		for _, r := range w.ev.expandGroup(nil, pathResult{b: cur}, step.Group) {
-			if err := w.deliver(r.b, depth); err != nil {
+		for _, id := range w.ev.expandGroup(cur, step.Group) {
+			nb := cur
+			nb.id = id
+			if err := w.deliver(nb, depth); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
 
-	// '#' wildcard: all nodes reachable in zero or more steps, streamed
-	// in the same stack order the materializing walker produced — an
-	// exists over guide.# stops the closure at its first witness.
+	// '#' wildcard: all nodes reachable in zero or more steps, streamed in
+	// depth-first stack order — an exists over guide.# stops the closure at
+	// its first witness.
 	if step.Hash {
 		seen := map[oem.NodeID]bool{cur.id: true}
 		stack := []oem.NodeID{cur.id}
@@ -428,8 +404,7 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 }
 
 // child applies the step's node annotation to one reached child and
-// delivers the survivors — the streaming form of appendChild +
-// applyNodeAnnot.
+// delivers the survivors.
 func (w *pathWalker) child(cur binding, depth int, id oem.NodeID, asOf *timestamp.Time) error {
 	cur.id = id
 	if asOf != nil {

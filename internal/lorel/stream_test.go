@@ -1,11 +1,16 @@
 package lorel
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/change"
 	"repro/internal/doem"
+	"repro/internal/guidegen"
 	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/symbol"
@@ -59,18 +64,6 @@ func TestExistsShortCircuit(t *testing.T) {
 	}
 	if early*10 >= late {
 		t.Errorf("early witness (%d bindings) not an order cheaper than late (%d)", early, late)
-	}
-}
-
-// TestExistsShortCircuitWithoutStreaming pins the satellite requirement
-// that the exists fix holds independent of the iterator refactor: turning
-// the streaming gate off must not bring the over-materialization back.
-func TestExistsShortCircuitWithoutStreaming(t *testing.T) {
-	prev := SetStreaming(false)
-	defer SetStreaming(prev)
-	early := existsBindings(t, 0)
-	if early > 8 {
-		t.Errorf("early witness examined %d candidates with streaming off, want at most a handful", early)
 	}
 }
 
@@ -132,17 +125,6 @@ func TestExistentialNullBindNoShadow(t *testing.T) {
 	}
 	if g := fmt.Sprint(times(got)); g != want {
 		t.Errorf("empty existential generator shadowed bound T: want %s, got %s", want, g)
-	}
-
-	// Same property on the legacy materializing enumerator.
-	prev := SetStreaming(false)
-	defer SetStreaming(prev)
-	got2, err := e.Query(`select T from guide.<add at T>restaurant R where R.<rem at T>zzz = "x" or T >= 1Jan80`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g := fmt.Sprint(times(got2)); g != want {
-		t.Errorf("legacy enumerator shadowed bound T: want %s, got %s", want, g)
 	}
 }
 
@@ -274,7 +256,6 @@ func TestBindingLoopAllocsFollowRows(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	defer SetStreaming(SetStreaming(true)) // the materializing evaluator's speed is not defended
 	for _, q := range []string{
 		`select N from guide.restaurant R, R.name N, R.cuisine C, R.price P where C = "thai" and P < 10`,
 		`select N, T, NV from guide.restaurant R, R.name N, R.price<upd at T to NV> where T > "1996-12-31T00:00:00Z" and NV > 6`,
@@ -302,39 +283,53 @@ func TestBindingLoopAllocsFollowRows(t *testing.T) {
 	}
 }
 
-// bothWays evaluates q streaming and materializing and requires identical
-// output, which it returns. With parsed set the query is parsed but not
-// canonicalized, so its multi-step paths reach the walker whole instead of
-// as single-step generators.
+// bothWays evaluates q and holds every database-rooted path in it to the
+// oracle: the walker's matches over the engine's graph must be the
+// oracle's, in the oracle's order. With parsed set the query is evaluated
+// as parsed, not canonicalized, so its multi-step paths reach the walker
+// whole instead of as single-step generators. It returns q's result.
 func bothWays(t *testing.T, e *Engine, q string, parsed bool) *Result {
 	t.Helper()
-	run := func() *Result {
-		var res *Result
-		var err error
-		if parsed {
-			var pq *Query
-			if pq, err = Parse(q); err == nil {
-				res, err = e.Eval(pq)
-			}
-		} else {
-			res, err = e.Query(q)
-		}
-		if err != nil {
-			t.Fatalf("%s: %v", q, err)
-		}
-		return res
+	pq, err := Parse(q)
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
 	}
-	streamed := run()
-	prev := SetStreaming(false)
-	materialized := run()
-	SetStreaming(prev)
-	if streamed.String() != materialized.String() {
-		t.Errorf("%s:\nstreaming:\n%s\nmaterializing:\n%s", q, streamed, materialized)
+	var res *Result
+	if parsed {
+		res, err = e.Eval(pq)
+	} else {
+		res, err = e.Query(q)
 	}
-	return streamed
+	if err != nil {
+		t.Fatalf("%s: %v", q, err)
+	}
+	pq.WalkPaths(func(p *PathExpr) {
+		if got, want := walkerVsOracle(t, e, p); got != want {
+			t.Errorf("%s: path %s:\nwalker:\n%s\noracle:\n%s", q, p, got, want)
+		}
+	})
+	return res
 }
 
-// count returns the single integer a `select count(...)` query yields.
+// walkerVsOracle renders the matches of p from its database root, walked
+// and by the oracle. Variable-headed paths, whose heads depend on the
+// tuple, render empty both ways.
+func walkerVsOracle(t *testing.T, e *Engine, p *PathExpr) (got, want string) {
+	t.Helper()
+	ev := e.newEvaluation(context.Background())
+	g, ok := ev.graphs[p.Head]
+	if !ok {
+		return "", ""
+	}
+	ms, err := walkerMatches(ev, ev.newWalker(p))
+	if err != nil {
+		t.Fatalf("walking %s: %v", p, err)
+	}
+	return renderMatches(ms), renderMatches(oraclePath(p, nodeBinding(g, g.Root()), ev.env.lookup))
+}
+
+// count returns the single integer a `select count(P)` query yields, which
+// must be the number of P's matches the oracle enumerates.
 func count(t *testing.T, e *Engine, q string) int64 {
 	t.Helper()
 	res := bothWays(t, e, q, false)
@@ -342,6 +337,11 @@ func count(t *testing.T, e *Engine, q string) int64 {
 		t.Fatalf("%s: %d rows, want 1", q, len(res.Rows))
 	}
 	v, _ := res.Rows[0].Cells[0].Value()
+	pq, _ := Parse(q)
+	_, want := walkerVsOracle(t, e, pq.Select[0].Expr.(*AggExpr).Path)
+	if n := int64(strings.Count(want, "\n")); v.AsInt() != n {
+		t.Errorf("%s = %d, oracle enumerates %d matches", q, v.AsInt(), n)
+	}
 	return v.AsInt()
 }
 
@@ -495,5 +495,202 @@ func TestEnvironmentScoping(t *testing.T) {
 	}
 	if len(perName) != 1 || perName["Bangkok Cuisine"] < 5 {
 		t.Errorf("set-valued select item: rows per restaurant %v; want a fan-out for Bangkok Cuisine, the one restaurant that still reaches the parking lot", perName)
+	}
+}
+
+// walkerMatches runs a prepared walker under the evaluation's current
+// environment and collects its matches with the annotation variables each
+// one had bound when it was yielded.
+func walkerMatches(ev *evaluation, w *pathWalker) ([]oracleMatch, error) {
+	var got []oracleMatch
+	base := ev.env.mark()
+	w.yield = func(b binding) error {
+		got = append(got, oracleMatch{b: b, vars: slices.Clone(ev.env.vars[base:])})
+		return nil
+	}
+	err := w.run()
+	return got, err
+}
+
+// renderMatches renders matches one per line, order preserved.
+func renderMatches(ms []oracleMatch) string {
+	var b strings.Builder
+	for _, m := range ms {
+		fmt.Fprintf(&b, "%d:%d", m.b.kind, m.b.id)
+		if m.b.hasAsOf {
+			fmt.Fprintf(&b, "@%s", m.b.asOf)
+		}
+		for _, v := range m.vars {
+			fmt.Fprintf(&b, " %s=%s", v.name, v.b.val)
+		}
+		b.WriteByte('\n')
+	}
+	return b.String()
+}
+
+// scanGraph serves every optional seeker interface by scanning the base
+// Graph methods, so the walker's seeker paths are held to the oracle on
+// answers that are right by construction.
+type scanGraph struct{ Graph }
+
+func labeled(arcs []oem.Arc, label string) []oem.Arc {
+	var out []oem.Arc
+	for _, a := range arcs {
+		if a.Label == label {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+func (g scanGraph) OutLabeled(n oem.NodeID, label string) []oem.Arc { return labeled(g.Out(n), label) }
+
+func (g scanGraph) OutAllLabeled(n oem.NodeID, label string) []oem.Arc {
+	return labeled(g.OutAll(n), label)
+}
+
+func (g scanGraph) OutLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool) {
+	return g.OutLabeled(n, symbol.String(sym)), true
+}
+
+func (g scanGraph) OutAllLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool) {
+	return g.OutAllLabeled(n, symbol.String(sym)), true
+}
+
+func (g scanGraph) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {
+	var out []oem.Arc
+	for _, a := range g.OutAll(n) {
+		if g.ArcLiveAt(a, t) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
+// randomSteps draws one to three path steps over the Churn labels, covering
+// every step kind: exact, quoted, '%' globs, '#', groups, <add>/<rem>/<at>
+// arc steps and <cre>/<upd>/<at> node steps. An <at> reads a literal, the
+// outer variable T0 or a time variable an earlier step bound.
+func randomSteps(rng *rand.Rand) string {
+	lbl := func() string { return []string{"a", "b", "c", "d"}[rng.Intn(4)] }
+	times := []string{"T0"}
+	at := func() string {
+		switch rng.Intn(3) {
+		case 0:
+			return times[rng.Intn(len(times))]
+		case 1:
+			return fmt.Sprintf("%dJan97", 1+rng.Intn(12))
+		}
+		return `"1997-01-06T12:00:00Z"`
+	}
+	var steps []string
+	for i, n := 0, 1+rng.Intn(3); i < n; i++ {
+		v := fmt.Sprintf("V%d", i)
+		var s string
+		switch rng.Intn(13) {
+		case 0, 1:
+			s = lbl()
+		case 2:
+			s = fmt.Sprintf("%q", lbl())
+		case 3:
+			s = []string{"%", "a%", "%b"}[rng.Intn(3)]
+		case 4:
+			s = "#"
+		case 5:
+			s = []string{"(a|b)", "(a.b|c)*", "(c|d.a)+", "(b)?", "(%.a)*"}[rng.Intn(5)]
+		case 6:
+			s = fmt.Sprintf("<%s at %s>%s", []string{"add", "rem"}[rng.Intn(2)], v, lbl())
+			times = append(times, v)
+		case 7:
+			s = fmt.Sprintf("<%s>%s", []string{"add", "rem"}[rng.Intn(2)], lbl())
+		case 8, 9:
+			s = fmt.Sprintf("<at %s>%s", at(), lbl())
+		case 10:
+			s = fmt.Sprintf("%s<cre at %s>", lbl(), v)
+			times = append(times, v)
+		case 11:
+			s = []string{lbl() + "<upd>", fmt.Sprintf("%s<upd at %s from O%d to N%d>", lbl(), v, i, i)}[rng.Intn(2)]
+			times = append(times, v)
+		case 12:
+			s = fmt.Sprintf("%s<at %s>", lbl(), at())
+		}
+		steps = append(steps, s)
+	}
+	return strings.Join(steps, ".")
+}
+
+// parsePath parses the path of `select X from <src> X` without
+// canonicalizing it, so its steps reach the walker as written.
+func parsePath(t *testing.T, src string) *PathExpr {
+	t.Helper()
+	q, err := Parse("select X from " + src + " X")
+	if err != nil {
+		t.Fatalf("%s: %v", src, err)
+	}
+	return q.From[0].Path
+}
+
+// TestWalkerMatchesOracle is the walker's differential test. Over Churn
+// histories (shared children, cycles, removed and re-added arcs), on the
+// raw DOEM database, its current snapshot as plain OEM and a graph serving
+// every seeker by scanning, each randomly drawn path must yield exactly the
+// oracle's matches in the oracle's order: from the database root, and from
+// bound heads — current nodes, time-travel bindings, a value and null —
+// with the walker prepared once and rerun for every head, as generators
+// rerun it for every outer binding.
+func TestWalkerMatchesOracle(t *testing.T) {
+	compared, matched := 0, 0
+	for seed := int64(1); seed <= 3; seed++ {
+		initial, h := guidegen.GenerateChurn(seed, 40, 20, 8)
+		d, err := doem.FromHistory(initial, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t0 := valueBinding(value.Time(h[len(h)/2].At))
+		for _, g := range []Graph{d, NewOEMGraph(d.Current()), scanGraph{d}} {
+			e := NewEngine()
+			e.Register("guide", g)
+			ev := e.newEvaluation(context.Background())
+			ev.env.bind("T0", t0)
+			root := nodeBinding(g, g.Root())
+			heads := []binding{valueBinding(value.Int(1)), {kind: bNull}}
+			for _, src := range []string{"guide.#", "guide.<at T0>%"} {
+				for _, m := range oraclePath(parsePath(t, src), root, ev.env.lookup) {
+					heads = append(heads, m.b)
+				}
+			}
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < 60; i++ {
+				steps := randomSteps(rng)
+				check := func(p *PathExpr, w *pathWalker, head binding) {
+					got, err := walkerMatches(ev, w)
+					if err != nil {
+						t.Fatalf("seed %d %T %s: %v", seed, g, p, err)
+					}
+					want := oraclePath(p, head, ev.env.lookup)
+					if gs, ws := renderMatches(got), renderMatches(want); gs != ws {
+						t.Fatalf("seed %d %T %s from %d:%d:\nwalker:\n%s\noracle:\n%s", seed, g, p, head.kind, head.id, gs, ws)
+					}
+					compared++
+					if len(want) > 0 {
+						matched++
+					}
+				}
+				p := parsePath(t, "guide."+steps)
+				check(p, ev.newWalker(p), root)
+				hp := parsePath(t, "H."+steps)
+				w := ev.newWalker(hp)
+				for _, head := range heads {
+					m := ev.env.mark()
+					ev.env.bind("H", head)
+					check(hp, w, head)
+					ev.env.release(m)
+				}
+			}
+		}
+	}
+	t.Logf("%d path comparisons, %d with matches", compared, matched)
+	if matched < 500 {
+		t.Errorf("only %d comparisons had matches, want >= 500", matched)
 	}
 }

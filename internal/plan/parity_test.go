@@ -87,8 +87,8 @@ func randomQuery(rng *rand.Rand, times []timestamp.Time) string {
 }
 
 // checkParity runs q through the planner-off reference engine and the
-// planner-on serial and parallel engines, requiring byte-identical output.
-func checkParity(t *testing.T, label, q string, off, on, par *lorel.Engine) {
+// planner-on engine, requiring byte-identical output.
+func checkParity(t *testing.T, label, q string, off, on *lorel.Engine) {
 	t.Helper()
 	want, err := off.Query(q)
 	if err != nil {
@@ -102,38 +102,27 @@ func checkParity(t *testing.T, label, q string, off, on, par *lorel.Engine) {
 		t.Errorf("%s: planned result diverges for %q:\nplanner-off:\n%s\nplanner-on:\n%s",
 			label, q, want, got)
 	}
-	pgot, err := par.Query(q)
-	if err != nil {
-		t.Fatalf("%s: planner-on parallel %q: %v", label, q, err)
-	}
-	if want.String() != pgot.String() {
-		t.Errorf("%s: planned parallel result diverges for %q:\nplanner-off:\n%s\nplanner-on parallel:\n%s",
-			label, q, want, pgot)
-	}
 }
 
-// trio builds the three engines (planner off, planner on, planner on with
-// 4 workers) over the same graph, sharing poll times.
-func trio(g lorel.Graph, polls []timestamp.Time) (off, on, par *lorel.Engine) {
+// pair builds the two engines (planner off, planner on) over the same
+// graph, sharing poll times.
+func pair(g lorel.Graph, polls []timestamp.Time) (off, on *lorel.Engine) {
 	off = lorel.NewEngine()
 	off.SetPlanning(false)
 	on = lorel.NewEngine()
 	on.SetPlanning(true)
-	par = lorel.NewEngine()
-	par.SetPlanning(true)
-	par.SetParallelism(4)
-	for _, e := range []*lorel.Engine{off, on, par} {
+	for _, e := range []*lorel.Engine{off, on} {
 		e.Register("guide", g)
 		e.SetPollTimes(polls)
 	}
-	return off, on, par
+	return off, on
 }
 
 // TestPlannerEvalParity is the tentpole's property test: over randomized
-// histories, planner-on evaluation (serial and parallel) must be
-// byte-identical to planner-off written-order evaluation on well over 100
-// randomized queries, against a monolithic DOEM database, its indexed
-// wrapper, and a segmented store of the same history.
+// histories, planner-on evaluation must be byte-identical to planner-off
+// written-order evaluation on well over 100 randomized queries, against a
+// monolithic DOEM database, its indexed wrapper, and a segmented store of
+// the same history.
 func TestPlannerEvalParity(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
 	snap0 := obs.Snapshot()
@@ -165,17 +154,17 @@ func TestPlannerEvalParity(t *testing.T) {
 
 		steps := mono.Steps()
 		polls := steps[:len(steps)/2+1]
-		rawOff, rawOn, rawPar := trio(mono, polls)
-		idxOff, idxOn, idxPar := trio(index.NewGraph(mono), polls)
-		segOff, segOn, segPar := trio(st.Graph(), polls)
+		rawOff, rawOn := pair(mono, polls)
+		idxOff, idxOn := pair(index.NewGraph(mono), polls)
+		segOff, segOn := pair(st.Graph(), polls)
 
 		rng := rand.New(rand.NewSource(seed * 7919))
 		times := candidateTimes(mono)
 		for i := 0; i < 30; i++ {
 			q := randomQuery(rng, times)
-			checkParity(t, fmt.Sprintf("seed %d raw", seed), q, rawOff, rawOn, rawPar)
-			checkParity(t, fmt.Sprintf("seed %d indexed", seed), q, idxOff, idxOn, idxPar)
-			checkParity(t, fmt.Sprintf("seed %d segmented", seed), q, segOff, segOn, segPar)
+			checkParity(t, fmt.Sprintf("seed %d raw", seed), q, rawOff, rawOn)
+			checkParity(t, fmt.Sprintf("seed %d indexed", seed), q, idxOff, idxOn)
+			checkParity(t, fmt.Sprintf("seed %d segmented", seed), q, segOff, segOn)
 			total++
 		}
 	}

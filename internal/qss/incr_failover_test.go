@@ -28,9 +28,10 @@ func TestIncrementalParityAcrossFailover(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Primary and follower, incremental on (the default).
+	// Primary and follower, incremental on.
 	svcP, nodeP := openReplService(t, t.TempDir(), repl.Config{ID: "p"}, nil)
 	defer nodeP.Close()
+	svcP.SetIncremental(true)
 	if err := nodeP.Promote(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,6 +48,7 @@ func TestIncrementalParityAcrossFailover(t *testing.T) {
 		RedialMax:     100 * time.Millisecond,
 	}, nil)
 	defer nodeF.Close()
+	svcF.SetIncremental(true)
 	replAddr := replLn.Addr().String()
 	if err := nodeF.Follow(func() (net.Conn, error) { return net.Dial("tcp", replAddr) }); err != nil {
 		t.Fatal(err)

@@ -85,8 +85,8 @@ func mutateRandom(t *testing.T, rng *rand.Rand, src *wrapper.Mutable, ids *guide
 
 // TestIncrementalParityRandomized drives randomized change-set streams
 // through two services — incremental matching on vs off — across store
-// modes and evaluation parallelism, and requires every notification
-// stream to be byte-identical. Run with -race in CI.
+// modes, and requires every notification stream to be byte-identical. Run
+// with -race in CI.
 func TestIncrementalParityRandomized(t *testing.T) {
 	modes := []struct {
 		name  string
@@ -106,59 +106,56 @@ func TestIncrementalParityRandomized(t *testing.T) {
 		}},
 	}
 	for _, mode := range modes {
-		for _, workers := range []int{0, 4} {
-			t.Run(fmt.Sprintf("%s/workers=%d", mode.name, workers), func(t *testing.T) {
-				defer obs.SetEnabled(obs.SetEnabled(true))
-				src, ids := paperSource(t)
-				on := NewService(nil)
-				off := NewService(nil)
-				off.SetIncremental(false)
-				on.SetParallelism(workers)
-				off.SetParallelism(workers)
-				if mode.setup != nil {
-					mode.setup(t, on)
-					mode.setup(t, off)
-				}
-				for i, f := range parityFilters {
-					for _, svc := range []*Service{on, off} {
-						name := fmt.Sprintf("P%d", i)
-						err := svc.Subscribe(Subscription{
-							Name:       name,
-							SourceName: "guide",
-							Source:     src,
-							Polling:    `select guide.restaurant`,
-							Filter:     fmt.Sprintf(f, name),
-						})
-						if err != nil {
-							t.Fatalf("subscribe %s: %v", name, err)
-						}
+		t.Run(mode.name, func(t *testing.T) {
+			defer obs.SetEnabled(obs.SetEnabled(true))
+			src, ids := paperSource(t)
+			on := NewService(nil)
+			on.SetIncremental(true)
+			off := NewService(nil)
+			off.SetIncremental(false)
+			if mode.setup != nil {
+				mode.setup(t, on)
+				mode.setup(t, off)
+			}
+			for i, f := range parityFilters {
+				for _, svc := range []*Service{on, off} {
+					name := fmt.Sprintf("P%d", i)
+					err := svc.Subscribe(Subscription{
+						Name:       name,
+						SourceName: "guide",
+						Source:     src,
+						Polling:    `select guide.restaurant`,
+						Filter:     fmt.Sprintf(f, name),
+					})
+					if err != nil {
+						t.Fatalf("subscribe %s: %v", name, err)
 					}
 				}
+			}
 
-				rng := rand.New(rand.NewSource(9))
-				prices := []oem.NodeID{ids.Price, ids.JantaPrice}
-				rests := []oem.NodeID{ids.Bangkok, ids.Janta}
-				base := timestamp.MustParse("1Jan97")
-				skipsBefore := obs.Default.Snapshot().Counters["incr_skips_total"]
-				for round := 0; round < 25; round++ {
-					mutateRandom(t, rng, src, ids, &prices, &rests)
-					at := base.Add(time.Duration(round) * time.Hour)
-					for i := range parityFilters {
-						name := fmt.Sprintf("P%d", i)
-						nOn, errOn := on.Poll(name, at)
-						nOff, errOff := off.Poll(name, at)
-						if (errOn == nil) != (errOff == nil) {
-							t.Fatalf("round %d %s: err mismatch: on=%v off=%v", round, name, errOn, errOff)
-						}
-						if got, want := renderNotif(nOn), renderNotif(nOff); got != want {
-							t.Fatalf("round %d %s: notification mismatch\nincremental:\n%s\nfull:\n%s", round, name, got, want)
-						}
+			rng := rand.New(rand.NewSource(9))
+			prices := []oem.NodeID{ids.Price, ids.JantaPrice}
+			rests := []oem.NodeID{ids.Bangkok, ids.Janta}
+			base := timestamp.MustParse("1Jan97")
+			skipsBefore := obs.Default.Snapshot().Counters["incr_skips_total"]
+			for round := 0; round < 25; round++ {
+				mutateRandom(t, rng, src, ids, &prices, &rests)
+				at := base.Add(time.Duration(round) * time.Hour)
+				for i := range parityFilters {
+					name := fmt.Sprintf("P%d", i)
+					nOn, errOn := on.Poll(name, at)
+					nOff, errOff := off.Poll(name, at)
+					if (errOn == nil) != (errOff == nil) {
+						t.Fatalf("round %d %s: err mismatch: on=%v off=%v", round, name, errOn, errOff)
+					}
+					if got, want := renderNotif(nOn), renderNotif(nOff); got != want {
+						t.Fatalf("round %d %s: notification mismatch\nincremental:\n%s\nfull:\n%s", round, name, got, want)
 					}
 				}
-				if skips := obs.Default.Snapshot().Counters["incr_skips_total"] - skipsBefore; skips == 0 {
-					t.Error("incremental service never skipped an evaluation (test is vacuous)")
-				}
-			})
-		}
+			}
+			if skips := obs.Default.Snapshot().Counters["incr_skips_total"] - skipsBefore; skips == 0 {
+				t.Error("incremental service never skipped an evaluation (test is vacuous)")
+			}
+		})
 	}
 }

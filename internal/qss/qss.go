@@ -83,16 +83,12 @@ type Service struct {
 	// through a replicated oplog with quorum acknowledgment (mutually
 	// exclusive with walDir/segDir; see repl.go).
 	replNode *repl.Node
-	// workers is the evaluation parallelism applied to the per-poll
-	// polling- and filter-query engines (0 = serial).
-	workers int
 	// noIndex disables the secondary-index wrapper on subscription DOEM
 	// databases; it defaults to the package-wide index.Enabled() switch.
 	noIndex bool
 	// noIncr disables delta-driven filter suppression (internal/incr):
 	// every poll then evaluates every filter query as before. Defaults to
-	// the package-wide incr.Enabled() switch (-noincremental,
-	// REPRO_NOINCREMENTAL).
+	// the package-wide incr.Enabled() switch (-noincremental).
 	noIncr bool
 }
 
@@ -210,15 +206,6 @@ func (s *Service) SetIndexing(on bool) {
 		}
 		st.mu.Unlock()
 	}
-}
-
-// SetParallelism sets the evaluation worker count used by every poll's
-// polling- and filter-query engines (n <= 0 selects GOMAXPROCS; see
-// lorel.Engine.SetParallelism). Polls already in flight are unaffected.
-func (s *Service) SetParallelism(n int) {
-	s.mu.Lock()
-	s.workers = n
-	s.mu.Unlock()
 }
 
 // Subscribe registers a subscription. The polling and filter queries are
@@ -453,7 +440,6 @@ func (s *Service) PollContext(ctx context.Context, name string, t timestamp.Time
 func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time) (*Notification, error) {
 	s.mu.Lock()
 	st, ok := s.subs[name]
-	workers := s.workers
 	node := s.replNode
 	noIncr := s.noIncr
 	if !ok {
@@ -486,9 +472,6 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	}
 	eng := lorel.NewEngine()
 	eng.Register(st.sub.SourceName, lorel.NewOEMGraph(snap))
-	if workers != 0 {
-		eng.SetParallelism(workers)
-	}
 	res, err := eng.QueryContext(ctx, st.sub.Polling)
 	if err != nil {
 		return nil, fmt.Errorf("qss: polling query: %w", err)
@@ -640,9 +623,6 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	feng := lorel.NewEngine()
 	feng.Register(st.sub.Name, st.graph())
 	feng.SetPollTimes(st.pollTimes)
-	if workers != 0 {
-		feng.SetParallelism(workers)
-	}
 	fres, err := feng.QueryContext(ctx, st.sub.Filter)
 	if err != nil {
 		return nil, fmt.Errorf("qss: filter query: %w", err)

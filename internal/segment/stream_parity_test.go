@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"fmt"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -12,32 +11,26 @@ import (
 )
 
 // TestInternStreamParity is the cross-mode property test for the interned
-// symbol table and the streaming evaluator: every combination of
-// {interning on/off} × {streaming on/off} × {monolithic, indexed,
-// segmented store} × {serial, parallel-4} must return byte-identical
-// results on randomized Chorel queries. Databases are rebuilt under each
-// gate setting so the build-time paths (label canonicalization, symbol- vs
-// string-keyed index tables) are exercised, not just the query-time ones.
+// symbol table under the streaming evaluator: every combination of
+// {interning on/off} × {monolithic, indexed, segmented store} must return
+// byte-identical results on randomized Chorel queries. Databases are
+// rebuilt under each gate setting so the build-time paths (label
+// canonicalization, symbol- vs string-keyed index tables) are exercised,
+// not just the query-time ones.
 //
-// The test mutates package-global gates, so it cannot run in parallel with
-// itself or other gate-sensitive tests; gates are restored on exit.
+// The test mutates the package-global interning gate, so it cannot run in
+// parallel with itself or other gate-sensitive tests; the gate is restored
+// on exit.
 func TestInternStreamParity(t *testing.T) {
 	modes := []struct {
-		name           string
-		intern, stream bool
+		name   string
+		intern bool
 	}{
-		{"intern+stream", true, true},
-		{"intern", true, false},
-		{"stream", false, true},
-		{"neither", false, false},
+		{"intern", true},
+		{"nointern", false},
 	}
 
-	prevIntern := symbol.SetEnabled(true)
-	prevStream := lorel.SetStreaming(true)
-	defer func() {
-		symbol.SetEnabled(prevIntern)
-		lorel.SetStreaming(prevStream)
-	}()
+	defer symbol.SetEnabled(symbol.SetEnabled(true))
 
 	total := 0
 	for seed := int64(1); seed <= 2; seed++ {
@@ -48,7 +41,6 @@ func TestInternStreamParity(t *testing.T) {
 
 		for _, m := range modes {
 			symbol.SetEnabled(m.intern)
-			lorel.SetStreaming(m.stream)
 
 			sealRng := rand.New(rand.NewSource(seed * 104729))
 			dir := filepath.Join(t.TempDir(), "store")
@@ -60,16 +52,13 @@ func TestInternStreamParity(t *testing.T) {
 			idx.Register("guide", index.NewGraph(mono))
 			seg := lorel.NewEngine()
 			seg.Register("guide", st.Graph())
-			par := lorel.NewEngine()
-			par.Register("guide", st.Graph())
-			par.SetParallelism(4)
 
 			steps := mono.Steps()
 			polls := steps[:len(steps)/2+1]
 			engines := []struct {
 				name string
 				e    *lorel.Engine
-			}{{"mono", raw}, {"indexed", idx}, {"segmented", seg}, {"parallel", par}}
+			}{{"mono", raw}, {"indexed", idx}, {"segmented", seg}}
 			for _, en := range engines {
 				en.e.SetPollTimes(polls)
 			}
@@ -109,15 +98,10 @@ func TestInternStreamParity(t *testing.T) {
 }
 
 // TestInternParityExistsShortCircuit pins byte-parity on the query shape
-// the exists fix changed, across gate modes: a where-clause exists with an
-// early witness and one with no witness.
+// the exists fix changed, with interning on and off: a where-clause exists
+// with an early witness and one with no witness.
 func TestInternParityExistsShortCircuit(t *testing.T) {
-	prevIntern := symbol.SetEnabled(true)
-	prevStream := lorel.SetStreaming(true)
-	defer func() {
-		symbol.SetEnabled(prevIntern)
-		lorel.SetStreaming(prevStream)
-	}()
+	defer symbol.SetEnabled(symbol.SetEnabled(true))
 
 	queries := []string{
 		`select R from guide.restaurant R where exists N in R.name : N like "%a%"`,
@@ -126,28 +110,23 @@ func TestInternParityExistsShortCircuit(t *testing.T) {
 	}
 	var want []string
 	for _, intern := range []bool{false, true} {
-		for _, stream := range []bool{false, true} {
-			symbol.SetEnabled(intern)
-			lorel.SetStreaming(stream)
-			dir := filepath.Join(t.TempDir(), "store")
-			mono, st := buildPair(t, dir, 3, func(i int) bool { return i%3 == 0 }, nil)
-			e := lorel.NewEngine()
-			e.Register("guide", st.Graph())
-			for qi, q := range queries {
-				res, err := e.Query(q)
-				if err != nil {
-					t.Fatalf("intern=%v stream=%v %q: %v", intern, stream, q, err)
-				}
-				got := fmt.Sprintf("%s", res)
-				if len(want) <= qi {
-					want = append(want, got)
-				} else if got != want[qi] {
-					t.Errorf("intern=%v stream=%v diverges for %q:\nwant:\n%s\ngot:\n%s",
-						intern, stream, q, want[qi], got)
-				}
+		symbol.SetEnabled(intern)
+		dir := filepath.Join(t.TempDir(), "store")
+		_, st := buildPair(t, dir, 3, func(i int) bool { return i%3 == 0 }, nil)
+		e := lorel.NewEngine()
+		e.Register("guide", st.Graph())
+		for qi, q := range queries {
+			res, err := e.Query(q)
+			if err != nil {
+				t.Fatalf("intern=%v %q: %v", intern, q, err)
 			}
-			st.Close()
-			_ = mono
+			got := res.String()
+			if len(want) <= qi {
+				want = append(want, got)
+			} else if got != want[qi] {
+				t.Errorf("intern=%v diverges for %q:\nwant:\n%s\ngot:\n%s", intern, q, want[qi], got)
+			}
 		}
+		st.Close()
 	}
 }
