@@ -47,7 +47,7 @@ bench:
 	$(GO) test -bench=. -benchmem ./...
 
 # Machine-readable benchmark report: per-benchmark ns/op, B/op, allocs/op,
-# the measured observability overhead, the indexed-vs-noindex <at T>
+# the measured observability overhead, the indexed-vs-raw <at T>
 # speedups, the planner's selective-join speedup, the segmented-vs-
 # monolithic growth factors and per-tier RSS, the replication ack-mode
 # overheads, the incremental-matching speedup and flatness factors, and a

@@ -266,7 +266,7 @@ func runJSON(path string) error {
 
 	// B12 in JSON form: repeated <at T> snapshot queries over a ~10k-
 	// annotation synthetic guide, through the internal/index fast paths vs
-	// the raw database (the -noindex mode). Queries fix T so the repeated
+	// the raw database. Queries fix T so the repeated
 	// evaluations exercise the (generation, T) view cache the way a client
 	// re-asking for one historical state does. Collection stays enabled so
 	// the report's obs snapshot carries the index cache hit/miss counters.
@@ -296,7 +296,7 @@ func runJSON(path string) error {
 	}
 
 	// The indexed-vs-raw timings run with collection off — the production
-	// default, and the configuration the -noindex comparison is about.
+	// default, and the configuration the indexed-vs-raw comparison is about.
 	obs.SetEnabled(false)
 	qIdx := bench("atquery-10k-indexed", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -389,7 +389,7 @@ func runJSON(path string) error {
 	if err := runIncrJSON(&report, bench); err != nil {
 		return err
 	}
-	if err := runInternJSON(&report, bench); err != nil {
+	if err := runExistsJSON(&report, bench); err != nil {
 		return err
 	}
 

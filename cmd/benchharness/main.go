@@ -363,13 +363,12 @@ func b10() {
 
 // b12 compares indexed evaluation (internal/index: adjacency indexes,
 // binary-searched annotations, the (generation, T) view cache) against the
-// raw database — the -noindex escape hatch — on repeated <at T> snapshot
-// work as the annotation count grows. Two measurements per tier: a Lorel
-// query that resolves arcs and values at T, and direct O_t(D) snapshot
-// extraction, which the indexed wrapper memoizes. Gates on byte-identical
-// results between the two modes.
+// raw database on repeated <at T> snapshot work as the annotation count
+// grows. Two measurements per tier: a Lorel query that resolves arcs and
+// values at T, and direct O_t(D) snapshot extraction, which the indexed
+// wrapper memoizes. Gates on byte-identical results between the two.
 func b12() {
-	fmt.Println("\n-- B12: annotation-time indexes — repeated <at T> snapshot queries, indexed vs -noindex --")
+	fmt.Println("\n-- B12: annotation-time indexes — repeated <at T> snapshot queries, indexed vs raw database --")
 	fmt.Printf("  %8s %8s %12s %12s %8s %12s %12s %8s\n",
 		"annots", "steps", "query-raw", "query-idx", "speedup", "snap-raw", "snap-idx", "speedup")
 	identical := true

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	chorel [-store DIR] [-segments] [-translate] [-explain] [-strategy direct|translated] [-noindex] [-noplanner] [QUERY...]
+//	chorel [-store DIR] [-segments] [-translate] [-explain] [-strategy direct|translated] [QUERY...]
 //
 // With no QUERY arguments, chorel reads queries from standard input, one
 // per line. The built-in demo database "guide" (the paper's running
@@ -20,7 +20,6 @@
 // trace plus the generated Lorel query; see docs/observability.md) and the
 // cost-based planner's decisions (join order, pushed predicates,
 // estimated cardinalities; see docs/planner.md) instead of evaluating.
-// -noplanner (or REPRO_NOPLANNER=1) reverts to written-order evaluation.
 // -version prints build information.
 //
 // Shell commands: .list (databases), .translate QUERY (show the Lorel
@@ -44,9 +43,7 @@ import (
 	"repro/internal/lorel"
 	"repro/internal/obs"
 	"repro/internal/oem"
-	"repro/internal/plan"
 	"repro/internal/segment"
-	"repro/internal/symbol"
 	"repro/internal/timestamp"
 )
 
@@ -58,21 +55,8 @@ func main() {
 	translate := flag.Bool("translate", false, "print the Lorel translation instead of evaluating")
 	explain := flag.Bool("explain", false, "print the Chorel→Lorel rewrite plan instead of evaluating")
 	strategy := flag.String("strategy", "direct", "execution strategy: direct or translated")
-	noindex := flag.Bool("noindex", false, "disable secondary indexes and snapshot caching (unindexed baseline)")
-	noplanner := flag.Bool("noplanner", false, "disable the cost-based query planner (written-order baseline)")
-	nointern := flag.Bool("nointern", false, "disable symbol interning (string-keyed baseline)")
 	version := flag.Bool("version", false, "print build information and exit")
 	flag.Parse()
-
-	if *noindex {
-		index.SetEnabled(false)
-	}
-	if *noplanner {
-		plan.SetEnabled(false)
-	}
-	if *nointern {
-		symbol.SetEnabled(false)
-	}
 
 	if *version {
 		fmt.Println("chorel", obs.Version())
@@ -308,9 +292,7 @@ func (s *session) explain(q string) (string, error) {
 
 func (s *session) register(name string, d *doem.Database) {
 	s.doems[name] = d
-	// index.Wrap serves d through secondary indexes unless indexing is
-	// disabled (-noindex or REPRO_NOINDEX).
-	s.eng.Register(name, index.Wrap(d))
+	s.eng.Register(name, index.NewGraph(d))
 }
 
 func (s *session) runQuery(q string) error {

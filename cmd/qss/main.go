@@ -60,15 +60,12 @@ import (
 	"repro/internal/faults"
 	"repro/internal/guidegen"
 	"repro/internal/incr"
-	"repro/internal/index"
 	"repro/internal/library"
 	"repro/internal/obs"
 	"repro/internal/oem"
-	"repro/internal/plan"
 	"repro/internal/qss"
 	"repro/internal/repl"
 	"repro/internal/segment"
-	"repro/internal/symbol"
 	"repro/internal/wal"
 	"repro/internal/wrapper"
 )
@@ -131,10 +128,7 @@ func main() {
 	flag.IntVar(&cfg.libN, "library", 30, "books in the demo library source")
 	flag.DurationVar(&cfg.evolve, "evolve", 2*time.Second, "interval between demo source changes")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for the demo sources")
-	noindex := flag.Bool("noindex", false, "disable secondary indexes and poll-time snapshot caching")
-	noplanner := flag.Bool("noplanner", false, "disable the cost-based query planner (written-order baseline)")
 	noincremental := flag.Bool("noincremental", false, "disable delta-driven incremental subscription matching (evaluate every filter on every poll)")
-	nointern := flag.Bool("nointern", false, "disable symbol interning (string-keyed baseline)")
 	flag.StringVar(&cfg.walDir, "waldir", "", "directory for per-subscription write-ahead logs (empty: no persistence)")
 	flag.StringVar(&cfg.walSync, "walsync", "interval", "WAL durability: always | interval | never")
 	flag.StringVar(&cfg.segDir, "segments", "", "directory for per-subscription segmented history stores (mutually exclusive with -waldir; see docs/segments.md)")
@@ -181,17 +175,8 @@ func main() {
 		fmt.Println("qss", obs.Version())
 		return
 	}
-	if *noindex {
-		index.SetEnabled(false)
-	}
-	if *noplanner {
-		plan.SetEnabled(false)
-	}
 	if *noincremental {
 		incr.SetEnabled(false)
-	}
-	if *nointern {
-		symbol.SetEnabled(false)
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "qss:", err)

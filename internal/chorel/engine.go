@@ -23,7 +23,7 @@ type DB struct {
 	direct *lorel.Engine
 
 	// indexed is the secondary-index wrapper the direct engine queries
-	// through; nil when indexing is off (the engine then sees d itself).
+	// through.
 	indexed *index.Graph
 
 	// Lazily built translation-side state; invalidated by Invalidate.
@@ -32,31 +32,13 @@ type DB struct {
 }
 
 // New wraps a DOEM database for querying under the given name (the head of
-// path expressions, e.g. "guide"). When indexing is enabled (the default;
-// see index.Enabled) the direct engine queries through an index.Graph.
+// path expressions, e.g. "guide"). The direct engine queries through an
+// index.Graph over d.
 func New(name string, d *doem.Database) *DB {
-	db := &DB{name: name, d: d, direct: lorel.NewEngine()}
-	db.SetIndexing(index.Enabled())
+	db := &DB{name: name, d: d, direct: lorel.NewEngine(), indexed: index.NewGraph(d)}
+	db.direct.Register(name, db.indexed)
 	return db
 }
-
-// SetIndexing switches the direct-evaluation strategy between the indexed
-// wrapper and the raw DOEM database (the -noindex escape hatch).
-func (db *DB) SetIndexing(on bool) {
-	if on {
-		if db.indexed == nil {
-			db.indexed = index.NewGraph(db.d)
-		}
-		db.direct.Register(db.name, db.indexed)
-		return
-	}
-	db.indexed = nil
-	db.direct.Register(db.name, db.d)
-}
-
-// Indexed reports whether direct evaluation currently runs through the
-// secondary indexes.
-func (db *DB) Indexed() bool { return db.indexed != nil }
 
 // DOEM returns the underlying DOEM database.
 func (db *DB) DOEM() *doem.Database { return db.d }
@@ -78,9 +60,7 @@ func (db *DB) SetPollTimes(times []timestamp.Time) {
 func (db *DB) Invalidate() {
 	db.enc = nil
 	db.trans = nil
-	if db.indexed != nil {
-		db.indexed.Invalidate()
-	}
+	db.indexed.Invalidate()
 }
 
 // Advance follows one Apply(t, ops) on the DOEM database: the secondary
@@ -89,9 +69,7 @@ func (db *DB) Invalidate() {
 func (db *DB) Advance(t timestamp.Time, ops change.Set) {
 	db.enc = nil
 	db.trans = nil
-	if db.indexed != nil {
-		db.indexed.Advance(t, ops)
-	}
+	db.indexed.Advance(t, ops)
 }
 
 // Encoding returns (building if needed) the OEM encoding of the database.

@@ -519,6 +519,18 @@ func (d *Database) ArcLiveAt(a oem.Arc, t timestamp.Time) bool {
 	return live
 }
 
+// OutAt returns the arcs of n that existed at time t: OutAll(n) filtered
+// by ArcLiveAt, in insertion order.
+func (d *Database) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {
+	var arcs []oem.Arc
+	for _, a := range d.OutAll(n) {
+		if d.ArcLiveAt(a, t) {
+			arcs = append(arcs, a)
+		}
+	}
+	return arcs
+}
+
 // ExtractHistory recovers the encoded history H(D) per Section 3.2: one
 // step per distinct annotation timestamp, containing the corresponding
 // basic change operations.

@@ -326,6 +326,52 @@ func TestArcLiveAtReAdd(t *testing.T) {
 	}
 }
 
+// TestOutAtMatchesSnapshot: OutAt(n, t) is the out-arc list of n in the
+// snapshot O_t(D), in the same order, for every node that snapshot holds
+// and every instant around the Example 2.2 timeline.
+func TestOutAtMatchesSnapshot(t *testing.T) {
+	f := newFixture(t)
+	d := f.doem(t)
+	times := []timestamp.Time{timestamp.NegInf, timestamp.MustParse("31Dec96"),
+		f.t1, timestamp.MustParse("3Jan97"), f.t2, f.t3, timestamp.PosInf}
+	for _, at := range times {
+		s := d.SnapshotAt(at)
+		for _, n := range d.AllNodeIDs() {
+			if !s.Has(n) {
+				continue
+			}
+			got, want := d.OutAt(n, at), s.Out(n)
+			if len(got) != len(want) {
+				t.Fatalf("OutAt(%s, %s) = %v, want %v", n, at, got, want)
+			}
+			for i := range got {
+				if got[i] != want[i] {
+					t.Fatalf("OutAt(%s, %s) = %v, want %v", n, at, got, want)
+				}
+			}
+		}
+	}
+	// Spot checks on the arcs the history touches.
+	parking := oem.Arc{Parent: f.janta, Label: "parking", Child: f.parking}
+	has := func(arcs []oem.Arc, a oem.Arc) bool {
+		for _, b := range arcs {
+			if b == a {
+				return true
+			}
+		}
+		return false
+	}
+	if !has(d.OutAt(f.janta, f.t2), parking) || has(d.OutAt(f.janta, f.t3), parking) {
+		t.Error("Janta's parking arc should be live at t2 and gone at t3")
+	}
+	if n := len(d.OutAt(f.guide, timestamp.MustParse("31Dec96"))); n != 2 {
+		t.Errorf("guide has %d arcs before t1, want 2", n)
+	}
+	if n := len(d.OutAt(f.guide, f.t1)); n != 3 {
+		t.Errorf("guide has %d arcs at t1, want 3", n)
+	}
+}
+
 func TestDeletedNodeRetained(t *testing.T) {
 	// A node that becomes unreachable is deleted from the current snapshot
 	// but its history — and final value — remain in the DOEM graph.

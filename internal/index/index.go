@@ -4,11 +4,10 @@
 // views keyed by (graph generation, T).
 //
 // Graph wraps a *doem.Database and implements lorel.Graph plus the
-// evaluator's optional fast-path interfaces (lorel.LabelSeeker,
-// lorel.AllLabelSeeker, lorel.TimeSeeker). Every accessor returns exactly
-// what the unindexed database would — same arcs, same insertion order —
-// so indexed and unindexed evaluation are byte-identical; the property and
-// fuzz tests in this package enforce that.
+// evaluator's optional lorel.LabelSeeker. Every accessor returns exactly
+// what the raw database would — same arcs, same insertion order — so
+// evaluation over a Graph and over the raw database are byte-identical;
+// the property and fuzz tests in this package enforce that.
 //
 // Index structures are built lazily on first use and keyed to
 // doem.Database.Version(). Mutation sites (lore.Store ApplySet, QSS poll
@@ -62,11 +61,8 @@ type Graph struct {
 }
 
 var (
-	_ lorel.Graph          = (*Graph)(nil)
-	_ lorel.LabelSeeker    = (*Graph)(nil)
-	_ lorel.AllLabelSeeker = (*Graph)(nil)
-	_ lorel.SymSeeker      = (*Graph)(nil)
-	_ lorel.TimeSeeker     = (*Graph)(nil)
+	_ lorel.Graph       = (*Graph)(nil)
+	_ lorel.LabelSeeker = (*Graph)(nil)
 )
 
 // NewGraph returns an indexed wrapper over d with default cache sizes.
@@ -101,15 +97,8 @@ func (g *Graph) Invalidate() {
 	g.mu.Unlock()
 }
 
-// labelKey addresses the string-keyed adjacency indexes.
-type labelKey struct {
-	n     oem.NodeID
-	label string
-}
-
-// symKey addresses the symbol-keyed adjacency indexes: a fixed-size
-// 12-byte key (node id + interned label id) whose hash never touches the
-// label bytes, unlike labelKey whose hash walks the string.
+// symKey addresses the adjacency indexes: a fixed-size 12-byte key (node
+// id + interned label id) whose hash never touches the label bytes.
 type symKey struct {
 	n   oem.NodeID
 	sym symbol.ID
@@ -123,24 +112,12 @@ type tables struct {
 	gen uint64
 	// nodes is AllNodeIDs(): every node ever, ascending.
 	nodes []oem.NodeID
-	// bySym records whether this generation's adjacency maps are keyed by
-	// interned symbol id (interning enabled at build time) or by string.
-	// Exactly one keying is populated per build; the accessors dispatch on
-	// this flag, so a gate flip between build and query degrades to a
-	// rebuild-on-invalidate rather than serving from an empty map.
-	bySym bool
-	// outLabeled indexes the current snapshot's arcs by (parent, label),
-	// preserving insertion order within each label. When bySym, it holds
-	// only arcs whose label could not be interned (symbol-table overflow;
-	// in practice empty).
-	outLabeled map[labelKey][]oem.Arc
+	// outLabeled indexes the current snapshot's arcs by (parent, label
+	// symbol), preserving insertion order within each label.
+	outLabeled map[symKey][]oem.Arc
 	// outAllLabeled is the same over the full arc relation, removed arcs
 	// included.
-	outAllLabeled map[labelKey][]oem.Arc
-	// outLabeledSym / outAllLabeledSym are the symbol-keyed forms,
-	// populated only when bySym.
-	outLabeledSym    map[symKey][]oem.Arc
-	outAllLabeledSym map[symKey][]oem.Arc
+	outAllLabeled map[symKey][]oem.Arc
 	// updInfos caches UpdTriples per node (upd annotations ascending by
 	// timestamp, with derived new values) so <upd ...> matching and
 	// ValueAt binary searches reuse one materialization.
@@ -216,19 +193,14 @@ func (g *Graph) tables() *tables {
 func buildTables(d *doem.Database, gen uint64, viewCap, snapCap int) *tables {
 	t := &tables{
 		gen:           gen,
-		bySym:         symbol.Enabled(),
 		nodes:         d.AllNodeIDs(),
-		outLabeled:    make(map[labelKey][]oem.Arc),
-		outAllLabeled: make(map[labelKey][]oem.Arc),
+		outLabeled:    make(map[symKey][]oem.Arc),
+		outAllLabeled: make(map[symKey][]oem.Arc),
 		updInfos:      make(map[oem.NodeID][]doem.UpdInfo),
 		labelStats:    make(map[string]plan.LabelCard),
 		annotTotal:    d.NumAnnotations(),
 		views:         newLRU[timestamp.Time, *view](viewCap),
 		snaps:         newLRU[timestamp.Time, *oem.Database](snapCap),
-	}
-	if t.bySym {
-		t.outLabeledSym = make(map[symKey][]oem.Arc)
-		t.outAllLabeledSym = make(map[symKey][]oem.Arc)
 	}
 	root := d.Root()
 	for _, n := range t.nodes {
@@ -245,37 +217,22 @@ func buildTables(d *doem.Database, gen uint64, viewCap, snapCap int) *tables {
 	return t
 }
 
-// symOf resolves a label to the symbol its bucket is keyed by, when this
-// generation is symbol-keyed and the label could be interned. Labels
+// symOf resolves a label to the symbol its bucket is keyed by. Labels
 // reaching here were canonicalized at AddArc, so Intern is a lock-free hit.
-func (t *tables) symOf(label string) (symbol.ID, bool) {
-	if t.bySym {
-		if id, _ := symbol.Intern(label); id != symbol.None {
-			return id, true
-		}
-	}
-	return symbol.None, false
+func symOf(label string) symbol.ID {
+	id, _ := symbol.Intern(label)
+	return id
 }
 
 // addArc appends a to its (parent, label) bucket of the current relation,
 // or of the full one when all, and counts it in the label statistics.
 func (t *tables) addArc(all bool, a oem.Arc, fromRoot bool) {
-	var first bool
-	if id, ok := t.symOf(a.Label); ok {
-		m, k := t.outLabeledSym, symKey{a.Parent, id}
-		if all {
-			m = t.outAllLabeledSym
-		}
-		first = len(m[k]) == 0
-		m[k] = append(m[k], a)
-	} else {
-		m, k := t.outLabeled, labelKey{a.Parent, a.Label}
-		if all {
-			m = t.outAllLabeled
-		}
-		first = len(m[k]) == 0
-		m[k] = append(m[k], a)
+	m, k := t.outLabeled, symKey{a.Parent, symOf(a.Label)}
+	if all {
+		m = t.outAllLabeled
 	}
+	first := len(m[k]) == 0
+	m[k] = append(m[k], a)
 	lc := t.labelStats[a.Label]
 	if all {
 		lc.AllArcs++
@@ -303,13 +260,8 @@ func (t *tables) addArc(all bool, a oem.Arc, fromRoot bool) {
 // uncounts them. The surviving bucket is a fresh slice, never an in-place
 // shift, matching how oem.Database itself removes arcs.
 func (t *tables) cutCurrent(n oem.NodeID, label string, a *oem.Arc, fromRoot bool) {
-	id, bySym := t.symOf(label)
-	var bucket []oem.Arc
-	if bySym {
-		bucket = t.outLabeledSym[symKey{n, id}]
-	} else {
-		bucket = t.outLabeled[labelKey{n, label}]
-	}
+	k := symKey{n, symOf(label)}
+	bucket := t.outLabeled[k]
 	var rest []oem.Arc
 	if a != nil {
 		rest = bucket
@@ -324,15 +276,10 @@ func (t *tables) cutCurrent(n oem.NodeID, label string, a *oem.Arc, fromRoot boo
 	if cut == 0 {
 		return
 	}
-	switch {
-	case bySym && len(rest) == 0:
-		delete(t.outLabeledSym, symKey{n, id})
-	case bySym:
-		t.outLabeledSym[symKey{n, id}] = rest
-	case len(rest) == 0:
-		delete(t.outLabeled, labelKey{n, label})
-	default:
-		t.outLabeled[labelKey{n, label}] = rest
+	if len(rest) == 0 {
+		delete(t.outLabeled, k)
+	} else {
+		t.outLabeled[k] = rest
 	}
 	lc := t.labelStats[label]
 	lc.Arcs -= cut
@@ -363,7 +310,7 @@ func (g *Graph) Advance(at timestamp.Time, ops change.Set) {
 		return
 	}
 	gen := g.d.Version()
-	if t.gen+1 != gen || t.bySym != symbol.Enabled() || !t.read.Load() {
+	if t.gen+1 != gen || !t.read.Load() {
 		g.tab = nil
 		return
 	}
@@ -477,57 +424,21 @@ func arcLiveAt(d *doem.Database, a oem.Arc, t timestamp.Time) bool {
 	return anns[k-1].Kind == doem.AnnotAdd
 }
 
-// --- optional evaluator fast paths ----------------------------------------
+// --- lorel.LabelSeeker and time travel -----------------------------------
 
-// OutLabeled implements lorel.LabelSeeker. On symbol-keyed tables the
-// string is resolved through the symbol table; a Lookup miss means the
-// label appears nowhere in any graph built under interning (every label
-// present was interned during the table build), so nil is the correct
-// answer, not a degraded one.
-func (g *Graph) OutLabeled(n oem.NodeID, label string) []oem.Arc {
-	t := g.tables()
-	if t.bySym {
-		if id, ok := symbol.Lookup(label); ok {
-			return t.outLabeledSym[symKey{n, id}]
-		}
-	}
-	return t.outLabeled[labelKey{n, label}]
+// OutLabeled implements lorel.LabelSeeker: the current-snapshot arcs of n
+// labeled sym, in insertion order.
+func (g *Graph) OutLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc {
+	return g.tables().outLabeled[symKey{n, sym}]
 }
 
-// OutAllLabeled implements lorel.AllLabelSeeker.
-func (g *Graph) OutAllLabeled(n oem.NodeID, label string) []oem.Arc {
-	t := g.tables()
-	if t.bySym {
-		if id, ok := symbol.Lookup(label); ok {
-			return t.outAllLabeledSym[symKey{n, id}]
-		}
-	}
-	return t.outAllLabeled[labelKey{n, label}]
+// OutAllLabeled implements lorel.LabelSeeker over the full arc relation.
+func (g *Graph) OutAllLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc {
+	return g.tables().outAllLabeled[symKey{n, sym}]
 }
 
-// OutLabeledSym implements lorel.SymSeeker: an exact-label probe keyed by
-// interned symbol id, skipping the string hash entirely. ok=false when
-// this generation's tables are string-keyed (interning was disabled at
-// build time); the evaluator then falls back to OutLabeled.
-func (g *Graph) OutLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool) {
-	t := g.tables()
-	if !t.bySym {
-		return nil, false
-	}
-	return t.outLabeledSym[symKey{n, sym}], true
-}
-
-// OutAllLabeledSym implements lorel.SymSeeker over the full arc relation.
-func (g *Graph) OutAllLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool) {
-	t := g.tables()
-	if !t.bySym {
-		return nil, false
-	}
-	return t.outAllLabeledSym[symKey{n, sym}], true
-}
-
-// OutAt implements lorel.TimeSeeker: the arcs of n live at time t, from
-// the (generation, t)-keyed view cache.
+// OutAt implements lorel.Graph: the arcs of n live at time t, from the
+// (generation, t)-keyed view cache.
 func (g *Graph) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {
 	return g.viewAt(t).out[n]
 }

@@ -545,8 +545,7 @@ func (s *Store) IndexedDOEM(name string) (*index.Graph, error) {
 }
 
 // ViewIndexed is the query-path analogue of ViewDOEM: it runs fn with the
-// database's read lock held, passing the indexed view when indexing is
-// enabled (index.Enabled) and the raw database otherwise.
+// database's read lock held, passing the indexed view.
 func (s *Store) ViewIndexed(name string, fn func(lorel.Graph) error) error {
 	if st, ok := s.SegmentStore(name); ok {
 		// Segmented databases answer history queries through the store's
@@ -556,9 +555,6 @@ func (s *Store) ViewIndexed(name string, fn func(lorel.Graph) error) error {
 		lk.RLock()
 		defer lk.RUnlock()
 		return fn(st.Graph())
-	}
-	if !index.Enabled() {
-		return s.ViewDOEM(name, func(d *doem.Database) error { return fn(d) })
 	}
 	ig, err := s.IndexedDOEM(name)
 	if err != nil {

@@ -69,10 +69,16 @@ type PathStep struct {
 // label once.
 type PathGroup struct {
 	// Alts holds the alternative label sequences.
-	Alts [][]string
+	Alts [][]GroupLabel
 	// Quant is 0 (exactly once), '*' (zero or more), '+' (one or more),
 	// or '?' (zero or one).
 	Quant byte
+}
+
+// GroupLabel is one label of a path-group alternative.
+type GroupLabel struct {
+	Label  string // may contain '%' globs unless Quoted
+	Quoted bool   // label came from a quoted string: match literally
 }
 
 // String renders the group in query syntax.
@@ -83,7 +89,16 @@ func (g *PathGroup) String() string {
 		if i > 0 {
 			b.WriteByte('|')
 		}
-		b.WriteString(strings.Join(alt, "."))
+		for j, l := range alt {
+			if j > 0 {
+				b.WriteByte('.')
+			}
+			if l.Quoted {
+				fmt.Fprintf(&b, "%q", l.Label)
+			} else {
+				b.WriteString(l.Label)
+			}
+		}
 	}
 	b.WriteByte(')')
 	if g.Quant != 0 {

@@ -41,7 +41,7 @@ func clonePath(p *PathExpr) *PathExpr {
 		if s.Group != nil {
 			g := &PathGroup{Quant: s.Group.Quant}
 			for _, alt := range s.Group.Alts {
-				g.Alts = append(g.Alts, append([]string(nil), alt...))
+				g.Alts = append(g.Alts, append([]GroupLabel(nil), alt...))
 			}
 			cs.Group = g
 		}

@@ -12,7 +12,7 @@ import (
 	"repro/internal/doem"
 	"repro/internal/obs"
 	"repro/internal/oem"
-	"repro/internal/plan"
+	"repro/internal/symbol"
 	"repro/internal/timestamp"
 	"repro/internal/value"
 )
@@ -66,13 +66,12 @@ type Engine struct {
 // on an old-generation hit) while still evicting one-off texts.
 const cacheLimit = 256
 
-// NewEngine returns an empty engine, with the cost-based planner on unless
-// the package default disables it (REPRO_NOPLANNER / plan.SetEnabled).
+// NewEngine returns an empty engine, with the cost-based planner on.
 func NewEngine() *Engine {
 	return &Engine{
 		graphs:   make(map[string]Graph),
 		cache:    make(map[string]*Query),
-		planning: plan.Enabled(),
+		planning: true,
 		plans:    make(map[string]*prepared),
 	}
 }
@@ -587,43 +586,41 @@ func (e *env) bindNull(g FromItem) {
 
 // expandGroup applies a regular path group to one binding: each
 // application follows one of the alternative label sequences; the
-// quantifier controls repetition. Group labels support '%' globs like
-// ordinary steps. It returns the reached node ids in ascending order; the
-// walker delivers them with cur's time-travel instant (groups bind no
-// variables).
+// quantifier controls repetition. Unquoted group labels support '%' globs
+// like ordinary steps; quoted ones match literally. It returns the reached
+// node ids in ascending order; the walker delivers them with cur's
+// time-travel instant (groups bind no variables).
 func (ev *evaluation) expandGroup(cur binding, grp *PathGroup) []oem.NodeID {
 	g := cur.g
 
 	ls, hasLS := g.(LabelSeeker)
 
 	// followSeq walks one fixed label sequence from a node set.
-	followSeq := func(start map[oem.NodeID]bool, seq []string) map[oem.NodeID]bool {
+	followSeq := func(start map[oem.NodeID]bool, seq []GroupLabel) map[oem.NodeID]bool {
 		frontier := start
-		for _, label := range seq {
+		for _, l := range seq {
 			next := make(map[oem.NodeID]bool)
-			glob := strings.Contains(label, "%")
+			glob := !l.Quoted && strings.Contains(l.Label, "%")
+			sym, known := symbol.None, false
 			if hasLS && !glob && !cur.hasAsOf {
-				// Exact labels over the current snapshot come straight
-				// from the adjacency index; the frontier is a set, so
-				// arc order is immaterial here.
-				for n := range frontier {
-					for _, a := range ls.OutLabeled(n, label) {
-						next[a.Child] = true
-					}
-				}
-				frontier = next
-				if len(frontier) == 0 {
-					break
-				}
-				continue
+				sym, known = symbol.Lookup(l.Label)
 			}
 			for n := range frontier {
+				if known {
+					// Exact labels over the current snapshot come straight
+					// from the adjacency index; the frontier is a set, so
+					// arc order is immaterial here.
+					for _, a := range ls.OutLabeled(n, sym) {
+						next[a.Child] = true
+					}
+					continue
+				}
 				for _, a := range ev.liveArcs(cur, g, n) {
 					if glob {
-						if !value.Str(a.Label).Like(label) {
+						if !value.Str(a.Label).Like(l.Label) {
 							continue
 						}
-					} else if a.Label != label {
+					} else if a.Label != l.Label {
 						continue
 					}
 					next[a.Child] = true
@@ -689,16 +686,7 @@ func (ev *evaluation) liveArcs(b binding, g Graph, n oem.NodeID) []oem.Arc {
 	if !b.hasAsOf {
 		return g.Out(n)
 	}
-	if ts, ok := g.(TimeSeeker); ok {
-		return ts.OutAt(n, b.asOf)
-	}
-	var arcs []oem.Arc
-	for _, a := range g.OutAll(n) {
-		if g.ArcLiveAt(a, b.asOf) {
-			arcs = append(arcs, a)
-		}
-	}
-	return arcs
+	return g.OutAt(n, b.asOf)
 }
 
 // exactLabel reports whether the step's label matches by string equality

@@ -44,60 +44,30 @@ type Graph interface {
 	ArcLiveAt(a oem.Arc, t timestamp.Time) bool
 	// ValueAt returns the value of n at time t.
 	ValueAt(n oem.NodeID, t timestamp.Time) value.Value
+	// OutAt returns the arcs of n that existed at time t, in insertion
+	// order: OutAll(n) filtered by ArcLiveAt(arc, t).
+	OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc
 }
 
 // assert *doem.Database implements Graph.
 var _ Graph = (*doem.Database)(nil)
 
-// The evaluator probes for the optional interfaces below with type
-// assertions and falls back to scanning Out/OutAll when a graph does not
-// provide them. Implementations must return arcs in the exact order the
-// fallback scan would produce (insertion order, filtered) — the
-// indexed/unindexed parity guarantee depends on byte-identical result
-// ordering. internal/index provides all three.
-
 // LabelSeeker is an optional Graph extension serving exact-label arc
-// lookups from an adjacency index instead of a scan over Out.
+// lookups from an adjacency index keyed by interned label symbol, instead
+// of a scan over Out or OutAll. The evaluator resolves a step's label to
+// a symbol once per walk and probes with the id per binding; a label
+// symbol.Lookup does not know matches nothing, and the evaluator falls to
+// the scan. Implementations must return exactly the arcs, in the order,
+// the scan would produce (insertion order, filtered) — the result
+// ordering of indexed evaluation depends on it. internal/index provides
+// it.
 type LabelSeeker interface {
-	// OutLabeled returns the current-snapshot arcs of n labeled exactly
-	// label, in insertion order.
-	OutLabeled(n oem.NodeID, label string) []oem.Arc
-}
-
-// AllLabelSeeker is the LabelSeeker analogue over the full arc relation
-// (removed arcs included), used by <add>/<rem> annotation steps.
-type AllLabelSeeker interface {
-	// OutAllLabeled returns every arc of n labeled exactly label,
-	// removed arcs included, in insertion order.
-	OutAllLabeled(n oem.NodeID, label string) []oem.Arc
-}
-
-// SymSeeker is an optional Graph extension serving exact-label adjacency
-// by interned symbol id. The evaluator resolves a path step's label to a
-// symbol once per walk (symbol.Lookup) and then probes with the id per
-// binding, replacing a string-keyed map hash per binding with a fixed
-// 12-byte key hash. The boolean result reports whether the graph could
-// serve the request at all: ok=false (for example, the index tables were
-// built with interning disabled) sends the evaluator to the string-keyed
-// LabelSeeker path, so a gate flip between builds degrades instead of
-// misses. When ok=true the arcs must be exactly what OutLabeled /
-// OutAllLabeled would return for the symbol's string.
-type SymSeeker interface {
-	// OutLabeledSym returns the current-snapshot arcs of n whose label is
+	// OutLabeled returns the current-snapshot arcs of n whose label is
 	// the canonical string of sym, in insertion order.
-	OutLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool)
-	// OutAllLabeledSym is the same over the full arc relation, removed
-	// arcs included.
-	OutAllLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool)
-}
-
-// TimeSeeker is an optional Graph extension serving time-travel adjacency:
-// the arcs of n live at time t, resolved from a materialized historical
-// view instead of per-arc annotation scans.
-type TimeSeeker interface {
-	// OutAt returns the arcs of n that existed at time t, in insertion
-	// order. It must equal filtering OutAll(n) by ArcLiveAt(arc, t).
-	OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc
+	OutLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc
+	// OutAllLabeled is the same over the full arc relation, removed arcs
+	// included.
+	OutAllLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc
 }
 
 // OEMGraph adapts a plain *oem.Database to the Graph interface: the current
@@ -138,6 +108,9 @@ func (g OEMGraph) ArcAnnots(oem.Arc) []doem.ArcAnnot { return nil }
 func (g OEMGraph) ArcLiveAt(a oem.Arc, _ timestamp.Time) bool {
 	return g.DB.HasArc(a.Parent, a.Label, a.Child)
 }
+
+// OutAt implements Graph: without history, every arc always existed.
+func (g OEMGraph) OutAt(n oem.NodeID, _ timestamp.Time) []oem.Arc { return g.DB.Out(n) }
 
 // ValueAt implements Graph: without history, the value is constant.
 func (g OEMGraph) ValueAt(n oem.NodeID, _ timestamp.Time) value.Value {

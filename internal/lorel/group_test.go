@@ -191,3 +191,56 @@ func newOEMWith(t *testing.T, fn func(*builderT)) *oem.Database {
 	fn(bt)
 	return bt.b.Build()
 }
+
+// TestGroupQuotedLabels: a quoted label inside a path group matches
+// literally, as a quoted step does — "a%" must not glob onto "ab" —
+// renders quoted so the query re-parses, and keys its plans apart from the
+// unquoted glob.
+func TestGroupQuotedLabels(t *testing.T) {
+	db := newOEMWith(t, func(b *builderT) {
+		b.atomArc(b.root(), "a%", value.Int(1))
+		b.atomArc(b.root(), "ab", value.Int(2))
+	})
+	for _, g := range []Graph{NewOEMGraph(db), scanGraph{NewOEMGraph(db)}} {
+		e := NewEngine()
+		e.Register("g", g)
+		for q, want := range map[string]int{
+			`select X from g."a%" X`:       1,
+			`select X from g.("a%") X`:     1,
+			`select X from g.("x"|"a%") X`: 1,
+			`select X from g.(a%) X`:       2,
+		} {
+			res, err := e.Query(q)
+			if err != nil {
+				t.Fatalf("%T %s: %v", g, q, err)
+			}
+			if res.Len() != want {
+				t.Errorf("%T %s: %d rows, want %d\n%s", g, q, res.Len(), want, res)
+			}
+		}
+	}
+
+	src := `select X from g.("a b"|"50%".c)* X`
+	q := mustParse(t, src)
+	if got, want := q.From[0].Path.String(), `g.("a b"|"50%".c)*`; got != want {
+		t.Errorf("rendered %s, want %s", got, want)
+	}
+	again, err := Parse(q.String())
+	if err != nil {
+		t.Fatalf("rendering of %q does not re-parse: %v\n%s", src, err, q.String())
+	}
+	if again.String() != q.String() {
+		t.Errorf("render round trip changed the query:\n%s\n%s", q, again)
+	}
+
+	key := func(src string) string {
+		q := mustParse(t, src)
+		if err := Canonicalize(q); err != nil {
+			t.Fatal(err)
+		}
+		return canonicalKey(q)
+	}
+	if key(`select X from g.("a%") X`) == key(`select X from g.(a%) X`) {
+		t.Error(`("a%") and (a%) share a plan-cache key`)
+	}
+}

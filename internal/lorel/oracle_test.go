@@ -168,11 +168,11 @@ func oracleGroup(start oem.NodeID, grp *PathGroup, live func(oem.NodeID) []oem.A
 		next := make(map[oem.NodeID]bool)
 		for _, alt := range grp.Alts {
 			set := frontier
-			for _, label := range alt {
+			for _, l := range alt {
 				step := make(map[oem.NodeID]bool)
 				for n := range set {
 					for _, a := range live(n) {
-						if oracleLabel(label, false, a.Label) {
+						if oracleLabel(l.Label, l.Quoted, a.Label) {
 							step[a.Child] = true
 						}
 					}

@@ -225,14 +225,14 @@ func (p *parser) parseStep() (*PathStep, error) {
 func (p *parser) parseGroup() (*PathGroup, error) {
 	g := &PathGroup{}
 	for {
-		var seq []string
+		var seq []GroupLabel
 		for {
 			t := p.peek()
 			if t.kind != tokIdent && t.kind != tokString {
 				return nil, errf(t.pos, "expected label in path group, found %s", t)
 			}
 			p.next()
-			seq = append(seq, t.text)
+			seq = append(seq, GroupLabel{Label: t.text, Quoted: t.kind == tokString})
 			if p.peek().kind != tokDot {
 				break
 			}

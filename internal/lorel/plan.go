@@ -81,7 +81,7 @@ func statsVersionOf(g Graph) uint64 {
 }
 
 // SetPlanning switches this engine between planned and written-order
-// evaluation. New engines inherit the package default (plan.Enabled).
+// evaluation. New engines plan.
 func (e *Engine) SetPlanning(on bool) {
 	e.mu.Lock()
 	e.planning = on
@@ -138,7 +138,7 @@ func (e *Engine) PlanDescription(src string) ([]string, error) {
 		return nil, err
 	}
 	if !e.Planning() {
-		return []string{"planner: disabled (-noplanner / REPRO_NOPLANNER); written-order evaluation"}, nil
+		return []string{"planner: disabled (Engine.SetPlanning); written-order evaluation"}, nil
 	}
 	ev := e.newEvaluation(nil)
 	pr := e.planFor(ev, q)

@@ -95,7 +95,12 @@ func keyPath(b []byte, p *PathExpr) []byte {
 			for _, alt := range s.Group.Alts {
 				b = strconv.AppendInt(b, int64(len(alt)), 10)
 				for _, l := range alt {
-					b = keyStr(b, l)
+					quoted := byte('0')
+					if l.Quoted {
+						quoted = '1'
+					}
+					b = append(b, quoted)
+					b = keyStr(b, l.Label)
 				}
 			}
 			b = append(b, s.Group.Quant)

@@ -58,8 +58,8 @@ type stepCtx struct {
 	binds bool // step binds annotation variables; dedup must not apply
 	exact bool // label matches by equality (no '%' glob)
 	sym   symbol.ID
-	symOK bool   // sym resolved: interning on and the label is interned
-	canon string // canonical pattern for fallback equality scans
+	symOK bool   // sym resolved: the label is interned
+	canon string // canonical pattern for equality scans
 
 	// unique: expanding one binding through this step reaches each node at
 	// most once. OEM arcs are a set, so one parent has one (label, child)
@@ -100,7 +100,7 @@ func (st *stepCtx) init(s *PathStep) {
 	if s.Group == nil && !s.Hash {
 		st.exact = exactLabel(s)
 		st.canon = s.Label
-		if st.exact && symbol.Enabled() {
+		if st.exact {
 			if id, ok := symbol.Lookup(s.Label); ok {
 				st.sym, st.symOK = id, true
 				st.canon = symbol.String(id)
@@ -158,10 +158,9 @@ func (s *seenSet) reset() {
 }
 
 // pathWalker is one path position prepared for an evaluation: the step
-// contexts, the head graph's optional fast-path interfaces (asserted when
-// the graph changes, not once per binding) and the consumer of its
-// matches. All bindings reached from one head share its graph, so the
-// hoist is sound.
+// contexts, the head graph's optional LabelSeeker (asserted when the graph
+// changes, not once per binding) and the consumer of its matches. All
+// bindings reached from one head share its graph, so the hoist is sound.
 type pathWalker struct {
 	ev    *evaluation
 	path  *PathExpr
@@ -174,10 +173,7 @@ type pathWalker struct {
 	n     int // matches delivered by the latest run
 
 	g  Graph
-	ls LabelSeeker // nil where g does not provide it, as are the next three
-	as AllLabelSeeker
-	ts TimeSeeker
-	ss SymSeeker
+	ls LabelSeeker // nil where g does not provide it
 }
 
 func (ev *evaluation) newWalker(p *PathExpr) *pathWalker {
@@ -217,9 +213,6 @@ func (w *pathWalker) run() error {
 	if head.kind == bNode && head.g != w.g {
 		w.g = head.g
 		w.ls, _ = w.g.(LabelSeeker)
-		w.as, _ = w.g.(AllLabelSeeker)
-		w.ts, _ = w.g.(TimeSeeker)
-		w.ss, _ = w.g.(SymSeeker)
 	}
 	for i := range w.steps {
 		w.steps[i].seen.reset()
@@ -302,28 +295,16 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 	switch {
 	case step.Arc == nil:
 		// Exact-label steps over the current snapshot resolve from the
-		// adjacency index when the graph provides one — by symbol id when
-		// the tables are sym-keyed, by string otherwise. Both return arcs
-		// in the same insertion order the scan below would produce.
-		if st.exact && !cur.hasAsOf {
-			if w.ss != nil && st.symOK {
-				if arcs, ok := w.ss.OutLabeledSym(cur.id, st.sym); ok {
-					for _, a := range arcs {
-						if err := w.child(cur, depth, a.Child, nil); err != nil {
-							return err
-						}
-					}
-					return nil
+		// adjacency index when the graph provides one, in the same
+		// insertion order the scan below would produce. A label the symbol
+		// table does not know labels no arc, and the scan finds nothing.
+		if st.symOK && w.ls != nil && !cur.hasAsOf {
+			for _, a := range w.ls.OutLabeled(cur.id, st.sym) {
+				if err := w.child(cur, depth, a.Child, nil); err != nil {
+					return err
 				}
 			}
-			if w.ls != nil {
-				for _, a := range w.ls.OutLabeled(cur.id, step.Label) {
-					if err := w.child(cur, depth, a.Child, nil); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
+			return nil
 		}
 		for _, a := range w.ev.liveArcs(cur, g, cur.id) {
 			if !st.match(a.Label) {
@@ -337,16 +318,11 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 		wantKind := annotKindFor(step.Arc.Op)
 		// Exact-label annotation steps read the (parent, label) slice of
 		// the full arc relation instead of scanning every arc ever.
-		arcs, served := []oem.Arc(nil), false
-		if st.exact && w.ss != nil && st.symOK {
-			arcs, served = w.ss.OutAllLabeledSym(cur.id, st.sym)
-		}
-		if !served {
-			if st.exact && w.as != nil {
-				arcs = w.as.OutAllLabeled(cur.id, step.Label)
-			} else {
-				arcs = g.OutAll(cur.id)
-			}
+		var arcs []oem.Arc
+		if st.symOK && w.ls != nil {
+			arcs = w.ls.OutAllLabeled(cur.id, st.sym)
+		} else {
+			arcs = g.OutAll(cur.id)
 		}
 		en := &w.ev.env
 		for _, a := range arcs {
@@ -376,25 +352,12 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 		if !ok {
 			return nil
 		}
-		if w.ts != nil {
-			for _, a := range w.ts.OutAt(cur.id, t) {
-				if !st.match(a.Label) {
-					continue
-				}
-				if err := w.child(cur, depth, a.Child, &t); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, a := range g.OutAll(cur.id) {
+		for _, a := range g.OutAt(cur.id, t) {
 			if !st.match(a.Label) {
 				continue
 			}
-			if g.ArcLiveAt(a, t) {
-				if err := w.child(cur, depth, a.Child, &t); err != nil {
-					return err
-				}
+			if err := w.child(cur, depth, a.Child, &t); err != nil {
+				return err
 			}
 		}
 	default:

@@ -528,43 +528,82 @@ func renderMatches(ms []oracleMatch) string {
 	return b.String()
 }
 
-// scanGraph serves every optional seeker interface by scanning the base
-// Graph methods, so the walker's seeker paths are held to the oracle on
-// answers that are right by construction.
+// scanGraph serves LabelSeeker by scanning the base Graph methods, so the
+// walker's seeker paths are held to the oracle on answers that are right
+// by construction.
 type scanGraph struct{ Graph }
 
-func labeled(arcs []oem.Arc, label string) []oem.Arc {
+func labeled(arcs []oem.Arc, sym symbol.ID) []oem.Arc {
 	var out []oem.Arc
 	for _, a := range arcs {
-		if a.Label == label {
+		if a.Label == symbol.String(sym) {
 			out = append(out, a)
 		}
 	}
 	return out
 }
 
-func (g scanGraph) OutLabeled(n oem.NodeID, label string) []oem.Arc { return labeled(g.Out(n), label) }
+func (g scanGraph) OutLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc { return labeled(g.Out(n), sym) }
 
-func (g scanGraph) OutAllLabeled(n oem.NodeID, label string) []oem.Arc {
-	return labeled(g.OutAll(n), label)
+func (g scanGraph) OutAllLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc {
+	return labeled(g.OutAll(n), sym)
 }
 
-func (g scanGraph) OutLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool) {
-	return g.OutLabeled(n, symbol.String(sym)), true
+// uninternedGraph adds one arc whose label never went through the symbol
+// table, as a graph whose arc constructor skipped symbol.Canon would. Its
+// label seeker is scanGraph's over the base graph, so like a symbol-keyed
+// index it has never seen that label.
+type uninternedGraph struct {
+	scanGraph
+	extra oem.Arc
 }
 
-func (g scanGraph) OutAllLabeledSym(n oem.NodeID, sym symbol.ID) ([]oem.Arc, bool) {
-	return g.OutAllLabeled(n, symbol.String(sym)), true
+func (g uninternedGraph) with(n oem.NodeID, arcs []oem.Arc) []oem.Arc {
+	if n != g.extra.Parent {
+		return arcs
+	}
+	return append(append([]oem.Arc(nil), arcs...), g.extra)
 }
 
-func (g scanGraph) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {
-	var out []oem.Arc
-	for _, a := range g.OutAll(n) {
-		if g.ArcLiveAt(a, t) {
-			out = append(out, a)
+func (g uninternedGraph) Out(n oem.NodeID) []oem.Arc    { return g.with(n, g.scanGraph.Out(n)) }
+func (g uninternedGraph) OutAll(n oem.NodeID) []oem.Arc { return g.with(n, g.scanGraph.OutAll(n)) }
+func (g uninternedGraph) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {
+	return g.with(n, g.scanGraph.OutAt(n, t))
+}
+
+// TestExactStepLookupMiss: an exact label the symbol table does not know
+// is not probed through the label seeker; the walker and path groups fall
+// to the scan, which still finds arcs carrying that label, and evaluating
+// the query does not intern it.
+func TestExactStepLookupMiss(t *testing.T) {
+	label := strings.Repeat("uninterned", 2)
+	if _, ok := symbol.Lookup(label); ok {
+		t.Fatalf("%q is already interned", label)
+	}
+	var child oem.NodeID
+	db := newOEMWith(t, func(b *builderT) {
+		b.atomArc(b.root(), "a", value.Int(1))
+		child = b.atomArc(b.root(), "b", value.Int(2))
+	})
+	g := uninternedGraph{scanGraph{NewOEMGraph(db)}, oem.Arc{Parent: db.Root(), Label: label, Child: child}}
+	e := NewEngine()
+	e.Register("g", g)
+	for _, q := range []string{
+		`select X from g.` + label + ` X`,
+		`select X from g.(` + label + `) X`,
+		`select X from g.(x|` + label + `) X`,
+	} {
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := res.FirstColumnNodes(); len(got) != 1 || got[0] != child {
+			t.Errorf("%s: got %v, want [%s]\n%s", q, got, child, res)
 		}
 	}
-	return out
+	if _, ok := symbol.Lookup(label); ok {
+		t.Errorf("evaluating queries over %q interned it", label)
+	}
 }
 
 // randomSteps draws one to three path steps over the Churn labels, covering
@@ -633,11 +672,13 @@ func parsePath(t *testing.T, src string) *PathExpr {
 // TestWalkerMatchesOracle is the walker's differential test. Over Churn
 // histories (shared children, cycles, removed and re-added arcs), on the
 // raw DOEM database, its current snapshot as plain OEM and a graph serving
-// every seeker by scanning, each randomly drawn path must yield exactly the
-// oracle's matches in the oracle's order: from the database root, and from
-// bound heads — current nodes, time-travel bindings, a value and null —
-// with the walker prepared once and rerun for every head, as generators
-// rerun it for every outer binding.
+// LabelSeeker by scanning, each randomly drawn path must yield exactly the
+// oracle's matches in the oracle's order. The walker's <at> steps read each
+// graph's OutAt (doem.Database.OutAt, OEMGraph.OutAt), which the oracle
+// recomputes from OutAll and ArcLiveAt. Matches are compared from the
+// database root, and from bound heads — current nodes, time-travel
+// bindings, a value and null — with the walker prepared once and rerun for
+// every head, as generators rerun it for every outer binding.
 func TestWalkerMatchesOracle(t *testing.T) {
 	compared, matched := 0, 0
 	for seed := int64(1); seed <= 3; seed++ {

@@ -84,7 +84,7 @@ type Service struct {
 	// exclusive with walDir/segDir; see repl.go).
 	replNode *repl.Node
 	// noIndex disables the secondary-index wrapper on subscription DOEM
-	// databases; it defaults to the package-wide index.Enabled() switch.
+	// databases (SetIndexing); services start indexed.
 	noIndex bool
 	// noIncr disables delta-driven filter suppression (internal/incr):
 	// every poll then evaluates every filter query as before. Defaults to
@@ -171,10 +171,9 @@ func NewService(fn func(Notification)) *Service {
 		fn = func(Notification) {}
 	}
 	return &Service{
-		subs:    make(map[string]*subState),
-		notify:  fn,
-		noIndex: !index.Enabled(),
-		noIncr:  !incr.Enabled(),
+		subs:   make(map[string]*subState),
+		notify: fn,
+		noIncr: !incr.Enabled(),
 	}
 }
 
@@ -189,8 +188,9 @@ func (s *Service) SetIncremental(on bool) {
 }
 
 // SetIndexing switches poll-time filter evaluation between the indexed
-// wrapper and the raw DOEM database (the -noindex escape hatch), for
-// existing and future subscriptions.
+// wrapper and the raw DOEM database, for existing and future
+// subscriptions. The raw database is the in-process reference the parity
+// tests compare indexed evaluation against.
 func (s *Service) SetIndexing(on bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -19,9 +19,9 @@ import (
 // the one segment covering the queried instant, which is what keeps `<at
 // T>` query time flat as total history grows.
 //
-// DB deliberately does not implement LabelSeeker/AllLabelSeeker: the
-// evaluator's fallback scan over Out/OutAll preserves ordering parity
-// without per-segment label indexes.
+// DB deliberately does not implement lorel.LabelSeeker: the evaluator's
+// scan over Out/OutAll preserves ordering parity without per-segment label
+// indexes.
 //
 // Concurrency contract: same as *doem.Database — any number of concurrent
 // readers, mutators (Store.Apply/Seal/Truncate) must exclude them. Index
@@ -30,10 +30,7 @@ type DB struct {
 	s *Store
 }
 
-var (
-	_ lorel.Graph      = (*DB)(nil)
-	_ lorel.TimeSeeker = (*DB)(nil)
-)
+var _ lorel.Graph = (*DB)(nil)
 
 // Graph returns the store's query view.
 func (s *Store) Graph() *DB { return &DB{s: s} }
@@ -221,7 +218,7 @@ func (g *DB) ValueAt(n oem.NodeID, t timestamp.Time) value.Value {
 	return v
 }
 
-// OutAt implements lorel.TimeSeeker: the registry arcs of n live at t, in
+// OutAt implements lorel.Graph: the registry arcs of n live at t, in
 // registry (insertion) order — exactly OutAll filtered by ArcLiveAt, but
 // resolving the covering layer once for the whole adjacency list.
 func (g *DB) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {

@@ -29,10 +29,9 @@ var (
 )
 
 // enabled flips the package-wide default from monolithic WAL storage to
-// segmented storage in lore.OpenWAL and the command-line front ends. Unlike
-// indexing (on by default, REPRO_NOINDEX opts out), segmented storage is
-// opt-in: the REPRO_SEGMENTS environment variable or a -segments command
-// flag (via SetEnabled) turns it on.
+// segmented storage in lore.OpenWAL and the command-line front ends.
+// Segmented storage is opt-in: the REPRO_SEGMENTS environment variable or
+// a -segments command flag (via SetEnabled) turns it on.
 var pkgEnabled atomic.Bool
 
 func init() {

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/index"
 	"repro/internal/lorel"
 	"repro/internal/timestamp"
 )
@@ -47,11 +48,11 @@ func randomQuery(rng *rand.Rand, times []timestamp.Time) string {
 }
 
 // TestSegmentedEvalParity is the subsystem's end-to-end property test:
-// over randomized histories with randomized seal points, a lorel engine on
-// the segmented store's graph must return
-// byte-identical results to one on a monolithic database holding the same
-// history, on well over 100 randomized queries including poll-time
-// offsets.
+// over randomized histories with randomized seal points, lorel engines on
+// the segmented store's graph and on an index.Graph over the monolithic
+// database must return byte-identical results to one on the monolithic
+// database itself, on well over 100 randomized queries including
+// poll-time offsets.
 func TestSegmentedEvalParity(t *testing.T) {
 	total := 0
 	for seed := int64(1); seed <= 4; seed++ {
@@ -60,15 +61,19 @@ func TestSegmentedEvalParity(t *testing.T) {
 		mono, st := buildPair(t, dir, seed, func(i int) bool { return sealRng.Intn(5) == 0 }, nil)
 		defer st.Close()
 
-		raw := lorel.NewEngine()
-		raw.Register("guide", mono)
-		seg := lorel.NewEngine()
-		seg.Register("guide", st.Graph())
-
 		steps := mono.Steps()
 		polls := steps[:len(steps)/2+1]
-		raw.SetPollTimes(polls)
-		seg.SetPollTimes(polls)
+		engine := func(g lorel.Graph) *lorel.Engine {
+			e := lorel.NewEngine()
+			e.Register("guide", g)
+			e.SetPollTimes(polls)
+			return e
+		}
+		raw := engine(mono)
+		others := []struct {
+			name string
+			e    *lorel.Engine
+		}{{"segmented", engine(st.Graph())}, {"indexed", engine(index.NewGraph(mono))}}
 
 		rng := rand.New(rand.NewSource(seed * 7919))
 		times := candidateTimes(mono)
@@ -78,13 +83,15 @@ func TestSegmentedEvalParity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("seed %d: monolithic %q: %v", seed, q, err)
 			}
-			got, err := seg.Query(q)
-			if err != nil {
-				t.Fatalf("seed %d: segmented %q: %v", seed, q, err)
-			}
-			if want.String() != got.String() {
-				t.Errorf("seed %d: segmented result diverges for %q:\nmonolithic:\n%s\nsegmented:\n%s",
-					seed, q, want, got)
+			for _, o := range others {
+				got, err := o.e.Query(q)
+				if err != nil {
+					t.Fatalf("seed %d: %s %q: %v", seed, o.name, q, err)
+				}
+				if want.String() != got.String() {
+					t.Errorf("seed %d: %s result diverges for %q:\nmonolithic:\n%s\n%s:\n%s",
+						seed, o.name, q, want, o.name, got)
+				}
 			}
 			total++
 		}

@@ -28,10 +28,8 @@
 package symbol
 
 import (
-	"os"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
 
 // ID is a dense interned-symbol identifier. The zero value None never
@@ -54,7 +52,8 @@ var (
 
 // Intern returns the dense id and canonical backing string for s,
 // inserting it on first sight. The canonical string is a clone, so
-// holding it never pins a caller's larger backing array.
+// holding it never pins a caller's larger backing array. The id is never
+// None.
 func Intern(s string) (ID, string) {
 	if e, ok := table.Load(s); ok {
 		en := e.(entry)
@@ -67,8 +66,9 @@ func Intern(s string) (ID, string) {
 		return en.id, en.s
 	}
 	if uint64(len(strs)) > uint64(^ID(0)) {
-		// Table full (2^32 distinct symbols): serve the string uninterned.
-		return None, s
+		// 2^32 distinct labels would need hundreds of GiB for their strings
+		// and table entries alone; no process reaches this in practice.
+		panic("symbol: table full (2^32 distinct symbols)")
 	}
 	c := strings.Clone(s)
 	id := ID(len(strs))
@@ -87,13 +87,9 @@ func Lookup(s string) (ID, bool) {
 	return None, false
 }
 
-// Canon returns the canonical backing string for s, interning it when
-// interning is enabled; when disabled it returns s unchanged. Store
+// Canon returns the canonical backing string for s, interning it. Store
 // layers call this on every label they record.
 func Canon(s string) string {
-	if !Enabled() {
-		return s
-	}
 	_, c := Intern(s)
 	return c
 }
@@ -115,28 +111,3 @@ func Size() int {
 	defer mu.RUnlock()
 	return len(strs) - 1
 }
-
-// disabled flips the package-wide default from interned to plain string
-// storage. It gates Canon (label canonicalization at store layers), the
-// sym-keyed index build in internal/index, and the evaluator's
-// symbol-resolved step matching; the table itself keeps working either
-// way, so flipping the gate mid-process never corrupts existing data —
-// graphs built under the other setting simply don't share backing
-// strings.
-var disabled atomic.Bool
-
-func init() {
-	if v := os.Getenv("REPRO_NOINTERN"); v != "" && v != "0" {
-		disabled.Store(true)
-	}
-}
-
-// Enabled reports whether interning is on. The default is on; the
-// REPRO_NOINTERN environment variable or a -nointern command flag (via
-// SetEnabled) turns it off — mirroring plan.Enabled and index.Enabled.
-// The gate is consulted when data is loaded and when index tables are
-// built, so flip it before constructing databases.
-func Enabled() bool { return !disabled.Load() }
-
-// SetEnabled sets the package-wide default and returns the previous value.
-func SetEnabled(on bool) (prev bool) { return !disabled.Swap(!on) }

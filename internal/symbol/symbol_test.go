@@ -44,28 +44,12 @@ func TestLookupDoesNotInsert(t *testing.T) {
 }
 
 func TestCanonSharesBacking(t *testing.T) {
-	if !Enabled() {
-		t.Skip("interning disabled (REPRO_NOINTERN)")
-	}
 	// Two fresh allocations of the same content must canonicalize to one
 	// backing string.
 	l1 := Canon(fmt.Sprintf("test-canon-%d", 7))
 	l2 := Canon(fmt.Sprintf("test-canon-%d", 7))
 	if unsafe.StringData(l1) != unsafe.StringData(l2) {
 		t.Fatalf("Canon returned different backings for equal content")
-	}
-}
-
-func TestCanonDisabled(t *testing.T) {
-	prev := SetEnabled(false)
-	defer SetEnabled(prev)
-	before := Size()
-	s := "test-canon-disabled"
-	if got := Canon(s); got != s {
-		t.Fatalf("Canon with interning off rewrote the string")
-	}
-	if Size() != before {
-		t.Fatalf("Canon with interning off grew the table")
 	}
 }
 
