@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint cover bench bench-json bench-check bench-e2e harness examples fuzz ci fmtcheck clean
+.PHONY: all build test race vet lint cover bench bench-e2e harness examples fuzz ci fmtcheck clean
 
 all: build test
 
@@ -46,23 +46,6 @@ cover:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Machine-readable benchmark report: per-benchmark ns/op, B/op, allocs/op,
-# the measured observability overhead, the indexed-vs-raw <at T>
-# speedups, the planner's selective-join speedup, the segmented-vs-
-# monolithic growth factors and per-tier RSS, the replication ack-mode
-# overheads, the incremental-matching speedup and flatness factors, and a
-# metrics snapshot.
-# BENCH_BASELINE is the committed report both targets use — the one the
-# nightly workflow's bench-check job defends.
-BENCH_BASELINE ?= BENCH_10.json
-bench-json:
-	$(GO) run ./cmd/benchharness -json $(BENCH_BASELINE)
-
-# Bench-regression gate: a fresh suite run vs the committed baseline,
-# failing on a >25% regression in any headline ratio metric.
-bench-check:
-	$(GO) run ./cmd/benchharness -check $(BENCH_BASELINE) -check-out bench_fresh.json
-
 # The repo's end-to-end benchmark (BENCHMARK.json, benchmark/README.md):
 # all four workloads, timed, each run appended to $(BENCH_REPORT). Compare
 # two report files with `bash benchmark/run.sh -compare A.jsonl B.jsonl`.
@@ -103,4 +86,4 @@ fuzz:
 	$(GO) test -fuzz='^FuzzFilterFingerprint$$' -fuzztime=30s -run xxx ./internal/incr/
 
 clean:
-	rm -f test_output.txt bench_output.txt htmldiff-output.html bench_fresh.json
+	rm -f test_output.txt bench_output.txt htmldiff-output.html

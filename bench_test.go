@@ -21,6 +21,7 @@ import (
 	"repro/internal/htmldiff"
 	"repro/internal/lore"
 	"repro/internal/lorel"
+	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/oemdiff"
 	"repro/internal/qss"
@@ -313,6 +314,9 @@ func BenchmarkHTMLDiff(b *testing.B) {
 
 // --- the paper's worked-example queries as micro-benches (Q1-Q5) ---
 
+// BenchmarkPaperQueries runs each worked example with metrics collection
+// off (what every untraced production query pays) and on. The gap between
+// the two is the cost of collection; see docs/observability.md, "Overhead".
 func BenchmarkPaperQueries(b *testing.B) {
 	db, ids := guidegen.PaperGuide()
 	d, err := doem.FromHistory(db, guidegen.PaperHistory(ids))
@@ -321,26 +325,42 @@ func BenchmarkPaperQueries(b *testing.B) {
 	}
 	eng := lorel.NewEngine()
 	eng.Register("guide", d)
-	queries := map[string]string{
-		"ex4.1": `select guide.restaurant where guide.restaurant.price < 20.5`,
-		"ex4.2": `select guide.<add>restaurant`,
-		"ex4.3": `select guide.<add at T>restaurant where T < 4Jan97`,
-		"ex4.4": `select N, T, NV from guide.restaurant.price<upd at T to NV>, guide.restaurant.name N where T >= 1Jan97 and NV > 15`,
-		"ex4.5": `select N from guide.restaurant R, R.name N where R.<add at T>price = "moderate" and T >= 1Jan97`,
+	queries := []struct {
+		name, text string
+		q          *lorel.Query
+	}{
+		{name: "ex4.1", text: `select guide.restaurant where guide.restaurant.price < 20.5`},
+		{name: "ex4.2", text: `select guide.<add>restaurant`},
+		{name: "ex4.3", text: `select guide.<add at T>restaurant where T < 4Jan97`},
+		{name: "ex4.4", text: `select N, T, NV from guide.restaurant.price<upd at T to NV>, guide.restaurant.name N where T >= 1Jan97 and NV > 15`},
+		{name: "ex4.5", text: `select N from guide.restaurant R, R.name N where R.<add at T>price = "moderate" and T >= 1Jan97`},
 	}
-	for name, text := range queries {
-		q, err := lorel.Parse(text)
+	for i := range queries {
+		q, err := lorel.Parse(queries[i].text)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if err := lorel.Canonicalize(q); err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := eng.Eval(q); err != nil {
-					b.Fatal(err)
-				}
+		queries[i].q = q
+	}
+	for _, collect := range []bool{false, true} {
+		mode := "obs=off"
+		if collect {
+			mode = "obs=on"
+		}
+		b.Run(mode, func(b *testing.B) {
+			defer obs.SetEnabled(obs.SetEnabled(collect))
+			for _, pq := range queries {
+				b.Run(pq.name, func(b *testing.B) {
+					b.ReportAllocs()
+					for i := 0; i < b.N; i++ {
+						if _, err := eng.Eval(pq.q); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
 			}
 		})
 	}

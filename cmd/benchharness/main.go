@@ -1,25 +1,14 @@
 // Command benchharness regenerates every experiment in EXPERIMENTS.md:
 // the paper's figures and worked examples as pass/fail checks (F1-F7,
-// Q1-Q5), and the quantitative series B1-B8 as formatted tables.
+// Q1-Q5), the Section 7 extensions (X1-X5), and the quantitative series
+// B1-B10 as formatted tables. It exits nonzero if any check fails.
 //
 // Usage:
 //
 //	benchharness [-quick]
-//	benchharness -json PATH
-//	benchharness -check BASELINE.json [-check-out PATH]
 //
-// With -json, the harness instead runs a curated testing.Benchmark suite
-// (query evaluation with observability off and on, the cost-based
-// planner's selective-join headline, Chorel translation, WAL appends, QSS
-// poll cycles) and writes a machine-readable report with
-// per-benchmark ns/op, B/op, allocs/op, the measured observability
-// overhead, and a metrics snapshot.
-//
-// With -check, the harness runs the -json suite fresh and compares its
-// headline ratio metrics (planner/index speedups, segment flatness
-// factors) against the committed baseline report, exiting nonzero on a
-// >25% regression — the CI bench-regression gate.
-// -check-out keeps the fresh report for upload as an artifact.
+// The tables characterize the paper's series; a speed claim is measured
+// by the end-to-end benchmark in benchmark/ (BENCHMARK.json), not here.
 package main
 
 import (
@@ -27,8 +16,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime"
-	"sort"
 	"strings"
 	"time"
 
@@ -38,13 +25,11 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/guidegen"
 	"repro/internal/htmldiff"
-	"repro/internal/index"
 	"repro/internal/lore"
 	"repro/internal/lorel"
 	"repro/internal/oem"
 	"repro/internal/oemdiff"
 	"repro/internal/qss"
-	"repro/internal/segment"
 	"repro/internal/timestamp"
 	"repro/internal/trigger"
 	"repro/internal/value"
@@ -52,31 +37,12 @@ import (
 	"repro/internal/wrapper"
 )
 
-var (
-	quick     = flag.Bool("quick", false, "smaller problem sizes")
-	jsonPath  = flag.String("json", "", "run the benchmark suite and write a JSON report to this path")
-	checkPath = flag.String("check", "", "run the benchmark suite and fail on >25% headline regression against this baseline report")
-	checkOut  = flag.String("check-out", "", "with -check: write the fresh report to this path instead of a temporary file")
-)
+var quick = flag.Bool("quick", false, "smaller problem sizes")
 
 var failures int
 
 func main() {
 	flag.Parse()
-	if *checkPath != "" {
-		if err := runCheck(*checkPath, *checkOut); err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *jsonPath != "" {
-		if err := runJSON(*jsonPath); err != nil {
-			fmt.Fprintln(os.Stderr, "benchharness:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	fmt.Println("DOEM/Chorel reproduction — experiment harness")
 	fmt.Println(strings.Repeat("=", 64))
 
@@ -92,11 +58,6 @@ func main() {
 	b8()
 	b9()
 	b10()
-	b12()
-	b13()
-	b14()
-	b15()
-	b16()
 
 	fmt.Println(strings.Repeat("=", 64))
 	if failures > 0 {
@@ -361,286 +322,6 @@ func b10() {
 	}
 }
 
-// b12 compares indexed evaluation (internal/index: adjacency indexes,
-// binary-searched annotations, the (generation, T) view cache) against the
-// raw database on repeated <at T> snapshot work as the annotation count
-// grows. Two measurements per tier: a Lorel query that resolves arcs and
-// values at T, and direct O_t(D) snapshot extraction, which the indexed
-// wrapper memoizes. Gates on byte-identical results between the two.
-func b12() {
-	fmt.Println("\n-- B12: annotation-time indexes — repeated <at T> snapshot queries, indexed vs raw database --")
-	fmt.Printf("  %8s %8s %12s %12s %8s %12s %12s %8s\n",
-		"annots", "steps", "query-raw", "query-idx", "speedup", "snap-raw", "snap-idx", "speedup")
-	identical := true
-	for _, steps := range []int{8, 77, scale(770)} {
-		initial, h := guidegen.GenerateHistory(9, 40, steps, 100)
-		d, err := doem.FromHistory(initial, h)
-		if err != nil {
-			panic(err)
-		}
-		ts := d.Steps()
-		at := ts[len(ts)/2]
-		q := fmt.Sprintf(`select P from guide.<at %q>restaurant.price P where P < 20`, at.String())
-
-		raw := lorel.NewEngine()
-		raw.Register("guide", d)
-		ig := index.NewGraph(d)
-		idx := lorel.NewEngine()
-		idx.Register("guide", ig)
-
-		rawRes, err := raw.Query(q)
-		if err != nil {
-			panic(err)
-		}
-		idxRes, err := idx.Query(q)
-		if err != nil {
-			panic(err)
-		}
-		if rawRes.String() != idxRes.String() || !d.SnapshotAt(at).Equal(ig.SnapshotAt(at)) {
-			identical = false
-		}
-
-		qRaw := measure(func() {
-			if _, err := raw.Query(q); err != nil {
-				panic(err)
-			}
-		})
-		qIdx := measure(func() {
-			if _, err := idx.Query(q); err != nil {
-				panic(err)
-			}
-		})
-		sRaw := measure(func() { d.SnapshotAt(at) })
-		sIdx := measure(func() { ig.SnapshotAt(at) })
-		fmt.Printf("  %8d %8d %12s %12s %7.2fx %12s %12s %8.0fx\n",
-			d.NumAnnotations(), len(h), qRaw, qIdx, float64(qRaw)/float64(qIdx),
-			sRaw, sIdx, float64(sRaw)/float64(sIdx))
-	}
-	check("B12", "indexed <at T> queries and snapshots byte-identical to raw", identical)
-}
-
-// b13 measures the internal/segment subsystem against the monolithic
-// database as history grows 10x past the active-segment size. Three
-// claims: (a) repeated <at T> queries into old history stay roughly flat
-// (they touch one sealed segment's persistent index, not the whole
-// annotation history), (b) restart recovery stays roughly flat (only the
-// bounded active-segment tail replays; sealed segments recover from their
-// checkpointed snapshots), and (c) the cold tier bounds resident memory
-// (index-dropped, compressed segments cost near nothing until touched).
-// Gates on byte-identical query results between the two representations.
-func b13() {
-	fmt.Println("\n-- B13: segmented history storage — <at T> latency, recovery and RSS vs monolithic --")
-	pol := &segment.Policy{SealAnnotations: 300}
-	opt := &wal.Options{Sync: wal.SyncNever}
-	base := scale(100)
-	// The 10x history extends the mixed base workload with churn steps
-	// (price updates against existing nodes): the history grows 10x while
-	// the live graph stays the same size. That isolates what B13b/c
-	// claim — deep <at T> access and restart recovery scale with the
-	// touched interval / active segment, not with total history — from
-	// the orthogonal cost of a larger live database, which every storage
-	// arrangement pays alike.
-	initial, h0 := guidegen.GenerateHistory(13, 40, base, 10)
-	histories := [2]change.History{h0, extendWithChurn(initial, h0, 9*len(h0))}
-	fmt.Printf("  %8s %8s %8s %12s %12s %12s %12s\n",
-		"steps", "annots", "segs", "query-mono", "query-seg", "open-mono", "open-seg")
-	identical := true
-	var segLat, monoLat [2]time.Duration
-	var segOpen [2]time.Duration
-	for i, h := range histories {
-		var preHeap int64
-		if i == 1 {
-			preHeap = int64(heapInUse())
-		}
-		mono, err := doem.FromHistory(initial, h)
-		if err != nil {
-			panic(err)
-		}
-		var monoHeap int64
-		if i == 1 {
-			monoHeap = int64(heapInUse()) - preHeap
-		}
-
-		segDir, err := os.MkdirTemp("", "b13seg")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(segDir)
-		st, err := segment.Create(segDir, doem.New(initial.Clone()), opt, pol)
-		if err != nil {
-			panic(err)
-		}
-		walDir, err := os.MkdirTemp("", "b13wal")
-		if err != nil {
-			panic(err)
-		}
-		defer os.RemoveAll(walDir)
-		l, err := wal.Open(walDir, opt)
-		if err != nil {
-			panic(err)
-		}
-		if err := l.CheckpointDOEM(doem.New(initial.Clone())); err != nil {
-			panic(err)
-		}
-		for _, step := range h {
-			if err := st.Apply(step.At, step.Ops); err != nil {
-				panic(err)
-			}
-			if _, err := l.AppendStep(step.At, step.Ops); err != nil {
-				panic(err)
-			}
-		}
-		l.Close()
-
-		// A T deep in old history: for the segmented store it lands in an
-		// early sealed segment; for the monolithic database the whole
-		// annotation history is in play.
-		ts := mono.Steps()
-		at := ts[len(ts)/10]
-		q := fmt.Sprintf(`select P from guide.<at %q>restaurant.price P where P < 20`, at.String())
-		monoEng := lorel.NewEngine()
-		monoEng.Register("guide", mono)
-		segEng := lorel.NewEngine()
-		segEng.Register("guide", st.Graph())
-		monoRes, err := monoEng.Query(q)
-		if err != nil {
-			panic(err)
-		}
-		segRes, err := segEng.Query(q)
-		if err != nil {
-			panic(err)
-		}
-		if monoRes.String() != segRes.String() {
-			identical = false
-		}
-		monoLat[i] = measure(func() {
-			if _, err := monoEng.Query(q); err != nil {
-				panic(err)
-			}
-		})
-		segLat[i] = measure(func() {
-			if _, err := segEng.Query(q); err != nil {
-				panic(err)
-			}
-		})
-		segs := st.Segments()
-		st.Close()
-
-		// Restart recovery: the monolithic WAL replays the full history;
-		// the segmented store replays only its bounded active tail.
-		openMono := measure(func() {
-			l, err := wal.Open(walDir, opt)
-			if err != nil {
-				panic(err)
-			}
-			if _, err := l.ReplayDOEM(); err != nil {
-				panic(err)
-			}
-			l.Close()
-		})
-		segOpen[i] = measure(func() {
-			s, err := segment.Open(segDir, opt, pol)
-			if err != nil {
-				panic(err)
-			}
-			s.Close()
-		})
-		fmt.Printf("  %8d %8d %8d %12s %12s %12s %12s\n",
-			len(h), mono.NumAnnotations(), segs, monoLat[i], segLat[i], openMono, segOpen[i])
-
-		if i == 1 {
-			b13rss(segDir, opt, pol, mono, monoHeap, q, at)
-		}
-	}
-	check("B13a", "segmented query results byte-identical to monolithic", identical)
-	check("B13b", "segmented <at T> latency roughly flat across 10x history growth",
-		segLat[1] < 3*segLat[0]+time.Millisecond)
-	check("B13c", "segmented restart recovery roughly flat across 10x history growth",
-		segOpen[1] < 3*segOpen[0]+5*time.Millisecond)
-}
-
-// b13rss reports resident heap per storage arrangement at the 10x size:
-// the monolithic database (monoHeap, measured around its construction),
-// the segmented store with every sealed index hot, and the same store
-// demoted to the cold tier (both measured against a baseline taken just
-// before the store opens).
-func b13rss(segDir string, opt *wal.Options, pol *segment.Policy, mono *doem.Database, monoHeap int64, q string, at timestamp.Time) {
-	baseline := int64(heapInUse())
-
-	coldPol := &segment.Policy{SealAnnotations: pol.SealAnnotations, ColdAfter: 1}
-	st, err := segment.Open(segDir, opt, coldPol)
-	if err != nil {
-		panic(err)
-	}
-	defer st.Close()
-	eng := lorel.NewEngine()
-	eng.Register("guide", st.Graph())
-	// Touch every sealed segment so each index is parsed and hot.
-	for _, seal := range st.SealTimes() {
-		hq := fmt.Sprintf(`select P from guide.<at %q>restaurant.price P where P < 20`, seal.String())
-		if _, err := eng.Query(hq); err != nil {
-			panic(err)
-		}
-	}
-	hot, _, _ := st.Tiers()
-	hotHeap := int64(heapInUse()) - baseline
-	// Demote everything: with ColdAfter=1 any later graph op ages every
-	// sealed segment out.
-	st.Maintain()
-	st.Maintain()
-	_, _, cold := st.Tiers()
-	coldHeap := int64(heapInUse()) - baseline
-	_ = mono.NumAnnotations() // keep the monolithic copy live in the baseline
-	fmt.Printf("  RSS at 10x: monolithic %+.1f MiB | segmented hot (%d idx) %+.1f MiB | cold (%d seg) %+.1f MiB\n",
-		float64(monoHeap)/(1<<20), hot, float64(hotHeap)/(1<<20), cold, float64(coldHeap)/(1<<20))
-	check("B13d", "cold tier releases sealed-index memory", cold > 0 && coldHeap <= hotHeap)
-}
-
-// heapInUse reports live heap bytes after a full collection.
-func heapInUse() uint64 {
-	runtime.GC()
-	var m runtime.MemStats
-	runtime.ReadMemStats(&m)
-	return m.HeapAlloc
-}
-
-// extendWithChurn lengthens a generated history with n churn steps — price
-// updates against nodes that already exist at the end of h — so the
-// recorded history grows without growing the live graph.
-func extendWithChurn(initial *oem.Database, h change.History, n int) change.History {
-	db := initial.Clone()
-	for _, step := range h {
-		if _, err := step.Ops.Apply(db); err != nil {
-			panic(err)
-		}
-	}
-	var prices []oem.NodeID
-	for _, node := range db.Nodes() {
-		for _, a := range db.OutLabeled(node, "price") {
-			prices = append(prices, a.Child)
-		}
-	}
-	sort.Slice(prices, func(i, j int) bool { return prices[i] < prices[j] })
-	out := append(change.History{}, h...)
-	if len(prices) == 0 || len(h) == 0 {
-		return out
-	}
-	t := h[len(h)-1].At
-	v := 0
-	for i := 0; i < n; i++ {
-		t = t.Add(86400e9) // +1 day
-		var set change.Set
-		for j := 0; j < 10 && j < len(prices); j++ {
-			// Consecutive residues keep the step's targets distinct.
-			p := prices[(i*10+j)%len(prices)]
-			v++
-			set = append(set, change.UpdNode{Node: p, Value: value.Int(int64(5 + v%40))})
-		}
-		out = append(out, change.Step{At: t, Ops: set})
-	}
-	return out
-}
-
 // --- quantitative series ---
 
 func scale(n int) int {
@@ -865,11 +546,4 @@ func reID(db *oem.Database) *oem.Database {
 		panic(err)
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

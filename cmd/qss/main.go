@@ -59,7 +59,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/guidegen"
-	"repro/internal/incr"
 	"repro/internal/library"
 	"repro/internal/obs"
 	"repro/internal/oem"
@@ -128,7 +127,6 @@ func main() {
 	flag.IntVar(&cfg.libN, "library", 30, "books in the demo library source")
 	flag.DurationVar(&cfg.evolve, "evolve", 2*time.Second, "interval between demo source changes")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for the demo sources")
-	noincremental := flag.Bool("noincremental", false, "disable delta-driven incremental subscription matching (evaluate every filter on every poll)")
 	flag.StringVar(&cfg.walDir, "waldir", "", "directory for per-subscription write-ahead logs (empty: no persistence)")
 	flag.StringVar(&cfg.walSync, "walsync", "interval", "WAL durability: always | interval | never")
 	flag.StringVar(&cfg.segDir, "segments", "", "directory for per-subscription segmented history stores (mutually exclusive with -waldir; see docs/segments.md)")
@@ -174,9 +172,6 @@ func main() {
 	if *version {
 		fmt.Println("qss", obs.Version())
 		return
-	}
-	if *noincremental {
-		incr.SetEnabled(false)
 	}
 	if err := run(cfg); err != nil {
 		fmt.Fprintln(os.Stderr, "qss:", err)

@@ -304,16 +304,3 @@ func TestIndex(t *testing.T) {
 		t.Errorf("Probe after re-Put = %v", got)
 	}
 }
-
-func TestEnabledToggle(t *testing.T) {
-	defer SetEnabled(SetEnabled(true))
-	if !Enabled() {
-		t.Fatal("SetEnabled(true) did not enable")
-	}
-	if prev := SetEnabled(false); !prev || Enabled() {
-		t.Errorf("SetEnabled(false): prev=%v enabled=%v", prev, Enabled())
-	}
-	if prev := SetEnabled(true); prev || !Enabled() {
-		t.Errorf("SetEnabled(true): prev=%v enabled=%v", prev, Enabled())
-	}
-}

@@ -43,37 +43,53 @@ type Engine struct {
 	// cache holds parsed-and-canonicalized queries by source text.
 	// Evaluation never mutates a canonicalized AST, so cached queries are
 	// shared across calls; standing queries (QSS filters, triggers) parse
-	// once. Eviction is two-generation (see cacheInsert): cache is the hot
-	// generation, cacheOld the previous one, probed on a miss.
-	cacheMu  sync.Mutex
-	cache    map[string]*Query
-	cacheOld map[string]*Query
+	// once.
+	cacheMu sync.Mutex
+	cache   genCache[*Query]
 
-	// planning gates the cost-based planner (guarded by mu; see plan.go).
-	// plans caches prepared plans by canonical-AST key, pinned to the
-	// stats versions of the graphs they were costed against.
+	// planning chooses cost-based plans over the written-order plan
+	// (guarded by mu; see plan.go). plans caches prepared plans by
+	// canonical-AST key, pinned to the stats versions of the graphs they
+	// were costed against.
 	planning bool
 	planMu   sync.Mutex
-	plans    map[string]*prepared
+	plans    genCache[*prepared]
 }
 
-// cacheLimit bounds one generation of the parsed-query cache; total
-// retention is at most two generations (2*cacheLimit entries). The old
-// wholesale reset at the limit dropped the hot standing-query working set
-// along with the churn that filled the cache, forcing every standing
-// query to re-parse on its next poll; the two-generation scheme keeps
-// anything re-requested within a generation's worth of churn (promotion
-// on an old-generation hit) while still evicting one-off texts.
+// cacheLimit bounds one generation of the parse and plan caches; total
+// retention is at most two generations (2*cacheLimit entries).
 const cacheLimit = 256
+
+// genCache is the two-generation eviction both engine caches use: hot is
+// the current generation and old the previous one, probed on a miss, and
+// an old-generation hit promotes the entry back into hot. When hot fills,
+// it becomes old and the previous old generation is dropped. An entry
+// requested at least once per generation's worth of churn therefore
+// survives any number of one-off keys, which age out. A wholesale reset
+// at the limit would drop the hot standing-query working set along with
+// the churn that filled the cache. Callers hold the cache's mutex.
+type genCache[V any] struct{ hot, old map[string]V }
+
+func (c *genCache[V]) get(k string) (V, bool) {
+	v, ok := c.hot[k]
+	if !ok {
+		if v, ok = c.old[k]; ok {
+			c.put(k, v)
+		}
+	}
+	return v, ok
+}
+
+func (c *genCache[V]) put(k string, v V) {
+	if c.hot == nil || len(c.hot) >= cacheLimit {
+		c.old, c.hot = c.hot, make(map[string]V, cacheLimit)
+	}
+	c.hot[k] = v
+}
 
 // NewEngine returns an empty engine, with the cost-based planner on.
 func NewEngine() *Engine {
-	return &Engine{
-		graphs:   make(map[string]Graph),
-		cache:    make(map[string]*Query),
-		planning: true,
-		plans:    make(map[string]*prepared),
-	}
+	return &Engine{graphs: make(map[string]Graph), planning: true}
 }
 
 // Register makes g available to queries under the given name. Registering
@@ -133,15 +149,7 @@ func (e *Engine) QueryContext(ctx context.Context, src string) (*Result, error) 
 func (e *Engine) cachedQuery(ctx context.Context, src string) (*Query, error) {
 	tr := obs.TraceFrom(ctx)
 	e.cacheMu.Lock()
-	q, ok := e.cache[src]
-	if !ok {
-		if oq, old := e.cacheOld[src]; old {
-			// Old-generation hit: promote into the hot generation so a
-			// standing query re-requested under churn survives rotation.
-			q, ok = oq, true
-			e.cacheInsert(src, q)
-		}
-	}
+	q, ok := e.cache.get(src)
 	e.cacheMu.Unlock()
 	if ok {
 		mCacheHits.Inc()
@@ -161,24 +169,10 @@ func (e *Engine) cachedQuery(ctx context.Context, src string) (*Query, error) {
 		}
 		sp.EndNote("cache=miss")
 		e.cacheMu.Lock()
-		e.cacheInsert(src, q)
+		e.cache.put(src, q)
 		e.cacheMu.Unlock()
 	}
 	return q, nil
-}
-
-// cacheInsert adds one parsed query under cacheMu, rotating generations
-// at the limit: the hot generation becomes the old one (dropping the
-// previous old generation) and a fresh hot map starts. Entries touched
-// at least once per generation of churn are re-promoted before the old
-// generation is dropped, so the standing-query working set is never
-// wholesale-evicted by one burst of distinct texts.
-func (e *Engine) cacheInsert(src string, q *Query) {
-	if len(e.cache) >= cacheLimit {
-		e.cacheOld = e.cache
-		e.cache = make(map[string]*Query, cacheLimit)
-	}
-	e.cache[src] = q
 }
 
 // binding is a variable binding: a graph node (optionally viewed as of a
@@ -316,13 +310,15 @@ func (e *env) lookup(name string) (binding, bool) {
 }
 
 // evaluation carries the per-query state of one Eval call: an immutable
-// snapshot of the engine's graphs and polling times, the caller's context,
-// and a cancellation-check counter. Engine state mutated after the
-// snapshot (Register, SetPollTimes) does not affect an evaluation in
-// flight, which is what makes one Engine safe for concurrent queries.
+// snapshot of the engine's graphs, polling times and planning switch, the
+// caller's context, and a cancellation-check counter. Engine state mutated
+// after the snapshot (Register, SetPollTimes, SetPlanning) does not affect
+// an evaluation in flight, which is what makes one Engine safe for
+// concurrent queries.
 type evaluation struct {
 	graphs    map[string]Graph
 	pollTimes []timestamp.Time
+	planning  bool
 	ctx       context.Context
 	tick      int
 
@@ -366,7 +362,7 @@ func (e *Engine) newEvaluation(ctx context.Context) *evaluation {
 	}
 	e.mu.RLock()
 	defer e.mu.RUnlock()
-	return &evaluation{graphs: e.graphs, pollTimes: e.pollTimes, ctx: ctx, trace: tr}
+	return &evaluation{graphs: e.graphs, pollTimes: e.pollTimes, planning: e.planning, ctx: ctx, trace: tr}
 }
 
 // finish flushes the evaluation's stats to the package metrics and trace.
@@ -423,13 +419,7 @@ func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Result, error) {
 	start := obs.Now()
 	ev := e.newEvaluation(ctx)
 	sp := ev.trace.StartSpan("eval")
-	var res *Result
-	var err error
-	if pr := e.planFor(ev, q); pr != nil && pr.plan != nil {
-		res, err = ev.evalPlanned(q, pr)
-	} else {
-		res, err = ev.evalQuery(q)
-	}
+	res, err := ev.evalPlanned(q, e.planFor(ev, q))
 	rows := 0
 	if res != nil {
 		rows = len(res.Rows)
@@ -437,108 +427,6 @@ func (e *Engine) EvalContext(ctx context.Context, q *Query) (*Result, error) {
 	sp.EndNote("rows=%d", rows)
 	ev.finish(start, err)
 	return res, err
-}
-
-func (ev *evaluation) evalQuery(q *Query) (*Result, error) {
-	gens := make([]FromItem, 0, len(q.From)+len(q.WhereGens))
-	gens = append(gens, q.From...)
-	gens = append(gens, q.WhereGens...)
-	strict := len(q.From) // generators at index >= strict are existential
-	res := &Result{}
-	if err := ev.newWrittenExec(gens, strict, ev.emitter(q, res)).enumerate(0); err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// emitter builds the tuple sink for one evaluation: it applies the where
-// clause to the bound tuple, builds its rows, and appends the rows not
-// seen before to res.
-func (ev *evaluation) emitter(q *Query, res *Result) func() error {
-	seen := make(map[string]bool)
-	var kb []byte // reused key buffer; map lookups on string(kb) do not allocate
-	return func() error {
-		ev.bindings++
-		if q.Where != nil {
-			ok, err := ev.evalBool(q.Where)
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-		}
-		built, err := ev.buildRows(q.Select)
-		if err != nil {
-			return err
-		}
-		for _, row := range built {
-			kb = row.appendKey(kb[:0])
-			if !seen[string(kb)] {
-				seen[string(kb)] = true
-				res.Rows = append(res.Rows, row)
-			} else {
-				ev.dedupHits++
-			}
-		}
-		return nil
-	}
-}
-
-// writtenExec enumerates the cross product of generator bindings in
-// written order: the unplanned evaluator. Strict generators (from clause)
-// eliminate the tuple when empty; existential generators (hoisted where
-// paths) bind null instead, so disjunctions over missing paths still
-// evaluate.
-type writtenExec struct {
-	ev     *evaluation
-	gens   []FromItem
-	strict int // generators at index >= strict are existential
-	emit   func() error
-	gw     []*pathWalker // per generator, built on first use
-}
-
-func (ev *evaluation) newWrittenExec(gens []FromItem, strict int, emit func() error) *writtenExec {
-	return &writtenExec{ev: ev, gens: gens, strict: strict, emit: emit, gw: make([]*pathWalker, len(gens))}
-}
-
-// enumerate binds generators i.. and emits each completed tuple.
-func (x *writtenExec) enumerate(i int) error {
-	ev, en := x.ev, &x.ev.env
-	if err := ev.checkCancel(); err != nil {
-		return err
-	}
-	if i == len(x.gens) {
-		return x.emit()
-	}
-	g := x.gens[i]
-	// Each binding flows into the next generator as the walker produces it;
-	// an errStop from a downstream consumer propagates up and stops the walk.
-	w := x.gw[i]
-	if w == nil {
-		w = ev.newWalker(g.Path)
-		w.yield = func(b binding) error {
-			m := en.mark()
-			en.bind(g.Var, b)
-			err := x.enumerate(i + 1)
-			en.release(m)
-			return err
-		}
-		x.gw[i] = w
-	}
-	if err := w.run(); err != nil {
-		return err
-	}
-	if w.n > 0 || i < x.strict {
-		return nil // strict with no bindings: no tuples
-	}
-	// Existential generator with no matches: null-bind so the rest of the
-	// where clause still evaluates.
-	m := en.mark()
-	en.bindNull(g)
-	err := x.enumerate(i + 1)
-	en.release(m)
-	return err
 }
 
 // pathHead resolves a path's head: a variable in scope, else a registered

@@ -16,9 +16,9 @@ var (
 	mDedupHits   = obs.NewCounter("lorel_dedup_hits_total")
 
 	// Planner metrics: plan-cache traffic, re-preparations forced by stale
-	// statistics, queries the validator sent back to the written-order
-	// evaluator, and planned executions (reordered counts the subset that
-	// committed to a strict-block reorder).
+	// statistics, queries the validator gave the written-order plan, and
+	// plan executions, one per evaluation (reordered counts the subset
+	// that committed to a strict-block reorder).
 	mPlanCacheHits   = obs.NewCounter("lorel_plan_cache_hits_total")
 	mPlanCacheMisses = obs.NewCounter("lorel_plan_cache_misses_total")
 	mPlanReprepares  = obs.NewCounter("lorel_plan_reprepares_total")

@@ -6,33 +6,32 @@ import (
 	"repro/internal/value"
 )
 
-// This file connects the evaluator to internal/plan: it extracts a
-// planner Spec from a canonicalized query, statically validates that the
-// query is plannable (see below), probes the registered graphs for
-// cardinality statistics, and caches the prepared plan keyed by the
-// query's canonical-AST key alongside the stats versions it was costed
-// against.
+// This file prepares every query's plan. It extracts a planner Spec from a
+// canonicalized query, statically validates that the query is plannable
+// (see below), probes the registered graphs for cardinality statistics,
+// and caches the prepared plan keyed by the query's canonical-AST key
+// alongside the stats versions it was costed against.
 //
-// Plannability is a correctness gate, not an optimization: the planned
-// executor evaluates pushed conjuncts on partial tuples and skips
-// redundant existential extensions, which is only byte-identical to the
-// written-order evaluator when (a) no evaluation step can raise a
-// runtime error (all of eval.go's error sites are statically decidable
-// from the AST and the registered names), (b) select items depend only
-// on strict (from-clause) variables, and (c) strict generators depend
-// only on strict generators. Queries violating any of these fall back to
-// the legacy evaluator, which reproduces their behavior — errors
-// included — exactly.
+// The written-order plan (writtenOrder) is the paper's definition of a
+// Lorel answer: nested loops over the generators as written, the whole
+// where clause tested on each complete tuple. A cost-based plan evaluates
+// pushed conjuncts on partial tuples and skips redundant existential
+// extensions, which is only byte-identical to the written-order plan when
+// (a) no evaluation step can raise a runtime error (all of eval.go's error
+// sites are statically decidable from the AST and the registered names),
+// (b) select items depend only on strict (from-clause) variables, and (c)
+// strict generators depend only on strict generators. Plannability is
+// that correctness gate, not an optimization: a query violating any of
+// these runs the written-order plan, which reproduces its behavior —
+// errors included — exactly.
 
-// prepared is one plan-cache entry: the planner's decision plus the
-// extraction artifacts the executor needs, pinned to the graphs and
-// stats versions it was prepared against.
+// prepared is one plan-cache entry: the plan plus the extraction
+// artifacts the executor needs, pinned to the graphs and stats versions it
+// was prepared against.
 type prepared struct {
-	// plan is nil for queries the validator rejected; the entry is still
-	// cached (negatively) so the validation does not rerun every query.
 	plan  *plan.Plan
 	gens  []FromItem // From ++ WhereGens, original order
-	conjs []Expr     // top-level where conjuncts, original order
+	conjs []Expr     // the where conjuncts plan.Push indexes, original order
 	// constTimes marks <at T> operands with no variable dependencies;
 	// the evaluation memoizes them once instead of re-resolving per
 	// binding (constant time-expression hoisting).
@@ -80,31 +79,24 @@ func statsVersionOf(g Graph) uint64 {
 	return 0
 }
 
-// SetPlanning switches this engine between planned and written-order
-// evaluation. New engines plan.
+// SetPlanning chooses between cost-based plans and the written-order plan
+// for this engine's queries. New engines plan.
 func (e *Engine) SetPlanning(on bool) {
 	e.mu.Lock()
 	e.planning = on
 	e.mu.Unlock()
 }
 
-// Planning reports whether this engine plans queries.
-func (e *Engine) Planning() bool {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.planning
-}
-
-// planFor returns the prepared plan for q, consulting and maintaining
-// the plan cache. It returns nil when planning is off or q never went
-// through canonicalization; it returns an entry with a nil plan when the
-// query is not plannable (caller falls back to the legacy evaluator).
+// planFor returns the plan q runs under, consulting and maintaining the
+// plan cache. A query that never went through canonicalization, or any
+// query on an engine with planning off, gets the written-order plan
+// uncached; a query the validator rejects gets it cached like any entry.
 func (e *Engine) planFor(ev *evaluation, q *Query) *prepared {
-	if q.key == "" || !e.Planning() {
-		return nil
+	if q.key == "" || !ev.planning {
+		return writtenOrder(q)
 	}
 	e.planMu.Lock()
-	pr, ok := e.plans[q.key]
+	pr, ok := e.plans.get(q.key)
 	e.planMu.Unlock()
 	if ok && pr.fresh(ev.graphs) {
 		mPlanCacheHits.Inc()
@@ -115,15 +107,12 @@ func (e *Engine) planFor(ev *evaluation, q *Query) *prepared {
 	} else {
 		mPlanCacheMisses.Inc()
 	}
-	pr = prepareQuery(q, ev.graphs)
-	if pr.plan == nil {
+	pr, planned := prepareQuery(q, ev.graphs)
+	if !planned {
 		mPlanUnplannable.Inc()
 	}
 	e.planMu.Lock()
-	if len(e.plans) >= cacheLimit {
-		e.plans = make(map[string]*prepared)
-	}
-	e.plans[q.key] = pr
+	e.plans.put(q.key, pr)
 	e.planMu.Unlock()
 	return pr
 }
@@ -131,26 +120,25 @@ func (e *Engine) planFor(ev *evaluation, q *Query) *prepared {
 // PlanDescription parses src (through the parse cache) and returns the
 // planner's EXPLAIN lines for it against the currently registered
 // graphs: chosen join order, pushed predicates, and estimated
-// cardinalities. It never evaluates the query.
+// cardinalities. It never evaluates the query, and with planning off it
+// does not plan it either.
 func (e *Engine) PlanDescription(src string) ([]string, error) {
 	q, err := e.cachedQuery(nil, src)
 	if err != nil {
 		return nil, err
 	}
-	if !e.Planning() {
+	ev := e.newEvaluation(nil)
+	if !ev.planning {
 		return []string{"planner: disabled (Engine.SetPlanning); written-order evaluation"}, nil
 	}
-	ev := e.newEvaluation(nil)
-	pr := e.planFor(ev, q)
-	if pr == nil || pr.plan == nil {
-		return []string{"planner: query not plannable; canonical written-order evaluation"}, nil
-	}
-	return pr.plan.Notes, nil
+	return e.planFor(ev, q).plan.Notes, nil
 }
 
 // prepareQuery extracts, validates and plans one canonical query against
-// a graph snapshot.
-func prepareQuery(q *Query, graphs map[string]Graph) *prepared {
+// a graph snapshot. A query the validator rejects gets the written-order
+// plan (and planned=false), pinned like a cost-based one so that
+// registering a name it missed re-prepares it.
+func prepareQuery(q *Query, graphs map[string]Graph) (pr *prepared, planned bool) {
 	b := &specBuilder{
 		graphs: graphs,
 		varGen: make(map[string]int),
@@ -159,20 +147,42 @@ func prepareQuery(q *Query, graphs map[string]Graph) *prepared {
 		consts: make(map[Expr]bool),
 		lits:   make(map[*ConstExpr]timeMemo),
 	}
-	pr := &prepared{
-		gens:       append(append([]FromItem{}, q.From...), q.WhereGens...),
-		constTimes: b.consts,
-		litTimes:   b.lits,
-		vers:       b.vers,
-		tags:       b.tags,
+	gens := append(append([]FromItem{}, q.From...), q.WhereGens...)
+	spec, planned := b.build(q, gens, len(q.From))
+	if planned {
+		pr = &prepared{
+			plan:       plan.Prepare(spec),
+			gens:       gens,
+			conjs:      conjuncts(q.Where),
+			constTimes: b.consts,
+			litTimes:   b.lits,
+		}
+	} else {
+		pr = writtenOrder(q)
+		pr.plan.Notes = []string{"planner: query not plannable; canonical written-order evaluation"}
 	}
-	spec, ok := b.build(q, pr.gens, len(q.From))
-	pr.missing = b.missing
-	if !ok {
-		return pr
+	pr.vers, pr.tags, pr.missing = b.vers, b.tags, b.missing
+	return pr, planned
+}
+
+// writtenOrder returns q's written-order plan: every generator enumerated
+// in written order (NStrict covers them all, so none is searched for a
+// witness, and an empty existential one binds null; see plannedExec.run),
+// and the whole where clause, not flattened, as one conjunct tested once
+// all generators are bound. Evaluation order, short-circuiting and errors
+// are therefore exactly evalBool(q.Where)'s. No operand is memoized.
+func writtenOrder(q *Query) *prepared {
+	gens := append(append([]FromItem{}, q.From...), q.WhereGens...)
+	n := len(gens)
+	pl := &plan.Plan{Order: make([]int, n), NStrict: n, Push: make([][]int, n+1), Est: make([]float64, n)}
+	for i := range pl.Order {
+		pl.Order[i] = i
 	}
-	pr.plan = plan.Prepare(spec)
-	pr.conjs = conjuncts(q.Where)
+	pr := &prepared{plan: pl, gens: gens}
+	if q.Where != nil {
+		pr.conjs = []Expr{q.Where}
+		pl.Push[n] = []int{0}
+	}
 	return pr
 }
 
@@ -299,7 +309,7 @@ func (b *specBuilder) genSpec(i int, g FromItem, strict bool) (plan.GenSpec, boo
 		switch {
 		case s.Group != nil, s.Hash:
 			// The evaluator silently ignores annotations on group and
-			// subtree steps; keep that quirk on the legacy path.
+			// subtree steps; keep that quirk on the written-order plan.
 			if s.Arc != nil || s.Node != nil {
 				return gs, false
 			}
@@ -394,7 +404,7 @@ func (b *specBuilder) atExpr(ex Expr, deps map[int]bool) bool {
 
 // bindVar registers an annotation variable bound by generator i. Empty
 // names are fine (unbound); duplicates and database-name clashes reject
-// the query (the legacy evaluator's env chain shadows, which reordering
+// the query (the written-order plan's env chain shadows, which reordering
 // could not reproduce).
 func (b *specBuilder) bindVar(v string, i int) bool {
 	if v == "" {
@@ -555,7 +565,7 @@ func (c *exprCheck) path(p *PathExpr, locals map[string]bool) map[string]bool {
 	for _, s := range p.Steps {
 		if s.Group != nil || s.Hash {
 			if s.Arc != nil || s.Node != nil {
-				c.fail() // evaluator ignores these; keep on legacy path
+				c.fail() // evaluator ignores these; keep on written order
 				return locals
 			}
 			continue

@@ -111,8 +111,8 @@ func TestPlanCacheMissingNamePin(t *testing.T) {
 	}
 }
 
-// TestUnplannableFallback: queries the validator rejects run on the
-// legacy evaluator and must behave identically to planning-off, errors
+// TestUnplannableFallback: queries the validator rejects run the
+// written-order plan and must behave identically to planning-off, errors
 // included.
 func TestUnplannableFallback(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
@@ -121,8 +121,8 @@ func TestUnplannableFallback(t *testing.T) {
 	off.SetPlanning(false)
 	off.Register("guide", d)
 
-	// A duplicate annotation variable shadows under the legacy env chain;
-	// the planner must stand aside rather than reproduce shadowing.
+	// A duplicate annotation variable shadows in written order's env
+	// chain; the planner must stand aside rather than reproduce shadowing.
 	dup := `select T from guide.<add at T>restaurant R, R.<add at T>name N`
 	unp0 := mPlanUnplannable.Value()
 	got, gerr := e.Query(dup)

@@ -5,23 +5,25 @@ import (
 	"strings"
 )
 
-// This file is the planned executor: it enumerates generators in the
-// plan's order instead of written order, applies pushed conjuncts as soon
-// as their variables are bound, and short-circuits existential search at
-// the first satisfying completion. Its contract is byte-identical output
-// with the written-order evaluator, which rests on three properties the
-// validator in plan.go established: pushed conjuncts are pure and
-// error-free (conjunction order cannot matter), existential variables
-// never reach the select clause (collapsing completions per strict tuple
-// cannot drop rows), and a generator's candidate list depends only on the
-// bindings of its declared dependencies (a candidate's index is the same
-// in any enumeration order, so written-order ranks are reconstructible).
+// This file is the executor every query runs through: it enumerates
+// generators in the plan's order, applies pushed conjuncts as soon as
+// their variables are bound, and short-circuits existential search at the
+// first satisfying completion. Under the written-order plan (plan.go) that
+// is the paper's nested loops. A cost-based plan's contract is output
+// byte-identical to the written-order plan's, which rests on three
+// properties the validator in plan.go established: pushed conjuncts are
+// pure and error-free (conjunction order cannot matter), existential
+// variables never reach the select clause (collapsing completions per
+// strict tuple cannot drop rows), and a generator's candidate list depends
+// only on the bindings of its declared dependencies (a candidate's index
+// is the same in any enumeration order, so written-order ranks are
+// reconstructible).
 
 // rankedRow carries a result row plus its written-order enumeration rank:
 // the candidate indexes of the strict generators in written order,
 // followed by the row's position within its tuple's built rows.
-// Lexicographic rank order is exactly the order the written-order
-// evaluator would first emit each row.
+// Lexicographic rank order is exactly the order the written-order plan
+// would first emit each row.
 type rankedRow struct {
 	row  Row
 	rank []int32
@@ -51,9 +53,8 @@ type plannedExec struct {
 	// estimated-vs-actual EXPLAIN trace).
 	actual []int64
 
-	// Row collection. Unreordered plans emit in first-occurrence order
-	// like the legacy emitter; reordered plans collect ranked rows and
-	// sort at the end.
+	// Row collection. Unreordered plans emit in first-occurrence order;
+	// reordered plans collect ranked rows and sort at the end.
 	rows   []Row
 	seen   map[string]bool
 	ranked []rankedRow
@@ -112,8 +113,8 @@ func (x *plannedExec) prepare(gi int, next func() error) *pathWalker {
 	return w
 }
 
-// run enumerates the strict block from depth d (d generators of the
-// order already bound).
+// run enumerates the block before NStrict from depth d (d generators of
+// the order already bound).
 func (x *plannedExec) run(d int) error {
 	if err := x.ev.checkCancel(); err != nil {
 		return err
@@ -141,13 +142,26 @@ func (x *plannedExec) run(d int) error {
 		w = x.prepare(gi, func() error { return x.run(d + 1) })
 	}
 	x.idx[gi] = -1
-	return w.run()
+	if err := w.run(); err != nil || w.n > 0 || gi < len(x.q.From) {
+		return err
+	}
+	// An existential generator that matched nothing null-binds and the
+	// enumeration goes on, so the rest of the where clause still evaluates.
+	// Only the written-order plan enumerates one: a cost-based plan's
+	// enumerated block is strict only.
+	en := &x.ev.env
+	m := en.mark()
+	en.bindNull(x.gens[gi])
+	err := x.run(d + 1)
+	en.release(m)
+	return err
 }
 
 // existSat searches the existential block (d existential generators
 // bound) for one completion satisfying every remaining pushed conjunct.
-// Empty generators null-bind their variables exactly as the written-order
-// evaluator does, so predicates over missing paths see the same nulls.
+// Empty generators null-bind their variables exactly as run does under
+// the written-order plan, so predicates over missing paths see the same
+// nulls.
 func (x *plannedExec) existSat(d int) (bool, error) {
 	if err := x.ev.checkCancel(); err != nil {
 		return false, err

@@ -163,7 +163,7 @@ func TestParseCacheRotation(t *testing.T) {
 
 	// Bounded retention: never more than two generations resident.
 	churn(cacheLimit, 3*cacheLimit)
-	if total := len(e.cache) + len(e.cacheOld); total > 2*cacheLimit {
+	if total := len(e.cache.hot) + len(e.cache.old); total > 2*cacheLimit {
 		t.Errorf("cache retains %d entries, want <= %d", total, 2*cacheLimit)
 	}
 
@@ -175,6 +175,35 @@ func TestParseCacheRotation(t *testing.T) {
 	}
 	if q1 == q3 {
 		t.Error("standing query survived two untouched generations; eviction is not bounding the cache")
+	}
+}
+
+// TestPlanCacheKeepsHotPlan: the plan cache evicts like the parse cache.
+// A standing query re-run between bursts of one-off queries, 2*cacheLimit
+// of them in all, must keep its prepared plan: neither its parse nor its
+// plan misses again after the first run.
+func TestPlanCacheKeepsHotPlan(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	e, _, _ := paperEngine(t)
+	const hot = `select N from guide.restaurant R, R.name N where R.price < 20`
+	if _, err := e.Query(hot); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2*cacheLimit; i++ {
+		if _, err := e.Query(fmt.Sprintf(`select R from guide.restaurant R where R.price < %d`, 1000+i)); err != nil {
+			t.Fatal(err)
+		}
+		if i%(cacheLimit/4) != 0 {
+			continue
+		}
+		parse0, plan0 := mCacheMisses.Value(), mPlanCacheMisses.Value()
+		if _, err := e.Query(hot); err != nil {
+			t.Fatal(err)
+		}
+		if mCacheMisses.Value() != parse0 || mPlanCacheMisses.Value() != plan0 {
+			t.Fatalf("after %d one-off queries the hot query missed: parse +%d, plan +%d",
+				i+1, mCacheMisses.Value()-parse0, mPlanCacheMisses.Value()-plan0)
+		}
 	}
 }
 

@@ -41,7 +41,7 @@ func candidateTimes(d *doem.Database) []timestamp.Time {
 // planner acts on — multi-generator joins with selective predicates, wide
 // generators written before narrow ones, annotation and <at T> constraints
 // — plus shapes it must refuse (aggregates, path-valued select items) so
-// the legacy fallback is exercised under the same parity oracle.
+// the written-order plan is exercised under the same parity oracle.
 func randomQuery(rng *rand.Rand, times []timestamp.Time) string {
 	at := func() string { return fmt.Sprintf("%q", times[rng.Intn(len(times))].String()) }
 	price := func() int { return 5 + rng.Intn(40) }

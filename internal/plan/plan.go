@@ -10,7 +10,9 @@
 // query, fills in cardinalities through the Stats interface (implemented
 // by internal/index from its adjacency maps and by internal/segment from
 // its STATE summaries), calls Prepare, and executes the resulting Plan.
-// That keeps every costing decision unit-testable without a database.
+// That keeps every costing decision unit-testable without a database. For
+// queries it does not cost, internal/lorel builds the written-order Plan
+// itself: every generator in written order, the whole where clause last.
 //
 // Correctness is not plan-dependent: the executor restores the written
 // enumeration order when a plan reorders strict generators, so planner-on

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/guidegen"
+	"repro/internal/lorel"
 	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/segment"
@@ -83,17 +84,45 @@ func mutateRandom(t *testing.T, rng *rand.Rand, src *wrapper.Mutable, ids *guide
 	}
 }
 
+// fullNotification is the reference an incremental poll must match: the
+// subscription's filter evaluated, with no skip, by a fresh engine over the
+// raw database the last poll updated (the segment store's merged graph in
+// segmented mode), with the subscription's poll times bound.
+func fullNotification(t *testing.T, svc *Service, name string) *Notification {
+	t.Helper()
+	svc.mu.Lock()
+	st := svc.subs[name]
+	svc.mu.Unlock()
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	var g lorel.Graph = st.d
+	if st.seg != nil {
+		g = st.seg.Graph()
+	}
+	eng := lorel.NewEngine()
+	eng.Register(st.sub.Name, g)
+	eng.SetPollTimes(st.pollTimes)
+	res, err := eng.Query(st.sub.Filter)
+	if err != nil {
+		t.Fatalf("reference %s: %v", name, err)
+	}
+	if res.Len() == 0 {
+		return nil
+	}
+	return &Notification{Subscription: name, At: st.pollTimes[len(st.pollTimes)-1], Result: res, Answer: res.Answer()}
+}
+
 // TestIncrementalParityRandomized drives randomized change-set streams
-// through two services — incremental matching on vs off — across store
-// modes, and requires every notification stream to be byte-identical. Run
-// with -race in CI.
+// through a service in each store mode and requires every notification to
+// be byte-identical to fullNotification: skipped evaluations must be
+// exactly the empty ones, and filters evaluated through the index must
+// return what the raw database returns. Run with -race in CI.
 func TestIncrementalParityRandomized(t *testing.T) {
 	modes := []struct {
 		name  string
 		setup func(t *testing.T, svc *Service)
 	}{
 		{"mono", nil},
-		{"noindex", func(t *testing.T, svc *Service) { svc.SetIndexing(false) }},
 		{"wal", func(t *testing.T, svc *Service) {
 			if err := svc.EnableWAL(t.TempDir(), nil); err != nil {
 				t.Fatal(err)
@@ -109,27 +138,21 @@ func TestIncrementalParityRandomized(t *testing.T) {
 		t.Run(mode.name, func(t *testing.T) {
 			defer obs.SetEnabled(obs.SetEnabled(true))
 			src, ids := paperSource(t)
-			on := NewService(nil)
-			on.SetIncremental(true)
-			off := NewService(nil)
-			off.SetIncremental(false)
+			svc := NewService(nil)
 			if mode.setup != nil {
-				mode.setup(t, on)
-				mode.setup(t, off)
+				mode.setup(t, svc)
 			}
 			for i, f := range parityFilters {
-				for _, svc := range []*Service{on, off} {
-					name := fmt.Sprintf("P%d", i)
-					err := svc.Subscribe(Subscription{
-						Name:       name,
-						SourceName: "guide",
-						Source:     src,
-						Polling:    `select guide.restaurant`,
-						Filter:     fmt.Sprintf(f, name),
-					})
-					if err != nil {
-						t.Fatalf("subscribe %s: %v", name, err)
-					}
+				name := fmt.Sprintf("P%d", i)
+				err := svc.Subscribe(Subscription{
+					Name:       name,
+					SourceName: "guide",
+					Source:     src,
+					Polling:    `select guide.restaurant`,
+					Filter:     fmt.Sprintf(f, name),
+				})
+				if err != nil {
+					t.Fatalf("subscribe %s: %v", name, err)
 				}
 			}
 
@@ -143,12 +166,11 @@ func TestIncrementalParityRandomized(t *testing.T) {
 				at := base.Add(time.Duration(round) * time.Hour)
 				for i := range parityFilters {
 					name := fmt.Sprintf("P%d", i)
-					nOn, errOn := on.Poll(name, at)
-					nOff, errOff := off.Poll(name, at)
-					if (errOn == nil) != (errOff == nil) {
-						t.Fatalf("round %d %s: err mismatch: on=%v off=%v", round, name, errOn, errOff)
+					n, err := svc.Poll(name, at)
+					if err != nil {
+						t.Fatalf("round %d %s: %v", round, name, err)
 					}
-					if got, want := renderNotif(nOn), renderNotif(nOff); got != want {
+					if got, want := renderNotif(n), renderNotif(fullNotification(t, svc, name)); got != want {
 						t.Fatalf("round %d %s: notification mismatch\nincremental:\n%s\nfull:\n%s", round, name, got, want)
 					}
 				}

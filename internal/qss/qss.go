@@ -83,13 +83,6 @@ type Service struct {
 	// through a replicated oplog with quorum acknowledgment (mutually
 	// exclusive with walDir/segDir; see repl.go).
 	replNode *repl.Node
-	// noIndex disables the secondary-index wrapper on subscription DOEM
-	// databases (SetIndexing); services start indexed.
-	noIndex bool
-	// noIncr disables delta-driven filter suppression (internal/incr):
-	// every poll then evaluates every filter query as before. Defaults to
-	// the package-wide incr.Enabled() switch (-noincremental).
-	noIncr bool
 }
 
 type subState struct {
@@ -124,7 +117,8 @@ type subState struct {
 	seg      *segment.Store
 	sidePath string
 	// ig is the secondary-index wrapper filter queries evaluate through;
-	// nil when indexing is off. It is invalidated after every poll
+	// nil on segmented subscriptions, which query through the segment
+	// store's own per-segment indexes. It is advanced by every poll
 	// application and rebuilt whenever d is swapped (truncate, import).
 	ig *index.Graph
 	// fp is the filter query's incremental-matching fingerprint; polls
@@ -136,8 +130,8 @@ type subState struct {
 
 // graph returns the view the subscription's filter queries range over:
 // the segment store's merged graph in segmented mode (st.d alone is only
-// the active segment), else the indexed wrapper when present, else the raw
-// DOEM database.
+// the active segment), else the indexed wrapper, else (with neither
+// attached) the raw DOEM database.
 func (st *subState) graph() lorel.Graph {
 	if st.seg != nil {
 		return st.seg.Graph()
@@ -173,38 +167,6 @@ func NewService(fn func(Notification)) *Service {
 	return &Service{
 		subs:   make(map[string]*subState),
 		notify: fn,
-		noIncr: !incr.Enabled(),
-	}
-}
-
-// SetIncremental switches delta-driven filter suppression on or off (the
-// -noincremental escape hatch) for all subsequent polls. Off means every
-// poll evaluates every filter query unconditionally, exactly as before
-// internal/incr existed; notifications are byte-identical either way.
-func (s *Service) SetIncremental(on bool) {
-	s.mu.Lock()
-	s.noIncr = !on
-	s.mu.Unlock()
-}
-
-// SetIndexing switches poll-time filter evaluation between the indexed
-// wrapper and the raw DOEM database, for existing and future
-// subscriptions. The raw database is the in-process reference the parity
-// tests compare indexed evaluation against.
-func (s *Service) SetIndexing(on bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.noIndex = !on
-	for _, st := range s.subs {
-		st.mu.Lock()
-		if !on {
-			st.ig = nil
-		} else if st.ig == nil && st.seg == nil {
-			// Segmented subscriptions query through the segment store's own
-			// per-segment indexes; the monolithic wrapper does not apply.
-			st.ig = index.NewGraph(st.d)
-		}
-		st.mu.Unlock()
 	}
 }
 
@@ -251,7 +213,7 @@ func (s *Service) Subscribe(sub Subscription) error {
 		nextID: 1, // the packaged root; alloc pre-increments past it
 		pollNs: obs.NewHistogram(obs.LabeledName("qss_poll_ns", "sub", sub.Name)),
 	}
-	if !s.noIndex && s.segDir == "" {
+	if s.segDir == "" {
 		st.ig = index.NewGraph(st.d)
 	}
 	if s.segDir != "" {
@@ -441,7 +403,6 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	s.mu.Lock()
 	st, ok := s.subs[name]
 	node := s.replNode
-	noIncr := s.noIncr
 	if !ok {
 		s.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrNoSuchSub, name)
@@ -612,7 +573,7 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	// above, so it holds the same way on plain, segmented, and replicated
 	// subscriptions; st.d.Current() is the full post-apply snapshot in all
 	// three (the active segment carries the whole current state).
-	if !noIncr && st.fp != nil {
+	if st.fp != nil {
 		cur := st.d.Current()
 		if !st.fp.Decide(incr.Summarize(ops, cur), cur) {
 			return nil, nil

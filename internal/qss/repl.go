@@ -173,9 +173,7 @@ func (s *Service) newReplicaLocked(name string) *subState {
 		nextID:  1,
 		pollNs:  obs.NewHistogram(obs.LabeledName("qss_poll_ns", "sub", name)),
 	}
-	if !s.noIndex {
-		st.ig = index.NewGraph(st.d)
-	}
+	st.ig = index.NewGraph(st.d)
 	return st
 }
 

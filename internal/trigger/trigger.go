@@ -23,7 +23,6 @@ package trigger
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/change"
@@ -71,10 +70,6 @@ type Manager struct {
 	// it with the applied delta and evaluates only the triggers the delta
 	// can affect, instead of every registered query per change set.
 	ix *incr.Index
-	// incremental gates the probe; false evaluates every trigger on every
-	// Apply (the pre-incr behavior). Firing is identical either way —
-	// suppressed queries are exactly the provably-empty ones.
-	incremental bool
 	// MaxCascade bounds recursive firing (actions applying changes that
 	// fire more triggers). Default 8.
 	MaxCascade int
@@ -101,19 +96,10 @@ func NewManager(name string, d *doem.Database) *Manager {
 	eng.Register(name, d)
 	return &Manager{
 		name: name, d: d, eng: eng,
-		triggers:    make(map[string]*Trigger),
-		ix:          incr.NewIndex(),
-		incremental: incr.Enabled(),
-		MaxCascade:  8,
+		triggers:   make(map[string]*Trigger),
+		ix:         incr.NewIndex(),
+		MaxCascade: 8,
 	}
-}
-
-// SetIncremental switches incremental trigger matching on or off for
-// subsequent Apply calls (the -noincremental escape hatch).
-func (m *Manager) SetIncremental(on bool) {
-	m.mu.Lock()
-	m.incremental = on
-	m.mu.Unlock()
 }
 
 // DOEM returns the managed database.
@@ -213,15 +199,9 @@ func (m *Manager) applyLocked(t timestamp.Time, ops change.Set, depth int) error
 	// ids sorted, preserving the deterministic firing order; suppressed
 	// triggers are exactly those whose query provably returns no rows, so
 	// firing behavior is identical to evaluating everything.
-	var names []string
-	if m.incremental {
-		cur := m.d.Current()
-		names = m.ix.Probe(incr.Summarize(ops, cur), cur)
-		mSuppressed.Add(int64(len(m.order) - len(names)))
-	} else {
-		names = append([]string(nil), m.order...)
-		sort.Strings(names) // deterministic firing order
-	}
+	cur := m.d.Current()
+	names := m.ix.Probe(incr.Summarize(ops, cur), cur)
+	mSuppressed.Add(int64(len(m.order) - len(names)))
 	for _, name := range names {
 		tr, ok := m.triggers[name]
 		if !ok {
