@@ -4,12 +4,12 @@
 //
 // Usage:
 //
-//	qss [-listen ADDR] [-guide N] [-library N] [-evolve DUR] [-waldir DIR] [-walsync POLICY] [-segments DIR] [-csv NAME=PATH:KEY:ROW]...
+//	qss [-listen ADDR] [-guide N] [-library N] [-evolve DUR] [-waldir DIR] [-walsync POLICY] [-csv NAME=PATH:KEY:ROW]...
 //
-// Persistence is either a flat per-subscription write-ahead log (-waldir)
-// or a time-partitioned segment store (-segments, with -seal-anns,
-// -seal-age and -cold-after tuning the seal and tier policy; see
-// docs/segments.md). The two are mutually exclusive.
+// Persistence is a per-subscription write-ahead log (-waldir, with
+// -walsync choosing its durability; see docs/wal.md) or a replicated
+// oplog (-repl-dir, below). Every poll's record reaches the log before
+// the subscription's history advances.
 //
 // Built-in demo sources:
 //
@@ -35,7 +35,7 @@
 //
 // Replication (see docs/replication.md): -repl-dir turns the server into a
 // replication participant whose poll history lives on a replicated oplog
-// (mutually exclusive with -waldir and -segments). -repl-listen accepts
+// (mutually exclusive with -waldir). -repl-listen accepts
 // follower streams; -repl-primary takes the primary role at startup, while
 // -repl-follow ADDR follows an existing primary and serves reads, with
 // writes redirected to the primary's -repl-advertise address. -repl-ack
@@ -64,7 +64,6 @@ import (
 	"repro/internal/oem"
 	"repro/internal/qss"
 	"repro/internal/repl"
-	"repro/internal/segment"
 	"repro/internal/wal"
 	"repro/internal/wrapper"
 )
@@ -84,11 +83,6 @@ type config struct {
 	walSync string
 	csvs    []string
 	admin   string
-
-	segDir   string
-	sealAnns int
-	sealAge  time.Duration
-	coldN    uint64
 
 	heartbeat    time.Duration
 	idleTimeout  time.Duration
@@ -129,10 +123,6 @@ func main() {
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for the demo sources")
 	flag.StringVar(&cfg.walDir, "waldir", "", "directory for per-subscription write-ahead logs (empty: no persistence)")
 	flag.StringVar(&cfg.walSync, "walsync", "interval", "WAL durability: always | interval | never")
-	flag.StringVar(&cfg.segDir, "segments", "", "directory for per-subscription segmented history stores (mutually exclusive with -waldir; see docs/segments.md)")
-	flag.IntVar(&cfg.sealAnns, "seal-anns", 0, "auto-seal the active segment after this many annotations (0 = manual seals only)")
-	flag.DurationVar(&cfg.sealAge, "seal-age", 0, "auto-seal the active segment after this much history time (0 = off)")
-	flag.Uint64Var(&cfg.coldN, "cold-after", 0, "demote sealed segments untouched for this many graph operations to the cold tier (0 = never)")
 	flag.StringVar(&cfg.admin, "admin", "", "serve /metrics, /healthz and pprof on this address (enables metrics collection; empty = off)")
 	version := flag.Bool("version", false, "print build information and exit")
 	var csvs csvFlags
@@ -155,7 +145,7 @@ func main() {
 	flag.Float64Var(&cfg.chaosErrRate, "chaos-error-rate", 0, "probability each source poll fails (0 = chaos off)")
 	flag.DurationVar(&cfg.chaosLatency, "chaos-latency", 0, "max injected source poll latency")
 
-	flag.StringVar(&cfg.replDir, "repl-dir", "", "directory for the replicated oplog (enables replication; mutually exclusive with -waldir and -segments)")
+	flag.StringVar(&cfg.replDir, "repl-dir", "", "directory for the replicated oplog (enables replication; mutually exclusive with -waldir)")
 	flag.StringVar(&cfg.replListen, "repl-listen", "", "address accepting follower replication streams")
 	flag.StringVar(&cfg.replFollow, "repl-follow", "", "primary replication address to follow (serve as a read replica)")
 	flag.BoolVar(&cfg.replPrimary, "repl-primary", false, "take the primary role at startup")
@@ -273,24 +263,9 @@ func run(cfg config) error {
 		}
 		fmt.Printf("qss: logging subscriptions under %s (sync=%s)\n", cfg.walDir, cfg.walSync)
 	}
-	if cfg.segDir != "" {
-		var spol *segment.Policy
-		if cfg.sealAnns > 0 || cfg.sealAge > 0 || cfg.coldN > 0 {
-			spol = &segment.Policy{
-				SealAnnotations: cfg.sealAnns,
-				SealAge:         cfg.sealAge,
-				ColdAfter:       cfg.coldN,
-			}
-		}
-		if err := srv.EnableSegments(cfg.segDir, nil, spol); err != nil {
-			return err
-		}
-		fmt.Printf("qss: segmented subscription history under %s (seal-anns=%d seal-age=%s cold-after=%d)\n",
-			cfg.segDir, cfg.sealAnns, cfg.sealAge, cfg.coldN)
-	}
 
 	// Replication: subscription history lives on a replicated oplog (see
-	// docs/replication.md) instead of per-subscription logs or segments.
+	// docs/replication.md) instead of per-subscription logs.
 	var node *repl.Node
 	if cfg.replDir == "" {
 		for flagName, set := range map[string]bool{
@@ -303,8 +278,8 @@ func run(cfg config) error {
 			}
 		}
 	} else {
-		if cfg.walDir != "" || cfg.segDir != "" {
-			return fmt.Errorf("-repl-dir is mutually exclusive with -waldir and -segments")
+		if cfg.walDir != "" {
+			return fmt.Errorf("-repl-dir is mutually exclusive with -waldir")
 		}
 		if cfg.replPrimary && cfg.replFollow != "" {
 			return fmt.Errorf("-repl-primary and -repl-follow are mutually exclusive")

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -17,7 +18,11 @@ import (
 // backticked item of a checkable kind must still exist:
 //
 //   - a -flag must be defined by a command under cmd/ (or by the benchmark
-//     in benchmark/), or be one of the few go tool flags the docs use;
+//     in benchmark/), or be one of the few go tool flags the docs use; a
+//     flag cited for a command — in a span that starts with the command
+//     (`qss -admin ADDR`, `cmd/qss -waldir`), or in a sentence that names
+//     commands as `cmd/X` — must be defined by each command named, and
+//     the flags of a sentence naming no command by one command together;
 //   - a REPRO_* name must be read by non-test code;
 //   - `make TARGET` must name a Makefile target;
 //   - a repo path (dir/file, or a bare file name) must exist;
@@ -45,10 +50,72 @@ func TestDocsCiteExistingCode(t *testing.T) {
 			}
 			checked++
 		}
+		for _, problem := range k.checkAttributed(string(text)) {
+			t.Errorf("%s: %s", doc, problem)
+		}
 	}
 	if checked < 500 {
 		t.Errorf("only %d code spans scanned; the scanner is not reading the docs", checked)
 	}
+}
+
+// TestDocsCoverCode is the other direction: the user docs must not fall
+// silent about what the code offers. Every flag a command under cmd/
+// defines must be cited backticked in README.md or docs/*.md, and every
+// metric registered with obs.NewCounter, obs.NewGauge or obs.NewHistogram
+// must be named in some docs/*.md.
+func TestDocsCoverCode(t *testing.T) {
+	docs, err := filepath.Glob("docs/*.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	k := loadCodeFacts(t)
+	cited := map[string]bool{}
+	var metricText strings.Builder
+	for _, doc := range append([]string{"README.md"}, docs...) {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range codeSpans(string(text)) {
+			for _, tok := range strings.Fields(span) {
+				if m := flagToken.FindStringSubmatch(tok); m != nil {
+					cited[m[1]] = true
+				}
+			}
+		}
+		if doc != "README.md" {
+			metricText.Write(text)
+			metricText.WriteByte('\n')
+		}
+	}
+	if len(k.cmdFlags) < 5 || len(k.metrics) < 50 {
+		t.Fatalf("scanned %d commands and %d metrics; the scanner is not reading the code", len(k.cmdFlags), len(k.metrics))
+	}
+	for _, cmd := range sortedKeys(k.cmdFlags) {
+		if cmd == "benchmark" {
+			continue // documented in benchmark/README.md
+		}
+		for _, f := range sortedKeys(k.cmdFlags[cmd]) {
+			if !cited[f] {
+				t.Errorf("cmd/%s defines -%s, which no README.md or docs/*.md code span cites", cmd, f)
+			}
+		}
+	}
+	for _, name := range sortedKeys(k.metrics) {
+		if !regexp.MustCompile(`\b` + name + `\b`).MatchString(metricText.String()) {
+			t.Errorf("metric %s is registered but named in no docs/*.md", name)
+		}
+	}
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for key := range m {
+		keys = append(keys, key)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 var (
@@ -62,6 +129,9 @@ var (
 	lineSuffix  = regexp.MustCompile(`:\d+(-\d+)?$`)
 
 	flagDef   = regexp.MustCompile(`flag\.\w+\(\s*"([\w-]+)"|flag\.\w*Var\([^,]+,\s*"([\w-]+)"`)
+	metricDef = regexp.MustCompile(`\bNew(?:Counter|Gauge|Histogram)\(\s*(?:obs\.LabeledName\(\s*)?"(\w+)"`)
+	cmdSpan   = regexp.MustCompile(`^(?:cmd/)?([a-z]+)$`)
+	sentence  = regexp.MustCompile(`[.!?](?:\s|$)`)
 	reproRead = regexp.MustCompile(`"(REPRO_[A-Z_]+)"`)
 	makeRule  = regexp.MustCompile(`(?m)^([\w.-]+):`)
 )
@@ -84,6 +154,8 @@ type codeFacts struct {
 	flags, repro, targets map[string]bool
 	paths, baseNames      map[string]bool
 	decls                 map[string]map[string]bool // internal package -> Ident and Type.Member
+	cmdFlags              map[string]map[string]bool // command under cmd/ (or "benchmark") -> its flags
+	metrics               map[string]bool            // registered obs metric names
 }
 
 func loadCodeFacts(t *testing.T) *codeFacts {
@@ -91,6 +163,7 @@ func loadCodeFacts(t *testing.T) *codeFacts {
 	k := &codeFacts{
 		flags: map[string]bool{}, repro: map[string]bool{}, targets: map[string]bool{},
 		paths: map[string]bool{}, baseNames: map[string]bool{}, decls: map[string]map[string]bool{},
+		cmdFlags: map[string]map[string]bool{}, metrics: map[string]bool{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || path == ".git" {
@@ -111,9 +184,17 @@ func loadCodeFacts(t *testing.T) *codeFacts {
 		for _, m := range reproRead.FindAllStringSubmatch(string(src), -1) {
 			k.repro[m[1]] = true
 		}
+		for _, m := range metricDef.FindAllStringSubmatch(string(src), -1) {
+			k.metrics[m[1]] = true
+		}
 		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir, "cmd/") || dir == "benchmark" {
+			cmd := strings.TrimPrefix(dir, "cmd/")
+			if k.cmdFlags[cmd] == nil {
+				k.cmdFlags[cmd] = map[string]bool{}
+			}
 			for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
 				k.flags[m[1]+m[2]] = true
+				k.cmdFlags[cmd][m[1]+m[2]] = true
 			}
 		}
 		return nil
@@ -235,4 +316,85 @@ func (k *codeFacts) check(span string) []string {
 		}
 	}
 	return problems
+}
+
+// checkAttributed returns the flags a doc cites for a command that does not
+// define them. A span starting with a command name attributes its flags to
+// that command; otherwise, within one sentence, every standalone flag span
+// is attributed to each command the sentence names as `cmd/X`, or, when
+// the sentence names none, the flags must all belong to one command.
+func (k *codeFacts) checkAttributed(text string) []string {
+	var problems []string
+	text = fencedBlock.ReplaceAllString(text, "")
+	// Mask code spans so sentence ends are only found in prose.
+	masked := []byte(text)
+	spans := codeSpan.FindAllStringSubmatchIndex(text, -1)
+	for _, sp := range spans {
+		for i := sp[0]; i < sp[1]; i++ {
+			masked[i] = 'x'
+		}
+	}
+	ends := append(sentence.FindAllIndex(masked, -1), []int{len(text), len(text)})
+	var cmds []string
+	var flags []string
+	flush := func() {
+		for _, c := range cmds {
+			for _, f := range flags {
+				if !k.cmdFlags[c][f] {
+					problems = append(problems, "`-"+f+"` is cited beside `cmd/"+c+"`, which does not define it")
+				}
+			}
+		}
+		if len(cmds) == 0 && len(flags) > 1 && !k.oneCommandDefines(flags) {
+			problems = append(problems, "no one command defines all of -"+strings.Join(flags, ", -")+", cited in one sentence")
+		}
+		cmds, flags = nil, nil
+	}
+	next := 0
+	for _, sp := range spans {
+		for sp[0] >= ends[next][0] {
+			flush()
+			next++
+		}
+		fields := strings.Fields(text[sp[2]:sp[3]])
+		if len(fields) == 0 {
+			continue
+		}
+		if m := flagToken.FindStringSubmatch(fields[0]); m != nil {
+			if !goToolFlags[m[1]] {
+				flags = append(flags, m[1])
+			}
+			continue
+		}
+		m := cmdSpan.FindStringSubmatch(fields[0])
+		if m == nil || k.cmdFlags[m[1]] == nil {
+			continue
+		}
+		if len(fields) == 1 && strings.HasPrefix(fields[0], "cmd/") {
+			cmds = append(cmds, m[1])
+			continue
+		}
+		for _, tok := range fields[1:] {
+			if f := flagToken.FindStringSubmatch(tok); f != nil && !k.cmdFlags[m[1]][f[1]] {
+				problems = append(problems, "`"+text[sp[2]:sp[3]]+"`: "+m[1]+" does not define -"+f[1])
+			}
+		}
+	}
+	flush()
+	return problems
+}
+
+// oneCommandDefines reports whether some command (or the benchmark)
+// defines every flag named.
+func (k *codeFacts) oneCommandDefines(flags []string) bool {
+	for _, defined := range k.cmdFlags {
+		all := true
+		for _, f := range flags {
+			all = all && defined[f]
+		}
+		if all {
+			return true
+		}
+	}
+	return false
 }

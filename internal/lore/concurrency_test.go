@@ -11,12 +11,35 @@ import (
 	"repro/internal/lore"
 )
 
+// persistentStores are the two log-backed store kinds the concurrency
+// gates run over: monolithic WAL databases and time-partitioned segment
+// stores.
+var persistentStores = []struct {
+	name string
+	open func(dir string) (*lore.Store, error)
+}{
+	{"wal", func(dir string) (*lore.Store, error) { return lore.OpenWAL(dir, nil) }},
+	{"segmented", func(dir string) (*lore.Store, error) { return lore.OpenSegmented(dir, nil, nil) }},
+}
+
+// forEachStore runs fn as a subtest over each persistent store kind.
+func forEachStore(t *testing.T, fn func(t *testing.T, open func(dir string) (*lore.Store, error))) {
+	for _, k := range persistentStores {
+		t.Run(k.name, func(t *testing.T) { fn(t, k.open) })
+	}
+}
+
 // TestConcurrentQueriesWithApplySet drives N goroutines of concurrent
 // Chorel queries through Store.ViewDOEM while another goroutine feeds the
-// remaining history steps through WAL-backed ApplySet — the tentpole's
-// claim that one store serves readers and a writer at once. Run under
-// -race this is the stress gate for the graph layer's read-path contract.
+// remaining history steps through log-backed ApplySet — the claim that one
+// store serves readers and a writer at once. Run under -race this is the
+// stress gate for the graph layer's read-path contract, over both store
+// kinds.
 func TestConcurrentQueriesWithApplySet(t *testing.T) {
+	forEachStore(t, testConcurrentQueriesWithApplySet)
+}
+
+func testConcurrentQueriesWithApplySet(t *testing.T, open func(dir string) (*lore.Store, error)) {
 	initial, h := guidegen.GenerateHistory(11, 30, 12, 5)
 	if len(h) < 4 {
 		t.Fatalf("history too short: %d steps", len(h))
@@ -28,7 +51,7 @@ func TestConcurrentQueriesWithApplySet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := lore.OpenWAL(t.TempDir(), nil)
+	s, err := open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +122,16 @@ func TestConcurrentQueriesWithApplySet(t *testing.T) {
 // sets through ApplySet while another repeatedly checkpoints the same
 // database. The store-wide lock must keep marshal-and-install atomic with
 // respect to appends — under -race, and verified by reopening the store
-// and comparing against the full history.
+// and comparing against the full history, over both store kinds (a
+// segmented store's checkpoint is a seal).
 func TestConcurrentApplySetCheckpoint(t *testing.T) {
+	forEachStore(t, testConcurrentApplySetCheckpoint)
+}
+
+func testConcurrentApplySetCheckpoint(t *testing.T, open func(dir string) (*lore.Store, error)) {
 	initial, h := guidegen.GenerateHistory(17, 20, 15, 5)
 	dir := t.TempDir()
-	s, err := lore.OpenWAL(dir, nil)
+	s, err := open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +183,7 @@ func TestConcurrentApplySetCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := lore.OpenWAL(dir, nil)
+	s2, err := open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,9 +90,6 @@ func OpenWAL(dir string, opt *wal.Options) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("lore: WAL mode requires a directory")
 	}
-	if segment.Enabled() {
-		return OpenSegmented(dir, opt, nil)
-	}
 	if opt == nil {
 		opt = &wal.Options{}
 	}

@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/doem"
 	"repro/internal/guidegen"
-	"repro/internal/segment"
 	"repro/internal/wal"
 )
 
@@ -67,11 +66,6 @@ func TestWALStoreRoundTrip(t *testing.T) {
 }
 
 func TestWALStoreCheckpointCompacts(t *testing.T) {
-	if segment.Enabled() {
-		// Segmented mode has no <name>.doemwal directory to inspect; its
-		// checkpoint-compaction analogue is TestSegmentedStoreCheckpointSeals.
-		t.Skip("checkpoint compaction layout is WAL-mode specific")
-	}
 	dir := t.TempDir()
 	s, err := OpenWAL(dir, &wal.Options{SegmentSize: 256, Sync: wal.SyncNever})
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/lorel"
 	"repro/internal/obs"
 	"repro/internal/oem"
-	"repro/internal/segment"
 	"repro/internal/timestamp"
 	"repro/internal/value"
 	"repro/internal/wrapper"
@@ -86,8 +85,8 @@ func mutateRandom(t *testing.T, rng *rand.Rand, src *wrapper.Mutable, ids *guide
 
 // fullNotification is the reference an incremental poll must match: the
 // subscription's filter evaluated, with no skip, by a fresh engine over the
-// raw database the last poll updated (the segment store's merged graph in
-// segmented mode), with the subscription's poll times bound.
+// raw database the last poll updated, with the subscription's poll times
+// bound.
 func fullNotification(t *testing.T, svc *Service, name string) *Notification {
 	t.Helper()
 	svc.mu.Lock()
@@ -95,12 +94,8 @@ func fullNotification(t *testing.T, svc *Service, name string) *Notification {
 	svc.mu.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	var g lorel.Graph = st.d
-	if st.seg != nil {
-		g = st.seg.Graph()
-	}
 	eng := lorel.NewEngine()
-	eng.Register(st.sub.Name, g)
+	eng.Register(st.sub.Name, st.d)
 	eng.SetPollTimes(st.pollTimes)
 	res, err := eng.Query(st.sub.Filter)
 	if err != nil {
@@ -125,11 +120,6 @@ func TestIncrementalParityRandomized(t *testing.T) {
 		{"mono", nil},
 		{"wal", func(t *testing.T, svc *Service) {
 			if err := svc.EnableWAL(t.TempDir(), nil); err != nil {
-				t.Fatal(err)
-			}
-		}},
-		{"segmented", func(t *testing.T, svc *Service) {
-			if err := svc.EnableSegments(t.TempDir(), nil, &segment.Policy{SealAnnotations: 6}); err != nil {
 				t.Fatal(err)
 			}
 		}},

@@ -90,14 +90,6 @@ func (s *Service) ImportState(name string, data []byte) error {
 			return fmt.Errorf("qss: import: %w", err)
 		}
 	}
-	// Under segmented persistence the store on disk is superseded wholesale:
-	// reseed it from the imported database (which carries the full history
-	// in its new active segment) and rewrite the sidecar.
-	if st.seg != nil {
-		if err := s.reseedSegments(st); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 

@@ -26,7 +26,6 @@ import (
 	"repro/internal/oem"
 	"repro/internal/oemdiff"
 	"repro/internal/repl"
-	"repro/internal/segment"
 	"repro/internal/timestamp"
 	"repro/internal/wal"
 	"repro/internal/wrapper"
@@ -73,15 +72,9 @@ type Service struct {
 	// write-ahead log so restarts recover history without re-polling.
 	walDir string
 	walOpt *wal.Options
-	// segDir/segOpt/segPol, when set via EnableSegments, give every
-	// subscription a time-partitioned segment store instead (mutually
-	// exclusive with the WAL).
-	segDir string
-	segOpt *wal.Options
-	segPol *segment.Policy
 	// replNode, when set via EnableReplication, routes every poll record
 	// through a replicated oplog with quorum acknowledgment (mutually
-	// exclusive with walDir/segDir; see repl.go).
+	// exclusive with walDir; see repl.go).
 	replNode *repl.Node
 }
 
@@ -109,17 +102,12 @@ type subState struct {
 	// objects deleted from the DOEM database.
 	nextID    oem.NodeID
 	pollTimes []timestamp.Time
-	// log, when non-nil, records every poll for crash recovery.
+	// log, when non-nil, records every poll for crash recovery. After a
+	// refused append it stays closed, so later polls fail too.
 	log *wal.Log
-	// seg, when non-nil, is the subscription's segmented history store; d
-	// is then always its active segment and the sidecar at sidePath holds
-	// the poll times, remap and id high-water mark (see segments.go).
-	seg      *segment.Store
-	sidePath string
-	// ig is the secondary-index wrapper filter queries evaluate through;
-	// nil on segmented subscriptions, which query through the segment
-	// store's own per-segment indexes. It is advanced by every poll
-	// application and rebuilt whenever d is swapped (truncate, import).
+	// ig is the secondary-index wrapper filter queries evaluate through.
+	// It is advanced by every fold and rebuilt whenever d is swapped
+	// (truncate, import).
 	ig *index.Graph
 	// fp is the filter query's incremental-matching fingerprint; polls
 	// whose applied delta provably cannot produce a filter row skip the
@@ -128,27 +116,11 @@ type subState struct {
 	fp *incr.Fingerprint
 }
 
-// graph returns the view the subscription's filter queries range over:
-// the segment store's merged graph in segmented mode (st.d alone is only
-// the active segment), else the indexed wrapper, else (with neither
-// attached) the raw DOEM database.
-func (st *subState) graph() lorel.Graph {
-	if st.seg != nil {
-		return st.seg.Graph()
-	}
-	if st.ig != nil {
-		return st.ig
-	}
-	return st.d
-}
-
 // setDOEM swaps the subscription's database, rebuilding the index wrapper
-// if one was active (an index.Graph is bound to one *doem.Database).
+// (an index.Graph is bound to one *doem.Database).
 func (st *subState) setDOEM(d *doem.Database) {
 	st.d = d
-	if st.ig != nil {
-		st.ig = index.NewGraph(d)
-	}
+	st.ig = index.NewGraph(d)
 }
 
 // Errors.
@@ -201,7 +173,7 @@ func (s *Service) Subscribe(sub Subscription) error {
 		prev.mu.Lock()
 		prev.sub = sub
 		prev.replica = false
-		prev.fp = filterFingerprint(sub, prev.graph())
+		prev.fp = filterFingerprint(sub, prev.ig)
 		prev.mu.Unlock()
 		return nil
 	}
@@ -213,19 +185,13 @@ func (s *Service) Subscribe(sub Subscription) error {
 		nextID: 1, // the packaged root; alloc pre-increments past it
 		pollNs: obs.NewHistogram(obs.LabeledName("qss_poll_ns", "sub", sub.Name)),
 	}
-	if s.segDir == "" {
-		st.ig = index.NewGraph(st.d)
-	}
-	if s.segDir != "" {
-		if err := s.attachSegments(st, sub.Name); err != nil {
-			return err
-		}
-	} else if s.walDir != "" {
+	st.ig = index.NewGraph(st.d)
+	if s.walDir != "" {
 		if err := s.attachLog(st, sub.Name); err != nil {
 			return err
 		}
 	}
-	st.fp = filterFingerprint(sub, st.graph())
+	st.fp = filterFingerprint(sub, st.ig)
 	s.subs[sub.Name] = st
 	return nil
 }
@@ -245,9 +211,9 @@ func filterFingerprint(sub Subscription, g lorel.Graph) *incr.Fingerprint {
 	return incr.Extract(q, map[string]lorel.Graph{sub.Name: g})
 }
 
-// Unsubscribe removes a subscription. Its write-ahead log or segment
-// store, if any, is closed but left on disk: re-subscribing under the same
-// name resumes the recorded history.
+// Unsubscribe removes a subscription. Its write-ahead log, if any, is
+// closed but left on disk: re-subscribing under the same name resumes the
+// recorded history.
 func (s *Service) Unsubscribe(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -259,10 +225,6 @@ func (s *Service) Unsubscribe(name string) error {
 	if st.log != nil {
 		st.log.Close()
 		st.log = nil
-	}
-	if st.seg != nil {
-		st.seg.Close()
-		st.seg = nil
 	}
 	if s.replNode != nil {
 		// Replicated state must stay exactly what the oplog reproduces (a
@@ -325,21 +287,11 @@ func (s *Service) Truncate(name string, t timestamp.Time) error {
 	}
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.seg != nil {
-		// Segmented mode: the store collapses its own history (deleting the
-		// sealed segments, whose immutability also means t may not fall
-		// strictly inside them).
-		if err := st.seg.Truncate(t); err != nil {
-			return fmt.Errorf("qss: truncate: %w", err)
-		}
-		st.setDOEM(st.seg.Active())
-	} else {
-		td, err := st.d.Truncate(t)
-		if err != nil {
-			return fmt.Errorf("qss: truncate: %w", err)
-		}
-		st.setDOEM(td)
+	td, err := st.d.Truncate(t)
+	if err != nil {
+		return fmt.Errorf("qss: truncate: %w", err)
 	}
+	st.setDOEM(td)
 	var kept []timestamp.Time
 	for _, pt := range st.pollTimes {
 		if pt.After(t) {
@@ -358,11 +310,6 @@ func (s *Service) Truncate(name string, t timestamp.Time) error {
 		}
 		if err := st.log.Checkpoint(ck, st.log.LastSeq()); err != nil {
 			return fmt.Errorf("qss: truncate checkpoint: %w", err)
-		}
-	}
-	if st.seg != nil {
-		if err := st.saveSidecar(); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -439,11 +386,10 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	}
 
 	// 2. Package the result as an OEM database R_i (recursively including
-	// all subobjects, paper Section 6). Packaging allocates remap entries
-	// and advances the id high-water mark; savedNextID lets a refused
-	// replication append roll those allocations back.
-	savedNextID := st.nextID
-	pkg, added := st.packageResult(snap, res)
+	// all subobjects, paper Section 6). Packaging leaves st as it is: the
+	// remap entries it allocates and the new id high-water mark travel in
+	// the poll record and take effect when the record is folded in.
+	pkg, added, nextID := st.packageResult(snap, res)
 
 	// 3. OEMdiff: infer U_i with U_i(R_{i-1}) = R_i.
 	sp = tr.StartSpan("diff")
@@ -452,20 +398,9 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	if st.sub.Source.StableIDs() {
 		ops, err = oemdiff.DiffIdentity(prev, pkg)
 	} else {
-		next := st.d.MaxID()
-		if st.seg != nil {
-			// The active segment's MaxID forgets ids that were garbage-
-			// collected in sealed intervals; the store's covers all history
-			// (ids are never reused, paper Section 2.2).
-			if m := st.seg.MaxID(); m > next {
-				next = m
-			}
-		}
 		// pkg was just built and never collected: its high-water mark is
 		// its largest id.
-		if m := pkg.MaxID(); m > next {
-			next = m
-		}
+		next := max(st.d.MaxID(), pkg.MaxID())
 		ops, err = oemdiff.Diff(prev, pkg, &oemdiff.Options{
 			AllocID: func() oem.NodeID { next++; return next },
 		})
@@ -475,104 +410,60 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 		return nil, fmt.Errorf("qss: differencing: %w", err)
 	}
 
-	// 4. DOEM Manager: extend the history.
-	sp = tr.StartSpan("apply")
+	// 4. DOEM Manager: extend the history by the poll record (t_i, U_i),
+	// written ahead. The record is durable on its target — the replicated
+	// oplog, the subscription's log, or none — before fold advances st, so
+	// memory never holds a poll a restart would not replay. Empty change
+	// sets are recorded too: the polling time itself is state (it anchors
+	// the filter's t[-i] variables).
+	rec := appendPollRecord(nil, t, ops, added, nextID)
 	if node != nil {
-		// Replication mode: the poll record must be durable on the
-		// replicated oplog — and acknowledged by the configured quorum —
-		// before the state advances and the filter runs. The node's
-		// ReplState folds the record into st (the same code path a
-		// follower's stream and a restart replay take), so st.mu is
-		// released for the duration; pollMu keeps the poll serialized.
-		rec := appendPollRecord(nil, t, ops, added, st.nextID)
+		// The node appends the record, folds it into st through ReplState
+		// (the path a follower's stream and a restart replay take), then
+		// waits for the ack quorum; st.mu is released meanwhile and pollMu
+		// keeps the poll serialized. On error either the record was never
+		// appended and st never moved, or it is durable and already folded
+		// in (fenced, closed or timed out during the quorum wait) and may
+		// still replicate or be discarded by a failover. Either way, no
+		// notification for a poll that might not survive.
+		sp = tr.StartSpan("apply")
 		st.mu.Unlock()
-		seq, aerr := node.Apply(name, rec)
+		_, err = node.Apply(name, rec)
 		st.mu.Lock()
 		sp.End()
-		if aerr != nil {
-			if seq == 0 {
-				// Never appended (fenced, demoted, closed before the
-				// append): roll back the ids packaging allocated, or the
-				// next poll of a stable-id source would reuse mappings no
-				// oplog record carries and silently diverge from the
-				// followers.
-				for _, p := range added {
-					delete(st.remap, p.Src)
-				}
-				st.nextID = savedNextID
-			}
-			// seq != 0 means the record is durably on the oplog — the
-			// node was fenced, closed, or timed out only during the quorum
-			// wait (the normal failover case). It may still replicate, or
-			// a failover may discard it; either way in-memory id state
-			// must keep matching the durable log, so no rollback. In both
-			// cases, no notification for a poll that might not survive.
-			return nil, fmt.Errorf("qss: replicating poll: %w", aerr)
+		if err != nil {
+			return nil, fmt.Errorf("qss: replicating poll: %w", err)
 		}
-	} else if st.seg != nil {
-		// Segmented mode persists the sidecar (poll time, remap additions,
-		// id high-water mark) BEFORE the store append. A crash between the
-		// two then recovers as a phantom silent poll — the orphaned remap
-		// entries prune against the unchanged state and the source changes
-		// surface at the next poll's own time — rather than leaving durable
-		// change steps whose remap delta is lost, which would make a
-		// stable-id source's objects look spuriously re-created.
-		st.pollTimes = append(st.pollTimes, t)
-		if err := st.saveSidecar(); err != nil {
-			st.pollTimes = st.pollTimes[:len(st.pollTimes)-1]
-			sp.End()
-			return nil, err
-		}
-		if len(ops) > 0 {
-			// The append lands in the active segment and may trigger an
-			// auto-seal, which swaps the active database.
-			if err := st.seg.Apply(t, ops); err != nil {
-				sp.End()
-				return nil, fmt.Errorf("qss: applying changes: %w", err)
-			}
-			if ad := st.seg.Active(); ad != st.d {
-				st.setDOEM(ad)
-			}
-			st.pruneRemap()
-		}
-		sp.End()
 	} else {
-		if len(ops) > 0 {
-			if err := st.d.Apply(t, ops); err != nil {
-				sp.End()
-				return nil, fmt.Errorf("qss: applying changes: %w", err)
-			}
-			st.pruneRemap()
-			// The index follows the step, so the filter query below reads
-			// post-poll tables without a rebuild; cached views of instants
-			// at or after t are dropped with it.
-			if st.ig != nil {
-				st.ig.Advance(t, ops)
-			}
-		}
-		st.pollTimes = append(st.pollTimes, t)
-		sp.End()
-
-		// 4b. Log the poll. Empty change sets are logged too: the polling
-		// time itself is state (it anchors the filter's t[-i] variables).
 		if st.log != nil {
 			sp = tr.StartSpan("wal-append")
-			rec := appendPollRecord(nil, t, ops, added, st.nextID)
-			_, err := st.log.Append(rec)
-			sp.End()
-			if err != nil {
-				return nil, fmt.Errorf("qss: logging poll: %w", err)
+			if _, err = st.log.Append(rec); err != nil {
+				err = fmt.Errorf("qss: logging poll: %w", err)
 			}
+			sp.End()
+		}
+		if err == nil {
+			sp = tr.StartSpan("apply")
+			err = st.fold(t, ops, added, nextID)
+			sp.End()
+		}
+		if err != nil {
+			// A refused append may or may not have reached the disk, and a
+			// refused fold leaves the log ahead of memory. The log closes,
+			// as repl.Node closes itself on log/state divergence: later
+			// polls fail instead of appending past the record, and re-
+			// subscribing replays exactly what is durable.
+			if st.log != nil {
+				st.log.Close()
+			}
+			return nil, err
 		}
 	}
 
-	// 4c. Incremental matching: if the filter query carries fresh guards
+	// 4b. Incremental matching: if the filter query carries fresh guards
 	// (internal/incr) and the delta just applied provably cannot produce
 	// any filter row, skip the evaluation — the outcome (no notification)
-	// is byte-identical to evaluating. This runs after every apply branch
-	// above, so it holds the same way on plain, segmented, and replicated
-	// subscriptions; st.d.Current() is the full post-apply snapshot in all
-	// three (the active segment carries the whole current state).
+	// is byte-identical to evaluating.
 	if st.fp != nil {
 		cur := st.d.Current()
 		if !st.fp.Decide(incr.Summarize(ops, cur), cur) {
@@ -582,7 +473,7 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 
 	// 5. Chorel engine: evaluate the filter with t[i] bound.
 	feng := lorel.NewEngine()
-	feng.Register(st.sub.Name, st.graph())
+	feng.Register(st.sub.Name, st.ig)
 	feng.SetPollTimes(st.pollTimes)
 	fres, err := feng.QueryContext(ctx, st.sub.Filter)
 	if err != nil {
@@ -604,30 +495,33 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 // packageResult copies the subobject closure of the polling-query result
 // into a fresh database. Source node ids map to stable packaged ids; ids
 // whose objects were deleted from the DOEM database are never reused.
-// It also reports the remap entries added during this poll (empty for
-// sources without stable ids, whose remap is per-poll) so they can be
-// recorded in the subscription's write-ahead log.
-func (st *subState) packageResult(snap *oem.Database, res *lorel.Result) (*oem.Database, []remapPair) {
+// It reads st without changing it, reporting instead the remap entries
+// this poll allocates (none for sources without stable ids, whose remap
+// is per-poll) and the new id high-water mark, for the poll record.
+func (st *subState) packageResult(snap *oem.Database, res *lorel.Result) (*oem.Database, []remapPair, oem.NodeID) {
 	out := oem.New()
-	alloc := func() oem.NodeID {
-		st.nextID++
-		return st.nextID
-	}
-	remap := st.remap
+	nextID := st.nextID
 	persistent := st.sub.Source.StableIDs()
+	remap := st.remap
 	if !persistent {
-		// Source ids are meaningless across polls; use a per-poll map so
-		// the persistent remap does not grow without bound.
-		remap = make(map[oem.NodeID]oem.NodeID)
+		// Source ids are meaningless across polls: the persistent remap is
+		// not consulted, and this poll's fresh map is all there is.
+		remap = nil
 	}
+	// fresh maps the source ids first seen in this poll.
+	fresh := make(map[oem.NodeID]oem.NodeID)
 	var added []remapPair
 	copied := make(map[oem.NodeID]bool)
 	var copyNode func(src oem.NodeID) oem.NodeID
 	copyNode = func(src oem.NodeID) oem.NodeID {
 		id, ok := remap[src]
 		if !ok {
-			id = alloc()
-			remap[src] = id
+			id, ok = fresh[src]
+		}
+		if !ok {
+			nextID++
+			id = nextID
+			fresh[src] = id
 			if persistent {
 				added = append(added, remapPair{Src: src, ID: id})
 			}
@@ -666,7 +560,42 @@ func (st *subState) packageResult(snap *oem.Database, res *lorel.Result) (*oem.D
 			}
 		}
 	}
-	return out, added
+	return out, added, nextID
+}
+
+// fold advances the subscription by one poll record — the pair (t_i, U_i)
+// of paper Section 6 plus the packaging's remap additions and id
+// high-water mark: the history step and the index that follows it, the
+// remap entries (pruning those whose objects the step deleted), the poll
+// time and the high-water mark. The poll, WAL replay and ReplState.Apply
+// all fold through here. A step the database refuses leaves st unchanged.
+// Caller holds st.mu.
+func (st *subState) fold(t timestamp.Time, ops change.Set, added []remapPair, nextID oem.NodeID) error {
+	if len(ops) > 0 {
+		if err := st.d.Apply(t, ops); err != nil {
+			return fmt.Errorf("qss: applying changes: %w", err)
+		}
+		// Cached views of instants at or after t are dropped with the step.
+		st.ig.Advance(t, ops)
+	}
+	for _, p := range added {
+		st.remap[p.Src] = p.ID
+	}
+	if len(ops) > 0 {
+		st.pruneRemap()
+	}
+	st.pollTimes = append(st.pollTimes, t)
+	st.nextID = nextID
+	return nil
+}
+
+// foldRecord decodes one encoded poll record and folds it in.
+func (st *subState) foldRecord(data []byte) error {
+	t, ops, added, nextID, err := decodePollRecord(data)
+	if err != nil {
+		return err
+	}
+	return st.fold(t, ops, added, nextID)
 }
 
 // pruneRemap drops remap entries whose packaged object has been deleted

@@ -19,16 +19,14 @@ import (
 // log — is routed through a repl.Node before it is folded into the
 // subscription's history: the node appends it to its replicated oplog,
 // streams it to followers, and blocks until the configured ack quorum
-// has it durably. ReplState, the node's repl.State, is the single place
-// records are applied to subscription state, so the primary's polls,
-// a follower's stream, restarts and catch-up replays all take the
-// identical code path and converge on identical state. See
-// docs/replication.md.
+// has it durably. ReplState, the node's repl.State, folds records in
+// with the same function a local poll and a WAL replay use, so the
+// primary's polls, a follower's stream, restarts and catch-up replays
+// converge on identical state. See docs/replication.md.
 
 // ReplState implements repl.State over a Service's subscription states.
 // Oplog records are poll records addressed by subscription name; applying
-// one mirrors exactly the transitions a local poll performs (remap
-// additions, history step, poll-time append, id high-water mark).
+// one is the fold a local poll performs.
 // Subscriptions a follower has never seen are created as unclaimed
 // replicas — they accumulate history and serve reads, and Subscribe
 // adopts them (reattaching source and queries) after a promotion.
@@ -55,29 +53,12 @@ func (rs *ReplState) Reset() error {
 // named subscription, creating an unclaimed replica the first time a
 // name is seen.
 func (rs *ReplState) Apply(name string, data []byte) error {
-	t, ops, added, nextID, err := decodePollRecord(data)
-	if err != nil {
-		return fmt.Errorf("qss: repl record: %w", err)
-	}
 	st := rs.svc.replSub(name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	// Mirror pollContext/recoverFromLog: remap additions happen while
-	// packaging (before the step is applied), pruning after.
-	for _, p := range added {
-		st.remap[p.Src] = p.ID
+	if err := st.foldRecord(data); err != nil {
+		return fmt.Errorf("qss: repl record: %w", err)
 	}
-	if len(ops) > 0 {
-		if err := st.d.Apply(t, ops); err != nil {
-			return fmt.Errorf("qss: applying repl record: %w", err)
-		}
-		st.pruneRemap()
-		if st.ig != nil {
-			st.ig.Advance(t, ops)
-		}
-	}
-	st.pollTimes = append(st.pollTimes, t)
-	st.nextID = nextID
 	return nil
 }
 
@@ -182,8 +163,8 @@ func (s *Service) newReplicaLocked(name string) *subState {
 // oplog, and not acknowledged to the caller until the node's ack quorum
 // has it. node must have been opened over this service's ReplState; any
 // subscription states the node rebuilt from its oplog during Open become
-// adoptable replicas. Mutually exclusive with EnableWAL/EnableSegments
-// (the replicated oplog is the durable truth) and must precede Subscribe.
+// adoptable replicas. Mutually exclusive with EnableWAL (the replicated
+// oplog is the durable truth) and must precede Subscribe.
 func (s *Service) EnableReplication(node *repl.Node) error {
 	rs, ok := node.StateRef().(*ReplState)
 	if !ok || rs.svc != s {
@@ -191,8 +172,8 @@ func (s *Service) EnableReplication(node *repl.Node) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.walDir != "" || s.segDir != "" {
-		return errors.New("qss: replication is mutually exclusive with WAL/segment persistence")
+	if s.walDir != "" {
+		return errors.New("qss: replication is mutually exclusive with WAL persistence")
 	}
 	for name, st := range s.subs {
 		if !st.replica {

@@ -14,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oemio"
 	"repro/internal/repl"
-	"repro/internal/segment"
 	"repro/internal/timestamp"
 	"repro/internal/wal"
 	"repro/internal/wrapper"
@@ -296,12 +295,6 @@ func (s *Server) Orphaned() []string {
 // Service.EnableWAL). Call before serving.
 func (s *Server) EnableWAL(dir string, opt *wal.Options) error {
 	return s.svc.EnableWAL(dir, opt)
-}
-
-// EnableSegments turns on per-subscription segmented history storage (see
-// Service.EnableSegments). Call before serving.
-func (s *Server) EnableSegments(dir string, opt *wal.Options, pol *segment.Policy) error {
-	return s.svc.EnableSegments(dir, opt, pol)
 }
 
 // EnableReplication routes every poll through node (see

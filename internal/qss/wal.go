@@ -17,7 +17,8 @@ import (
 // Write-ahead logging of subscription state. With EnableWAL, every poll
 // appends one record — the polling time, the inferred change set, the remap
 // entries allocated while packaging, and the id high-water mark — to a
-// per-subscription log. Re-subscribing under the same name replays the log
+// per-subscription log before the subscription's state advances by it.
+// Re-subscribing under the same name replays the log
 // (on top of the last checkpoint, if any), so a QSS restart recovers the
 // full subscription history without re-polling the sources.
 
@@ -55,9 +56,9 @@ func (s *Service) EnableWAL(dir string, opt *wal.Options) error {
 	return nil
 }
 
-// Close closes all subscription logs and segment stores. Subscriptions
-// remain registered but further polls of persisted subscriptions will
-// fail; Close is for shutdown.
+// Close closes all subscription logs. Subscriptions remain registered but
+// further polls of persisted subscriptions will fail; Close is for
+// shutdown.
 func (s *Service) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -68,13 +69,6 @@ func (s *Service) Close() error {
 			if err := st.log.Close(); err != nil && first == nil {
 				first = err
 			}
-			st.log = nil
-		}
-		if st.seg != nil {
-			if err := st.seg.Close(); err != nil && first == nil {
-				first = err
-			}
-			st.seg = nil
 		}
 		st.mu.Unlock()
 	}
@@ -100,7 +94,7 @@ func (s *Service) attachLog(st *subState, name string) error {
 }
 
 // recoverFromLog rebuilds subscription state from a checkpoint plus the
-// poll records after it.
+// poll records after it, folded in as the polls folded them.
 func (st *subState) recoverFromLog(l *wal.Log) error {
 	if ck, _, ok := l.LastCheckpoint(); ok {
 		if err := st.restoreState(ck); err != nil {
@@ -108,23 +102,9 @@ func (st *subState) recoverFromLog(l *wal.Log) error {
 		}
 	}
 	return l.Replay(func(seq uint64, payload []byte) error {
-		t, ops, added, nextID, err := decodePollRecord(payload)
-		if err != nil {
+		if err := st.foldRecord(payload); err != nil {
 			return fmt.Errorf("qss: log record %d: %w", seq, err)
 		}
-		// Mirror Poll's state transitions: remap additions happen while
-		// packaging (before the diff is applied), pruning after.
-		for _, p := range added {
-			st.remap[p.Src] = p.ID
-		}
-		if len(ops) > 0 {
-			if err := st.d.Apply(t, ops); err != nil {
-				return fmt.Errorf("qss: replaying log record %d: %w", seq, err)
-			}
-			st.pruneRemap()
-		}
-		st.pollTimes = append(st.pollTimes, t)
-		st.nextID = nextID
 		return nil
 	})
 }

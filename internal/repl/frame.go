@@ -222,8 +222,9 @@ func parseHandshake(payload []byte) (string, bool) {
 //
 // epoch is the primary's epoch at append time (the divergence detector),
 // name routes the record to a database/subscription, and data is the
-// opaque unit the State applies (a change.Step for StoreState, a QSS poll
-// record for the QSS layer). Followers append these bytes verbatim.
+// opaque unit the State applies (a QSS poll record for the QSS layer; a
+// change.Step for the tests' store-backed state). Followers append these
+// bytes verbatim.
 
 // AppendOplogRecord appends the oplog encoding of one record to dst.
 func AppendOplogRecord(dst []byte, epoch uint64, name string, data []byte) []byte {

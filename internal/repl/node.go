@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/change"
 	"repro/internal/timestamp"
 	"repro/internal/wal"
 )
@@ -553,12 +552,6 @@ func (n *Node) Apply(name string, data []byte) (uint64, error) {
 	n.mu.Unlock()
 	mAckWaitNs.Observe(time.Since(start).Nanoseconds())
 	return seq, err
-}
-
-// ApplyStep is Apply for StoreState-backed nodes: one history step on the
-// named database.
-func (n *Node) ApplyStep(name string, t timestamp.Time, ops change.Set) (uint64, error) {
-	return n.Apply(name, EncodeStep(t, ops))
 }
 
 // waitCommittedLocked blocks until seq commits, the node is fenced or

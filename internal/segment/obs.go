@@ -1,11 +1,6 @@
 package segment
 
-import (
-	"os"
-	"sync/atomic"
-
-	"repro/internal/obs"
-)
+import "repro/internal/obs"
 
 // Segment metrics, visible in obs.Snapshot() and on /metrics when
 // collection is enabled. Names are documented in docs/segments.md.
@@ -27,21 +22,3 @@ var (
 	gColdSegments  = obs.NewGauge("segment_cold_count")
 	gActiveAnnots  = obs.NewGauge("segment_active_annotations")
 )
-
-// enabled flips the package-wide default from monolithic WAL storage to
-// segmented storage in lore.OpenWAL and the command-line front ends.
-// Segmented storage is opt-in: the REPRO_SEGMENTS environment variable or
-// a -segments command flag (via SetEnabled) turns it on.
-var pkgEnabled atomic.Bool
-
-func init() {
-	if v := os.Getenv("REPRO_SEGMENTS"); v != "" && v != "0" {
-		pkgEnabled.Store(true)
-	}
-}
-
-// Enabled reports whether segmented storage is the package-wide default.
-func Enabled() bool { return pkgEnabled.Load() }
-
-// SetEnabled sets the package-wide default and returns the previous value.
-func SetEnabled(on bool) (prev bool) { return pkgEnabled.Swap(on) }
