@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint cover bench bench-e2e harness examples fuzz ci fmtcheck clean
+.PHONY: all build test race vet lint cover bench bench-e2e examples fuzz ci fmtcheck clean
 
 all: build test
 
@@ -52,10 +52,6 @@ bench:
 BENCH_REPORT ?= .bench_build/report.jsonl
 bench-e2e:
 	bash benchmark/run.sh --report $(BENCH_REPORT)
-
-# Regenerates every experiment in EXPERIMENTS.md.
-harness:
-	$(GO) run ./cmd/benchharness
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -1,11 +1,12 @@
-// Benchmarks regenerating the reproduction's experiment series (B1-B8 in
-// DESIGN.md). The paper itself publishes no quantitative tables; these
-// benches characterize the design choices it discusses: DOEM maintenance
-// cost, snapshot materialization, direct versus translated Chorel
-// execution, annotation indexes (Section 7 future work), snapshot
-// differencing, QSS polling cycles, encoding overhead, and htmldiff.
+// Benchmarks regenerating the reproduction's quantitative series (B1-B9
+// in EXPERIMENTS.md; B10 is BenchmarkPersistence in internal/lore). The
+// paper itself publishes no quantitative tables; these benches
+// characterize the design choices it discusses: DOEM maintenance cost,
+// snapshot materialization, direct versus translated Chorel execution,
+// snapshot differencing and its matching quality, QSS polling cycles,
+// encoding overhead, and htmldiff.
 //
-// Run with: go test -bench=. -benchmem
+// Run with: go test -bench=. -benchmem -run '^$' .
 package repro_test
 
 import (
@@ -19,7 +20,6 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/guidegen"
 	"repro/internal/htmldiff"
-	"repro/internal/lore"
 	"repro/internal/lorel"
 	"repro/internal/obs"
 	"repro/internal/oem"
@@ -48,6 +48,10 @@ func generate(b *testing.B, restaurants, steps, opsPerStep int) (*oem.Database, 
 func BenchmarkDOEMConstruct(b *testing.B) {
 	for _, steps := range []int{10, 50, 200} {
 		initial, h := guidegen.GenerateHistory(1, 100, steps, 10)
+		ops := 0
+		for _, s := range h {
+			ops += len(s.Ops)
+		}
 		b.Run(fmt.Sprintf("steps=%d", steps), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -55,6 +59,7 @@ func BenchmarkDOEMConstruct(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ops), "ns/change")
 		})
 	}
 }
@@ -140,48 +145,6 @@ func BenchmarkChorelEncodeOnce(b *testing.B) {
 	}
 }
 
-// --- B4: annotation-index ablation (Section 7 future work) ---
-
-func BenchmarkAnnotationIndex(b *testing.B) {
-	_, d := generate(b, 500, 100, 10)
-	// A selective one-day window: the index answers it with a binary
-	// search plus a handful of entries, while the query engine still scans
-	// every restaurant arc.
-	from := timestamp.MustParse("1Feb97")
-	to := timestamp.MustParse("2Feb97")
-
-	b.Run("chorel-scan", func(b *testing.B) {
-		eng := lorel.NewEngine()
-		eng.Register("guide", d)
-		q, err := lorel.Parse(`select guide.restaurant<cre at T> where T > 1Feb97 and T <= 2Feb97`)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := lorel.Canonicalize(q); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := eng.Eval(q); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("index-lookup", func(b *testing.B) {
-		ix := lore.BuildAnnotationIndex(d)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			ix.CreatedIn(from, to)
-		}
-	})
-	b.Run("index-build", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			lore.BuildAnnotationIndex(d)
-		}
-	})
-}
-
 // --- B5: snapshot differencing ---
 
 func benchSnapshots(b *testing.B, n int) (*oem.Database, *oem.Database) {
@@ -223,6 +186,41 @@ func BenchmarkOEMDiffMatching(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// --- B9: matching quality vs. similarity threshold ---
+
+// BenchmarkOEMDiffThreshold reports the script size (script-ops) the
+// matching differ produces for a known 12-operation evolution of a
+// 200-restaurant guide, at each similarity threshold, beside the identity
+// differ's script (the floor: it knows the true correspondence).
+// TestMatchingQualityMatchesIdentityFloor in internal/oemdiff guards the
+// default threshold.
+func BenchmarkOEMDiffThreshold(b *testing.B) {
+	ev := guidegen.NewEvolver(5, 200)
+	old := ev.DB.Clone()
+	ev.Step(12)
+	fresh, err := wrapper.Unstable{Inner: wrapper.Static{DB: ev.DB}}.Poll()
+	if err != nil {
+		b.Fatal(err)
+	}
+	scriptOps := func(diff func() (change.Set, error)) func(*testing.B) {
+		return func(b *testing.B) {
+			var set change.Set
+			for i := 0; i < b.N; i++ {
+				var err error
+				if set, err = diff(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(oemdiff.Measure(set).Total()), "script-ops")
+		}
+	}
+	b.Run("identity", scriptOps(func() (change.Set, error) { return oemdiff.DiffIdentity(old, ev.DB) }))
+	for _, th := range []float64{0.3, 0.5, 0.7, 0.9} {
+		opt := &oemdiff.Options{Threshold: th}
+		b.Run(fmt.Sprintf("threshold=%.1f", th), scriptOps(func() (change.Set, error) { return oemdiff.Diff(old, fresh, opt) }))
 	}
 }
 
@@ -274,6 +272,10 @@ func BenchmarkEncodingOverhead(b *testing.B) {
 				enc := encoding.Encode(d)
 				stats = encoding.Measure(d, enc)
 			}
+			b.ReportMetric(float64(stats.DOEMNodes), "doem-nodes")
+			b.ReportMetric(float64(stats.DOEMArcs), "doem-arcs")
+			b.ReportMetric(float64(stats.EncNodes), "enc-nodes")
+			b.ReportMetric(float64(stats.EncArcs), "enc-arcs")
 			b.ReportMetric(stats.NodeFactor(), "node-factor")
 			b.ReportMetric(stats.ArcFactor(), "arc-factor")
 		})

@@ -27,7 +27,10 @@ import (
 //   - `make TARGET` must name a Makefile target;
 //   - a repo path (dir/file, or a bare file name) must exist;
 //   - pkg.Ident or pkg.Type.Member must be declared in non-test code of
-//     internal/pkg (members: methods, struct fields, interface methods).
+//     internal/pkg (members: methods, struct fields, interface methods);
+//   - a metric-shaped name — snake_case whose first word is the subsystem
+//     of some registered obs metric, optionally with a {label="v"} suffix —
+//     must be registered by non-test code.
 //
 // The other top-level markdown files are history or source material and
 // are not scanned, nor is benchmark/README.md.
@@ -62,8 +65,8 @@ func TestDocsCiteExistingCode(t *testing.T) {
 // TestDocsCoverCode is the other direction: the user docs must not fall
 // silent about what the code offers. Every flag a command under cmd/
 // defines must be cited backticked in README.md or docs/*.md, and every
-// metric registered with obs.NewCounter, obs.NewGauge or obs.NewHistogram
-// must be named in some docs/*.md.
+// metric registered with obs.NewCounter, obs.NewGauge, obs.NewHistogram or
+// obs.RegisterGaugeFunc must be named in some docs/*.md.
 func TestDocsCoverCode(t *testing.T) {
 	docs, err := filepath.Glob("docs/*.md")
 	if err != nil {
@@ -109,6 +112,42 @@ func TestDocsCoverCode(t *testing.T) {
 	}
 }
 
+// TestExperimentsCiteTests keeps EXPERIMENTS.md a map from each paper
+// figure, worked example, extension and quantitative series to the code
+// that reproduces it: every table row whose id is F*, Q*, X* or B* must
+// cite at least one backticked Test*, Benchmark* or Fuzz* name, and every
+// name it cites must be declared by a _test.go file of the main module.
+func TestExperimentsCiteTests(t *testing.T) {
+	k := loadCodeFacts(t)
+	text, err := os.ReadFile("EXPERIMENTS.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(string(text), "\n") {
+		m := experimentRow.FindStringSubmatch(line)
+		if m == nil {
+			continue
+		}
+		rows++
+		var cited []string
+		for _, span := range codeSpans(line) {
+			cited = append(cited, testFuncName.FindAllString(span, -1)...)
+		}
+		if len(cited) == 0 {
+			t.Errorf("EXPERIMENTS.md: %s cites no test, benchmark or fuzz target", m[1])
+		}
+		for _, name := range cited {
+			if !k.testFuncs[name] {
+				t.Errorf("EXPERIMENTS.md: %s cites %s, which no _test.go file declares", m[1], name)
+			}
+		}
+	}
+	if rows < 25 || len(k.testFuncs) < 500 {
+		t.Errorf("read %d EXPERIMENTS.md rows and %d test functions; the scanner is not reading them", rows, len(k.testFuncs))
+	}
+}
+
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for key := range m {
@@ -127,13 +166,19 @@ var (
 	pkgIdent    = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?(?:\(.*\))?$`)
 	bareFile    = regexp.MustCompile(`^[\w.-]+\.(go|md|json|yml|sh|mod)$`)
 	lineSuffix  = regexp.MustCompile(`:\d+(-\d+)?$`)
+	metricShape = regexp.MustCompile(`^[a-z][a-z0-9]*(?:_[a-z0-9]+)+$`)
+	metricLabel = regexp.MustCompile(`\{.*\}$`)
 
 	flagDef   = regexp.MustCompile(`flag\.\w+\(\s*"([\w-]+)"|flag\.\w*Var\([^,]+,\s*"([\w-]+)"`)
-	metricDef = regexp.MustCompile(`\bNew(?:Counter|Gauge|Histogram)\(\s*(?:obs\.LabeledName\(\s*)?"(\w+)"`)
+	metricDef = regexp.MustCompile(`\b(?:New(?:Counter|Gauge|Histogram)|RegisterGaugeFunc)\(\s*(?:obs\.LabeledName\(\s*)?"(\w+)"`)
 	cmdSpan   = regexp.MustCompile(`^(?:cmd/)?([a-z]+)$`)
 	sentence  = regexp.MustCompile(`[.!?](?:\s|$)`)
 	reproRead = regexp.MustCompile(`"(REPRO_[A-Z_]+)"`)
 	makeRule  = regexp.MustCompile(`(?m)^([\w.-]+):`)
+
+	experimentRow = regexp.MustCompile(`^\|\s*([FQXB]\d+[a-z]?)\s*\|`)
+	testFuncName  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9]\w*`)
+	testFuncDef   = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Z0-9]\w*)\(`)
 )
 
 // goToolFlags are the go command and linker flags the docs cite.
@@ -156,6 +201,8 @@ type codeFacts struct {
 	decls                 map[string]map[string]bool // internal package -> Ident and Type.Member
 	cmdFlags              map[string]map[string]bool // command under cmd/ (or "benchmark") -> its flags
 	metrics               map[string]bool            // registered obs metric names
+	subsystems            map[string]bool            // first words of the metric names
+	testFuncs             map[string]bool            // Test*, Benchmark* and Fuzz* functions of the main module
 }
 
 func loadCodeFacts(t *testing.T) *codeFacts {
@@ -163,7 +210,8 @@ func loadCodeFacts(t *testing.T) *codeFacts {
 	k := &codeFacts{
 		flags: map[string]bool{}, repro: map[string]bool{}, targets: map[string]bool{},
 		paths: map[string]bool{}, baseNames: map[string]bool{}, decls: map[string]map[string]bool{},
-		cmdFlags: map[string]map[string]bool{}, metrics: map[string]bool{},
+		cmdFlags: map[string]map[string]bool{}, metrics: map[string]bool{}, subsystems: map[string]bool{},
+		testFuncs: map[string]bool{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || path == ".git" {
@@ -174,18 +222,28 @@ func loadCodeFacts(t *testing.T) *codeFacts {
 		}
 		k.paths[filepath.ToSlash(path)] = true
 		k.baseNames[d.Name()] = true
-		if d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+		if d.IsDir() || !strings.HasSuffix(path, ".go") {
 			return nil
 		}
 		src, err := os.ReadFile(path)
 		if err != nil {
 			return err
 		}
+		if strings.HasSuffix(path, "_test.go") {
+			if !strings.HasPrefix(filepath.ToSlash(path), "benchmark/") { // a module of its own
+				for _, m := range testFuncDef.FindAllStringSubmatch(string(src), -1) {
+					k.testFuncs[m[1]] = true
+				}
+			}
+			return nil
+		}
 		for _, m := range reproRead.FindAllStringSubmatch(string(src), -1) {
 			k.repro[m[1]] = true
 		}
 		for _, m := range metricDef.FindAllStringSubmatch(string(src), -1) {
 			k.metrics[m[1]] = true
+			subsystem, _, _ := strings.Cut(m[1], "_")
+			k.subsystems[subsystem] = true
 		}
 		if dir := filepath.ToSlash(filepath.Dir(path)); strings.HasPrefix(dir, "cmd/") || dir == "benchmark" {
 			cmd := strings.TrimPrefix(dir, "cmd/")
@@ -298,6 +356,11 @@ func (k *codeFacts) check(span string) []string {
 	}
 	if m := makeCall.FindStringSubmatch(span); m != nil && !k.targets[m[1]] {
 		problems = append(problems, "the Makefile has no target "+m[1])
+	}
+	if name := metricLabel.ReplaceAllString(span, ""); metricShape.MatchString(name) {
+		if subsystem, _, _ := strings.Cut(name, "_"); k.subsystems[subsystem] && !k.metrics[name] {
+			problems = append(problems, "no non-test code registers metric "+name)
+		}
 	}
 	if m := pkgIdent.FindStringSubmatch(span); m != nil {
 		name := m[2]

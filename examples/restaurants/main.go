@@ -9,8 +9,8 @@ import (
 	"fmt"
 	"log"
 
+	"repro"
 	"repro/internal/chorel"
-	"repro/internal/core"
 	"repro/internal/encoding"
 	"repro/internal/guidegen"
 )
@@ -20,7 +20,7 @@ func main() {
 	fmt.Println("== Figure 2: the Guide database ==")
 	fmt.Print(db)
 
-	cdb, err := core.FromHistory("guide", db, guidegen.PaperHistory(ids))
+	cdb, err := repro.OpenWithHistory("guide", db, guidegen.PaperHistory(ids))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro"
 	"repro/internal/guidegen"
 	"repro/internal/timestamp"
 )
@@ -15,7 +15,7 @@ import (
 func main() {
 	// A 20-restaurant guide evolving for 10 daily steps from 1Jan97.
 	initial, history := guidegen.GenerateHistory(42, 20, 10, 6)
-	cdb, err := core.FromHistory("guide", initial, history)
+	cdb, err := repro.OpenWithHistory("guide", initial, history)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,10 +6,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/change"
 	"repro/internal/doem"
 	"repro/internal/guidegen"
 	"repro/internal/lorel"
 	"repro/internal/oem"
+	"repro/internal/timestamp"
 	"repro/internal/value"
 )
 
@@ -213,8 +215,8 @@ func TestValueAccessGetsVal(t *testing.T) {
 	}
 }
 
-// TestQueryAfterApplyInvalidate: modifying the DOEM database and
-// invalidating re-encodes.
+// TestQueryAfterApplyInvalidate: applying a change through the DB
+// re-encodes.
 func TestQueryAfterApplyInvalidate(t *testing.T) {
 	db, ids := paperDB(t)
 	// Initially one restaurant has an add annotation.
@@ -226,13 +228,10 @@ func TestQueryAfterApplyInvalidate(t *testing.T) {
 		t.Fatalf("rows = %d, want 1", res.Len())
 	}
 	// Extend history: add another restaurant.
-	h := guidegen.PaperHistory(ids)
-	_ = h
 	newRest := oem.NodeID(600)
-	if err := db.DOEM().Apply(guidegen.T3.Add(86400e9), changeSetForTest(newRest, ids.Guide)); err != nil {
+	if err := db.Apply(guidegen.T3.Add(86400e9), changeSetForTest(newRest, ids.Guide)); err != nil {
 		t.Fatal(err)
 	}
-	db.Invalidate()
 	res, err = db.QueryTranslated(`select guide.<add>restaurant`)
 	if err != nil {
 		t.Fatal(err)
@@ -261,6 +260,35 @@ func TestPollTimesForwarded(t *testing.T) {
 	if res.Len() != 1 {
 		t.Errorf("rows = %d, want 1", res.Len())
 	}
+}
+
+// TestTranslatedQueriesSeePollTimes: polling times installed before the
+// encoding exists, and kept across an Apply that discards it, reach the
+// translation engine, so t[-i] means the same on both strategies.
+func TestTranslatedQueriesSeePollTimes(t *testing.T) {
+	db, ids := paperDB(t)
+	day := guidegen.T3.Add(86400e9)
+	db.SetPollTimes([]timestamp.Time{guidegen.T3, day})
+	const q = `select guide.restaurant<cre at T> where T > t[-1]`
+	agree := func(when string) {
+		t.Helper()
+		direct, err := db.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		trans, err := db.QueryTranslated(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if direct.Len() != 0 || trans.Len() != direct.Len() {
+			t.Errorf("%s: direct = %d rows, translated = %d rows, want 0 and 0", when, direct.Len(), trans.Len())
+		}
+	}
+	agree("before any apply")
+	if err := db.Apply(day, change.Set{change.UpdNode{Node: ids.Price, Value: value.Int(30)}}); err != nil {
+		t.Fatal(err)
+	}
+	agree("after apply")
 }
 
 func TestRenderTranslatedNoGens(t *testing.T) {

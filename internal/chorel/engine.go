@@ -7,16 +7,21 @@ import (
 	"repro/internal/doem"
 	"repro/internal/encoding"
 	"repro/internal/index"
+	"repro/internal/lore"
 	"repro/internal/lorel"
 	"repro/internal/obs"
 	"repro/internal/oem"
+	"repro/internal/oemdiff"
 	"repro/internal/timestamp"
 	"repro/internal/value"
 )
 
-// DB bundles a DOEM database with both of the paper's execution strategies:
-// direct evaluation of Chorel on the annotated graph, and translation to
-// Lorel over the Section 5.1 OEM encoding.
+// DB is an OEM database under change management: its history is kept as a
+// DOEM database and queried with Chorel through both of the paper's
+// execution strategies — direct evaluation on the annotated graph, and
+// translation to Lorel over the Section 5.1 OEM encoding. Changes arrive as
+// basic change operations (Apply), as a next snapshot (ApplySnapshot,
+// through OEMdiff), or as Lorel update statements (Update).
 type DB struct {
 	name   string
 	d      *doem.Database
@@ -26,50 +31,103 @@ type DB struct {
 	// through.
 	indexed *index.Graph
 
-	// Lazily built translation-side state; invalidated by Invalidate.
+	// polls are the QSS polling times t[-i] resolves against; every
+	// translation engine is built with them.
+	polls []timestamp.Time
+
+	// Lazily built translation-side state; discarded by Apply.
 	enc   *encoding.Encoding
 	trans *lorel.Engine
 }
 
 // New wraps a DOEM database for querying under the given name (the head of
 // path expressions, e.g. "guide"). The direct engine queries through an
-// index.Graph over d.
+// index.Graph over d. Changes must go through the DB (Apply, ApplySnapshot,
+// Update) so the indexes and the encoding follow them.
 func New(name string, d *doem.Database) *DB {
 	db := &DB{name: name, d: d, direct: lorel.NewEngine(), indexed: index.NewGraph(d)}
 	db.direct.Register(name, db.indexed)
 	return db
 }
 
+// Name returns the query name of the database.
+func (db *DB) Name() string { return db.name }
+
 // DOEM returns the underlying DOEM database.
 func (db *DB) DOEM() *doem.Database { return db.d }
 
-// Engine returns the direct-evaluation engine (for registering additional
-// databases or setting polling times).
+// Current returns the current snapshot (live; do not modify).
+func (db *DB) Current() *oem.Database { return db.d.Current() }
+
+// SnapshotAt materializes the database as of time t.
+func (db *DB) SnapshotAt(t timestamp.Time) *oem.Database { return db.d.SnapshotAt(t) }
+
+// History extracts the recorded history H(D).
+func (db *DB) History() change.History { return db.d.ExtractHistory() }
+
+// Save persists the database into a lore store under its name.
+func (db *DB) Save(store *lore.Store) error { return store.PutDOEM(db.name, db.d) }
+
+// Engine returns the direct-evaluation engine, for registering additional
+// databases.
 func (db *DB) Engine() *lorel.Engine { return db.direct }
 
-// SetPollTimes forwards the QSS polling times to both engines.
+// SetPollTimes installs the QSS polling times in both engines.
 func (db *DB) SetPollTimes(times []timestamp.Time) {
+	db.polls = append([]timestamp.Time(nil), times...)
 	db.direct.SetPollTimes(times)
 	if db.trans != nil {
 		db.trans.SetPollTimes(times)
 	}
 }
 
-// Invalidate discards the cached OEM encoding and the secondary indexes
-// after the DOEM database has been modified with Apply.
-func (db *DB) Invalidate() {
-	db.enc = nil
-	db.trans = nil
-	db.indexed.Invalidate()
-}
-
-// Advance follows one Apply(t, ops) on the DOEM database: the secondary
+// Apply records a set of basic change operations at time t. The secondary
 // indexes fold the step in (index.Graph.Advance) instead of being rebuilt;
-// the cached OEM encoding is discarded as by Invalidate.
-func (db *DB) Advance(t timestamp.Time, ops change.Set) {
+// the cached OEM encoding is discarded and rebuilt on the next translated
+// query.
+func (db *DB) Apply(t timestamp.Time, ops change.Set) error {
+	if err := db.d.Apply(t, ops); err != nil {
+		return err
+	}
 	db.enc = nil
 	db.trans = nil
 	db.indexed.Advance(t, ops)
+	return nil
+}
+
+// ApplySnapshot infers the changes from the current snapshot to next (which
+// must share node identity — e.g. a cooperative wrapper's snapshot) and
+// records them at time t. It returns the inferred operations; an empty set
+// records no step.
+func (db *DB) ApplySnapshot(t timestamp.Time, next *oem.Database) (change.Set, error) {
+	ops, err := oemdiff.DiffIdentity(db.Current(), next)
+	if err != nil || len(ops) == 0 {
+		return ops, err
+	}
+	if err := db.Apply(t, ops); err != nil {
+		return nil, err
+	}
+	return ops, nil
+}
+
+// Update compiles a Lorel-style update statement ("update PATH := V where
+// ...", "insert ...", "delete ...") against the current snapshot and
+// records the resulting basic change operations at time t — the paper's
+// "higher-level changes based on the Lorel update language" (Section 2.1).
+// It returns the compiled operations; an empty set records no step.
+func (db *DB) Update(t timestamp.Time, stmt string) (change.Set, error) {
+	next := db.d.MaxID()
+	set, err := db.direct.Update(stmt, func() oem.NodeID {
+		next++
+		return next
+	})
+	if err != nil || len(set) == 0 {
+		return set, err
+	}
+	if err := db.Apply(t, set); err != nil {
+		return nil, err
+	}
+	return set, nil
 }
 
 // Encoding returns (building if needed) the OEM encoding of the database.
@@ -78,7 +136,7 @@ func (db *DB) Encoding() *encoding.Encoding {
 		db.enc = encoding.Encode(db.d)
 		db.trans = lorel.NewEngine()
 		db.trans.Register(db.name, lorel.NewOEMGraph(db.enc.DB))
-		db.trans.SetPollTimes(nil)
+		db.trans.SetPollTimes(db.polls)
 	}
 	return db.enc
 }

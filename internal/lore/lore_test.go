@@ -8,9 +8,6 @@ import (
 
 	"repro/internal/doem"
 	"repro/internal/guidegen"
-	"repro/internal/oem"
-	"repro/internal/timestamp"
-	"repro/internal/value"
 )
 
 func paperDOEM(t testing.TB) *doem.Database {
@@ -125,87 +122,5 @@ func TestInvalidNames(t *testing.T) {
 		if err := s.PutOEM(name, db); err == nil {
 			t.Errorf("name %q accepted", name)
 		}
-	}
-}
-
-func TestLabelIndex(t *testing.T) {
-	db, _ := guidegen.PaperGuide()
-	ix := BuildLabelIndex(db)
-	if got := len(ix.Arcs("restaurant")); got != 2 {
-		t.Errorf("restaurant arcs = %d, want 2", got)
-	}
-	if got := len(ix.Arcs("nosuch")); got != 0 {
-		t.Errorf("nosuch arcs = %d", got)
-	}
-	labels := ix.Labels()
-	if len(labels) == 0 || labels[0] > labels[len(labels)-1] {
-		t.Error("labels not sorted")
-	}
-}
-
-func TestValueIndex(t *testing.T) {
-	db, ids := guidegen.PaperGuide()
-	ix := BuildValueIndex(db)
-	nodes := ix.Nodes(value.Str("Janta"))
-	if len(nodes) != 1 || nodes[0] != ids.JantaName {
-		t.Errorf("Janta nodes = %v", nodes)
-	}
-	if len(ix.Nodes(value.Int(999))) != 0 {
-		t.Error("phantom value indexed")
-	}
-}
-
-func TestAnnotationIndex(t *testing.T) {
-	d := paperDOEM(t)
-	ix := BuildAnnotationIndex(d)
-	if ix.Size() != 8 {
-		t.Errorf("index size = %d, want 8", ix.Size())
-	}
-	// Created in (31Dec96, 4Jan97]: the two nodes created at t1.
-	got := ix.CreatedIn(timestamp.MustParse("31Dec96"), timestamp.MustParse("4Jan97"))
-	if len(got) != 2 {
-		t.Errorf("created in window = %v, want 2 nodes", got)
-	}
-	// Created in (4Jan97, +inf]: the comment node at t2.
-	got = ix.CreatedIn(timestamp.MustParse("4Jan97"), timestamp.PosInf)
-	if len(got) != 1 {
-		t.Errorf("created after 4Jan97 = %v, want 1", got)
-	}
-	// Boundary semantics: (from, to] excludes from itself.
-	got = ix.CreatedIn(guidegen.T1, timestamp.PosInf)
-	if len(got) != 1 {
-		t.Errorf("created strictly after t1 = %v, want 1 (comment)", got)
-	}
-	// Updates, adds, removes.
-	if got := ix.UpdatedIn(timestamp.NegInf, timestamp.PosInf); len(got) != 1 {
-		t.Errorf("updated nodes = %v", got)
-	}
-	if got := ix.AddedIn(timestamp.NegInf, timestamp.PosInf); len(got) != 3 {
-		t.Errorf("added arcs = %v", got)
-	}
-	if got := ix.RemovedIn(timestamp.NegInf, timestamp.PosInf); len(got) != 1 {
-		t.Errorf("removed arcs = %v", got)
-	}
-	// Empty range.
-	if got := ix.AddedIn(timestamp.MustParse("1Feb97"), timestamp.PosInf); len(got) != 0 {
-		t.Errorf("adds after history end = %v", got)
-	}
-}
-
-func TestAnnotationIndexReachesDeletedNodes(t *testing.T) {
-	// Annotations on arcs to nodes deleted from the current snapshot must
-	// still be indexed (they are reachable through rem-annotated arcs).
-	db := oem.New()
-	n := db.CreateNode(value.Str("x"))
-	if err := db.AddArc(db.Root(), "x", n); err != nil {
-		t.Fatal(err)
-	}
-	d := doem.New(db)
-	if err := d.Apply(timestamp.MustParse("1Jan97"), removeArcSet(db.Root(), "x", n)); err != nil {
-		t.Fatal(err)
-	}
-	ix := BuildAnnotationIndex(d)
-	if got := ix.RemovedIn(timestamp.NegInf, timestamp.PosInf); len(got) != 1 {
-		t.Errorf("removed arcs = %v", got)
 	}
 }

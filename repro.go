@@ -28,8 +28,10 @@
 package repro
 
 import (
+	"fmt"
+
 	"repro/internal/change"
-	"repro/internal/core"
+	"repro/internal/chorel"
 	"repro/internal/doem"
 	"repro/internal/encoding"
 	"repro/internal/lore"
@@ -75,7 +77,7 @@ type (
 
 	// DB is an OEM database under change management: DOEM history plus
 	// Chorel querying with both execution strategies.
-	DB = core.DB
+	DB = chorel.DB
 	// Engine evaluates Lorel/Chorel queries over registered databases.
 	Engine = lorel.Engine
 	// Result is a query result.
@@ -142,12 +144,18 @@ func NewDOEM(o *OEM) *DOEM { return doem.New(o) }
 func BuildDOEM(o *OEM, h History) (*DOEM, error) { return doem.FromHistory(o, h) }
 
 // Open places an OEM database under change management with an empty
-// history; queries address it by name.
-func Open(name string, initial *OEM) *DB { return core.Open(name, initial) }
+// history; queries address it by name. The database is cloned; subsequent
+// changes go through DB.Apply, DB.ApplySnapshot or DB.Update.
+func Open(name string, initial *OEM) *DB { return chorel.New(name, doem.New(initial)) }
 
-// OpenWithHistory opens a database with a pre-existing history.
+// OpenWithHistory opens a database with a pre-existing history,
+// constructing D(O, H) per the paper's Section 3.1.
 func OpenWithHistory(name string, initial *OEM, h History) (*DB, error) {
-	return core.FromHistory(name, initial, h)
+	d, err := doem.FromHistory(initial, h)
+	if err != nil {
+		return nil, err
+	}
+	return chorel.New(name, d), nil
 }
 
 // OpenStore opens (or creates) a database store rooted at dir; an empty dir
@@ -155,7 +163,13 @@ func OpenWithHistory(name string, initial *OEM, h History) (*DB, error) {
 func OpenStore(dir string) (*Store, error) { return lore.Open(dir) }
 
 // LoadDB opens a change-managed database previously saved in a store.
-func LoadDB(store *Store, name string) (*DB, error) { return core.Load(store, name) }
+func LoadDB(store *Store, name string) (*DB, error) {
+	d, err := store.GetDOEM(name)
+	if err != nil {
+		return nil, fmt.Errorf("repro: %w", err)
+	}
+	return chorel.New(name, d), nil
+}
 
 // NewEngine returns an empty query engine; register databases with
 // Engine.Register.

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro"
+	"repro/internal/guidegen"
 )
 
 // buildGuide constructs a small guide through the facade only.
@@ -107,6 +108,39 @@ func TestFacadeDiffAndStore(t *testing.T) {
 	}
 	if back.Name() != "guide" {
 		t.Errorf("name = %q", back.Name())
+	}
+}
+
+func TestSaveLoad(t *testing.T) {
+	store, err := repro.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, ids := guidegen.PaperGuide()
+	c, err := repro.OpenWithHistory("guide", db, guidegen.PaperHistory(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Save(store); err != nil {
+		t.Fatal(err)
+	}
+	back, err := repro.LoadDB(store, "guide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.DOEM().Equal(c.DOEM()) {
+		t.Error("reloaded database differs")
+	}
+	// And it still answers queries.
+	res, err := back.Query(`select guide.<add>restaurant`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Len() != 1 {
+		t.Errorf("rows = %d", res.Len())
+	}
+	if _, err := repro.LoadDB(store, "missing"); err == nil {
+		t.Error("loading missing database succeeded")
 	}
 }
 
