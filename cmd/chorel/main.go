@@ -3,18 +3,18 @@
 //
 // Usage:
 //
-//	chorel [-store DIR] [-segments] [-translate] [-explain] [-strategy direct|translated] [QUERY...]
+//	chorel [-store DIR] [-seal-anns N] [-seal-age D] [-translate] [-explain] [-strategy direct|translated] [QUERY...]
 //
 // With no QUERY arguments, chorel reads queries from standard input, one
 // per line. The built-in demo database "guide" (the paper's running
 // example, Figures 2-4) is always registered; databases from -store are
 // registered under their stored names.
 //
-// -segments opens the store in segmented mode (lore.OpenSegmented):
-// DOEM databases live in time-partitioned segment stores, queries run
-// over the merged history graph, and update statements append to the
-// active segment. -seal-anns and -seal-age tune the auto-seal policy;
-// see docs/segments.md.
+// Stored DOEM databases live in time-partitioned segment stores
+// (lore.OpenSegmented): queries run over the merged history graph, and
+// update statements append to the active segment's log, so they persist.
+// -seal-anns and -seal-age tune the auto-seal policy; see
+// docs/segments.md.
 //
 // -explain prints the Chorel→Lorel rewrite plan (rule-by-rule rewrite
 // trace plus the generated Lorel query; see docs/observability.md) and the
@@ -49,9 +49,8 @@ import (
 
 func main() {
 	storeDir := flag.String("store", "", "database store directory to load")
-	segments := flag.Bool("segments", false, "open -store in segmented mode (time-partitioned DOEM history; see docs/segments.md)")
-	sealAnns := flag.Int("seal-anns", 0, "with -segments: auto-seal the active segment after this many annotations (0 = manual)")
-	sealAge := flag.Duration("seal-age", 0, "with -segments: auto-seal the active segment after this much history time (0 = off)")
+	sealAnns := flag.Int("seal-anns", 0, "with -store: auto-seal the active segment after this many annotations (0 = manual)")
+	sealAge := flag.Duration("seal-age", 0, "with -store: auto-seal the active segment after this much history time (0 = off)")
 	translate := flag.Bool("translate", false, "print the Lorel translation instead of evaluating")
 	explain := flag.Bool("explain", false, "print the Chorel→Lorel rewrite plan instead of evaluating")
 	strategy := flag.String("strategy", "direct", "execution strategy: direct or translated")
@@ -66,73 +65,102 @@ func main() {
 	if *sealAnns > 0 || *sealAge > 0 {
 		pol = &segment.Policy{SealAnnotations: *sealAnns, SealAge: *sealAge}
 	}
-	if err := run(*storeDir, *segments, pol, *translate, *explain, *strategy, flag.Args()); err != nil {
+	if err := run(*storeDir, pol, *translate, *explain, *strategy, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, "chorel:", err)
 		os.Exit(1)
 	}
 }
 
+// session holds the databases queries and updates address. Every DOEM
+// database lives in a lore.Store — the demo guide in the in-memory mem,
+// the rest in the -store directory's store — and updates go through that
+// store's ApplySet, so stored ones persist.
 type session struct {
-	eng   *lorel.Engine
-	doems map[string]*doem.Database
-	// store is set when -store names a directory; updates to stored DOEM
-	// databases go through it so they are persisted (and, in segmented
-	// mode, land in the right active segment).
-	store    *lore.Store
-	strategy string
+	eng *lorel.Engine
+	// doems holds each DOEM database's live database: for a stored one,
+	// its active segment.
+	doems      map[string]*doem.Database
+	mem, store *lore.Store // store is nil without -store
+	strategy   string
 }
 
-func run(storeDir string, segmented bool, pol *segment.Policy, translate, explain bool, strategy string, queries []string) error {
-	if strategy != "direct" && strategy != "translated" {
-		return fmt.Errorf("unknown strategy %q", strategy)
-	}
-	if segmented && storeDir == "" {
-		return fmt.Errorf("-segments needs -store")
-	}
+// openSession registers the demo guide and, when storeDir is set, every
+// database stored there.
+func openSession(storeDir string, pol *segment.Policy, strategy string) (*session, error) {
 	s := &session{eng: lorel.NewEngine(), doems: make(map[string]*doem.Database), strategy: strategy}
 
 	// The paper's running example is always available as "guide".
 	g, ids := guidegen.PaperGuide()
 	d, err := doem.FromHistory(g, guidegen.PaperHistory(ids))
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if s.mem, err = lore.Open(""); err != nil {
+		return nil, err
+	}
+	if err := s.mem.PutDOEM("guide", d); err != nil {
+		return nil, err
 	}
 	s.register("guide", d)
+	if storeDir == "" {
+		return s, nil
+	}
 
-	if storeDir != "" {
-		var store *lore.Store
-		if segmented {
-			store, err = lore.OpenSegmented(storeDir, nil, pol)
-		} else {
-			store, err = lore.Open(storeDir)
-		}
-		if err != nil {
-			return err
-		}
-		defer store.Close()
-		s.store = store
-		for _, ent := range store.List() {
-			switch ent.Kind {
-			case "doem":
-				dd, err := store.GetDOEM(ent.Name)
-				if err != nil {
-					return err
-				}
-				s.register(ent.Name, dd)
-				if st, ok := store.SegmentStore(ent.Name); ok {
-					// Queries range over the merged sealed+active history,
-					// not just the active segment.
-					s.eng.Register(ent.Name, st.Graph())
-				}
-			case "oem":
-				db, err := store.GetOEM(ent.Name)
-				if err != nil {
-					return err
-				}
-				s.eng.Register(ent.Name, lorel.NewOEMGraph(db))
+	if s.store, err = lore.OpenSegmented(storeDir, nil, pol); err != nil {
+		return nil, err
+	}
+	for _, ent := range s.store.List() {
+		switch ent.Kind {
+		case "doem":
+			dd, err := s.store.GetDOEM(ent.Name)
+			if err != nil {
+				s.close()
+				return nil, err
 			}
+			st, _ := s.store.SegmentStore(ent.Name)
+			s.doems[ent.Name] = dd
+			// Queries range over the merged sealed+active history, not
+			// just the active segment.
+			s.eng.Register(ent.Name, st.Graph())
+		case "oem":
+			db, err := s.store.GetOEM(ent.Name)
+			if err != nil {
+				s.close()
+				return nil, err
+			}
+			s.eng.Register(ent.Name, lorel.NewOEMGraph(db))
 		}
 	}
+	return s, nil
+}
+
+// owner returns the store the named DOEM database lives in.
+func (s *session) owner(name string) *lore.Store {
+	if s.store != nil {
+		if _, ok := s.store.SegmentStore(name); ok {
+			return s.store
+		}
+	}
+	return s.mem
+}
+
+// close releases the -store directory's store.
+func (s *session) close() error {
+	if s.store == nil {
+		return nil
+	}
+	return s.store.Close()
+}
+
+func run(storeDir string, pol *segment.Policy, translate, explain bool, strategy string, queries []string) error {
+	if strategy != "direct" && strategy != "translated" {
+		return fmt.Errorf("unknown strategy %q", strategy)
+	}
+	s, err := openSession(storeDir, pol, strategy)
+	if err != nil {
+		return err
+	}
+	defer s.close()
 
 	if len(queries) > 0 {
 		for _, q := range queries {
@@ -232,17 +260,10 @@ func (s *session) runUpdate(stmt string) error {
 	if !ok {
 		return fmt.Errorf("%q is not a DOEM database (updates need change tracking)", name)
 	}
-	var seg *segment.Store
-	if s.store != nil {
-		seg, _ = s.store.SegmentStore(name)
-	}
-	next := d.MaxID()
-	if seg != nil {
-		// The active segment forgets ids garbage-collected in sealed
-		// intervals; the store's high-water mark spans all history.
-		if id, err := s.store.MaxID(name); err == nil && id > next {
-			next = id
-		}
+	st := s.owner(name)
+	next, err := st.MaxID(name)
+	if err != nil {
+		return err
 	}
 	set, err := s.eng.CompileUpdate(parsed, func() oem.NodeID {
 		next++
@@ -256,23 +277,18 @@ func (s *session) runUpdate(stmt string) error {
 		return nil
 	}
 	last := d.LastStep()
-	if seg != nil && seg.LastSeal().After(last) {
+	if seg, ok := st.SegmentStore(name); ok && seg.LastSeal().After(last) {
 		last = seg.LastSeal()
 	}
 	now := timestamp.FromTime(time.Now())
 	if !now.After(last) {
 		now = last.Add(time.Second)
 	}
-	if seg != nil {
-		// Segmented store: the append must go through the store so it hits
-		// the active segment's tail log and the auto-seal policy.
-		if err := s.store.ApplySet(name, now, set); err != nil {
-			return err
-		}
-		if dd, err := s.store.GetDOEM(name); err == nil {
-			s.doems[name] = dd // a seal may have swapped the active database
-		}
-	} else if err := d.Apply(now, set); err != nil {
+	if err := st.ApplySet(name, now, set); err != nil {
+		return err
+	}
+	// A seal may have swapped the active database.
+	if s.doems[name], err = st.GetDOEM(name); err != nil {
 		return err
 	}
 	fmt.Printf("applied %d operation(s) at %s\n", len(set), now)

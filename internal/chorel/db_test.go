@@ -6,6 +6,7 @@ import (
 	"repro/internal/change"
 	"repro/internal/doem"
 	"repro/internal/guidegen"
+	"repro/internal/lore"
 	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/timestamp"
@@ -282,5 +283,62 @@ func TestRefusedApplyChangesNothing(t *testing.T) {
 	}
 	if b, a := indexDelta(snap); b != 0 || a != 1 {
 		t.Errorf("accepted Apply: index builds = %d, advances = %d, want 0 and 1", b, a)
+	}
+}
+
+// TestSaveKeepsStoreCopy: Save hands the store a copy of the database. A
+// later Update changes only the DB, so the store refuses a change set
+// naming the node that Update created, and it reopens to what was saved.
+func TestSaveKeepsStoreCopy(t *testing.T) {
+	dir := t.TempDir()
+	store, err := lore.OpenSegmented(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db, ids := guidegen.PaperGuide()
+	d, err := doem.FromHistory(db, guidegen.PaperHistory(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := New("guide", d)
+	if err := c.Save(store); err != nil {
+		t.Fatal(err)
+	}
+	saved, err := doem.FromHistory(db, guidegen.PaperHistory(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	set, err := c.Update(timestamp.MustParse("1Jan98"),
+		`insert guide.restaurant.comment := "new" where guide.restaurant.name = "Janta"`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var created oem.NodeID
+	for _, op := range set {
+		if cre, ok := op.(change.CreNode); ok {
+			created = cre.Node
+		}
+	}
+	if created == 0 {
+		t.Fatalf("insert created no node: %s", set)
+	}
+	upd := change.Set{change.UpdNode{Node: created, Value: value.Str("newer")}}
+	if err := store.ApplySet("guide", timestamp.MustParse("2Jan98"), upd); err == nil {
+		t.Fatal("the store accepted a change to a node only the DB has")
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := lore.OpenSegmented(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	got, err := re.GetDOEM("guide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(saved) {
+		t.Fatal("the reopened store differs from the saved database")
 	}
 }

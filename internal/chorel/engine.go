@@ -65,7 +65,9 @@ func (db *DB) SnapshotAt(t timestamp.Time) *oem.Database { return db.d.SnapshotA
 // History extracts the recorded history H(D).
 func (db *DB) History() change.History { return db.d.ExtractHistory() }
 
-// Save persists the database into a lore store under its name.
+// Save persists the database into a lore store under its name. A store
+// with a directory keeps its own copy: a later Apply, ApplySnapshot or
+// Update changes only the DB and is persisted by saving again.
 func (db *DB) Save(store *lore.Store) error { return store.PutDOEM(db.name, db.d) }
 
 // Engine returns the direct-evaluation engine, for registering additional

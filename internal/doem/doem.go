@@ -16,6 +16,8 @@ package doem
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 
@@ -172,6 +174,31 @@ func New(o *oem.Database) *Database {
 	return d
 }
 
+// Clone returns a deep copy of the database, so a holder of either can
+// apply changes without the other seeing them.
+func (d *Database) Clone() *Database {
+	c := &Database{
+		current:       d.current.Clone(),
+		outAll:        make(map[oem.NodeID][]oem.Arc, len(d.outAll)),
+		dead:          maps.Clone(d.dead),
+		deletedValues: maps.Clone(d.deletedValues),
+		nodeAnn:       make(map[oem.NodeID][]NodeAnnot, len(d.nodeAnn)),
+		arcAnn:        make(map[oem.Arc][]ArcAnnot, len(d.arcAnn)),
+		steps:         slices.Clone(d.steps),
+		maxID:         d.maxID,
+	}
+	for n, arcs := range d.outAll {
+		c.outAll[n] = slices.Clone(arcs)
+	}
+	for n, anns := range d.nodeAnn {
+		c.nodeAnn[n] = slices.Clone(anns)
+	}
+	for a, anns := range d.arcAnn {
+		c.arcAnn[a] = slices.Clone(anns)
+	}
+	return c
+}
+
 // FromHistory constructs D(O, H) per Section 3.1: it starts from O with
 // empty annotations and applies every step of h, annotating as it goes.
 // O itself is not modified.
@@ -308,8 +335,19 @@ func (d *Database) arcEvents(n oem.NodeID, label string, kind AnnotKind) []ArcEv
 // it applies the operations to the current snapshot and attaches the
 // corresponding annotations (Section 3.1). The timestamp must be finite and
 // strictly after the last applied step, and the operations must not touch
-// deleted nodes or reuse their ids.
+// deleted nodes or reuse their ids. Apply is Check followed by Commit.
 func (d *Database) Apply(t timestamp.Time, ops change.Set) error {
+	if err := d.Check(t, ops); err != nil {
+		return err
+	}
+	d.Commit(t, ops)
+	return nil
+}
+
+// Check reports whether Apply(t, ops) would succeed, without changing the
+// database. A write-ahead caller checks, makes the step durable, and only
+// then commits it.
+func (d *Database) Check(t timestamp.Time, ops change.Set) error {
 	if !t.IsFinite() {
 		return fmt.Errorf("%w: %s", ErrStaleTimestamp, t)
 	}
@@ -337,9 +375,12 @@ func (d *Database) Apply(t timestamp.Time, ops change.Set) error {
 			}
 		}
 	}
-	if err := ops.Validate(d.current); err != nil {
-		return err
-	}
+	return ops.Validate(d.current)
+}
+
+// Commit applies a step that Check accepted; nothing may change the
+// database between the two calls. It panics on a step Check would refuse.
+func (d *Database) Commit(t timestamp.Time, ops change.Set) {
 	// Record old values for upd annotations before mutating. Validate has
 	// ruled out cre+upd of one node in a single set, so every updated
 	// node already exists in the pre-step snapshot; together with the
@@ -354,11 +395,11 @@ func (d *Database) Apply(t timestamp.Time, ops change.Set) error {
 		}
 	}
 	// Apply in canonical order, attaching annotations as the paper's
-	// construction does. Validate has already established that every
-	// operation will succeed.
+	// construction does. Check's Validate has already established that
+	// every operation will succeed.
 	for _, op := range ops.Canonical() {
 		if err := op.Apply(d.current); err != nil {
-			// Unreachable given the Validate above; fail loudly if the
+			// Unreachable after a successful Check; fail loudly if the
 			// invariant is ever broken.
 			panic(fmt.Sprintf("doem: validated op failed: %s: %v", op, err))
 		}
@@ -405,7 +446,6 @@ func (d *Database) Apply(t timestamp.Time, ops change.Set) error {
 	}
 	d.steps = append(d.steps, t)
 	d.version++
-	return nil
 }
 
 // Collected returns the nodes the most recent Apply deleted from the current

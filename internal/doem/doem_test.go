@@ -578,3 +578,51 @@ func TestReAddedArcHistoryFeasible(t *testing.T) {
 		t.Errorf("extracted steps = %d", len(eh))
 	}
 }
+
+// TestCloneIsIndependent: a clone equals its original, and steps applied
+// to either afterwards — at different times, adding differently labeled
+// arcs — leave the other unchanged.
+func TestCloneIsIndependent(t *testing.T) {
+	f := newFixture(t)
+	d, err := FromHistory(f.db, f.h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := d.Clone()
+	if !c.Equal(d) || c.MaxID() != d.MaxID() || len(c.Steps()) != len(d.Steps()) {
+		t.Fatal("clone differs from its original")
+	}
+	step := func(label string, price int64) change.Set {
+		return change.Set{
+			change.UpdNode{Node: f.price, Value: value.Int(price)},
+			change.CreNode{Node: 200, Value: value.Str(label)},
+			change.AddArc{Parent: f.guide, Label: label, Child: 200},
+		}
+	}
+	t4, t5 := timestamp.MustParse("9Jan97"), timestamp.MustParse("10Jan97")
+	if err := d.Apply(t4, step("x", 30)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Apply(t5, step("y", 40)); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		db    *Database
+		at    timestamp.Time
+		label string
+		price int64
+	}{{d, t4, "x", 30}, {c, t5, "y", 40}} {
+		h := append(f.h[:len(f.h):len(f.h)], change.Step{At: tc.at, Ops: step(tc.label, tc.price)})
+		want, err := FromHistory(f.db, h)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !tc.db.Equal(want) {
+			t.Errorf("%s: the other database's step leaked in", tc.label)
+		}
+		out := tc.db.OutAll(f.guide)
+		if last := out[len(out)-1]; last.Label != tc.label {
+			t.Errorf("%s: last arc of the guide is %s, want label %s", tc.label, last, tc.label)
+		}
+	}
+}

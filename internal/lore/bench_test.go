@@ -7,77 +7,99 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/change"
 	"repro/internal/doem"
 	"repro/internal/guidegen"
+	"repro/internal/oem"
 	"repro/internal/wal"
 )
 
 // BenchmarkPersistence is the B10 series of EXPERIMENTS.md: one generated
-// history persisted through a WAL-backed Store (ApplySet appends the
-// delta) and through a snapshot-backed one (ApplySet rewrites the whole
-// database file), then reloaded (checkpoint + log replay) and scanned the
-// way crash recovery scans the log. The persist sub-benchmarks time the
-// whole history and report the per-change-set cost as ns/set. SyncNever
-// isolates the I/O volume from the durability policy.
+// history persisted through a Store (ApplySet appends the delta to the
+// segment store's log) and through the baseline that rewrites the whole
+// database as JSON on every step, then reloaded (tail checkpoint + log
+// replay). The persist sub-benchmarks time the whole history and report
+// the per-change-set cost as ns/set. SyncNever isolates the I/O volume
+// from the durability policy.
 func BenchmarkPersistence(b *testing.B) {
 	// Every open logs its replay summary; keep the output a table.
 	defer log.SetOutput(log.Writer())
 	log.SetOutput(io.Discard)
 	opt := &wal.Options{Sync: wal.SyncNever}
-	openWAL := func(dir string) (*Store, error) { return OpenWAL(dir, opt) }
 	for _, steps := range []int{10, 50, 200} {
 		initial, h := guidegen.GenerateHistory(2, 100, steps, 8)
-		// persist is entered with the timer stopped and times only the
-		// ApplySet calls.
-		persist := func(b *testing.B, open func(string) (*Store, error), dir string) {
-			b.Helper()
-			s, err := open(dir)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer s.Close()
-			if err := s.PutDOEM("guide", doem.New(initial)); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			for _, step := range h {
-				if err := s.ApplySet("guide", step.At, step.Ops); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.StopTimer()
-		}
 		for _, mode := range []struct {
-			name string
-			open func(string) (*Store, error)
-		}{{"wal-append", openWAL}, {"snapshot-rewrite", Open}} {
+			name    string
+			persist func(b *testing.B, dir string, initial *oem.Database, h change.History)
+		}{{"segment-append", storeAppend(opt)}, {"json-rewrite", jsonRewrite}} {
 			b.Run(fmt.Sprintf("steps=%d/%s", steps, mode.name), func(b *testing.B) {
 				b.StopTimer()
 				for i := 0; i < b.N; i++ {
-					persist(b, mode.open, b.TempDir())
+					mode.persist(b, b.TempDir(), initial, h)
 				}
 				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(h)), "ns/set")
 			})
 		}
 		dir := b.TempDir()
-		persist(b, openWAL, dir)
+		storeAppend(opt)(b, dir, initial, h)
 		b.Run(fmt.Sprintf("steps=%d/load", steps), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				s, err := OpenWAL(dir, opt)
+				s, err := OpenSegmented(dir, opt, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
 				s.Close()
 			}
 		})
-		b.Run(fmt.Sprintf("steps=%d/recovery", steps), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				l, err := wal.Open(filepath.Join(dir, "guide.doemwal"), opt)
-				if err != nil {
-					b.Fatal(err)
-				}
-				l.Close()
-			}
-		})
 	}
+}
+
+// storeAppend persists a history through Store.ApplySet. Like jsonRewrite
+// it is entered with the timer stopped and times only the steps.
+func storeAppend(opt *wal.Options) func(b *testing.B, dir string, initial *oem.Database, h change.History) {
+	return func(b *testing.B, dir string, initial *oem.Database, h change.History) {
+		b.Helper()
+		s, err := OpenSegmented(dir, opt, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer s.Close()
+		if err := s.PutDOEM("guide", doem.New(initial)); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		for _, step := range h {
+			if err := s.ApplySet("guide", step.At, step.Ops); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StopTimer()
+	}
+}
+
+// jsonRewrite is B10's baseline: every step applies in memory and then
+// rewrites the whole database as one JSON file, the way earlier versions
+// of the store persisted DOEM databases.
+func jsonRewrite(b *testing.B, dir string, initial *oem.Database, h change.History) {
+	b.Helper()
+	d := doem.New(initial)
+	path := filepath.Join(dir, "guide"+doemExt)
+	write := func() {
+		data, err := d.Marshal()
+		if err == nil {
+			err = atomicWrite(path, data)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	write()
+	b.StartTimer()
+	for _, step := range h {
+		if err := d.Apply(step.At, step.Ops); err != nil {
+			b.Fatal(err)
+		}
+		write()
+	}
+	b.StopTimer()
 }

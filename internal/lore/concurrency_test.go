@@ -9,20 +9,24 @@ import (
 	"repro/internal/doem"
 	"repro/internal/guidegen"
 	"repro/internal/lore"
+	"repro/internal/segment"
+	"repro/internal/timestamp"
 )
 
-// persistentStores are the two log-backed store kinds the concurrency
-// gates run over: monolithic WAL databases and time-partitioned segment
-// stores.
+// persistentStores are the seal policies the concurrency gates run over:
+// seals on explicit Checkpoint calls only, and policy seals that swap the
+// active database under concurrent ViewDOEM readers.
 var persistentStores = []struct {
 	name string
 	open func(dir string) (*lore.Store, error)
 }{
-	{"wal", func(dir string) (*lore.Store, error) { return lore.OpenWAL(dir, nil) }},
+	{"segmented-autoseal", func(dir string) (*lore.Store, error) {
+		return lore.OpenSegmented(dir, nil, &segment.Policy{SealAnnotations: 50})
+	}},
 	{"segmented", func(dir string) (*lore.Store, error) { return lore.OpenSegmented(dir, nil, nil) }},
 }
 
-// forEachStore runs fn as a subtest over each persistent store kind.
+// forEachStore runs fn as a subtest over each seal policy.
 func forEachStore(t *testing.T, fn func(t *testing.T, open func(dir string) (*lore.Store, error))) {
 	for _, k := range persistentStores {
 		t.Run(k.name, func(t *testing.T) { fn(t, k.open) })
@@ -33,8 +37,8 @@ func forEachStore(t *testing.T, fn func(t *testing.T, open func(dir string) (*lo
 // Chorel queries through Store.ViewDOEM while another goroutine feeds the
 // remaining history steps through log-backed ApplySet — the claim that one
 // store serves readers and a writer at once. Run under -race this is the
-// stress gate for the graph layer's read-path contract, over both store
-// kinds.
+// stress gate for the graph layer's read-path contract, over both seal
+// policies.
 func TestConcurrentQueriesWithApplySet(t *testing.T) {
 	forEachStore(t, testConcurrentQueriesWithApplySet)
 }
@@ -108,22 +112,17 @@ func testConcurrentQueriesWithApplySet(t *testing.T, open func(dir string) (*lor
 	}
 
 	// The store must have absorbed every step despite the read load.
-	got, err := s.GetDOEM("guide")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if last := got.LastStep(); !last.Equal(h[len(h)-1].At) {
+	if last := lastInstant(t, s); !last.Equal(h[len(h)-1].At) {
 		t.Fatalf("store last step %s, want %s", last, h[len(h)-1].At)
 	}
 }
 
-// TestConcurrentApplySetCheckpoint is the race-stress gate for the
-// wal.CheckpointDOEM concurrency contract: one goroutine streams change
-// sets through ApplySet while another repeatedly checkpoints the same
-// database. The store-wide lock must keep marshal-and-install atomic with
-// respect to appends — under -race, and verified by reopening the store
-// and comparing against the full history, over both store kinds (a
-// segmented store's checkpoint is a seal).
+// TestConcurrentApplySetCheckpoint is the race-stress gate for sealing
+// beside appends: one goroutine streams change sets through ApplySet while
+// another repeatedly checkpoints (seals) the same database. The store-wide
+// lock must keep each seal atomic with respect to appends — under -race,
+// and verified by reopening the store and comparing against the full
+// history, over both seal policies.
 func TestConcurrentApplySetCheckpoint(t *testing.T) {
 	forEachStore(t, testConcurrentApplySetCheckpoint)
 }
@@ -195,13 +194,26 @@ func testConcurrentApplySetCheckpoint(t *testing.T, open func(dir string) (*lore
 	if !got.Current().Equal(want.Current()) {
 		t.Error("persisted state diverged from the applied history")
 	}
-	last := got.LastStep()
-	if st, ok := s2.SegmentStore("guide"); ok && st.LastSeal().After(last) {
-		// Segmented mode: a trailing seal leaves the active segment empty,
-		// so the newest instant may be the seal boundary itself.
-		last = st.LastSeal()
-	}
-	if !last.Equal(h[len(h)-1].At) {
+	if last := lastInstant(t, s2); !last.Equal(h[len(h)-1].At) {
 		t.Errorf("last step %s, want %s", last, h[len(h)-1].At)
 	}
+}
+
+// lastInstant returns the newest recorded instant of the store's guide:
+// a trailing seal leaves the active segment empty, so it may be the seal
+// boundary itself.
+func lastInstant(t *testing.T, s *lore.Store) timestamp.Time {
+	t.Helper()
+	d, err := s.GetDOEM("guide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, ok := s.SegmentStore("guide")
+	if !ok {
+		t.Fatal("guide is not a segment store")
+	}
+	if last := d.LastStep(); last.After(st.LastSeal()) {
+		return last
+	}
+	return st.LastSeal()
 }

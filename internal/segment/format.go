@@ -2,7 +2,6 @@ package segment
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -26,7 +25,6 @@ import (
 //	wal/             the active segment's tail log (internal/wal)
 //	seg-NNNNNN.seg   sealed segment N: checkpointed base snapshot + deltas
 //	seg-NNNNNN.idx   sealed segment N's annotation index (derived, droppable)
-//	seg-NNNNNN.seg.gz  cold-tier replacement for the .seg file
 //	STATE            store-level registry/annotation summary at the last seal
 //
 // Every file carries a magic string and a trailing CRC-32C of everything
@@ -34,8 +32,8 @@ import (
 // fsync), mirroring the WAL checkpoint discipline: a crash leaves either the
 // old file, the new file, or an invisible temp file — never a torn one the
 // reader would trust. The .seg file is ground truth for its interval; the
-// .idx file is derived from it and rebuilt on demand (the cold tier deletes
-// it). The STATE file is derived from the seg files plus the tail and is
+// .idx file is derived from it and rebuilt when it is missing or damaged.
+// The STATE file is derived from the seg files plus the tail and is
 // rebuilt by full replay if it is ever missing or damaged.
 //
 // All varints are unsigned LEB128; times and values use the internal/change
@@ -68,8 +66,8 @@ func idxFileName(id int) string { return fmt.Sprintf("seg-%06d.idx", id) }
 // is an add, but node garbage collection removed an endpoint before this
 // segment began, so the boundary snapshot omits the arc while the
 // monolithic ArcLiveAt keeps it live forever (its chain can never grow
-// again). Persisting the orphans makes each segment self-contained: a
-// cold-tier index rebuild cannot recover them from the store summaries,
+// again). Persisting the orphans makes each segment self-contained: an
+// index rebuild cannot recover them from the store summaries,
 // which reflect later segments too.
 type segData struct {
 	id         int
@@ -697,89 +695,26 @@ func decodeSegHeader(data []byte) (id int, start, end timestamp.Time, err error)
 }
 
 // readSegHeader reads only the first segHeaderLen bytes of a sealed
-// segment's file, decompressing just the head of the cold-tier .gz form.
+// segment's file.
 func readSegHeader(dir string, id int) ([]byte, error) {
-	plain := filepath.Join(dir, segFileName(id))
-	if f, err := os.Open(plain); err == nil {
-		defer f.Close()
-		buf := make([]byte, segHeaderLen)
-		n, err := io.ReadFull(f, buf)
-		if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-			return nil, fmt.Errorf("segment: %w", err)
-		}
-		return buf[:n], nil
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
-	f, err := os.Open(plain + ".gz")
+	f, err := os.Open(filepath.Join(dir, segFileName(id)))
 	if err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
 	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w: gzip header: %v", ErrCorrupt, err)
-	}
-	defer zr.Close()
 	buf := make([]byte, segHeaderLen)
-	n, err := io.ReadFull(zr, buf)
+	n, err := io.ReadFull(f, buf)
 	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return nil, fmt.Errorf("%w: gzip body: %v", ErrCorrupt, err)
+		return nil, fmt.Errorf("segment: %w", err)
 	}
 	return buf[:n], nil
 }
 
-// readSegFile reads a sealed segment's ground truth, transparently
-// decompressing the cold-tier .seg.gz form when the plain file is absent.
+// readSegFile reads a sealed segment's ground truth.
 func readSegFile(dir string, id int) ([]byte, error) {
-	plain := filepath.Join(dir, segFileName(id))
-	if data, err := os.ReadFile(plain); err == nil {
-		return data, nil
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
-	f, err := os.Open(plain + ".gz")
+	data, err := os.ReadFile(filepath.Join(dir, segFileName(id)))
 	if err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
-	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, fmt.Errorf("%w: gzip header: %v", ErrCorrupt, err)
-	}
-	defer zr.Close()
-	data, err := io.ReadAll(io.LimitReader(zr, 1<<31))
-	if err != nil {
-		return nil, fmt.Errorf("%w: gzip body: %v", ErrCorrupt, err)
 	}
 	return data, nil
-}
-
-// compressSegFile replaces seg-N.seg with seg-N.seg.gz (cold demotion). The
-// compressed file is fully synced before the plain file is removed, so a
-// crash mid-demotion leaves at least one intact copy.
-func compressSegFile(dir string, id int) error {
-	plain := filepath.Join(dir, segFileName(id))
-	data, err := os.ReadFile(plain)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil // already compressed
-		}
-		return fmt.Errorf("segment: %w", err)
-	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(data); err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	if err := zw.Close(); err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	if err := atomicWrite(plain+".gz", buf.Bytes()); err != nil {
-		return err
-	}
-	if err := os.Remove(plain); err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("segment: %w", err)
-	}
-	return syncDir(dir)
 }

@@ -10,8 +10,6 @@ var (
 	mIdxLoads    = obs.NewCounter("segment_index_loads_total")
 	mIdxLoadNs   = obs.NewHistogram("segment_index_load_ns")
 	mIdxRebuilds = obs.NewCounter("segment_index_rebuilds_total")
-	mDemotions   = obs.NewCounter("segment_demotions_total")
-	mPromotions  = obs.NewCounter("segment_promotions_total")
 	mQuarantined = obs.NewCounter("segment_quarantined_total")
 	mOpenNs      = obs.NewHistogram("segment_open_ns")
 	// mStatsRebuilds counts full recounts of the planner statistics; in
@@ -19,6 +17,5 @@ var (
 	mStatsRebuilds = obs.NewCounter("segment_stats_rebuilds_total")
 	gSegments      = obs.NewGauge("segment_count")
 	gHotSegments   = obs.NewGauge("segment_hot_count")
-	gColdSegments  = obs.NewGauge("segment_cold_count")
 	gActiveAnnots  = obs.NewGauge("segment_active_annotations")
 )

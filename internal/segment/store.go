@@ -7,8 +7,7 @@
 // historical query opens only the segment(s) it overlaps and restart
 // recovery replays only the active tail; this is the paper's Section 6.1
 // space-for-time trade applied per interval instead of to the whole
-// history. Segments untouched for a while demote to a cold tier (index
-// dropped, ground truth compressed) and rebuild on demand.
+// history.
 package segment
 
 import (
@@ -32,9 +31,9 @@ import (
 	"repro/internal/wal"
 )
 
-// Policy controls when the active segment seals and when sealed segments
-// demote to the cold tier. The zero value seals only on explicit Seal calls
-// and never demotes.
+// Policy controls when the active segment seals and how many sealed
+// segment indexes stay parsed in RAM. The zero value seals only on explicit
+// Seal calls and keeps every loaded index.
 type Policy struct {
 	// SealAnnotations seals the active segment once it has accumulated at
 	// least this many annotations (0 = no count-based sealing).
@@ -44,10 +43,6 @@ type Policy struct {
 	// measured on history timestamps, not wall-clock time, so replayed and
 	// simulated histories seal deterministically.
 	SealAge time.Duration
-	// ColdAfter demotes a sealed segment to the cold tier once it has gone
-	// unused for this many graph operations (0 = never). Cold demotion
-	// drops the segment's index file and compresses its ground truth.
-	ColdAfter uint64
 	// MaxHot bounds how many parsed segment indexes stay in RAM; the least
 	// recently used beyond the bound are released (0 = unlimited).
 	MaxHot int
@@ -62,15 +57,14 @@ type OpenStats struct {
 }
 
 // handle is the in-memory descriptor of one sealed segment. The parsed
-// index is loaded lazily and may be released (tier demotion); idx, lastUse
-// and cold are guarded by Store.tierMu because queries load indexes while
+// index is loaded lazily and may be released (Policy.MaxHot); idx and
+// lastUse are guarded by Store.tierMu because queries load indexes while
 // holding only the store's reader-side lock.
 type handle struct {
 	id         int
 	start, end timestamp.Time
 	idx        *segIndex
 	lastUse    uint64
-	cold       bool
 }
 
 // Store is one history's segmented storage. Mutators (Apply, Seal,
@@ -116,8 +110,9 @@ type Store struct {
 	activeAnnots int
 	firstActive  timestamp.Time
 
-	// ticks counts graph operations; the tier policy measures disuse in
-	// ticks. tierMu guards handle index loading/release on the read path.
+	// ticks counts graph operations; MaxHot releases the indexes whose
+	// last use is oldest in ticks. tierMu guards handle index loading and
+	// release on the read path.
 	ticks  atomic.Uint64
 	tierMu sync.Mutex
 
@@ -129,12 +124,13 @@ type Store struct {
 
 const tailDirName = "wal"
 
-var segFileRe = regexp.MustCompile(`^seg-(\d{6})\.seg(\.gz)?$`)
+var segFileRe = regexp.MustCompile(`^seg-(\d{6})\.seg$`)
 
 // Create initializes a fresh segmented store in dir, seeded with d (which
-// may already carry history; it becomes the active segment). dir must not
-// already hold a store. opt may be nil for default log options; pol may be
-// nil for the zero policy.
+// may already carry history). The active segment is the store's own copy
+// of d, so later changes to d do not reach the store. dir must not already
+// hold a store. opt may be nil for default log options; pol may be nil for
+// the zero policy.
 func Create(dir string, d *doem.Database, opt *wal.Options, pol *Policy) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
@@ -155,7 +151,7 @@ func Create(dir string, d *doem.Database, opt *wal.Options, pol *Policy) (*Store
 	}
 	s := newStore(dir, pol)
 	s.tail = l
-	s.adoptActive(d)
+	s.adoptActive(d.Clone())
 	s.seedRegistryFromActive()
 	s.updateGauges()
 	return s, nil
@@ -362,20 +358,28 @@ func (s *Store) replayTail() (*doem.Database, int, error) {
 	return d, records, nil
 }
 
-// Apply extends the history by one timestamped change set: it mutates the
-// active segment, appends the delta to the tail log, and seals when the
-// policy says so.
+// Apply extends the history by one timestamped change set, write-ahead: it
+// checks the set against the active segment, appends it to the tail log,
+// and only then commits it to the active segment, sealing when the policy
+// says so. A refused append leaves the active segment unchanged and closes
+// the tail, so later calls fail instead of appending past a record that
+// may or may not be on disk; reopening the store recovers what is durable.
 func (s *Store) Apply(t timestamp.Time, ops change.Set) error {
-	// The active segment starts empty after a seal, so doem.Apply's own
+	// The active segment starts empty after a seal, so doem's own
 	// monotonicity check cannot see sealed history; enforce it here so the
 	// invariant "every annotation in the active segment is after lastSeal"
 	// holds (segment selection depends on it).
 	if !t.After(s.lastSeal) {
 		return fmt.Errorf("segment: step at %s is not after the seal boundary %s", t, s.lastSeal)
 	}
-	if err := s.active.Apply(t, ops); err != nil {
+	if err := s.active.Check(t, ops); err != nil {
 		return err
 	}
+	if _, err := s.tail.AppendStep(t, ops); err != nil {
+		s.tail.Close()
+		return fmt.Errorf("segment: %w", err)
+	}
+	s.active.Commit(t, ops)
 	s.statsC.mu.Lock()
 	st := s.statsC.cur
 	s.mergeOps(ops, st)
@@ -386,9 +390,6 @@ func (s *Store) Apply(t timestamp.Time, ops change.Set) error {
 	s.activeAnnots += len(ops)
 	if s.firstActive.Equal(timestamp.PosInf) {
 		s.firstActive = t
-	}
-	if _, err := s.tail.AppendStep(t, ops); err != nil {
-		return fmt.Errorf("segment: %w", err)
 	}
 	if s.shouldSeal(t) {
 		if err := s.seal(); err != nil {
@@ -556,27 +557,12 @@ func (s *Store) scanSegments() error {
 	if err != nil {
 		return fmt.Errorf("segment: %w", err)
 	}
-	byID := make(map[int]bool)
-	coldByID := make(map[int]bool)
+	var ids []int
 	for _, ent := range entries {
-		m := segFileRe.FindStringSubmatch(ent.Name())
-		if m == nil {
-			continue
+		if m := segFileRe.FindStringSubmatch(ent.Name()); m != nil {
+			id, _ := strconv.Atoi(m[1])
+			ids = append(ids, id)
 		}
-		id, _ := strconv.Atoi(m[1])
-		if m[2] == ".gz" {
-			if !byID[id] {
-				coldByID[id] = true
-			}
-			byID[id] = true
-		} else {
-			byID[id] = true
-			delete(coldByID, id)
-		}
-	}
-	ids := make([]int, 0, len(byID))
-	for id := range byID {
-		ids = append(ids, id)
 	}
 	sort.Ints(ids)
 	for i, id := range ids {
@@ -618,7 +604,7 @@ func (s *Store) scanSegments() error {
 		if err != nil || hid != id {
 			return fmt.Errorf("%w: segment %d header", ErrCorrupt, id)
 		}
-		s.segs = append(s.segs, &handle{id: id, start: start, end: end, cold: coldByID[id]})
+		s.segs = append(s.segs, &handle{id: id, start: start, end: end})
 	}
 	return nil
 }
@@ -629,7 +615,7 @@ func (s *Store) scanSegments() error {
 // anything was moved.
 func quarantineSegment(dir string, id int) bool {
 	moved := false
-	for _, name := range []string{segFileName(id), segFileName(id) + ".gz", idxFileName(id)} {
+	for _, name := range []string{segFileName(id), idxFileName(id)} {
 		p := filepath.Join(dir, name)
 		if _, err := os.Stat(p); err == nil {
 			if os.Rename(p, p+".corrupt") == nil {
@@ -779,7 +765,7 @@ func (s *Store) Truncate(t timestamp.Time) error {
 		return err
 	}
 	for _, h := range s.segs {
-		for _, name := range []string{segFileName(h.id), segFileName(h.id) + ".gz", idxFileName(h.id)} {
+		for _, name := range []string{segFileName(h.id), idxFileName(h.id)} {
 			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
 				return fmt.Errorf("segment: %w", err)
 			}
@@ -804,32 +790,11 @@ func (s *Store) Truncate(t timestamp.Time) error {
 	return nil
 }
 
-// Maintain applies the tier policy immediately; Apply and Seal run it as
-// part of their own work.
-func (s *Store) Maintain() {
-	s.maintain()
-	s.updateGauges()
-}
-
-// maintain applies the tier policy: sealed segments unused for
-// Policy.ColdAfter graph operations demote to the cold tier, and parsed
-// indexes beyond Policy.MaxHot are released, least recently used first.
+// maintain releases the parsed indexes beyond Policy.MaxHot, least
+// recently used first.
 func (s *Store) maintain() {
 	s.tierMu.Lock()
 	defer s.tierMu.Unlock()
-	tick := s.ticks.Load()
-	if s.pol.ColdAfter > 0 {
-		for _, h := range s.segs {
-			if !h.cold && tick-h.lastUse > s.pol.ColdAfter {
-				h.idx = nil
-				os.Remove(filepath.Join(s.dir, idxFileName(h.id)))
-				if err := compressSegFile(s.dir, h.id); err == nil {
-					h.cold = true
-					mDemotions.Inc()
-				}
-			}
-		}
-	}
 	if s.pol.MaxHot > 0 {
 		loaded := make([]*handle, 0, len(s.segs))
 		for _, h := range s.segs {
@@ -847,8 +812,8 @@ func (s *Store) maintain() {
 }
 
 // index returns a sealed segment's parsed annotation index, loading it
-// from its index file or rebuilding it from ground truth (cold tier). Safe
-// under concurrent readers.
+// from its index file or, when that is missing or damaged, rebuilding it
+// from ground truth. Safe under concurrent readers.
 func (s *Store) index(h *handle) (*segIndex, error) {
 	s.tierMu.Lock()
 	defer s.tierMu.Unlock()
@@ -866,7 +831,7 @@ func (s *Store) index(h *handle) (*segIndex, error) {
 		}
 	}
 	// No (valid) index file: rebuild from the segment's ground truth and
-	// re-persist it — cold-tier promotion.
+	// re-persist it.
 	raw, err := readSegFile(s.dir, h.id)
 	if err != nil {
 		return nil, err
@@ -884,14 +849,9 @@ func (s *Store) index(h *handle) (*segIndex, error) {
 		x.liveAtStart[a] = true
 	}
 	atomicWrite(filepath.Join(s.dir, idxFileName(h.id)), encodeSegIndex(h.id, h.start, h.end, x))
-	wasCold := h.cold
 	h.idx = x
-	h.cold = false
 	mIdxRebuilds.Inc()
 	mIdxLoadNs.ObserveSince(start)
-	if wasCold {
-		mPromotions.Inc()
-	}
 	return x, nil
 }
 
@@ -946,25 +906,6 @@ func (s *Store) SealTimes() []timestamp.Time {
 	return out
 }
 
-// Tiers reports how many sealed segments currently sit in each tier: hot
-// (index parsed in RAM), warm (index on disk), cold (compressed ground
-// truth only).
-func (s *Store) Tiers() (hot, warm, cold int) {
-	s.tierMu.Lock()
-	defer s.tierMu.Unlock()
-	for _, h := range s.segs {
-		switch {
-		case h.idx != nil:
-			hot++
-		case h.cold:
-			cold++
-		default:
-			warm++
-		}
-	}
-	return
-}
-
 // Stats returns what the last Open had to do.
 func (s *Store) Stats() OpenStats { return s.stats }
 
@@ -983,10 +924,21 @@ func (s *Store) Close() error {
 
 func (s *Store) updateGauges() {
 	gSegments.Set(int64(len(s.segs)))
-	hot, _, cold := s.Tiers()
-	gHotSegments.Set(int64(hot))
-	gColdSegments.Set(int64(cold))
+	gHotSegments.Set(int64(s.hotSegments()))
 	gActiveAnnots.Set(int64(s.activeAnnots))
+}
+
+// hotSegments counts the sealed segments whose index is parsed in RAM.
+func (s *Store) hotSegments() int {
+	s.tierMu.Lock()
+	defer s.tierMu.Unlock()
+	hot := 0
+	for _, h := range s.segs {
+		if h.idx != nil {
+			hot++
+		}
+	}
+	return hot
 }
 
 func removeTempFiles(dir string) {

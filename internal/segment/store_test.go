@@ -1,9 +1,8 @@
 package segment
 
 import (
+	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"repro/internal/oem"
 	"repro/internal/timestamp"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
 // buildPair applies one synthetic history to a monolithic DOEM database
@@ -206,61 +206,49 @@ func TestAutoSealByAge(t *testing.T) {
 	checkGraphParity(t, mono, st)
 }
 
-func TestColdTierDemotionAndPromotion(t *testing.T) {
+// TestRefusedAppendLeavesActiveAtLog: a change set the tail log refuses
+// must not reach the active segment, since a reopen could not replay it.
+// The tail stays closed afterwards, so later sets fail rather than append
+// past a record that may or may not be on disk, and reopening the store
+// recovers exactly the durable prefix.
+func TestRefusedAppendLeavesActiveAtLog(t *testing.T) {
 	dir := t.TempDir()
-	mono, st := buildPair(t, dir, 8, func(i int) bool { return i == 9 }, &Policy{ColdAfter: 3})
-	defer st.Close()
-	if st.Segments() != 1 {
-		t.Fatalf("want exactly 1 segment, got %d", st.Segments())
+	initial, h := guidegen.GenerateHistory(14, 10, 5, 5)
+	st, err := Create(dir, doem.New(initial), nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Advance the use clock past the policy window without touching the
-	// sealed segment, then run maintenance.
-	g := st.Graph()
-	for i := 0; i < 10; i++ {
-		g.Root()
+	for _, step := range h[:3] {
+		if err := st.Apply(step.At, step.Ops); err != nil {
+			t.Fatal(err)
+		}
 	}
-	st.Maintain()
-	if hot, warm, cold := st.Tiers(); cold != 1 {
-		t.Fatalf("segment did not demote to cold tier (hot=%d warm=%d cold=%d)", hot, warm, cold)
+	durable, err := doem.FromHistory(initial, h[:3])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, segFileName(1)+".gz")); err != nil {
-		t.Fatalf("cold segment not compressed: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, idxFileName(1))); !os.IsNotExist(err) {
-		t.Fatalf("cold segment kept its index file (err=%v)", err)
-	}
-	// Querying sealed time transparently promotes: the index rebuilds from
-	// the compressed ground truth and answers stay byte-identical.
-	checkGraphParity(t, mono, st)
-	if hot, _, cold := st.Tiers(); cold != 0 || hot != 1 {
-		t.Fatalf("query did not promote the cold segment (hot=%d cold=%d)", hot, cold)
-	}
-	if _, err := os.Stat(filepath.Join(dir, idxFileName(1))); err != nil {
-		t.Fatalf("promotion did not re-persist the index file: %v", err)
-	}
-}
 
-func TestColdTierSurvivesReopen(t *testing.T) {
-	dir := t.TempDir()
-	mono, st := buildPair(t, dir, 9, func(i int) bool { return i == 9 }, &Policy{ColdAfter: 1})
-	g := st.Graph()
-	for i := 0; i < 5; i++ {
-		g.Root()
+	st.tail.Close()
+	if err := st.Apply(h[3].At, h[3].Ops); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("apply over a closed tail: err = %v, want wal.ErrClosed", err)
 	}
-	st.Maintain()
-	if _, _, cold := st.Tiers(); cold != 1 {
-		t.Fatal("setup: segment did not demote")
+	if !st.Active().Equal(durable) || st.MaxID() != durable.MaxID() {
+		t.Fatalf("refused append moved the active segment: %d steps, want %d",
+			len(st.Active().Steps()), len(durable.Steps()))
+	}
+	if err := st.Apply(h[4].At, h[4].Ops); err == nil {
+		t.Fatal("apply after a refused append succeeded; the tail must stay closed")
 	}
 	st.Close()
+
 	st2, err := Open(dir, nil, nil)
 	if err != nil {
-		t.Fatalf("reopen with cold segment: %v", err)
+		t.Fatal(err)
 	}
 	defer st2.Close()
-	if _, _, cold := st2.Tiers(); cold != 1 {
-		t.Fatal("reopen did not classify the compressed segment as cold")
+	if !st2.Active().Equal(durable) {
+		t.Fatal("reopened store differs from the durable prefix")
 	}
-	checkGraphParity(t, mono, st2)
 }
 
 func TestTruncate(t *testing.T) {

@@ -49,35 +49,26 @@ func (l *Log) ReplayHistory() (change.History, error) {
 // checkpointed base (an empty database when none has been written) with
 // every subsequent step applied.
 func (l *Log) ReplayDOEM() (*doem.Database, error) {
-	d, _, err := l.ReplayDOEMCounted()
-	return d, err
-}
-
-// ReplayDOEMCounted is ReplayDOEM reporting how many log records were
-// replayed on top of the checkpoint, for recovery observability.
-func (l *Log) ReplayDOEMCounted() (*doem.Database, int, error) {
 	var d *doem.Database
 	if payload, _, ok := l.LastCheckpoint(); ok {
 		var err error
 		d, err = doem.Unmarshal(payload)
 		if err != nil {
-			return nil, 0, fmt.Errorf("wal: checkpoint: %w", err)
+			return nil, fmt.Errorf("wal: checkpoint: %w", err)
 		}
 	} else {
 		d = doem.New(oem.New())
 	}
-	records := 0
 	err := l.ReplaySteps(func(seq uint64, step change.Step) error {
 		if err := d.Apply(step.At, step.Ops); err != nil {
 			return fmt.Errorf("wal: replaying record %d: %w", seq, err)
 		}
-		records++
 		return nil
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	return d, records, nil
+	return d, nil
 }
 
 // CheckpointDOEM snapshots d as the new checkpoint covering every record
@@ -89,9 +80,9 @@ func (l *Log) ReplayDOEMCounted() (*doem.Database, int, error) {
 // read here are not one atomic step with it: an AppendStep landing between
 // them would either be covered-but-absent from the snapshot (the record is
 // compacted away and its effects lost on replay) or present-in-snapshot
-// yet replayed again. lore.Store holds its store-wide lock across both
-// ApplySet and Checkpoint, and internal/segment seals under its single-
-// writer rule, so both callers satisfy this; see the ApplySet/Checkpoint
+// yet replayed again. internal/segment seals and truncates under its
+// single-writer rule, which lore.Store enforces by holding its store-wide
+// lock across both ApplySet and Checkpoint; see the ApplySet/Checkpoint
 // race-stress test in internal/lore.
 func (l *Log) CheckpointDOEM(d *doem.Database) error {
 	payload, err := d.Marshal()

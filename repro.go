@@ -162,9 +162,20 @@ func OpenWithHistory(name string, initial *OEM, h History) (*DB, error) {
 // yields an in-memory store.
 func OpenStore(dir string) (*Store, error) { return lore.Open(dir) }
 
-// LoadDB opens a change-managed database previously saved in a store.
+// LoadDB opens a copy of a change-managed database previously saved in a
+// store; save it again to persist later changes. A database with sealed
+// segments is refused: only its store's merged graph holds the whole
+// history.
 func LoadDB(store *Store, name string) (*DB, error) {
-	d, err := store.GetDOEM(name)
+	if st, ok := store.SegmentStore(name); ok && st.Segments() > 0 {
+		return nil, fmt.Errorf("repro: %q has %d sealed segment(s); query its whole history through SegmentStore(%q).Graph()",
+			name, st.Segments(), name)
+	}
+	var d *doem.Database
+	err := store.ViewDOEM(name, func(live *doem.Database) error {
+		d = live.Clone()
+		return nil
+	})
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}

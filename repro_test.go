@@ -4,6 +4,7 @@ package repro_test
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro"
@@ -141,6 +142,41 @@ func TestSaveLoad(t *testing.T) {
 	}
 	if _, err := repro.LoadDB(store, "missing"); err == nil {
 		t.Error("loading missing database succeeded")
+	}
+	// The loaded database is a copy: changing it leaves the store alone.
+	if err := back.Apply(repro.MustParseTime("1Jan98"), repro.ChangeSet{
+		repro.UpdNode{Node: ids.Price, Value: repro.Int(99)},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if stored, err := store.GetDOEM("guide"); err != nil || !stored.Equal(c.DOEM()) {
+		t.Errorf("changing the loaded database changed the store (err %v)", err)
+	}
+}
+
+// TestLoadDBRefusesSealedHistory: a database whose history is partly in
+// sealed segments cannot load as one DOEM database; the error names the
+// graph that holds its whole history.
+func TestLoadDBRefusesSealedHistory(t *testing.T) {
+	store, err := repro.OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	db, ids := guidegen.PaperGuide()
+	c, err := repro.OpenWithHistory("guide", db, guidegen.PaperHistory(ids))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Save(store); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Checkpoint("guide"); err != nil {
+		t.Fatal(err)
+	}
+	_, err = repro.LoadDB(store, "guide")
+	if err == nil || !strings.Contains(err.Error(), `SegmentStore("guide").Graph()`) {
+		t.Fatalf("LoadDB of a sealed history: err = %v, want one naming SegmentStore(\"guide\").Graph()", err)
 	}
 }
 
