@@ -11,8 +11,10 @@
 // registered under their stored names.
 //
 // Stored DOEM databases live in time-partitioned segment stores
-// (lore.OpenSegmented): queries run over the merged history graph, and
-// update statements append to the active segment's log, so they persist.
+// (lore.OpenSegmented): queries run over the merged history graph,
+// -strategy translated and .history over the whole history replayed from
+// the segments, and update statements append to the active segment's log,
+// so they persist.
 // -seal-anns and -seal-age tune the auto-seal policy; see
 // docs/segments.md.
 //
@@ -38,7 +40,6 @@ import (
 	"repro/internal/chorel"
 	"repro/internal/doem"
 	"repro/internal/guidegen"
-	"repro/internal/index"
 	"repro/internal/lore"
 	"repro/internal/lorel"
 	"repro/internal/obs"
@@ -229,10 +230,9 @@ func run(storeDir string, pol *segment.Policy, translate, explain bool, strategy
 			}
 			fmt.Print(out)
 		case strings.HasPrefix(line, ".history "):
-			name := strings.TrimSpace(strings.TrimPrefix(line, ".history "))
-			d, ok := s.doems[name]
-			if !ok {
-				fmt.Printf("no DOEM database %q\n", name)
+			d, err := s.whole(strings.TrimSpace(strings.TrimPrefix(line, ".history ")))
+			if err != nil {
+				fmt.Println("error:", err)
 				continue
 			}
 			fmt.Println(d.ExtractHistory())
@@ -308,28 +308,49 @@ func (s *session) explain(q string) (string, error) {
 
 func (s *session) register(name string, d *doem.Database) {
 	s.doems[name] = d
-	s.eng.Register(name, index.NewGraph(d))
+	s.eng.Register(name, d)
+}
+
+// whole returns the named DOEM database with its entire history: a stored
+// one is replayed from its sealed segments and its active one.
+func (s *session) whole(name string) (*doem.Database, error) {
+	if s.store != nil {
+		if seg, ok := s.store.SegmentStore(name); ok {
+			return seg.Replay()
+		}
+	}
+	d, ok := s.doems[name]
+	if !ok {
+		return nil, fmt.Errorf("no DOEM database %q", name)
+	}
+	return d, nil
 }
 
 func (s *session) runQuery(q string) error {
-	if s.strategy == "translated" {
-		// Translate and run over the encoding of the addressed DOEM
-		// database; fall back to direct evaluation when the query is
-		// untranslatable (wildcards, virtual annotations).
-		if name := s.addressedDOEM(q); name != "" {
-			res, err := chorel.New(name, s.doems[name]).QueryTranslated(q)
-			if err == nil {
-				fmt.Print(res)
-				return nil
-			}
-		}
-	}
-	res, err := s.eng.Query(q)
+	res, err := s.query(q)
 	if err != nil {
 		return err
 	}
 	fmt.Print(res)
 	return nil
+}
+
+func (s *session) query(q string) (*lorel.Result, error) {
+	if s.strategy == "translated" {
+		// Translate and run over the encoding of the addressed DOEM
+		// database; fall back to direct evaluation when the query is
+		// untranslatable (wildcards, virtual annotations).
+		if name := s.addressedDOEM(q); name != "" {
+			d, err := s.whole(name)
+			if err != nil {
+				return nil, err
+			}
+			if res, err := chorel.New(name, d).QueryTranslated(q); err == nil {
+				return res, nil
+			}
+		}
+	}
+	return s.eng.Query(q)
 }
 
 // addressedDOEM parses the query and returns the first path head that

@@ -148,6 +148,47 @@ func TestExperimentsCiteTests(t *testing.T) {
 	}
 }
 
+// TestMakefileFuzzTargetsExist: go test -fuzz with a pattern that matches
+// no fuzz target prints "no fuzz tests to fuzz" and exits 0, so a fuzz
+// line left behind by a moved or renamed target would pass silently. Every
+// -fuzz='^FuzzX$$' line of the Makefile's fuzz target must name a FuzzX
+// that a _test.go file of the package it runs declares.
+func TestMakefileFuzzTargetsExist(t *testing.T) {
+	mk, err := os.ReadFile("Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, recipe, ok := strings.Cut(string(mk), "\nfuzz:\n")
+	if !ok {
+		t.Fatal("the Makefile has no fuzz target")
+	}
+	recipe, _, _ = strings.Cut(recipe, "\n\n")
+	lines := 0
+	for _, line := range strings.Split(recipe, "\n") {
+		lines++
+		m := fuzzLine.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("Makefile fuzz line %q does not run one -fuzz='^FuzzX$$' target in one package", line)
+			continue
+		}
+		files, _ := filepath.Glob(filepath.Join(m[2], "*_test.go"))
+		declared := false
+		for _, f := range files {
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			declared = declared || regexp.MustCompile(`(?m)^func `+m[1]+`\(`).Match(src)
+		}
+		if !declared {
+			t.Errorf("Makefile fuzzes %s in ./%s/, which declares no such fuzz target", m[1], m[2])
+		}
+	}
+	if lines < 10 {
+		t.Errorf("read %d fuzz lines; the scanner is not reading the Makefile", lines)
+	}
+}
+
 func sortedKeys[V any](m map[string]V) []string {
 	keys := make([]string, 0, len(m))
 	for key := range m {
@@ -179,6 +220,7 @@ var (
 	experimentRow = regexp.MustCompile(`^\|\s*([FQXB]\d+[a-z]?)\s*\|`)
 	testFuncName  = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z0-9]\w*`)
 	testFuncDef   = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Z0-9]\w*)\(`)
+	fuzzLine      = regexp.MustCompile(`^\t\$\(GO\) test -fuzz='\^(Fuzz\w+)\$\$' .* \./([\w/]+)/$`)
 )
 
 // goToolFlags are the go command and linker flags the docs cite.

@@ -7,7 +7,6 @@ import (
 	"repro/internal/doem"
 	"repro/internal/guidegen"
 	"repro/internal/lore"
-	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/timestamp"
 	"repro/internal/value"
@@ -162,12 +161,9 @@ func TestUpdateStatement(t *testing.T) {
 
 // TestApplyMatchesFromHistory: a history applied step by step through
 // DB.Apply, with both strategies queried between steps, answers every
-// query the way a DB built from the whole history does. Apply must drop
-// the cached encoding and fold each step into the direct engine's index
-// (index_advances_total moves) instead of leaving it to be rebuilt
-// (index_builds_total stays flat after the first query).
+// query the way a DB built from the whole history does, so Apply must drop
+// the cached encoding.
 func TestApplyMatchesFromHistory(t *testing.T) {
-	defer obs.SetEnabled(obs.SetEnabled(true))
 	initial, h := guidegen.GenerateHistory(7, 8, 12, 4)
 	queries := []string{
 		`select guide.restaurant`,
@@ -183,7 +179,6 @@ func TestApplyMatchesFromHistory(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for i, step := range h {
-		snap := obs.Snapshot()
 		if err := got.Apply(step.At, step.Ops); err != nil {
 			t.Fatal(err)
 		}
@@ -194,12 +189,6 @@ func TestApplyMatchesFromHistory(t *testing.T) {
 				t.Fatal(err)
 			}
 			direct[j] = res.FirstColumnNodes()
-		}
-		after := obs.Snapshot()
-		builds := after.Counter("index_builds_total") - snap.Counter("index_builds_total")
-		advances := after.Counter("index_advances_total") - snap.Counter("index_advances_total")
-		if builds != 0 || advances != 1 {
-			t.Errorf("step %d: index builds = %d, advances = %d, want 0 and 1", i, builds, advances)
 		}
 		d, err := doem.FromHistory(initial, h[:i+1])
 		if err != nil {
@@ -233,19 +222,13 @@ func TestApplyMatchesFromHistory(t *testing.T) {
 }
 
 // TestRefusedApplyChangesNothing: a change set the DOEM database refuses
-// reaches neither the index nor the encoding, so both strategies answer as
-// before, the index is neither advanced nor dropped for a rebuild, and the
-// next accepted step is folded in.
+// reaches neither the database nor the encoding, so both strategies answer
+// as before, and the next accepted step answers as a DB built from the
+// whole history does.
 func TestRefusedApplyChangesNothing(t *testing.T) {
-	defer obs.SetEnabled(obs.SetEnabled(true))
 	c, ids := paperDB(t)
-	indexDelta := func(since *obs.Snap) (builds, advances int64) {
-		now := obs.Snapshot()
-		return now.Counter("index_builds_total") - since.Counter("index_builds_total"),
-			now.Counter("index_advances_total") - since.Counter("index_advances_total")
-	}
 	const q = `select guide.restaurant`
-	rows := func() (direct, trans []oem.NodeID) {
+	rows := func(c *DB) (direct, trans []oem.NodeID) {
 		t.Helper()
 		d, err := c.Query(q)
 		if err != nil {
@@ -257,32 +240,30 @@ func TestRefusedApplyChangesNothing(t *testing.T) {
 		}
 		return d.FirstColumnNodes(), c.MapToDOEM(tr.FirstColumnNodes())
 	}
-	d0, t0 := rows()
+	d0, t0 := rows(c)
 	add := change.Set{
 		change.CreNode{Node: oem.NodeID(900), Value: value.Str("Hakata")},
 		change.AddArc{Parent: ids.Guide, Label: "restaurant", Child: 900},
 	}
 	// guidegen.T1 precedes the last recorded step: a stale timestamp.
-	snap := obs.Snapshot()
 	if err := c.Apply(guidegen.T1, add); err == nil {
 		t.Fatal("Apply at a stale time succeeded")
 	}
-	if d1, t1 := rows(); !equalIDs(d1, d0) || !equalIDs(t1, t0) {
+	if d1, t1 := rows(c); !equalIDs(d1, d0) || !equalIDs(t1, t0) {
 		t.Errorf("refused Apply changed results: direct %v -> %v, translated %v -> %v", d0, d1, t0, t1)
 	}
-	if b, a := indexDelta(snap); b != 0 || a != 0 {
-		t.Errorf("refused Apply: index builds = %d, advances = %d, want 0 and 0", b, a)
-	}
-	snap = obs.Snapshot()
-	if err := c.Apply(guidegen.T3.Add(86400e9), add); err != nil {
+	at := guidegen.T3.Add(86400e9)
+	if err := c.Apply(at, add); err != nil {
 		t.Fatal(err)
 	}
-	d2, t2 := rows()
-	if len(d2) != len(d0)+1 || !equalIDs(t2, d2) {
-		t.Errorf("after accepted Apply: direct %v, translated %v, want %d rows on both", d2, t2, len(d0)+1)
+	o, _ := guidegen.PaperGuide()
+	fresh, err := doem.FromHistory(o, append(guidegen.PaperHistory(ids), change.Step{At: at, Ops: add}))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if b, a := indexDelta(snap); b != 0 || a != 1 {
-		t.Errorf("accepted Apply: index builds = %d, advances = %d, want 0 and 1", b, a)
+	d2, t2 := rows(c)
+	if want, _ := rows(New("guide", fresh)); len(d2) != len(d0)+1 || !equalIDs(d2, want) || !equalIDs(t2, d2) {
+		t.Errorf("after accepted Apply: direct %v, translated %v, from history %v", d2, t2, want)
 	}
 }
 

@@ -27,10 +27,6 @@ type DB struct {
 	d      *doem.Database
 	direct *lorel.Engine
 
-	// indexed is the secondary-index wrapper the direct engine queries
-	// through.
-	indexed *index.Graph
-
 	// polls are the QSS polling times t[-i] resolves against; every
 	// translation engine is built with them.
 	polls []timestamp.Time
@@ -41,12 +37,12 @@ type DB struct {
 }
 
 // New wraps a DOEM database for querying under the given name (the head of
-// path expressions, e.g. "guide"). The direct engine queries through an
-// index.Graph over d. Changes must go through the DB (Apply, ApplySnapshot,
-// Update) so the indexes and the encoding follow them.
+// path expressions, e.g. "guide"). The direct engine queries d through an
+// index.Graph, which memoizes <at T> views. Changes must go through the DB
+// (Apply, ApplySnapshot, Update) so the encoding follows them.
 func New(name string, d *doem.Database) *DB {
-	db := &DB{name: name, d: d, direct: lorel.NewEngine(), indexed: index.NewGraph(d)}
-	db.direct.Register(name, db.indexed)
+	db := &DB{name: name, d: d, direct: lorel.NewEngine()}
+	db.direct.Register(name, index.NewGraph(d))
 	return db
 }
 
@@ -83,17 +79,15 @@ func (db *DB) SetPollTimes(times []timestamp.Time) {
 	}
 }
 
-// Apply records a set of basic change operations at time t. The secondary
-// indexes fold the step in (index.Graph.Advance) instead of being rebuilt;
-// the cached OEM encoding is discarded and rebuilt on the next translated
-// query.
+// Apply records a set of basic change operations at time t. The database
+// updates its own access paths; the cached OEM encoding is discarded and
+// rebuilt on the next translated query.
 func (db *DB) Apply(t timestamp.Time, ops change.Set) error {
 	if err := db.d.Apply(t, ops); err != nil {
 		return err
 	}
 	db.enc = nil
 	db.trans = nil
-	db.indexed.Advance(t, ops)
 	return nil
 }
 

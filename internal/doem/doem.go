@@ -24,6 +24,7 @@ import (
 	"repro/internal/change"
 	"repro/internal/obs"
 	"repro/internal/oem"
+	"repro/internal/plan"
 	"repro/internal/symbol"
 	"repro/internal/timestamp"
 	"repro/internal/value"
@@ -103,13 +104,15 @@ type ArcEvent struct {
 // arc relation including removed arcs, the annotation maps, and the values
 // of nodes that have been deleted from the current snapshot.
 //
+// It also keeps its own access paths (paths.go): (node, label) buckets of
+// both arc relations, materialized upd chains and planner statistics, which
+// Commit updates with each operation it applies.
+//
 // Concurrency: read methods are pure lookups with no interior mutation, so
 // a Database is safe for any number of concurrent readers once built.
 // Apply mutates in place and must exclude readers (see
 // lore.Store.ViewDOEM for the coordinated path); Truncate leaves the
-// receiver untouched and returns a new database. Structures derived from a
-// Database (internal/index, segment statistics) follow an Apply by folding
-// in the step's operations and Collected() under the same exclusion.
+// receiver untouched and returns a new database.
 type Database struct {
 	current *oem.Database
 	// outAll holds every arc ever present, per parent, in insertion order.
@@ -123,21 +126,24 @@ type Database struct {
 	arcAnn        map[oem.Arc][]ArcAnnot
 	// steps records the timestamps of applied change sets, ascending.
 	steps []timestamp.Time
-	// version counts successful Apply calls; secondary indexes compare it
-	// against the generation they were built at to detect staleness.
+	// version counts successful Apply calls; caches of query results over
+	// the database compare it against the one they were built at.
 	version uint64
 	// maxID is the largest id among current and deleted nodes, maintained
 	// by New, Apply and Unmarshal so MaxID is a field read.
 	maxID oem.NodeID
-	// collected lists the nodes the most recent Apply deleted from the
-	// current snapshot, ascending.
-	collected []oem.NodeID
+
+	// Access paths, built by index and kept up by Commit (paths.go).
+	paths  map[pathKey]bucket
+	upds   map[oem.NodeID][]UpdInfo
+	labels map[string]plan.LabelCard
+	annots int
 }
 
 // Version returns a counter that advances on every successful Apply.
 // Readers holding the database's read lock (see lore.Store.ViewDOEM) see a
-// stable value; derived structures such as internal/index use it as the
-// graph generation of their cache keys.
+// stable value; the <at T> view memo of internal/index and the planner's
+// cached plans key on it.
 func (d *Database) Version() uint64 { return d.version }
 
 // mGCFullWalks counts step-boundary collections that had to walk the whole
@@ -171,6 +177,7 @@ func New(o *oem.Database) *Database {
 		}
 		d.maxID = id // ascending: the last one is the largest
 	}
+	d.index()
 	return d
 }
 
@@ -196,6 +203,7 @@ func (d *Database) Clone() *Database {
 	for a, anns := range d.arcAnn {
 		c.arcAnn[a] = slices.Clone(anns)
 	}
+	c.index()
 	return c
 }
 
@@ -284,26 +292,11 @@ func (d *Database) CreTime(n oem.NodeID) (timestamp.Time, bool) {
 }
 
 // UpdTriples implements the paper's updFun: the (time, old, new) triples of
-// n's upd annotations, in timestamp order.
-func (d *Database) UpdTriples(n oem.NodeID) []UpdInfo {
-	anns := d.nodeAnn[n]
-	var ups []UpdInfo
-	for _, a := range anns {
-		if a.Kind == AnnotUpd {
-			ups = append(ups, UpdInfo{At: a.At, Old: a.Old})
-		}
-	}
-	// The new value of each update is the old value of the next one; the
-	// final update's new value is the node's current value.
-	for i := range ups {
-		if i+1 < len(ups) {
-			ups[i].New = ups[i+1].Old
-		} else if v, ok := d.Value(n); ok {
-			ups[i].New = v
-		}
-	}
-	return ups
-}
+// n's upd annotations, in timestamp order. The new value of each update is
+// the old value of the next one; the final update's new value is the
+// node's current value. The slice is the database's own and must not be
+// modified.
+func (d *Database) UpdTriples(n oem.NodeID) []UpdInfo { return d.upds[n] }
 
 // AddEvents implements the paper's addFun(n, l): (t, c) pairs such that the
 // arc (n, l, c) carries an add(t) annotation.
@@ -410,62 +403,60 @@ func (d *Database) Commit(t timestamp.Time, ops change.Set) {
 				d.maxID = o.Node
 			}
 		case change.UpdNode:
-			d.nodeAnn[o.Node] = append(d.nodeAnn[o.Node], NodeAnnot{Kind: AnnotUpd, At: t, Old: oldValues[o.Node]})
+			old := oldValues[o.Node]
+			d.nodeAnn[o.Node] = append(d.nodeAnn[o.Node], NodeAnnot{Kind: AnnotUpd, At: t, Old: old})
+			v, _ := d.current.Value(o.Node)
+			d.upds[o.Node] = append(d.upds[o.Node], UpdInfo{At: t, Old: old, New: v})
 		case change.AddArc:
 			// Canonicalize labels so the full-arc relation, the annotation
 			// maps and the current snapshot (whose AddArc canonicalizes the
 			// same way) all share one backing string per distinct label.
 			arc := oem.Arc{Parent: o.Parent, Label: symbol.Canon(o.Label), Child: o.Child}
+			k := keyOf(arc)
 			if d.dead[arc] {
 				delete(d.dead, arc) // re-added after a removal
-			} else if !d.inOutAll(arc) {
+				d.addPath(k, arc, false)
+			} else if !slices.Contains(d.paths[k].all, arc) {
 				d.outAll[o.Parent] = append(d.outAll[o.Parent], arc)
+				d.addPath(k, arc, true)
 			}
 			d.arcAnn[arc] = append(d.arcAnn[arc], ArcAnnot{Kind: AnnotAdd, At: t})
 		case change.RemArc:
 			arc := oem.Arc{Parent: o.Parent, Label: symbol.Canon(o.Label), Child: o.Child}
 			d.dead[arc] = true
+			d.cutPath(keyOf(arc), &arc)
 			d.arcAnn[arc] = append(d.arcAnn[arc], ArcAnnot{Kind: AnnotRem, At: t})
 		}
 	}
+	d.annots += len(ops)
 	// Nodes that became unreachable are deleted from the current snapshot
 	// (paper Section 2.2) but remain in the DOEM graph, still reachable
 	// through rem-annotated arcs; their final values are captured as the
 	// collection drops them. The collection is skipped when the step cannot
 	// have orphaned anything, and otherwise examines only what the step's
 	// removals and creations could have cut loose (oem.Database.Collect).
-	d.collected = nil
+	// A collected node takes the arcs it still held out of the current
+	// relation; they stay in the full one.
 	if ops.NeedsCollection(d.current) {
-		var full bool
-		d.collected, full = d.current.Collect(func(id oem.NodeID, v value.Value) {
+		collected, full := d.current.Collect(func(id oem.NodeID, v value.Value) {
 			d.deletedValues[id] = v
 		})
 		if full {
 			mGCFullWalks.Inc()
+		}
+		for _, n := range collected {
+			for _, a := range d.outAll[n] {
+				d.cutPath(keyOf(a), nil)
+			}
 		}
 	}
 	d.steps = append(d.steps, t)
 	d.version++
 }
 
-// Collected returns the nodes the most recent Apply deleted from the current
-// snapshot by unreachability, ascending. Every arc of OutAll(n) not marked
-// IsDead was still in the snapshot when n was collected. The slice must not
-// be modified.
-func (d *Database) Collected() []oem.NodeID { return d.collected }
-
 func (d *Database) isDeleted(n oem.NodeID) bool {
 	_, dead := d.deletedValues[n]
 	return dead
-}
-
-func (d *Database) inOutAll(a oem.Arc) bool {
-	for _, x := range d.outAll[a.Parent] {
-		if x == a {
-			return true
-		}
-	}
-	return false
 }
 
 // SnapshotAt materializes O_t(D), the snapshot at time t (Section 3.2).
@@ -526,37 +517,25 @@ func (d *Database) AllNodeIDs() []oem.NodeID {
 // if the latest upd annotation is at or before t (or there are none), the
 // current value; otherwise the old value of the earliest upd after t.
 func (d *Database) ValueAt(n oem.NodeID, t timestamp.Time) value.Value {
+	ups := d.upds[n]
+	if i := sort.Search(len(ups), func(i int) bool { return ups[i].At.After(t) }); i < len(ups) {
+		return ups[i].Old
+	}
 	cur, _ := d.Value(n)
-	var ups []NodeAnnot
-	for _, a := range d.nodeAnn[n] {
-		if a.Kind == AnnotUpd {
-			ups = append(ups, a)
-		}
-	}
-	if len(ups) == 0 || !ups[len(ups)-1].At.After(t) {
-		return cur
-	}
-	for _, a := range ups {
-		if a.At.After(t) {
-			return a.Old
-		}
-	}
 	return cur
 }
 
 // ArcLiveAt reports whether arc a existed at time t. An arc existed in O_0
 // iff it carries no annotations or its earliest annotation is rem; add/rem
-// annotations with timestamps <= t then toggle its existence.
+// annotations with timestamps <= t then toggle its existence, so the
+// latest of them decides.
 func (d *Database) ArcLiveAt(a oem.Arc, t timestamp.Time) bool {
 	anns := d.arcAnn[a]
-	live := len(anns) == 0 || anns[0].Kind == AnnotRem
-	for _, ann := range anns {
-		if ann.At.After(t) {
-			break
-		}
-		live = ann.Kind == AnnotAdd
+	k := sort.Search(len(anns), func(i int) bool { return anns[i].At.After(t) })
+	if k == 0 {
+		return len(anns) == 0 || anns[0].Kind == AnnotRem
 	}
-	return live
+	return anns[k-1].Kind == AnnotAdd
 }
 
 // OutAt returns the arcs of n that existed at time t: OutAll(n) filtered
@@ -569,6 +548,20 @@ func (d *Database) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {
 		}
 	}
 	return arcs
+}
+
+// ArcsAt returns the live-arc relation of the whole database at time t:
+// OutAt(n, t) for every node with arcs live at t. Unlike SnapshotAt it
+// keeps the arcs of nodes unreachable at t, which direct evaluation can
+// still reach through the current snapshot and then step through <at t>.
+func (d *Database) ArcsAt(t timestamp.Time) map[oem.NodeID][]oem.Arc {
+	out := make(map[oem.NodeID][]oem.Arc, len(d.outAll))
+	for n := range d.outAll {
+		if arcs := d.OutAt(n, t); arcs != nil {
+			out[n] = arcs
+		}
+	}
+	return out
 }
 
 // ExtractHistory recovers the encoded history H(D) per Section 3.2: one
@@ -708,16 +701,7 @@ func (d *Database) Equal(other *Database) bool {
 func (d *Database) MaxID() oem.NodeID { return d.maxID }
 
 // NumAnnotations returns the total count of node and arc annotations.
-func (d *Database) NumAnnotations() int {
-	n := 0
-	for _, a := range d.nodeAnn {
-		n += len(a)
-	}
-	for _, a := range d.arcAnn {
-		n += len(a)
-	}
-	return n
-}
+func (d *Database) NumAnnotations() int { return d.annots }
 
 // String renders a deterministic listing with annotations, in the spirit of
 // Figure 4.

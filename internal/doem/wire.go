@@ -200,5 +200,6 @@ func Unmarshal(data []byte) (*Database, error) {
 		}
 		d.steps = append(d.steps, t)
 	}
+	d.index()
 	return d, nil
 }

@@ -26,8 +26,8 @@ func benchDB(b *testing.B, annots int) *doem.Database {
 }
 
 // BenchmarkIndexedEval compares repeated evaluation of the hot query
-// shapes the indexes target — a <at T> snapshot query and an exact-label
-// annotation query — through the indexed wrapper vs the raw database.
+// shapes — a <at T> snapshot query and an exact-label annotation query —
+// through the view memo vs on the database itself.
 func BenchmarkIndexedEval(b *testing.B) {
 	for _, tier := range []struct {
 		name   string
@@ -41,14 +41,14 @@ func BenchmarkIndexedEval(b *testing.B) {
 		at := steps[len(steps)/2]
 		queries := []string{
 			// Time-travelled values: every price node's upd chain is
-			// consulted — binary search + view cache vs linear scans.
+			// consulted; the memo serves the <at T> arcs from one view.
 			fmt.Sprintf(`select P from guide.<at %q>restaurant.price P where P < 20`, at.String()),
 			fmt.Sprintf(`select guide.<at %q>restaurant.name`, at.String()),
 		}
-		for _, mode := range []string{"indexed", "noindex"} {
+		for _, mode := range []string{"memo", "doem"} {
 			b.Run(tier.name+"/"+mode, func(b *testing.B) {
 				eng := lorel.NewEngine()
-				if mode == "indexed" {
+				if mode == "memo" {
 					eng.Register("guide", NewGraph(d))
 				} else {
 					eng.Register("guide", d)

@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/change"
@@ -66,7 +67,7 @@ func boundaryFixture(t *testing.T) (*doem.Database, oem.Arc, oem.Arc, oem.NodeID
 
 // TestAtBoundarySemantics pins the inclusive <at T> convention of Section
 // 4.2.2 at exact annotation timestamps, for all four annotation kinds, on
-// both the linear (doem) and binary-search (index) implementations.
+// the database and through the memo.
 func TestAtBoundarySemantics(t *testing.T) {
 	d, itemArc, initArc, n2, ts := boundaryFixture(t)
 	t1, t2, t3, t4 := ts[0], ts[1], ts[2], ts[3]
@@ -106,13 +107,16 @@ func TestAtBoundarySemantics(t *testing.T) {
 				if got := g.ValueAt(n2, tc.at); !got.Equal(value.Int(tc.n2Value)) {
 					t.Errorf("%s: ValueAt(n2, %s) = %s, want %d", kind, tc.at, got, tc.n2Value)
 				}
+				if got := slices.Contains(g.OutAt(d.Root(), tc.at), itemArc); got != tc.itemLive {
+					t.Errorf("%s: item in OutAt(root, %s) = %v, want %v", kind, tc.at, got, tc.itemLive)
+				}
 			}
 		})
 	}
 }
 
 // TestAtBoundaryQueries exercises the same boundaries through the query
-// evaluator's virtual <at T> step, indexed vs unindexed.
+// evaluator's virtual <at T> step, on the database vs through the memo.
 func TestAtBoundaryQueries(t *testing.T) {
 	d, _, _, _, ts := boundaryFixture(t)
 	raw := lorel.NewEngine()
@@ -133,14 +137,14 @@ func TestAtBoundaryQueries(t *testing.T) {
 			q := fmt.Sprintf(tmpl, at.String())
 			want, err := raw.Query(q)
 			if err != nil {
-				t.Fatalf("unindexed %q: %v", q, err)
+				t.Fatalf("database %q: %v", q, err)
 			}
 			got, err := idx.Query(q)
 			if err != nil {
-				t.Fatalf("indexed %q: %v", q, err)
+				t.Fatalf("memo %q: %v", q, err)
 			}
 			if want.String() != got.String() {
-				t.Errorf("divergence at %s for %q:\nunindexed:\n%s\nindexed:\n%s", at, q, want, got)
+				t.Errorf("divergence at %s for %q:\ndatabase:\n%s\nmemo:\n%s", at, q, want, got)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/doem"
@@ -61,9 +62,9 @@ func randomQuery(rng *rand.Rand, times []timestamp.Time) string {
 	}
 }
 
-// TestIndexedEvalParity is the tentpole's property test: over randomized
-// histories, indexed and unindexed evaluation must return byte-identical
-// results on well over 100 randomized queries.
+// TestIndexedEvalParity: over randomized histories, evaluation through the
+// memo and on the database must return byte-identical results on well
+// over 100 randomized queries.
 func TestIndexedEvalParity(t *testing.T) {
 	total := 0
 	for seed := int64(1); seed <= 4; seed++ {
@@ -85,14 +86,14 @@ func TestIndexedEvalParity(t *testing.T) {
 			q := randomQuery(rng, times)
 			want, err := raw.Query(q)
 			if err != nil {
-				t.Fatalf("seed %d: unindexed %q: %v", seed, q, err)
+				t.Fatalf("seed %d: database %q: %v", seed, q, err)
 			}
 			got, err := idx.Query(q)
 			if err != nil {
-				t.Fatalf("seed %d: indexed %q: %v", seed, q, err)
+				t.Fatalf("seed %d: memo %q: %v", seed, q, err)
 			}
 			if want.String() != got.String() {
-				t.Errorf("seed %d: indexed result diverges for %q:\nunindexed:\n%s\nindexed:\n%s",
+				t.Errorf("seed %d: memo result diverges for %q:\ndatabase:\n%s\nmemo:\n%s",
 					seed, q, want, got)
 			}
 			total++
@@ -104,7 +105,7 @@ func TestIndexedEvalParity(t *testing.T) {
 }
 
 // TestIndexParityAfterApply checks staleness handling: after the database
-// mutates underneath the wrapper, queries must reflect the new generation
+// mutates underneath the memo, queries must reflect the new version
 // with or without an explicit Invalidate call.
 func TestIndexParityAfterApply(t *testing.T) {
 	for _, explicit := range []bool{false, true} {
@@ -135,14 +136,14 @@ func TestIndexParityAfterApply(t *testing.T) {
 			for _, q := range queries {
 				want, err := raw.Query(q)
 				if err != nil {
-					t.Fatalf("unindexed %q: %v", q, err)
+					t.Fatalf("database %q: %v", q, err)
 				}
 				got, err := idx.Query(q)
 				if err != nil {
-					t.Fatalf("indexed %q: %v", q, err)
+					t.Fatalf("memo %q: %v", q, err)
 				}
 				if want.String() != got.String() {
-					t.Fatalf("explicit=%v: stale indexed result after step %d for %q:\nwant:\n%s\ngot:\n%s",
+					t.Fatalf("explicit=%v: stale memo result after step %d for %q:\nwant:\n%s\ngot:\n%s",
 						explicit, i, q, want, got)
 				}
 			}
@@ -151,9 +152,9 @@ func TestIndexParityAfterApply(t *testing.T) {
 	}
 }
 
-// TestSnapshotMemoization checks the LRU snapshot cache returns consistent
-// materializations, invalidates on Apply, and reports hits and misses.
-func TestSnapshotMemoization(t *testing.T) {
+// TestViewMemo checks that the memo returns one view per instant, counts
+// hits and misses, and drops its views when the database takes a step.
+func TestViewMemo(t *testing.T) {
 	initial, h := guidegen.GenerateHistory(3, 10, 12, 5)
 	d, err := doem.FromHistory(initial, h)
 	if err != nil {
@@ -164,70 +165,55 @@ func TestSnapshotMemoization(t *testing.T) {
 	mid := steps[len(steps)/2]
 
 	defer obs.SetEnabled(obs.SetEnabled(true))
-	hits0, misses0 := mCacheHits.Value(), mCacheMisses.Value()
-	s1 := ig.SnapshotAt(mid)
-	if !s1.Equal(d.SnapshotAt(mid)) {
-		t.Fatal("memoized snapshot differs from direct materialization")
+	hits0, misses0 := mHits.Value(), mMisses.Value()
+	v1 := ig.viewAt(mid)
+	if ig.viewAt(mid) != v1 {
+		t.Fatal("a repeated instant did not return the memoized view")
 	}
-	s2 := ig.SnapshotAt(mid)
-	if s1 != s2 {
-		t.Fatal("repeated SnapshotAt did not return the cached database")
-	}
-	if mCacheMisses.Value() == misses0 {
-		t.Error("first SnapshotAt did not count a cache miss")
-	}
-	if mCacheHits.Value() == hits0 {
-		t.Error("second SnapshotAt did not count a cache hit")
+	if mMisses.Value() != misses0+1 || mHits.Value() != hits0+1 {
+		t.Errorf("first and repeated viewAt counted %d misses and %d hits, want 1 and 1",
+			mMisses.Value()-misses0, mHits.Value()-hits0)
 	}
 
-	// Mutate: the cache must not serve the old generation.
+	// A step at the last instant changes the view of it: the memo must not
+	// serve the old version.
 	last := steps[len(steps)-1].Add(86400e9)
+	ig.viewAt(last)
 	if err := d.Apply(last, mutationSet(d)); err != nil {
 		t.Fatalf("apply: %v", err)
 	}
-	s3 := ig.SnapshotAt(last)
-	if !s3.Equal(d.SnapshotAt(last)) {
-		t.Fatal("post-apply snapshot differs from direct materialization")
+	if ig.viewAt(mid) == v1 {
+		t.Fatal("the memo kept a view across a step")
+	}
+	if got, want := ig.OutAt(d.Root(), last), d.OutAt(d.Root(), last); !reflect.DeepEqual(got, want) {
+		t.Fatalf("OutAt(root, %s) after the step = %v, want %v", last, got, want)
 	}
 }
 
-// TestViewCacheEviction fills the view LRU past capacity and checks both
-// that evictions are counted and that evicted instants still resolve
-// correctly when rebuilt.
+// TestViewCacheEviction fills the memo past capacity and checks both that
+// evictions are counted and that evicted instants still resolve correctly
+// when rebuilt.
 func TestViewCacheEviction(t *testing.T) {
-	initial, h := guidegen.GenerateHistory(5, 8, 20, 4)
+	initial, h := guidegen.GenerateHistory(5, 8, viewCap+4, 4)
 	d, err := doem.FromHistory(initial, h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ig := NewGraph(d)
-	ig.SetCacheSizes(2, 1)
 	defer obs.SetEnabled(obs.SetEnabled(true))
-	evict0 := mCacheEvictions.Value()
+	evict0 := mEvictions.Value()
 	steps := d.Steps()
 	for _, s := range steps {
 		ig.viewAt(s)
 	}
-	if len(steps) > 2 && mCacheEvictions.Value() == evict0 {
-		t.Error("filling the view cache past capacity counted no evictions")
+	if len(steps) > viewCap && mEvictions.Value() == evict0 {
+		t.Error("filling the memo past capacity counted no evictions")
 	}
 	// Re-query an evicted instant and cross-check against the database.
 	s0 := steps[0]
 	for _, n := range d.AllNodeIDs() {
-		var want []string
-		for _, a := range d.OutAll(n) {
-			if d.ArcLiveAt(a, s0) {
-				want = append(want, a.String())
-			}
-		}
-		got := ig.OutAt(n, s0)
-		if len(got) != len(want) {
-			t.Fatalf("node %s at %s: got %d arcs, want %d", n, s0, len(got), len(want))
-		}
-		for i, a := range got {
-			if a.String() != want[i] {
-				t.Fatalf("node %s at %s arc %d: got %s want %s", n, s0, i, a, want[i])
-			}
+		if got, want := ig.OutAt(n, s0), d.OutAt(n, s0); !reflect.DeepEqual(got, want) {
+			t.Fatalf("node %s at %s: got %v, want %v", n, s0, got, want)
 		}
 	}
 }

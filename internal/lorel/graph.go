@@ -49,8 +49,11 @@ type Graph interface {
 	OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc
 }
 
-// assert *doem.Database implements Graph.
-var _ Graph = (*doem.Database)(nil)
+// assert *doem.Database implements Graph and LabelSeeker.
+var (
+	_ Graph       = (*doem.Database)(nil)
+	_ LabelSeeker = (*doem.Database)(nil)
+)
 
 // LabelSeeker is an optional Graph extension serving exact-label arc
 // lookups from an adjacency index keyed by interned label symbol, instead
@@ -59,8 +62,8 @@ var _ Graph = (*doem.Database)(nil)
 // symbol.Lookup does not know matches nothing, and the evaluator falls to
 // the scan. Implementations must return exactly the arcs, in the order,
 // the scan would produce (insertion order, filtered) — the result
-// ordering of indexed evaluation depends on it. internal/index provides
-// it.
+// ordering of indexed evaluation depends on it. *doem.Database provides
+// it from its own label buckets.
 type LabelSeeker interface {
 	// OutLabeled returns the current-snapshot arcs of n whose label is
 	// the canonical string of sym, in insertion order.

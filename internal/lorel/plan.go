@@ -67,14 +67,11 @@ func (pr *prepared) fresh(graphs map[string]Graph) bool {
 }
 
 // statsVersionOf extracts a change-detection version from a graph: its
-// stats version when it serves planner statistics, its database version
-// otherwise, zero when it exposes neither (identity-only pinning).
+// stats version when it serves planner statistics, zero otherwise
+// (identity-only pinning).
 func statsVersionOf(g Graph) uint64 {
 	if s, ok := g.(plan.Stats); ok {
 		return s.StatsVersion()
-	}
-	if v, ok := g.(interface{ Version() uint64 }); ok {
-		return v.Version()
 	}
 	return 0
 }

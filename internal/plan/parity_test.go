@@ -1,6 +1,6 @@
 // Package plan_test holds the planner's parity property test. It lives in
 // an external test package so it can drive the full stack — lorel engines
-// over raw DOEM databases, index.Graph wrappers, and segmented stores —
+// over DOEM databases, their clones, and segmented stores —
 // without an import cycle back into internal/plan.
 package plan_test
 
@@ -12,7 +12,6 @@ import (
 
 	"repro/internal/doem"
 	"repro/internal/guidegen"
-	"repro/internal/index"
 	"repro/internal/lorel"
 	"repro/internal/obs"
 	"repro/internal/segment"
@@ -121,7 +120,7 @@ func pair(g lorel.Graph, polls []timestamp.Time) (off, on *lorel.Engine) {
 // TestPlannerEvalParity is the tentpole's property test: over randomized
 // histories, planner-on evaluation must be byte-identical to planner-off
 // written-order evaluation on well over 100 randomized queries, against a
-// monolithic DOEM database, its indexed wrapper, and a segmented store of
+// monolithic DOEM database, a clone of it, and a segmented store of
 // the same history.
 func TestPlannerEvalParity(t *testing.T) {
 	defer obs.SetEnabled(obs.SetEnabled(true))
@@ -155,7 +154,7 @@ func TestPlannerEvalParity(t *testing.T) {
 		steps := mono.Steps()
 		polls := steps[:len(steps)/2+1]
 		rawOff, rawOn := pair(mono, polls)
-		idxOff, idxOn := pair(index.NewGraph(mono), polls)
+		idxOff, idxOn := pair(mono.Clone(), polls)
 		segOff, segOn := pair(st.Graph(), polls)
 
 		rng := rand.New(rand.NewSource(seed * 7919))
@@ -163,7 +162,7 @@ func TestPlannerEvalParity(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			q := randomQuery(rng, times)
 			checkParity(t, fmt.Sprintf("seed %d raw", seed), q, rawOff, rawOn)
-			checkParity(t, fmt.Sprintf("seed %d indexed", seed), q, idxOff, idxOn)
+			checkParity(t, fmt.Sprintf("seed %d cloned", seed), q, idxOff, idxOn)
 			checkParity(t, fmt.Sprintf("seed %d segmented", seed), q, segOff, segOn)
 			total++
 		}

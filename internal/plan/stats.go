@@ -1,8 +1,8 @@
 package plan
 
 // Stats is the cardinality interface the planner costs plans with. It is
-// implemented by index.Graph (from its per-(node,label) adjacency maps)
-// and by segment.DB (from the store's STATE summaries); graphs without an
+// implemented by doem.Database (from its own per-(node, label) buckets)
+// and by segment.DB (from the store's in-memory summaries); graphs without an
 // implementation plan against structural defaults, which affects cost
 // estimates but never correctness.
 //

@@ -111,7 +111,7 @@ func (st *subState) restoreState(data []byte) error {
 		}
 		times = append(times, t)
 	}
-	st.setDOEM(d)
+	st.d = d
 	st.nextID = oem.NodeID(w.NextID)
 	st.remap = make(map[oem.NodeID]oem.NodeID, len(w.Remap))
 	for src, id := range w.Remap {

@@ -20,7 +20,6 @@ import (
 	"repro/internal/change"
 	"repro/internal/doem"
 	"repro/internal/incr"
-	"repro/internal/index"
 	"repro/internal/lorel"
 	"repro/internal/obs"
 	"repro/internal/oem"
@@ -105,22 +104,11 @@ type subState struct {
 	// log, when non-nil, records every poll for crash recovery. After a
 	// refused append it stays closed, so later polls fail too.
 	log *wal.Log
-	// ig is the secondary-index wrapper filter queries evaluate through.
-	// It is advanced by every fold and rebuilt whenever d is swapped
-	// (truncate, import).
-	ig *index.Graph
 	// fp is the filter query's incremental-matching fingerprint; polls
 	// whose applied delta provably cannot produce a filter row skip the
 	// evaluation entirely (see internal/incr). Nil on unclaimed replicas,
 	// which never evaluate filters.
 	fp *incr.Fingerprint
-}
-
-// setDOEM swaps the subscription's database, rebuilding the index wrapper
-// (an index.Graph is bound to one *doem.Database).
-func (st *subState) setDOEM(d *doem.Database) {
-	st.d = d
-	st.ig = index.NewGraph(d)
 }
 
 // Errors.
@@ -173,7 +161,7 @@ func (s *Service) Subscribe(sub Subscription) error {
 		prev.mu.Lock()
 		prev.sub = sub
 		prev.replica = false
-		prev.fp = filterFingerprint(sub, prev.ig)
+		prev.fp = filterFingerprint(sub, prev.d)
 		prev.mu.Unlock()
 		return nil
 	}
@@ -185,13 +173,12 @@ func (s *Service) Subscribe(sub Subscription) error {
 		nextID: 1, // the packaged root; alloc pre-increments past it
 		pollNs: obs.NewHistogram(obs.LabeledName("qss_poll_ns", "sub", sub.Name)),
 	}
-	st.ig = index.NewGraph(st.d)
 	if s.walDir != "" {
 		if err := s.attachLog(st, sub.Name); err != nil {
 			return err
 		}
 	}
-	st.fp = filterFingerprint(sub, st.ig)
+	st.fp = filterFingerprint(sub, st.d)
 	s.subs[sub.Name] = st
 	return nil
 }
@@ -291,7 +278,7 @@ func (s *Service) Truncate(name string, t timestamp.Time) error {
 	if err != nil {
 		return fmt.Errorf("qss: truncate: %w", err)
 	}
-	st.setDOEM(td)
+	st.d = td
 	var kept []timestamp.Time
 	for _, pt := range st.pollTimes {
 		if pt.After(t) {
@@ -473,7 +460,7 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 
 	// 5. Chorel engine: evaluate the filter with t[i] bound.
 	feng := lorel.NewEngine()
-	feng.Register(st.sub.Name, st.ig)
+	feng.Register(st.sub.Name, st.d)
 	feng.SetPollTimes(st.pollTimes)
 	fres, err := feng.QueryContext(ctx, st.sub.Filter)
 	if err != nil {
@@ -565,18 +552,15 @@ func (st *subState) packageResult(snap *oem.Database, res *lorel.Result) (*oem.D
 
 // fold advances the subscription by one poll record — the pair (t_i, U_i)
 // of paper Section 6 plus the packaging's remap additions and id
-// high-water mark: the history step and the index that follows it, the
-// remap entries (pruning those whose objects the step deleted), the poll
-// time and the high-water mark. The poll, WAL replay and ReplState.Apply
-// all fold through here. A step the database refuses leaves st unchanged.
-// Caller holds st.mu.
+// high-water mark: the history step, the remap entries (pruning those
+// whose objects the step deleted), the poll time and the high-water mark.
+// The poll, WAL replay and ReplState.Apply all fold through here. A step
+// the database refuses leaves st unchanged. Caller holds st.mu.
 func (st *subState) fold(t timestamp.Time, ops change.Set, added []remapPair, nextID oem.NodeID) error {
 	if len(ops) > 0 {
 		if err := st.d.Apply(t, ops); err != nil {
 			return fmt.Errorf("qss: applying changes: %w", err)
 		}
-		// Cached views of instants at or after t are dropped with the step.
-		st.ig.Advance(t, ops)
 	}
 	for _, p := range added {
 		st.remap[p.Src] = p.ID

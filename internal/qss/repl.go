@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/change"
 	"repro/internal/doem"
-	"repro/internal/index"
 	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/repl"
@@ -154,7 +153,6 @@ func (s *Service) newReplicaLocked(name string) *subState {
 		nextID:  1,
 		pollNs:  obs.NewHistogram(obs.LabeledName("qss_poll_ns", "sub", name)),
 	}
-	st.ig = index.NewGraph(st.d)
 	return st
 }
 

@@ -101,11 +101,7 @@ func (g *DB) UpdTriples(n oem.NodeID) []doem.UpdInfo {
 			ups = append(ups, doem.UpdInfo{At: a.At, Old: a.Old})
 		}
 	}
-	for _, a := range g.s.active.NodeAnnots(n) {
-		if a.Kind == doem.AnnotUpd {
-			ups = append(ups, doem.UpdInfo{At: a.At, Old: a.Old})
-		}
-	}
+	ups = append(ups, g.s.active.UpdTriples(n)...)
 	for i := range ups {
 		if i+1 < len(ups) {
 			ups[i].New = ups[i+1].Old

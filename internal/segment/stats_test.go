@@ -1,7 +1,6 @@
 package segment
 
 import (
-	"reflect"
 	"testing"
 
 	"repro/internal/doem"
@@ -17,21 +16,25 @@ import (
 // they check.
 var noSync = &wal.Options{Sync: wal.SyncNever}
 
-// checkStats asserts that the statistics the store advanced step by step
-// equal a recount from scratch.
+// checkStats asserts that the registry counts the store advanced step by
+// step equal a recount from scratch, and that the current-snapshot counts
+// are the active segment's.
 func checkStats(t *testing.T, st *Store, ctx string) {
 	t.Helper()
-	got, want := st.Graph().stats(), buildStoreStats(st)
-	if got.arcCount != want.arcCount {
-		t.Fatalf("%s: advanced arc count %d, recount %d", ctx, got.arcCount, want.arcCount)
-	}
-	if !reflect.DeepEqual(got.labels, want.labels) {
-		for l, w := range want.labels {
-			if g := got.labels[l]; g != w {
-				t.Fatalf("%s: label %q advanced to %+v, recount %+v", ctx, l, g, w)
-			}
+	g := st.Graph()
+	want := registryStats(st)
+	for l, w := range want {
+		cur := st.active.LabelStats(l)
+		w.Parents, w.Arcs, w.RootOut = cur.Parents, cur.Arcs, cur.RootOut
+		if got := g.LabelStats(l); got != w {
+			t.Fatalf("%s: label %q advanced to %+v, recount %+v", ctx, l, got, w)
 		}
-		t.Fatalf("%s: advanced label statistics carry %d labels, recount %d", ctx, len(got.labels), len(want.labels))
+	}
+	if got := len(st.statsC.labels); got != len(want) {
+		t.Fatalf("%s: advanced registry counts carry %d labels, recount %d", ctx, got, len(want))
+	}
+	if got, want := g.ArcCount(), st.active.Current().NumArcs(); got != want {
+		t.Fatalf("%s: arc count %d, current snapshot has %d", ctx, got, want)
 	}
 }
 
@@ -59,7 +62,7 @@ func scanStoreMaxID(st *Store) oem.NodeID {
 
 // TestStatsAdvanceEqualsRecount replays adversarial histories through
 // Store.Apply with seals, a Truncate and a reopen from disk interleaved, and
-// after every step compares the advanced statistics with buildStoreStats
+// after every step compares the advanced statistics with registryStats
 // and MaxID with the scan it replaces. Only first use, Truncate and reopen
 // may recount.
 func TestStatsAdvanceEqualsRecount(t *testing.T) {
@@ -71,7 +74,7 @@ func TestStatsAdvanceEqualsRecount(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Graph().stats()
+		st.Graph().LabelStats("")
 		rebuilds, allowed := mStatsRebuilds.Value(), int64(0)
 		at := timestamp.MustParse("1Jan97")
 		for step := 0; step < 60; step++ {

@@ -15,6 +15,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
@@ -25,6 +26,7 @@ import (
 	"repro/internal/doem"
 	"repro/internal/obs"
 	"repro/internal/oem"
+	"repro/internal/plan"
 	"repro/internal/symbol"
 	"repro/internal/timestamp"
 	"repro/internal/value"
@@ -305,10 +307,9 @@ func (s *Store) seedRegistryFromActive() {
 // mergeOps folds one applied change set into the store-level summaries:
 // new arcs append to the registry in canonical application order (the
 // order doem.Apply appends them to OutAll), created ids raise the
-// high-water mark. Call only after the set was applied successfully. st,
-// when non-nil, is the statistics summary to advance by the registry's
-// growth.
-func (s *Store) mergeOps(ops change.Set, st *storeStats) {
+// high-water mark. Call only after the set was applied successfully.
+// labels, when non-nil, are the registry counts to advance by its growth.
+func (s *Store) mergeOps(ops change.Set, labels map[string]plan.LabelCard) {
 	for _, op := range ops.Canonical() {
 		switch o := op.(type) {
 		case change.AddArc:
@@ -317,11 +318,12 @@ func (s *Store) mergeOps(ops change.Set, st *storeStats) {
 			a := oem.Arc{Parent: o.Parent, Label: symbol.Canon(o.Label), Child: o.Child}
 			if !s.member[a] {
 				s.member[a] = true
-				s.registry[o.Parent] = append(s.registry[o.Parent], a)
-				if st != nil {
-					first := countLabel(s.registry[o.Parent], a.Label, nil) == 1
-					st.addFull(a, first, o.Parent == s.active.Root())
+				if labels != nil {
+					hasLabel := func(x oem.Arc) bool { return x.Label == a.Label }
+					first := !slices.ContainsFunc(s.registry[o.Parent], hasLabel)
+					addFull(labels, a, first, o.Parent == s.active.Root())
 				}
+				s.registry[o.Parent] = append(s.registry[o.Parent], a)
 			}
 		case change.CreNode:
 			if o.Node > s.maxID {
@@ -381,11 +383,7 @@ func (s *Store) Apply(t timestamp.Time, ops change.Set) error {
 	}
 	s.active.Commit(t, ops)
 	s.statsC.mu.Lock()
-	st := s.statsC.cur
-	s.mergeOps(ops, st)
-	if st != nil {
-		st.advanceCurrent(s.active, ops)
-	}
+	s.mergeOps(ops, s.statsC.labels)
 	s.statsC.mu.Unlock()
 	s.activeAnnots += len(ops)
 	if s.firstActive.Equal(timestamp.PosInf) {
@@ -862,6 +860,29 @@ func (s *Store) loadSegData(h *handle) (*segData, error) {
 		return nil, err
 	}
 	return decodeSegData(raw)
+}
+
+// Replay rebuilds the whole stored history as one DOEM database — what a
+// store that never sealed would hold: the first sealed segment's base
+// snapshot with every sealed step and then the active segment's applied
+// on top. It reads every sealed segment from disk.
+func (s *Store) Replay() (*doem.Database, error) {
+	var base *oem.Database
+	var h change.History
+	for _, seg := range s.segs {
+		sd, err := s.loadSegData(seg)
+		if err != nil {
+			return nil, err
+		}
+		if base == nil {
+			base = sd.base
+		}
+		h = append(h, sd.steps...)
+	}
+	if base == nil {
+		base = s.active.Original()
+	}
+	return doem.FromHistory(base, append(h, s.active.ExtractHistory()...))
 }
 
 // covering returns the index of the sealed segment whose interval
