@@ -76,6 +76,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzWALRecordDecode$$' -fuzztime=30s -run xxx ./internal/wal/
 	$(GO) test -fuzz='^FuzzRequestDecode$$' -fuzztime=30s -run xxx ./internal/qss/
 	$(GO) test -fuzz='^FuzzReadLine$$' -fuzztime=30s -run xxx ./internal/qss/
+	$(GO) test -fuzz='^FuzzPollDiff$$' -fuzztime=30s -run xxx ./internal/qss/
 	$(GO) test -fuzz='^FuzzAccessPaths$$' -fuzztime=30s -run xxx ./internal/doem/
 	$(GO) test -fuzz='^FuzzSegmentParity$$' -fuzztime=30s -run xxx ./internal/segment/
 	$(GO) test -fuzz='^FuzzReplFrameDecode$$' -fuzztime=30s -run xxx ./internal/repl/

@@ -247,7 +247,7 @@ func BenchmarkQSSCycle(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				if err := src.Mutate(func(*oem.Database) error { ev.Step(5); return nil }); err != nil {
+				if err := src.Mutate(func(db *oem.Database) error { ev.DB = db; ev.Step(5); return nil }); err != nil {
 					b.Fatal(err)
 				}
 				t = t.Add(3600e9)

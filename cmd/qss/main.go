@@ -215,11 +215,13 @@ func run(cfg config) error {
 				return
 			case <-t.C:
 			}
-			guideSrc.Mutate(func(*oem.Database) error {
+			guideSrc.Mutate(func(db *oem.Database) error {
+				ev.DB = db
 				ev.Step(2 + rng.Intn(4))
 				return nil
 			})
-			libSrc.Mutate(func(*oem.Database) error {
+			libSrc.Mutate(func(db *oem.Database) error {
+				sim.SetDB(db)
 				sim.Step(1 + rng.Intn(3))
 				return nil
 			})

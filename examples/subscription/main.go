@@ -123,7 +123,7 @@ func popularBooks() {
 	}
 
 	mutate := func(fn func()) {
-		if err := src.Mutate(func(*oem.Database) error { fn(); return nil }); err != nil {
+		if err := src.Mutate(func(db *oem.Database) error { sim.SetDB(db); fn(); return nil }); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -365,21 +365,48 @@ func (s Set) Apply(db *oem.Database) ([]oem.NodeID, error) {
 
 // NeedsCollection reports whether applying this set can have left nodes
 // unreachable, making the step-boundary garbage collection necessary:
-// only arc removals can disconnect existing nodes, and only creations that
-// ended up without incoming arcs can introduce unreachable nodes. Called
-// after the operations have been applied to db.
+// only arc removals can disconnect existing nodes, and only creations can
+// introduce unreachable nodes — those that no chain of arcs through this
+// step's creations connects to a node that existed before it (an island
+// a <-> b has in-arcs, yet nothing reaches it). Called after the
+// operations have been applied to db.
 func (s Set) NeedsCollection(db *oem.Database) bool {
+	var created map[oem.NodeID]bool
 	for _, op := range s {
 		switch o := op.(type) {
 		case RemArc:
 			return true
 		case CreNode:
-			if len(db.In(o.Node)) == 0 {
-				return true
+			if created == nil {
+				created = make(map[oem.NodeID]bool)
+			}
+			created[o.Node] = false
+		}
+	}
+	// Mark the creations reached from an older node, then what they reach.
+	var stack []oem.NodeID
+	for n := range created {
+		for _, a := range db.In(n) {
+			if _, fresh := created[a.Parent]; !fresh {
+				created[n] = true
+				stack = append(stack, n)
+				break
 			}
 		}
 	}
-	return false
+	reached := len(stack)
+	for len(stack) > 0 {
+		n := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, a := range db.Out(n) {
+			if r, fresh := created[a.Child]; fresh && !r {
+				created[a.Child] = true
+				reached++
+				stack = append(stack, a.Child)
+			}
+		}
+	}
+	return reached < len(created)
 }
 
 // String lists the set in canonical order, one operation per line.

@@ -3,6 +3,7 @@ package doem
 import (
 	"testing"
 
+	"repro/internal/guidegen"
 	"repro/internal/timestamp"
 )
 
@@ -102,6 +103,40 @@ func TestTruncateRandomHistories(t *testing.T) {
 		}
 		if td.NumAnnotations() > d.NumAnnotations() {
 			t.Errorf("seed %d: truncation grew the database", seed)
+		}
+	}
+}
+
+// TestTruncateEveryStepOfChurn truncates adversarial histories (shared
+// children, cycles, subtrees cut loose, islands a <-> b created with no
+// path from the root) at every step time: each truncation must succeed and
+// agree with the original database at every later step.
+func TestTruncateEveryStepOfChurn(t *testing.T) {
+	for _, seed := range []int64{3, 9, 17, 28, 41} {
+		c := guidegen.NewChurn(seed, 60)
+		d := New(c.DB)
+		at := timestamp.MustParse("1Jan97")
+		for i := 0; i < 32; i++ {
+			set := c.Step(1 + int(seed+int64(i))%9)
+			if len(set) == 0 {
+				continue
+			}
+			at = at.Add(3600e9)
+			if err := d.Apply(at, set); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, i, err)
+			}
+		}
+		steps := d.Steps()
+		for i, cut := range steps {
+			td, err := d.Truncate(cut)
+			if err != nil {
+				t.Fatalf("seed %d: truncate at step %d of %d (%s): %v", seed, i, len(steps), cut, err)
+			}
+			for _, u := range steps[i+1:] {
+				if !td.SnapshotAt(u).Equal(d.SnapshotAt(u)) {
+					t.Fatalf("seed %d: truncated at %s, snapshot at %s differs", seed, cut, u)
+				}
+			}
 		}
 	}
 }

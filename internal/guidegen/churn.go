@@ -147,6 +147,11 @@ func (c *Churn) Step(nOps int) change.Set {
 func (c *Churn) keepReachable() {
 	live := c.DB.Reachable()
 	next := oem.New()
+	// The root may have been updated to an atomic value while it had no
+	// subobjects; it keeps whatever value it has.
+	if err := next.UpdateNode(next.Root(), c.DB.MustValue(c.DB.Root())); err != nil {
+		panic(err)
+	}
 	for _, id := range c.DB.Nodes() {
 		switch {
 		case !live[id]:

@@ -91,6 +91,10 @@ func (s *Sim) Snapshot() *oem.Database { return s.db.Clone() }
 // DB returns the live database (for wrapper.NewMutable-style embedding).
 func (s *Sim) DB() *oem.Database { return s.db }
 
+// SetDB makes db the database later events change — the copy a
+// copy-on-write source passes to its mutation function.
+func (s *Sim) SetDB(db *oem.Database) { s.db = db }
+
 // Checkout marks book i as checked out, bumping its counter. It reports
 // whether the state changed.
 func (s *Sim) Checkout(i int) bool {

@@ -11,8 +11,8 @@ import (
 )
 
 // TestCollectFollowsSuspects replays adversarial histories (shared
-// children, cycles, subtrees cut loose, islands left by non-collecting
-// steps) operation by operation on one long-lived database, whose
+// children, cycles, subtrees cut loose, islands created with no path from
+// the root) operation by operation on one long-lived database, whose
 // collections examine only the suspects, and checks every step against the
 // generator's reference model, which rebuilds the reachable subgraph from a
 // full walk.

@@ -1,12 +1,14 @@
 package qss
 
 import (
+	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/guidegen"
 	"repro/internal/oem"
 	"repro/internal/timestamp"
+	"repro/internal/wrapper"
 )
 
 // TestLongRunEvolvingSource drives many polling cycles over a synthetic
@@ -14,7 +16,7 @@ import (
 // truth from the source at every step.
 func TestLongRunEvolvingSource(t *testing.T) {
 	ev := guidegen.NewEvolver(3, 60)
-	src := wrapperMutable(ev)
+	src := wrapper.NewMutable(ev.DB)
 	svc := NewService(nil)
 
 	err := svc.Subscribe(Subscription{
@@ -33,7 +35,8 @@ func TestLongRunEvolvingSource(t *testing.T) {
 	for cycle := 0; cycle < 30; cycle++ {
 		// Evolve the source between polls.
 		if cycle > 0 {
-			if err := src.Mutate(func(*oem.Database) error {
+			if err := src.Mutate(func(db *oem.Database) error {
+				ev.DB = db
 				ev.Step(6)
 				return nil
 			}); err != nil {
@@ -53,10 +56,9 @@ func TestLongRunEvolvingSource(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		truth, err := src.Poll()
-		if err != nil {
-			t.Fatal(err)
-		}
+		// Ground truth is the evolver's own state: the version its last
+		// mutation wrote, which every poll since must have seen.
+		truth := ev.DB
 		var roots []oem.NodeID
 		for _, a := range truth.Out(truth.Root()) {
 			if a.Label == "restaurant" {
@@ -93,20 +95,78 @@ func TestLongRunEvolvingSource(t *testing.T) {
 	}
 }
 
-// wrapperMutable wraps an evolver's database as a mutable source without
-// importing wrapper in this file's callers repeatedly.
-func wrapperMutable(ev *guidegen.Evolver) *mutableSource {
-	return &mutableSource{db: ev.DB}
-}
-
-// mutableSource is a minimal in-package mutable source (mirrors
-// wrapper.Mutable; defined here to keep the integration test focused).
-type mutableSource struct {
-	db *oem.Database
-}
-
-func (m *mutableSource) Poll() (*oem.Database, error) { return m.db.Clone(), nil }
-func (m *mutableSource) StableIDs() bool              { return true }
-func (m *mutableSource) Mutate(fn func(*oem.Database) error) error {
-	return fn(m.db)
+// TestMutableSourceSharedByConcurrentPolls: subscriptions polling one
+// copy-on-write source concurrently, while a writer evolves it, read the
+// versions they share without interfering; after the writer stops, each
+// history matches the source's final state. Run it with -race.
+func TestMutableSourceSharedByConcurrentPolls(t *testing.T) {
+	ev := guidegen.NewEvolver(5, 30)
+	src := wrapper.NewMutable(ev.DB)
+	svc := NewService(nil)
+	names := []string{"A", "B", "C", "D"}
+	for _, name := range names {
+		if err := svc.Subscribe(Subscription{
+			Name: name, SourceName: "guide", Source: src,
+			Polling: `select guide.restaurant`,
+			Filter:  `select ` + name + `.restaurant<cre at T> where T > t[-1]`,
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	start := timestamp.MustParse("1Jan97")
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 100; i++ {
+			if err := src.Mutate(func(db *oem.Database) error {
+				ev.DB = db
+				ev.Step(4)
+				return nil
+			}); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for _, name := range names {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 40; i++ {
+				if _, err := svc.Poll(name, start.Add(time.Duration(i)*time.Hour)); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	// One more version after a poll shared the current one: every
+	// subscription must see it, and the evolver holds it.
+	if _, err := src.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Mutate(func(db *oem.Database) error {
+		ev.DB = db
+		ev.Step(4)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	truth := ev.DB
+	var roots []oem.NodeID
+	for _, a := range truth.OutLabeled(truth.Root(), "restaurant") {
+		roots = append(roots, a.Child)
+	}
+	want, _ := truth.CopySubgraph(roots, "restaurant", nil)
+	for _, name := range names {
+		if _, err := svc.Poll(name, start.Add(100*time.Hour)); err != nil {
+			t.Fatal(err)
+		}
+		d, _, _ := svc.History(name)
+		if !oem.Isomorphic(d.Current(), want) {
+			t.Errorf("%s: history diverged from the source's final state", name)
+		}
+	}
 }

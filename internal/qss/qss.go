@@ -3,17 +3,20 @@
 // semistructured information sources.
 //
 // For each subscription, QSS periodically sends a *polling query* (Lorel)
-// to the source's wrapper, packages the result as an OEM database,
-// infers the changes from the previous result with oemdiff (the paper's
-// OEMdiff module), folds them into a DOEM database, and evaluates the
-// *filter query* (Chorel, with the polling-time variables t[0], t[-1], ...)
-// over it. Non-empty filter results are delivered as notifications.
+// to the source's wrapper, infers the changes from the previous result
+// (the paper's OEMdiff module: one walk of the result for sources with
+// stable ids, packaging plus oemdiff's matching differ otherwise), folds
+// them into a DOEM database, and evaluates the *filter query* (Chorel,
+// with the polling-time variables t[0], t[-1], ...) over it. Non-empty
+// filter results are delivered as notifications.
 package qss
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -372,23 +375,26 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 		return nil, fmt.Errorf("qss: polling query: %w", err)
 	}
 
-	// 2. Package the result as an OEM database R_i (recursively including
-	// all subobjects, paper Section 6). Packaging leaves st as it is: the
-	// remap entries it allocates and the new id high-water mark travel in
-	// the poll record and take effect when the record is folded in.
-	pkg, added, nextID := st.packageResult(snap, res)
-
-	// 3. OEMdiff: infer U_i with U_i(R_{i-1}) = R_i.
+	// 2-3. Package the result as an OEM database R_i (recursively
+	// including all subobjects, paper Section 6) and infer U_i with
+	// U_i(R_{i-1}) = R_i. With stable ids, one walk of the result finds U_i
+	// without building R_i; otherwise the matching differ compares R_i as
+	// packaged. Either way st is left as it is: the remap entries the poll
+	// allocates and the new id high-water mark travel in the poll record
+	// and take effect when the record is folded in.
 	sp = tr.StartSpan("diff")
-	prev := st.d.Current()
 	var ops change.Set
+	var added []remapPair
+	var nextID oem.NodeID
 	if st.sub.Source.StableIDs() {
-		ops, err = oemdiff.DiffIdentity(prev, pkg)
+		ops, added, nextID, err = st.diffResult(snap, res)
 	} else {
+		var pkg *oem.Database
+		pkg, nextID = st.packageResult(snap, res)
 		// pkg was just built and never collected: its high-water mark is
 		// its largest id.
 		next := max(st.d.MaxID(), pkg.MaxID())
-		ops, err = oemdiff.Diff(prev, pkg, &oemdiff.Options{
+		ops, err = oemdiff.Diff(st.d.Current(), pkg, &oemdiff.Options{
 			AllocID: func() oem.NodeID { next++; return next },
 		})
 	}
@@ -479,54 +485,30 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	return n, nil
 }
 
-// packageResult copies the subobject closure of the polling-query result
-// into a fresh database. Source node ids map to stable packaged ids; ids
-// whose objects were deleted from the DOEM database are never reused.
-// It reads st without changing it, reporting instead the remap entries
-// this poll allocates (none for sources without stable ids, whose remap
-// is per-poll) and the new id high-water mark, for the poll record.
-func (st *subState) packageResult(snap *oem.Database, res *lorel.Result) (*oem.Database, []remapPair, oem.NodeID) {
-	out := oem.New()
-	nextID := st.nextID
-	persistent := st.sub.Source.StableIDs()
-	remap := st.remap
-	if !persistent {
-		// Source ids are meaningless across polls: the persistent remap is
-		// not consulted, and this poll's fresh map is all there is.
-		remap = nil
-	}
-	// fresh maps the source ids first seen in this poll.
-	fresh := make(map[oem.NodeID]oem.NodeID)
-	var added []remapPair
-	copied := make(map[oem.NodeID]bool)
-	var copyNode func(src oem.NodeID) oem.NodeID
-	copyNode = func(src oem.NodeID) oem.NodeID {
-		id, ok := remap[src]
-		if !ok {
-			id, ok = fresh[src]
-		}
-		if !ok {
-			nextID++
-			id = nextID
-			fresh[src] = id
-			if persistent {
-				added = append(added, remapPair{Src: src, ID: id})
-			}
-		}
-		if copied[src] {
+// closure is the subobject closure of a polling-query result: the objects
+// packaging copies into R_i, with their packaged ids.
+type closure struct {
+	ids   map[oem.NodeID]oem.NodeID // source id -> packaged id
+	nodes []remapPair               // every object, in visit order
+	root  []oem.Arc                 // the packaged root's arcs, in order
+	inR   map[oem.Arc]bool          // root, as a set
+}
+
+// walkResult visits the closure in packaging order — depth first from each
+// node cell, row by row, each object once — and gives every object its
+// packaged id from idOf on first sight, so fresh ids follow that order.
+func walkResult(snap *oem.Database, res *lorel.Result, root oem.NodeID, idOf func(src oem.NodeID) oem.NodeID) *closure {
+	c := &closure{ids: make(map[oem.NodeID]oem.NodeID), inR: make(map[oem.Arc]bool)}
+	var visit func(src oem.NodeID) oem.NodeID
+	visit = func(src oem.NodeID) oem.NodeID {
+		if id, ok := c.ids[src]; ok {
 			return id
 		}
-		copied[src] = true
-		if !out.Has(id) {
-			if err := out.CreateNodeWithID(id, snap.MustValue(src)); err != nil {
-				panic(fmt.Sprintf("qss: packaging: %v", err))
-			}
-		}
+		id := idOf(src)
+		c.ids[src] = id
+		c.nodes = append(c.nodes, remapPair{Src: src, ID: id})
 		for _, a := range snap.Out(src) {
-			c := copyNode(a.Child)
-			if err := out.AddArc(id, a.Label, c); err != nil {
-				panic(fmt.Sprintf("qss: packaging: %v", err))
-			}
+			visit(a.Child)
 		}
 		return id
 	}
@@ -539,15 +521,135 @@ func (st *subState) packageResult(snap *oem.Database, res *lorel.Result) (*oem.D
 			if label == "" {
 				label = "result"
 			}
-			id := copyNode(cell.Node())
-			if !out.HasArc(out.Root(), label, id) {
-				if err := out.AddArc(out.Root(), label, id); err != nil {
-					panic(fmt.Sprintf("qss: packaging: %v", err))
-				}
+			a := oem.Arc{Parent: root, Label: label, Child: visit(cell.Node())}
+			if !c.inR[a] {
+				c.inR[a] = true
+				c.root = append(c.root, a)
 			}
 		}
 	}
-	return out, added, nextID
+	return c
+}
+
+// packageResult copies the closure of the polling-query result into a
+// fresh database under fresh ids above st.nextID — R_i for the matching
+// differ, since a source without stable ids gives ids that mean nothing
+// across polls. It returns R_i and the new id high-water mark.
+func (st *subState) packageResult(snap *oem.Database, res *lorel.Result) (*oem.Database, oem.NodeID) {
+	out := oem.New()
+	nextID := st.nextID
+	c := walkResult(snap, res, out.Root(), func(oem.NodeID) oem.NodeID { nextID++; return nextID })
+	for _, n := range c.nodes {
+		if err := out.CreateNodeWithID(n.ID, snap.MustValue(n.Src)); err != nil {
+			panic(fmt.Sprintf("qss: packaging: %v", err))
+		}
+	}
+	arcs := c.root
+	for _, n := range c.nodes {
+		for _, a := range snap.Out(n.Src) {
+			arcs = append(arcs, oem.Arc{Parent: n.ID, Label: a.Label, Child: c.ids[a.Child]})
+		}
+	}
+	for _, a := range arcs {
+		if err := out.AddArc(a.Parent, a.Label, a.Child); err != nil {
+			panic(fmt.Sprintf("qss: packaging: %v", err))
+		}
+	}
+	return out, nextID
+}
+
+// diffResult is packaging plus oemdiff.DiffIdentity for a stable-id
+// source, in one walk of the result closure: it returns the change set
+// DiffIdentity(R_{i-1}, R_i) would for R_i as packaged, in the same order,
+// without building R_i. Source ids map to packaged ids through st.remap;
+// ids of objects deleted from the DOEM database are never reused. It reads
+// st without changing it, reporting the remap entries this poll allocates
+// and the new id high-water mark for the poll record.
+func (st *subState) diffResult(snap *oem.Database, res *lorel.Result) (change.Set, []remapPair, oem.NodeID, error) {
+	prev := st.d.Current()
+	root := prev.Root()
+	nextID := st.nextID
+	var added []remapPair
+	c := walkResult(snap, res, root, func(src oem.NodeID) oem.NodeID {
+		if id, ok := st.remap[src]; ok {
+			return id
+		}
+		nextID++
+		added = append(added, remapPair{Src: src, ID: nextID})
+		return nextID
+	})
+	slices.SortFunc(c.nodes, func(a, b remapPair) int { return cmp.Compare(a.ID, b.ID) })
+	find := func(id oem.NodeID) (oem.NodeID, bool) {
+		i, ok := slices.BinarySearchFunc(c.nodes, id, func(n remapPair, id oem.NodeID) int { return cmp.Compare(n.ID, id) })
+		if !ok {
+			return 0, false
+		}
+		return c.nodes[i].Src, true
+	}
+
+	// Created and updated objects, by id.
+	var set change.Set
+	inPrev := 1 // objects of R_i already in R_{i-1}, the root first
+	for _, n := range c.nodes {
+		v := snap.MustValue(n.Src)
+		ov, ok := prev.Value(n.ID)
+		switch {
+		case !ok:
+			set = append(set, change.CreNode{Node: n.ID, Value: v})
+			continue
+		case !ov.Equal(v):
+			set = append(set, change.UpdNode{Node: n.ID, Value: v})
+		}
+		inPrev++
+	}
+	// Added arcs, by parent id. A parent that keeps fewer of its arcs than
+	// R_{i-1} gave it has lost some.
+	var short []oem.NodeID
+	addArcs := func(p oem.NodeID, arcs []oem.Arc, child func(oem.Arc) oem.NodeID) {
+		kept := 0
+		for _, a := range arcs {
+			if ch := child(a); prev.HasArc(p, a.Label, ch) {
+				kept++
+			} else {
+				set = append(set, change.AddArc{Parent: p, Label: a.Label, Child: ch})
+			}
+		}
+		if kept != len(prev.Out(p)) {
+			short = append(short, p)
+		}
+	}
+	addArcs(root, c.root, func(a oem.Arc) oem.NodeID { return a.Child })
+	for _, n := range c.nodes {
+		addArcs(n.ID, snap.Out(n.Src), func(a oem.Arc) oem.NodeID { return c.ids[a.Child] })
+	}
+	// Objects of R_{i-1} the walk did not reach lose every arc.
+	if inPrev < prev.NumNodes() {
+		for _, p := range prev.Nodes() {
+			if _, reached := find(p); !reached && p != root && len(prev.Out(p)) > 0 {
+				short = append(short, p)
+			}
+		}
+		slices.Sort(short)
+	}
+	// Removed arcs, by parent id.
+	for _, p := range short {
+		src, reached := find(p)
+		for _, a := range prev.Out(p) {
+			var kept bool
+			if p == root {
+				kept = c.inR[a]
+			} else if ch, ok := find(a.Child); ok && reached {
+				kept = snap.HasArc(src, a.Label, ch)
+			}
+			if !kept {
+				set = append(set, change.RemArc{Parent: p, Label: a.Label, Child: a.Child})
+			}
+		}
+	}
+	if err := set.Validate(prev); err != nil {
+		return nil, nil, 0, fmt.Errorf("oemdiff: inconsistent snapshots: %w", err)
+	}
+	return set, added, nextID, nil
 }
 
 // fold advances the subscription by one poll record — the pair (t_i, U_i)

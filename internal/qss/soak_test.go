@@ -7,6 +7,7 @@ import (
 	"repro/internal/guidegen"
 	"repro/internal/oem"
 	"repro/internal/timestamp"
+	"repro/internal/wrapper"
 )
 
 // TestSoakLongHistoryWithTruncation runs a long polling campaign with
@@ -18,7 +19,7 @@ func TestSoakLongHistoryWithTruncation(t *testing.T) {
 		t.Skip("soak test; skipped with -short")
 	}
 	ev := guidegen.NewEvolver(13, 120)
-	src := wrapperMutable(ev)
+	src := wrapper.NewMutable(ev.DB)
 	svc := NewService(nil)
 	err := svc.Subscribe(Subscription{
 		Name: "Guide", SourceName: "guide", Source: src,
@@ -32,7 +33,7 @@ func TestSoakLongHistoryWithTruncation(t *testing.T) {
 	at := timestamp.MustParse("1Jan97")
 	var annotHighWater int
 	for cycle := 0; cycle < 150; cycle++ {
-		if err := src.Mutate(func(*oem.Database) error { ev.Step(8); return nil }); err != nil {
+		if err := src.Mutate(func(db *oem.Database) error { ev.DB = db; ev.Step(8); return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := svc.Poll("Guide", at); err != nil {

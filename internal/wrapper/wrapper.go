@@ -2,6 +2,9 @@
 // Service polls — the stand-in for Tsimmis wrappers and mediators
 // (paper Section 6): each source, when polled, produces an OEM snapshot of
 // an autonomous information system that offers no triggers and no history.
+//
+// A polled snapshot is read-only and may be shared: Mutable hands every
+// poller of one version the same copy-on-write database.
 package wrapper
 
 import (
@@ -38,29 +41,43 @@ func (s Static) StableIDs() bool { return true }
 
 // Mutable is a source backed by a live OEM database mutated between polls,
 // with stable object identity — the shape of a cooperative wrapper.
+//
+// It is copy-on-write: Poll hands out the live database and marks it
+// shared, and the next Mutate clones it before changing it. A source
+// version costs one clone however many subscriptions poll it, none if
+// nobody does, and every poll of one version reads the same object.
 type Mutable struct {
-	mu sync.Mutex
-	db *oem.Database
+	mu     sync.Mutex
+	db     *oem.Database
+	shared bool // db has been handed out by Poll since its last clone
 }
 
-// NewMutable wraps db as a mutable source.
+// NewMutable wraps db as a mutable source. The source owns db from then
+// on: change it only through Mutate.
 func NewMutable(db *oem.Database) *Mutable { return &Mutable{db: db} }
 
-// Poll implements Source: it returns a snapshot clone, so later mutations
-// do not alias earlier polls.
+// Poll implements Source: it returns the current version, which later
+// mutations leave untouched.
 func (m *Mutable) Poll() (*oem.Database, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.db.Clone(), nil
+	m.shared = true
+	return m.db, nil
 }
 
 // StableIDs implements Source.
 func (m *Mutable) StableIDs() bool { return true }
 
-// Mutate runs fn against the underlying database under the source lock.
+// Mutate runs fn under the source lock on the database to change, which
+// is a private copy whenever the current version has been polled. fn must
+// change only the database it is passed: one it captured earlier may be a
+// snapshot that pollers are reading.
 func (m *Mutable) Mutate(fn func(db *oem.Database) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.shared {
+		m.db, m.shared = m.db.Clone(), false
+	}
 	return fn(m.db)
 }
 

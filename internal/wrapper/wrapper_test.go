@@ -3,6 +3,7 @@ package wrapper
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/guidegen"
@@ -53,6 +54,77 @@ func TestMutableSourceSnapshotsIndependent(t *testing.T) {
 	if c := oemdiff.Measure(set); c.Updates != 1 || c.Total() != 1 {
 		t.Errorf("diff cost = %+v, want one update", c)
 	}
+}
+
+// TestMutableOneCopyPerVersion: polls of one version return the same
+// object, and mutations between polls change one private copy.
+func TestMutableOneCopyPerVersion(t *testing.T) {
+	db, ids := guidegen.PaperGuide()
+	m := NewMutable(db)
+	a, _ := m.Poll()
+	b, _ := m.Poll()
+	if a != b {
+		t.Fatal("two polls of one version returned different objects")
+	}
+	var passed []*oem.Database
+	for _, v := range []int64{11, 12} {
+		if err := m.Mutate(func(db *oem.Database) error {
+			passed = append(passed, db)
+			return db.UpdateNode(ids.Price, value.Int(v))
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if passed[0] == a || passed[1] != passed[0] {
+		t.Error("mutations did not share one private copy of the polled version")
+	}
+	c, _ := m.Poll()
+	if c != passed[1] || !c.MustValue(ids.Price).Equal(value.Int(12)) {
+		t.Error("poll after mutations does not return the mutated version")
+	}
+}
+
+// TestMutableConcurrentPollMutate reads polled snapshots in full while a
+// writer mutates the source; run it with -race.
+func TestMutableConcurrentPollMutate(t *testing.T) {
+	ev := guidegen.NewEvolver(6, 30)
+	m := NewMutable(ev.DB)
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				snap, err := m.Poll()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if err := snap.Validate(); err != nil {
+					t.Error(err)
+					return
+				}
+				_ = snap.Fingerprint()
+			}
+		}()
+	}
+	for i := 0; i < 200; i++ {
+		if err := m.Mutate(func(db *oem.Database) error {
+			ev.DB = db
+			ev.Step(3)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
 }
 
 func TestUnstableSourceFreshIDs(t *testing.T) {

@@ -201,7 +201,10 @@ func DiffSnapshotsMatched(old, new *OEM) (ChangeSet, error) { return oemdiff.Dif
 // through fn.
 func NewQSS(fn func(Notification)) *QSS { return qss.NewService(fn) }
 
-// NewMutableSource wraps a live OEM database as a stable-identity source.
+// NewMutableSource wraps a live OEM database as a stable-identity,
+// copy-on-write source. The source owns db from then on: change it only
+// through Mutate, whose function must change only the database it is
+// passed, since a polled version stays shared with its readers.
 func NewMutableSource(db *OEM) *wrapper.Mutable { return wrapper.NewMutable(db) }
 
 // ParseFreq parses a textual frequency specification ("every 10 minutes",
