@@ -6,10 +6,10 @@
 //
 //	qss [-listen ADDR] [-guide N] [-library N] [-evolve DUR] [-waldir DIR] [-walsync POLICY] [-csv NAME=PATH:KEY:ROW]...
 //
-// Persistence is a per-subscription write-ahead log (-waldir, with
-// -walsync choosing its durability; see docs/wal.md) or a replicated
-// oplog (-repl-dir, below). Every poll's record reaches the log before
-// the subscription's history advances.
+// Persistence is one oplog under -waldir, with -walsync choosing its
+// durability (see docs/wal.md): every poll's record reaches the log
+// before the subscription's history advances, and a restart on the same
+// directory replays every subscription's history.
 //
 // Built-in demo sources:
 //
@@ -33,13 +33,12 @@
 // SIGTERM triggers a graceful shutdown (pollers stopped, WAL flushed,
 // connections drained).
 //
-// Replication (see docs/replication.md): -repl-dir turns the server into a
-// replication participant whose poll history lives on a replicated oplog
-// (mutually exclusive with -waldir). -repl-listen accepts
-// follower streams; -repl-primary takes the primary role at startup, while
-// -repl-follow ADDR follows an existing primary and serves reads, with
-// writes redirected to the primary's -repl-advertise address. -repl-ack
-// picks the write acknowledgment mode (none | one | quorum). POST
+// Replication (see docs/replication.md) replicates the -waldir oplog:
+// -repl-listen accepts follower streams; -repl-primary takes the primary
+// role at startup, while -repl-follow ADDR follows an existing primary and
+// serves reads, with writes redirected to the primary's -repl-advertise
+// address. -repl-ack picks the write acknowledgment mode (none | one |
+// quorum). POST
 // /promote on the admin endpoint promotes a follower during failover, and
 // /healthz reports the node's role, epoch and replication lag.
 package main
@@ -101,7 +100,6 @@ type config struct {
 	chaosErrRate float64
 	chaosLatency time.Duration
 
-	replDir        string
 	replListen     string
 	replFollow     string
 	replPrimary    bool
@@ -121,8 +119,8 @@ func main() {
 	flag.IntVar(&cfg.libN, "library", 30, "books in the demo library source")
 	flag.DurationVar(&cfg.evolve, "evolve", 2*time.Second, "interval between demo source changes")
 	flag.Int64Var(&cfg.seed, "seed", 1, "random seed for the demo sources")
-	flag.StringVar(&cfg.walDir, "waldir", "", "directory for per-subscription write-ahead logs (empty: no persistence)")
-	flag.StringVar(&cfg.walSync, "walsync", "interval", "WAL durability: always | interval | never")
+	flag.StringVar(&cfg.walDir, "waldir", "", "directory for the subscription oplog (empty: no persistence)")
+	flag.StringVar(&cfg.walSync, "walsync", "always", "WAL durability: always | interval | never")
 	flag.StringVar(&cfg.admin, "admin", "", "serve /metrics, /healthz and pprof on this address (enables metrics collection; empty = off)")
 	version := flag.Bool("version", false, "print build information and exit")
 	var csvs csvFlags
@@ -145,7 +143,6 @@ func main() {
 	flag.Float64Var(&cfg.chaosErrRate, "chaos-error-rate", 0, "probability each source poll fails (0 = chaos off)")
 	flag.DurationVar(&cfg.chaosLatency, "chaos-latency", 0, "max injected source poll latency")
 
-	flag.StringVar(&cfg.replDir, "repl-dir", "", "directory for the replicated oplog (enables replication; mutually exclusive with -waldir)")
 	flag.StringVar(&cfg.replListen, "repl-listen", "", "address accepting follower replication streams")
 	flag.StringVar(&cfg.replFollow, "repl-follow", "", "primary replication address to follow (serve as a read replica)")
 	flag.BoolVar(&cfg.replPrimary, "repl-primary", false, "take the primary role at startup")
@@ -248,41 +245,33 @@ func run(cfg config) error {
 		MaxMessage:        cfg.maxMsg,
 		Linger:            cfg.linger,
 	})
-	if cfg.walDir != "" {
-		var pol wal.SyncPolicy
-		switch cfg.walSync {
-		case "always":
-			pol = wal.SyncAlways
-		case "interval":
-			pol = wal.SyncInterval
-		case "never":
-			pol = wal.SyncNever
-		default:
-			return fmt.Errorf("bad -walsync %q (want always, interval, or never)", cfg.walSync)
-		}
-		if err := srv.EnableWAL(cfg.walDir, &wal.Options{Sync: pol}); err != nil {
+	// Persistence: one oplog under -waldir, standalone or, with any
+	// -repl-listen, -repl-follow or -repl-primary, replicated (see
+	// docs/replication.md).
+	replicated := cfg.replListen != "" || cfg.replFollow != "" || cfg.replPrimary
+	var opt *wal.Options
+	switch {
+	case cfg.walDir == "" && replicated:
+		return fmt.Errorf("-repl-listen, -repl-follow and -repl-primary require -waldir")
+	case cfg.walDir == "":
+		// No persistence.
+	case cfg.walSync == "always":
+		opt = &wal.Options{Sync: wal.SyncAlways}
+	case cfg.walSync == "interval":
+		opt = &wal.Options{Sync: wal.SyncInterval}
+	case cfg.walSync == "never":
+		opt = &wal.Options{Sync: wal.SyncNever}
+	default:
+		return fmt.Errorf("bad -walsync %q (want always, interval, or never)", cfg.walSync)
+	}
+	if opt != nil && !replicated {
+		if err := srv.EnableWAL(cfg.walDir, opt); err != nil {
 			return err
 		}
 		fmt.Printf("qss: logging subscriptions under %s (sync=%s)\n", cfg.walDir, cfg.walSync)
 	}
-
-	// Replication: subscription history lives on a replicated oplog (see
-	// docs/replication.md) instead of per-subscription logs.
 	var node *repl.Node
-	if cfg.replDir == "" {
-		for flagName, set := range map[string]bool{
-			"-repl-listen":  cfg.replListen != "",
-			"-repl-follow":  cfg.replFollow != "",
-			"-repl-primary": cfg.replPrimary,
-		} {
-			if set {
-				return fmt.Errorf("%s requires -repl-dir", flagName)
-			}
-		}
-	} else {
-		if cfg.walDir != "" {
-			return fmt.Errorf("-repl-dir is mutually exclusive with -waldir")
-		}
+	if replicated {
 		if cfg.replPrimary && cfg.replFollow != "" {
 			return fmt.Errorf("-repl-primary and -repl-follow are mutually exclusive")
 		}
@@ -298,12 +287,13 @@ func run(cfg config) error {
 		if advertise == "" {
 			advertise = cfg.listen
 		}
-		node, err = repl.Open(cfg.replDir, qss.NewReplState(srv.Service()), repl.Config{
+		node, err = repl.Open(cfg.walDir, qss.NewReplState(srv.Service()), repl.Config{
 			ID:             id,
 			Ack:            ack,
 			Replicas:       cfg.replReplicas,
 			AckTimeout:     cfg.replAckTimeout,
 			Advertise:      advertise,
+			WAL:            opt,
 			HeartbeatEvery: cfg.replHeartbeat,
 			IdleTimeout:    cfg.replIdle,
 		})
@@ -337,8 +327,8 @@ func run(cfg config) error {
 			}
 		}
 		st := node.Status()
-		fmt.Printf("qss: replicated oplog under %s (id=%s role=%s epoch=%d ack=%s advertise=%s)\n",
-			cfg.replDir, id, st.Role, st.Epoch, ack, advertise)
+		fmt.Printf("qss: replicated oplog under %s (id=%s role=%s epoch=%d ack=%s advertise=%s sync=%s)\n",
+			cfg.walDir, id, st.Role, st.Epoch, ack, advertise, cfg.walSync)
 	}
 
 	// Opt-in admin endpoint: metrics (JSON + Prometheus text), health with

@@ -122,6 +122,7 @@ func TestIncrementalParityRandomized(t *testing.T) {
 			if err := svc.EnableWAL(t.TempDir(), nil); err != nil {
 				t.Fatal(err)
 			}
+			t.Cleanup(func() { svc.Close() })
 		}},
 	}
 	for _, mode := range modes {

@@ -153,7 +153,7 @@ func checkPollDiff(t testing.TB, seed int64, query string, polls, maxOps int, co
 		if gotNext != wantNext || !samePackaging(gotPkg, wantPkg) {
 			t.Fatalf("%s: fresh-id packaging differs (next %s, want %s)", where, gotNext, wantNext)
 		}
-		if err := st.fold(at, ops, added, next); err != nil {
+		if err := st.apply(record{t: at, ops: ops, added: added, nextID: next}); err != nil {
 			t.Fatalf("%s: fold: %v", where, err)
 		}
 		if !oem.Isomorphic(st.d.Current(), pkg) {

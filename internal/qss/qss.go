@@ -29,7 +29,6 @@ import (
 	"repro/internal/oemdiff"
 	"repro/internal/repl"
 	"repro/internal/timestamp"
-	"repro/internal/wal"
 	"repro/internal/wrapper"
 )
 
@@ -70,29 +69,27 @@ type Service struct {
 	mu     sync.Mutex
 	subs   map[string]*subState
 	notify func(Notification)
-	// walDir/walOpt, when set via EnableWAL, give every subscription a
-	// write-ahead log so restarts recover history without re-polling.
-	walDir string
-	walOpt *wal.Options
-	// replNode, when set via EnableReplication, routes every poll record
-	// through a replicated oplog with quorum acknowledgment (mutually
-	// exclusive with walDir; see repl.go).
-	replNode *repl.Node
+	// node, when set by EnableWAL or EnableReplication, makes every record
+	// durable on its oplog (and, replicated, on its ack quorum) before the
+	// record is folded in; see repl.go. ownNode marks a node EnableWAL
+	// opened, which Close closes.
+	node    *repl.Node
+	ownNode bool
 }
 
 type subState struct {
-	// pollMu serializes whole polls (source I/O through filter delivery).
-	// It is always acquired before mu and held across the replication
-	// quorum wait, during which mu is released so the node's ReplState can
-	// fold the record in.
+	// pollMu serializes whole polls (source I/O through filter delivery)
+	// and truncations. It is always acquired before mu and held across the
+	// node's append and quorum wait, during which mu is released so the
+	// node's ReplState can fold the record in.
 	pollMu sync.Mutex
 	// mu guards the fields below (history, remap, poll times).
 	mu  sync.Mutex
 	sub Subscription
-	// replica marks state maintained by replication with no subscription
-	// attached (no source, no queries): a follower's copy, or a primary's
-	// own state rebuilt from the oplog before Subscribe re-adopted it.
-	// Replicas serve reads (History, List) but cannot poll.
+	// replica marks state kept by the node with no subscription attached
+	// (no source, no queries): a follower's copy, a history rebuilt from
+	// the oplog before Subscribe re-adopted it, or one Unsubscribe
+	// detached. Replicas serve reads (History, List) but cannot poll.
 	replica bool
 	d       *doem.Database
 	// pollNs is this subscription's poll-latency histogram,
@@ -104,9 +101,6 @@ type subState struct {
 	// objects deleted from the DOEM database.
 	nextID    oem.NodeID
 	pollTimes []timestamp.Time
-	// log, when non-nil, records every poll for crash recovery. After a
-	// refused append it stays closed, so later polls fail too.
-	log *wal.Log
 	// fp is the filter query's incremental-matching fingerprint; polls
 	// whose applied delta provably cannot produce a filter row skip the
 	// evaluation entirely (see internal/incr). Nil on unclaimed replicas,
@@ -154,13 +148,14 @@ func (s *Service) Subscribe(sub Subscription) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if prev, dup := s.subs[sub.Name]; dup {
-		if s.replNode == nil || !prev.replica {
+		if !prev.replica {
 			return fmt.Errorf("%w: %q", ErrDuplicate, sub.Name)
 		}
-		// Adopt the replicated history: the state was rebuilt from the
-		// oplog (this node followed a primary, or restarted). Attaching
-		// the subscription's source and queries makes it pollable again
-		// without losing a step — the t[-i] alignment survives failover.
+		// Adopt the recorded history: the state was rebuilt from the oplog
+		// (this node followed a primary, or restarted) or kept when the
+		// subscription was dropped. Attaching the subscription's source and
+		// queries makes it pollable again without losing a step — the
+		// t[-i] alignment survives restarts and failover.
 		prev.mu.Lock()
 		prev.sub = sub
 		prev.replica = false
@@ -175,11 +170,6 @@ func (s *Service) Subscribe(sub Subscription) error {
 		remap:  make(map[oem.NodeID]oem.NodeID),
 		nextID: 1, // the packaged root; alloc pre-increments past it
 		pollNs: obs.NewHistogram(obs.LabeledName("qss_poll_ns", "sub", sub.Name)),
-	}
-	if s.walDir != "" {
-		if err := s.attachLog(st, sub.Name); err != nil {
-			return err
-		}
 	}
 	st.fp = filterFingerprint(sub, st.d)
 	s.subs[sub.Name] = st
@@ -201,9 +191,11 @@ func filterFingerprint(sub Subscription, g lorel.Graph) *incr.Fingerprint {
 	return incr.Extract(q, map[string]lorel.Graph{sub.Name: g})
 }
 
-// Unsubscribe removes a subscription. Its write-ahead log, if any, is
-// closed but left on disk: re-subscribing under the same name resumes the
-// recorded history.
+// Unsubscribe removes a subscription. A persistent service keeps its
+// history: state must stay exactly what the oplog reproduces (a restart
+// replays it all back), so unsubscribing only detaches the source and
+// queries. The history survives as an unclaimed replica and a later
+// Subscribe under the same name re-adopts it.
 func (s *Service) Unsubscribe(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -211,23 +203,14 @@ func (s *Service) Unsubscribe(name string) error {
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrNoSuchSub, name)
 	}
-	st.mu.Lock()
-	if st.log != nil {
-		st.log.Close()
-		st.log = nil
-	}
-	if s.replNode != nil {
-		// Replicated state must stay exactly what the oplog reproduces (a
-		// restart replays it all back), so unsubscribing only detaches the
-		// source and queries: the history survives as an unclaimed replica
-		// and a later Subscribe under the same name re-adopts it.
-		st.sub = Subscription{}
-		st.replica = true
-		st.mu.Unlock()
+	if s.node == nil {
+		delete(s.subs, name)
 		return nil
 	}
+	st.mu.Lock()
+	st.sub = Subscription{}
+	st.replica = true
 	st.mu.Unlock()
-	delete(s.subs, name)
 	return nil
 }
 
@@ -262,45 +245,67 @@ func (s *Service) History(name string) (*doem.Database, []timestamp.Time, error)
 // ("trading accuracy for space"). Filter queries can no longer distinguish
 // changes at or before t. Polling times at or before t are dropped too, so
 // t[-i] references keep their alignment with surviving history.
+//
+// A persistent service records the truncation like a poll, so a restart
+// and every follower truncate too, then compacts the node's oplog: the
+// truncated state becomes its checkpoint and the records it covers go. An
+// error from that compaction leaves the truncation in place.
 func (s *Service) Truncate(name string, t timestamp.Time) error {
+	st, node, err := s.lookup(name)
+	if err != nil {
+		return err
+	}
+	st.pollMu.Lock()
+	defer st.pollMu.Unlock()
+	st.mu.Lock()
+	if node != nil {
+		// A record the fold refuses would close the node: check first.
+		// Without a node a refused fold leaves st as it was.
+		if _, err := st.d.Truncate(t); err != nil {
+			st.mu.Unlock()
+			return fmt.Errorf("qss: truncate: %w", err)
+		}
+	}
+	err = st.commit(node, name, record{truncate: true, t: t})
+	st.mu.Unlock()
+	if err != nil || node == nil {
+		return err
+	}
+	if err := node.Compact(); err != nil {
+		return fmt.Errorf("qss: compacting log: %w", err)
+	}
+	return nil
+}
+
+// lookup returns the named subscription state and the service's node.
+func (s *Service) lookup(name string) (*subState, *repl.Node, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.replNode != nil {
-		// Truncation would diverge the in-memory state from what the
-		// replicated oplog replays on the next restart (and from every
-		// follower). Compact the node's oplog instead.
-		return errors.New("qss: truncate is not supported under replication")
-	}
 	st, ok := s.subs[name]
 	if !ok {
-		return fmt.Errorf("%w: %q", ErrNoSuchSub, name)
+		return nil, nil, fmt.Errorf("%w: %q", ErrNoSuchSub, name)
 	}
+	return st, s.node, nil
+}
+
+// commit makes one record durable and folds it into st. With a node, the
+// node appends the record, folds it in through ReplState (the path a
+// follower's stream and a restart replay take), then waits for its ack
+// quorum; st.mu is released meanwhile and pollMu keeps the subscription's
+// records serialized. On error either the record was never appended and st
+// never moved, or it is durable and already folded in (fenced, closed or
+// timed out during the quorum wait) and may still replicate or be
+// discarded by a failover. Without a node the record is folded in
+// directly. Caller holds pollMu and st.mu.
+func (st *subState) commit(node *repl.Node, name string, r record) error {
+	if node == nil {
+		return st.apply(r)
+	}
+	st.mu.Unlock()
+	_, err := node.Apply(name, r.appendTo(nil))
 	st.mu.Lock()
-	defer st.mu.Unlock()
-	td, err := st.d.Truncate(t)
 	if err != nil {
-		return fmt.Errorf("qss: truncate: %w", err)
-	}
-	st.d = td
-	var kept []timestamp.Time
-	for _, pt := range st.pollTimes {
-		if pt.After(t) {
-			kept = append(kept, pt)
-		}
-	}
-	st.pollTimes = kept
-	st.pruneRemap()
-	// Under WAL persistence a truncation is also a log compaction: the
-	// truncated state becomes the checkpoint and covered segments go away
-	// (the paper's space-for-accuracy trade applied to the log).
-	if st.log != nil {
-		ck, err := st.marshalState(name)
-		if err != nil {
-			return err
-		}
-		if err := st.log.Checkpoint(ck, st.log.LastSeq()); err != nil {
-			return fmt.Errorf("qss: truncate checkpoint: %w", err)
-		}
+		return fmt.Errorf("qss: logging record: %w", err)
 	}
 	return nil
 }
@@ -337,17 +342,13 @@ func (s *Service) PollContext(ctx context.Context, name string, t timestamp.Time
 }
 
 func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time) (*Notification, error) {
-	s.mu.Lock()
-	st, ok := s.subs[name]
-	node := s.replNode
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: %q", ErrNoSuchSub, name)
+	st, node, err := s.lookup(name)
+	if err != nil {
+		return nil, err
 	}
-	s.mu.Unlock()
 	// Polls of one subscription are serialized by pollMu; different
-	// subscriptions poll concurrently. st.mu alone is not enough: in
-	// replication mode it is released around the quorum wait below.
+	// subscriptions poll concurrently. st.mu alone is not enough: with a
+	// node it is released around the append and quorum wait below.
 	st.pollMu.Lock()
 	defer st.pollMu.Unlock()
 	st.mu.Lock()
@@ -404,53 +405,22 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	}
 
 	// 4. DOEM Manager: extend the history by the poll record (t_i, U_i),
-	// written ahead. The record is durable on its target — the replicated
-	// oplog, the subscription's log, or none — before fold advances st, so
-	// memory never holds a poll a restart would not replay. Empty change
-	// sets are recorded too: the polling time itself is state (it anchors
-	// the filter's t[-i] variables).
-	rec := appendPollRecord(nil, t, ops, added, nextID)
-	if node != nil {
-		// The node appends the record, folds it into st through ReplState
-		// (the path a follower's stream and a restart replay take), then
-		// waits for the ack quorum; st.mu is released meanwhile and pollMu
-		// keeps the poll serialized. On error either the record was never
-		// appended and st never moved, or it is durable and already folded
-		// in (fenced, closed or timed out during the quorum wait) and may
-		// still replicate or be discarded by a failover. Either way, no
-		// notification for a poll that might not survive.
-		sp = tr.StartSpan("apply")
-		st.mu.Unlock()
-		_, err = node.Apply(name, rec)
-		st.mu.Lock()
-		sp.End()
-		if err != nil {
-			return nil, fmt.Errorf("qss: replicating poll: %w", err)
-		}
-	} else {
-		if st.log != nil {
-			sp = tr.StartSpan("wal-append")
-			if _, err = st.log.Append(rec); err != nil {
-				err = fmt.Errorf("qss: logging poll: %w", err)
-			}
-			sp.End()
-		}
-		if err == nil {
-			sp = tr.StartSpan("apply")
-			err = st.fold(t, ops, added, nextID)
-			sp.End()
-		}
-		if err != nil {
-			// A refused append may or may not have reached the disk, and a
-			// refused fold leaves the log ahead of memory. The log closes,
-			// as repl.Node closes itself on log/state divergence: later
-			// polls fail instead of appending past the record, and re-
-			// subscribing replays exactly what is durable.
-			if st.log != nil {
-				st.log.Close()
-			}
-			return nil, err
-		}
+	// written ahead: the record is durable on the node's oplog, if any,
+	// before it is folded in, so memory never holds a poll a restart would
+	// not replay. Empty change sets are recorded too: the polling time
+	// itself is state (it anchors the filter's t[-i] variables). On error,
+	// no notification for a poll that might not survive.
+	sp = tr.StartSpan("apply")
+	err = st.commit(node, name, record{t: t, ops: ops, added: added, nextID: nextID})
+	sp.End()
+	if err != nil {
+		return nil, err
+	}
+	if st.replica {
+		// Unsubscribe detached the subscription while st.mu was released:
+		// the recorded history stays, but there is no filter to evaluate
+		// and nobody to notify.
+		return nil, nil
 	}
 
 	// 4b. Incremental matching: if the filter query carries fresh guards
@@ -650,48 +620,4 @@ func (st *subState) diffResult(snap *oem.Database, res *lorel.Result) (change.Se
 		return nil, nil, 0, fmt.Errorf("oemdiff: inconsistent snapshots: %w", err)
 	}
 	return set, added, nextID, nil
-}
-
-// fold advances the subscription by one poll record — the pair (t_i, U_i)
-// of paper Section 6 plus the packaging's remap additions and id
-// high-water mark: the history step, the remap entries (pruning those
-// whose objects the step deleted), the poll time and the high-water mark.
-// The poll, WAL replay and ReplState.Apply all fold through here. A step
-// the database refuses leaves st unchanged. Caller holds st.mu.
-func (st *subState) fold(t timestamp.Time, ops change.Set, added []remapPair, nextID oem.NodeID) error {
-	if len(ops) > 0 {
-		if err := st.d.Apply(t, ops); err != nil {
-			return fmt.Errorf("qss: applying changes: %w", err)
-		}
-	}
-	for _, p := range added {
-		st.remap[p.Src] = p.ID
-	}
-	if len(ops) > 0 {
-		st.pruneRemap()
-	}
-	st.pollTimes = append(st.pollTimes, t)
-	st.nextID = nextID
-	return nil
-}
-
-// foldRecord decodes one encoded poll record and folds it in.
-func (st *subState) foldRecord(data []byte) error {
-	t, ops, added, nextID, err := decodePollRecord(data)
-	if err != nil {
-		return err
-	}
-	return st.fold(t, ops, added, nextID)
-}
-
-// pruneRemap drops remap entries whose packaged object has been deleted
-// from the DOEM database, so a reappearing source object is treated as a
-// fresh creation (ids are never reused, paper Section 2.2).
-func (st *subState) pruneRemap() {
-	cur := st.d.Current()
-	for src, id := range st.remap {
-		if !cur.Has(id) {
-			delete(st.remap, src)
-		}
-	}
 }

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"maps"
+	"path/filepath"
 	"sort"
 
 	"repro/internal/change"
@@ -11,21 +13,24 @@ import (
 	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/repl"
+	"repro/internal/wal"
 )
 
-// Replicated subscription state. With EnableReplication, every poll's
-// record — the same bytes EnableWAL would append to a per-subscription
-// log — is routed through a repl.Node before it is folded into the
-// subscription's history: the node appends it to its replicated oplog,
-// streams it to followers, and blocks until the configured ack quorum
-// has it durably. ReplState, the node's repl.State, folds records in
-// with the same function a local poll and a WAL replay use, so the
-// primary's polls, a follower's stream, restarts and catch-up replays
-// converge on identical state. See docs/replication.md.
+// Persistent subscription state. A persistent service routes every
+// history record (a poll or a truncation, see record.go) through a
+// repl.Node before the record is folded into the subscription's history:
+// the node appends it to its oplog, streams it to followers, and blocks
+// until the configured ack quorum has it durably. EnableWAL opens a
+// standalone node (no followers, acknowledged on the local append);
+// EnableReplication takes one the caller opened and owns. ReplState, the
+// node's repl.State, folds records in with the same function a service
+// without persistence uses, so the primary's polls, a follower's stream,
+// restarts and catch-up replays converge on identical state. See
+// docs/replication.md.
 
 // ReplState implements repl.State over a Service's subscription states.
-// Oplog records are poll records addressed by subscription name; applying
-// one is the fold a local poll performs.
+// Oplog records are history records addressed by subscription name;
+// applying one is the fold a service without a node performs.
 // Subscriptions a follower has never seen are created as unclaimed
 // replicas — they accumulate history and serve reads, and Subscribe
 // adopts them (reattaching source and queries) after a promotion.
@@ -34,7 +39,7 @@ type ReplState struct {
 }
 
 // NewReplState builds the repl.State for svc. Open the repl.Node over it,
-// then hand the node to svc.EnableReplication.
+// then hand the node to svc.EnableReplication (EnableWAL does both).
 func NewReplState(svc *Service) *ReplState { return &ReplState{svc: svc} }
 
 // Reset implements repl.State: drop every subscription state ahead of a
@@ -48,34 +53,39 @@ func (rs *ReplState) Reset() error {
 	return nil
 }
 
-// Apply implements repl.State: fold one replicated poll record into the
-// named subscription, creating an unclaimed replica the first time a
-// name is seen.
+// Apply implements repl.State: fold one history record into the named
+// subscription, creating an unclaimed replica the first time a name is
+// seen.
 func (rs *ReplState) Apply(name string, data []byte) error {
+	r, err := decodeRecord(data)
+	if err != nil {
+		return fmt.Errorf("qss: repl record: %w", err)
+	}
 	st := rs.svc.replSub(name)
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if err := st.foldRecord(data); err != nil {
-		return fmt.Errorf("qss: repl record: %w", err)
-	}
-	return nil
+	return st.apply(r)
 }
 
 // Snapshot implements repl.State: a count followed by (name, marshaled
 // wireState) pairs in sorted name order — the checkpoint/bootstrap
-// encoding for the whole service.
+// encoding for the whole service. The node calls it under its own lock, so
+// no record folds in meanwhile; s.mu is released before the states are
+// visited, so lookups, List and Subscribe do not wait behind a poll that
+// holds its st.mu.
 func (rs *ReplState) Snapshot() ([]byte, error) {
 	s := rs.svc
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	names := make([]string, 0, len(s.subs))
-	for name := range s.subs {
+	subs := maps.Clone(s.subs)
+	s.mu.Unlock()
+	names := make([]string, 0, len(subs))
+	for name := range subs {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	buf := binary.AppendUvarint(nil, uint64(len(names)))
 	for _, name := range names {
-		st := s.subs[name]
+		st := subs[name]
 		st.mu.Lock()
 		data, err := st.marshalState(name)
 		st.mu.Unlock()
@@ -156,13 +166,80 @@ func (s *Service) newReplicaLocked(name string) *subState {
 	return st
 }
 
-// EnableReplication routes every poll through node: a poll is not applied
-// (and no notification fires) until its record is durable on the node's
-// oplog, and not acknowledged to the caller until the node's ack quorum
-// has it. node must have been opened over this service's ReplState; any
-// subscription states the node rebuilt from its oplog during Open become
-// adoptable replicas. Mutually exclusive with EnableWAL (the replicated
-// oplog is the durable truth) and must precede Subscribe.
+// walNodeID names the standalone node EnableWAL opens.
+const walNodeID = "qss"
+
+var errPersistent = errors.New("qss: persistence is already enabled")
+
+// EnableWAL makes the service persistent under dir. It opens a standalone
+// repl.Node there over the service's ReplState — an oplog with no
+// followers whose writes are acknowledged on the local durable append —
+// promotes it, and enables it as EnableReplication does. opt configures
+// the oplog (nil: wal defaults, fsync on every append). Histories the
+// oplog holds come back as unclaimed replicas that Subscribe re-adopts.
+// Close closes the node. It must precede Subscribe.
+func (s *Service) EnableWAL(dir string, opt *wal.Options) error {
+	if dir == "" {
+		return errors.New("qss: WAL needs a directory")
+	}
+	// Opening the node resets the service's state: check first.
+	s.mu.Lock()
+	enabled, subs := s.node != nil, len(s.subs)
+	s.mu.Unlock()
+	if enabled {
+		return errPersistent
+	}
+	if subs > 0 {
+		return errors.New("qss: EnableWAL must precede Subscribe")
+	}
+	if old, _ := filepath.Glob(filepath.Join(dir, "*.subwal")); len(old) > 0 {
+		return fmt.Errorf("qss: %s is a per-subscription log of an older layout, which is no longer read; move it out of %s", old[0], dir)
+	}
+	node, err := repl.Open(dir, NewReplState(s), repl.Config{ID: walNodeID, WAL: opt})
+	if err != nil {
+		return fmt.Errorf("qss: %w", err)
+	}
+	if err := node.Promote(); err != nil {
+		node.Close()
+		return err
+	}
+	if err := s.EnableReplication(node); err != nil {
+		node.Close()
+		return err
+	}
+	s.mu.Lock()
+	s.ownNode = true
+	s.mu.Unlock()
+	return nil
+}
+
+// Close closes the node EnableWAL opened, if any, and drops the histories
+// it held: the oplog keeps them, and reopening dir brings them back. Later
+// polls fail. A node passed to EnableReplication stays open and the state
+// with it: its caller owns both. Close is for shutdown.
+func (s *Service) Close() error {
+	s.mu.Lock()
+	node, own := s.node, s.ownNode
+	s.mu.Unlock()
+	if !own {
+		return nil
+	}
+	err := node.Close()
+	// Something may still reference a closed service (a stopped timer's
+	// closure, a metrics callback); it must not pin every history.
+	s.mu.Lock()
+	s.subs = make(map[string]*subState)
+	s.mu.Unlock()
+	return err
+}
+
+// EnableReplication routes every poll and truncation through node: a
+// record is not applied (and no notification fires) until it is durable
+// on the node's oplog, and not acknowledged to the caller until the
+// node's ack quorum has it. node must have been opened over this
+// service's ReplState; any subscription states the node rebuilt from its
+// oplog during Open become adoptable replicas. A service takes one node,
+// before Subscribe.
 func (s *Service) EnableReplication(node *repl.Node) error {
 	rs, ok := node.StateRef().(*ReplState)
 	if !ok || rs.svc != s {
@@ -170,27 +247,14 @@ func (s *Service) EnableReplication(node *repl.Node) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.walDir != "" {
-		return errors.New("qss: replication is mutually exclusive with WAL persistence")
+	if s.node != nil {
+		return errPersistent
 	}
 	for name, st := range s.subs {
 		if !st.replica {
 			return fmt.Errorf("qss: EnableReplication must precede Subscribe (%q exists)", name)
 		}
 	}
-	s.replNode = node
+	s.node = node
 	return nil
-}
-
-// ReplStatus reports the replication status of the service's node, and
-// whether replication is enabled at all — the staleness bound a read
-// replica serves alongside query results.
-func (s *Service) ReplStatus() (repl.Status, bool) {
-	s.mu.Lock()
-	node := s.replNode
-	s.mu.Unlock()
-	if node == nil {
-		return repl.Status{}, false
-	}
-	return node.Status(), true
 }

@@ -56,9 +56,9 @@ func qssWaitFor(t *testing.T, what string, cond func() bool) {
 
 // TestReplicatedServiceLifecycle drives a replicated service through the
 // full local lifecycle: write gating by role (with packaging rollback),
-// polls on a promoted node, the truncate/import guards, unsubscribe
-// demoting to a replica, re-adoption, and a deterministic restart —
-// including a compaction, so the ReplState snapshot/restore path runs.
+// polls on a promoted node, unsubscribe demoting to a replica,
+// re-adoption, a replicated truncation, and a deterministic restart —
+// including compactions, so the ReplState snapshot/restore path runs.
 func TestReplicatedServiceLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	src, ids := paperSource(t)
@@ -93,14 +93,6 @@ func TestReplicatedServiceLifecycle(t *testing.T) {
 	}
 	if n1 == nil || n1.Result.Len() != 2 {
 		t.Fatalf("t1 notification: %+v", n1)
-	}
-
-	// Guards: state under replication is exactly what the oplog replays.
-	if err := svc.Truncate("Restaurants", t1); err == nil {
-		t.Fatal("truncate allowed under replication")
-	}
-	if err := svc.ImportState("Restaurants", []byte("{}")); err == nil {
-		t.Fatal("import allowed under replication")
 	}
 
 	// Mutate the source and poll again.
@@ -150,12 +142,22 @@ func TestReplicatedServiceLifecycle(t *testing.T) {
 	if _, err := svc.Poll("Restaurants", t3); err != nil {
 		t.Fatal(err)
 	}
+
+	// Truncation is a logged record, and compacts the oplog: the restart
+	// below replays it from the checkpoint.
+	applied := node.Status().Applied
+	if err := svc.Truncate("Restaurants", t1); err != nil {
+		t.Fatal(err)
+	}
+	if got := node.Status().Applied; got != applied+1 {
+		t.Fatalf("truncation applied seq %d, want %d", got, applied+1)
+	}
 	d1, times1, err := svc.History("Restaurants")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(times1) != 3 {
-		t.Fatalf("poll times = %d, want 3", len(times1))
+	if len(times1) != 2 || !times1[0].Equal(t2) {
+		t.Fatalf("poll times after truncation = %v, want [%v %v]", times1, t2, t3)
 	}
 
 	// Restart: a fresh service rebuilt from the oplog (checkpoint +
@@ -193,6 +195,63 @@ func TestReplicatedServiceLifecycle(t *testing.T) {
 	}
 	if _, err := svc2.Poll("Restaurants", timestamp.MustParse("3Jan97")); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPollRacingUnsubscribe: a poll whose record is durable but still
+// waiting for its ack quorum when Unsubscribe detaches the subscription
+// returns with no error and no notification once acknowledged — the
+// record stays in the history, and there is no filter left to evaluate.
+func TestPollRacingUnsubscribe(t *testing.T) {
+	src, _ := paperSource(t)
+	var delivered []Notification
+	svc, node := openReplService(t, t.TempDir(), repl.Config{
+		ID: "p", Ack: repl.AckOne, Replicas: 1,
+	}, func(n Notification) { delivered = append(delivered, n) })
+	defer node.Close()
+	if err := node.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	go node.Serve(ln)
+	if err := svc.Subscribe(replTestSub(src)); err != nil {
+		t.Fatal(err)
+	}
+
+	errCh := make(chan error, 1)
+	notified := make(chan *Notification, 1)
+	go func() {
+		n, err := svc.Poll("Restaurants", timestamp.MustParse("30Dec96"))
+		notified <- n
+		errCh <- err
+	}()
+	qssWaitFor(t, "record appended", func() bool { return node.Status().Applied == 1 })
+	if err := svc.Unsubscribe("Restaurants"); err != nil {
+		t.Fatal(err)
+	}
+
+	// The follower connects only now, acknowledging the record.
+	_, fnode := openReplService(t, t.TempDir(), repl.Config{ID: "f"}, nil)
+	defer fnode.Close()
+	addr := ln.Addr().String()
+	if err := fnode.Follow(func() (net.Conn, error) { return net.Dial("tcp", addr) }); err != nil {
+		t.Fatal(err)
+	}
+	if n := <-notified; n != nil {
+		t.Errorf("detached poll notified: %+v", n)
+	}
+	if err := <-errCh; err != nil {
+		t.Fatalf("detached poll: %v", err)
+	}
+	if len(delivered) != 0 {
+		t.Fatalf("detached poll delivered %d notifications", len(delivered))
+	}
+	if _, times, err := svc.History("Restaurants"); err != nil || len(times) != 1 {
+		t.Fatalf("detached history: times=%v err=%v", times, err)
 	}
 }
 

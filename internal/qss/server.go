@@ -291,7 +291,7 @@ func (s *Server) Orphaned() []string {
 	return names
 }
 
-// EnableWAL turns on per-subscription write-ahead logging (see
+// EnableWAL makes the service persistent under dir (see
 // Service.EnableWAL). Call before serving.
 func (s *Server) EnableWAL(dir string, opt *wal.Options) error {
 	return s.svc.EnableWAL(dir, opt)
@@ -453,13 +453,13 @@ func isTemporary(err error) bool {
 }
 
 // Close stops the server immediately: listener, pollers, connections,
-// then the service (flushing and closing any write-ahead logs).
+// then the service (closing the node EnableWAL opened, if any).
 func (s *Server) Close() { s.Shutdown(0) }
 
 // Shutdown stops the server gracefully: stop accepting, stop pollers,
 // then give connected clients up to drain to disconnect on their own
-// before severing them. The service (and its write-ahead logs) is closed
-// last, after every in-flight delivery has finished.
+// before severing them. The service (and the node EnableWAL opened) is
+// closed last, after every in-flight delivery has finished.
 func (s *Server) Shutdown(drain time.Duration) {
 	s.mu.Lock()
 	alreadyClosing := s.closing

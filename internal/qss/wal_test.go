@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/change"
 	"repro/internal/oem"
+	"repro/internal/repl"
 	"repro/internal/timestamp"
 	"repro/internal/value"
 	"repro/internal/wal"
@@ -138,8 +139,9 @@ func TestWALRestartMatchesUninterrupted(t *testing.T) {
 	}
 }
 
-// TestWALTruncateCompactsLog: truncating a logged subscription rewrites the
-// checkpoint and drops covered segments.
+// TestWALTruncateCompactsLog: truncating a logged subscription is a
+// logged record, after which the oplog's checkpoint covers everything and
+// its segments go.
 func TestWALTruncateCompactsLog(t *testing.T) {
 	src, ids := paperSource(t)
 	dir := t.TempDir()
@@ -168,7 +170,7 @@ func TestWALTruncateCompactsLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	logDir := filepath.Join(dir, "R"+subWALExt)
+	logDir := filepath.Join(dir, "oplog")
 	before := countSegs(t, logDir)
 	if before == 0 {
 		t.Fatal("no segments before truncation")
@@ -219,6 +221,10 @@ func countSegs(t *testing.T, dir string) int {
 	return n
 }
 
+// TestEnableWALGuards: EnableWAL needs a directory, precedes Subscribe,
+// and is the service's one node; a directory holding a per-subscription
+// log of the older layout is refused by name rather than silently
+// ignored. Subscription names are oplog keys, not paths.
 func TestEnableWALGuards(t *testing.T) {
 	svc := NewService(nil)
 	if err := svc.EnableWAL("", nil); err == nil {
@@ -241,36 +247,69 @@ func TestEnableWALGuards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svc2.Close()
-	bad := sub
-	bad.Name = "../escape"
-	if err := svc2.Subscribe(bad); err == nil {
-		t.Error("subscription name with a path separator accepted in WAL mode")
+	if err := svc2.EnableWAL(t.TempDir(), nil); err == nil {
+		t.Error("second EnableWAL succeeded")
 	}
-}
-
-// TestPollRecordRoundTrip exercises the poll-record codec directly.
-func TestPollRecordRoundTrip(t *testing.T) {
-	at := timestamp.MustParse("5Mar97")
-	ops := change.Set{
-		change.CreNode{Node: 12, Value: value.Str("Hakata")},
-		change.AddArc{Parent: 1, Label: "restaurant", Child: 12},
-	}
-	added := []remapPair{{Src: 7, ID: 12}, {Src: 9, ID: 13}}
-	rec := appendPollRecord(nil, at, ops, added, 42)
-	gt, gops, gadded, gnext, err := decodePollRecord(rec)
+	node, err := repl.Open(t.TempDir(), NewReplState(svc2), repl.Config{ID: "b"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !gt.Equal(at) || !reflect.DeepEqual(gops, ops) || !reflect.DeepEqual(gadded, added) || gnext != 42 {
-		t.Error("poll record round trip differs")
+	defer node.Close()
+	if err := svc2.EnableReplication(node); err == nil {
+		t.Error("EnableReplication after EnableWAL succeeded")
 	}
-	// Truncations error, never panic.
-	for i := 0; i < len(rec); i++ {
-		if _, _, _, _, err := decodePollRecord(rec[:i]); err == nil {
-			t.Errorf("truncated record (%d bytes) accepted", i)
+	odd := sub
+	odd.Name = "../escape"
+	if err := svc2.Subscribe(odd); err != nil {
+		t.Errorf("subscription name with a path separator: %v", err)
+	}
+
+	old := t.TempDir()
+	if err := os.Mkdir(filepath.Join(old, "R.subwal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := NewService(nil).EnableWAL(old, nil); err == nil || !strings.Contains(err.Error(), "R.subwal") {
+		t.Errorf("EnableWAL over an older per-subscription log: %v", err)
+	}
+}
+
+// TestPollRecordRoundTrip exercises the record codec directly, on a poll
+// record and a truncation record.
+func TestPollRecordRoundTrip(t *testing.T) {
+	at := timestamp.MustParse("5Mar97")
+	poll := record{
+		t: at,
+		ops: change.Set{
+			change.CreNode{Node: 12, Value: value.Str("Hakata")},
+			change.AddArc{Parent: 1, Label: "restaurant", Child: 12},
+		},
+		added:  []remapPair{{Src: 7, ID: 12}, {Src: 9, ID: 13}},
+		nextID: 42,
+	}
+	for _, r := range []record{poll, {truncate: true, t: at}} {
+		data := r.appendTo(nil)
+		got, err := decodeRecord(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.t.Equal(r.t) {
+			t.Errorf("time %v, want %v", got.t, r.t)
+		}
+		got.t = r.t
+		if !reflect.DeepEqual(got, r) {
+			t.Errorf("record round trip differs:\ngot  %+v\nwant %+v", got, r)
+		}
+		// Truncations error, never panic.
+		for i := 0; i < len(data); i++ {
+			if _, err := decodeRecord(data[:i]); err == nil {
+				t.Errorf("truncated record (%d bytes) accepted", i)
+			}
+		}
+		if _, err := decodeRecord(append(data, 0)); err == nil {
+			t.Error("trailing byte accepted")
 		}
 	}
-	if _, _, _, _, err := decodePollRecord(append(rec, 0)); err == nil {
-		t.Error("trailing byte accepted")
+	if _, err := decodeRecord([]byte{'X'}); err == nil {
+		t.Error("unknown record kind accepted")
 	}
 }

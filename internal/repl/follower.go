@@ -263,11 +263,17 @@ func (n *Node) applyRecord(f Frame) (dup bool, err error) {
 	if err != nil {
 		return false, err
 	}
+	// Either failure is fatal, as on the primary (see Node.Apply): after
+	// a failed append the next record would follow a frame that may be
+	// torn, and after a failed apply a redial would append the record
+	// again. Close the node; a restart recovers what is durable.
 	if _, err := n.log.Append(f.Payload); err != nil {
-		return false, err
+		n.closeLocked()
+		return false, fmt.Errorf("repl: append record %d (node closed): %w", f.Seq, err)
 	}
 	if err := n.state.Apply(name, data); err != nil {
-		return false, fmt.Errorf("repl: apply record %d: %w", f.Seq, err)
+		n.closeLocked()
+		return false, fmt.Errorf("repl: apply record %d (log/state diverged; node closed): %w", f.Seq, err)
 	}
 	n.applied = f.Seq
 	n.appliedAt = n.cfg.Clock.Now()

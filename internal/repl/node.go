@@ -167,6 +167,13 @@ type Node struct {
 	state State
 	log   *wal.Log
 
+	// wmu guards the group commit queue (see Apply); it is never taken
+	// while holding mu.
+	wmu     sync.Mutex
+	wcond   *sync.Cond
+	writes  []*write
+	writing bool
+
 	mu   sync.Mutex
 	cond *sync.Cond
 	// Protected by mu:
@@ -223,6 +230,7 @@ func Open(dir string, state State, cfg Config) (*Node, error) {
 		sessions: make(map[*session]struct{}),
 	}
 	n.cond = sync.NewCond(&n.mu)
+	n.wcond = sync.NewCond(&n.wmu)
 	if err := n.rebuildState(); err != nil {
 		log.Close()
 		return nil, err
@@ -305,14 +313,17 @@ func (n *Node) Close() error {
 		n.mu.Unlock()
 		return nil
 	}
-	n.closed = true
-	sessions := make([]*session, 0, len(n.sessions))
-	for s := range n.sessions {
-		sessions = append(sessions, s)
-	}
-	n.cond.Broadcast()
+	err := n.closeLocked()
 	n.mu.Unlock()
-	for _, s := range sessions {
+	return err
+}
+
+// closeLocked marks the node closed, wakes every waiter, drops the
+// sessions of its followers and closes the oplog. Caller holds n.mu.
+func (n *Node) closeLocked() error {
+	n.closed = true
+	n.cond.Broadcast()
+	for s := range n.sessions {
 		s.conn.Close()
 	}
 	return n.log.Close()
@@ -492,66 +503,123 @@ func (n *Node) recordAck(id string, seq uint64) {
 }
 
 // Apply appends one record as primary, streams it, and blocks until the
-// configured quorum has it durably (see AckMode). On success the returned
-// sequence is acknowledged: it survives any failover that promotes a
-// quorum member. Any error means NOT acknowledged, but the returned
-// sequence says how far the write got: 0 means the record was never
-// appended (callers may roll back cleanly); nonzero means it is durably
-// in the local oplog and applied to state — fencing, closing, or an ack
-// timeout during the quorum wait — and callers must NOT roll back state
-// the oplog carries (the record may still replicate, or a failover may
-// discard it).
+// configured quorum has it durably (see AckMode). Concurrent Applies share
+// one oplog append and sync (group commit); each record is still durable
+// before it is applied to state. On success the returned sequence is
+// acknowledged: it survives any failover that promotes a quorum member.
+// Any error means NOT acknowledged, but the returned sequence says how far
+// the write got: 0 means the record was not applied to state (callers may
+// roll back cleanly) — it was never appended, or its append failed and
+// closed the node, and a restart replays it only if the whole frame
+// reached the disk; nonzero means it is durably in the local oplog and
+// callers must NOT roll back state the oplog carries. Such a record is
+// applied to state — the error is fencing, closing, or an ack timeout
+// during the quorum wait, and the record may still replicate or a
+// failover may discard it — unless the node closed before applying it, in
+// which case a restart replays it.
 func (n *Node) Apply(name string, data []byte) (uint64, error) {
 	start := time.Now()
+	w := &write{name: name, data: data}
+	n.wmu.Lock()
+	n.writes = append(n.writes, w)
+	for !w.done && n.writing {
+		n.wcond.Wait()
+	}
+	if !w.done {
+		// Lead a group: every write queued so far goes in one append.
+		group := n.writes
+		n.writes, n.writing = nil, true
+		n.wmu.Unlock()
+		n.commitGroup(group)
+		n.wmu.Lock()
+		for _, g := range group {
+			g.done = true
+		}
+		n.writing = false
+		n.wcond.Broadcast()
+	}
+	n.wmu.Unlock()
+	if w.err != nil {
+		return w.seq, w.err
+	}
 	n.mu.Lock()
-	if n.closed {
-		n.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if n.role != RolePrimary {
-		fenced := n.fenced
-		n.mu.Unlock()
-		mApplyRejected.Inc()
-		if fenced {
-			return 0, ErrFenced
-		}
-		return 0, ErrNotPrimary
-	}
-	payload := AppendOplogRecord(nil, n.epoch, name, data)
-	seq, err := n.log.Append(payload)
-	if err != nil {
-		n.mu.Unlock()
-		return 0, err
-	}
-	if err := n.state.Apply(name, data); err != nil {
-		// The record is durably in the log but not in this process's
-		// state, and the two cannot be reconciled from here: advancing
-		// applied would stream a record our own state never applied,
-		// while skipping it would let the next append stream past it.
-		// Fatal — close the node so a follower takes over (or a restart
-		// replays the log, repairing the state).
-		n.closed = true
-		sessions := make([]*session, 0, len(n.sessions))
-		for s := range n.sessions {
-			sessions = append(sessions, s)
-		}
-		n.cond.Broadcast()
-		n.mu.Unlock()
-		for _, s := range sessions {
-			s.conn.Close()
-		}
-		n.log.Close()
-		return seq, fmt.Errorf("repl: apply state (log/state diverged; node closed): %w", err)
-	}
-	n.applied = seq
-	n.appliedAt = n.cfg.Clock.Now()
-	n.lastRecordEpoch = n.epoch
-	n.recomputeCommitLocked()
-	n.cond.Broadcast() // wake streaming sessions
-	err = n.waitCommittedLocked(seq)
+	err := n.waitCommittedLocked(w.seq)
 	n.mu.Unlock()
 	mAckWaitNs.Observe(time.Since(start).Nanoseconds())
-	return seq, err
+	return w.seq, err
+}
+
+// write is one Apply call queued for the next group commit.
+type write struct {
+	name string
+	data []byte
+	seq  uint64
+	err  error
+	done bool // under wmu: seq and err are final
+}
+
+// commitGroup appends a group of writes to the oplog with one sync, then
+// applies them to the state in order, setting each write's seq and err.
+func (n *Node) commitGroup(group []*write) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	var refuse error
+	switch {
+	case n.closed:
+		refuse = ErrClosed
+	case n.role != RolePrimary:
+		mApplyRejected.Add(int64(len(group)))
+		refuse = ErrNotPrimary
+		if n.fenced {
+			refuse = ErrFenced
+		}
+	}
+	var first uint64
+	if refuse == nil {
+		payloads := make([][]byte, len(group))
+		for i, w := range group {
+			payloads[i] = AppendOplogRecord(nil, n.epoch, w.name, w.data)
+		}
+		var err error
+		if first, err = n.log.AppendBatch(payloads); err != nil {
+			// A failed write or fsync may leave frames torn or whole on
+			// disk. Appending after them could put acknowledged records
+			// behind a torn frame, which recovery cuts, and a whole one
+			// would replay a record this state never applied. Fatal —
+			// close the node; a restart recovers exactly what is durable.
+			n.closeLocked()
+			refuse = fmt.Errorf("repl: append (node closed): %w", err)
+		}
+	}
+	if refuse != nil {
+		for _, w := range group {
+			w.err = refuse
+		}
+		return
+	}
+	for i, w := range group {
+		w.seq = first + uint64(i)
+		if n.closed {
+			w.err = fmt.Errorf("repl: record %d not applied: %w", w.seq, ErrClosed)
+			continue
+		}
+		if err := n.state.Apply(w.name, w.data); err != nil {
+			// The record is durably in the log but not in this process's
+			// state, and the two cannot be reconciled from here: advancing
+			// applied would stream a record our own state never applied,
+			// while skipping it would let the next append stream past it.
+			// Fatal — close the node so a follower takes over (or a
+			// restart replays the log, repairing the state).
+			n.closeLocked()
+			w.err = fmt.Errorf("repl: apply state (log/state diverged; node closed): %w", err)
+			continue
+		}
+		n.applied = w.seq
+		n.appliedAt = n.cfg.Clock.Now()
+		n.lastRecordEpoch = n.epoch
+	}
+	n.recomputeCommitLocked()
+	n.cond.Broadcast() // wake streaming sessions
 }
 
 // waitCommittedLocked blocks until seq commits, the node is fenced or
@@ -585,9 +653,8 @@ func (n *Node) waitCommittedLocked(seq uint64) error {
 }
 
 // Compact snapshots the State into the oplog checkpoint at the applied
-// position, letting the log drop covered segments. States that return
-// ErrNoSnapshot cannot compact; their logs retain full history (which
-// also keeps full-replay catch-up possible).
+// position, letting the log drop covered segments. Followers behind the
+// checkpoint catch up from a snapshot instead of record replay.
 func (n *Node) Compact() error {
 	n.mu.Lock()
 	defer n.mu.Unlock()

@@ -91,9 +91,8 @@ func (n *Node) HandleConn(c net.Conn) {
 	if needSnap {
 		snap, err = n.state.Snapshot()
 		if err != nil {
-			// Snapshot-incapable state and an incompatible follower:
-			// nothing we can stream. Drop the session; the operator must
-			// wipe the follower's data directory.
+			// No snapshot for an incompatible follower: nothing we can
+			// stream. Drop the session; the follower redials.
 			n.mu.Unlock()
 			mSnapshotFailures.Inc()
 			return

@@ -3,7 +3,10 @@ package repl
 import (
 	"bufio"
 	"errors"
+	"fmt"
 	"net"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -113,6 +116,94 @@ func TestStateApplyFailureClosesNode(t *testing.T) {
 	if got := n2.Status().Applied; got != 2 {
 		t.Fatalf("applied after restart = %d, want 2", got)
 	}
+}
+
+// TestAppendFailureClosesNode: a failed oplog append may leave a torn or
+// whole frame on disk, so the primary must stop there. Later Applies fail
+// even once the cause is gone (an append after a torn frame would be cut
+// by recovery, though acknowledged), and a restart replays exactly the
+// records before the failure.
+func TestAppendFailureClosesNode(t *testing.T) {
+	dir := t.TempDir()
+	// Every append after the first opens a new segment named by its first
+	// sequence number; a file already holding that name fails the append.
+	opt := &wal.Options{Sync: wal.SyncNever, SegmentSize: 1}
+	p := openTestNode(t, dir, Config{ID: "p", WAL: opt})
+	if err := p.n.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	p.applySteps("db", 0, 2)
+	blocker := filepath.Join(dir, "oplog", fmt.Sprintf("%016x.seg", p.n.Status().Applied+1))
+	if err := os.WriteFile(blocker, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s := testStep(2)
+	if seq, err := p.n.ApplyStep("db", s.At, s.Ops); err == nil || seq != 0 {
+		t.Fatalf("apply over a failing append: seq %d, err %v (want 0 and an error)", seq, err)
+	}
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	s = testStep(3)
+	if _, err := p.n.ApplyStep("db", s.At, s.Ops); !errors.Is(err, ErrClosed) {
+		t.Fatalf("apply after a failed append: %v (want ErrClosed)", err)
+	}
+	if got := p.n.Status().Applied; got != 2 {
+		t.Fatalf("applied after a failed append = %d, want 2", got)
+	}
+	p.n.Close()
+
+	re := openTestNode(t, dir, Config{ID: "p", WAL: opt})
+	want := newTestNode(t, Config{ID: "w"})
+	if err := want.n.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	want.applySteps("db", 0, 2)
+	if got := re.n.Status().Applied; got != 2 {
+		t.Fatalf("applied after restart = %d, want 2", got)
+	}
+	requireSameDB(t, re.state.Store(), want.state.Store(), "db")
+}
+
+// TestFollowerApplyFailureClosesNode: a follower whose State refuses a
+// streamed record has it in its oplog but not in its state; a redial would
+// append it a second time. The follower must close instead, and a restart
+// replays its log into the primary's state.
+func TestFollowerApplyFailureClosesNode(t *testing.T) {
+	p := newTestNode(t, Config{ID: "p"})
+	if err := p.n.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	fs := &flakyState{StoreState: NewStoreState()}
+	f, err := Open(dir, fs, Config{ID: "f", WAL: &wal.Options{Sync: wal.SyncNever}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	if err := f.Follow(pipeDialer(p.n)); err != nil {
+		t.Fatal(err)
+	}
+	p.applySteps("db", 0, 1)
+	waitFor(t, "follower catch-up", func() bool { return f.Status().Applied == 1 })
+	fs.failNext()
+	p.applySteps("db", 1, 3)
+	waitFor(t, "follower closed", func() bool {
+		_, err := f.Apply("db", nil)
+		return errors.Is(err, ErrClosed)
+	})
+	f.Close()
+
+	re := openTestNode(t, dir, Config{ID: "f"})
+	if got := re.n.Status().Applied; got != 2 {
+		t.Fatalf("follower applied after restart = %d, want 2", got)
+	}
+	want := newTestNode(t, Config{ID: "w"})
+	if err := want.n.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	want.applySteps("db", 0, 2)
+	requireSameDB(t, re.state.Store(), want.state.Store(), "db")
 }
 
 // TestCheckpointBoundaryDivergence: a follower whose last record sits

@@ -1,7 +1,5 @@
 package repl
 
-import "errors"
-
 // State is the materialized view a Node maintains from its oplog. The
 // oplog (plus its checkpoint) is the durable truth; Open rebuilds the
 // State from it deterministically, so implementations may be purely
@@ -13,13 +11,8 @@ type State interface {
 	// Apply applies one record's data to the named database/stream.
 	Apply(name string, data []byte) error
 	// Snapshot encodes the full state for checkpointing and follower
-	// bootstrap. Implementations that cannot snapshot return
-	// ErrNoSnapshot; their oplogs are never compacted and their followers
-	// always catch up by record replay.
+	// bootstrap.
 	Snapshot() ([]byte, error)
 	// Restore replaces the state with a previously Snapshot()ed encoding.
 	Restore(snapshot []byte) error
 }
-
-// ErrNoSnapshot marks a State that cannot checkpoint (see State.Snapshot).
-var ErrNoSnapshot = errors.New("repl: state does not support snapshots")

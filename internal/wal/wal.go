@@ -245,23 +245,33 @@ func truncateFile(path string, size int64) error {
 // Append writes one record with the next sequence number and returns it.
 // Durability follows the configured SyncPolicy.
 func (l *Log) Append(payload []byte) (uint64, error) {
+	return l.AppendBatch([][]byte{payload})
+}
+
+// AppendBatch writes payloads as records with consecutive sequence numbers
+// and returns the first one's. The SyncPolicy applies once to the whole
+// batch: under SyncAlways one fsync covers every record (group commit). On
+// error any of the frames may be on disk, the last one possibly torn.
+func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 	start := obs.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if l.closed {
 		return 0, ErrClosed
 	}
-	seq := l.seq + 1
-	frame := appendFrame(nil, seq, payload)
-	if err := l.rotateIfNeeded(int64(len(frame))); err != nil {
-		return 0, err
+	first := l.seq + 1
+	for _, payload := range payloads {
+		frame := appendFrame(nil, l.seq+1, payload)
+		if err := l.rotateIfNeeded(int64(len(frame))); err != nil {
+			return 0, err
+		}
+		if _, err := l.active.Write(frame); err != nil {
+			return 0, fmt.Errorf("wal: append: %w", err)
+		}
+		l.activeSize += int64(len(frame))
+		l.seq++
+		mBytes.Add(int64(len(frame)))
 	}
-	if _, err := l.active.Write(frame); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
-	}
-	l.activeSize += int64(len(frame))
-	l.seq = seq
-	mBytes.Add(int64(len(frame)))
 	switch l.opt.Sync {
 	case SyncAlways:
 		if err := l.syncActive(); err != nil {
@@ -275,9 +285,9 @@ func (l *Log) Append(payload []byte) (uint64, error) {
 			l.lastSync = time.Now()
 		}
 	}
-	mAppends.Inc()
+	mAppends.Add(int64(len(payloads)))
 	mAppendNs.ObserveSince(start)
-	return seq, nil
+	return first, nil
 }
 
 // rotateIfNeeded opens a fresh segment when there is none or when writing
