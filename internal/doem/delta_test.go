@@ -28,7 +28,7 @@ func scanMaxID(d *Database) oem.NodeID {
 // checks, after every step, that the step-boundary collection deleted
 // exactly what a full walk deletes (the generator's reference model), with
 // the same final values, and that MaxID equals the scan it replaced —
-// also across Truncate and a Marshal/Unmarshal round trip, after which the
+// also across Truncate and an Append/Decode round trip, after which the
 // replay continues on the result.
 func TestApplyCollectsByDelta(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
@@ -85,16 +85,16 @@ func TestApplyCollectsByDelta(t *testing.T) {
 					deleted[n] = v
 				}
 			case 13: // continue on the decoded database
-				data, err := d.Marshal()
+				data, err := Append(nil, d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				ud, err := Unmarshal(data)
+				ud, _, err := Decode(data)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if got, want := ud.MaxID(), scanMaxID(ud); got != want {
-					t.Fatalf("seed %d step %d: MaxID after Unmarshal %s, scan %s", seed, step, got, want)
+					t.Fatalf("seed %d step %d: MaxID after Decode %s, scan %s", seed, step, got, want)
 				}
 				d = ud
 			}

@@ -130,7 +130,7 @@ type Database struct {
 	// the database compare it against the one they were built at.
 	version uint64
 	// maxID is the largest id among current and deleted nodes, maintained
-	// by New, Apply and Unmarshal so MaxID is a field read.
+	// by New and Apply so MaxID is a field read.
 	maxID oem.NodeID
 
 	// Access paths, built by index and kept up by Commit (paths.go).
@@ -161,8 +161,10 @@ var (
 // New returns a DOEM database over a copy of the given OEM snapshot with
 // empty annotation sets — the D_0 of Section 3.1. The snapshot's node ids
 // are preserved.
-func New(o *oem.Database) *Database {
-	cur := o.Clone()
+func New(o *oem.Database) *Database { return wrap(o.Clone()) }
+
+// wrap is New over a snapshot the database takes ownership of.
+func wrap(cur *oem.Database) *Database {
 	d := &Database{
 		current:       cur,
 		outAll:        make(map[oem.NodeID][]oem.Arc),
@@ -209,15 +211,17 @@ func (d *Database) Clone() *Database {
 
 // FromHistory constructs D(O, H) per Section 3.1: it starts from O with
 // empty annotations and applies every step of h, annotating as it goes.
-// O itself is not modified.
+// O itself is not modified. The first step Apply refuses is reported as
+// change.ErrInvalidHistory with its index.
 func FromHistory(o *oem.Database, h change.History) (*Database, error) {
-	if err := h.Validate(o); err != nil {
-		return nil, err
-	}
-	d := New(o)
-	for _, step := range h {
+	return replay(New(o), h)
+}
+
+// replay applies every step of h to d.
+func replay(d *Database, h change.History) (*Database, error) {
+	for i, step := range h {
 		if err := d.Apply(step.At, step.Ops); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("%w: step %d at %s: %w", change.ErrInvalidHistory, i, step.At, err)
 		}
 	}
 	return d, nil
@@ -466,6 +470,10 @@ func (d *Database) SnapshotAt(t timestamp.Time) *oem.Database {
 	out := oem.New()
 	if out.Root() != d.Root() {
 		panic("doem: root id mismatch in snapshot materialization")
+	}
+	// The root has no arcs yet, so any value it had at t is accepted.
+	if err := out.UpdateNode(out.Root(), d.ValueAt(d.Root(), t)); err != nil {
+		panic(fmt.Sprintf("doem: snapshot root: %v", err))
 	}
 	// Create every node ever, with its value at time t.
 	ids := d.AllNodeIDs()

@@ -11,9 +11,9 @@ import (
 // The database's access paths — the indexes on annotations of the paper's
 // Section 7, kept on the annotated graph itself: (node, label) buckets of
 // the current and full arc relations, each node's upd chain with derived
-// new values, and the planner's per-label cardinalities. New, Clone and
-// Unmarshal build them (index); Commit updates them with every operation
-// it applies, so they are never stale.
+// new values, and the planner's per-label cardinalities. New and Clone
+// build them (index); Commit updates them with every operation it
+// applies, so they are never stale.
 
 var _ plan.Stats = (*Database)(nil)
 

@@ -147,7 +147,7 @@ func checkPaths(t *testing.T, d *Database, ctx string) {
 // updates, shared children and cycles, removals that orphan subtrees,
 // re-adds after removal) and after every step holds the paths Commit kept
 // up to a scan. Along the way it continues on a Clone, on a
-// Marshal/Unmarshal round trip and on a Truncate, whose paths are built
+// Append/Decode round trip and on a Truncate, whose paths are built
 // from scratch and must then keep up too.
 func TestAccessPathsFollowCommit(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
@@ -180,14 +180,14 @@ func TestAccessPathsFollowCommit(t *testing.T) {
 				d = td
 				checkPaths(t, d, "Truncate")
 			case 13:
-				data, err := d.Marshal()
+				data, err := Append(nil, d)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d, err = Unmarshal(data); err != nil {
+				if d, _, err = Decode(data); err != nil {
 					t.Fatal(err)
 				}
-				checkPaths(t, d, "Unmarshal")
+				checkPaths(t, d, "Decode")
 			}
 		}
 	}

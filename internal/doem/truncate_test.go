@@ -3,8 +3,11 @@ package doem
 import (
 	"testing"
 
+	"repro/internal/change"
 	"repro/internal/guidegen"
+	"repro/internal/oem"
 	"repro/internal/timestamp"
+	"repro/internal/value"
 )
 
 func TestTruncateCollapsesOldHistory(t *testing.T) {
@@ -138,5 +141,25 @@ func TestTruncateEveryStepOfChurn(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTruncateKeepsAtomicRoot: a root updated to an atomic value has that
+// value in the snapshot at any later instant, so Truncate keeps it.
+func TestTruncateKeepsAtomicRoot(t *testing.T) {
+	d := New(oem.New())
+	t1 := timestamp.MustParse("1Jan97")
+	if err := d.Apply(t1, change.Set{change.UpdNode{Node: d.Root(), Value: value.Int(5)}}); err != nil {
+		t.Fatal(err)
+	}
+	if v, _ := d.SnapshotAt(t1).Value(d.Root()); !v.Equal(value.Int(5)) {
+		t.Errorf("root at %s = %s, want 5", t1, v)
+	}
+	td, err := d.Truncate(t1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !td.Current().Equal(d.Current()) {
+		t.Errorf("Truncate changed the current snapshot:\n%s\nwant\n%s", td.Current(), d.Current())
 	}
 }

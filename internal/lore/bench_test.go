@@ -17,8 +17,8 @@ import (
 // BenchmarkPersistence is the B10 series of EXPERIMENTS.md: one generated
 // history persisted through a Store (ApplySet appends the delta to the
 // segment store's log) and through the baseline that rewrites the whole
-// database as JSON on every step, then reloaded (tail checkpoint + log
-// replay). The persist sub-benchmarks time the whole history and report
+// stored database (doem.Append) on every step, then reloaded (tail
+// checkpoint + log replay). The persist sub-benchmarks time the whole history and report
 // the per-change-set cost as ns/set. SyncNever isolates the I/O volume
 // from the durability policy.
 func BenchmarkPersistence(b *testing.B) {
@@ -31,7 +31,7 @@ func BenchmarkPersistence(b *testing.B) {
 		for _, mode := range []struct {
 			name    string
 			persist func(b *testing.B, dir string, initial *oem.Database, h change.History)
-		}{{"segment-append", storeAppend(opt)}, {"json-rewrite", jsonRewrite}} {
+		}{{"segment-append", storeAppend(opt)}, {"full-rewrite", fullRewrite}} {
 			b.Run(fmt.Sprintf("steps=%d/%s", steps, mode.name), func(b *testing.B) {
 				b.StopTimer()
 				for i := 0; i < b.N; i++ {
@@ -54,7 +54,7 @@ func BenchmarkPersistence(b *testing.B) {
 	}
 }
 
-// storeAppend persists a history through Store.ApplySet. Like jsonRewrite
+// storeAppend persists a history through Store.ApplySet. Like fullRewrite
 // it is entered with the timer stopped and times only the steps.
 func storeAppend(opt *wal.Options) func(b *testing.B, dir string, initial *oem.Database, h change.History) {
 	return func(b *testing.B, dir string, initial *oem.Database, h change.History) {
@@ -77,15 +77,14 @@ func storeAppend(opt *wal.Options) func(b *testing.B, dir string, initial *oem.D
 	}
 }
 
-// jsonRewrite is B10's baseline: every step applies in memory and then
-// rewrites the whole database as one JSON file, the way earlier versions
-// of the store persisted DOEM databases.
-func jsonRewrite(b *testing.B, dir string, initial *oem.Database, h change.History) {
+// fullRewrite is B10's baseline: every step applies in memory and then
+// rewrites the whole stored database into one file.
+func fullRewrite(b *testing.B, dir string, initial *oem.Database, h change.History) {
 	b.Helper()
 	d := doem.New(initial)
-	path := filepath.Join(dir, "guide"+doemExt)
+	path := filepath.Join(dir, "guide.doem")
 	write := func() {
-		data, err := d.Marshal()
+		data, err := doem.Append(nil, d)
 		if err == nil {
 			err = atomicWrite(path, data)
 		}

@@ -1,9 +1,11 @@
 package lore
 
 import (
+	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/doem"
@@ -141,38 +143,27 @@ func TestOpenListsSegmentedDirectory(t *testing.T) {
 	checkQueries(t, s2, "guide", want)
 }
 
-// TestOpenConvertsDOEMJSON: a <name>.doem.json file, the layout earlier
-// versions of the store wrote on every step, becomes a segment store on the
-// first open and answers queries as before.
-func TestOpenConvertsDOEMJSON(t *testing.T) {
+// TestOpenRefusesDOEMJSON: a <name>.doem.json file, the layout earlier
+// versions of the store wrote on every step, is no longer read. Open
+// refuses the directory with an error that names the file, and leaves the
+// file where it is.
+func TestOpenRefusesDOEMJSON(t *testing.T) {
 	dir := t.TempDir()
-	initial, h := guidegen.GenerateHistory(3, 15, 12, 5)
-	want, err := doem.FromHistory(initial, h)
-	if err != nil {
+	path := filepath.Join(dir, "guide"+doemExt)
+	legacy := []byte(`{"current":{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}}`)
+	if err := atomicWrite(path, legacy); err != nil {
 		t.Fatal(err)
 	}
-	data, err := want.Marshal()
-	if err != nil {
-		t.Fatal(err)
+	s, err := Open(dir)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open read a directory holding a .doem.json file")
 	}
-	if err := atomicWrite(filepath.Join(dir, "guide"+doemExt), data); err != nil {
-		t.Fatal(err)
+	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "older version") {
+		t.Errorf("error %q does not name %s as an older layout", err, path)
 	}
-	for round := 0; round < 2; round++ {
-		s, err := Open(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, ok := s.SegmentStore("guide"); !ok {
-			t.Fatalf("round %d: guide is not a segment store", round)
-		}
-		checkQueries(t, s, "guide", want)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := os.Stat(filepath.Join(dir, "guide"+doemExt)); !os.IsNotExist(err) {
-			t.Fatalf("round %d: the JSON file survives the conversion (err %v)", round, err)
-		}
+	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, legacy) {
+		t.Errorf("the refused file changed: %q, %v", data, err)
 	}
 }
 

@@ -61,7 +61,7 @@ var ErrNotFound = errors.New("lore: database not found")
 const (
 	oemExt = ".oem.json"
 	// doemExt is the JSON file in which earlier versions of the store kept
-	// a DOEM database; Open converts it into a segment store.
+	// a DOEM database; Open refuses a directory holding one.
 	doemExt = ".doem.json"
 	segExt  = ".doemseg"
 )
@@ -74,9 +74,8 @@ func Open(dir string) (*Store, error) { return OpenSegmented(dir, nil, nil) }
 // <name>.doemseg segment store holding sealed segments plus an
 // active-segment WAL tail. opt may be nil for default log options; pol
 // controls automatic sealing, and nil seals only on explicit Checkpoint
-// calls. A <name>.doem.json file left by an earlier version of the store
-// is converted into a segment store on the first open. An empty dir
-// yields an in-memory store.
+// calls. A <name>.doem.json file, the layout of earlier versions, is no
+// longer read: Open refuses it. An empty dir yields an in-memory store.
 func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, error) {
 	start, wallStart := obs.Now(), time.Now()
 	s := &Store{
@@ -99,7 +98,6 @@ func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, e
 		return nil, fmt.Errorf("lore: %w", err)
 	}
 	replayed := 0
-	var legacy []string
 	for _, ent := range entries {
 		name := ent.Name()
 		switch {
@@ -127,13 +125,9 @@ func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, e
 			}
 			s.oems[strings.TrimSuffix(name, oemExt)] = db
 		case strings.HasSuffix(name, doemExt):
-			legacy = append(legacy, strings.TrimSuffix(name, doemExt))
-		}
-	}
-	for _, name := range legacy {
-		if err := s.convert(name); err != nil {
 			s.Close()
-			return nil, err
+			return nil, fmt.Errorf("lore: %s is a DOEM database in the JSON layout of an older version, which is no longer read; move it out of %s",
+				filepath.Join(dir, name), dir)
 		}
 	}
 	mReplayNs.ObserveSince(start)
@@ -141,48 +135,6 @@ func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, e
 	log.Printf("lore: opened %s: %d DOEM database(s), replayed %d log record(s) in %s",
 		dir, len(s.stores), replayed, time.Since(wallStart).Round(time.Microsecond))
 	return s, nil
-}
-
-// convert turns the JSON file an earlier version of the store kept for the
-// named DOEM database into a segment store, then removes the file. The
-// store is built under a temporary name and renamed into place, so a crash
-// leaves either the JSON file or a complete segment store. When a segment
-// store of that name already exists the JSON file is stale and only goes.
-func (s *Store) convert(name string) error {
-	file := filepath.Join(s.dir, name+doemExt)
-	if _, ok := s.stores[name]; !ok {
-		data, err := os.ReadFile(file)
-		if err != nil {
-			return fmt.Errorf("lore: %w", err)
-		}
-		d, err := doem.Unmarshal(data)
-		if err != nil {
-			return fmt.Errorf("lore: loading %s: %w", name+doemExt, err)
-		}
-		segDir := filepath.Join(s.dir, name+segExt)
-		tmp := segDir + ".tmp"
-		if err := os.RemoveAll(tmp); err != nil {
-			return fmt.Errorf("lore: %w", err)
-		}
-		st, err := segment.Create(tmp, d, s.walOpt, s.segPol)
-		if err == nil {
-			err = st.Close()
-		}
-		if err == nil {
-			err = os.Rename(tmp, segDir)
-		}
-		if err != nil {
-			return fmt.Errorf("lore: converting %s: %w", name+doemExt, err)
-		}
-		if st, err = segment.Open(segDir, s.walOpt, s.segPol); err != nil {
-			return fmt.Errorf("lore: opening segments %s: %w", name+segExt, err)
-		}
-		s.stores[name] = st
-	}
-	if err := os.Remove(file); err != nil {
-		return fmt.Errorf("lore: %w", err)
-	}
-	return nil
 }
 
 // PutOEM stores (and persists) an OEM database under name.

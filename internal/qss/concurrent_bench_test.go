@@ -47,6 +47,13 @@ func benchService(b *testing.B, n, polls int, opt *wal.Options) (*Service, []*be
 		}
 		b.Cleanup(func() { svc.Close() })
 	}
+	return svc, subscribeBench(b, svc, n, polls)
+}
+
+// subscribeBench subscribes n evolving guides to svc and polls each
+// `polls` times.
+func subscribeBench(b *testing.B, svc *Service, n, polls int) []*benchSub {
+	b.Helper()
 	subs := make([]*benchSub, n)
 	for i := range subs {
 		ev := guidegen.NewEvolver(int64(i+1), 50)
@@ -65,7 +72,7 @@ func benchService(b *testing.B, n, polls int, opt *wal.Options) (*Service, []*be
 		}
 		subs[i] = s
 	}
-	return svc, subs
+	return subs
 }
 
 var benchModes = []struct {
@@ -180,5 +187,40 @@ func BenchmarkTruncateWhilePolling(b *testing.B) {
 				b.ReportMetric(float64(lat[len(lat)-1].Microseconds())/1e3, "poll-max-ms")
 			}
 		})
+	}
+}
+
+// BenchmarkRestartFromCheckpoint reopens a persistent service whose oplog
+// is one compacted checkpoint of 16 subscriptions with 200 polls of
+// history each. ns/op is EnableWAL, which restores every subscription's
+// state from the checkpoint, plus Close.
+//
+//	go test -run '^$' -bench RestartFromCheckpoint -benchtime 10x ./internal/qss/
+func BenchmarkRestartFromCheckpoint(b *testing.B) {
+	dir := b.TempDir()
+	opt := &wal.Options{Sync: wal.SyncNever}
+	svc := NewService(nil)
+	if err := svc.EnableWAL(dir, opt); err != nil {
+		b.Fatal(err)
+	}
+	subscribeBench(b, svc, 16, 200)
+	if err := svc.node.Compact(); err != nil {
+		b.Fatal(err)
+	}
+	if err := svc.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc := NewService(nil)
+		if err := svc.EnableWAL(dir, opt); err != nil {
+			b.Fatal(err)
+		}
+		if n := len(svc.List()); n != 16 {
+			b.Fatalf("restored %d subscriptions, want 16", n)
+		}
+		if err := svc.Close(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package qss
 
 import (
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -20,7 +21,7 @@ import (
 
 // subSnapshot is the state a poll folds in, read under st.mu: poll count,
 // id high-water mark, remap size, annotation count, and the full marshaled
-// state (DOEM, remap, poll times) for byte comparison.
+// state (DOEM, remap, poll times) in hex for byte comparison.
 type subSnapshot struct {
 	polls, remap, annots int
 	nextID               oem.NodeID
@@ -34,13 +35,13 @@ func snapshotSub(t *testing.T, svc *Service, name string) subSnapshot {
 	svc.mu.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	data, err := st.marshalState(name)
+	data, err := st.marshalState()
 	if err != nil {
 		t.Fatal(err)
 	}
 	return subSnapshot{
 		polls: len(st.pollTimes), remap: len(st.remap), annots: st.d.NumAnnotations(),
-		nextID: st.nextID, state: string(data),
+		nextID: st.nextID, state: hex.EncodeToString(data),
 	}
 }
 

@@ -52,12 +52,51 @@ func (r record) appendTo(dst []byte) []byte {
 	}
 	dst = change.AppendTime(append(dst, kindPoll), r.t)
 	dst = change.AppendSet(dst, r.ops)
-	dst = binary.AppendUvarint(dst, uint64(len(r.added)))
-	for _, p := range r.added {
+	return appendRemap(dst, r.added, r.nextID)
+}
+
+// appendRemap encodes remap pairs and the packaged-id high-water mark: a
+// count, the pairs, and the mark.
+func appendRemap(dst []byte, pairs []remapPair, nextID oem.NodeID) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(pairs)))
+	for _, p := range pairs {
 		dst = binary.AppendUvarint(dst, uint64(p.Src))
 		dst = binary.AppendUvarint(dst, uint64(p.ID))
 	}
-	return binary.AppendUvarint(dst, uint64(r.nextID))
+	return binary.AppendUvarint(dst, uint64(nextID))
+}
+
+// decodeRemap decodes what appendRemap wrote from the front of data.
+func decodeRemap(data []byte) ([]remapPair, oem.NodeID, int, error) {
+	fail := func(what string) ([]remapPair, oem.NodeID, int, error) {
+		return nil, 0, 0, fmt.Errorf("%w: %s", change.ErrCorrupt, what)
+	}
+	count, off := binary.Uvarint(data)
+	if off <= 0 || count > maxRemapDelta {
+		return fail("remap delta")
+	}
+	var pairs []remapPair
+	if count > 0 {
+		pairs = make([]remapPair, 0, min(count, uint64(len(data)-off)))
+	}
+	for i := uint64(0); i < count; i++ {
+		src, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return fail("remap source")
+		}
+		off += n
+		id, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return fail("remap target")
+		}
+		off += n
+		pairs = append(pairs, remapPair{Src: oem.NodeID(src), ID: oem.NodeID(id)})
+	}
+	nextID, n := binary.Uvarint(data[off:])
+	if n <= 0 {
+		return fail("next id")
+	}
+	return pairs, oem.NodeID(nextID), off + n, nil
 }
 
 func decodeRecord(data []byte) (record, error) {
@@ -85,29 +124,9 @@ func decodeRecord(data []byte) (record, error) {
 			return record{}, err
 		}
 		data = data[n:]
-		count, n := binary.Uvarint(data)
-		if n <= 0 || count > maxRemapDelta {
-			return fail("remap delta")
+		if r.added, r.nextID, n, err = decodeRemap(data); err != nil {
+			return record{}, err
 		}
-		data = data[n:]
-		for i := uint64(0); i < count; i++ {
-			src, n := binary.Uvarint(data)
-			if n <= 0 {
-				return fail("remap source")
-			}
-			data = data[n:]
-			id, n := binary.Uvarint(data)
-			if n <= 0 {
-				return fail("remap target")
-			}
-			data = data[n:]
-			r.added = append(r.added, remapPair{Src: oem.NodeID(src), ID: oem.NodeID(id)})
-		}
-		nextID, n := binary.Uvarint(data)
-		if n <= 0 {
-			return fail("next id")
-		}
-		r.nextID = oem.NodeID(nextID)
 		data = data[n:]
 	}
 	if len(data) != 0 {

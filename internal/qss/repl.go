@@ -67,8 +67,8 @@ func (rs *ReplState) Apply(name string, data []byte) error {
 	return st.apply(r)
 }
 
-// Snapshot implements repl.State: a count followed by (name, marshaled
-// wireState) pairs in sorted name order — the checkpoint/bootstrap
+// Snapshot implements repl.State: a count followed by (name, length,
+// marshalState) triples in sorted name order — the checkpoint/bootstrap
 // encoding for the whole service. The node calls it under its own lock, so
 // no record folds in meanwhile; s.mu is released before the states are
 // visited, so lookups, List and Subscribe do not wait behind a poll that
@@ -87,7 +87,7 @@ func (rs *ReplState) Snapshot() ([]byte, error) {
 	for _, name := range names {
 		st := subs[name]
 		st.mu.Lock()
-		data, err := st.marshalState(name)
+		data, err := st.marshalState()
 		st.mu.Unlock()
 		if err != nil {
 			return nil, err

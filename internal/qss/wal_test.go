@@ -1,6 +1,8 @@
 package qss
 
 import (
+	"bytes"
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -270,6 +272,44 @@ func TestEnableWALGuards(t *testing.T) {
 	}
 	if err := NewService(nil).EnableWAL(old, nil); err == nil || !strings.Contains(err.Error(), "R.subwal") {
 		t.Errorf("EnableWAL over an older per-subscription log: %v", err)
+	}
+}
+
+// TestEnableWALRefusesJSONCheckpoint: an oplog checkpoint whose
+// subscription states are JSON, the layout of earlier versions, is no
+// longer read. EnableWAL fails with an error naming the oplog, and the
+// checkpoint stays as it was.
+func TestEnableWALRefusesJSONCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	oplog := filepath.Join(dir, "oplog")
+	l, err := wal.Open(oplog, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	state := []byte(`{"name":"R","doem":{"current":{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}},"next_id":1}`)
+	snap := binary.AppendUvarint(change.AppendString(binary.AppendUvarint(nil, 1), "R"), uint64(len(state)))
+	if err := l.Checkpoint(append(snap, state...), 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	ckpt := filepath.Join(oplog, "CHECKPOINT")
+	before, err := os.ReadFile(ckpt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc := NewService(nil)
+	err = svc.EnableWAL(dir, nil)
+	if err == nil {
+		svc.Close()
+		t.Fatal("EnableWAL restored a JSON checkpoint")
+	}
+	if !strings.Contains(err.Error(), oplog) || !strings.Contains(err.Error(), "older version") {
+		t.Errorf("error %q does not name %s as an older layout", err, oplog)
+	}
+	if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, before) {
+		t.Errorf("the refused checkpoint changed (%v)", err)
 	}
 }
 

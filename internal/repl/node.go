@@ -266,7 +266,7 @@ func (n *Node) rebuildState() error {
 	}
 	if pay, upTo, ok := n.log.LastCheckpoint(); ok && (upTo > 0 || len(pay) > 0) {
 		if err := n.state.Restore(pay); err != nil {
-			return fmt.Errorf("repl: restore checkpoint: %w", err)
+			return fmt.Errorf("repl: restore the checkpoint in %s: %w", n.log.Dir(), err)
 		}
 		n.applied = upTo
 	}

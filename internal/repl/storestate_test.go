@@ -98,7 +98,7 @@ func (s *StoreState) Snapshot() ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		data, err := d.Marshal()
+		data, err := doem.Append(nil, d)
 		if err != nil {
 			return nil, err
 		}
@@ -134,7 +134,10 @@ func (s *StoreState) Restore(snapshot []byte) error {
 		if uint64(len(snapshot)-off) < dlen {
 			return fmt.Errorf("repl: snapshot: truncated data for %q", name)
 		}
-		d, err := doem.Unmarshal(snapshot[off : off+int(dlen)])
+		d, dn, err := doem.Decode(snapshot[off : off+int(dlen)])
+		if err == nil && uint64(dn) != dlen {
+			err = fmt.Errorf("%d trailing bytes", dlen-uint64(dn))
+		}
 		if err != nil {
 			return fmt.Errorf("repl: snapshot doem %q: %w", name, err)
 		}

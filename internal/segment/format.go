@@ -14,7 +14,6 @@ import (
 	"repro/internal/change"
 	"repro/internal/doem"
 	"repro/internal/oem"
-	"repro/internal/oemio"
 	"repro/internal/symbol"
 	"repro/internal/timestamp"
 	"repro/internal/value"
@@ -22,8 +21,11 @@ import (
 
 // On-disk formats. A history directory holds:
 //
-//	wal/             the active segment's tail log (internal/wal)
-//	seg-NNNNNN.seg   sealed segment N: checkpointed base snapshot + deltas
+//	wal/             the active segment's tail log (internal/wal): its
+//	                 checkpoint is the active DOEM's stored pair (doem.Append),
+//	                 each record one step (change.AppendStep)
+//	seg-NNNNNN.seg   sealed segment N: the pair (base snapshot, steps) of
+//	                 its interval (doem.AppendHistory) + orphan arcs
 //	seg-NNNNNN.idx   sealed segment N's annotation index (derived, droppable)
 //	STATE            store-level registry/annotation summary at the last seal
 //
@@ -38,6 +40,9 @@ import (
 //
 // All varints are unsigned LEB128; times and values use the internal/change
 // encoders, so the formats share the WAL payload encoding end to end.
+//
+// A tail checkpoint in JSON (doem's earlier wire format) is refused on
+// open with an error that names the log: that layout is no longer read.
 
 var (
 	segMagic   = []byte("DSEG1\n")
@@ -115,32 +120,102 @@ func appendArc(dst []byte, a oem.Arc) []byte {
 	return binary.AppendUvarint(dst, uint64(a.Child))
 }
 
-func decodeArc(data []byte) (oem.Arc, int, error) {
-	var a oem.Arc
-	p, n := binary.Uvarint(data)
-	if n <= 0 {
-		return a, 0, fmt.Errorf("%w: arc parent", ErrCorrupt)
-	}
-	off := n
-	label, n, err := change.DecodeString(data[off:])
-	if err != nil {
-		return a, 0, fmt.Errorf("%w: arc label", ErrCorrupt)
-	}
-	off += n
-	c, n := binary.Uvarint(data[off:])
-	if n <= 0 {
-		return a, 0, fmt.Errorf("%w: arc child", ErrCorrupt)
-	}
-	off += n
-	return oem.Arc{Parent: oem.NodeID(p), Label: label, Child: oem.NodeID(c)}, off, nil
+// decoder reads the fields of a segment, index or STATE body in order.
+// The first failure sticks: later reads return zero values and read
+// nothing, and err is that failure as ErrCorrupt.
+type decoder struct {
+	b   []byte
+	err error
 }
 
-func decodeCount(data []byte, what string) (int, int, error) {
-	c, n := binary.Uvarint(data)
-	if n <= 0 || c > maxDecodeCount {
-		return 0, 0, fmt.Errorf("%w: %s count", ErrCorrupt, what)
+func (d *decoder) fail(what string, cause error) {
+	switch {
+	case d.err != nil:
+	case cause != nil:
+		d.err = fmt.Errorf("%w: %s: %v", ErrCorrupt, what, cause)
+	default:
+		d.err = fmt.Errorf("%w: %s", ErrCorrupt, what)
 	}
-	return int(c), n, nil
+	d.b = nil
+}
+
+func (d *decoder) uvarint(what string) uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.fail(what, nil)
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+// count reads an element count, capped so a corrupt prefix cannot demand
+// a huge allocation.
+func (d *decoder) count(what string) int {
+	c := d.uvarint(what + " count")
+	if c > maxDecodeCount {
+		d.fail(what+" count", nil)
+		return 0
+	}
+	return int(c)
+}
+
+func (d *decoder) time(what string) timestamp.Time {
+	t, n, err := change.DecodeTime(d.b)
+	if err != nil {
+		d.fail(what, err)
+		return timestamp.Time{}
+	}
+	d.b = d.b[n:]
+	return t
+}
+
+func (d *decoder) value(what string) value.Value {
+	v, n, err := change.DecodeValue(d.b)
+	if err != nil {
+		d.fail(what, err)
+		return value.Value{}
+	}
+	d.b = d.b[n:]
+	return v
+}
+
+func (d *decoder) str(what string) string {
+	s, n, err := change.DecodeString(d.b)
+	if err != nil {
+		d.fail(what, err)
+		return ""
+	}
+	d.b = d.b[n:]
+	return s
+}
+
+func (d *decoder) arc() oem.Arc {
+	p := d.uvarint("arc parent")
+	l := d.str("arc label")
+	return oem.Arc{Parent: oem.NodeID(p), Label: l, Child: oem.NodeID(d.uvarint("arc child"))}
+}
+
+// arcKind reads an add (0) or rem (1) byte.
+func (d *decoder) arcKind(what string) doem.AnnotKind {
+	if len(d.b) == 0 || d.b[0] > 1 {
+		d.fail(what, nil)
+		return doem.AnnotAdd
+	}
+	k := d.b[0]
+	d.b = d.b[1:]
+	if k == 1 {
+		return doem.AnnotRem
+	}
+	return doem.AnnotAdd
+}
+
+// done reports the first failure, or trailing bytes after the last field.
+func (d *decoder) done() error {
+	if d.err == nil && len(d.b) != 0 {
+		d.err = fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b))
+	}
+	return d.err
 }
 
 // seal wraps body in magic + CRC trailer.
@@ -165,19 +240,13 @@ func openFrame(magic, data []byte) ([]byte, error) {
 // ---- segment (.seg) files ----
 
 func encodeSegData(s *segData) ([]byte, error) {
-	baseBytes, err := oemio.Marshal(s.base)
-	if err != nil {
-		return nil, fmt.Errorf("segment: encoding base: %w", err)
-	}
 	var body []byte
 	body = binary.AppendUvarint(body, uint64(s.id))
 	body = change.AppendTime(body, s.start)
 	body = change.AppendTime(body, s.end)
-	body = binary.AppendUvarint(body, uint64(len(baseBytes)))
-	body = append(body, baseBytes...)
-	body = binary.AppendUvarint(body, uint64(len(s.steps)))
-	for _, step := range s.steps {
-		body = change.AppendStep(body, step)
+	body, err := doem.AppendHistory(body, s.base, s.steps)
+	if err != nil {
+		return nil, fmt.Errorf("segment: %w", err)
 	}
 	body = binary.AppendUvarint(body, uint64(len(s.orphans)))
 	for _, a := range s.orphans {
@@ -191,59 +260,21 @@ func decodeSegData(data []byte) (*segData, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &segData{}
-	id, n := binary.Uvarint(body)
-	if n <= 0 || id > maxDecodeCount {
-		return nil, fmt.Errorf("%w: segment id", ErrCorrupt)
-	}
-	s.id = int(id)
-	body = body[n:]
-	if s.start, n, err = change.DecodeTime(body); err != nil {
-		return nil, err
-	}
-	body = body[n:]
-	if s.end, n, err = change.DecodeTime(body); err != nil {
-		return nil, err
-	}
-	body = body[n:]
-	blen, n := binary.Uvarint(body)
-	if n <= 0 || uint64(len(body)-n) < blen {
-		return nil, fmt.Errorf("%w: base length", ErrCorrupt)
-	}
-	body = body[n:]
-	if s.base, err = oemio.Unmarshal(body[:blen]); err != nil {
-		return nil, fmt.Errorf("%w: base: %v", ErrCorrupt, err)
-	}
-	body = body[blen:]
-	count, n, err := decodeCount(body, "step")
-	if err != nil {
-		return nil, err
-	}
-	body = body[n:]
-	s.steps = make(change.History, 0, count)
-	for i := 0; i < count; i++ {
-		step, n, err := change.DecodeStep(body)
-		if err != nil {
-			return nil, err
+	d := &decoder{b: body}
+	s := &segData{id: d.count("segment id"), start: d.time("start"), end: d.time("end")}
+	if d.err == nil {
+		var n int
+		if s.base, s.steps, n, err = doem.DecodeHistory(d.b); err != nil {
+			d.fail("history", err)
+		} else {
+			d.b = d.b[n:]
 		}
-		body = body[n:]
-		s.steps = append(s.steps, step)
 	}
-	count, n, err = decodeCount(body, "orphan arc")
-	if err != nil {
+	for i, n := 0, d.count("orphan arc"); i < n && d.err == nil; i++ {
+		s.orphans = append(s.orphans, d.arc())
+	}
+	if err := d.done(); err != nil {
 		return nil, err
-	}
-	body = body[n:]
-	for i := 0; i < count; i++ {
-		a, n, err := decodeArc(body)
-		if err != nil {
-			return nil, err
-		}
-		body = body[n:]
-		s.orphans = append(s.orphans, a)
-	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body))
 	}
 	return s, nil
 }
@@ -309,111 +340,42 @@ func decodeSegIndex(data []byte) (int, *segIndex, error) {
 	if err != nil {
 		return 0, nil, err
 	}
-	id, n := binary.Uvarint(body)
-	if n <= 0 || id > maxDecodeCount {
-		return 0, nil, fmt.Errorf("%w: index id", ErrCorrupt)
-	}
-	body = body[n:]
-	if _, n, err = change.DecodeTime(body); err != nil {
-		return 0, nil, err
-	}
-	body = body[n:]
-	if _, n, err = change.DecodeTime(body); err != nil {
-		return 0, nil, err
-	}
-	body = body[n:]
-
+	d := &decoder{b: body}
+	id := d.count("index id")
+	d.time("start")
+	d.time("end")
 	x := &segIndex{
 		upd:         make(map[oem.NodeID][]doem.NodeAnnot),
 		arcs:        make(map[oem.Arc][]doem.ArcAnnot),
 		liveAtStart: make(map[oem.Arc]bool),
 	}
-	count, n, err := decodeCount(body, "live arc")
-	if err != nil {
-		return 0, nil, err
+	for i, n := 0, d.count("live arc"); i < n && d.err == nil; i++ {
+		x.liveAtStart[d.arc()] = true
 	}
-	body = body[n:]
-	for i := 0; i < count; i++ {
-		a, n, err := decodeArc(body)
-		if err != nil {
-			return 0, nil, err
+	for i, n := 0, d.count("upd node"); i < n && d.err == nil; i++ {
+		node := oem.NodeID(d.uvarint("upd node id"))
+		m := d.count("upd chain")
+		chain := make([]doem.NodeAnnot, 0, min(m, len(d.b)))
+		for j := 0; j < m && d.err == nil; j++ {
+			at := d.time("upd time")
+			chain = append(chain, doem.NodeAnnot{Kind: doem.AnnotUpd, At: at, Old: d.value("upd old value")})
 		}
-		body = body[n:]
-		x.liveAtStart[a] = true
+		x.upd[node] = chain
 	}
-
-	count, n, err = decodeCount(body, "upd node")
-	if err != nil {
-		return 0, nil, err
-	}
-	body = body[n:]
-	for i := 0; i < count; i++ {
-		node, n := binary.Uvarint(body)
-		if n <= 0 {
-			return 0, nil, fmt.Errorf("%w: upd node id", ErrCorrupt)
-		}
-		body = body[n:]
-		clen, n, err := decodeCount(body, "upd chain")
-		if err != nil {
-			return 0, nil, err
-		}
-		body = body[n:]
-		chain := make([]doem.NodeAnnot, 0, clen)
-		for j := 0; j < clen; j++ {
-			at, n, err := change.DecodeTime(body)
-			if err != nil {
-				return 0, nil, err
-			}
-			body = body[n:]
-			old, n, err := change.DecodeValue(body)
-			if err != nil {
-				return 0, nil, err
-			}
-			body = body[n:]
-			chain = append(chain, doem.NodeAnnot{Kind: doem.AnnotUpd, At: at, Old: old})
-		}
-		x.upd[oem.NodeID(node)] = chain
-	}
-
-	count, n, err = decodeCount(body, "arc chain")
-	if err != nil {
-		return 0, nil, err
-	}
-	body = body[n:]
-	for i := 0; i < count; i++ {
-		a, n, err := decodeArc(body)
-		if err != nil {
-			return 0, nil, err
-		}
-		body = body[n:]
-		clen, n, err := decodeCount(body, "arc annot")
-		if err != nil {
-			return 0, nil, err
-		}
-		body = body[n:]
-		chain := make([]doem.ArcAnnot, 0, clen)
-		for j := 0; j < clen; j++ {
-			if len(body) == 0 || body[0] > 1 {
-				return 0, nil, fmt.Errorf("%w: arc annot kind", ErrCorrupt)
-			}
-			kind := doem.AnnotAdd
-			if body[0] == 1 {
-				kind = doem.AnnotRem
-			}
-			body = body[1:]
-			at, n, err := change.DecodeTime(body)
-			if err != nil {
-				return 0, nil, err
-			}
-			body = body[n:]
-			chain = append(chain, doem.ArcAnnot{Kind: kind, At: at})
+	for i, n := 0, d.count("arc chain"); i < n && d.err == nil; i++ {
+		a := d.arc()
+		m := d.count("arc annot")
+		chain := make([]doem.ArcAnnot, 0, min(m, len(d.b)))
+		for j := 0; j < m && d.err == nil; j++ {
+			kind := d.arcKind("arc annot kind")
+			chain = append(chain, doem.ArcAnnot{Kind: kind, At: d.time("arc annot time")})
 		}
 		x.arcs[a] = chain
 	}
-	if len(body) != 0 {
-		return 0, nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body))
+	if err := d.done(); err != nil {
+		return 0, nil, err
 	}
-	return int(id), x, nil
+	return id, x, nil
 }
 
 // ---- STATE files ----
@@ -486,126 +448,42 @@ func decodeState(data []byte) (*storeState, error) {
 	if err != nil {
 		return nil, err
 	}
+	d := &decoder{b: body}
 	st := &storeState{
+		lastSeal:     d.time("last seal"),
+		maxID:        oem.NodeID(d.uvarint("max id")),
+		segCount:     d.count("segment"),
 		registry:     make(map[oem.NodeID][]oem.Arc),
 		cre:          make(map[oem.NodeID]timestamp.Time),
 		dead:         make(map[oem.NodeID]value.Value),
 		sealedStatus: make(map[oem.Arc]doem.AnnotKind),
 	}
-	var n int
-	if st.lastSeal, n, err = change.DecodeTime(body); err != nil {
-		return nil, err
-	}
-	body = body[n:]
-	maxID, n := binary.Uvarint(body)
-	if n <= 0 {
-		return nil, fmt.Errorf("%w: max id", ErrCorrupt)
-	}
-	st.maxID = oem.NodeID(maxID)
-	body = body[n:]
-	segCount, n, err := decodeCount(body, "segment")
-	if err != nil {
-		return nil, err
-	}
-	st.segCount = segCount
-	body = body[n:]
-
-	parents, n, err := decodeCount(body, "registry parent")
-	if err != nil {
-		return nil, err
-	}
-	body = body[n:]
-	for i := 0; i < parents; i++ {
-		p, n := binary.Uvarint(body)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: registry parent id", ErrCorrupt)
-		}
-		body = body[n:]
-		count, n, err := decodeCount(body, "registry arc")
-		if err != nil {
-			return nil, err
-		}
-		body = body[n:]
-		arcs := make([]oem.Arc, 0, count)
-		for j := 0; j < count; j++ {
-			label, n, err := change.DecodeString(body)
-			if err != nil {
-				return nil, err
-			}
-			body = body[n:]
-			child, n := binary.Uvarint(body)
-			if n <= 0 {
-				return nil, fmt.Errorf("%w: registry child", ErrCorrupt)
-			}
-			body = body[n:]
+	for i, n := 0, d.count("registry parent"); i < n && d.err == nil; i++ {
+		p := oem.NodeID(d.uvarint("registry parent id"))
+		m := d.count("registry arc")
+		arcs := make([]oem.Arc, 0, min(m, len(d.b)))
+		for j := 0; j < m && d.err == nil; j++ {
 			// Decoded labels are fresh allocations; canonicalize so the
 			// registry shares backing strings with the active database.
-			arcs = append(arcs, oem.Arc{Parent: oem.NodeID(p), Label: symbol.Canon(label), Child: oem.NodeID(child)})
+			label := symbol.Canon(d.str("registry label"))
+			arcs = append(arcs, oem.Arc{Parent: p, Label: label, Child: oem.NodeID(d.uvarint("registry child"))})
 		}
-		st.registry[oem.NodeID(p)] = arcs
+		st.registry[p] = arcs
 	}
-
-	count, n, err := decodeCount(body, "cre")
-	if err != nil {
+	for i, n := 0, d.count("cre"); i < n && d.err == nil; i++ {
+		node := oem.NodeID(d.uvarint("cre node"))
+		st.cre[node] = d.time("cre time")
+	}
+	for i, n := 0, d.count("dead"); i < n && d.err == nil; i++ {
+		node := oem.NodeID(d.uvarint("dead node"))
+		st.dead[node] = d.value("dead value")
+	}
+	for i, n := 0, d.count("sealed status"); i < n && d.err == nil; i++ {
+		a := d.arc()
+		st.sealedStatus[a] = d.arcKind("sealed status kind")
+	}
+	if err := d.done(); err != nil {
 		return nil, err
-	}
-	body = body[n:]
-	for i := 0; i < count; i++ {
-		node, n := binary.Uvarint(body)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: cre node", ErrCorrupt)
-		}
-		body = body[n:]
-		at, n, err := change.DecodeTime(body)
-		if err != nil {
-			return nil, err
-		}
-		body = body[n:]
-		st.cre[oem.NodeID(node)] = at
-	}
-
-	count, n, err = decodeCount(body, "dead")
-	if err != nil {
-		return nil, err
-	}
-	body = body[n:]
-	for i := 0; i < count; i++ {
-		node, n := binary.Uvarint(body)
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: dead node", ErrCorrupt)
-		}
-		body = body[n:]
-		v, n, err := change.DecodeValue(body)
-		if err != nil {
-			return nil, err
-		}
-		body = body[n:]
-		st.dead[oem.NodeID(node)] = v
-	}
-
-	count, n, err = decodeCount(body, "sealed status")
-	if err != nil {
-		return nil, err
-	}
-	body = body[n:]
-	for i := 0; i < count; i++ {
-		a, n, err := decodeArc(body)
-		if err != nil {
-			return nil, err
-		}
-		body = body[n:]
-		if len(body) == 0 || body[0] > 1 {
-			return nil, fmt.Errorf("%w: sealed status kind", ErrCorrupt)
-		}
-		if body[0] == 0 {
-			st.sealedStatus[a] = doem.AnnotAdd
-		} else {
-			st.sealedStatus[a] = doem.AnnotRem
-		}
-		body = body[1:]
-	}
-	if len(body) != 0 {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(body))
 	}
 	return st, nil
 }
@@ -677,21 +555,9 @@ func decodeSegHeader(data []byte) (id int, start, end timestamp.Time, err error)
 	if len(data) < len(segMagic) || !bytes.Equal(data[:len(segMagic)], segMagic) {
 		return 0, start, end, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	body := data[len(segMagic):]
-	v, n := binary.Uvarint(body)
-	if n <= 0 || v > maxDecodeCount {
-		return 0, start, end, fmt.Errorf("%w: segment id", ErrCorrupt)
-	}
-	id = int(v)
-	body = body[n:]
-	if start, n, err = change.DecodeTime(body); err != nil {
-		return 0, start, end, err
-	}
-	body = body[n:]
-	if end, _, err = change.DecodeTime(body); err != nil {
-		return 0, start, end, err
-	}
-	return id, start, end, nil
+	d := &decoder{b: data[len(segMagic):]}
+	id, start, end = d.count("segment id"), d.time("start"), d.time("end")
+	return id, start, end, d.err
 }
 
 // readSegHeader reads only the first segHeaderLen bytes of a sealed

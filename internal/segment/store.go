@@ -11,6 +11,7 @@
 package segment
 
 import (
+	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -147,12 +148,12 @@ func Create(dir string, d *doem.Database, opt *wal.Options, pol *Policy) (*Store
 	if err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
-	if err := l.CheckpointDOEM(d); err != nil {
-		l.Close()
-		return nil, fmt.Errorf("segment: %w", err)
-	}
 	s := newStore(dir, pol)
 	s.tail = l
+	if err := s.checkpointTail(d); err != nil {
+		l.Close()
+		return nil, err
+	}
 	s.adoptActive(d.Clone())
 	s.seedRegistryFromActive()
 	s.updateGauges()
@@ -333,20 +334,69 @@ func (s *Store) mergeOps(ops change.Set, labels map[string]plan.LabelCard) {
 	}
 }
 
+// The tail log's payloads: every record is one history step
+// (change.AppendStep), and the checkpoint is the active segment's stored
+// DOEM (doem.Append), so the log is D(O, H) on disk.
+
+// appendStep appends one history step (t, ops) to l.
+func appendStep(l *wal.Log, t timestamp.Time, ops change.Set) error {
+	_, err := l.Append(change.AppendStep(nil, change.Step{At: t, Ops: ops}))
+	return err
+}
+
+// replaySteps calls fn for every step l recorded after its checkpoint, in
+// order.
+func replaySteps(l *wal.Log, fn func(seq uint64, step change.Step) error) error {
+	return l.Replay(func(seq uint64, payload []byte) error {
+		step, n, err := change.DecodeStep(payload)
+		if err == nil && n != len(payload) {
+			err = fmt.Errorf("%d trailing bytes", len(payload)-n)
+		}
+		if err != nil {
+			return fmt.Errorf("segment: tail record %d: %w", seq, err)
+		}
+		return fn(seq, step)
+	})
+}
+
+// checkpointTail installs d as the tail checkpoint covering every record
+// appended so far, dropping the log segments it makes redundant. The
+// caller excludes writers of both d and the tail for the whole call (the
+// single-writer rule), so no record lands between the encoding and the
+// checkpoint.
+func (s *Store) checkpointTail(d *doem.Database) error {
+	payload, err := doem.Append(nil, d)
+	if err != nil {
+		return fmt.Errorf("segment: tail checkpoint: %w", err)
+	}
+	if err := s.tail.Checkpoint(payload, s.tail.LastSeq()); err != nil {
+		return fmt.Errorf("segment: %w", err)
+	}
+	return nil
+}
+
 // replayTail rebuilds the active segment from the tail checkpoint plus its
 // records, folding replayed sets into the store summaries as it goes.
 func (s *Store) replayTail() (*doem.Database, int, error) {
 	var d *doem.Database
 	if payload, _, ok := s.tail.LastCheckpoint(); ok {
+		var n int
 		var err error
-		if d, err = doem.Unmarshal(payload); err != nil {
+		d, n, err = doem.Decode(payload)
+		if err == nil && n != len(payload) {
+			err = fmt.Errorf("%d trailing bytes", len(payload)-n)
+		}
+		if err != nil && json.Valid(payload) {
+			return nil, 0, fmt.Errorf("segment: the checkpoint in %s is JSON, the layout of an older version, which is no longer read", s.tail.Dir())
+		}
+		if err != nil {
 			return nil, 0, fmt.Errorf("segment: tail checkpoint: %w", err)
 		}
 	} else {
 		d = doem.New(oem.New())
 	}
 	records := 0
-	err := s.tail.ReplaySteps(func(seq uint64, step change.Step) error {
+	err := replaySteps(s.tail, func(seq uint64, step change.Step) error {
 		if err := d.Apply(step.At, step.Ops); err != nil {
 			return fmt.Errorf("segment: replaying tail record %d: %w", seq, err)
 		}
@@ -377,7 +427,7 @@ func (s *Store) Apply(t timestamp.Time, ops change.Set) error {
 	if err := s.active.Check(t, ops); err != nil {
 		return err
 	}
-	if _, err := s.tail.AppendStep(t, ops); err != nil {
+	if err := appendStep(s.tail, t, ops); err != nil {
 		s.tail.Close()
 		return fmt.Errorf("segment: %w", err)
 	}
@@ -488,8 +538,8 @@ func (s *Store) seal() error {
 		return err
 	}
 	next := doem.New(s.active.Current())
-	if err := s.tail.CheckpointDOEM(next); err != nil {
-		return fmt.Errorf("segment: %w", err)
+	if err := s.checkpointTail(next); err != nil {
+		return err
 	}
 	s.adoptActive(next)
 	mSeals.Inc()
@@ -781,8 +831,8 @@ func (s *Store) Truncate(t timestamp.Time) error {
 	if err := s.writeState(); err != nil {
 		return err
 	}
-	if err := s.tail.CheckpointDOEM(td); err != nil {
-		return fmt.Errorf("segment: %w", err)
+	if err := s.checkpointTail(td); err != nil {
+		return err
 	}
 	s.updateGauges()
 	return nil

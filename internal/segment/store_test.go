@@ -3,6 +3,10 @@ package segment
 import (
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -335,6 +339,58 @@ func TestCreateRefusesExistingStore(t *testing.T) {
 	st.Close()
 	if _, err := Create(dir, doem.New(oem.New()), nil, nil); err == nil {
 		t.Fatal("Create over an existing store did not fail")
+	}
+}
+
+// TestOpenRefusesJSONTailCheckpoint: a tail checkpoint in JSON, the
+// layout of earlier versions, is no longer read. Open fails with an error
+// naming the tail log and moves, quarantines or rewrites nothing.
+func TestOpenRefusesJSONTailCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	_, st := buildPair(t, dir, 13, func(i int) bool { return i == 5 }, nil)
+	st.Close()
+	tail := filepath.Join(dir, tailDirName)
+	l, err := wal.Open(tail, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := []byte(`{"current":{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}}`)
+	if err := l.Checkpoint(legacy, l.LastSeq()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	list := func() map[string]string {
+		files := make(map[string]string)
+		for _, d := range []string{dir, tail} {
+			entries, err := os.ReadDir(d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				if !e.IsDir() {
+					data, err := os.ReadFile(filepath.Join(d, e.Name()))
+					if err != nil {
+						t.Fatal(err)
+					}
+					files[filepath.Join(d, e.Name())] = string(data)
+				}
+			}
+		}
+		return files
+	}
+	before := list()
+	st, err = Open(dir, nil, nil)
+	if err == nil {
+		st.Close()
+		t.Fatal("Open read a JSON tail checkpoint")
+	}
+	if !strings.Contains(err.Error(), tail) || !strings.Contains(err.Error(), "older version") {
+		t.Errorf("error %q does not name %s as an older layout", err, tail)
+	}
+	if after := list(); !reflect.DeepEqual(after, before) {
+		t.Error("the refused open changed the store's files")
 	}
 }
 

@@ -18,11 +18,11 @@ func benchLog(b *testing.B, steps int) (string, *Options) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	if err := l.CheckpointDOEM(doem.New(initial)); err != nil {
+	if err := checkpointDOEM(l, doem.New(initial)); err != nil {
 		b.Fatal(err)
 	}
 	for _, step := range h {
-		if _, err := l.AppendStep(step.At, step.Ops); err != nil {
+		if _, err := appendStep(l, step); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -42,7 +42,7 @@ func BenchmarkWALAppend(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		step := h[i%len(h)]
-		if _, err := l.AppendStep(step.At, step.Ops); err != nil {
+		if _, err := appendStep(l, step); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +57,7 @@ func BenchmarkWALReplay(b *testing.B) {
 	defer l.Close()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.ReplayDOEM(); err != nil {
+		if _, err := replayDOEM(l); err != nil {
 			b.Fatal(err)
 		}
 	}

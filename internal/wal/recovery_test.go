@@ -90,11 +90,11 @@ func TestCrashRecoveryYieldsValidPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.CheckpointDOEM(doem.New(initial)); err != nil {
+	if err := checkpointDOEM(l, doem.New(initial)); err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range h {
-		if _, err := l.AppendStep(step.At, step.Ops); err != nil {
+		if _, err := appendStep(l, step); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -138,7 +138,7 @@ func TestCrashRecoveryYieldsValidPrefix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("offset %d: recovery open: %v", offset, err)
 		}
-		got, err := rec.ReplayHistory()
+		got, err := replayHistory(rec)
 		if err != nil {
 			t.Fatalf("offset %d: replay: %v", offset, err)
 		}
@@ -151,7 +151,7 @@ func TestCrashRecoveryYieldsValidPrefix(t *testing.T) {
 				t.Fatalf("offset %d: recovered step %d is not history step %d", offset, i, i)
 			}
 		}
-		d, err := rec.ReplayDOEM()
+		d, err := replayDOEM(rec)
 		if err != nil {
 			t.Fatalf("offset %d: replay DOEM: %v", offset, err)
 		}
@@ -175,11 +175,11 @@ func TestRecoveryAfterBitFlip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.CheckpointDOEM(doem.New(initial)); err != nil {
+	if err := checkpointDOEM(l, doem.New(initial)); err != nil {
 		t.Fatal(err)
 	}
 	for _, step := range h {
-		if _, err := l.AppendStep(step.At, step.Ops); err != nil {
+		if _, err := appendStep(l, step); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -203,7 +203,7 @@ func TestRecoveryAfterBitFlip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rec.Close()
-	got, err := rec.ReplayHistory()
+	got, err := replayHistory(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestRecoveryAfterBitFlip(t *testing.T) {
 			t.Fatalf("recovered step %d is not a prefix step", i)
 		}
 	}
-	if _, err := rec.ReplayDOEM(); err != nil {
+	if _, err := replayDOEM(rec); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,18 +1,21 @@
-// Package wal implements a durable, segmented write-ahead log of OEM change
-// sets — the on-disk form of the paper's central object, an OEM history
-// (Section 2.2): an append-only sequence of timestamped change sets.
+// Package wal implements a durable, segmented write-ahead log — the
+// on-disk form of the paper's central object, an OEM history (Section
+// 2.2): an append-only sequence of records, each in this repository one
+// timestamped change set or one replicated operation.
 //
 // Records are length-prefixed binary frames with a CRC-32C each (see
-// record.go); payloads are the stable binary encoding of history steps from
-// internal/change. The log is split into segment files that rotate at a
+// record.go). The log is split into segment files that rotate at a
 // configurable size. Recovery scans segments in order, truncates the first
 // torn or corrupt frame and everything after it (a torn tail is discarded,
-// never misapplied), and replays the surviving prefix. Checkpoints snapshot
-// the accumulated DOEM database and drop the segments they cover — the
-// paper's Section 6.1 space-for-accuracy trade realized as log compaction.
+// never misapplied), and replays the surviving prefix. Checkpoints install
+// a snapshot of the state the records built and drop the segments they
+// cover — the paper's Section 6.1 space-for-accuracy trade realized as log
+// compaction.
 //
-// A Log stores opaque payloads; the typed layer in doemlog.go reads and
-// writes history steps and DOEM checkpoints.
+// A Log stores opaque payloads: what a record or a checkpoint holds is
+// its user's choice. internal/segment writes history steps and a stored
+// DOEM database; internal/repl writes oplog records and its state's
+// snapshot.
 package wal
 
 import (

@@ -2,6 +2,7 @@ package wal
 
 import (
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,62 @@ import (
 	"repro/internal/timestamp"
 	"repro/internal/value"
 )
+
+// The log stores opaque payloads. These tests give it the ones
+// internal/segment does: one history step per record (change.AppendStep)
+// and a stored DOEM as the checkpoint (doem.Append).
+
+func appendStep(l *Log, s change.Step) (uint64, error) {
+	return l.Append(change.AppendStep(nil, s))
+}
+
+// replayHistory decodes the steps recorded after the checkpoint.
+func replayHistory(l *Log) (change.History, error) {
+	var h change.History
+	err := l.Replay(func(seq uint64, payload []byte) error {
+		step, n, err := change.DecodeStep(payload)
+		if err == nil && n != len(payload) {
+			err = fmt.Errorf("%d trailing bytes", len(payload)-n)
+		}
+		if err != nil {
+			return fmt.Errorf("record %d: %w", seq, err)
+		}
+		h = append(h, step)
+		return nil
+	})
+	return h, err
+}
+
+// checkpointDOEM checkpoints d as covering every record appended so far.
+func checkpointDOEM(l *Log, d *doem.Database) error {
+	payload, err := doem.Append(nil, d)
+	if err != nil {
+		return err
+	}
+	return l.Checkpoint(payload, l.LastSeq())
+}
+
+// replayDOEM is D(O, H) off the log: the checkpointed database (an empty
+// one without a checkpoint) with every later step applied.
+func replayDOEM(l *Log) (*doem.Database, error) {
+	d := doem.New(oem.New())
+	if payload, _, ok := l.LastCheckpoint(); ok {
+		var err error
+		if d, _, err = doem.Decode(payload); err != nil {
+			return nil, err
+		}
+	}
+	h, err := replayHistory(l)
+	if err != nil {
+		return nil, err
+	}
+	for _, step := range h {
+		if err := d.Apply(step.At, step.Ops); err != nil {
+			return nil, err
+		}
+	}
+	return d, nil
+}
 
 // testStep builds the i-th step of a simple deterministic history: each
 // step creates one restaurant object with a name and links it to the root.
@@ -33,7 +90,7 @@ func appendSteps(t *testing.T, l *Log, from, to int) {
 	t.Helper()
 	for i := from; i < to; i++ {
 		s := testStep(i)
-		if _, err := l.AppendStep(s.At, s.Ops); err != nil {
+		if _, err := appendStep(l, s); err != nil {
 			t.Fatalf("append step %d: %v", i, err)
 		}
 	}
@@ -41,7 +98,7 @@ func appendSteps(t *testing.T, l *Log, from, to int) {
 
 func wantSteps(t *testing.T, l *Log, n int) {
 	t.Helper()
-	h, err := l.ReplayHistory()
+	h, err := replayHistory(l)
 	if err != nil {
 		t.Fatalf("replay: %v", err)
 	}
@@ -117,11 +174,11 @@ func TestCheckpointCompactsSegments(t *testing.T) {
 	}
 	defer l.Close()
 	appendSteps(t, l, 0, 20)
-	d, err := l.ReplayDOEM()
+	d, err := replayDOEM(l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.CheckpointDOEM(d); err != nil {
+	if err := checkpointDOEM(l, d); err != nil {
 		t.Fatal(err)
 	}
 	paths, _, err := l.listSegments()
@@ -132,7 +189,7 @@ func TestCheckpointCompactsSegments(t *testing.T) {
 		t.Errorf("%d segments survive a full checkpoint, want 0", len(paths))
 	}
 	// The replayed state must be unchanged, now served from the checkpoint.
-	d2, err := l.ReplayDOEM()
+	d2, err := replayDOEM(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +206,7 @@ func TestCheckpointCompactsSegments(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	d3, err := l.ReplayDOEM()
+	d3, err := replayDOEM(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +294,7 @@ func TestMissingMiddleSegmentDropsSuffix(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	h, err := l.ReplayHistory()
+	h, err := replayHistory(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,33 +310,6 @@ func TestMissingMiddleSegmentDropsSuffix(t *testing.T) {
 	}
 }
 
-func TestReplayDOEMMatchesFromHistory(t *testing.T) {
-	l, err := Open(t.TempDir(), &Options{Sync: SyncNever})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	var h change.History
-	for i := 0; i < 8; i++ {
-		s := testStep(i)
-		h = append(h, s)
-		if _, err := l.AppendStep(s.At, s.Ops); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := doem.FromHistory(oem.New(), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := l.ReplayDOEM()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Equal(want) {
-		t.Error("ReplayDOEM differs from doem.FromHistory")
-	}
-}
-
 func TestCheckpointBaseSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	// A non-empty base database checkpointed before any records.
@@ -292,7 +322,7 @@ func TestCheckpointBaseSurvivesReopen(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.CheckpointDOEM(doem.New(base)); err != nil {
+	if err := checkpointDOEM(l, doem.New(base)); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -303,7 +333,7 @@ func TestCheckpointBaseSurvivesReopen(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	d, err := l.ReplayDOEM()
+	d, err := replayDOEM(l)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +348,7 @@ func TestCorruptCheckpointRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.CheckpointDOEM(doem.New(oem.New())); err != nil {
+	if err := checkpointDOEM(l, doem.New(oem.New())); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
