@@ -2,16 +2,21 @@
 
 GO ?= go
 
-.PHONY: all build test race vet lint cover bench bench-e2e examples fuzz ci fmtcheck clean
+.PHONY: all build test race vet lint cover bench bench-e2e examples fuzz ci fmtcheck benchmark-module clean
 
 all: build test
 
 # Mirrors .github/workflows/ci.yml locally: formatting gate, build, vet,
-# tests, and the race-detector run that gates concurrent callers sharing
-# one engine, store or service.
+# tests, the benchmark module's vet and tests, and the race-detector run
+# that gates concurrent callers sharing one engine, store or service.
 # (CI additionally runs `make lint`, which needs network access to
 # install its tools.)
-ci: fmtcheck build test race
+ci: fmtcheck build test benchmark-module race
+
+# The benchmark is a Go module of its own, which `./...` does not reach.
+benchmark-module:
+	$(GO) -C benchmark vet .
+	$(GO) -C benchmark test .
 
 fmtcheck:
 	@unformatted=$$(gofmt -l .); \
@@ -80,6 +85,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzAccessPaths$$' -fuzztime=30s -run xxx ./internal/doem/
 	$(GO) test -fuzz='^FuzzDOEMDecode$$' -fuzztime=30s -run xxx ./internal/doem/
 	$(GO) test -fuzz='^FuzzSegmentParity$$' -fuzztime=30s -run xxx ./internal/segment/
+	$(GO) test -fuzz='^FuzzSegmentFiles$$' -fuzztime=30s -run xxx ./internal/segment/
 	$(GO) test -fuzz='^FuzzReplFrameDecode$$' -fuzztime=30s -run xxx ./internal/repl/
 	$(GO) test -fuzz='^FuzzFilterFingerprint$$' -fuzztime=30s -run xxx ./internal/incr/
 

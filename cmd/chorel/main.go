@@ -13,8 +13,8 @@
 // Stored DOEM databases live in time-partitioned segment stores
 // (lore.OpenSegmented): queries run over the merged history graph,
 // -strategy translated and .history over the whole history replayed from
-// the segments, and update statements append to the active segment's log,
-// so they persist.
+// the segments, and update statements append to the store's log, so they
+// persist.
 // -seal-anns and -seal-age tune the auto-seal policy; see
 // docs/segments.md.
 //
@@ -72,23 +72,21 @@ func main() {
 	}
 }
 
-// session holds the databases queries and updates address. Every DOEM
-// database lives in a lore.Store — the demo guide in the in-memory mem,
-// the rest in the -store directory's store — and updates go through that
-// store's ApplySet, so stored ones persist.
+// session holds the databases queries and updates address: the demo
+// guide, a plain DOEM database, and the -store directory's store, whose
+// DOEM databases queries read through their segment stores' merged graphs
+// and updates reach through ApplySet, so they persist.
 type session struct {
-	eng *lorel.Engine
-	// doems holds each DOEM database's live database: for a stored one,
-	// its active segment.
-	doems      map[string]*doem.Database
-	mem, store *lore.Store // store is nil without -store
-	strategy   string
+	eng      *lorel.Engine
+	guide    *doem.Database
+	store    *lore.Store // nil without -store
+	strategy string
 }
 
 // openSession registers the demo guide and, when storeDir is set, every
 // database stored there.
 func openSession(storeDir string, pol *segment.Policy, strategy string) (*session, error) {
-	s := &session{eng: lorel.NewEngine(), doems: make(map[string]*doem.Database), strategy: strategy}
+	s := &session{eng: lorel.NewEngine(), strategy: strategy}
 
 	// The paper's running example is always available as "guide".
 	g, ids := guidegen.PaperGuide()
@@ -96,13 +94,8 @@ func openSession(storeDir string, pol *segment.Policy, strategy string) (*sessio
 	if err != nil {
 		return nil, err
 	}
-	if s.mem, err = lore.Open(""); err != nil {
-		return nil, err
-	}
-	if err := s.mem.PutDOEM("guide", d); err != nil {
-		return nil, err
-	}
-	s.register("guide", d)
+	s.guide = d
+	s.eng.Register("guide", d)
 	if storeDir == "" {
 		return s, nil
 	}
@@ -113,15 +106,8 @@ func openSession(storeDir string, pol *segment.Policy, strategy string) (*sessio
 	for _, ent := range s.store.List() {
 		switch ent.Kind {
 		case "doem":
-			dd, err := s.store.GetDOEM(ent.Name)
-			if err != nil {
-				s.close()
-				return nil, err
-			}
+			// Queries range over the merged sealed+active history.
 			st, _ := s.store.SegmentStore(ent.Name)
-			s.doems[ent.Name] = dd
-			// Queries range over the merged sealed+active history, not
-			// just the active segment.
 			s.eng.Register(ent.Name, st.Graph())
 		case "oem":
 			db, err := s.store.GetOEM(ent.Name)
@@ -133,16 +119,6 @@ func openSession(storeDir string, pol *segment.Policy, strategy string) (*sessio
 		}
 	}
 	return s, nil
-}
-
-// owner returns the store the named DOEM database lives in.
-func (s *session) owner(name string) *lore.Store {
-	if s.store != nil {
-		if _, ok := s.store.SegmentStore(name); ok {
-			return s.store
-		}
-	}
-	return s.mem
 }
 
 // close releases the -store directory's store.
@@ -256,14 +232,15 @@ func (s *session) runUpdate(stmt string) error {
 		return err
 	}
 	name := parsed.Target.Head
-	d, ok := s.doems[name]
-	if !ok {
-		return fmt.Errorf("%q is not a DOEM database (updates need change tracking)", name)
-	}
-	st := s.owner(name)
-	next, err := st.MaxID(name)
+	d, err := s.whole(name)
 	if err != nil {
 		return err
+	}
+	next := d.MaxID()
+	seg, stored := s.segmentStore(name)
+	if stored {
+		// The store's high-water mark also covers ids a truncation dropped.
+		next = seg.MaxID()
 	}
 	set, err := s.eng.CompileUpdate(parsed, func() oem.NodeID {
 		next++
@@ -276,19 +253,16 @@ func (s *session) runUpdate(stmt string) error {
 		fmt.Println("no matches; nothing applied")
 		return nil
 	}
-	last := d.LastStep()
-	if seg, ok := st.SegmentStore(name); ok && seg.LastSeal().After(last) {
-		last = seg.LastSeal()
-	}
 	now := timestamp.FromTime(time.Now())
-	if !now.After(last) {
+	if last := d.LastStep(); !now.After(last) {
 		now = last.Add(time.Second)
 	}
-	if err := st.ApplySet(name, now, set); err != nil {
-		return err
+	if stored {
+		err = s.store.ApplySet(name, now, set)
+	} else {
+		err = d.Apply(now, set)
 	}
-	// A seal may have swapped the active database.
-	if s.doems[name], err = st.GetDOEM(name); err != nil {
+	if err != nil {
 		return err
 	}
 	fmt.Printf("applied %d operation(s) at %s\n", len(set), now)
@@ -306,24 +280,26 @@ func (s *session) explain(q string) (string, error) {
 	return pl.String(), nil
 }
 
-func (s *session) register(name string, d *doem.Database) {
-	s.doems[name] = d
-	s.eng.Register(name, d)
+// segmentStore returns the segment store of a DOEM database of the -store
+// directory.
+func (s *session) segmentStore(name string) (*segment.Store, bool) {
+	if s.store == nil {
+		return nil, false
+	}
+	return s.store.SegmentStore(name)
 }
 
-// whole returns the named DOEM database with its entire history: a stored
-// one is replayed from its sealed segments and its active one.
+// whole returns the named DOEM database with its entire history: for a
+// stored one, a copy replayed from its segment store; otherwise the demo
+// guide itself.
 func (s *session) whole(name string) (*doem.Database, error) {
-	if s.store != nil {
-		if seg, ok := s.store.SegmentStore(name); ok {
-			return seg.Replay()
-		}
+	if _, ok := s.segmentStore(name); ok {
+		return s.store.GetDOEM(name)
 	}
-	d, ok := s.doems[name]
-	if !ok {
-		return nil, fmt.Errorf("no DOEM database %q", name)
+	if name == "guide" {
+		return s.guide, nil
 	}
-	return d, nil
+	return nil, fmt.Errorf("%q is not a DOEM database", name)
 }
 
 func (s *session) runQuery(q string) error {
@@ -362,10 +338,8 @@ func (s *session) addressedDOEM(q string) string {
 	}
 	name := ""
 	parsed.WalkPaths(func(p *lorel.PathExpr) {
-		if name == "" {
-			if _, ok := s.doems[p.Head]; ok {
-				name = p.Head
-			}
+		if _, stored := s.segmentStore(p.Head); name == "" && (stored || p.Head == "guide") {
+			name = p.Head
 		}
 	})
 	return name

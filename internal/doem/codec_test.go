@@ -154,13 +154,41 @@ func TestDecodeGarbage(t *testing.T) {
 }
 
 // TestCodecRoundTripUnreachable: a database without annotations is stored
-// as its current snapshot, objects nothing reaches included.
+// as its current snapshot; New has collected the object nothing reaches.
 func TestCodecRoundTripUnreachable(t *testing.T) {
 	o := oem.New()
 	o.CreateNode(value.Int(1))
 	d := New(o)
 	if err := d.Apply(timestamp.MustParse("1Jan97"), nil); err != nil {
 		t.Fatal(err)
+	}
+	roundTrip(t, d)
+}
+
+// TestNewCollectsUnreachable: New drops the objects of O its root does not
+// reach, so a database built from such an O and then changed is feasible
+// and survives a round trip. A copy that kept them made Original() (which
+// is collected) differ from the O the history was applied to.
+func TestNewCollectsUnreachable(t *testing.T) {
+	o := oem.New()
+	stray := o.CreateNode(value.Int(1))
+	d := New(o)
+	if _, ok := d.Current().Value(stray); ok {
+		t.Fatalf("New kept unreachable object %s", stray)
+	}
+	if _, ok := o.Value(stray); !ok {
+		t.Fatal("New collected the caller's database instead of its copy")
+	}
+	n := d.MaxID() + 10
+	err := d.Apply(timestamp.MustParse("1Jan97"), change.Set{
+		change.CreNode{Node: n, Value: value.Int(7)},
+		change.AddArc{Parent: d.Root(), Label: "a", Child: n},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !d.Feasible() {
+		t.Fatal("database built by New and one step is not feasible")
 	}
 	roundTrip(t, d)
 }

@@ -111,7 +111,7 @@ type ArcEvent struct {
 // Concurrency: read methods are pure lookups with no interior mutation, so
 // a Database is safe for any number of concurrent readers once built.
 // Apply mutates in place and must exclude readers (see
-// lore.Store.ViewDOEM for the coordinated path); Truncate leaves the
+// lore.Store.ViewIndexed for the coordinated path); Truncate leaves the
 // receiver untouched and returns a new database.
 type Database struct {
 	current *oem.Database
@@ -141,7 +141,7 @@ type Database struct {
 }
 
 // Version returns a counter that advances on every successful Apply.
-// Readers holding the database's read lock (see lore.Store.ViewDOEM) see a
+// Readers holding the database's read lock (see lore.Store.ViewIndexed) see a
 // stable value; the <at T> view memo of internal/index and the planner's
 // cached plans key on it.
 func (d *Database) Version() uint64 { return d.version }
@@ -160,8 +160,17 @@ var (
 
 // New returns a DOEM database over a copy of the given OEM snapshot with
 // empty annotation sets — the D_0 of Section 3.1. The snapshot's node ids
-// are preserved.
-func New(o *oem.Database) *Database { return wrap(o.Clone()) }
+// are preserved. The copy is collected first: an OEM database holds only
+// what its root reaches (Section 2.2), and O_0(D) of a feasible D is
+// collected, so an object nothing reaches is not part of D. That walk is
+// the database's first collection, counted in doem_gc_full_walks_total.
+func New(o *oem.Database) *Database {
+	cur := o.Clone()
+	if _, full := cur.Collect(nil); full {
+		mGCFullWalks.Inc()
+	}
+	return wrap(cur)
+}
 
 // wrap is New over a snapshot the database takes ownership of.
 func wrap(cur *oem.Database) *Database {

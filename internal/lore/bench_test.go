@@ -86,7 +86,7 @@ func fullRewrite(b *testing.B, dir string, initial *oem.Database, h change.Histo
 	write := func() {
 		data, err := doem.Append(nil, d)
 		if err == nil {
-			err = atomicWrite(path, data)
+			err = wal.AtomicWrite(path, data)
 		}
 		if err != nil {
 			b.Fatal(err)

@@ -9,13 +9,14 @@ import (
 	"repro/internal/doem"
 	"repro/internal/guidegen"
 	"repro/internal/lore"
+	"repro/internal/lorel"
 	"repro/internal/segment"
 	"repro/internal/timestamp"
 )
 
 // persistentStores are the seal policies the concurrency gates run over:
 // seals on explicit Checkpoint calls only, and policy seals that swap the
-// active database under concurrent ViewDOEM readers.
+// active segment under concurrent ViewIndexed readers.
 var persistentStores = []struct {
 	name string
 	open func(dir string) (*lore.Store, error)
@@ -34,11 +35,13 @@ func forEachStore(t *testing.T, fn func(t *testing.T, open func(dir string) (*lo
 }
 
 // TestConcurrentQueriesWithApplySet drives N goroutines of concurrent
-// Chorel queries through Store.ViewDOEM while another goroutine feeds the
-// remaining history steps through log-backed ApplySet — the claim that one
-// store serves readers and a writer at once. Run under -race this is the
-// stress gate for the graph layer's read-path contract, over both seal
-// policies.
+// Chorel queries through Store.ViewIndexed while another goroutine feeds
+// the remaining history steps through log-backed ApplySet — the claim that
+// one store serves readers and a writer at once. Run under -race this is
+// the stress gate for the graph layer's read-path contract, over both seal
+// policies. Once the writer is done, every query must answer over the
+// store's whole history — through ViewIndexed and over GetDOEM's copy —
+// as it does over the monolithic database of the same history.
 func TestConcurrentQueriesWithApplySet(t *testing.T) {
 	forEachStore(t, testConcurrentQueriesWithApplySet)
 }
@@ -86,6 +89,20 @@ func testConcurrentQueriesWithApplySet(t *testing.T, open func(dir string) (*lor
 		}
 	}()
 
+	// query runs q over the store's whole history through the coordinated
+	// view.
+	query := func(q string) (*lorel.Result, error) {
+		var res *lorel.Result
+		err := s.ViewIndexed("guide", func(g lorel.Graph) error {
+			eng := lorel.NewEngine()
+			eng.Register("guide", g)
+			var qerr error
+			res, qerr = eng.Query(q)
+			return qerr
+		})
+		return res, err
+	}
+
 	// Readers: concurrent Chorel queries through the coordinated view.
 	for w := 0; w < 6; w++ {
 		wg.Add(1)
@@ -93,10 +110,7 @@ func testConcurrentQueriesWithApplySet(t *testing.T, open func(dir string) (*lor
 			defer wg.Done()
 			for i := 0; i < 15; i++ {
 				q := queries[(w+i)%len(queries)]
-				err := s.ViewDOEM("guide", func(dd *doem.Database) error {
-					_, qerr := chorel.New("guide", dd).Query(q)
-					return qerr
-				})
+				_, err := query(q)
 				if err != nil {
 					errCh <- fmt.Errorf("worker %d query %q: %w", w, q, err)
 					return
@@ -111,9 +125,36 @@ func testConcurrentQueriesWithApplySet(t *testing.T, open func(dir string) (*lor
 		t.Error(err)
 	}
 
-	// The store must have absorbed every step despite the read load.
+	// The store must have absorbed every step despite the read load, and
+	// answer every query over all of it.
 	if last := lastInstant(t, s); !last.Equal(h[len(h)-1].At) {
 		t.Fatalf("store last step %s, want %s", last, h[len(h)-1].At)
+	}
+	want, err := doem.FromHistory(initial, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole, err := s.GetDOEM("guide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range queries {
+		wantRes, err := chorel.New("guide", want).Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.String() != wantRes.String() {
+			t.Errorf("ViewIndexed answers %q with\n%s\nwant\n%s", q, got, wantRes)
+		}
+		if got, err = chorel.New("guide", whole).Query(q); err != nil {
+			t.Fatal(err)
+		} else if got.String() != wantRes.String() {
+			t.Errorf("GetDOEM's copy answers %q with\n%s\nwant\n%s", q, got, wantRes)
+		}
 	}
 }
 
@@ -199,21 +240,12 @@ func testConcurrentApplySetCheckpoint(t *testing.T, open func(dir string) (*lore
 	}
 }
 
-// lastInstant returns the newest recorded instant of the store's guide:
-// a trailing seal leaves the active segment empty, so it may be the seal
-// boundary itself.
+// lastInstant returns the newest recorded instant of the store's guide.
 func lastInstant(t *testing.T, s *lore.Store) timestamp.Time {
 	t.Helper()
 	d, err := s.GetDOEM("guide")
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, ok := s.SegmentStore("guide")
-	if !ok {
-		t.Fatal("guide is not a segment store")
-	}
-	if last := d.LastStep(); last.After(st.LastSeal()) {
-		return last
-	}
-	return st.LastSeal()
+	return d.LastStep()
 }

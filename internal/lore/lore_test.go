@@ -20,11 +20,21 @@ func paperDOEM(t testing.TB) *doem.Database {
 	return d
 }
 
-func TestInMemoryStore(t *testing.T) {
-	s, err := Open("")
+// TestOpenRefusesEmptyDir: a store keeps its databases in a directory;
+// there is no in-memory store.
+func TestOpenRefusesEmptyDir(t *testing.T) {
+	if s, err := Open(""); err == nil {
+		s.Close()
+		t.Fatal(`Open("") returned a store`)
+	}
+}
+
+func TestOEMStore(t *testing.T) {
+	s, err := Open(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer s.Close()
 	db, _ := guidegen.PaperGuide()
 	if err := s.PutOEM("guide", db); err != nil {
 		t.Fatal(err)
@@ -116,7 +126,11 @@ func TestListAndDelete(t *testing.T) {
 }
 
 func TestInvalidNames(t *testing.T) {
-	s, _ := Open("")
+	s, err := Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
 	db, _ := guidegen.PaperGuide()
 	for _, name := range []string{"", "a/b", `a\b`, ".hidden"} {
 		if err := s.PutOEM(name, db); err == nil {

@@ -151,7 +151,7 @@ func TestOpenRefusesDOEMJSON(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "guide"+doemExt)
 	legacy := []byte(`{"current":{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}}`)
-	if err := atomicWrite(path, legacy); err != nil {
+	if err := os.WriteFile(path, legacy, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	s, err := Open(dir)
@@ -264,8 +264,8 @@ func TestSegmentedStoreRoundTrip(t *testing.T) {
 	defer s2.Close()
 	checkQueries(t, s2, "guide", want)
 
-	if id, err := s2.MaxID("guide"); err != nil || id != want.MaxID() {
-		t.Errorf("MaxID = %v, %v; want %v", id, err, want.MaxID())
+	if st, _ := s2.SegmentStore("guide"); st.MaxID() != want.MaxID() {
+		t.Errorf("MaxID = %v; want %v", st.MaxID(), want.MaxID())
 	}
 }
 
@@ -297,10 +297,46 @@ func TestSegmentedStoreCheckpointSeals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The post-seal active database alone only covers the current state;
-	// full-history equality goes through the merged graph.
-	if cur := got.Current(); !cur.Equal(want.Current()) {
-		t.Error("current state diverged across a seal")
+	if !got.Equal(want) {
+		t.Error("history diverged across a seal")
 	}
 	checkQueries(t, s, "guide", want)
+}
+
+// TestGetDOEMAfterSeals: after the policy sealed part of the history away,
+// GetDOEM still returns the whole of it — Equal to the monolithic database
+// of the same history, before and after a restart — not just the steps of
+// the active segment.
+func TestGetDOEMAfterSeals(t *testing.T) {
+	dir := t.TempDir()
+	pol := &segment.Policy{SealAnnotations: 20}
+	s, err := OpenSegmented(dir, &wal.Options{Sync: wal.SyncNever}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := applyGuide(t, s, "guide")
+	check := func(s *Store, when string) {
+		t.Helper()
+		if st, _ := s.SegmentStore("guide"); st.Segments() == 0 {
+			t.Fatalf("%s: the policy sealed nothing", when)
+		}
+		got, err := s.GetDOEM("guide")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Equal(want) {
+			t.Errorf("%s: GetDOEM holds %d of %d steps and is not Equal to FromHistory",
+				when, len(got.Steps()), len(want.Steps()))
+		}
+	}
+	check(s, "live")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := OpenSegmented(dir, &wal.Options{Sync: wal.SyncNever}, pol)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check(s2, "reopened")
 }

@@ -27,17 +27,14 @@ import (
 	"repro/internal/wal"
 )
 
-// Store manages named databases under a directory. A Store with an empty
-// directory is purely in-memory: its DOEM databases are plain
-// *doem.Database values. Otherwise each DOEM database lives in a
-// <name>.doemseg segment store, ApplySet appends only the delta, and
-// Checkpoint seals; OEM databases are <name>.oem.json files.
+// Store manages named databases under a directory: each DOEM database
+// lives in a <name>.doemseg segment store, ApplySet appends only the delta,
+// and Checkpoint seals; OEM databases are <name>.oem.json files.
 //
-// Concurrency: Store methods are safe to call concurrently. The pointer
-// GetDOEM returns is the live database, which ApplySet mutates in place —
-// callers that query while another goroutine applies change sets must read
-// through ViewDOEM or ViewIndexed, which exclude mutation for the duration
-// of the callback (readers of different databases never block each other).
+// Concurrency: Store methods are safe to call concurrently. Live queries
+// read a DOEM database's whole history through ViewIndexed, which holds
+// off ApplySet for the duration of the callback (readers of different
+// databases never block each other); GetDOEM returns a copy of it.
 type Store struct {
 	dir    string
 	walOpt *wal.Options
@@ -45,12 +42,11 @@ type Store struct {
 
 	mu     sync.RWMutex
 	oems   map[string]*oem.Database
-	doems  map[string]*doem.Database // in-memory stores only
-	stores map[string]*segment.Store // stores with a directory only
+	stores map[string]*segment.Store
 
-	// locks holds one RWMutex per DOEM name, coordinating ViewDOEM readers
-	// with ApplySet's in-place mutation without serializing reads of
-	// unrelated databases behind the store-wide mu.
+	// locks holds one RWMutex per DOEM name, coordinating readers of the
+	// segment store's graph with ApplySet's in-place mutation without
+	// serializing reads of unrelated databases behind the store-wide mu.
 	lkMu  sync.Mutex
 	locks map[string]*sync.RWMutex
 }
@@ -66,8 +62,8 @@ const (
 	segExt  = ".doemseg"
 )
 
-// Open loads a store from dir, creating the directory if needed. An empty
-// dir yields an in-memory store. It is OpenSegmented(dir, nil, nil).
+// Open loads a store from dir, creating the directory if needed. It is
+// OpenSegmented(dir, nil, nil).
 func Open(dir string) (*Store, error) { return OpenSegmented(dir, nil, nil) }
 
 // OpenSegmented loads a store whose DOEM databases each live in a
@@ -75,20 +71,20 @@ func Open(dir string) (*Store, error) { return OpenSegmented(dir, nil, nil) }
 // active-segment WAL tail. opt may be nil for default log options; pol
 // controls automatic sealing, and nil seals only on explicit Checkpoint
 // calls. A <name>.doem.json file, the layout of earlier versions, is no
-// longer read: Open refuses it. An empty dir yields an in-memory store.
+// longer read: Open refuses it. A store needs a directory: an empty dir
+// is refused.
 func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, error) {
+	if dir == "" {
+		return nil, errors.New("lore: a store needs a directory")
+	}
 	start, wallStart := obs.Now(), time.Now()
 	s := &Store{
 		dir:    dir,
 		walOpt: opt,
 		segPol: pol,
 		oems:   make(map[string]*oem.Database),
-		doems:  make(map[string]*doem.Database),
 		stores: make(map[string]*segment.Store),
 		locks:  make(map[string]*sync.RWMutex),
-	}
-	if dir == "" {
-		return s, nil
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("lore: %w", err)
@@ -145,14 +141,14 @@ func (s *Store) PutOEM(name string, db *oem.Database) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.oems[name] = db
-	if s.dir == "" {
-		return nil
-	}
 	data, err := oemio.Marshal(db)
 	if err != nil {
 		return err
 	}
-	return atomicWrite(filepath.Join(s.dir, name+oemExt), data)
+	if err := wal.AtomicWrite(filepath.Join(s.dir, name+oemExt), data); err != nil {
+		return fmt.Errorf("lore: %w", err)
+	}
+	return nil
 }
 
 // GetOEM retrieves an OEM database by name.
@@ -167,20 +163,15 @@ func (s *Store) GetOEM(name string) (*oem.Database, error) {
 }
 
 // PutDOEM stores (and persists) a DOEM database under name, replacing any
-// database of that name. A store with a directory starts a fresh segment
-// store whose checkpoint is d and keeps its own copy of d, so later changes
-// to d reach the store only through another PutDOEM; deltas should go
-// through ApplySet. An in-memory store keeps d itself.
+// database of that name. It starts a fresh segment store whose checkpoint
+// is d and keeps its own copy of d, so later changes to d reach the store
+// only through another PutDOEM; deltas should go through ApplySet.
 func (s *Store) PutDOEM(name string, d *doem.Database) error {
 	if err := validName(name); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dir == "" {
-		s.doems[name] = d
-		return nil
-	}
 	if old, ok := s.stores[name]; ok {
 		old.Close()
 		delete(s.stores, name)
@@ -210,43 +201,20 @@ func (s *Store) lockFor(name string) *sync.RWMutex {
 	return lk
 }
 
-// ViewDOEM runs fn with read access to the named DOEM database, holding
-// off ApplySet mutations of that database (and only that database) until
-// fn returns. Any number of ViewDOEM readers run concurrently; use this
-// for queries that may race with a writer. fn must not retain the
-// database past its return. For a segment store the database is the
-// active segment; ViewIndexed reads the whole history.
-func (s *Store) ViewDOEM(name string, fn func(*doem.Database) error) error {
-	d, err := s.GetDOEM(name)
+// ViewIndexed runs fn with read access to the named DOEM database's whole
+// history, holding off ApplySet mutations of that database (and only that
+// database) until fn returns. The graph is the segment store's merged
+// graph: sealed-segment indexes plus the active segment. Any number of
+// readers run concurrently; fn must not retain the graph past its return.
+func (s *Store) ViewIndexed(name string, fn func(lorel.Graph) error) error {
+	st, err := s.segmentStore(name)
 	if err != nil {
 		return err
 	}
 	lk := s.lockFor(name)
 	lk.RLock()
 	defer lk.RUnlock()
-	return fn(d)
-}
-
-// ViewIndexed is the query-path analogue of ViewDOEM: it runs fn with the
-// database's read lock held, passing the whole history as a query graph —
-// the segment store's merged graph (sealed-segment indexes plus the active
-// segment) or, in memory, the database itself.
-func (s *Store) ViewIndexed(name string, fn func(lorel.Graph) error) error {
-	s.mu.RLock()
-	var g lorel.Graph
-	if st, ok := s.stores[name]; ok {
-		g = st.Graph()
-	} else if d, ok := s.doems[name]; ok {
-		g = d
-	}
-	s.mu.RUnlock()
-	if g == nil {
-		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	lk := s.lockFor(name)
-	lk.RLock()
-	defer lk.RUnlock()
-	return fn(g)
+	return fn(st.Graph())
 }
 
 // ApplySet applies one timestamped change set to the named DOEM database
@@ -266,27 +234,23 @@ func (s *Store) ApplySet(name string, t timestamp.Time, ops change.Set) error {
 func (s *Store) applySet(name string, t timestamp.Time, ops change.Set) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, onDisk := s.stores[name]
-	d, inMemory := s.doems[name]
-	if !onDisk && !inMemory {
+	st, ok := s.stores[name]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	// The in-place mutation excludes ViewDOEM readers of this database.
-	// Lock order is always store mu → name lock; ViewDOEM readers hold
-	// only the name lock (GetDOEM's RLock is released before they block),
-	// so the two locks cannot deadlock.
+	// The in-place mutation excludes readers of this database. Lock order
+	// is always store mu → name lock; readers hold only the name lock
+	// (segmentStore's RLock is released before they block), so the two
+	// locks cannot deadlock.
 	lk := s.lockFor(name)
 	lk.Lock()
 	defer lk.Unlock()
-	if onDisk {
-		return st.Apply(t, ops)
-	}
-	return d.Apply(t, ops)
+	return st.Apply(t, ops)
 }
 
 // Checkpoint seals the named database's active segment: its interval
 // becomes an immutable sealed segment and a fresh active segment takes
-// over (Section 6.1 log compaction). It does nothing in memory.
+// over (Section 6.1 log compaction).
 //
 // Checkpoint and ApplySet both hold the store-wide mutex for their full
 // duration, so a seal never interleaves with an append.
@@ -298,12 +262,9 @@ func (s *Store) Checkpoint(name string) error {
 	}()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st, onDisk := s.stores[name]
-	if _, inMemory := s.doems[name]; !onDisk && !inMemory {
+	st, ok := s.stores[name]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	if !onDisk {
-		return nil
 	}
 	lk := s.lockFor(name)
 	lk.Lock()
@@ -326,8 +287,7 @@ func (s *Store) Close() error {
 	return first
 }
 
-// SegmentStore returns the segment store backing the named DOEM database;
-// every DOEM database of a store with a directory has one.
+// SegmentStore returns the segment store backing the named DOEM database.
 func (s *Store) SegmentStore(name string) (*segment.Store, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -335,34 +295,29 @@ func (s *Store) SegmentStore(name string) (*segment.Store, bool) {
 	return st, ok
 }
 
-// MaxID returns the highest node id ever used by the named DOEM database —
-// across sealed history for a segment store, where the live database's own
-// MaxID only covers the active segment.
-func (s *Store) MaxID(name string) (oem.NodeID, error) {
-	if st, ok := s.SegmentStore(name); ok {
-		return st.MaxID(), nil
-	}
-	d, err := s.GetDOEM(name)
-	if err != nil {
-		return 0, err
-	}
-	return d.MaxID(), nil
-}
-
-// GetDOEM retrieves a DOEM database by name: for a segment store, its
-// active segment (the current snapshot plus the annotations recorded
-// since the last seal).
-func (s *Store) GetDOEM(name string) (*doem.Database, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if st, ok := s.stores[name]; ok {
-		return st.Active(), nil
-	}
-	d, ok := s.doems[name]
+// segmentStore is SegmentStore with ErrNotFound for a missing name.
+func (s *Store) segmentStore(name string) (*segment.Store, error) {
+	st, ok := s.SegmentStore(name)
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	return d, nil
+	return st, nil
+}
+
+// GetDOEM returns a copy of the named DOEM database with its whole
+// history, replayed from its sealed segments and its active segment under
+// the database's read lock: Equal to the monolithic database of the same
+// initial snapshot and history. Later changes reach the store only through
+// ApplySet, and the store's changes do not reach the copy.
+func (s *Store) GetDOEM(name string) (*doem.Database, error) {
+	st, err := s.segmentStore(name)
+	if err != nil {
+		return nil, err
+	}
+	lk := s.lockFor(name)
+	lk.RLock()
+	defer lk.RUnlock()
+	return st.Replay()
 }
 
 // Delete removes a database (either kind) and its files.
@@ -371,18 +326,13 @@ func (s *Store) Delete(name string) error {
 	defer s.mu.Unlock()
 	_, hadOEM := s.oems[name]
 	st, hadStore := s.stores[name]
-	_, hadDOEM := s.doems[name]
-	if !hadOEM && !hadStore && !hadDOEM {
+	if !hadOEM && !hadStore {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
 	delete(s.oems, name)
-	delete(s.doems, name)
 	if hadStore {
 		st.Close()
 		delete(s.stores, name)
-	}
-	if s.dir == "" {
-		return nil
 	}
 	if err := os.Remove(filepath.Join(s.dir, name+oemExt)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("lore: %w", err)
@@ -400,9 +350,6 @@ func (s *Store) List() []Entry {
 	var out []Entry
 	for n := range s.oems {
 		out = append(out, Entry{Name: n, Kind: "oem"})
-	}
-	for n := range s.doems {
-		out = append(out, Entry{Name: n, Kind: "doem"})
 	}
 	for n := range s.stores {
 		out = append(out, Entry{Name: n, Kind: "doem"})
@@ -425,41 +372,6 @@ type Entry struct {
 func validName(name string) error {
 	if name == "" || strings.ContainsAny(name, "/\\") || strings.HasPrefix(name, ".") {
 		return fmt.Errorf("lore: invalid database name %q", name)
-	}
-	return nil
-}
-
-// atomicWrite writes data to path via a temporary file, fsync, atomic
-// rename, and a directory fsync, so a crash never leaves a torn file and
-// the rename itself is durable.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("lore: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("lore: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("lore: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("lore: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("lore: %w", err)
-	}
-	if dir, err := os.Open(filepath.Dir(path)); err == nil {
-		// Directory fsync is advisory on some filesystems; best effort.
-		dir.Sync()
-		dir.Close()
 	}
 	return nil
 }

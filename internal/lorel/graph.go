@@ -22,7 +22,7 @@ import (
 // and *oem.Database honor this (their read methods are pure map and slice
 // lookups with no interior caching); whoever mutates a shared database
 // (doem.Apply, oem mutators) must exclude running queries, e.g. via
-// lore.Store.ViewDOEM or wrapper.Mutable.
+// lore.Store.ViewIndexed or wrapper.Mutable.
 //
 // *doem.Database satisfies Graph directly.
 type Graph interface {

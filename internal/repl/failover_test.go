@@ -166,7 +166,7 @@ func runFailoverAt(t *testing.T, cutAt int64) {
 		t.Fatalf("cut %d: promoted commit=%d applied=%d", cutAt, st.Commit, st.Applied)
 	}
 	if ackedSeq > 0 {
-		d, err := f.state.Store().GetDOEM("db")
+		d, err := f.state.GetDOEM("db")
 		if err != nil {
 			t.Fatalf("cut %d: %v", cutAt, err)
 		}

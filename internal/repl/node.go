@@ -729,32 +729,7 @@ func saveEpoch(path string, epoch uint64) error {
 	buf := append([]byte(nil), epochMagic...)
 	buf = binary.AppendUvarint(buf, epoch)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("repl: epoch: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		return fmt.Errorf("repl: epoch: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("repl: epoch: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("repl: epoch: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("repl: epoch: %w", err)
-	}
-	d, err := os.Open(filepath.Dir(path))
-	if err != nil {
-		return fmt.Errorf("repl: epoch: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
+	if err := wal.AtomicWrite(path, buf); err != nil {
 		return fmt.Errorf("repl: epoch: %w", err)
 	}
 	return nil

@@ -139,12 +139,12 @@ func TestPartitionFailoverAndRecovery(t *testing.T) {
 		return st.Epoch == newEpoch && st.Applied == 8 && st.LagSeq == 0
 	})
 
-	requireSameDB(t, f2.state.Store(), f1.state.Store(), "db")
-	requireSameDB(t, f2.state.Store(), p.state.Store(), "db")
+	requireSameDB(t, f2.state, f1.state, "db")
+	requireSameDB(t, f2.state, p.state, "db")
 
 	// The divergent steps (5, 6) must be gone from the reset node: its
 	// history now ends with the new primary's last step.
-	pd, err := p.state.Store().GetDOEM("db")
+	pd, err := p.state.GetDOEM("db")
 	if err != nil {
 		t.Fatal(err)
 	}

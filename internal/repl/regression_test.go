@@ -162,7 +162,7 @@ func TestAppendFailureClosesNode(t *testing.T) {
 	if got := re.n.Status().Applied; got != 2 {
 		t.Fatalf("applied after restart = %d, want 2", got)
 	}
-	requireSameDB(t, re.state.Store(), want.state.Store(), "db")
+	requireSameDB(t, re.state, want.state, "db")
 }
 
 // TestFollowerApplyFailureClosesNode: a follower whose State refuses a
@@ -203,7 +203,7 @@ func TestFollowerApplyFailureClosesNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	want.applySteps("db", 0, 2)
-	requireSameDB(t, re.state.Store(), want.state.Store(), "db")
+	requireSameDB(t, re.state, want.state, "db")
 }
 
 // TestCheckpointBoundaryDivergence: a follower whose last record sits

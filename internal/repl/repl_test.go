@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"repro/internal/change"
-	"repro/internal/lore"
 	"repro/internal/oem"
 	"repro/internal/timestamp"
 	"repro/internal/value"
@@ -116,7 +115,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 // requireSameDB asserts that both stores hold byte-for-byte equal DOEM
 // histories for name — which makes every query, including `<at T>`
 // time travel, agree at every timestamp.
-func requireSameDB(t *testing.T, a, b *lore.Store, name string) {
+func requireSameDB(t *testing.T, a, b *StoreState, name string) {
 	t.Helper()
 	da, err := a.GetDOEM(name)
 	if err != nil {
@@ -175,7 +174,7 @@ func TestBasicReplication(t *testing.T) {
 	waitFor(t, "follower catch-up", func() bool { return f.n.Status().Applied == 50 })
 	waitFor(t, "commit watermark", func() bool { return f.n.Status().Commit == 50 })
 
-	requireSameDB(t, p.state.Store(), f.state.Store(), "db")
+	requireSameDB(t, p.state, f.state, "db")
 	pb, fb := oplogBytes(t, p.dir), oplogBytes(t, f.dir)
 	if !bytes.Equal(pb, fb) {
 		t.Fatalf("oplogs differ: primary %d bytes, follower %d bytes", len(pb), len(fb))
@@ -242,7 +241,7 @@ func TestConcurrentAppliesGroupCommit(t *testing.T) {
 	re := openTestNode(t, p.dir, Config{ID: "p"})
 	for w := 0; w < writers; w++ {
 		name := string(rune('a' + w))
-		requireSameDB(t, re.state.Store(), f.state.Store(), name)
+		requireSameDB(t, re.state, f.state, name)
 	}
 }
 
@@ -315,7 +314,7 @@ func TestFollowerRestartCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "resume catch-up", func() bool { return f2.n.Status().Applied == 40 })
-	requireSameDB(t, p.state.Store(), f2.state.Store(), "db")
+	requireSameDB(t, p.state, f2.state, "db")
 	if !bytes.Equal(oplogBytes(t, p.dir), oplogBytes(t, fdir)) {
 		t.Fatal("oplogs differ after restart catch-up")
 	}
@@ -339,7 +338,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "snapshot catch-up", func() bool { return f.n.Status().Applied == 40 })
-	requireSameDB(t, p.state.Store(), f.state.Store(), "db")
+	requireSameDB(t, p.state, f.state, "db")
 
 	// The follower survives its own restart from the reset oplog.
 	f.n.Close()
@@ -347,7 +346,7 @@ func TestSnapshotCatchUp(t *testing.T) {
 	if got := f2.n.Status().Applied; got != 40 {
 		t.Fatalf("applied after restart = %d, want 40", got)
 	}
-	requireSameDB(t, p.state.Store(), f2.state.Store(), "db")
+	requireSameDB(t, p.state, f2.state, "db")
 }
 
 // TestFencingByHello deposes a primary via a higher-epoch handshake: its
@@ -478,11 +477,11 @@ func TestReadReplicaTimeTravel(t *testing.T) {
 		t.Fatalf("appliedAt = %v, want t=1004", st.AppliedAt)
 	}
 
-	pd, err := p.state.Store().GetDOEM("db")
+	pd, err := p.state.GetDOEM("db")
 	if err != nil {
 		t.Fatal(err)
 	}
-	fd, err := f.state.Store().GetDOEM("db")
+	fd, err := f.state.GetDOEM("db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -506,7 +505,7 @@ func TestReadReplicaTimeTravel(t *testing.T) {
 	asOf := f.n.Status().Applied
 	clock.Set(timestamp.FromUnix(2000))
 	p.applySteps("db", 5, 8)
-	fd2, err := f.state.Store().GetDOEM("db")
+	fd2, err := f.state.GetDOEM("db")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -517,5 +516,5 @@ func TestReadReplicaTimeTravel(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitFor(t, "re-catch-up", func() bool { return f.n.Status().Applied == 8 })
-	requireSameDB(t, p.state.Store(), f.state.Store(), "db")
+	requireSameDB(t, p.state, f.state, "db")
 }

@@ -2,14 +2,12 @@ package repl
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
+	"sort"
 	"sync"
 
 	"repro/internal/change"
 	"repro/internal/doem"
-	"repro/internal/lore"
-	"repro/internal/lorel"
 	"repro/internal/oem"
 	"repro/internal/timestamp"
 )
@@ -20,24 +18,18 @@ func (n *Node) ApplyStep(name string, t timestamp.Time, ops change.Set) (uint64,
 	return n.Apply(name, EncodeStep(t, ops))
 }
 
-// StoreState is the State the protocol tests replicate into: an in-memory
-// lore.Store where each oplog record is a change.Step applied to the named
-// DOEM database, and followers serve time-travel (`<at T>`) queries
-// straight from the store. Durability comes entirely from the node's
-// oplog. (The production State is qss.ReplState.)
+// StoreState is the State the protocol tests replicate into: named DOEM
+// databases in memory, where each oplog record is a change.Step applied to
+// the named database. Durability comes entirely from the node's oplog.
+// (The production State is qss.ReplState.)
 type StoreState struct {
-	mu    sync.RWMutex
-	store *lore.Store
+	mu  sync.RWMutex
+	dbs map[string]*doem.Database
 }
 
-// NewStoreState builds an empty in-memory store state.
+// NewStoreState builds an empty state.
 func NewStoreState() *StoreState {
-	st, err := lore.Open("")
-	if err != nil {
-		// lore.Open("") cannot fail: it performs no I/O.
-		panic(err)
-	}
-	return &StoreState{store: st}
+	return &StoreState{dbs: make(map[string]*doem.Database)}
 }
 
 // EncodeStep encodes one history step as StoreState record data.
@@ -47,12 +39,8 @@ func EncodeStep(t timestamp.Time, ops change.Set) []byte {
 
 // Reset implements State.
 func (s *StoreState) Reset() error {
-	st, err := lore.Open("")
-	if err != nil {
-		return err
-	}
 	s.mu.Lock()
-	s.store = st
+	s.dbs = make(map[string]*doem.Database)
 	s.mu.Unlock()
 	return nil
 }
@@ -66,39 +54,29 @@ func (s *StoreState) Apply(name string, data []byte) error {
 	if n != len(data) {
 		return fmt.Errorf("repl: step: %d trailing bytes", len(data)-n)
 	}
-	s.mu.RLock()
-	st := s.store
-	s.mu.RUnlock()
-	if _, err := st.GetDOEM(name); errors.Is(err, lore.ErrNotFound) {
-		if err := st.PutDOEM(name, doem.New(oem.New())); err != nil {
-			return err
-		}
-	} else if err != nil {
-		return err
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	d, ok := s.dbs[name]
+	if !ok {
+		d = doem.New(oem.New())
+		s.dbs[name] = d
 	}
-	return st.ApplySet(name, step.At, step.Ops)
+	return d.Apply(step.At, step.Ops)
 }
 
-// Snapshot implements State: a count followed by (name, marshaled DOEM)
+// Snapshot implements State: a count followed by (name, stored DOEM)
 // pairs in sorted name order.
 func (s *StoreState) Snapshot() ([]byte, error) {
 	s.mu.RLock()
-	st := s.store
-	s.mu.RUnlock()
-	entries := st.List()
-	var names []string
-	for _, e := range entries {
-		if e.Kind == "doem" {
-			names = append(names, e.Name)
-		}
+	defer s.mu.RUnlock()
+	names := make([]string, 0, len(s.dbs))
+	for name := range s.dbs {
+		names = append(names, name)
 	}
+	sort.Strings(names)
 	buf := binary.AppendUvarint(nil, uint64(len(names)))
 	for _, name := range names {
-		d, err := st.GetDOEM(name)
-		if err != nil {
-			return nil, err
-		}
-		data, err := doem.Append(nil, d)
+		data, err := doem.Append(nil, s.dbs[name])
 		if err != nil {
 			return nil, err
 		}
@@ -111,10 +89,7 @@ func (s *StoreState) Snapshot() ([]byte, error) {
 
 // Restore implements State.
 func (s *StoreState) Restore(snapshot []byte) error {
-	st, err := lore.Open("")
-	if err != nil {
-		return err
-	}
+	dbs := make(map[string]*doem.Database)
 	count, n := binary.Uvarint(snapshot)
 	if n <= 0 {
 		return fmt.Errorf("repl: snapshot: bad count")
@@ -142,32 +117,24 @@ func (s *StoreState) Restore(snapshot []byte) error {
 			return fmt.Errorf("repl: snapshot doem %q: %w", name, err)
 		}
 		off += int(dlen)
-		if err := st.PutDOEM(name, d); err != nil {
-			return err
-		}
+		dbs[name] = d
 	}
 	if off != len(snapshot) {
 		return fmt.Errorf("repl: snapshot: %d trailing bytes", len(snapshot)-off)
 	}
 	s.mu.Lock()
-	s.store = st
+	s.dbs = dbs
 	s.mu.Unlock()
 	return nil
 }
 
-// View runs fn against the named database's indexed graph — the
-// read-replica query entry point. Callers pair it with Node.Status to
-// report the staleness bound alongside results.
-func (s *StoreState) View(name string, fn func(lorel.Graph) error) error {
-	s.mu.RLock()
-	st := s.store
-	s.mu.RUnlock()
-	return st.ViewIndexed(name, fn)
-}
-
-// Store exposes the underlying store (tests, richer read paths).
-func (s *StoreState) Store() *lore.Store {
+// GetDOEM returns a copy of the named database.
+func (s *StoreState) GetDOEM(name string) (*doem.Database, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.store
+	d, ok := s.dbs[name]
+	if !ok {
+		return nil, fmt.Errorf("repl: no database %q", name)
+	}
+	return d.Clone(), nil
 }

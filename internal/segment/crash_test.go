@@ -135,7 +135,7 @@ func TestSealCrashSafety(t *testing.T) {
 					id := st.MaxID() + 1
 					set := change.Set{
 						change.CreNode{Node: id, Value: value.Str("recovered")},
-						change.AddArc{Parent: st.Active().Root(), Label: "recovered", Child: id},
+						change.AddArc{Parent: st.active.Root(), Label: "recovered", Child: id},
 					}
 					at := lastStep.Add(86400e9)
 					if err := st.Apply(at, set); err != nil {

@@ -503,45 +503,6 @@ func sortArcs(arcs []oem.Arc) {
 
 // ---- file I/O ----
 
-// atomicWrite writes data to path via a temp file, fsync, rename, and
-// directory fsync — the WAL checkpoint discipline.
-func atomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("segment: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("segment: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("segment: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("segment: %w", err)
-	}
-	return syncDir(filepath.Dir(path))
-}
-
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return nil // advisory on some platforms; best effort
-	}
-	d.Sync()
-	d.Close()
-	return nil
-}
-
 // segHeaderLen bounds the encoded size of a segment file's leading header
 // fields (magic + id + start + end): 6 + 10 + 11 + 11 bytes, rounded up.
 const segHeaderLen = 64

@@ -241,34 +241,6 @@ func (g *DB) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {
 	return out
 }
 
-// StateAt materializes the database state at time t the segmented way:
-// for sealed time it loads the covering segment's checkpointed base
-// snapshot and applies only that interval's deltas up to t — one
-// checkpoint plus one segment, independent of total history size. The
-// result equals the monolithic SnapshotAt(t) up to arc ordering (it
-// reports the true historical insertion order, where the monolithic
-// reconstruction reports global first-insertion order).
-func (s *Store) StateAt(t timestamp.Time) (*oem.Database, error) {
-	s.touch()
-	if i := s.covering(t); i >= 0 {
-		sd, err := s.loadSegData(s.segs[i])
-		if err != nil {
-			return nil, err
-		}
-		d := doem.New(sd.base)
-		for _, step := range sd.steps {
-			if step.At.After(t) {
-				break
-			}
-			if err := d.Apply(step.At, step.Ops); err != nil {
-				return nil, fmt.Errorf("segment: replaying seg %d to %s: %w", sd.id, t, err)
-			}
-		}
-		return d.Current(), nil
-	}
-	return s.active.SnapshotAt(t), nil
-}
-
 // globalSnapshotAt materializes the snapshot at t (which must be at or
 // after the last seal) exactly as the monolithic SnapshotAt does: every
 // node ever created — live, deleted in the active segment, or deleted in

@@ -72,8 +72,8 @@ type handle struct {
 
 // Store is one history's segmented storage. Mutators (Apply, Seal,
 // Truncate, Close) follow the same contract as *doem.Database: they must
-// exclude concurrent readers of the store's Graph (lore.Store and qss do
-// this with per-name reader/writer locks). The Graph read path is safe for
+// exclude concurrent readers of the store's Graph and of Replay (lore.Store
+// does this with per-name reader/writer locks). The read path is safe for
 // any number of concurrent readers; its internal index cache has its own
 // lock.
 type Store struct {
@@ -502,10 +502,10 @@ func (s *Store) seal() error {
 	if err != nil {
 		return err
 	}
-	if err := atomicWrite(filepath.Join(s.dir, segFileName(id)), data); err != nil {
+	if err := wal.AtomicWrite(filepath.Join(s.dir, segFileName(id)), data); err != nil {
 		return err
 	}
-	if err := atomicWrite(filepath.Join(s.dir, idxFileName(id)), encodeSegIndex(id, sd.start, bound, idx)); err != nil {
+	if err := wal.AtomicWrite(filepath.Join(s.dir, idxFileName(id)), encodeSegIndex(id, sd.start, bound, idx)); err != nil {
 		return err
 	}
 
@@ -578,7 +578,7 @@ func (s *Store) writeState() error {
 		dead:         s.dead,
 		sealedStatus: s.sealedStatus,
 	}
-	return atomicWrite(filepath.Join(s.dir, stateName), encodeState(st))
+	return wal.AtomicWrite(filepath.Join(s.dir, stateName), encodeState(st))
 }
 
 func (s *Store) loadState() (*storeState, error) {
@@ -672,8 +672,9 @@ func quarantineSegment(dir string, id int) bool {
 		}
 	}
 	if moved {
+		// No directory fsync: a rename a crash undoes leaves the torn file,
+		// and the next Open quarantines it again.
 		mQuarantined.Inc()
-		syncDir(dir)
 	}
 	return moved
 }
@@ -819,7 +820,12 @@ func (s *Store) Truncate(t timestamp.Time) error {
 			}
 		}
 	}
-	syncDir(s.dir)
+	// The removals must be on disk before STATE stops counting the
+	// segments: a STATE without them beside their files would reopen as
+	// sealed history with summaries that do not describe it.
+	if err := syncDir(s.dir); err != nil {
+		return err
+	}
 	s.segs = nil
 	s.lastSeal = timestamp.NegInf
 	s.cre = make(map[oem.NodeID]timestamp.Time)
@@ -896,7 +902,7 @@ func (s *Store) index(h *handle) (*segIndex, error) {
 	for _, a := range sd.orphans {
 		x.liveAtStart[a] = true
 	}
-	atomicWrite(filepath.Join(s.dir, idxFileName(h.id)), encodeSegIndex(h.id, h.start, h.end, x))
+	wal.AtomicWrite(filepath.Join(s.dir, idxFileName(h.id)), encodeSegIndex(h.id, h.start, h.end, x))
 	h.idx = x
 	mIdxRebuilds.Inc()
 	mIdxLoadNs.ObserveSince(start)
@@ -946,11 +952,6 @@ func (s *Store) covering(t timestamp.Time) int {
 
 func (s *Store) touch() { s.ticks.Add(1) }
 
-// Active returns the live active-segment database: the current snapshot
-// plus the annotations recorded since the last seal. Mutate only through
-// Apply.
-func (s *Store) Active() *doem.Database { return s.active }
-
 // LastSeal returns the newest seal boundary (NegInf when nothing has been
 // sealed).
 func (s *Store) LastSeal() timestamp.Time { return s.lastSeal }
@@ -966,16 +967,6 @@ func (s *Store) MaxID() oem.NodeID {
 
 // Segments returns the sealed segment count.
 func (s *Store) Segments() int { return len(s.segs) }
-
-// SealTimes returns each sealed segment's end boundary, oldest first — the
-// instants at which the history is checkpointed on disk.
-func (s *Store) SealTimes() []timestamp.Time {
-	out := make([]timestamp.Time, len(s.segs))
-	for i, h := range s.segs {
-		out[i] = h.end
-	}
-	return out
-}
 
 // Stats returns what the last Open had to do.
 func (s *Store) Stats() OpenStats { return s.stats }
@@ -1010,6 +1001,20 @@ func (s *Store) hotSegments() int {
 		}
 	}
 	return hot
+}
+
+// syncDir fsyncs a directory, so the entries removed from it stay
+// removed after a crash.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("segment: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("segment: sync %s: %w", dir, err)
+	}
+	return nil
 }
 
 func removeTempFiles(dir string) {

@@ -236,9 +236,9 @@ func TestRefusedAppendLeavesActiveAtLog(t *testing.T) {
 	if err := st.Apply(h[3].At, h[3].Ops); !errors.Is(err, wal.ErrClosed) {
 		t.Fatalf("apply over a closed tail: err = %v, want wal.ErrClosed", err)
 	}
-	if !st.Active().Equal(durable) || st.MaxID() != durable.MaxID() {
+	if !st.active.Equal(durable) || st.MaxID() != durable.MaxID() {
 		t.Fatalf("refused append moved the active segment: %d steps, want %d",
-			len(st.Active().Steps()), len(durable.Steps()))
+			len(st.active.Steps()), len(durable.Steps()))
 	}
 	if err := st.Apply(h[4].At, h[4].Ops); err == nil {
 		t.Fatal("apply after a refused append succeeded; the tail must stay closed")
@@ -250,7 +250,7 @@ func TestRefusedAppendLeavesActiveAtLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
-	if !st2.Active().Equal(durable) {
+	if !st2.active.Equal(durable) {
 		t.Fatal("reopened store differs from the durable prefix")
 	}
 }
@@ -314,22 +314,6 @@ func TestApplyBeforeSealBoundaryRejected(t *testing.T) {
 	}
 	if err := st.Apply(boundary.Add(-time.Hour), set); err == nil {
 		t.Fatal("applying before the seal boundary did not fail")
-	}
-}
-
-func TestStateAt(t *testing.T) {
-	dir := t.TempDir()
-	mono, st := buildPair(t, dir, 12, func(i int) bool { return i%5 == 4 }, nil)
-	defer st.Close()
-	for _, at := range candidateTimes(mono) {
-		got, err := st.StateAt(at)
-		if err != nil {
-			t.Fatalf("StateAt(%s): %v", at, err)
-		}
-		if want := mono.SnapshotAt(at); !got.Equal(want) {
-			t.Fatalf("StateAt(%s) differs from monolithic snapshot:\nsegmented:\n%s\nmonolithic:\n%s",
-				at, got, want)
-		}
 	}
 }
 

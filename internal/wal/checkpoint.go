@@ -53,17 +53,8 @@ func (l *Log) installCheckpointLocked(payload []byte, upTo uint64) error {
 	buf = append(buf, payload...)
 	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 
-	path := filepath.Join(l.dir, checkpointName)
-	tmp := path + ".tmp"
-	if err := writeFileSync(tmp, buf); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
+	if err := AtomicWrite(filepath.Join(l.dir, checkpointName), buf); err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
-	}
-	if err := syncDir(l.dir); err != nil {
-		return err
 	}
 	l.ckptSeq = upTo
 	l.ckptData = append([]byte(nil), payload...)
@@ -152,22 +143,31 @@ func (l *Log) loadCheckpoint() error {
 	return nil
 }
 
-// writeFileSync writes data to path and fsyncs it before returning.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+// AtomicWrite replaces the file at path with data durably: it writes
+// path+".tmp", fsyncs it, renames it over path and fsyncs the directory,
+// so a crash leaves either the old file or the new one, never a torn one,
+// and a returned nil means the rename is on disk. It returns every error,
+// the directory's open and fsync included, and removes the temporary file
+// when it fails before the rename.
+func AtomicWrite(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("wal: %w", err)
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return fmt.Errorf("wal: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("wal: %w", err)
-	}
-	return nil
+	return syncDir(filepath.Dir(path))
 }

@@ -158,24 +158,14 @@ func OpenWithHistory(name string, initial *OEM, h History) (*DB, error) {
 	return chorel.New(name, d), nil
 }
 
-// OpenStore opens (or creates) a database store rooted at dir; an empty dir
-// yields an in-memory store.
+// OpenStore opens (or creates) a database store rooted at dir. A store
+// needs a directory: an empty dir is refused.
 func OpenStore(dir string) (*Store, error) { return lore.Open(dir) }
 
 // LoadDB opens a copy of a change-managed database previously saved in a
-// store; save it again to persist later changes. A database with sealed
-// segments is refused: only its store's merged graph holds the whole
-// history.
+// store, with its whole history; save it again to persist later changes.
 func LoadDB(store *Store, name string) (*DB, error) {
-	if st, ok := store.SegmentStore(name); ok && st.Segments() > 0 {
-		return nil, fmt.Errorf("repro: %q has %d sealed segment(s); query its whole history through SegmentStore(%q).Graph()",
-			name, st.Segments(), name)
-	}
-	var d *doem.Database
-	err := store.ViewDOEM(name, func(live *doem.Database) error {
-		d = live.Clone()
-		return nil
-	})
+	d, err := store.GetDOEM(name)
 	if err != nil {
 		return nil, fmt.Errorf("repro: %w", err)
 	}

@@ -4,7 +4,6 @@ package repro_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
 
 	"repro"
@@ -154,29 +153,46 @@ func TestSaveLoad(t *testing.T) {
 	}
 }
 
-// TestLoadDBRefusesSealedHistory: a database whose history is partly in
-// sealed segments cannot load as one DOEM database; the error names the
-// graph that holds its whole history.
-func TestLoadDBRefusesSealedHistory(t *testing.T) {
+// TestLoadDBAfterSeals: a database whose history is partly in sealed
+// segments loads with its whole history, Equal to the database built from
+// the same snapshot and history in memory.
+func TestLoadDBAfterSeals(t *testing.T) {
 	store, err := repro.OpenStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer store.Close()
 	db, ids := guidegen.PaperGuide()
-	c, err := repro.OpenWithHistory("guide", db, guidegen.PaperHistory(ids))
+	h := guidegen.PaperHistory(ids)
+	c, err := repro.OpenWithHistory("guide", db, h[:2])
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Save(store); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.Checkpoint("guide"); err != nil {
+	for _, step := range h[2:] {
+		if err := store.Checkpoint("guide"); err != nil {
+			t.Fatal(err)
+		}
+		if err := store.ApplySet("guide", step.At, step.Ops); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st, _ := store.SegmentStore("guide"); st.Segments() == 0 {
+		t.Fatal("nothing was sealed")
+	}
+	want, err := repro.BuildDOEM(db, h)
+	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = repro.LoadDB(store, "guide")
-	if err == nil || !strings.Contains(err.Error(), `SegmentStore("guide").Graph()`) {
-		t.Fatalf("LoadDB of a sealed history: err = %v, want one naming SegmentStore(\"guide\").Graph()", err)
+	back, err := repro.LoadDB(store, "guide")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !back.DOEM().Equal(want) {
+		t.Errorf("LoadDB holds %d of %d steps and is not Equal to BuildDOEM",
+			len(back.DOEM().Steps()), len(want.Steps()))
 	}
 }
 
