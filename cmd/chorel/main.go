@@ -232,15 +232,19 @@ func (s *session) runUpdate(stmt string) error {
 		return err
 	}
 	name := parsed.Target.Head
-	d, err := s.whole(name)
-	if err != nil {
-		return err
-	}
-	next := d.MaxID()
+	// A stored database's segment store knows its id high-water mark
+	// (which covers ids a truncation dropped) and newest step without
+	// replaying its history.
 	seg, stored := s.segmentStore(name)
-	if stored {
-		// The store's high-water mark also covers ids a truncation dropped.
-		next = seg.MaxID()
+	var next oem.NodeID
+	var last timestamp.Time
+	switch {
+	case stored:
+		next, last = seg.MaxID(), seg.LastStep()
+	case name == "guide":
+		next, last = s.guide.MaxID(), s.guide.LastStep()
+	default:
+		return fmt.Errorf("%q is not a DOEM database", name)
 	}
 	set, err := s.eng.CompileUpdate(parsed, func() oem.NodeID {
 		next++
@@ -254,13 +258,13 @@ func (s *session) runUpdate(stmt string) error {
 		return nil
 	}
 	now := timestamp.FromTime(time.Now())
-	if last := d.LastStep(); !now.After(last) {
+	if !now.After(last) {
 		now = last.Add(time.Second)
 	}
 	if stored {
 		err = s.store.ApplySet(name, now, set)
 	} else {
-		err = d.Apply(now, set)
+		err = s.guide.Apply(now, set)
 	}
 	if err != nil {
 		return err

@@ -8,8 +8,9 @@
 // The package is deliberately a leaf: it knows nothing about the AST or
 // the evaluator. internal/lorel extracts a Spec from a canonicalized
 // query, fills in cardinalities through the Stats interface (implemented
-// by internal/index from its adjacency maps and by internal/segment from
-// its STATE summaries), calls Prepare, and executes the resulting Plan.
+// by internal/doem from its own access paths and by internal/segment from
+// its in-memory sealed summary), calls Prepare, and executes the resulting
+// Plan.
 // That keeps every costing decision unit-testable without a database. For
 // queries it does not cost, internal/lorel builds the written-order Plan
 // itself: every generator in written order, the whole where clause last.

@@ -6,9 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
-	"os"
-	"path/filepath"
 	"sort"
 
 	"repro/internal/change"
@@ -21,45 +18,51 @@ import (
 
 // On-disk formats. A history directory holds:
 //
-//	wal/             the active segment's tail log (internal/wal): its
-//	                 checkpoint is the active DOEM's stored pair (doem.Append),
-//	                 each record one step (change.AppendStep)
+//	wal/             the active segment's tail log (internal/wal): each
+//	                 record one step (change.AppendStep); its checkpoint is
+//	                 the store's one commit point (see checkpoint below)
 //	seg-NNNNNN.seg   sealed segment N: the pair (base snapshot, steps) of
 //	                 its interval (doem.AppendHistory) + orphan arcs
 //	seg-NNNNNN.idx   sealed segment N's annotation index (derived, droppable)
-//	STATE            store-level registry/annotation summary at the last seal
 //
-// Every file carries a magic string and a trailing CRC-32C of everything
-// before it, and is written atomically (temp + fsync + rename + directory
-// fsync), mirroring the WAL checkpoint discipline: a crash leaves either the
-// old file, the new file, or an invisible temp file — never a torn one the
-// reader would trust. The .seg file is ground truth for its interval; the
-// .idx file is derived from it and rebuilt when it is missing or damaged.
-// The STATE file is derived from the seg files plus the tail and is
-// rebuilt by full replay if it is ever missing or damaged.
+// The tail checkpoint's payload is the summary of sealed history — the end
+// bound of every committed segment, the id high-water mark, the arc
+// registry and the cre, dead and sealed-status summaries — followed by the
+// active segment's stored DOEM (doem.Append). A segment is committed once a
+// checkpoint counts it: a seal writes its .seg and .idx before that
+// checkpoint, so a segment file beyond the count is a leftover of a seal
+// that never committed, and Open removes it.
+//
+// Every segment file carries a magic string and a trailing CRC-32C of
+// everything before it, and every file is written atomically (temp + fsync
+// + rename + directory fsync), mirroring the WAL checkpoint discipline: a
+// crash leaves either the old file, the new file, or an invisible temp file
+// — never a torn one the reader would trust. The .seg file is ground truth
+// for its interval; the .idx file is derived from it and rebuilt when it is
+// missing, damaged or does not match the checkpoint's bounds.
 //
 // All varints are unsigned LEB128; times and values use the internal/change
 // encoders, so the formats share the WAL payload encoding end to end.
 //
-// A tail checkpoint in JSON (doem's earlier wire format) is refused on
-// open with an error that names the log: that layout is no longer read.
+// A tail checkpoint without the payload magic (JSON, or a bare DOEM pair)
+// and a directory holding a STATE file are layouts of earlier versions;
+// Open refuses them with an error that names the file.
 
 var (
-	segMagic   = []byte("DSEG1\n")
-	idxMagic   = []byte("DIDX1\n")
-	stateMagic = []byte("DSTA1\n")
+	segMagic  = []byte("DSEG1\n")
+	idxMagic  = []byte("DIDX1\n")
+	ckptMagic = []byte("DCKP1\n")
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrCorrupt reports an undecodable segment, index, or state file.
+// ErrCorrupt reports a missing or undecodable committed segment file, or
+// an undecodable tail checkpoint.
 var ErrCorrupt = errors.New("segment: corrupt file")
 
 // maxDecodeCount caps decoded element counts so corrupt length prefixes
 // cannot trigger huge allocations (same bound as internal/change).
 const maxDecodeCount = 1 << 24
-
-const stateName = "STATE"
 
 func segFileName(id int) string { return fmt.Sprintf("seg-%06d.seg", id) }
 func idxFileName(id int) string { return fmt.Sprintf("seg-%06d.idx", id) }
@@ -92,15 +95,12 @@ type segIndex struct {
 	liveAtStart map[oem.Arc]bool
 }
 
-// storeState is the store-level summary maintained across seals: the global
-// arc registry (every arc ever, per parent, in first-insertion order — the
-// monolithic OutAll order), cre times and final values of nodes whose
-// annotations have been sealed away from the active segment, and the id
-// high-water mark.
-type storeState struct {
-	lastSeal timestamp.Time
-	maxID    oem.NodeID
-	segCount int
+// summary is what sealed history contributes to the store's answers without
+// a segment file being read: the global arc registry (every arc ever, per
+// parent, in first-insertion order — the monolithic OutAll order), cre
+// times and final values of nodes whose annotations have been sealed away
+// from the active segment, and the id high-water mark.
+type summary struct {
 	registry map[oem.NodeID][]oem.Arc
 	cre      map[oem.NodeID]timestamp.Time
 	dead     map[oem.NodeID]value.Value
@@ -110,6 +110,17 @@ type storeState struct {
 	// map and the active chains have no annotations at all and are
 	// vacuously live (the monolithic convention).
 	sealedStatus map[oem.Arc]doem.AnnotKind
+	maxID        oem.NodeID
+}
+
+// checkpoint is the tail checkpoint's payload, the store's committed
+// state: the end bound of every committed segment (segment i covers
+// (ends[i-2], ends[i-1]], the first from -inf), the summary of their
+// history, and the active segment.
+type checkpoint struct {
+	ends   []timestamp.Time
+	sum    summary
+	active *doem.Database
 }
 
 // ---- encoding helpers ----
@@ -120,7 +131,7 @@ func appendArc(dst []byte, a oem.Arc) []byte {
 	return binary.AppendUvarint(dst, uint64(a.Child))
 }
 
-// decoder reads the fields of a segment, index or STATE body in order.
+// decoder reads the fields of a segment, index or checkpoint body in order.
 // The first failure sticks: later reads return zero values and read
 // nothing, and err is that failure as ErrCorrupt.
 type decoder struct {
@@ -335,16 +346,14 @@ func encodeSegIndex(id int, start, end timestamp.Time, x *segIndex) []byte {
 	return sealFrame(idxMagic, body)
 }
 
-func decodeSegIndex(data []byte) (int, *segIndex, error) {
+func decodeSegIndex(data []byte) (id int, start, end timestamp.Time, x *segIndex, err error) {
 	body, err := openFrame(idxMagic, data)
 	if err != nil {
-		return 0, nil, err
+		return 0, start, end, nil, err
 	}
 	d := &decoder{b: body}
-	id := d.count("index id")
-	d.time("start")
-	d.time("end")
-	x := &segIndex{
+	id, start, end = d.count("index id"), d.time("start"), d.time("end")
+	x = &segIndex{
 		upd:         make(map[oem.NodeID][]doem.NodeAnnot),
 		arcs:        make(map[oem.Arc][]doem.ArcAnnot),
 		liveAtStart: make(map[oem.Arc]bool),
@@ -373,27 +382,31 @@ func decodeSegIndex(data []byte) (int, *segIndex, error) {
 		x.arcs[a] = chain
 	}
 	if err := d.done(); err != nil {
-		return 0, nil, err
+		return 0, start, end, nil, err
 	}
-	return id, x, nil
+	return id, start, end, x, nil
 }
 
-// ---- STATE files ----
+// ---- tail checkpoint payload ----
 
-func encodeState(st *storeState) []byte {
-	var body []byte
-	body = change.AppendTime(body, st.lastSeal)
-	body = binary.AppendUvarint(body, uint64(st.maxID))
-	body = binary.AppendUvarint(body, uint64(st.segCount))
+// encodeCheckpoint writes c as the tail checkpoint's payload. The wal
+// checkpoint frame around it carries the CRC.
+func encodeCheckpoint(c *checkpoint) ([]byte, error) {
+	body := append([]byte(nil), ckptMagic...)
+	body = binary.AppendUvarint(body, uint64(c.sum.maxID))
+	body = binary.AppendUvarint(body, uint64(len(c.ends)))
+	for _, t := range c.ends {
+		body = change.AppendTime(body, t)
+	}
 
-	parents := make([]oem.NodeID, 0, len(st.registry))
-	for n := range st.registry {
+	parents := make([]oem.NodeID, 0, len(c.sum.registry))
+	for n := range c.sum.registry {
 		parents = append(parents, n)
 	}
 	sort.Slice(parents, func(i, j int) bool { return parents[i] < parents[j] })
 	body = binary.AppendUvarint(body, uint64(len(parents)))
 	for _, p := range parents {
-		arcs := st.registry[p]
+		arcs := c.sum.registry[p]
 		body = binary.AppendUvarint(body, uint64(p))
 		body = binary.AppendUvarint(body, uint64(len(arcs)))
 		for _, a := range arcs {
@@ -404,59 +417,59 @@ func encodeState(st *storeState) []byte {
 		}
 	}
 
-	creNodes := make([]oem.NodeID, 0, len(st.cre))
-	for n := range st.cre {
+	creNodes := make([]oem.NodeID, 0, len(c.sum.cre))
+	for n := range c.sum.cre {
 		creNodes = append(creNodes, n)
 	}
 	sort.Slice(creNodes, func(i, j int) bool { return creNodes[i] < creNodes[j] })
 	body = binary.AppendUvarint(body, uint64(len(creNodes)))
 	for _, n := range creNodes {
 		body = binary.AppendUvarint(body, uint64(n))
-		body = change.AppendTime(body, st.cre[n])
+		body = change.AppendTime(body, c.sum.cre[n])
 	}
 
-	deadNodes := make([]oem.NodeID, 0, len(st.dead))
-	for n := range st.dead {
+	deadNodes := make([]oem.NodeID, 0, len(c.sum.dead))
+	for n := range c.sum.dead {
 		deadNodes = append(deadNodes, n)
 	}
 	sort.Slice(deadNodes, func(i, j int) bool { return deadNodes[i] < deadNodes[j] })
 	body = binary.AppendUvarint(body, uint64(len(deadNodes)))
 	for _, n := range deadNodes {
 		body = binary.AppendUvarint(body, uint64(n))
-		body = change.AppendValue(body, st.dead[n])
+		body = change.AppendValue(body, c.sum.dead[n])
 	}
 
-	statusArcs := make([]oem.Arc, 0, len(st.sealedStatus))
-	for a := range st.sealedStatus {
+	statusArcs := make([]oem.Arc, 0, len(c.sum.sealedStatus))
+	for a := range c.sum.sealedStatus {
 		statusArcs = append(statusArcs, a)
 	}
 	sortArcs(statusArcs)
 	body = binary.AppendUvarint(body, uint64(len(statusArcs)))
 	for _, a := range statusArcs {
 		body = appendArc(body, a)
-		if st.sealedStatus[a] == doem.AnnotAdd {
+		if c.sum.sealedStatus[a] == doem.AnnotAdd {
 			body = append(body, 0)
 		} else {
 			body = append(body, 1)
 		}
 	}
-	return sealFrame(stateMagic, body)
+	return doem.Append(body, c.active)
 }
 
-func decodeState(data []byte) (*storeState, error) {
-	body, err := openFrame(stateMagic, data)
-	if err != nil {
-		return nil, err
+func decodeCheckpoint(data []byte) (*checkpoint, error) {
+	if !bytes.HasPrefix(data, ckptMagic) {
+		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	d := &decoder{b: body}
-	st := &storeState{
-		lastSeal:     d.time("last seal"),
+	d := &decoder{b: data[len(ckptMagic):]}
+	c := &checkpoint{sum: summary{
 		maxID:        oem.NodeID(d.uvarint("max id")),
-		segCount:     d.count("segment"),
 		registry:     make(map[oem.NodeID][]oem.Arc),
 		cre:          make(map[oem.NodeID]timestamp.Time),
 		dead:         make(map[oem.NodeID]value.Value),
 		sealedStatus: make(map[oem.Arc]doem.AnnotKind),
+	}}
+	for i, n := 0, d.count("segment"); i < n && d.err == nil; i++ {
+		c.ends = append(c.ends, d.time("segment end"))
 	}
 	for i, n := 0, d.count("registry parent"); i < n && d.err == nil; i++ {
 		p := oem.NodeID(d.uvarint("registry parent id"))
@@ -468,24 +481,33 @@ func decodeState(data []byte) (*storeState, error) {
 			label := symbol.Canon(d.str("registry label"))
 			arcs = append(arcs, oem.Arc{Parent: p, Label: label, Child: oem.NodeID(d.uvarint("registry child"))})
 		}
-		st.registry[p] = arcs
+		c.sum.registry[p] = arcs
 	}
 	for i, n := 0, d.count("cre"); i < n && d.err == nil; i++ {
 		node := oem.NodeID(d.uvarint("cre node"))
-		st.cre[node] = d.time("cre time")
+		c.sum.cre[node] = d.time("cre time")
 	}
 	for i, n := 0, d.count("dead"); i < n && d.err == nil; i++ {
 		node := oem.NodeID(d.uvarint("dead node"))
-		st.dead[node] = d.value("dead value")
+		c.sum.dead[node] = d.value("dead value")
 	}
 	for i, n := 0, d.count("sealed status"); i < n && d.err == nil; i++ {
 		a := d.arc()
-		st.sealedStatus[a] = d.arcKind("sealed status kind")
+		c.sum.sealedStatus[a] = d.arcKind("sealed status kind")
+	}
+	if d.err == nil {
+		var n int
+		var err error
+		if c.active, n, err = doem.Decode(d.b); err != nil {
+			d.fail("active segment", err)
+		} else {
+			d.b = d.b[n:]
+		}
 	}
 	if err := d.done(); err != nil {
 		return nil, err
 	}
-	return st, nil
+	return c, nil
 }
 
 func sortArcs(arcs []oem.Arc) {
@@ -499,49 +521,4 @@ func sortArcs(arcs []oem.Arc) {
 		}
 		return a.Child < b.Child
 	})
-}
-
-// ---- file I/O ----
-
-// segHeaderLen bounds the encoded size of a segment file's leading header
-// fields (magic + id + start + end): 6 + 10 + 11 + 11 bytes, rounded up.
-const segHeaderLen = 64
-
-// decodeSegHeader parses just the leading header fields of a segment file
-// from its first bytes, without CRC validation — Open uses it to enumerate
-// sealed segments without reading their full ground truth. The trailing CRC
-// still guards the body: loadSegData verifies it when the segment is first
-// queried or re-indexed.
-func decodeSegHeader(data []byte) (id int, start, end timestamp.Time, err error) {
-	if len(data) < len(segMagic) || !bytes.Equal(data[:len(segMagic)], segMagic) {
-		return 0, start, end, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	d := &decoder{b: data[len(segMagic):]}
-	id, start, end = d.count("segment id"), d.time("start"), d.time("end")
-	return id, start, end, d.err
-}
-
-// readSegHeader reads only the first segHeaderLen bytes of a sealed
-// segment's file.
-func readSegHeader(dir string, id int) ([]byte, error) {
-	f, err := os.Open(filepath.Join(dir, segFileName(id)))
-	if err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
-	defer f.Close()
-	buf := make([]byte, segHeaderLen)
-	n, err := io.ReadFull(f, buf)
-	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
-	return buf[:n], nil
-}
-
-// readSegFile reads a sealed segment's ground truth.
-func readSegFile(dir string, id int) ([]byte, error) {
-	data, err := os.ReadFile(filepath.Join(dir, segFileName(id)))
-	if err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
-	return data, nil
 }

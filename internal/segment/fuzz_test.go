@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/doem"
@@ -13,13 +14,14 @@ import (
 	"repro/internal/wal"
 )
 
-// FuzzSegmentFiles holds the decoders of the files a store reads from disk
-// — a sealed segment (.seg), its index (.idx) and the STATE summary — to:
-// any input gives an error or a value and never panics; a decoded value
-// encodes to bytes that decode to an equal value, and encoding that value
-// again gives the same bytes. The input need not be canonical. Each input
-// is tried as a whole file and as a body framed with each file's magic and
-// checksum, so the fuzzer reaches the body decoders past the CRC.
+// FuzzSegmentFiles holds the decoders of what a store reads from disk — a
+// sealed segment (.seg), its index (.idx) and the tail checkpoint's
+// payload — to: any input gives an error or a value and never panics; a
+// decoded value encodes to bytes that decode to an equal value, and
+// encoding that value again gives the same bytes. The input need not be
+// canonical. Each input is tried as a whole file and as a body framed with
+// each file's magic (and checksum), so the fuzzer reaches the body decoders
+// past the CRC.
 func FuzzSegmentFiles(f *testing.F) {
 	dir := f.TempDir()
 	guide, ids := guidegen.PaperGuide()
@@ -35,8 +37,14 @@ func FuzzSegmentFiles(f *testing.F) {
 	if err := st.Seal(); err != nil {
 		f.Fatal(err)
 	}
+	payload, _, ok := st.tail.LastCheckpoint()
+	if !ok {
+		f.Fatal("no tail checkpoint")
+	}
 	st.Close()
-	for _, name := range []string{segFileName(1), segFileName(2), idxFileName(1), idxFileName(2), stateName} {
+	f.Add(payload)
+	f.Add(payload[len(ckptMagic):]) // the body alone
+	for _, name := range []string{segFileName(1), segFileName(2), idxFileName(1), idxFileName(2)} {
 		data, err := os.ReadFile(filepath.Join(dir, name))
 		if err != nil {
 			f.Fatal(err)
@@ -53,8 +61,8 @@ func FuzzSegmentFiles(f *testing.F) {
 		for _, in := range [][]byte{data, sealFrame(idxMagic, data)} {
 			checkSegIndex(t, in)
 		}
-		for _, in := range [][]byte{data, sealFrame(stateMagic, data)} {
-			checkState(t, in)
+		for _, in := range [][]byte{data, append(slices.Clip(ckptMagic), data...)} {
+			checkCheckpoint(t, in)
 		}
 	})
 }
@@ -93,39 +101,47 @@ func checkSegData(t *testing.T, data []byte) {
 }
 
 func checkSegIndex(t *testing.T, data []byte) {
-	id, x, err := decodeSegIndex(data)
+	id, start, end, x, err := decodeSegIndex(data)
 	if err != nil {
 		return
 	}
-	// The bounds in an index header are not decoded; write fixed ones.
-	start, end := timestamp.NegInf, timestamp.PosInf
 	enc := encodeSegIndex(id, start, end, x)
-	id2, back, err := decodeSegIndex(enc)
-	if err != nil || id2 != id {
-		t.Fatalf("encoded index does not decode: id %d, %d, %v", id, id2, err)
+	id2, start2, end2, back, err := decodeSegIndex(enc)
+	if err != nil || id2 != id || !reflect.DeepEqual([]timestamp.Time{start, end}, []timestamp.Time{start2, end2}) {
+		t.Fatalf("encoded index does not decode to its header: id %d, %d, %v", id, id2, err)
 	}
-	if _, again, _ := decodeSegIndex(data); reflect.DeepEqual(x, again) && !reflect.DeepEqual(x, back) {
+	if _, _, _, again, _ := decodeSegIndex(data); reflect.DeepEqual(x, again) && !reflect.DeepEqual(x, back) {
 		t.Fatalf("index round trip changed the value:\n%+v\n%+v", x, back)
 	}
-	if !bytes.Equal(enc, encodeSegIndex(id2, start, end, back)) {
+	if !bytes.Equal(enc, encodeSegIndex(id2, start2, end2, back)) {
 		t.Fatal("index encoding is not a fixed point")
 	}
 }
 
-func checkState(t *testing.T, data []byte) {
-	st, err := decodeState(data)
+// sameCheckpoint compares decoded checkpoints: the active segment by doem
+// Equal, the rest field by field.
+func sameCheckpoint(a, b *checkpoint) bool {
+	return a.active.Equal(b.active) && reflect.DeepEqual(a.ends, b.ends) && reflect.DeepEqual(a.sum, b.sum)
+}
+
+func checkCheckpoint(t *testing.T, data []byte) {
+	c, err := decodeCheckpoint(data)
 	if err != nil {
 		return
 	}
-	enc := encodeState(st)
-	back, err := decodeState(enc)
+	enc, err := encodeCheckpoint(c)
 	if err != nil {
-		t.Fatalf("encoded state does not decode: %v", err)
+		t.Fatalf("decoded checkpoint does not encode: %v", err)
 	}
-	if again, _ := decodeState(data); reflect.DeepEqual(st, again) && !reflect.DeepEqual(st, back) {
-		t.Fatalf("state round trip changed the value:\n%+v\n%+v", st, back)
+	back, err := decodeCheckpoint(enc)
+	if err != nil {
+		t.Fatalf("encoded checkpoint does not decode: %v", err)
 	}
-	if !bytes.Equal(enc, encodeState(back)) {
-		t.Fatal("state encoding is not a fixed point")
+	// A NaN value is not equal to itself; compare only values that are.
+	if again, _ := decodeCheckpoint(data); sameCheckpoint(c, again) && !sameCheckpoint(c, back) {
+		t.Fatalf("checkpoint round trip changed the value:\n%+v\n%+v", c, back)
+	}
+	if enc2, err := encodeCheckpoint(back); err != nil || !bytes.Equal(enc, enc2) {
+		t.Fatalf("checkpoint encoding is not a fixed point (err %v)", err)
 	}
 }

@@ -10,8 +10,10 @@ var (
 	mIdxLoads    = obs.NewCounter("segment_index_loads_total")
 	mIdxLoadNs   = obs.NewHistogram("segment_index_load_ns")
 	mIdxRebuilds = obs.NewCounter("segment_index_rebuilds_total")
-	mQuarantined = obs.NewCounter("segment_quarantined_total")
-	mOpenNs      = obs.NewHistogram("segment_open_ns")
+	// mIdxWriteFailures counts rebuilt indexes whose file could not be
+	// written; the rebuilt index is served all the same.
+	mIdxWriteFailures = obs.NewCounter("segment_index_write_failures_total")
+	mOpenNs           = obs.NewHistogram("segment_open_ns")
 	// mStatsRebuilds counts full recounts of the planner statistics; in
 	// steady state Store.Apply advances them and this stays flat.
 	mStatsRebuilds = obs.NewCounter("segment_stats_rebuilds_total")

@@ -102,15 +102,35 @@ func TestSegmentedEvalParity(t *testing.T) {
 
 // FuzzSegmentParity is the nightly fuzz entry: arbitrary seeds and seal
 // masks must preserve graph-level parity between the segmented store and
-// the monolithic database.
+// the monolithic database across a close and reopen. When the mask's top
+// bit is set and something was sealed, the store is first truncated at its
+// last seal boundary, and the monolithic database with it.
 func FuzzSegmentParity(f *testing.F) {
 	f.Add(int64(1), uint64(0))
 	f.Add(int64(2), uint64(0x5555))
 	f.Add(int64(3), uint64(0xffff))
 	f.Add(int64(42), uint64(0x1248))
+	f.Add(int64(5), uint64(1<<63|0x0421))
 	f.Fuzz(func(t *testing.T, seed int64, sealMask uint64) {
 		dir := filepath.Join(t.TempDir(), "store")
-		mono, st := buildPair(t, dir, seed, func(i int) bool { return sealMask>>(uint(i)%64)&1 == 1 }, nil)
+		mono, st := buildPair(t, dir, seed, func(i int) bool { return sealMask>>(uint(i)%63)&1 == 1 }, nil)
+		if sealMask>>63 == 1 && st.Segments() > 0 {
+			at := st.LastSeal()
+			var err error
+			if mono, err = mono.Truncate(at); err != nil {
+				t.Fatal(err)
+			}
+			if err := st.Truncate(at); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := Open(dir, nil, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		defer st.Close()
 		checkGraphParity(t, mono, st)
 	})

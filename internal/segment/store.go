@@ -11,8 +11,9 @@
 package segment
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -86,25 +87,11 @@ type Store struct {
 	// none): the active segment covers (lastSeal, +inf).
 	lastSeal timestamp.Time
 
-	// registry is the global arc relation: every arc ever recorded, per
-	// parent, in first-insertion order — exactly the monolithic OutAll
-	// order (a re-added arc keeps its original position). member is its
-	// membership set.
-	registry map[oem.NodeID][]oem.Arc
-	member   map[oem.Arc]bool
-	// cre and dead summarize annotations sealed away from the active
-	// segment: creation times, and final values of nodes deleted by
-	// unreachability during a sealed interval.
-	cre  map[oem.NodeID]timestamp.Time
-	dead map[oem.NodeID]value.Value
-	// sealedStatus holds, per arc annotated in sealed history, the kind of
-	// its most recent sealed annotation — the arc's status at lastSeal.
-	// Arcs absent here and unannotated in the active segment have no
-	// annotations at all (vacuously live, the monolithic convention).
-	sealedStatus map[oem.Arc]doem.AnnotKind
-	// maxID is the id high-water mark across the whole history, including
-	// nodes whose deletion has been sealed away (ids are never reused).
-	maxID oem.NodeID
+	// summary is sealed history's contribution, as of the last committed
+	// checkpoint plus the registry arcs and ids the active segment added
+	// since. member is the registry's membership set.
+	summary
+	member map[oem.Arc]bool
 
 	segs []*handle
 
@@ -127,7 +114,7 @@ type Store struct {
 
 const tailDirName = "wal"
 
-var segFileRe = regexp.MustCompile(`^seg-(\d{6})\.seg$`)
+var segFileRe = regexp.MustCompile(`^seg-(\d{6})\.(seg|idx)$`)
 
 // Create initializes a fresh segmented store in dir, seeded with d (which
 // may already carry history). The active segment is the store's own copy
@@ -138,9 +125,6 @@ func Create(dir string, d *doem.Database, opt *wal.Options, pol *Policy) (*Store
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, stateName)); err == nil {
-		return nil, fmt.Errorf("segment: %s already holds a store", dir)
-	}
 	if _, err := os.Stat(filepath.Join(dir, tailDirName)); err == nil {
 		return nil, fmt.Errorf("segment: %s already holds a store", dir)
 	}
@@ -150,7 +134,7 @@ func Create(dir string, d *doem.Database, opt *wal.Options, pol *Policy) (*Store
 	}
 	s := newStore(dir, pol)
 	s.tail = l
-	if err := s.checkpointTail(d); err != nil {
+	if err := s.commit(nil, summary{maxID: d.MaxID()}, d); err != nil {
 		l.Close()
 		return nil, err
 	}
@@ -160,114 +144,143 @@ func Create(dir string, d *doem.Database, opt *wal.Options, pol *Policy) (*Store
 	return s, nil
 }
 
-// Open loads (or creates) the segmented store in dir, recovering from any
-// crash: a torn newest segment file is quarantined, an interrupted seal is
-// completed idempotently, and the active segment is rebuilt from the tail
-// checkpoint plus its records — never by replaying sealed history.
+// Open loads (or creates) the segmented store in dir. The tail checkpoint
+// is the store's one commit point: Open decodes it, removes the segment
+// files of seals it does not count (a crash cut them short), requires
+// every segment it counts, and replays the tail records after it — it
+// reads no segment file and never replays sealed history. A directory in
+// the layout of an older version is refused with nothing changed.
 func Open(dir string, opt *wal.Options, pol *Policy) (*Store, error) {
 	begin := time.Now()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
-	s := newStore(dir, pol)
-	removeTempFiles(dir)
-
-	st, err := s.loadState()
-	if err != nil {
-		return nil, err
+	// Earlier versions kept the sealed summary in a STATE file beside the
+	// segments; such a directory is refused, not read.
+	state := filepath.Join(dir, "STATE")
+	if _, err := os.Stat(state); err == nil {
+		return nil, fmt.Errorf("segment: %s is the summary file of an older version's layout, which is no longer read", state)
 	}
-	if err := s.scanSegments(); err != nil {
-		return nil, err
-	}
-	if st == nil && len(s.segs) > 0 {
-		// The STATE summary is derived data; rebuild it by replaying the
-		// sealed ground truth (slow, but only after external damage).
-		st, err = s.rebuildState()
-		if err != nil {
-			return nil, err
-		}
-	}
-	if st != nil {
-		s.registry, s.cre, s.dead, s.maxID = st.registry, st.cre, st.dead, st.maxID
-		s.sealedStatus = st.sealedStatus
-		for _, arcs := range s.registry {
-			for _, a := range arcs {
-				s.member[a] = true
-			}
-		}
-	}
-
 	l, err := wal.Open(filepath.Join(dir, tailDirName), opt)
 	if err != nil {
 		return nil, fmt.Errorf("segment: %w", err)
 	}
+	s := newStore(dir, pol)
 	s.tail = l
-	d, records, err := s.replayTail()
+	records, err := s.recover()
 	if err != nil {
 		l.Close()
 		return nil, err
 	}
-	s.adoptActive(d)
-	if st == nil {
-		// Never sealed: the active segment is the whole history and its
-		// arc relation is the registry.
-		s.seedRegistryFromActive()
-	}
-	if len(s.segs) > 0 {
-		s.lastSeal = s.segs[len(s.segs)-1].end
-	}
-
-	// An interrupted seal left its segment file on disk but not the tail
-	// checkpoint: the replayed active still contains the sealed steps.
-	// Complete the seal — every step is an idempotent atomic replace.
-	if n := len(s.segs); n > 0 && len(d.Steps()) > 0 && !d.Steps()[0].After(s.segs[n-1].end) {
-		last := s.segs[n-1]
-		if !d.LastStep().Equal(last.end) {
-			l.Close()
-			return nil, fmt.Errorf("%w: tail ends at %s but newest segment seals at %s",
-				ErrCorrupt, d.LastStep(), last.end)
-		}
-		s.segs = s.segs[:n-1]
-		if n > 1 {
-			s.lastSeal = s.segs[n-2].end
-		} else {
-			s.lastSeal = timestamp.NegInf
-		}
-		if err := s.seal(); err != nil {
-			l.Close()
-			return nil, fmt.Errorf("segment: completing interrupted seal: %w", err)
-		}
-	}
-
-	// If the STATE summary claims a later seal than the surviving segment
-	// files show, the newest segment was quarantined. That is recoverable
-	// as long as the tail still holds the interval's steps (they simply
-	// remain active); if the tail was checkpointed past the damaged
-	// segment, the interval is genuinely gone — refuse to open.
-	if st != nil && st.lastSeal.After(s.lastSeal) {
-		steps := d.Steps()
-		if len(steps) == 0 || steps[0].After(st.lastSeal) {
-			l.Close()
-			return nil, fmt.Errorf("%w: interval (%s, %s] lost: segment damaged after the tail was checkpointed past it",
-				ErrCorrupt, s.lastSeal, st.lastSeal)
-		}
-	}
-
 	s.stats = OpenStats{Records: records, Segments: len(s.segs), Duration: time.Since(begin)}
 	mOpenNs.Observe(int64(s.stats.Duration))
 	s.updateGauges()
 	return s, nil
 }
 
+// recover installs the committed state of the tail checkpoint, makes the
+// directory's segment files match it, and replays the tail records.
+func (s *Store) recover() (int, error) {
+	d := doem.New(oem.New())
+	if payload, _, ok := s.tail.LastCheckpoint(); ok {
+		if !bytes.HasPrefix(payload, ckptMagic) {
+			return 0, fmt.Errorf("segment: the checkpoint in %s is in the layout of an older version, which is no longer read", s.tail.Dir())
+		}
+		c, err := decodeCheckpoint(payload)
+		if err != nil {
+			return 0, fmt.Errorf("segment: tail checkpoint in %s: %w", s.tail.Dir(), err)
+		}
+		start := timestamp.NegInf
+		for i, end := range c.ends {
+			s.segs = append(s.segs, &handle{id: i + 1, start: start, end: end})
+			start = end
+		}
+		s.lastSeal = start
+		s.summary = c.sum
+		for _, arcs := range s.registry {
+			for _, a := range arcs {
+				s.member[a] = true
+			}
+		}
+		d = c.active
+	}
+	if err := s.sweep(); err != nil {
+		return 0, err
+	}
+	records := 0
+	err := replaySteps(s.tail, func(seq uint64, step change.Step) error {
+		if err := d.Apply(step.At, step.Ops); err != nil {
+			return fmt.Errorf("segment: replaying tail record %d: %w", seq, err)
+		}
+		s.mergeOps(step.Ops, nil)
+		records++
+		return nil
+	})
+	if err != nil {
+		return 0, err
+	}
+	s.adoptActive(d)
+	if len(s.segs) == 0 {
+		// Never sealed: the active segment is the whole history and its
+		// arc relation is the registry.
+		s.seedRegistryFromActive()
+	}
+	return records, nil
+}
+
+// sweep makes the directory's segment files match the committed count: a
+// .seg or .idx file numbered beyond it is the leftover of a seal that never
+// committed or of a Truncate cut short, and is removed with any temp file;
+// a committed .seg that is missing is ErrCorrupt, reported before anything
+// is removed. A missing .idx is rebuilt when first needed.
+func (s *Store) sweep() error {
+	entries, err := os.ReadDir(s.dir)
+	if err != nil {
+		return fmt.Errorf("segment: %w", err)
+	}
+	have := make(map[int]bool)
+	var stale []string
+	for _, ent := range entries {
+		name := ent.Name()
+		if filepath.Ext(name) == ".tmp" {
+			stale = append(stale, name)
+			continue
+		}
+		m := segFileRe.FindStringSubmatch(name)
+		if m == nil {
+			continue
+		}
+		id, _ := strconv.Atoi(m[1])
+		if id > len(s.segs) {
+			stale = append(stale, name)
+		} else if m[2] == "seg" {
+			have[id] = true
+		}
+	}
+	for _, h := range s.segs {
+		if !have[h.id] {
+			return fmt.Errorf("%w: committed segment %s is missing", ErrCorrupt, filepath.Join(s.dir, segFileName(h.id)))
+		}
+	}
+	for _, name := range stale {
+		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
+			return fmt.Errorf("segment: %w", err)
+		}
+	}
+	return nil
+}
+
 func newStore(dir string, pol *Policy) *Store {
 	s := &Store{
-		dir:          dir,
-		lastSeal:     timestamp.NegInf,
-		registry:     make(map[oem.NodeID][]oem.Arc),
-		member:       make(map[oem.Arc]bool),
-		cre:          make(map[oem.NodeID]timestamp.Time),
-		dead:         make(map[oem.NodeID]value.Value),
-		sealedStatus: make(map[oem.Arc]doem.AnnotKind),
+		dir:      dir,
+		lastSeal: timestamp.NegInf,
+		summary: summary{
+			registry:     make(map[oem.NodeID][]oem.Arc),
+			cre:          make(map[oem.NodeID]timestamp.Time),
+			dead:         make(map[oem.NodeID]value.Value),
+			sealedStatus: make(map[oem.Arc]doem.AnnotKind),
+		},
+		member: make(map[oem.Arc]bool),
 	}
 	if pol != nil {
 		s.pol = *pol
@@ -334,9 +347,8 @@ func (s *Store) mergeOps(ops change.Set, labels map[string]plan.LabelCard) {
 	}
 }
 
-// The tail log's payloads: every record is one history step
-// (change.AppendStep), and the checkpoint is the active segment's stored
-// DOEM (doem.Append), so the log is D(O, H) on disk.
+// The tail log's records are history steps (change.AppendStep); its
+// checkpoint is the store's committed state (encodeCheckpoint).
 
 // appendStep appends one history step (t, ops) to l.
 func appendStep(l *wal.Log, t timestamp.Time, ops change.Set) error {
@@ -359,55 +371,23 @@ func replaySteps(l *wal.Log, fn func(seq uint64, step change.Step) error) error 
 	})
 }
 
-// checkpointTail installs d as the tail checkpoint covering every record
-// appended so far, dropping the log segments it makes redundant. The
-// caller excludes writers of both d and the tail for the whole call (the
-// single-writer rule), so no record lands between the encoding and the
-// checkpoint.
-func (s *Store) checkpointTail(d *doem.Database) error {
-	payload, err := doem.Append(nil, d)
+// commit installs the tail checkpoint that makes (ends, sum, d) the
+// store's committed state, covering every record appended so far. The
+// caller excludes writers of d and the tail for the whole call (the
+// single-writer rule). A failed checkpoint write leaves the state on disk
+// unknown — the rename may or may not have landed — so the store fails
+// stop: the tail closes, later writes fail, and a reopen recovers whichever
+// state committed.
+func (s *Store) commit(ends []timestamp.Time, sum summary, d *doem.Database) error {
+	payload, err := encodeCheckpoint(&checkpoint{ends: ends, sum: sum, active: d})
 	if err != nil {
 		return fmt.Errorf("segment: tail checkpoint: %w", err)
 	}
 	if err := s.tail.Checkpoint(payload, s.tail.LastSeq()); err != nil {
+		s.tail.Close()
 		return fmt.Errorf("segment: %w", err)
 	}
 	return nil
-}
-
-// replayTail rebuilds the active segment from the tail checkpoint plus its
-// records, folding replayed sets into the store summaries as it goes.
-func (s *Store) replayTail() (*doem.Database, int, error) {
-	var d *doem.Database
-	if payload, _, ok := s.tail.LastCheckpoint(); ok {
-		var n int
-		var err error
-		d, n, err = doem.Decode(payload)
-		if err == nil && n != len(payload) {
-			err = fmt.Errorf("%d trailing bytes", len(payload)-n)
-		}
-		if err != nil && json.Valid(payload) {
-			return nil, 0, fmt.Errorf("segment: the checkpoint in %s is JSON, the layout of an older version, which is no longer read", s.tail.Dir())
-		}
-		if err != nil {
-			return nil, 0, fmt.Errorf("segment: tail checkpoint: %w", err)
-		}
-	} else {
-		d = doem.New(oem.New())
-	}
-	records := 0
-	err := replaySteps(s.tail, func(seq uint64, step change.Step) error {
-		if err := d.Apply(step.At, step.Ops); err != nil {
-			return fmt.Errorf("segment: replaying tail record %d: %w", seq, err)
-		}
-		s.mergeOps(step.Ops, nil)
-		records++
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	return d, records, nil
 }
 
 // Apply extends the history by one timestamped change set, write-ahead: it
@@ -462,9 +442,9 @@ func (s *Store) shouldSeal(t timestamp.Time) bool {
 
 // Seal closes the active segment at its last step: its interval becomes an
 // immutable sealed segment (ground truth + index on disk), the store
-// summaries absorb its annotations, the tail log is checkpointed with the
-// truncated successor, and a fresh active segment starts at the boundary.
-// Sealing with no recorded steps is a no-op.
+// summary absorbs its annotations, and a fresh active segment starts at the
+// boundary — all committed by one tail checkpoint. Sealing with no recorded
+// steps is a no-op.
 func (s *Store) Seal() error {
 	if !s.active.LastStep().After(s.lastSeal) {
 		return nil
@@ -477,10 +457,11 @@ func (s *Store) Seal() error {
 	return nil
 }
 
-// seal is the crash-ordered seal sequence. Each write is an atomic
-// replace, ordered so any crash point recovers: before the tail checkpoint
-// lands, the tail still holds the full pre-seal active segment, and Open
-// re-runs this sequence to identical bytes.
+// seal writes the segment's .seg and .idx files, then the tail checkpoint
+// that counts them; memory moves to the sealed state only once that
+// checkpoint lands. A crash before it leaves files beyond the committed
+// count, which Open removes: the tail still holds the interval's steps, and
+// the next seal writes the same bytes again.
 func (s *Store) seal() error {
 	start := obs.Now()
 	bound := s.active.LastStep()
@@ -509,39 +490,44 @@ func (s *Store) seal() error {
 		return err
 	}
 
-	// Absorb the active segment's annotations into the store summaries
-	// (idempotent — a completed re-run merges the same facts).
+	// The summary after the seal absorbs the active segment's annotations;
+	// the registry already holds its arcs.
+	next := summary{
+		registry:     s.registry,
+		cre:          maps.Clone(s.cre),
+		dead:         maps.Clone(s.dead),
+		sealedStatus: maps.Clone(s.sealedStatus),
+		maxID:        s.MaxID(),
+	}
 	for _, n := range s.active.AllNodeIDs() {
 		for _, a := range s.active.NodeAnnots(n) {
 			if a.Kind == doem.AnnotCre {
-				s.cre[n] = a.At
+				next.cre[n] = a.At
 			}
 		}
 		if _, ok := s.active.Current().Value(n); !ok {
 			if v, ok := s.active.Value(n); ok {
-				s.dead[n] = v
+				next.dead[n] = v
 			}
 		}
 		for _, arc := range s.active.OutAll(n) {
 			if chain := s.active.ArcAnnots(arc); len(chain) > 0 {
-				s.sealedStatus[arc] = chain[len(chain)-1].Kind
+				next.sealedStatus[arc] = chain[len(chain)-1].Kind
 			}
 		}
 	}
-	if m := s.active.MaxID(); m > s.maxID {
-		s.maxID = m
+	ends := make([]timestamp.Time, 0, id)
+	for _, h := range s.segs {
+		ends = append(ends, h.end)
 	}
+	fresh := doem.New(s.active.Current())
+	if err := s.commit(append(ends, bound), next, fresh); err != nil {
+		return err
+	}
+	s.summary = next
 	s.lastSeal = bound
 	s.segs = append(s.segs, &handle{id: id, start: sd.start, end: bound, idx: idx, lastUse: s.ticks.Load()})
-
-	if err := s.writeState(); err != nil {
-		return err
-	}
-	next := doem.New(s.active.Current())
-	if err := s.checkpointTail(next); err != nil {
-		return err
-	}
-	s.adoptActive(next)
+	s.adoptActive(fresh)
 	mSeals.Inc()
 	mSealNs.ObserveSince(start)
 	return nil
@@ -551,209 +537,17 @@ func (s *Store) seal() error {
 // garbage collection: their most recent annotation anywhere is an add, yet
 // the boundary snapshot omits them because GC removed a deleted endpoint.
 // The monolithic ArcLiveAt keeps such an arc live at every later instant,
-// so the segment being sealed must carry it in its live-at-start set. An
-// arc annotated inside the sealing interval is never an orphan (annotating
-// requires live endpoints), which keeps this computation byte-identical
-// when a crash-recovery re-run executes it after the summary merge has
-// already landed in STATE.
+// so the segment being sealed must carry it in its live-at-start set.
 func (s *Store) orphanArcs(base *oem.Database) []oem.Arc {
 	var orphans []oem.Arc
 	for a, kind := range s.sealedStatus {
-		if kind != doem.AnnotAdd || base.HasArc(a.Parent, a.Label, a.Child) || len(s.active.ArcAnnots(a)) > 0 {
+		if kind != doem.AnnotAdd || base.HasArc(a.Parent, a.Label, a.Child) {
 			continue
 		}
 		orphans = append(orphans, a)
 	}
 	sortArcs(orphans)
 	return orphans
-}
-
-func (s *Store) writeState() error {
-	st := &storeState{
-		lastSeal:     s.lastSeal,
-		maxID:        s.maxID,
-		segCount:     len(s.segs),
-		registry:     s.registry,
-		cre:          s.cre,
-		dead:         s.dead,
-		sealedStatus: s.sealedStatus,
-	}
-	return wal.AtomicWrite(filepath.Join(s.dir, stateName), encodeState(st))
-}
-
-func (s *Store) loadState() (*storeState, error) {
-	data, err := os.ReadFile(filepath.Join(s.dir, stateName))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
-	st, err := decodeState(data)
-	if err != nil {
-		// Derived data: fall back to a rebuild rather than refusing to open.
-		return nil, nil
-	}
-	return st, nil
-}
-
-// scanSegments inventories the sealed segment files, quarantining a torn
-// newest segment (the only one a crash can tear — older files are never
-// rewritten) and requiring a contiguous id sequence.
-func (s *Store) scanSegments() error {
-	entries, err := os.ReadDir(s.dir)
-	if err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	var ids []int
-	for _, ent := range entries {
-		if m := segFileRe.FindStringSubmatch(ent.Name()); m != nil {
-			id, _ := strconv.Atoi(m[1])
-			ids = append(ids, id)
-		}
-	}
-	sort.Ints(ids)
-	for i, id := range ids {
-		if id != i+1 {
-			return fmt.Errorf("%w: segment files not contiguous (missing seg %d)", ErrCorrupt, i+1)
-		}
-	}
-	for len(ids) > 0 {
-		id := ids[len(ids)-1]
-		raw, err := readSegFile(s.dir, id)
-		if err != nil {
-			if quarantineSegment(s.dir, id) {
-				ids = ids[:len(ids)-1]
-				continue
-			}
-			return err
-		}
-		sd, err := decodeSegData(raw)
-		if err != nil || sd.id != id {
-			if quarantineSegment(s.dir, id) {
-				ids = ids[:len(ids)-1]
-				continue
-			}
-			return fmt.Errorf("%w: segment %d", ErrCorrupt, id)
-		}
-		// The newest is intact. Older files are immutable and were fully
-		// CRC-validated when written, so enumerate them from their headers
-		// alone — Open stays proportional to the active tail, not the
-		// sealed history. Their CRCs are still checked when loadSegData
-		// reads them on first query or index rebuild.
-		break
-	}
-	for _, id := range ids {
-		head, err := readSegHeader(s.dir, id)
-		if err != nil {
-			return err
-		}
-		hid, start, end, err := decodeSegHeader(head)
-		if err != nil || hid != id {
-			return fmt.Errorf("%w: segment %d header", ErrCorrupt, id)
-		}
-		s.segs = append(s.segs, &handle{id: id, start: start, end: end})
-	}
-	return nil
-}
-
-// quarantineSegment renames a torn segment's files out of the way so the
-// open proceeds from the recoverable prefix (the tail still holds the
-// interval's steps when the seal never completed). It reports whether
-// anything was moved.
-func quarantineSegment(dir string, id int) bool {
-	moved := false
-	for _, name := range []string{segFileName(id), idxFileName(id)} {
-		p := filepath.Join(dir, name)
-		if _, err := os.Stat(p); err == nil {
-			if os.Rename(p, p+".corrupt") == nil {
-				moved = true
-			}
-		}
-	}
-	if moved {
-		// No directory fsync: a rename a crash undoes leaves the torn file,
-		// and the next Open quarantines it again.
-		mQuarantined.Inc()
-	}
-	return moved
-}
-
-// rebuildState reconstructs the STATE summary by replaying every sealed
-// segment's ground truth in order — the slow path, taken only when the
-// summary file was lost or damaged.
-func (s *Store) rebuildState() (*storeState, error) {
-	st := &storeState{
-		lastSeal:     timestamp.NegInf,
-		registry:     make(map[oem.NodeID][]oem.Arc),
-		cre:          make(map[oem.NodeID]timestamp.Time),
-		dead:         make(map[oem.NodeID]value.Value),
-		sealedStatus: make(map[oem.Arc]doem.AnnotKind),
-	}
-	member := make(map[oem.Arc]bool)
-	for _, h := range s.segs {
-		raw, err := readSegFile(s.dir, h.id)
-		if err != nil {
-			return nil, err
-		}
-		sd, err := decodeSegData(raw)
-		if err != nil {
-			return nil, err
-		}
-		if h.id == 1 {
-			for _, n := range sd.base.Nodes() {
-				for _, a := range sd.base.Out(n) {
-					if !member[a] {
-						member[a] = true
-						st.registry[a.Parent] = append(st.registry[a.Parent], a)
-					}
-				}
-			}
-		}
-		d, err := doem.FromHistory(sd.base, sd.steps)
-		if err != nil {
-			return nil, fmt.Errorf("segment: rebuilding state from seg %d: %w", h.id, err)
-		}
-		for _, step := range sd.steps {
-			for _, op := range step.Ops.Canonical() {
-				switch o := op.(type) {
-				case change.AddArc:
-					a := oem.Arc{Parent: o.Parent, Label: symbol.Canon(o.Label), Child: o.Child}
-					if !member[a] {
-						member[a] = true
-						st.registry[o.Parent] = append(st.registry[o.Parent], a)
-					}
-				case change.CreNode:
-					if o.Node > st.maxID {
-						st.maxID = o.Node
-					}
-				}
-			}
-		}
-		for _, n := range d.AllNodeIDs() {
-			for _, a := range d.NodeAnnots(n) {
-				if a.Kind == doem.AnnotCre {
-					st.cre[n] = a.At
-				}
-			}
-			if _, ok := d.Current().Value(n); !ok {
-				if v, ok := d.Value(n); ok {
-					st.dead[n] = v
-				}
-			}
-			if n > st.maxID {
-				st.maxID = n
-			}
-			for _, arc := range d.OutAll(n) {
-				if chain := d.ArcAnnots(arc); len(chain) > 0 {
-					st.sealedStatus[arc] = chain[len(chain)-1].Kind
-				}
-			}
-		}
-		st.lastSeal = sd.end
-	}
-	st.segCount = len(s.segs)
-	return st, nil
 }
 
 // buildIndex extracts the sealed interval's annotation index from the
@@ -793,7 +587,9 @@ func buildIndex(d *doem.Database, base *oem.Database) *segIndex {
 // segment's base snapshot, deleting every sealed segment — the paper's
 // full space-for-accuracy trade. t must not fall strictly inside sealed
 // history: sealed segments are immutable, so partial truncation below the
-// last seal boundary is refused.
+// last seal boundary is refused. The checkpoint that commits the truncated
+// history counts no segment, so it lands before the segment files go: a
+// crash between the two leaves files beyond the count, which Open removes.
 func (s *Store) Truncate(t timestamp.Time) error {
 	if t.Before(s.lastSeal) {
 		return fmt.Errorf("segment: cannot truncate at %s inside sealed history (last seal %s)", t, s.lastSeal)
@@ -813,19 +609,11 @@ func (s *Store) Truncate(t timestamp.Time) error {
 	if err != nil {
 		return err
 	}
-	for _, h := range s.segs {
-		for _, name := range []string{segFileName(h.id), idxFileName(h.id)} {
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("segment: %w", err)
-			}
-		}
-	}
-	// The removals must be on disk before STATE stops counting the
-	// segments: a STATE without them beside their files would reopen as
-	// sealed history with summaries that do not describe it.
-	if err := syncDir(s.dir); err != nil {
+	// The id high-water mark survives: ids are never reused.
+	if err := s.commit(nil, summary{maxID: s.MaxID()}, td); err != nil {
 		return err
 	}
+	removed := s.segs
 	s.segs = nil
 	s.lastSeal = timestamp.NegInf
 	s.cre = make(map[oem.NodeID]timestamp.Time)
@@ -834,14 +622,15 @@ func (s *Store) Truncate(t timestamp.Time) error {
 	s.adoptActive(td)
 	s.seedRegistryFromActive()
 	s.dropStats()
-	if err := s.writeState(); err != nil {
-		return err
-	}
-	if err := s.checkpointTail(td); err != nil {
-		return err
-	}
 	s.updateGauges()
-	return nil
+	for _, h := range removed {
+		for _, name := range []string{segFileName(h.id), idxFileName(h.id)} {
+			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
+				return fmt.Errorf("segment: %w", err)
+			}
+		}
+	}
+	return syncDir(s.dir)
 }
 
 // maintain releases the parsed indexes beyond Policy.MaxHot, least
@@ -866,8 +655,9 @@ func (s *Store) maintain() {
 }
 
 // index returns a sealed segment's parsed annotation index, loading it
-// from its index file or, when that is missing or damaged, rebuilding it
-// from ground truth. Safe under concurrent readers.
+// from its index file or, when that is missing, damaged or does not match
+// the segment the checkpoint counts, rebuilding it from ground truth. Safe
+// under concurrent readers.
 func (s *Store) index(h *handle) (*segIndex, error) {
 	s.tierMu.Lock()
 	defer s.tierMu.Unlock()
@@ -876,21 +666,16 @@ func (s *Store) index(h *handle) (*segIndex, error) {
 		return h.idx, nil
 	}
 	start := obs.Now()
-	if data, err := os.ReadFile(filepath.Join(s.dir, idxFileName(h.id))); err == nil {
-		if id, x, err := decodeSegIndex(data); err == nil && id == h.id {
+	path := filepath.Join(s.dir, idxFileName(h.id))
+	if data, err := os.ReadFile(path); err == nil {
+		if id, from, to, x, err := decodeSegIndex(data); err == nil && id == h.id && from.Equal(h.start) && to.Equal(h.end) {
 			h.idx = x
 			mIdxLoads.Inc()
 			mIdxLoadNs.ObserveSince(start)
 			return x, nil
 		}
 	}
-	// No (valid) index file: rebuild from the segment's ground truth and
-	// re-persist it.
-	raw, err := readSegFile(s.dir, h.id)
-	if err != nil {
-		return nil, err
-	}
-	sd, err := decodeSegData(raw)
+	sd, err := s.loadSegData(h)
 	if err != nil {
 		return nil, err
 	}
@@ -902,20 +687,34 @@ func (s *Store) index(h *handle) (*segIndex, error) {
 	for _, a := range sd.orphans {
 		x.liveAtStart[a] = true
 	}
-	wal.AtomicWrite(filepath.Join(s.dir, idxFileName(h.id)), encodeSegIndex(h.id, h.start, h.end, x))
+	// The index is derived: a failed write costs the next load a rebuild,
+	// so the rebuilt index is served either way and the failure counted.
+	if err := wal.AtomicWrite(path, encodeSegIndex(h.id, h.start, h.end, x)); err != nil {
+		mIdxWriteFailures.Inc()
+	}
 	h.idx = x
 	mIdxRebuilds.Inc()
 	mIdxLoadNs.ObserveSince(start)
 	return x, nil
 }
 
-// loadSegData reads and decodes one sealed segment's ground truth.
+// loadSegData reads and decodes one sealed segment's ground truth, which
+// must be the segment the checkpoint counts: the same id and bounds.
 func (s *Store) loadSegData(h *handle) (*segData, error) {
-	raw, err := readSegFile(s.dir, h.id)
+	path := filepath.Join(s.dir, segFileName(h.id))
+	raw, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("segment: %w", err)
 	}
-	return decodeSegData(raw)
+	sd, err := decodeSegData(raw)
+	if err == nil && (sd.id != h.id || !sd.start.Equal(h.start) || !sd.end.Equal(h.end)) {
+		err = fmt.Errorf("%w: holds segment %d over (%s, %s], the checkpoint counts segment %d over (%s, %s]",
+			ErrCorrupt, sd.id, sd.start, sd.end, h.id, h.start, h.end)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("segment: %s: %w", path, err)
+	}
+	return sd, nil
 }
 
 // Replay rebuilds the whole stored history as one DOEM database — what a
@@ -951,6 +750,15 @@ func (s *Store) covering(t timestamp.Time) int {
 }
 
 func (s *Store) touch() { s.ticks.Add(1) }
+
+// LastStep returns the time of the newest step in the whole history,
+// sealed or active (NegInf when there is none).
+func (s *Store) LastStep() timestamp.Time {
+	if t := s.active.LastStep(); t.After(s.lastSeal) {
+		return t
+	}
+	return s.lastSeal
+}
 
 // LastSeal returns the newest seal boundary (NegInf when nothing has been
 // sealed).
@@ -1015,16 +823,4 @@ func syncDir(dir string) error {
 		return fmt.Errorf("segment: sync %s: %w", dir, err)
 	}
 	return nil
-}
-
-func removeTempFiles(dir string) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return
-	}
-	for _, ent := range entries {
-		if filepath.Ext(ent.Name()) == ".tmp" {
-			os.Remove(filepath.Join(dir, ent.Name()))
-		}
-	}
 }

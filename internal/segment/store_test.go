@@ -13,6 +13,7 @@ import (
 	"repro/internal/change"
 	"repro/internal/doem"
 	"repro/internal/guidegen"
+	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/timestamp"
 	"repro/internal/value"
@@ -255,6 +256,33 @@ func TestRefusedAppendLeavesActiveAtLog(t *testing.T) {
 	}
 }
 
+// TestSealCheckpointFailureFailsStop: a seal whose commit checkpoint
+// fails leaves memory at the last committed state, and a reopen removes
+// the seal's files and recovers the history unsealed.
+func TestSealCheckpointFailureFailsStop(t *testing.T) {
+	dir := t.TempDir()
+	mono, st := buildPair(t, dir, 17, nil, nil)
+	st.tail.Close()
+	if err := st.Seal(); !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("seal over a closed tail: err = %v, want wal.ErrClosed", err)
+	}
+	if st.Segments() != 0 || !st.LastSeal().Equal(timestamp.NegInf) {
+		t.Fatalf("a failed seal moved memory: %d segments, last seal %s", st.Segments(), st.LastSeal())
+	}
+	checkGraphParity(t, mono, st)
+	st.Close()
+
+	st, err := Open(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if left := segmentFiles(t, dir); st.Segments() != 0 || len(left) != 0 {
+		t.Fatalf("reopen: %d segments, files %v; want none", st.Segments(), left)
+	}
+	checkGraphParity(t, mono, st)
+}
+
 func TestTruncate(t *testing.T) {
 	dir := t.TempDir()
 	mono, st := buildPair(t, dir, 10, func(i int) bool { return i == 7 }, nil)
@@ -407,5 +435,204 @@ func TestReplayEqualsMonolithic(t *testing.T) {
 			}
 		}
 		st.Close()
+	}
+}
+
+// treeFiles returns the contents of every file under dir, by path.
+func treeFiles(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		files[path] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestOpenRefusesMissingCommittedSegment: a segment the tail checkpoint
+// counts is part of the committed history, so its loss is ErrCorrupt
+// naming the file. The refused open removes nothing, not even the
+// leftovers it would otherwise sweep.
+func TestOpenRefusesMissingCommittedSegment(t *testing.T) {
+	dir := t.TempDir()
+	_, st := buildPair(t, dir, 12, func(i int) bool { return i%6 == 5 }, nil)
+	if st.Segments() < 2 {
+		t.Fatalf("%d segments sealed, want at least 2", st.Segments())
+	}
+	st.Close()
+	missing := filepath.Join(dir, segFileName(2))
+	if err := os.Remove(missing); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{segFileName(9), segFileName(1) + ".tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("leftover"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before := treeFiles(t, dir)
+	st, err := Open(dir, nil, nil)
+	if err == nil {
+		st.Close()
+		t.Fatal("Open succeeded without a committed segment")
+	}
+	if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), missing) {
+		t.Errorf("error %q is not ErrCorrupt naming %s", err, missing)
+	}
+	if after := treeFiles(t, dir); !reflect.DeepEqual(after, before) {
+		t.Error("the refused open changed the store's files")
+	}
+}
+
+// TestOpenRefusesStateLayout: earlier versions kept the sealed summary in
+// a STATE file and checkpointed the tail as a bare DOEM pair. Open refuses
+// such a directory by naming STATE, and changes nothing; with the STATE
+// file gone, the bare-pair checkpoint is refused in turn.
+func TestOpenRefusesStateLayout(t *testing.T) {
+	dir := t.TempDir()
+	_, st := buildPair(t, dir, 13, func(i int) bool { return i == 5 }, nil)
+	pair, err := doem.Append(nil, st.active)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	tail := filepath.Join(dir, tailDirName)
+	l, err := wal.Open(tail, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Checkpoint(pair, l.LastSeq()); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	state := filepath.Join(dir, "STATE")
+	if err := os.WriteFile(state, []byte("DSTA1\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{segFileName(7), idxFileName(1) + ".tmp"} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte("leftover"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, want := range []string{state, tail} {
+		before := treeFiles(t, dir)
+		st, err := Open(dir, nil, nil)
+		if err == nil {
+			st.Close()
+			t.Fatalf("Open read a store whose %s is in an older layout", want)
+		}
+		if !strings.Contains(err.Error(), want) || !strings.Contains(err.Error(), "older version") {
+			t.Errorf("error %q does not name %s as an older layout", err, want)
+		}
+		if after := treeFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Error("the refused open changed the store's files")
+		}
+		os.Remove(state)
+	}
+}
+
+// TestLazyLoadChecksBounds: a segment's files are read only when a query
+// or Replay needs them, and are checked then against the id and bounds the
+// checkpoint counts. An index file of another segment is rebuilt from
+// ground truth and the answers stay right; a segment file of another
+// segment is ErrCorrupt.
+func TestLazyLoadChecksBounds(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	dir := t.TempDir()
+	mono, st := buildPair(t, dir, 14, func(i int) bool { return i%6 == 5 }, nil)
+	st.Close()
+	swap := func(a, b string) {
+		pa, pb := filepath.Join(dir, a), filepath.Join(dir, b)
+		tmp := pa + ".swap"
+		for _, mv := range [][2]string{{pa, tmp}, {pb, pa}, {tmp, pb}} {
+			if err := os.Rename(mv[0], mv[1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	swap(idxFileName(1), idxFileName(2))
+	rebuilds := mIdxRebuilds.Value()
+	st, err := Open(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGraphParity(t, mono, st)
+	if n := mIdxRebuilds.Value() - rebuilds; n != 2 {
+		t.Errorf("%d index rebuilds, want 2 (both swapped index files)", n)
+	}
+	st.Close()
+
+	swap(segFileName(1), segFileName(2))
+	if st, err = Open(dir, nil, nil); err != nil {
+		t.Fatalf("Open read a segment file: %v", err)
+	}
+	defer st.Close()
+	if _, err := st.Replay(); !errors.Is(err, ErrCorrupt) {
+		t.Fatalf("Replay over swapped segment files: err = %v, want ErrCorrupt", err)
+	}
+}
+
+// TestIndexWriteFailureCounted: a rebuilt index whose file cannot be
+// written is still served, and the failure is counted. A directory in the
+// index file's place makes the rename fail whatever the permissions.
+func TestIndexWriteFailureCounted(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	dir := t.TempDir()
+	mono, st := buildPair(t, dir, 15, func(i int) bool { return i == 9 }, nil)
+	st.Close()
+	idx := filepath.Join(dir, idxFileName(1))
+	if err := os.Remove(idx); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(idx, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	failures := mIdxWriteFailures.Value()
+	st, err := Open(dir, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	checkGraphParity(t, mono, st)
+	if n := mIdxWriteFailures.Value() - failures; n != 1 {
+		t.Errorf("segment_index_write_failures_total moved by %d, want 1", n)
+	}
+}
+
+// TestLastStep: the newest step of the whole history, whether it is
+// sealed or active, and NegInf for a store without steps.
+func TestLastStep(t *testing.T) {
+	st, err := Create(t.TempDir(), doem.New(oem.New()), nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.LastStep().Equal(timestamp.NegInf) {
+		t.Errorf("empty store: LastStep %s, want -inf", st.LastStep())
+	}
+	st.Close()
+	mono, st := buildPair(t, t.TempDir(), 16, func(i int) bool { return i == 19 }, nil)
+	defer st.Close()
+	if !st.LastStep().Equal(mono.LastStep()) || st.Segments() != 1 {
+		t.Fatalf("all sealed: LastStep %s, want %s", st.LastStep(), mono.LastStep())
+	}
+	next := mono.LastStep().Add(time.Hour)
+	id := st.MaxID() + 1
+	set := change.Set{
+		change.CreNode{Node: id, Value: value.Str("x")},
+		change.AddArc{Parent: st.active.Root(), Label: "x", Child: id},
+	}
+	if err := st.Apply(next, set); err != nil {
+		t.Fatal(err)
+	}
+	if !st.LastStep().Equal(next) {
+		t.Errorf("active step: LastStep %s, want %s", st.LastStep(), next)
 	}
 }
