@@ -79,6 +79,7 @@ fuzz:
 	$(GO) test -fuzz='^FuzzEncodeDecode$$' -fuzztime=30s -run xxx ./internal/encoding/
 	$(GO) test -fuzz='^FuzzRead$$' -fuzztime=30s -run xxx ./internal/oemio/
 	$(GO) test -fuzz='^FuzzWALRecordDecode$$' -fuzztime=30s -run xxx ./internal/wal/
+	$(GO) test -fuzz='^FuzzFileFrame$$' -fuzztime=30s -run xxx ./internal/wal/
 	$(GO) test -fuzz='^FuzzRequestDecode$$' -fuzztime=30s -run xxx ./internal/qss/
 	$(GO) test -fuzz='^FuzzReadLine$$' -fuzztime=30s -run xxx ./internal/qss/
 	$(GO) test -fuzz='^FuzzPollDiff$$' -fuzztime=30s -run xxx ./internal/qss/

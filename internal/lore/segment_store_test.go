@@ -186,6 +186,105 @@ func TestStoreDeleteRemovesDirectory(t *testing.T) {
 	}
 }
 
+// asideDirs lists the directories of dir left by a store removal.
+func asideDirs(t *testing.T, dir string) []string {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var aside []string
+	for _, e := range entries {
+		if strings.HasSuffix(e.Name(), ".tmp") {
+			aside = append(aside, e.Name())
+		}
+	}
+	return aside
+}
+
+// TestOpenRemovesCutShortRemoval: a segment store that a crash left half
+// removed under its aside name — here missing a committed segment, which
+// segment.Open refuses — is not a database. Open must succeed, list the
+// other names only, and remove the leftover.
+func TestOpenRemovesCutShortRemoval(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutDOEM("guide", paperDOEM(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Checkpoint("guide"); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutDOEM("other", paperDOEM(t)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	aside := filepath.Join(dir, "guide"+segExt+".tmp")
+	if err := os.Rename(filepath.Join(dir, "guide"+segExt), aside); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(aside, "seg-000001.seg")); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatalf("Open refuses the store over a cut-short removal: %v", err)
+	}
+	defer s.Close()
+	if got := s.List(); len(got) != 1 || got[0].Name != "other" {
+		t.Errorf("List = %v, want only other", got)
+	}
+	if left := asideDirs(t, dir); len(left) != 0 {
+		t.Errorf("Open kept %v", left)
+	}
+}
+
+// TestRemovalLeavesNoAside: Delete and a replacing PutDOEM remove the
+// store they move aside, and the directory reopens with what is left.
+func TestRemovalLeavesNoAside(t *testing.T) {
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	applyGuide(t, s, "guide")
+	applyGuide(t, s, "gone")
+	for _, name := range []string{"guide", "gone"} {
+		if err := s.Checkpoint(name); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Delete("gone"); err != nil {
+		t.Fatal(err)
+	}
+	d := paperDOEM(t)
+	if err := s.PutDOEM("guide", d); err != nil {
+		t.Fatal(err)
+	}
+	if left := asideDirs(t, dir); len(left) != 0 {
+		t.Errorf("removals left %v", left)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s, err = Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if got := s.List(); len(got) != 1 || got[0].Name != "guide" {
+		t.Errorf("List after reopen = %v, want only guide", got)
+	}
+	if got, err := s.GetDOEM("guide"); err != nil || !got.Equal(d) {
+		t.Errorf("reopened guide differs from the replacing database: %v", err)
+	}
+}
+
 func TestStorePutDOEMReplaces(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)

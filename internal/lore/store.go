@@ -70,9 +70,10 @@ func Open(dir string) (*Store, error) { return OpenSegmented(dir, nil, nil) }
 // <name>.doemseg segment store holding sealed segments plus an
 // active-segment WAL tail. opt may be nil for default log options; pol
 // controls automatic sealing, and nil seals only on explicit Checkpoint
-// calls. A <name>.doem.json file, the layout of earlier versions, is no
-// longer read: Open refuses it. A store needs a directory: an empty dir
-// is refused.
+// calls. A <name>.doemseg.tmp directory is a removal that a crash cut
+// short (see Delete) and is removed. A <name>.doem.json file, the layout
+// of earlier versions, is no longer read: Open refuses it. A store needs a
+// directory: an empty dir is refused.
 func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("lore: a store needs a directory")
@@ -97,6 +98,11 @@ func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, e
 	for _, ent := range entries {
 		name := ent.Name()
 		switch {
+		case ent.IsDir() && strings.HasSuffix(name, segExt+".tmp"):
+			if err := wal.RemoveDir(filepath.Join(dir, name)); err != nil {
+				s.Close()
+				return nil, fmt.Errorf("lore: %w", err)
+			}
 		case ent.IsDir() && strings.HasSuffix(name, segExt):
 			base := strings.TrimSuffix(name, segExt)
 			st, err := segment.Open(filepath.Join(dir, name), opt, pol)
@@ -165,7 +171,9 @@ func (s *Store) GetOEM(name string) (*oem.Database, error) {
 // PutDOEM stores (and persists) a DOEM database under name, replacing any
 // database of that name. It starts a fresh segment store whose checkpoint
 // is d and keeps its own copy of d, so later changes to d reach the store
-// only through another PutDOEM; deltas should go through ApplySet.
+// only through another PutDOEM; deltas should go through ApplySet. A
+// replaced store is moved aside and removed, as Delete does, before the
+// new one is created.
 func (s *Store) PutDOEM(name string, d *doem.Database) error {
 	if err := validName(name); err != nil {
 		return err
@@ -177,7 +185,7 @@ func (s *Store) PutDOEM(name string, d *doem.Database) error {
 		delete(s.stores, name)
 	}
 	segDir := filepath.Join(s.dir, name+segExt)
-	if err := os.RemoveAll(segDir); err != nil {
+	if err := wal.RemoveDir(segDir); err != nil {
 		return fmt.Errorf("lore: %w", err)
 	}
 	st, err := segment.Create(segDir, d, s.walOpt, s.segPol)
@@ -320,7 +328,9 @@ func (s *Store) GetDOEM(name string) (*doem.Database, error) {
 	return st.Replay()
 }
 
-// Delete removes a database (either kind) and its files.
+// Delete removes a database (either kind) and its files. A segment store
+// is first renamed aside (wal.RemoveDir), so a crash leaves the name with
+// its whole history or with none, never with a store Open refuses.
 func (s *Store) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -334,10 +344,10 @@ func (s *Store) Delete(name string) error {
 		st.Close()
 		delete(s.stores, name)
 	}
-	if err := os.Remove(filepath.Join(s.dir, name+oemExt)); err != nil && !os.IsNotExist(err) {
+	if err := wal.RemoveEntries(s.dir, name+oemExt); err != nil {
 		return fmt.Errorf("lore: %w", err)
 	}
-	if err := os.RemoveAll(filepath.Join(s.dir, name+segExt)); err != nil {
+	if err := wal.RemoveDir(filepath.Join(s.dir, name+segExt)); err != nil {
 		return fmt.Errorf("lore: %w", err)
 	}
 	return nil

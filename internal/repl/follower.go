@@ -233,8 +233,13 @@ func (n *Node) applySnapshot(f Frame) error {
 	if err := n.state.Restore(f.Payload); err != nil {
 		return fmt.Errorf("repl: restore snapshot: %w", err)
 	}
+	// The state now holds the snapshot; a log that failed to reset to it
+	// does not, and the two cannot be reconciled from here. Fatal, as in
+	// applyRecord: close the node; a restart rebuilds the state from the
+	// log.
 	if err := n.log.Reset(f.Payload, f.Seq); err != nil {
-		return err
+		n.closeLocked()
+		return fmt.Errorf("repl: reset oplog to snapshot %d (node closed): %w", f.Seq, err)
 	}
 	mSnapshotsApplied.Inc()
 	n.applied = f.Seq

@@ -3,10 +3,53 @@ package repl
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"strings"
 	"testing"
 )
+
+// DecodeFrame is the reference decoder the frame tests and
+// FuzzReplFrameDecode hold ReadFrame, the production stream decoder, to:
+// it parses the first frame in data, returning it (payload aliases data)
+// and the bytes consumed. maxPayload bounds the payload length a corrupt
+// prefix can claim.
+func DecodeFrame(data []byte, maxPayload int) (Frame, int, error) {
+	if len(data) < 1 {
+		return Frame{}, 0, fmt.Errorf("%w: empty", ErrBadFrame)
+	}
+	f := Frame{Type: data[0]}
+	off := 1
+	var fields [4]uint64
+	for i := range fields {
+		v, n := binary.Uvarint(data[off:])
+		if n <= 0 {
+			return Frame{}, 0, fmt.Errorf("%w: truncated header", ErrBadFrame)
+		}
+		fields[i] = v
+		off += n
+	}
+	f.Epoch, f.Seq, f.Commit = fields[0], fields[1], fields[2]
+	plen := fields[3]
+	if plen > uint64(maxPayload) {
+		return Frame{}, 0, fmt.Errorf("%w: payload length %d exceeds limit %d", ErrBadFrame, plen, maxPayload)
+	}
+	total := off + int(plen) + 4
+	if len(data) < total {
+		return Frame{}, 0, fmt.Errorf("%w: truncated payload", ErrBadFrame)
+	}
+	f.Payload = data[off : off+int(plen)]
+	sum := binary.LittleEndian.Uint32(data[total-4:])
+	if crc32.Checksum(data[:total-4], crcTable) != sum {
+		return Frame{}, 0, fmt.Errorf("%w: checksum mismatch", ErrBadFrame)
+	}
+	if len(f.Payload) == 0 {
+		f.Payload = nil
+	}
+	return f, total, nil
+}
 
 func sampleFrames() []Frame {
 	return []Frame{

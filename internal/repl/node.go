@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -264,14 +263,18 @@ func (n *Node) rebuildState() error {
 	if err := n.state.Reset(); err != nil {
 		return fmt.Errorf("repl: reset state: %w", err)
 	}
-	if pay, upTo, ok := n.log.LastCheckpoint(); ok && (upTo > 0 || len(pay) > 0) {
+	pay, upTo, ok, err := n.log.LastCheckpoint()
+	if err != nil {
+		return fmt.Errorf("repl: %w", err)
+	}
+	if ok && (upTo > 0 || len(pay) > 0) {
 		if err := n.state.Restore(pay); err != nil {
 			return fmt.Errorf("repl: restore the checkpoint in %s: %w", n.log.Dir(), err)
 		}
 		n.applied = upTo
 	}
 	maxEpoch := uint64(0)
-	err := n.log.Replay(func(seq uint64, payload []byte) error {
+	err = n.log.Replay(func(seq uint64, payload []byte) error {
 		repoch, name, data, err := DecodeOplogRecord(payload)
 		if err != nil {
 			return fmt.Errorf("repl: oplog record %d: %w", seq, err)
@@ -718,18 +721,15 @@ func (n *Node) Status() Status {
 	return st
 }
 
-// Epoch persistence: <dir>/EPOCH holds magic + uvarint epoch + CRC-32C,
-// written atomically (tmp + fsync + rename + dir fsync).
+// Epoch persistence: <dir>/EPOCH is wal.FrameFile("QREPLEP1", uvarint
+// epoch), written by wal.AtomicWrite.
 
 const epochFile = "EPOCH"
 
 var epochMagic = []byte("QREPLEP1")
 
 func saveEpoch(path string, epoch uint64) error {
-	buf := append([]byte(nil), epochMagic...)
-	buf = binary.AppendUvarint(buf, epoch)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, crcTable))
-	if err := wal.AtomicWrite(path, buf); err != nil {
+	if err := wal.AtomicWrite(path, wal.FrameFile(epochMagic, binary.AppendUvarint(nil, epoch))); err != nil {
 		return fmt.Errorf("repl: epoch: %w", err)
 	}
 	return nil
@@ -743,14 +743,11 @@ func loadEpoch(path string) (uint64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("repl: epoch: %w", err)
 	}
-	if len(data) < len(epochMagic)+1+4 || string(data[:len(epochMagic)]) != string(epochMagic) {
-		return 0, errors.New("repl: malformed epoch file")
+	body, err := wal.UnframeFile(epochMagic, data)
+	if err != nil {
+		return 0, fmt.Errorf("repl: epoch file %s: %w", path, err)
 	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != sum {
-		return 0, errors.New("repl: epoch file checksum mismatch")
-	}
-	epoch, vn := binary.Uvarint(body[len(epochMagic):])
+	epoch, vn := binary.Uvarint(body)
 	if vn <= 0 {
 		return 0, errors.New("repl: malformed epoch value")
 	}

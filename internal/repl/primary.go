@@ -63,7 +63,7 @@ func (n *Node) HandleConn(c net.Conn) {
 	// reset from a snapshot.
 	start := hello.Seq
 	needSnap := false
-	_, base, _ := n.log.LastCheckpoint()
+	base := n.log.CheckpointSeq()
 	switch {
 	case start > n.applied:
 		needSnap = true // follower ahead of us: divergent tail

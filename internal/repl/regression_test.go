@@ -206,6 +206,56 @@ func TestFollowerApplyFailureClosesNode(t *testing.T) {
 	requireSameDB(t, re.state, want.state, "db")
 }
 
+// TestFollowerSnapshotResetFailureClosesNode: a follower that restored the
+// primary's snapshot into its state but could not reset its oplog to it
+// holds a state its log does not carry. It must close instead of serving
+// that state and redialing; with the obstacle gone, a reopen reports the
+// position its log holds, and following again catches up.
+func TestFollowerSnapshotResetFailureClosesNode(t *testing.T) {
+	p := newTestNode(t, Config{ID: "p"})
+	if err := p.n.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	p.applySteps("db", 0, 30)
+	if err := p.n.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	p.applySteps("db", 30, 40)
+
+	dir := t.TempDir()
+	f := openTestNode(t, dir, Config{ID: "f"})
+	// A non-empty directory where the reset writes its checkpoint makes
+	// the reset fail.
+	obstacle := filepath.Join(dir, "oplog", "CHECKPOINT.tmp")
+	if err := os.MkdirAll(filepath.Join(obstacle, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.n.Follow(pipeDialer(p.n)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "follower closed", func() bool {
+		_, err := f.n.Apply("db", nil)
+		return errors.Is(err, ErrClosed)
+	})
+	f.n.Close()
+
+	if err := os.RemoveAll(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	re := openTestNode(t, dir, Config{ID: "f"})
+	if got, want := re.n.Status().Applied, re.n.log.LastSeq(); got != want {
+		t.Fatalf("applied after reopen = %d, log holds %d", got, want)
+	}
+	if _, err := re.state.GetDOEM("db"); err == nil {
+		t.Fatal("reopened follower state holds a database its log does not carry")
+	}
+	if err := re.n.Follow(pipeDialer(p.n)); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "follower catch-up", func() bool { return re.n.Status().Applied == 40 })
+	requireSameDB(t, re.state, p.state, "db")
+}
+
 // TestCheckpointBoundaryDivergence: a follower whose last record sits
 // exactly at the primary's checkpoint base — where the record bytes may
 // have been compacted away — must still be verified. A matching tip

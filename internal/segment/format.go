@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sort"
 
 	"repro/internal/change"
@@ -14,6 +13,7 @@ import (
 	"repro/internal/symbol"
 	"repro/internal/timestamp"
 	"repro/internal/value"
+	"repro/internal/wal"
 )
 
 // On-disk formats. A history directory holds:
@@ -33,11 +33,11 @@ import (
 // checkpoint, so a segment file beyond the count is a leftover of a seal
 // that never committed, and Open removes it.
 //
-// Every segment file carries a magic string and a trailing CRC-32C of
-// everything before it, and every file is written atomically (temp + fsync
-// + rename + directory fsync), mirroring the WAL checkpoint discipline: a
-// crash leaves either the old file, the new file, or an invisible temp file
-// — never a torn one the reader would trust. The .seg file is ground truth
+// Every segment file is framed by wal.FrameFile (a magic string and a
+// trailing CRC-32C of everything before it) and written atomically by
+// wal.AtomicWrite, the WAL checkpoint's own discipline: a crash leaves
+// either the old file, the new file, or an invisible temp file — never a
+// torn one the reader would trust. The .seg file is ground truth
 // for its interval; the .idx file is derived from it and rebuilt when it is
 // missing, damaged or does not match the checkpoint's bounds.
 //
@@ -53,8 +53,6 @@ var (
 	idxMagic  = []byte("DIDX1\n")
 	ckptMagic = []byte("DCKP1\n")
 )
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a missing or undecodable committed segment file, or
 // an undecodable tail checkpoint.
@@ -229,25 +227,6 @@ func (d *decoder) done() error {
 	return d.err
 }
 
-// seal wraps body in magic + CRC trailer.
-func sealFrame(magic, body []byte) []byte {
-	buf := append([]byte(nil), magic...)
-	buf = append(buf, body...)
-	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-}
-
-// openFrame validates magic and CRC and returns the body.
-func openFrame(magic, data []byte) ([]byte, error) {
-	if len(data) < len(magic)+4 || !bytes.Equal(data[:len(magic)], magic) {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
-	}
-	body, sum := data[:len(data)-4], binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, castagnoli) != sum {
-		return nil, fmt.Errorf("%w: checksum mismatch", ErrCorrupt)
-	}
-	return body[len(magic):], nil
-}
-
 // ---- segment (.seg) files ----
 
 func encodeSegData(s *segData) ([]byte, error) {
@@ -263,13 +242,13 @@ func encodeSegData(s *segData) ([]byte, error) {
 	for _, a := range s.orphans {
 		body = appendArc(body, a)
 	}
-	return sealFrame(segMagic, body), nil
+	return wal.FrameFile(segMagic, body), nil
 }
 
 func decodeSegData(data []byte) (*segData, error) {
-	body, err := openFrame(segMagic, data)
+	body, err := wal.UnframeFile(segMagic, data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	d := &decoder{b: body}
 	s := &segData{id: d.count("segment id"), start: d.time("start"), end: d.time("end")}
@@ -343,13 +322,13 @@ func encodeSegIndex(id int, start, end timestamp.Time, x *segIndex) []byte {
 			body = change.AppendTime(body, ann.At)
 		}
 	}
-	return sealFrame(idxMagic, body)
+	return wal.FrameFile(idxMagic, body)
 }
 
 func decodeSegIndex(data []byte) (id int, start, end timestamp.Time, x *segIndex, err error) {
-	body, err := openFrame(idxMagic, data)
+	body, err := wal.UnframeFile(idxMagic, data)
 	if err != nil {
-		return 0, start, end, nil, err
+		return 0, start, end, nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
 	d := &decoder{b: body}
 	id, start, end = d.count("index id"), d.time("start"), d.time("end")

@@ -37,9 +37,9 @@ func FuzzSegmentFiles(f *testing.F) {
 	if err := st.Seal(); err != nil {
 		f.Fatal(err)
 	}
-	payload, _, ok := st.tail.LastCheckpoint()
-	if !ok {
-		f.Fatal("no tail checkpoint")
+	payload, _, ok, err := st.tail.LastCheckpoint()
+	if err != nil || !ok {
+		f.Fatalf("no tail checkpoint: %v", err)
 	}
 	st.Close()
 	f.Add(payload)
@@ -55,10 +55,10 @@ func FuzzSegmentFiles(f *testing.F) {
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		for _, in := range [][]byte{data, sealFrame(segMagic, data)} {
+		for _, in := range [][]byte{data, wal.FrameFile(segMagic, data)} {
 			checkSegData(t, in)
 		}
-		for _, in := range [][]byte{data, sealFrame(idxMagic, data)} {
+		for _, in := range [][]byte{data, wal.FrameFile(idxMagic, data)} {
 			checkSegIndex(t, in)
 		}
 		for _, in := range [][]byte{data, append(slices.Clip(ckptMagic), data...)} {

@@ -182,7 +182,11 @@ func Open(dir string, opt *wal.Options, pol *Policy) (*Store, error) {
 // directory's segment files match it, and replays the tail records.
 func (s *Store) recover() (int, error) {
 	d := doem.New(oem.New())
-	if payload, _, ok := s.tail.LastCheckpoint(); ok {
+	payload, _, ok, err := s.tail.LastCheckpoint()
+	if err != nil {
+		return 0, fmt.Errorf("segment: %w", err)
+	}
+	if ok {
 		if !bytes.HasPrefix(payload, ckptMagic) {
 			return 0, fmt.Errorf("segment: the checkpoint in %s is in the layout of an older version, which is no longer read", s.tail.Dir())
 		}
@@ -208,7 +212,7 @@ func (s *Store) recover() (int, error) {
 		return 0, err
 	}
 	records := 0
-	err := replaySteps(s.tail, func(seq uint64, step change.Step) error {
+	err = replaySteps(s.tail, func(seq uint64, step change.Step) error {
 		if err := d.Apply(step.At, step.Ops); err != nil {
 			return fmt.Errorf("segment: replaying tail record %d: %w", seq, err)
 		}
@@ -262,10 +266,8 @@ func (s *Store) sweep() error {
 			return fmt.Errorf("%w: committed segment %s is missing", ErrCorrupt, filepath.Join(s.dir, segFileName(h.id)))
 		}
 	}
-	for _, name := range stale {
-		if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("segment: %w", err)
-		}
+	if err := wal.RemoveEntries(s.dir, stale...); err != nil {
+		return fmt.Errorf("segment: %w", err)
 	}
 	return nil
 }
@@ -623,14 +625,14 @@ func (s *Store) Truncate(t timestamp.Time) error {
 	s.seedRegistryFromActive()
 	s.dropStats()
 	s.updateGauges()
+	var names []string
 	for _, h := range removed {
-		for _, name := range []string{segFileName(h.id), idxFileName(h.id)} {
-			if err := os.Remove(filepath.Join(s.dir, name)); err != nil && !os.IsNotExist(err) {
-				return fmt.Errorf("segment: %w", err)
-			}
-		}
+		names = append(names, segFileName(h.id), idxFileName(h.id))
 	}
-	return syncDir(s.dir)
+	if err := wal.RemoveEntries(s.dir, names...); err != nil {
+		return fmt.Errorf("segment: %w", err)
+	}
+	return nil
 }
 
 // maintain releases the parsed indexes beyond Policy.MaxHot, least
@@ -809,18 +811,4 @@ func (s *Store) hotSegments() int {
 		}
 	}
 	return hot
-}
-
-// syncDir fsyncs a directory, so the entries removed from it stay
-// removed after a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("segment: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("segment: sync %s: %w", dir, err)
-	}
-	return nil
 }

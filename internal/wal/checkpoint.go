@@ -2,23 +2,23 @@ package wal
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 )
 
 // Checkpoints. A checkpoint is a single file holding an opaque snapshot
 // payload plus the sequence number of the last record the snapshot covers.
-// It is written atomically (temp file + fsync + rename + directory fsync),
-// so a crash leaves either the old or the new checkpoint, never a torn one.
-// After a checkpoint, segments containing only covered records are deleted:
-// the log's length is bounded by the data written since the last
-// checkpoint, which is the paper's Section 6.1 space-for-accuracy trade in
-// log-compaction form.
+// It is written atomically (AtomicWrite), so a crash leaves either the old
+// or the new checkpoint, never a torn one. After a checkpoint, segments
+// containing only covered records are deleted: the log's length is bounded
+// by the data written since the last checkpoint, which is the paper's
+// Section 6.1 space-for-accuracy trade in log-compaction form. The log
+// keeps only the covered sequence in memory; LastCheckpoint reads the
+// payload from the file.
 //
-// Layout: "WALCKPT1" magic, uvarint covered sequence, payload, and a
-// trailing CRC-32C of everything before it (4 bytes LE).
+// Layout: FrameFile("WALCKPT1", uvarint covered sequence ‖ payload).
 
 const checkpointName = "CHECKPOINT"
 
@@ -46,19 +46,13 @@ func (l *Log) Checkpoint(payload []byte, upTo uint64) error {
 }
 
 // installCheckpointLocked atomically writes the checkpoint file and updates
-// the in-memory checkpoint state. The caller holds l.mu.
+// the in-memory checkpoint sequence. The caller holds l.mu.
 func (l *Log) installCheckpointLocked(payload []byte, upTo uint64) error {
-	buf := append([]byte(nil), checkpointMagic...)
-	buf = binary.AppendUvarint(buf, upTo)
-	buf = append(buf, payload...)
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
-
-	if err := AtomicWrite(filepath.Join(l.dir, checkpointName), buf); err != nil {
+	body := append(binary.AppendUvarint(nil, upTo), payload...)
+	if err := AtomicWrite(filepath.Join(l.dir, checkpointName), FrameFile(checkpointMagic, body)); err != nil {
 		return fmt.Errorf("wal: checkpoint: %w", err)
 	}
 	l.ckptSeq = upTo
-	l.ckptData = append([]byte(nil), payload...)
-	l.hasCkpt = true
 	return nil
 }
 
@@ -68,106 +62,64 @@ func (l *Log) compactLocked() error {
 	// If even the newest records are covered, retire the active segment so
 	// it can be deleted too; the next append starts a fresh one.
 	if l.active != nil && l.seq <= l.ckptSeq {
-		if err := l.active.Sync(); err != nil {
+		if err := l.closeActive(); err != nil {
 			return fmt.Errorf("wal: compact: %w", err)
 		}
-		if err := l.active.Close(); err != nil {
-			return fmt.Errorf("wal: compact: %w", err)
-		}
-		l.active, l.activePath, l.activeSize = nil, "", 0
 	}
 	paths, firsts, err := l.listSegments()
 	if err != nil {
 		return err
 	}
-	removed := false
+	var covered []string
 	for i, path := range paths {
-		if path == l.activePath {
-			continue
-		}
 		// The last record of segment i is just before the next segment's
-		// first, or the log's last record for the final segment.
+		// first, or the log's last record for the final segment — the
+		// active one, which is never covered while it stays open.
 		last := l.seq
 		if i+1 < len(firsts) {
 			last = firsts[i+1] - 1
 		}
 		if last <= l.ckptSeq {
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("wal: compact: %w", err)
-			}
-			removed = true
+			covered = append(covered, filepath.Base(path))
 		}
 	}
-	if removed {
-		return syncDir(l.dir)
-	}
-	return nil
+	return RemoveEntries(l.dir, covered...)
 }
 
-// LastCheckpoint returns the current checkpoint payload and the sequence it
-// covers. ok is false when the log has no checkpoint.
-func (l *Log) LastCheckpoint() (payload []byte, upTo uint64, ok bool) {
+// CheckpointSeq returns the sequence the checkpoint covers (0 when the log
+// has none).
+func (l *Log) CheckpointSeq() uint64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if !l.hasCkpt {
-		return nil, 0, false
-	}
-	return append([]byte(nil), l.ckptData...), l.ckptSeq, true
+	return l.ckptSeq
 }
 
-// loadCheckpoint reads and validates the checkpoint file, if present.
-func (l *Log) loadCheckpoint() error {
-	data, err := os.ReadFile(filepath.Join(l.dir, checkpointName))
+// LastCheckpoint reads and verifies the checkpoint file, returning its
+// payload and the sequence it covers; ok is false when the log has no
+// checkpoint.
+func (l *Log) LastCheckpoint() (payload []byte, upTo uint64, ok bool, err error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return readCheckpoint(l.dir)
+}
+
+// readCheckpoint reads and verifies the checkpoint file in dir, if
+// present.
+func readCheckpoint(dir string) (payload []byte, upTo uint64, ok bool, err error) {
+	data, err := os.ReadFile(filepath.Join(dir, checkpointName))
 	if os.IsNotExist(err) {
-		return nil
+		return nil, 0, false, nil
 	}
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return nil, 0, false, fmt.Errorf("wal: %w", err)
 	}
-	n := len(data)
-	if n < len(checkpointMagic)+1+4 || string(data[:len(checkpointMagic)]) != string(checkpointMagic) {
-		return fmt.Errorf("wal: malformed checkpoint file")
-	}
-	body, sum := data[:n-4], binary.LittleEndian.Uint32(data[n-4:])
-	if crc32.Checksum(body, castagnoli) != sum {
-		return fmt.Errorf("wal: checkpoint checksum mismatch")
-	}
-	rest := body[len(checkpointMagic):]
-	seq, vn := binary.Uvarint(rest)
-	if vn <= 0 {
-		return fmt.Errorf("wal: malformed checkpoint sequence")
-	}
-	l.ckptSeq = seq
-	l.ckptData = append([]byte(nil), rest[vn:]...)
-	l.hasCkpt = true
-	return nil
-}
-
-// AtomicWrite replaces the file at path with data durably: it writes
-// path+".tmp", fsyncs it, renames it over path and fsyncs the directory,
-// so a crash leaves either the old file or the new one, never a torn one,
-// and a returned nil means the rename is on disk. It returns every error,
-// the directory's open and fsync included, and removes the temporary file
-// when it fails before the rename.
-func AtomicWrite(path string, data []byte) error {
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	body, err := UnframeFile(checkpointMagic, data)
 	if err != nil {
-		return fmt.Errorf("wal: %w", err)
+		return nil, 0, false, fmt.Errorf("wal: checkpoint file: %w", err)
 	}
-	_, err = f.Write(data)
-	if err == nil {
-		err = f.Sync()
+	upTo, n := binary.Uvarint(body)
+	if n <= 0 {
+		return nil, 0, false, errors.New("wal: malformed checkpoint sequence")
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, path)
-	}
-	if err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("wal: %w", err)
-	}
-	return syncDir(filepath.Dir(path))
+	return body[n:], upTo, true, nil
 }

@@ -1,6 +1,7 @@
 package wal
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/change"
@@ -44,6 +45,27 @@ func FuzzWALRecordDecode(f *testing.F) {
 				t.Fatalf("DecodeStep consumed %d of %d bytes", m, len(payload))
 			}
 			change.AppendStep(nil, step) // re-encode must not panic
+		}
+	})
+}
+
+// FuzzFileFrame: UnframeFile must reject or accept arbitrary bytes under
+// any magic without panicking, and a body it accepts must frame back to
+// the input.
+func FuzzFileFrame(f *testing.F) {
+	valid := FrameFile(checkpointMagic, []byte{7, 's', 'n', 'a', 'p'})
+	f.Add(checkpointMagic, valid)
+	f.Add(checkpointMagic, valid[:len(valid)-1]) // torn CRC
+	f.Add(checkpointMagic, valid[:len(checkpointMagic)])
+	f.Add([]byte("DSEG1\n"), valid) // wrong magic
+	f.Add([]byte{}, FrameFile(nil, nil))
+	f.Fuzz(func(t *testing.T, magic, data []byte) {
+		body, err := UnframeFile(magic, data)
+		if err != nil {
+			return
+		}
+		if again := FrameFile(magic, body); !bytes.Equal(again, data) {
+			t.Fatalf("accepted %x frames back to %x", data, again)
 		}
 	})
 }

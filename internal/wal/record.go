@@ -19,9 +19,6 @@ import (
 // most modern log formats; hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// frameOverhead is the fixed per-record framing cost in bytes.
-const frameOverhead = 8
-
 // maxRecordSize caps a single record body so corrupt length prefixes cannot
 // trigger huge allocations during recovery.
 const maxRecordSize = 1 << 28 // 256 MiB

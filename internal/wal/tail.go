@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sort"
 )
 
 // Tail-following reads. Replication streams records out of a live log while
@@ -41,7 +42,7 @@ var ErrCompacted = errors.New("wal: requested records compacted away")
 // maxBytes of payload (at least one record when any is available), plus the
 // last sequence present in the log at call time. It never blocks Append for
 // longer than the bound snapshot and is safe to call concurrently with
-// Append, Sync, and Checkpoint. A from of 0 is treated as 1.
+// Append and Checkpoint. A from of 0 is treated as 1.
 //
 // When from is covered by a checkpoint the records are gone from disk and
 // Records returns ErrCompacted.
@@ -61,24 +62,27 @@ func (l *Log) Records(from uint64, maxBytes int) (recs []Rec, last uint64, err e
 	if from <= base {
 		return nil, bound, ErrCompacted
 	}
-	if from > bound {
-		return nil, bound, nil
-	}
 	if maxBytes <= 0 {
 		maxBytes = 1 << 20
 	}
 	for attempt := 0; ; attempt++ {
-		recs, err := l.readRange(from, bound, maxBytes)
-		if err == nil {
+		// Lock-free: see the comment at the top of this file.
+		recs = nil
+		total := 0
+		err := l.scan(from, bound, func(seq uint64, payload []byte) error {
+			recs = append(recs, Rec{Seq: seq, Payload: payload})
+			if total += len(payload); total >= maxBytes {
+				return errFull
+			}
+			return nil
+		})
+		if err == nil || err == errFull {
 			return recs, bound, nil
 		}
 		if errors.Is(err, os.ErrNotExist) || errors.Is(err, ErrCompacted) {
 			// A concurrent checkpoint compacted under us: re-check where
 			// the log now begins.
-			l.mu.Lock()
-			base = l.ckptSeq
-			l.mu.Unlock()
-			if from <= base {
+			if from <= l.CheckpointSeq() {
 				return nil, bound, ErrCompacted
 			}
 			if attempt < 2 {
@@ -89,66 +93,58 @@ func (l *Log) Records(from uint64, maxBytes int) (recs []Rec, last uint64, err e
 	}
 }
 
-// readRange scans segment files for records in [from, bound], stopping at
-// the byte budget. Called without l.mu; see the package comment above for
-// why that is safe.
-func (l *Log) readRange(from, bound uint64, maxBytes int) ([]Rec, error) {
+// errFull ends a Records scan whose byte budget is spent.
+var errFull = errors.New("wal: records: budget spent")
+
+// scan is the log's one record reader: it calls fn, in sequence order, for
+// every record in [from, bound] and returns fn's first error as it is. The
+// records must be contiguous and reach bound; a gap, a bad frame or a
+// missing record is an error, and ErrCompacted reports that every segment
+// starts after from. Replay calls it under l.mu; Records without, bounded
+// by its LastSeq snapshot.
+func (l *Log) scan(from, bound uint64, fn func(seq uint64, payload []byte) error) error {
+	if from > bound {
+		return nil
+	}
 	paths, firsts, err := l.listSegments()
 	if err != nil {
-		return nil, err
+		return err
 	}
-	start := -1
-	for i := range firsts {
-		if firsts[i] <= from {
-			start = i
-		} else {
-			break
-		}
-	}
+	// The segment holding from is the last one that starts at or before it.
+	start := sort.Search(len(firsts), func(i int) bool { return firsts[i] > from }) - 1
 	if start < 0 {
-		// Every segment starts after from: the records were compacted away
-		// (or the log is corrupt, which recovery would have caught).
-		return nil, ErrCompacted
+		return ErrCompacted
 	}
-	var recs []Rec
-	total := 0
 	expect := firsts[start]
-	for i := start; i < len(paths); i++ {
-		if i > start && firsts[i] != expect {
-			return nil, fmt.Errorf("wal: records: segment gap at seq %d", expect)
+	for i := start; i < len(paths) && expect <= bound; i++ {
+		if firsts[i] != expect {
+			return fmt.Errorf("wal: segment gap at seq %d", expect)
 		}
 		data, err := os.ReadFile(paths[i])
 		if err != nil {
-			return nil, fmt.Errorf("wal: records: %w", err)
+			return fmt.Errorf("wal: %w", err)
 		}
-		off := 0
-		for off < len(data) && expect <= bound {
-			seq, payload, n, derr := decodeFrame(data[off:])
-			if derr != nil {
-				return nil, fmt.Errorf("wal: records: %s at offset %d: %w", filepath.Base(paths[i]), off, derr)
+		// Stop before the first frame past bound: it may be mid-write.
+		for off := 0; off < len(data) && expect <= bound; expect++ {
+			seq, payload, n, err := decodeFrame(data[off:])
+			if err != nil {
+				return fmt.Errorf("wal: %s at offset %d: %w", filepath.Base(paths[i]), off, err)
 			}
 			if seq != expect {
-				return nil, fmt.Errorf("wal: records: out-of-sequence record %d (want %d)", seq, expect)
+				return fmt.Errorf("wal: out-of-sequence record %d (want %d)", seq, expect)
 			}
 			off += n
-			expect = seq + 1
-			if seq < from {
-				continue
+			if seq >= from {
+				if err := fn(seq, payload); err != nil {
+					return err
+				}
 			}
-			recs = append(recs, Rec{Seq: seq, Payload: payload})
-			total += len(payload)
-			if total >= maxBytes {
-				return recs, nil
-			}
-		}
-		if expect > bound {
-			return recs, nil
 		}
 	}
 	if expect <= bound {
-		return nil, fmt.Errorf("wal: records: log ends at %d before bound %d", expect-1, bound)
+		return fmt.Errorf("wal: log ends at %d before bound %d", expect-1, bound)
 	}
-	return recs, nil
+	return nil
 }
 
 // Reset discards every record and installs checkpoint as the snapshot
@@ -172,21 +168,17 @@ func (l *Log) Reset(checkpoint []byte, upTo uint64) error {
 		// Contents are being discarded; close errors only matter for fd
 		// hygiene.
 		l.active.Close()
-		l.active, l.activePath, l.activeSize = nil, "", 0
+		l.active, l.activeSize = nil, 0
 	}
 	paths, _, err := l.listSegments()
 	if err != nil {
 		return err
 	}
-	for _, p := range paths {
-		if err := os.Remove(p); err != nil {
-			return fmt.Errorf("wal: reset: %w", err)
-		}
+	for i, p := range paths {
+		paths[i] = filepath.Base(p)
 	}
-	if len(paths) > 0 {
-		if err := syncDir(l.dir); err != nil {
-			return err
-		}
+	if err := RemoveEntries(l.dir, paths...); err != nil {
+		return err
 	}
 	if err := l.installCheckpointLocked(checkpoint, upTo); err != nil {
 		return err

@@ -23,7 +23,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -38,9 +37,9 @@ type SyncPolicy uint8
 const (
 	// SyncAlways fsyncs after every append (durable, slowest).
 	SyncAlways SyncPolicy = iota
-	// SyncInterval fsyncs at most once per Options.SyncEvery, piggybacked
-	// on appends; a crash can lose the records since the last sync, but
-	// recovery still yields a valid prefix.
+	// SyncInterval fsyncs at most once per syncInterval (100ms),
+	// piggybacked on appends; a crash can lose the records since the last
+	// sync, but recovery still yields a valid prefix.
 	SyncInterval
 	// SyncNever leaves syncing to the OS (fastest; crash loses the OS
 	// write-back window).
@@ -55,10 +54,10 @@ type Options struct {
 	SegmentSize int64
 	// Sync is the fsync policy. Default SyncAlways.
 	Sync SyncPolicy
-	// SyncEvery is the maximum time between fsyncs under SyncInterval.
-	// Default 100ms.
-	SyncEvery time.Duration
 }
+
+// syncInterval is the longest time between fsyncs under SyncInterval.
+const syncInterval = 100 * time.Millisecond
 
 func (o *Options) withDefaults() Options {
 	var opt Options
@@ -67,9 +66,6 @@ func (o *Options) withDefaults() Options {
 	}
 	if opt.SegmentSize <= 0 {
 		opt.SegmentSize = 4 << 20
-	}
-	if opt.SyncEvery <= 0 {
-		opt.SyncEvery = 100 * time.Millisecond
 	}
 	return opt
 }
@@ -83,13 +79,10 @@ type Log struct {
 	opt Options
 
 	mu         sync.Mutex
-	active     *os.File // nil until the first append after Open/Checkpoint
-	activePath string
+	active     *os.File // the last segment; nil until the first append after Open/Checkpoint
 	activeSize int64
 	seq        uint64 // sequence of the last appended record (0 = none yet)
 	ckptSeq    uint64 // records with seq <= ckptSeq are covered by the checkpoint
-	ckptData   []byte
-	hasCkpt    bool
 	lastSync   time.Time
 	closed     bool
 }
@@ -104,23 +97,25 @@ func Open(dir string, opt *Options) (*Log, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{dir: dir, opt: opt.withDefaults()}
-	if err := l.loadCheckpoint(); err != nil {
+	_, ckptSeq, _, err := readCheckpoint(dir)
+	if err != nil {
 		return nil, err
 	}
+	l := &Log{dir: dir, opt: opt.withDefaults(), ckptSeq: ckptSeq}
 	if err := l.recoverSegments(); err != nil {
 		return nil, err
 	}
 	return l, nil
 }
 
-// segmentPath names the segment whose first record has sequence firstSeq.
-func (l *Log) segmentPath(firstSeq uint64) string {
-	return filepath.Join(l.dir, fmt.Sprintf("%016x%s", firstSeq, segmentExt))
+// segmentName names the segment whose first record has sequence firstSeq.
+func segmentName(firstSeq uint64) string {
+	return fmt.Sprintf("%016x%s", firstSeq, segmentExt)
 }
 
-// listSegments returns the segment file names in ascending first-sequence
-// order, with their parsed first sequences.
+// listSegments returns the segment files' paths in ascending
+// first-sequence order, with their parsed first sequences: os.ReadDir
+// sorts by name, and segment names are fixed-width hex.
 func (l *Log) listSegments() ([]string, []uint64, error) {
 	entries, err := os.ReadDir(l.dir)
 	if err != nil {
@@ -129,31 +124,14 @@ func (l *Log) listSegments() ([]string, []uint64, error) {
 	var paths []string
 	var firsts []uint64
 	for _, ent := range entries {
-		name := ent.Name()
-		if !strings.HasSuffix(name, segmentExt) {
-			continue
-		}
-		first, err := strconv.ParseUint(strings.TrimSuffix(name, segmentExt), 16, 64)
-		if err != nil {
+		first, err := strconv.ParseUint(strings.TrimSuffix(ent.Name(), segmentExt), 16, 64)
+		if err != nil || ent.Name() != segmentName(first) {
 			continue // not one of ours
 		}
-		paths = append(paths, filepath.Join(l.dir, name))
+		paths = append(paths, filepath.Join(l.dir, ent.Name()))
 		firsts = append(firsts, first)
 	}
-	sort.Sort(&segmentSort{paths, firsts})
 	return paths, firsts, nil
-}
-
-type segmentSort struct {
-	paths  []string
-	firsts []uint64
-}
-
-func (s *segmentSort) Len() int           { return len(s.paths) }
-func (s *segmentSort) Less(i, j int) bool { return s.firsts[i] < s.firsts[j] }
-func (s *segmentSort) Swap(i, j int) {
-	s.paths[i], s.paths[j] = s.paths[j], s.paths[i]
-	s.firsts[i], s.firsts[j] = s.firsts[j], s.firsts[i]
 }
 
 // recoverSegments scans the segments, validating every frame. On the first
@@ -168,27 +146,20 @@ func (l *Log) recoverSegments() error {
 	}
 	l.seq = l.ckptSeq
 	var torn bool
-	var keptPath string // last segment kept on disk
+	var dropped []string // segments after a tear or a gap
+	var kept string      // last segment kept on disk
 	for i, path := range paths {
-		if torn {
-			// Everything after a tear is unreachable garbage.
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("wal: dropping post-tear segment: %w", err)
-			}
+		if torn || firsts[i] > l.seq+1 {
+			// Everything after a tear is unreachable garbage, and nothing
+			// after a gap (a lost file) can be a contiguous extension of
+			// the prefix.
+			torn = true
+			dropped = append(dropped, filepath.Base(path))
 			continue
 		}
 		data, err := os.ReadFile(path)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
-		}
-		if firsts[i] > l.seq+1 {
-			// A gap before this segment (a lost file): nothing at or
-			// after it can be a contiguous extension of the prefix.
-			torn = true
-			if err := os.Remove(path); err != nil {
-				return fmt.Errorf("wal: dropping post-gap segment: %w", err)
-			}
-			continue
 		}
 		expect := firsts[i]
 		off := 0
@@ -210,11 +181,14 @@ func (l *Log) recoverSegments() error {
 				l.seq = last
 			}
 		}
-		keptPath = path
+		kept = path
 	}
-	if keptPath != "" {
+	if err := RemoveEntries(l.dir, dropped...); err != nil {
+		return err
+	}
+	if kept != "" {
 		// Reopen the last surviving segment for appending.
-		f, err := os.OpenFile(keptPath, os.O_WRONLY|os.O_APPEND, 0o644)
+		f, err := os.OpenFile(kept, os.O_WRONLY|os.O_APPEND, 0o644)
 		if err != nil {
 			return fmt.Errorf("wal: %w", err)
 		}
@@ -223,12 +197,7 @@ func (l *Log) recoverSegments() error {
 			f.Close()
 			return fmt.Errorf("wal: %w", err)
 		}
-		l.active, l.activePath, l.activeSize = f, keptPath, st.Size()
-	}
-	if torn {
-		if err := syncDir(l.dir); err != nil {
-			return err
-		}
+		l.active, l.activeSize = f, st.Size()
 	}
 	return nil
 }
@@ -275,18 +244,11 @@ func (l *Log) AppendBatch(payloads [][]byte) (uint64, error) {
 		l.seq++
 		mBytes.Add(int64(len(frame)))
 	}
-	switch l.opt.Sync {
-	case SyncAlways:
+	if l.opt.Sync == SyncAlways || l.opt.Sync == SyncInterval && time.Since(l.lastSync) >= syncInterval {
 		if err := l.syncActive(); err != nil {
 			return 0, fmt.Errorf("wal: sync: %w", err)
 		}
-	case SyncInterval:
-		if time.Since(l.lastSync) >= l.opt.SyncEvery {
-			if err := l.syncActive(); err != nil {
-				return 0, fmt.Errorf("wal: sync: %w", err)
-			}
-			l.lastSync = time.Now()
-		}
+		l.lastSync = time.Now()
 	}
 	mAppends.Add(int64(len(payloads)))
 	mAppendNs.ObserveSince(start)
@@ -300,16 +262,11 @@ func (l *Log) rotateIfNeeded(frameLen int64) error {
 		return nil
 	}
 	if l.active != nil {
-		if err := l.active.Sync(); err != nil {
+		if err := l.closeActive(); err != nil {
 			return fmt.Errorf("wal: rotate: %w", err)
 		}
-		if err := l.active.Close(); err != nil {
-			return fmt.Errorf("wal: rotate: %w", err)
-		}
-		l.active = nil
 	}
-	path := l.segmentPath(l.seq + 1)
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	f, err := os.OpenFile(filepath.Join(l.dir, segmentName(l.seq+1)), os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
 	if err != nil {
 		return fmt.Errorf("wal: rotate: %w", err)
 	}
@@ -318,25 +275,19 @@ func (l *Log) rotateIfNeeded(frameLen int64) error {
 		return err
 	}
 	mSegments.Inc()
-	l.active, l.activePath, l.activeSize = f, path, 0
+	l.active, l.activeSize = f, 0
 	return nil
 }
 
-// Sync forces buffered appends to stable storage.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
+// closeActive syncs and closes the active segment; the next append starts
+// a fresh one. The caller holds l.mu and has checked l.active != nil.
+func (l *Log) closeActive() error {
+	err := l.active.Sync()
+	if cerr := l.active.Close(); err == nil {
+		err = cerr
 	}
-	if l.active == nil {
-		return nil
-	}
-	if err := l.syncActive(); err != nil {
-		return fmt.Errorf("wal: sync: %w", err)
-	}
-	l.lastSync = time.Now()
-	return nil
+	l.active, l.activeSize = nil, 0
+	return err
 }
 
 // Close syncs and closes the log. Further appends fail with ErrClosed.
@@ -350,13 +301,7 @@ func (l *Log) Close() error {
 	if l.active == nil {
 		return nil
 	}
-	if err := l.active.Sync(); err != nil {
-		l.active.Close()
-		return fmt.Errorf("wal: close: %w", err)
-	}
-	err := l.active.Close()
-	l.active = nil
-	if err != nil {
+	if err := l.closeActive(); err != nil {
 		return fmt.Errorf("wal: close: %w", err)
 	}
 	return nil
@@ -387,46 +332,8 @@ func (l *Log) Replay(fn func(seq uint64, payload []byte) error) error {
 	if l.closed {
 		return ErrClosed
 	}
-	paths, _, err := l.listSegments()
-	if err != nil {
-		return err
-	}
-	for _, path := range paths {
-		data, err := os.ReadFile(path)
-		if err != nil {
-			return fmt.Errorf("wal: replay: %w", err)
-		}
-		off := 0
-		for off < len(data) {
-			seq, payload, n, err := decodeFrame(data[off:])
-			if err != nil {
-				return fmt.Errorf("wal: replay %s at offset %d: %w", filepath.Base(path), off, err)
-			}
-			off += n
-			if seq <= l.ckptSeq {
-				continue
-			}
-			if err := fn(seq, payload); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+	return l.scan(l.ckptSeq+1, l.seq, fn)
 }
 
 // Dir returns the log directory.
 func (l *Log) Dir() string { return l.dir }
-
-// syncDir fsyncs a directory so entry creations, renames, and removals
-// survive a crash.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("wal: sync dir: %w", err)
-	}
-	defer d.Close()
-	if err := d.Sync(); err != nil {
-		return fmt.Errorf("wal: sync dir: %w", err)
-	}
-	return nil
-}

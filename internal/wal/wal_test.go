@@ -53,8 +53,11 @@ func checkpointDOEM(l *Log, d *doem.Database) error {
 // one without a checkpoint) with every later step applied.
 func replayDOEM(l *Log) (*doem.Database, error) {
 	d := doem.New(oem.New())
-	if payload, _, ok := l.LastCheckpoint(); ok {
-		var err error
+	payload, _, ok, err := l.LastCheckpoint()
+	if err != nil {
+		return nil, err
+	}
+	if ok {
 		if d, _, err = doem.Decode(payload); err != nil {
 			return nil, err
 		}
@@ -246,9 +249,6 @@ func TestClosedLogErrors(t *testing.T) {
 	}
 	if _, err := l.Append(nil); !errors.Is(err, ErrClosed) {
 		t.Errorf("Append on closed log: %v", err)
-	}
-	if err := l.Sync(); !errors.Is(err, ErrClosed) {
-		t.Errorf("Sync on closed log: %v", err)
 	}
 	if err := l.Replay(func(uint64, []byte) error { return nil }); !errors.Is(err, ErrClosed) {
 		t.Errorf("Replay on closed log: %v", err)
