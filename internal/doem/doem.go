@@ -293,6 +293,16 @@ func (d *Database) NodeAnnots(n oem.NodeID) []NodeAnnot { return d.nodeAnn[n] }
 // ArcAnnots returns the annotations on arc a in timestamp order.
 func (d *Database) ArcAnnots(a oem.Arc) []ArcAnnot { return d.arcAnn[a] }
 
+// ArcAnnotsIn returns the annotations on arc a whose time lies in the
+// closed window [from, to], in timestamp order. The slice is the
+// database's own and must not be modified.
+func (d *Database) ArcAnnotsIn(a oem.Arc, from, to timestamp.Time) []ArcAnnot {
+	anns := d.arcAnn[a]
+	lo := sort.Search(len(anns), func(i int) bool { return !anns[i].At.Before(from) })
+	hi := sort.Search(len(anns), func(i int) bool { return anns[i].At.After(to) })
+	return anns[lo:max(lo, hi)]
+}
+
 // CreTime implements the paper's creFun: the creation timestamp of n, if n
 // carries a cre annotation.
 func (d *Database) CreTime(n oem.NodeID) (timestamp.Time, bool) {
@@ -310,6 +320,17 @@ func (d *Database) CreTime(n oem.NodeID) (timestamp.Time, bool) {
 // node's current value. The slice is the database's own and must not be
 // modified.
 func (d *Database) UpdTriples(n oem.NodeID) []UpdInfo { return d.upds[n] }
+
+// UpdTriplesIn returns the triples of UpdTriples(n) whose time lies in the
+// closed window [from, to]. Each keeps its new value, so the last one's is
+// n's value at to. The slice is the database's own and must not be
+// modified.
+func (d *Database) UpdTriplesIn(n oem.NodeID, from, to timestamp.Time) []UpdInfo {
+	ups := d.upds[n]
+	lo := sort.Search(len(ups), func(i int) bool { return !ups[i].At.Before(from) })
+	hi := sort.Search(len(ups), func(i int) bool { return ups[i].At.After(to) })
+	return ups[lo:max(lo, hi)]
+}
 
 // AddEvents implements the paper's addFun(n, l): (t, c) pairs such that the
 // arc (n, l, c) carries an add(t) annotation.

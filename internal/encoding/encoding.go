@@ -24,6 +24,7 @@ import (
 
 	"repro/internal/doem"
 	"repro/internal/oem"
+	"repro/internal/timestamp"
 	"repro/internal/value"
 )
 
@@ -111,7 +112,7 @@ func Encode(d *doem.Database) *Encoding {
 		}
 
 		// &upd, one complex child per annotation, with &time, &ov, &nv.
-		for _, u := range d.UpdTriples(id) {
+		for _, u := range d.UpdTriplesIn(id, timestamp.NegInf, timestamp.PosInf) {
 			un := out.CreateNode(value.Complex())
 			mustAdd(out, eid, LabelUpd, un)
 			tn := out.CreateNode(value.Time(u.At))
@@ -133,7 +134,7 @@ func Encode(d *doem.Database) *Encoding {
 			hn := out.CreateNode(value.Complex())
 			mustAdd(out, eid, HistoryLabel(a.Label), hn)
 			mustAdd(out, hn, LabelTarget, enc.Fwd[a.Child])
-			for _, ann := range d.ArcAnnots(a) {
+			for _, ann := range d.ArcAnnotsIn(a, timestamp.NegInf, timestamp.PosInf) {
 				var l string
 				if ann.Kind == doem.AnnotAdd {
 					l = LabelAdd

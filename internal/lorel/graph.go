@@ -36,10 +36,14 @@ type Graph interface {
 	OutAll(n oem.NodeID) []oem.Arc
 	// CreTime returns n's creation annotation, if any.
 	CreTime(n oem.NodeID) (timestamp.Time, bool)
-	// UpdTriples returns n's upd annotations with derived new values.
-	UpdTriples(n oem.NodeID) []doem.UpdInfo
-	// ArcAnnots returns the annotations on arc a in timestamp order.
-	ArcAnnots(a oem.Arc) []doem.ArcAnnot
+	// UpdTriplesIn returns n's upd annotations whose time lies in the
+	// closed window [from, to], in timestamp order, with derived new
+	// values: each one's is the old value of the next upd, so the last
+	// one's is n's value at to (its current value when no upd follows).
+	UpdTriplesIn(n oem.NodeID, from, to timestamp.Time) []doem.UpdInfo
+	// ArcAnnotsIn returns the annotations on arc a whose time lies in the
+	// closed window [from, to], in timestamp order.
+	ArcAnnotsIn(a oem.Arc, from, to timestamp.Time) []doem.ArcAnnot
 	// ArcLiveAt reports whether arc a existed at time t.
 	ArcLiveAt(a oem.Arc, t timestamp.Time) bool
 	// ValueAt returns the value of n at time t.
@@ -100,11 +104,15 @@ func (g OEMGraph) CreTime(oem.NodeID) (timestamp.Time, bool) {
 	return timestamp.Time{}, false
 }
 
-// UpdTriples implements Graph: plain OEM has no annotations.
-func (g OEMGraph) UpdTriples(oem.NodeID) []doem.UpdInfo { return nil }
+// UpdTriplesIn implements Graph: plain OEM has no annotations.
+func (g OEMGraph) UpdTriplesIn(oem.NodeID, timestamp.Time, timestamp.Time) []doem.UpdInfo {
+	return nil
+}
 
-// ArcAnnots implements Graph: plain OEM has no annotations.
-func (g OEMGraph) ArcAnnots(oem.Arc) []doem.ArcAnnot { return nil }
+// ArcAnnotsIn implements Graph: plain OEM has no annotations.
+func (g OEMGraph) ArcAnnotsIn(oem.Arc, timestamp.Time, timestamp.Time) []doem.ArcAnnot {
+	return nil
+}
 
 // ArcLiveAt implements Graph: without history, an arc is considered to have
 // always existed.

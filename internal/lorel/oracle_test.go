@@ -286,7 +286,7 @@ func oracleStep(cur oracleMatch, s *PathStep, outer func(string) (binding, bool)
 				out = append(out, withVar(m, ann.AtVar, value.Time(ct)))
 			}
 		case ann.Op == OpUpd:
-			for _, u := range g.UpdTriples(n) {
+			for _, u := range g.UpdTriplesIn(n, timestamp.NegInf, timestamp.PosInf) {
 				out = append(out, withVar(withVar(withVar(m, ann.AtVar, value.Time(u.At)), ann.FromVar, u.Old), ann.ToVar, u.New))
 			}
 		case ann.Op == OpAt:
@@ -322,7 +322,7 @@ func oracleStep(cur oracleMatch, s *PathStep, outer func(string) (binding, bool)
 	case s.Arc.Op == OpAdd || s.Arc.Op == OpRem:
 		kind := map[AnnotOp]doem.AnnotKind{OpAdd: doem.AnnotAdd, OpRem: doem.AnnotRem}[s.Arc.Op]
 		for _, a := range g.OutAll(b.id) {
-			for _, ann := range g.ArcAnnots(a) {
+			for _, ann := range g.ArcAnnotsIn(a, timestamp.NegInf, timestamp.PosInf) {
 				if ann.Kind == kind && oracleLabel(s.Label, s.Quoted, a.Label) {
 					reach(withVar(cur, s.Arc.AtVar, value.Time(ann.At)), a.Child, s.Node)
 				}

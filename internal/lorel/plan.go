@@ -1,6 +1,8 @@
 package lorel
 
 import (
+	"slices"
+
 	"repro/internal/plan"
 	"repro/internal/timestamp"
 	"repro/internal/value"
@@ -40,6 +42,10 @@ type prepared struct {
 	// position, so a comparison against a time reads it instead of
 	// re-parsing the literal for every binding.
 	litTimes map[*ConstExpr]timeMemo
+	// windows holds the where bounds of annotation generator steps
+	// (window.go); each evaluation resolves them when it prepares the
+	// step's walker.
+	windows []stepWindow
 
 	// Staleness pins: per consulted database, its identity tag and stats
 	// version at prepare time, plus head names that did not resolve
@@ -128,7 +134,8 @@ func (e *Engine) PlanDescription(src string) ([]string, error) {
 	if !ev.planning {
 		return []string{"planner: disabled (Engine.SetPlanning); written-order evaluation"}, nil
 	}
-	return e.planFor(ev, q).plan.Notes, nil
+	pr := e.planFor(ev, q)
+	return append(slices.Clip(pr.plan.Notes), ev.windowNotes(pr)...), nil
 }
 
 // prepareQuery extracts, validates and plans one canonical query against
@@ -153,6 +160,7 @@ func prepareQuery(q *Query, graphs map[string]Graph) (pr *prepared, planned bool
 			conjs:      conjuncts(q.Where),
 			constTimes: b.consts,
 			litTimes:   b.lits,
+			windows:    annotWindows(q),
 		}
 	} else {
 		pr = writtenOrder(q)
@@ -175,7 +183,7 @@ func writtenOrder(q *Query) *prepared {
 	for i := range pl.Order {
 		pl.Order[i] = i
 	}
-	pr := &prepared{plan: pl, gens: gens}
+	pr := &prepared{plan: pl, gens: gens, windows: annotWindows(q)}
 	if q.Where != nil {
 		pr.conjs = []Expr{q.Where}
 		pl.Push[n] = []int{0}

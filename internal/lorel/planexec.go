@@ -1,6 +1,7 @@
 package lorel
 
 import (
+	"slices"
 	"sort"
 	"strings"
 )
@@ -100,6 +101,13 @@ func (x *plannedExec) applyPush(p int) (bool, error) {
 func (x *plannedExec) prepare(gi int, next func() error) *pathWalker {
 	g, en := x.gens[gi], &x.ev.env
 	w := x.ev.newWalker(g.Path)
+	for _, sw := range x.pr.windows {
+		if i := slices.Index(g.Path.Steps, sw.step); i >= 0 {
+			if win, ok := x.ev.resolveWindow(sw); ok {
+				w.steps[i].from, w.steps[i].to = win.closed()
+			}
+		}
+	}
 	w.yield = func(b binding) error {
 		x.actual[gi]++
 		x.idx[gi]++

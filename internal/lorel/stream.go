@@ -61,6 +61,10 @@ type stepCtx struct {
 	symOK bool   // sym resolved: the label is interned
 	canon string // canonical pattern for equality scans
 
+	// from and to close the window of annotation times the step reads
+	// (see window.go); everything unless a where bound narrowed it.
+	from, to timestamp.Time
+
 	// unique: expanding one binding through this step reaches each node at
 	// most once. OEM arcs are a set, so one parent has one (label, child)
 	// arc: an exact label cannot repeat a child, and closures and groups
@@ -96,6 +100,7 @@ const seenScan = 8
 func (st *stepCtx) init(s *PathStep) {
 	st.step = s
 	st.binds = stepBindsVars(s)
+	st.from, st.to = timestamp.NegInf, timestamp.PosInf
 	st.unique = true
 	if s.Group == nil && !s.Hash {
 		st.exact = exactLabel(s)
@@ -329,7 +334,7 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 			if !st.match(a.Label) {
 				continue
 			}
-			for _, ann := range g.ArcAnnots(a) {
+			for _, ann := range g.ArcAnnotsIn(a, st.from, st.to) {
 				if ann.Kind != wantKind {
 					continue
 				}
@@ -374,7 +379,8 @@ func (w *pathWalker) child(cur binding, depth int, id oem.NodeID, asOf *timestam
 		cur.hasAsOf = true
 		cur.asOf = *asOf
 	}
-	ann := w.steps[depth].step.Node
+	st := &w.steps[depth]
+	ann := st.step.Node
 	if ann == nil {
 		return w.deliver(cur, depth)
 	}
@@ -393,7 +399,7 @@ func (w *pathWalker) child(cur binding, depth int, id oem.NodeID, asOf *timestam
 		en.release(m)
 		return err
 	case OpUpd:
-		for _, u := range w.g.UpdTriples(id) {
+		for _, u := range w.g.UpdTriplesIn(id, st.from, st.to) {
 			m := en.mark()
 			if ann.AtVar != "" {
 				en.bind(ann.AtVar, valueBinding(value.Time(u.At)))

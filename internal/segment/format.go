@@ -2,10 +2,13 @@ package segment
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/change"
 	"repro/internal/doem"
@@ -83,15 +86,71 @@ type segData struct {
 	orphans    []oem.Arc
 }
 
-// segIndex is the queryable annotation index of one sealed segment:
-// time-sorted upd chains per node, add/rem chains per arc, and the complete
-// set of arcs live at the segment's start (so liveness questions about any
-// instant inside the interval resolve against this one segment).
+// segIndex is the queryable annotation index of one sealed segment, in
+// three sections sorted by key and looked up by binary search: the
+// complete set of arcs live at the segment's start (so liveness questions
+// about any instant inside the interval resolve against this one segment),
+// the time-sorted upd chains keyed by node, and the add/rem chains keyed by
+// arc. It holds no map: a load decodes the file's sections, which are
+// already in this order, into a few flat slices.
 type segIndex struct {
-	upd         map[oem.NodeID][]doem.NodeAnnot
-	arcs        map[oem.Arc][]doem.ArcAnnot
-	liveAtStart map[oem.Arc]bool
+	live []oem.Arc // ascending by compareArcs
+	upd  section[oem.NodeID, updAnnot]
+	arcs section[oem.Arc, doem.ArcAnnot]
 }
+
+// updAnnot is one upd annotation of a sealed chain: its time and the old
+// value it recorded.
+type updAnnot struct {
+	At  timestamp.Time
+	Old value.Value
+}
+
+// section is a sorted map from keys to annotation chains: keys strictly
+// increasing, and chain i is vals[end[i-1]:end[i]] (from 0 for the first).
+type section[K, V any] struct {
+	keys []K
+	end  []int
+	vals []V
+}
+
+// add appends key k's chain; k must sort after every key added so far.
+func (s *section[K, V]) add(k K, chain []V) {
+	s.keys = append(s.keys, k)
+	s.vals = append(s.vals, chain...)
+	s.end = append(s.end, len(s.vals))
+}
+
+// chain returns the chain of the key at position i.
+func (s *section[K, V]) chain(i int) []V {
+	lo := 0
+	if i > 0 {
+		lo = s.end[i-1]
+	}
+	return s.vals[lo:s.end[i]:s.end[i]]
+}
+
+// find returns k's chain (nil when k has none), by binary search.
+func (s *section[K, V]) find(k K, cmp func(K, K) int) []V {
+	i, ok := slices.BinarySearchFunc(s.keys, k, cmp)
+	if !ok {
+		return nil
+	}
+	return s.chain(i)
+}
+
+// liveAtStart reports whether a was live at the segment's start.
+func (x *segIndex) liveAtStart(a oem.Arc) bool {
+	_, ok := slices.BinarySearchFunc(x.live, a, compareArcs)
+	return ok
+}
+
+// updChain returns node n's upd annotations in this segment, in time order.
+func (x *segIndex) updChain(n oem.NodeID) []updAnnot { return x.upd.find(n, cmp.Compare[oem.NodeID]) }
+
+// arcChain returns arc a's add/rem annotations in this segment, in time
+// order.
+func (x *segIndex) arcChain(a oem.Arc) []doem.ArcAnnot { return x.arcs.find(a, compareArcs) }
 
 // summary is what sealed history contributes to the store's answers without
 // a segment file being read: the global arc registry (every arc ever, per
@@ -133,8 +192,9 @@ func appendArc(dst []byte, a oem.Arc) []byte {
 // The first failure sticks: later reads return zero values and read
 // nothing, and err is that failure as ErrCorrupt.
 type decoder struct {
-	b   []byte
-	err error
+	b      []byte
+	err    error
+	labels []string // distinct arc labels read so far (see label)
 }
 
 func (d *decoder) fail(what string, cause error) {
@@ -201,8 +261,35 @@ func (d *decoder) str(what string) string {
 
 func (d *decoder) arc() oem.Arc {
 	p := d.uvarint("arc parent")
-	l := d.str("arc label")
+	l := d.label()
 	return oem.Arc{Parent: oem.NodeID(p), Label: l, Child: oem.NodeID(d.uvarint("arc child"))}
+}
+
+// maxSharedLabels bounds the labels a decoder remembers for sharing; a
+// label first read after the bound is allocated for every arc.
+const maxSharedLabels = 64
+
+// label reads an arc label. A file repeats a few labels over all its arcs,
+// so each distinct label is allocated once per decoder and shared by every
+// arc that carries it.
+func (d *decoder) label() string {
+	l, n := binary.Uvarint(d.b)
+	if n <= 0 || l > uint64(len(d.b)-n) {
+		d.fail("arc label", nil)
+		return ""
+	}
+	raw := d.b[n : n+int(l)]
+	d.b = d.b[n+int(l):]
+	for _, s := range d.labels {
+		if s == string(raw) {
+			return s
+		}
+	}
+	s := string(raw)
+	if len(d.labels) < maxSharedLabels {
+		d.labels = append(d.labels, s)
+	}
+	return s
 }
 
 // arcKind reads an add (0) or rem (1) byte.
@@ -276,55 +363,41 @@ func encodeSegIndex(id int, start, end timestamp.Time, x *segIndex) []byte {
 	body = binary.AppendUvarint(body, uint64(id))
 	body = change.AppendTime(body, start)
 	body = change.AppendTime(body, end)
-
-	live := make([]oem.Arc, 0, len(x.liveAtStart))
-	for a := range x.liveAtStart {
-		live = append(live, a)
-	}
-	sortArcs(live)
-	body = binary.AppendUvarint(body, uint64(len(live)))
-	for _, a := range live {
+	body = binary.AppendUvarint(body, uint64(len(x.live)))
+	for _, a := range x.live {
 		body = appendArc(body, a)
 	}
-
-	nodes := make([]oem.NodeID, 0, len(x.upd))
-	for n := range x.upd {
-		nodes = append(nodes, n)
-	}
-	sort.Slice(nodes, func(i, j int) bool { return nodes[i] < nodes[j] })
-	body = binary.AppendUvarint(body, uint64(len(nodes)))
-	for _, n := range nodes {
-		chain := x.upd[n]
-		body = binary.AppendUvarint(body, uint64(n))
-		body = binary.AppendUvarint(body, uint64(len(chain)))
-		for _, a := range chain {
-			body = change.AppendTime(body, a.At)
-			body = change.AppendValue(body, a.Old)
-		}
-	}
-
-	arcs := make([]oem.Arc, 0, len(x.arcs))
-	for a := range x.arcs {
-		arcs = append(arcs, a)
-	}
-	sortArcs(arcs)
-	body = binary.AppendUvarint(body, uint64(len(arcs)))
-	for _, a := range arcs {
-		chain := x.arcs[a]
-		body = appendArc(body, a)
-		body = binary.AppendUvarint(body, uint64(len(chain)))
-		for _, ann := range chain {
-			if ann.Kind == doem.AnnotAdd {
-				body = append(body, 0)
-			} else {
-				body = append(body, 1)
+	body = appendSection(body, &x.upd,
+		func(b []byte, n oem.NodeID) []byte { return binary.AppendUvarint(b, uint64(n)) },
+		func(b []byte, a updAnnot) []byte { return change.AppendValue(change.AppendTime(b, a.At), a.Old) })
+	body = appendSection(body, &x.arcs, appendArc,
+		func(b []byte, a doem.ArcAnnot) []byte {
+			kind := byte(1)
+			if a.Kind == doem.AnnotAdd {
+				kind = 0
 			}
-			body = change.AppendTime(body, ann.At)
-		}
-	}
+			return change.AppendTime(append(b, kind), a.At)
+		})
 	return wal.FrameFile(idxMagic, body)
 }
 
+// appendSection writes a chain section: its key count, then per key the
+// key, its chain's length and the chain.
+func appendSection[K, V any](body []byte, s *section[K, V], key func([]byte, K) []byte, val func([]byte, V) []byte) []byte {
+	body = binary.AppendUvarint(body, uint64(len(s.keys)))
+	for i, k := range s.keys {
+		chain := s.chain(i)
+		body = binary.AppendUvarint(key(body, k), uint64(len(chain)))
+		for _, v := range chain {
+			body = val(body, v)
+		}
+	}
+	return body
+}
+
+// decodeSegIndex decodes an index file in one pass. Each section's keys
+// must be strictly increasing, the order encodeSegIndex writes; any other
+// order is ErrCorrupt, and the caller rebuilds the index from its segment.
 func decodeSegIndex(data []byte) (id int, start, end timestamp.Time, x *segIndex, err error) {
 	body, err := wal.UnframeFile(idxMagic, data)
 	if err != nil {
@@ -332,38 +405,55 @@ func decodeSegIndex(data []byte) (id int, start, end timestamp.Time, x *segIndex
 	}
 	d := &decoder{b: body}
 	id, start, end = d.count("index id"), d.time("start"), d.time("end")
-	x = &segIndex{
-		upd:         make(map[oem.NodeID][]doem.NodeAnnot),
-		arcs:        make(map[oem.Arc][]doem.ArcAnnot),
-		liveAtStart: make(map[oem.Arc]bool),
-	}
-	for i, n := 0, d.count("live arc"); i < n && d.err == nil; i++ {
-		x.liveAtStart[d.arc()] = true
-	}
-	for i, n := 0, d.count("upd node"); i < n && d.err == nil; i++ {
-		node := oem.NodeID(d.uvarint("upd node id"))
-		m := d.count("upd chain")
-		chain := make([]doem.NodeAnnot, 0, min(m, len(d.b)))
-		for j := 0; j < m && d.err == nil; j++ {
-			at := d.time("upd time")
-			chain = append(chain, doem.NodeAnnot{Kind: doem.AnnotUpd, At: at, Old: d.value("upd old value")})
-		}
-		x.upd[node] = chain
-	}
-	for i, n := 0, d.count("arc chain"); i < n && d.err == nil; i++ {
+	x = &segIndex{}
+	// An arc takes at least three bytes, which bounds what a corrupt count
+	// can make the decoder reserve.
+	n := d.count("live arc")
+	x.live = make([]oem.Arc, 0, min(n, len(d.b)/3))
+	for i := 0; i < n && d.err == nil; i++ {
 		a := d.arc()
-		m := d.count("arc annot")
-		chain := make([]doem.ArcAnnot, 0, min(m, len(d.b)))
-		for j := 0; j < m && d.err == nil; j++ {
-			kind := d.arcKind("arc annot kind")
-			chain = append(chain, doem.ArcAnnot{Kind: kind, At: d.time("arc annot time")})
+		if i > 0 && compareArcs(x.live[i-1], a) >= 0 {
+			d.fail("live arcs out of order", nil)
 		}
-		x.arcs[a] = chain
+		x.live = append(x.live, a)
 	}
+	x.upd = readSection(d, "upd node",
+		func() oem.NodeID { return oem.NodeID(d.uvarint("upd node id")) }, cmp.Compare[oem.NodeID],
+		func() updAnnot {
+			at := d.time("upd time")
+			return updAnnot{At: at, Old: d.value("upd old value")}
+		})
+	x.arcs = readSection(d, "arc", d.arc, compareArcs,
+		func() doem.ArcAnnot {
+			kind := d.arcKind("arc annot kind")
+			return doem.ArcAnnot{Kind: kind, At: d.time("arc annot time")}
+		})
 	if err := d.done(); err != nil {
 		return 0, start, end, nil, err
 	}
 	return id, start, end, x, nil
+}
+
+// readSection reads what appendSection writes. Keys that are not strictly
+// increasing fail the decoder.
+func readSection[K, V any](d *decoder, what string, key func() K, cmp func(K, K) int, val func() V) section[K, V] {
+	var s section[K, V]
+	n := d.count(what)
+	// A key and its chain length take at least two bytes.
+	s.keys = make([]K, 0, min(n, len(d.b)/2))
+	s.end = make([]int, 0, cap(s.keys))
+	for i := 0; i < n && d.err == nil; i++ {
+		k := key()
+		if i > 0 && cmp(s.keys[i-1], k) >= 0 {
+			d.fail(what+"s out of order", nil)
+		}
+		for j, m := 0, d.count(what+" chain"); j < m && d.err == nil; j++ {
+			s.vals = append(s.vals, val())
+		}
+		s.keys = append(s.keys, k)
+		s.end = append(s.end, len(s.vals))
+	}
+	return s
 }
 
 // ---- tail checkpoint payload ----
@@ -489,15 +579,16 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 	return c, nil
 }
 
-func sortArcs(arcs []oem.Arc) {
-	sort.Slice(arcs, func(i, j int) bool {
-		a, b := arcs[i], arcs[j]
-		if a.Parent != b.Parent {
-			return a.Parent < b.Parent
-		}
-		if a.Label != b.Label {
-			return a.Label < b.Label
-		}
-		return a.Child < b.Child
-	})
+// compareArcs orders arcs by parent, then label, then child: the order of
+// every arc list the formats write.
+func compareArcs(a, b oem.Arc) int {
+	if c := cmp.Compare(a.Parent, b.Parent); c != 0 {
+		return c
+	}
+	if c := strings.Compare(a.Label, b.Label); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Child, b.Child)
 }
+
+func sortArcs(arcs []oem.Arc) { slices.SortFunc(arcs, compareArcs) }

@@ -52,6 +52,17 @@ func FuzzSegmentFiles(f *testing.F) {
 		f.Add(data)
 		f.Add(data[len(segMagic) : len(data)-4]) // the body alone
 	}
+	// A CRC-valid index whose live arcs are out of order.
+	data, err := os.ReadFile(filepath.Join(dir, idxFileName(1)))
+	if err != nil {
+		f.Fatal(err)
+	}
+	id, start, end, x, err := decodeSegIndex(data)
+	if err != nil {
+		f.Fatal(err)
+	}
+	x.live[0], x.live[1] = x.live[1], x.live[0]
+	f.Add(encodeSegIndex(id, start, end, x))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -90,42 +90,70 @@ func (g *DB) CreTime(n oem.NodeID) (timestamp.Time, bool) {
 	return t, ok
 }
 
-// UpdTriples implements lorel.Graph: the sealed segments' upd chains in
-// interval order, then the active segment's, with new values derived
-// exactly as the monolithic database derives them.
-func (g *DB) UpdTriples(n oem.NodeID) []doem.UpdInfo {
+// UpdTriplesIn implements lorel.Graph: the upd chains of the sealed
+// segments whose interval meets the window, in interval order, then the
+// active segment's when the window reaches past the last seal, with new
+// values derived exactly as the monolithic database derives them. A
+// window that lies after the last seal reads no sealed segment.
+func (g *DB) UpdTriplesIn(n oem.NodeID, from, to timestamp.Time) []doem.UpdInfo {
 	g.s.touch()
+	if from.After(to) {
+		return nil
+	}
 	var ups []doem.UpdInfo
-	for _, h := range g.s.segs {
-		for _, a := range g.s.mustIndex(h).upd[n] {
+	for _, h := range g.s.segsIn(from, to) {
+		for _, a := range within(g.s.mustIndex(h).updChain(n), from, to, func(a *updAnnot) timestamp.Time { return a.At }) {
 			ups = append(ups, doem.UpdInfo{At: a.At, Old: a.Old})
 		}
 	}
-	ups = append(ups, g.s.active.UpdTriples(n)...)
-	for i := range ups {
+	sealed := len(ups)
+	if to.After(g.s.lastSeal) {
+		// The active database derives its own new values: the next upd's
+		// old value, or the current value, which is the store's.
+		active := g.s.active.UpdTriplesIn(n, from, to)
+		if sealed == 0 {
+			return active
+		}
+		ups = append(ups, active...)
+	}
+	for i := 0; i < sealed; i++ {
 		if i+1 < len(ups) {
 			ups[i].New = ups[i+1].Old
-		} else if v, ok := g.Value(n); ok {
-			ups[i].New = v
+		} else {
+			ups[i].New = g.ValueAt(n, to)
 		}
 	}
 	return ups
 }
 
-// ArcAnnots implements lorel.Graph: the concatenation of the sealed
-// chains in interval order and the active chain, which is the monolithic
-// chain in timestamp order.
-func (g *DB) ArcAnnots(a oem.Arc) []doem.ArcAnnot {
+// ArcAnnotsIn implements lorel.Graph: the concatenation of the chains of
+// the sealed segments whose interval meets the window, in interval order,
+// and the active chain, which is the monolithic chain in timestamp order.
+func (g *DB) ArcAnnotsIn(a oem.Arc, from, to timestamp.Time) []doem.ArcAnnot {
 	g.s.touch()
-	var anns []doem.ArcAnnot
-	for _, h := range g.s.segs {
-		anns = append(anns, g.s.mustIndex(h).arcs[a]...)
+	if from.After(to) {
+		return nil
 	}
-	active := g.s.active.ArcAnnots(a)
+	var anns []doem.ArcAnnot
+	for _, h := range g.s.segsIn(from, to) {
+		anns = append(anns, within(g.s.mustIndex(h).arcChain(a), from, to, func(a *doem.ArcAnnot) timestamp.Time { return a.At })...)
+	}
+	if !to.After(g.s.lastSeal) {
+		return anns
+	}
+	active := g.s.active.ArcAnnotsIn(a, from, to)
 	if anns == nil {
 		return active
 	}
 	return append(anns, active...)
+}
+
+// within returns the part of a time-ordered chain whose times lie in the
+// closed window [from, to].
+func within[A any](chain []A, from, to timestamp.Time, at func(*A) timestamp.Time) []A {
+	lo := sort.Search(len(chain), func(i int) bool { return !at(&chain[i]).Before(from) })
+	hi := sort.Search(len(chain), func(i int) bool { return at(&chain[i]).After(to) })
+	return chain[lo:max(lo, hi)]
 }
 
 // ArcLiveAt implements lorel.Graph. An arc with no annotations in any
@@ -160,8 +188,8 @@ func (g *DB) unannotated(a oem.Arc) bool {
 // arc is annotated somewhere, so the live-at-start set is authoritative
 // when the segment's own chain has no entry at or before t.
 func liveInSegment(x *segIndex, a oem.Arc, t timestamp.Time) bool {
-	live := x.liveAtStart[a]
-	for _, ann := range x.arcs[a] {
+	live := x.liveAtStart(a)
+	for _, ann := range x.arcChain(a) {
 		if ann.At.After(t) {
 			break
 		}
@@ -191,7 +219,7 @@ func (g *DB) ValueAt(n oem.NodeID, t timestamp.Time) value.Value {
 	g.s.touch()
 	if i := g.s.covering(t); i >= 0 {
 		for j := i; j < len(g.s.segs); j++ {
-			chain := g.s.mustIndex(g.s.segs[j]).upd[n]
+			chain := g.s.mustIndex(g.s.segs[j]).updChain(n)
 			if j == i {
 				// Only the covering segment can hold upds at or before t;
 				// later segments' chains are entirely after it.

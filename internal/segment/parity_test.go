@@ -14,10 +14,18 @@ import (
 // paths that reach into history: exact-label steps, virtual <at T> steps,
 // <add/rem at T> arc annotations, <upd ...> matching, <cre at T> node
 // annotations, wildcards, and poll-time offsets t[-i] resolved against
-// SetPollTimes.
-func randomQuery(rng *rand.Rand, times []timestamp.Time) string {
+// SetPollTimes. Time bounds on annotation variables give their steps
+// windows (lorel's window.go): bounds exactly at a seal boundary, at, up
+// to and below a candidate instant, with the constant on either side, an
+// upd window whose last triple's new value comes from past its end, and
+// bounds joined by or, which give none.
+func randomQuery(rng *rand.Rand, times, seals []timestamp.Time) string {
 	at := func() string { return fmt.Sprintf("%q", times[rng.Intn(len(times))].String()) }
-	switch rng.Intn(12) {
+	seal := at
+	if len(seals) > 0 {
+		seal = func() string { return fmt.Sprintf("%q", seals[rng.Intn(len(seals))].String()) }
+	}
+	switch rng.Intn(19) {
 	case 0:
 		return `select guide.restaurant.name`
 	case 1:
@@ -41,8 +49,22 @@ func randomQuery(rng *rand.Rand, times []timestamp.Time) string {
 		return fmt.Sprintf(`select N, T from guide.restaurant<cre at T> R, R.name N where T >= %s`, at())
 	case 10:
 		return fmt.Sprintf(`select T from guide.<add at T>restaurant where T > t[-%d]`, 1+rng.Intn(5))
-	default:
+	case 11:
 		return `select N, T from guide.restaurant<cre at T> R, R.name N where T < t[0]`
+	case 12:
+		return fmt.Sprintf(`select T, OV, NV from guide.restaurant.price<upd at T from OV to NV> where T > %s`, seal())
+	case 13:
+		return fmt.Sprintf(`select T from guide.<add at T>restaurant where T >= %s`, seal())
+	case 14:
+		return fmt.Sprintf(`select T, NV from guide.restaurant.price<upd at T to NV> where T <= %s`, at())
+	case 15:
+		return fmt.Sprintf(`select T from guide.<rem at T>restaurant where T = %s`, at())
+	case 16:
+		return fmt.Sprintf(`select N, T from guide.restaurant R, R.name N, R.price<upd at T> where %s < T and %s >= T`, at(), at())
+	case 17:
+		return fmt.Sprintf(`select T from guide.<add at T>restaurant where T < %s or T > %s`, at(), seal())
+	default:
+		return fmt.Sprintf(`select T, NV from guide.restaurant.price<upd at T to NV> where T >= t[-%d] and T < %s`, 1+rng.Intn(5), seal())
 	}
 }
 
@@ -76,8 +98,12 @@ func TestSegmentedEvalParity(t *testing.T) {
 
 		rng := rand.New(rand.NewSource(seed * 7919))
 		times := candidateTimes(mono)
-		for i := 0; i < 30; i++ {
-			q := randomQuery(rng, times)
+		var seals []timestamp.Time
+		for _, h := range st.segs {
+			seals = append(seals, h.end)
+		}
+		for i := 0; i < 50; i++ {
+			q := randomQuery(rng, times, seals)
 			want, err := raw.Query(q)
 			if err != nil {
 				t.Fatalf("seed %d: monolithic %q: %v", seed, q, err)

@@ -15,13 +15,17 @@ import (
 // TestSealedBytesPinned seals the paper's history (Figure 3) under a fixed
 // policy and pins the SHA-256 of each segment file, so the sealed format
 // cannot change without this test saying so. Seven annotations seal the
-// first two steps; an explicit Seal seals the third. The sums are those of
-// commit dede60e, before the base and steps were written through
-// doem.AppendHistory.
+// first two steps; an explicit Seal seals the third. The .seg sums are
+// those of commit dede60e, before the base and steps were written through
+// doem.AppendHistory; the .idx sums those of commit df60909, before the
+// index was held in sorted sections instead of maps. An index rebuilt from
+// its segment has the same bytes as the one the seal wrote.
 func TestSealedBytesPinned(t *testing.T) {
 	want := map[string]string{
 		"seg-000001.seg": "f049c8542d9787ef03a8021f2cb50aea99b07b920ceeef45e5e6c40b9c315cf6",
 		"seg-000002.seg": "06fec3ed86b7caf16cd2a41ced2fa38bcbefd0b8ea599af81c7912f271086acd",
+		"seg-000001.idx": "821644f9d779751671e60e7cf58cd0c293f3460a4344085c1d28bd3905abfd66",
+		"seg-000002.idx": "42d3b2586e5e1d3f36928af11b85f2a04f15275bc71fadfe93dc2475171ed12d",
 	}
 	guide, ids := guidegen.PaperGuide()
 	dir := t.TempDir()
@@ -38,17 +42,32 @@ func TestSealedBytesPinned(t *testing.T) {
 	if err := st.Seal(); err != nil {
 		t.Fatal(err)
 	}
-	if st.Segments() != len(want) {
-		t.Fatalf("%d sealed segments, want %d", st.Segments(), len(want))
+	if st.Segments() != len(want)/2 {
+		t.Fatalf("%d sealed segments, want %d", st.Segments(), len(want)/2)
 	}
-	for name, sum := range want {
-		data, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
+	check := func(when string) {
+		t.Helper()
+		for name, sum := range want {
+			data, err := os.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := sha256.Sum256(data)
+			if got := hex.EncodeToString(h[:]); got != sum {
+				t.Errorf("%s: %s: SHA-256 %s, pinned %s", when, name, got, sum)
+			}
+		}
+	}
+	check("sealed")
+
+	for _, h := range st.segs {
+		if err := os.Remove(filepath.Join(dir, idxFileName(h.id))); err != nil {
 			t.Fatal(err)
 		}
-		h := sha256.Sum256(data)
-		if got := hex.EncodeToString(h[:]); got != sum {
-			t.Errorf("%s: SHA-256 %s, pinned %s", name, got, sum)
+		h.idx = nil
+		if _, err := st.index(h); err != nil {
+			t.Fatal(err)
 		}
 	}
+	check("rebuilt")
 }

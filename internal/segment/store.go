@@ -476,10 +476,7 @@ func (s *Store) seal() error {
 		steps: s.active.ExtractHistory(),
 	}
 	sd.orphans = s.orphanArcs(sd.base)
-	idx := buildIndex(s.active, sd.base)
-	for _, a := range sd.orphans {
-		idx.liveAtStart[a] = true
-	}
+	idx := buildIndex(s.active, sd.base, sd.orphans)
 
 	data, err := encodeSegData(sd)
 	if err != nil {
@@ -554,33 +551,36 @@ func (s *Store) orphanArcs(base *oem.Database) []oem.Arc {
 
 // buildIndex extracts the sealed interval's annotation index from the
 // pre-seal active segment: its upd and arc chains, plus the complete set
-// of arcs live at the interval's start (the base snapshot's arcs).
-func buildIndex(d *doem.Database, base *oem.Database) *segIndex {
-	x := &segIndex{
-		upd:         make(map[oem.NodeID][]doem.NodeAnnot),
-		arcs:        make(map[oem.Arc][]doem.ArcAnnot),
-		liveAtStart: make(map[oem.Arc]bool),
-	}
+// of arcs live at the interval's start (the base snapshot's arcs and the
+// orphans frozen live at the boundary).
+func buildIndex(d *doem.Database, base *oem.Database, orphans []oem.Arc) *segIndex {
+	x := &segIndex{live: slices.Clone(orphans)}
 	for _, n := range base.Nodes() {
-		for _, a := range base.Out(n) {
-			x.liveAtStart[a] = true
-		}
+		x.live = append(x.live, base.Out(n)...)
 	}
-	for _, n := range d.AllNodeIDs() {
-		var ups []doem.NodeAnnot
+	sortArcs(x.live)
+	x.live = slices.Compact(x.live)
+	var arcs []oem.Arc
+	var ups []updAnnot
+	for _, n := range d.AllNodeIDs() { // ascending
+		ups = ups[:0]
 		for _, a := range d.NodeAnnots(n) {
 			if a.Kind == doem.AnnotUpd {
-				ups = append(ups, a)
+				ups = append(ups, updAnnot{At: a.At, Old: a.Old})
 			}
 		}
 		if len(ups) > 0 {
-			x.upd[n] = ups
+			x.upd.add(n, ups)
 		}
 		for _, arc := range d.OutAll(n) {
-			if chain := d.ArcAnnots(arc); len(chain) > 0 {
-				x.arcs[arc] = append([]doem.ArcAnnot(nil), chain...)
+			if len(d.ArcAnnots(arc)) > 0 {
+				arcs = append(arcs, arc)
 			}
 		}
+	}
+	sortArcs(arcs)
+	for _, a := range arcs {
+		x.arcs.add(a, d.ArcAnnots(a))
 	}
 	return x
 }
@@ -685,10 +685,7 @@ func (s *Store) index(h *handle) (*segIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("segment: rebuilding index for seg %d: %w", h.id, err)
 	}
-	x := buildIndex(d, sd.base)
-	for _, a := range sd.orphans {
-		x.liveAtStart[a] = true
-	}
+	x := buildIndex(d, sd.base, sd.orphans)
 	// The index is derived: a failed write costs the next load a rebuild,
 	// so the rebuilt index is served either way and the failure counted.
 	if err := wal.AtomicWrite(path, encodeSegIndex(h.id, h.start, h.end, x)); err != nil {
@@ -749,6 +746,14 @@ func (s *Store) covering(t timestamp.Time) int {
 		return -1
 	}
 	return sort.Search(len(s.segs), func(i int) bool { return !s.segs[i].end.Before(t) })
+}
+
+// segsIn returns the sealed segments whose interval (start, end] meets
+// the closed window [from, to], in interval order.
+func (s *Store) segsIn(from, to timestamp.Time) []*handle {
+	lo := sort.Search(len(s.segs), func(i int) bool { return !s.segs[i].end.Before(from) })
+	hi := sort.Search(len(s.segs), func(i int) bool { return !s.segs[i].start.Before(to) })
+	return s.segs[lo:max(lo, hi)]
 }
 
 func (s *Store) touch() { s.ticks.Add(1) }

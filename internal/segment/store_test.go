@@ -66,6 +66,41 @@ func candidateTimes(d *doem.Database) []timestamp.Time {
 	return ts
 }
 
+// candidateWindows returns the closed windows the windowed reads are
+// checked over: everything, nothing, and from, up to and exactly at each
+// candidate instant.
+func candidateWindows(times []timestamp.Time) [][2]timestamp.Time {
+	ws := [][2]timestamp.Time{{timestamp.NegInf, timestamp.PosInf}, {timestamp.PosInf, timestamp.NegInf}}
+	for _, t := range times {
+		ws = append(ws, [2]timestamp.Time{t, timestamp.PosInf}, [2]timestamp.Time{timestamp.NegInf, t}, [2]timestamp.Time{t, t})
+	}
+	return ws
+}
+
+func inWindow(t timestamp.Time, w [2]timestamp.Time) bool { return !t.Before(w[0]) && !t.After(w[1]) }
+
+// filterUpds and filterArcAnnots are the windowed reads' oracle: the whole
+// chain, filtered.
+func filterUpds(chain []doem.UpdInfo, w [2]timestamp.Time) []doem.UpdInfo {
+	var out []doem.UpdInfo
+	for _, u := range chain {
+		if inWindow(u.At, w) {
+			out = append(out, u)
+		}
+	}
+	return out
+}
+
+func filterArcAnnots(chain []doem.ArcAnnot, w [2]timestamp.Time) []doem.ArcAnnot {
+	var out []doem.ArcAnnot
+	for _, a := range chain {
+		if inWindow(a.At, w) {
+			out = append(out, a)
+		}
+	}
+	return out
+}
+
 // checkGraphParity compares every Graph accessor of the segmented view
 // against the monolithic database, across all nodes, arcs, and candidate
 // instants.
@@ -76,6 +111,7 @@ func checkGraphParity(t testing.TB, mono *doem.Database, st *Store) {
 		t.Fatalf("Root: segmented %s, monolithic %s", g.Root(), mono.Root())
 	}
 	times := candidateTimes(mono)
+	windows := candidateWindows(times)
 	for _, n := range mono.AllNodeIDs() {
 		mv, mok := mono.Value(n)
 		gv, gok := g.Value(n)
@@ -93,8 +129,17 @@ func checkGraphParity(t testing.TB, mono *doem.Database, st *Store) {
 		if mcok != gcok || (mcok && !mt.Equal(gt)) {
 			t.Fatalf("CreTime(%s): segmented (%s,%v), monolithic (%s,%v)", n, gt, gcok, mt, mcok)
 		}
-		if got, want := fmt.Sprint(g.UpdTriples(n)), fmt.Sprint(mono.UpdTriples(n)); got != want {
-			t.Fatalf("UpdTriples(%s): segmented %s, monolithic %s", n, got, want)
+		for _, w := range windows {
+			want := filterUpds(mono.UpdTriples(n), w)
+			if got := mono.UpdTriplesIn(n, w[0], w[1]); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("monolithic UpdTriplesIn(%s, %s, %s) = %s, filtered chain %s", n, w[0], w[1], got, want)
+			}
+			if got := g.UpdTriplesIn(n, w[0], w[1]); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("UpdTriplesIn(%s, %s, %s): segmented %s, monolithic %s", n, w[0], w[1], got, want)
+			}
+			if len(want) > 0 && !want[len(want)-1].New.Equal(mono.ValueAt(n, w[1])) {
+				t.Fatalf("UpdTriplesIn(%s, %s, %s): last new value %v, value at the window's end %v", n, w[0], w[1], want[len(want)-1].New, mono.ValueAt(n, w[1]))
+			}
 		}
 		for _, at := range times {
 			if got, want := g.ValueAt(n, at), mono.ValueAt(n, at); !got.Equal(want) {
@@ -111,8 +156,14 @@ func checkGraphParity(t testing.TB, mono *doem.Database, st *Store) {
 			}
 		}
 		for _, a := range mono.OutAll(n) {
-			if got, want := fmt.Sprint(g.ArcAnnots(a)), fmt.Sprint(mono.ArcAnnots(a)); got != want {
-				t.Fatalf("ArcAnnots(%s): segmented %s, monolithic %s", a, got, want)
+			for _, w := range windows {
+				want := filterArcAnnots(mono.ArcAnnots(a), w)
+				if got := mono.ArcAnnotsIn(a, w[0], w[1]); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("monolithic ArcAnnotsIn(%s, %s, %s) = %s, filtered chain %s", a, w[0], w[1], got, want)
+				}
+				if got := g.ArcAnnotsIn(a, w[0], w[1]); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Fatalf("ArcAnnotsIn(%s, %s, %s): segmented %s, monolithic %s", a, w[0], w[1], got, want)
+				}
 			}
 			for _, at := range times {
 				if got, want := g.ArcLiveAt(a, at), mono.ArcLiveAt(a, at); got != want {
@@ -567,6 +618,37 @@ func TestLazyLoadChecksBounds(t *testing.T) {
 	checkGraphParity(t, mono, st)
 	if n := mIdxRebuilds.Value() - rebuilds; n != 2 {
 		t.Errorf("%d index rebuilds, want 2 (both swapped index files)", n)
+	}
+	st.Close()
+
+	// An index whose checksum holds but whose keys are out of order or
+	// repeated is corrupt too: it is rebuilt from its segment, and the
+	// answers do not change.
+	rewrite := func(id int, mutate func(x *segIndex)) {
+		path := filepath.Join(dir, idxFileName(id))
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, from, to, x, err := decodeSegIndex(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mutate(x)
+		if err := os.WriteFile(path, encodeSegIndex(id, from, to, x), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rewrite(1, func(x *segIndex) { x.live[0], x.live[1] = x.live[1], x.live[0] })
+	rewrite(2, func(x *segIndex) { x.upd.keys[1] = x.upd.keys[0] })
+	rewrite(3, func(x *segIndex) { x.arcs.keys[0], x.arcs.keys[1] = x.arcs.keys[1], x.arcs.keys[0] })
+	rebuilds = mIdxRebuilds.Value()
+	if st, err = Open(dir, nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	checkGraphParity(t, mono, st)
+	if n := mIdxRebuilds.Value() - rebuilds; n != 3 {
+		t.Errorf("%d index rebuilds, want 3 (the index files with keys out of order)", n)
 	}
 	st.Close()
 

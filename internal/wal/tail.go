@@ -157,7 +157,10 @@ func (l *Log) scan(from, bound uint64, fn func(seq uint64, payload []byte) error
 // Crash safety: segments are removed before the new checkpoint is
 // installed, so a crash in between recovers to the old checkpoint with no
 // records — a consistent (if stale) prefix that a replica will simply
-// re-request.
+// re-request. A removal or install that fails leaves the same unknown
+// state without a crash, so the log closes: later calls fail with
+// ErrClosed instead of appending records a reopen would drop, and
+// reopening recovers whichever state is on disk.
 func (l *Log) Reset(checkpoint []byte, upTo uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -171,16 +174,17 @@ func (l *Log) Reset(checkpoint []byte, upTo uint64) error {
 		l.active, l.activeSize = nil, 0
 	}
 	paths, _, err := l.listSegments()
+	if err == nil {
+		for i, p := range paths {
+			paths[i] = filepath.Base(p)
+		}
+		err = RemoveEntries(l.dir, paths...)
+	}
+	if err == nil {
+		err = l.installCheckpointLocked(checkpoint, upTo)
+	}
 	if err != nil {
-		return err
-	}
-	for i, p := range paths {
-		paths[i] = filepath.Base(p)
-	}
-	if err := RemoveEntries(l.dir, paths...); err != nil {
-		return err
-	}
-	if err := l.installCheckpointLocked(checkpoint, upTo); err != nil {
+		l.closed = true
 		return err
 	}
 	l.seq = upTo

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 )
@@ -91,6 +93,51 @@ func TestRecordsCompacted(t *testing.T) {
 	}
 	if len(recs) != 20 || recs[0].Seq != 31 || recs[19].Seq != 50 {
 		t.Fatalf("Records(31) = %d records [%d..%d]", len(recs), recs[0].Seq, recs[len(recs)-1].Seq)
+	}
+}
+
+// TestResetFailureClosesLog: a Reset whose checkpoint cannot be installed
+// (a non-empty directory stands where its temp file goes) has already
+// removed the log's segments, so it closes the log. A later Append fails
+// with ErrClosed instead of writing a record past a gap, and a reopen once
+// the obstacle is gone recovers the old checkpoint with no records.
+func TestResetFailureClosesLog(t *testing.T) {
+	dir := t.TempDir()
+	l, err := Open(dir, &Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i <= 3; i++ {
+		if _, err := l.Append(tailPayload(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	obstacle := filepath.Join(dir, checkpointName+".tmp")
+	if err := os.MkdirAll(filepath.Join(obstacle, "x"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Reset([]byte("bootstrap"), 10); err == nil {
+		t.Fatal("Reset succeeded over a non-empty temp directory")
+	}
+	if err := os.RemoveAll(obstacle); err != nil {
+		t.Fatal(err)
+	}
+	if seq, err := l.Append(tailPayload(4)); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Append after a failed Reset = %d, %v, want ErrClosed", seq, err)
+	}
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	l2, err := Open(dir, &Options{Sync: SyncAlways})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l2.Close()
+	if got := l2.LastSeq(); got != 0 {
+		t.Fatalf("LastSeq after reopen = %d, want 0 (the old checkpoint, no records)", got)
+	}
+	if _, _, ok, err := l2.LastCheckpoint(); err != nil || ok {
+		t.Fatalf("LastCheckpoint after reopen: ok %v, err %v; want none", ok, err)
 	}
 }
 
