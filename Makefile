@@ -68,27 +68,27 @@ examples:
 
 # Short fuzzing pass over every fuzz target.
 fuzz:
-	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s -run xxx ./internal/lorel/
-	$(GO) test -fuzz='^FuzzParseUpdate$$' -fuzztime=30s -run xxx ./internal/lorel/
-	$(GO) test -fuzz='^FuzzEval$$' -fuzztime=30s -run xxx ./internal/lorel/
-	$(GO) test -fuzz='^FuzzPlanCacheKey$$' -fuzztime=30s -run xxx ./internal/lorel/
-	$(GO) test -fuzz='^FuzzToOEM$$' -fuzztime=30s -run xxx ./internal/htmldiff/
-	$(GO) test -fuzz='^FuzzMarkup$$' -fuzztime=30s -run xxx ./internal/htmldiff/
-	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s -run xxx ./internal/timestamp/
-	$(GO) test -fuzz='^FuzzLabelRoundTrip$$' -fuzztime=30s -run xxx ./internal/encoding/
-	$(GO) test -fuzz='^FuzzEncodeDecode$$' -fuzztime=30s -run xxx ./internal/encoding/
-	$(GO) test -fuzz='^FuzzRead$$' -fuzztime=30s -run xxx ./internal/oemio/
-	$(GO) test -fuzz='^FuzzWALRecordDecode$$' -fuzztime=30s -run xxx ./internal/wal/
-	$(GO) test -fuzz='^FuzzFileFrame$$' -fuzztime=30s -run xxx ./internal/wal/
-	$(GO) test -fuzz='^FuzzRequestDecode$$' -fuzztime=30s -run xxx ./internal/qss/
-	$(GO) test -fuzz='^FuzzReadLine$$' -fuzztime=30s -run xxx ./internal/qss/
-	$(GO) test -fuzz='^FuzzPollDiff$$' -fuzztime=30s -run xxx ./internal/qss/
-	$(GO) test -fuzz='^FuzzAccessPaths$$' -fuzztime=30s -run xxx ./internal/doem/
-	$(GO) test -fuzz='^FuzzDOEMDecode$$' -fuzztime=30s -run xxx ./internal/doem/
-	$(GO) test -fuzz='^FuzzSegmentParity$$' -fuzztime=30s -run xxx ./internal/segment/
-	$(GO) test -fuzz='^FuzzSegmentFiles$$' -fuzztime=30s -run xxx ./internal/segment/
-	$(GO) test -fuzz='^FuzzReplFrameDecode$$' -fuzztime=30s -run xxx ./internal/repl/
-	$(GO) test -fuzz='^FuzzFilterFingerprint$$' -fuzztime=30s -run xxx ./internal/incr/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/lorel/
+	$(GO) test -fuzz='^FuzzParseUpdate$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/lorel/
+	$(GO) test -fuzz='^FuzzEval$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/lorel/
+	$(GO) test -fuzz='^FuzzPlanCacheKey$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/lorel/
+	$(GO) test -fuzz='^FuzzToOEM$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/htmldiff/
+	$(GO) test -fuzz='^FuzzMarkup$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/htmldiff/
+	$(GO) test -fuzz='^FuzzParse$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/timestamp/
+	$(GO) test -fuzz='^FuzzLabelRoundTrip$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/encoding/
+	$(GO) test -fuzz='^FuzzEncodeDecode$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/encoding/
+	$(GO) test -fuzz='^FuzzRead$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/oemio/
+	$(GO) test -fuzz='^FuzzWALRecordDecode$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/wal/
+	$(GO) test -fuzz='^FuzzFileFrame$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/wal/
+	$(GO) test -fuzz='^FuzzRequestDecode$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/qss/
+	$(GO) test -fuzz='^FuzzReadLine$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/qss/
+	$(GO) test -fuzz='^FuzzPollDiff$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/qss/
+	$(GO) test -fuzz='^FuzzAccessPaths$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/doem/
+	$(GO) test -fuzz='^FuzzDOEMDecode$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/doem/
+	$(GO) test -fuzz='^FuzzSegmentParity$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/segment/
+	$(GO) test -fuzz='^FuzzSegmentFiles$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/segment/
+	$(GO) test -fuzz='^FuzzReplFrameDecode$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/repl/
+	$(GO) test -fuzz='^FuzzFilterFingerprint$$' -fuzztime=30s -fuzzminimizetime=2s -run xxx ./internal/incr/
 
 clean:
 	rm -f test_output.txt bench_output.txt htmldiff-output.html

@@ -6,7 +6,6 @@ import (
 	"repro/internal/change"
 	"repro/internal/doem"
 	"repro/internal/encoding"
-	"repro/internal/index"
 	"repro/internal/lore"
 	"repro/internal/lorel"
 	"repro/internal/obs"
@@ -37,12 +36,12 @@ type DB struct {
 }
 
 // New wraps a DOEM database for querying under the given name (the head of
-// path expressions, e.g. "guide"). The direct engine queries d through an
-// index.Graph, which memoizes <at T> views. Changes must go through the DB
-// (Apply, ApplySnapshot, Update) so the encoding follows them.
+// path expressions, e.g. "guide"). The direct engine queries d itself.
+// Changes must go through the DB (Apply, ApplySnapshot, Update) so the
+// encoding follows them.
 func New(name string, d *doem.Database) *DB {
 	db := &DB{name: name, d: d, direct: lorel.NewEngine()}
-	db.direct.Register(name, index.NewGraph(d))
+	db.direct.Register(name, d)
 	return db
 }
 

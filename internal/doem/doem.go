@@ -142,8 +142,7 @@ type Database struct {
 
 // Version returns a counter that advances on every successful Apply.
 // Readers holding the database's read lock (see lore.Store.ViewIndexed) see a
-// stable value; the <at T> view memo of internal/index and the planner's
-// cached plans key on it.
+// stable value; the planner's cached plans key on it.
 func (d *Database) Version() uint64 { return d.version }
 
 // mGCFullWalks counts step-boundary collections that had to walk the whole
@@ -574,32 +573,6 @@ func (d *Database) ArcLiveAt(a oem.Arc, t timestamp.Time) bool {
 		return len(anns) == 0 || anns[0].Kind == AnnotRem
 	}
 	return anns[k-1].Kind == AnnotAdd
-}
-
-// OutAt returns the arcs of n that existed at time t: OutAll(n) filtered
-// by ArcLiveAt, in insertion order.
-func (d *Database) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {
-	var arcs []oem.Arc
-	for _, a := range d.OutAll(n) {
-		if d.ArcLiveAt(a, t) {
-			arcs = append(arcs, a)
-		}
-	}
-	return arcs
-}
-
-// ArcsAt returns the live-arc relation of the whole database at time t:
-// OutAt(n, t) for every node with arcs live at t. Unlike SnapshotAt it
-// keeps the arcs of nodes unreachable at t, which direct evaluation can
-// still reach through the current snapshot and then step through <at t>.
-func (d *Database) ArcsAt(t timestamp.Time) map[oem.NodeID][]oem.Arc {
-	out := make(map[oem.NodeID][]oem.Arc, len(d.outAll))
-	for n := range d.outAll {
-		if arcs := d.OutAt(n, t); arcs != nil {
-			out[n] = arcs
-		}
-	}
-	return out
 }
 
 // ExtractHistory recovers the encoded history H(D) per Section 3.2: one

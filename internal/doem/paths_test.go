@@ -59,17 +59,6 @@ func scanArcLiveAt(d *Database, a oem.Arc, t timestamp.Time) bool {
 	return live
 }
 
-// scanOutAt filters OutAll(n) by scanArcLiveAt.
-func scanOutAt(d *Database, n oem.NodeID, t timestamp.Time) []oem.Arc {
-	var arcs []oem.Arc
-	for _, a := range d.OutAll(n) {
-		if scanArcLiveAt(d, a, t) {
-			arcs = append(arcs, a)
-		}
-	}
-	return arcs
-}
-
 // scanLabel returns the arcs of arcs labeled l, in order.
 func scanLabel(arcs []oem.Arc, l string) []oem.Arc {
 	var out []oem.Arc
@@ -193,12 +182,10 @@ func TestAccessPathsFollowCommit(t *testing.T) {
 	}
 }
 
-// checkTimeTravel holds ValueAt, ArcLiveAt, OutAt and ArcsAt, which
-// binary-search the time-sorted annotations, to the linear scans at
-// instant at.
+// checkTimeTravel holds ValueAt and ArcLiveAt, which binary-search the
+// time-sorted annotations, to the linear scans at instant at.
 func checkTimeTravel(t *testing.T, d *Database, at timestamp.Time) {
 	t.Helper()
-	view := d.ArcsAt(at)
 	for _, n := range d.AllNodeIDs() {
 		if got, want := d.ValueAt(n, at), scanValueAt(d, n, at); !got.Equal(want) {
 			t.Fatalf("ValueAt(%s, %s) = %s, scan %s", n, at, got, want)
@@ -208,17 +195,6 @@ func checkTimeTravel(t *testing.T, d *Database, at timestamp.Time) {
 				t.Fatalf("ArcLiveAt(%s, %s) = %v, scan %v", a, at, got, want)
 			}
 		}
-		want := scanOutAt(d, n, at)
-		if got := d.OutAt(n, at); !reflect.DeepEqual(got, want) {
-			t.Fatalf("OutAt(%s, %s) = %v, scan %v", n, at, got, want)
-		}
-		if got := view[n]; !reflect.DeepEqual(got, want) {
-			t.Fatalf("ArcsAt(%s)[%s] = %v, scan %v", at, n, got, want)
-		}
-		delete(view, n)
-	}
-	if len(view) != 0 {
-		t.Fatalf("ArcsAt(%s) holds %d nodes the database does not", at, len(view))
 	}
 }
 

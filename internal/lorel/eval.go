@@ -569,12 +569,19 @@ func (ev *evaluation) expandGroup(cur binding, grp *PathGroup) []oem.NodeID {
 }
 
 // liveArcs returns the arcs of n visible to an unannotated step: the
-// current snapshot, or the snapshot as of the binding's time-travel instant.
+// current snapshot, or the arcs that existed at the binding's time-travel
+// instant, in insertion order.
 func (ev *evaluation) liveArcs(b binding, g Graph, n oem.NodeID) []oem.Arc {
 	if !b.hasAsOf {
 		return g.Out(n)
 	}
-	return g.OutAt(n, b.asOf)
+	var arcs []oem.Arc
+	for _, a := range g.OutAll(n) {
+		if g.ArcLiveAt(a, b.asOf) {
+			arcs = append(arcs, a)
+		}
+	}
+	return arcs
 }
 
 // exactLabel reports whether the step's label matches by string equality

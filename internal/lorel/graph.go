@@ -24,6 +24,11 @@ import (
 // (doem.Apply, oem mutators) must exclude running queries, e.g. via
 // lore.Store.ViewIndexed or wrapper.Mutable.
 //
+// There is no time-travel adjacency method: a step through <at T> (or any
+// step below one) reads OutAll and keeps the arcs ArcLiveAt reports live
+// at T, each arc's own add/rem annotations deciding, as Section 4.2.2
+// defines it.
+//
 // *doem.Database satisfies Graph directly.
 type Graph interface {
 	// Root returns the root object.
@@ -48,9 +53,6 @@ type Graph interface {
 	ArcLiveAt(a oem.Arc, t timestamp.Time) bool
 	// ValueAt returns the value of n at time t.
 	ValueAt(n oem.NodeID, t timestamp.Time) value.Value
-	// OutAt returns the arcs of n that existed at time t, in insertion
-	// order: OutAll(n) filtered by ArcLiveAt(arc, t).
-	OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc
 }
 
 // assert *doem.Database implements Graph and LabelSeeker.
@@ -73,7 +75,8 @@ type LabelSeeker interface {
 	// the canonical string of sym, in insertion order.
 	OutLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc
 	// OutAllLabeled is the same over the full arc relation, removed arcs
-	// included.
+	// included. It serves <add at T>, <rem at T> and <at T> steps, and
+	// steps below an <at T>.
 	OutAllLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc
 }
 
@@ -119,9 +122,6 @@ func (g OEMGraph) ArcAnnotsIn(oem.Arc, timestamp.Time, timestamp.Time) []doem.Ar
 func (g OEMGraph) ArcLiveAt(a oem.Arc, _ timestamp.Time) bool {
 	return g.DB.HasArc(a.Parent, a.Label, a.Child)
 }
-
-// OutAt implements Graph: without history, every arc always existed.
-func (g OEMGraph) OutAt(n oem.NodeID, _ timestamp.Time) []oem.Arc { return g.DB.Out(n) }
 
 // ValueAt implements Graph: without history, the value is constant.
 func (g OEMGraph) ValueAt(n oem.NodeID, _ timestamp.Time) value.Value {

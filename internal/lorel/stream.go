@@ -298,12 +298,15 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 	}
 
 	switch {
+	case step.Arc == nil && cur.hasAsOf:
+		// Below an <at T>, an unannotated step reads the arcs live at T.
+		return w.liveAt(cur, depth, cur.asOf)
 	case step.Arc == nil:
 		// Exact-label steps over the current snapshot resolve from the
 		// adjacency index when the graph provides one, in the same
 		// insertion order the scan below would produce. A label the symbol
 		// table does not know labels no arc, and the scan finds nothing.
-		if st.symOK && w.ls != nil && !cur.hasAsOf {
+		if st.symOK && w.ls != nil {
 			for _, a := range w.ls.OutLabeled(cur.id, st.sym) {
 				if err := w.child(cur, depth, a.Child, nil); err != nil {
 					return err
@@ -311,7 +314,7 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 			}
 			return nil
 		}
-		for _, a := range w.ev.liveArcs(cur, g, cur.id) {
+		for _, a := range g.Out(cur.id) {
 			if !st.match(a.Label) {
 				continue
 			}
@@ -321,16 +324,8 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 		}
 	case step.Arc.Op == OpAdd || step.Arc.Op == OpRem:
 		wantKind := annotKindFor(step.Arc.Op)
-		// Exact-label annotation steps read the (parent, label) slice of
-		// the full arc relation instead of scanning every arc ever.
-		var arcs []oem.Arc
-		if st.symOK && w.ls != nil {
-			arcs = w.ls.OutAllLabeled(cur.id, st.sym)
-		} else {
-			arcs = g.OutAll(cur.id)
-		}
 		en := &w.ev.env
-		for _, a := range arcs {
+		for _, a := range w.allArcs(st, cur.id) {
 			if !st.match(a.Label) {
 				continue
 			}
@@ -357,16 +352,35 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 		if !ok {
 			return nil
 		}
-		for _, a := range g.OutAt(cur.id, t) {
-			if !st.match(a.Label) {
-				continue
-			}
-			if err := w.child(cur, depth, a.Child, &t); err != nil {
-				return err
-			}
-		}
+		return w.liveAt(cur, depth, t)
 	default:
 		return errf(step.P, "%s annotation cannot precede an arc label", step.Arc.Op)
+	}
+	return nil
+}
+
+// allArcs returns the arcs of n in the full arc relation, removed ones
+// included, that the step's label can match: the (n, label) bucket when
+// the label is exact and the graph keeps buckets, every arc of n otherwise.
+func (w *pathWalker) allArcs(st *stepCtx, n oem.NodeID) []oem.Arc {
+	if st.symOK && w.ls != nil {
+		return w.ls.OutAllLabeled(n, st.sym)
+	}
+	return w.g.OutAll(n)
+}
+
+// liveAt expands cur through the step's arcs that existed at t, delivering
+// each child as of t. It is <at T> as Section 4.2.2 defines it: each arc's
+// own add/rem annotations decide, so no snapshot of t is built.
+func (w *pathWalker) liveAt(cur binding, depth int, t timestamp.Time) error {
+	st := &w.steps[depth]
+	for _, a := range w.allArcs(st, cur.id) {
+		if !st.match(a.Label) || !w.g.ArcLiveAt(a, t) {
+			continue
+		}
+		if err := w.child(cur, depth, a.Child, &t); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -596,8 +596,11 @@ func (g uninternedGraph) with(n oem.NodeID, arcs []oem.Arc) []oem.Arc {
 
 func (g uninternedGraph) Out(n oem.NodeID) []oem.Arc    { return g.with(n, g.scanGraph.Out(n)) }
 func (g uninternedGraph) OutAll(n oem.NodeID) []oem.Arc { return g.with(n, g.scanGraph.OutAll(n)) }
-func (g uninternedGraph) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {
-	return g.with(n, g.scanGraph.OutAt(n, t))
+
+// ArcLiveAt reports the extra arc live at every time, as OEMGraph does its
+// own arcs.
+func (g uninternedGraph) ArcLiveAt(a oem.Arc, t timestamp.Time) bool {
+	return a == g.extra || g.scanGraph.ArcLiveAt(a, t)
 }
 
 // TestExactStepLookupMiss: an exact label the symbol table does not know
@@ -621,6 +624,41 @@ func TestExactStepLookupMiss(t *testing.T) {
 		`select X from g.` + label + ` X`,
 		`select X from g.(` + label + `) X`,
 		`select X from g.(x|` + label + `) X`,
+	} {
+		res, err := e.Query(q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		if got := res.FirstColumnNodes(); len(got) != 1 || got[0] != child {
+			t.Errorf("%s: got %v, want [%s]\n%s", q, got, child, res)
+		}
+	}
+	if _, ok := symbol.Lookup(label); ok {
+		t.Errorf("evaluating queries over %q interned it", label)
+	}
+}
+
+// TestAtStepLookupMiss: an exact step below <at T> whose label the symbol
+// table does not know reads every arc of the node instead of a label
+// bucket, and still reaches the arc carrying that label.
+func TestAtStepLookupMiss(t *testing.T) {
+	label := strings.Repeat("unseenat", 2)
+	if _, ok := symbol.Lookup(label); ok {
+		t.Fatalf("%q is already interned", label)
+	}
+	var parent, child oem.NodeID
+	db := newOEMWith(t, func(b *builderT) {
+		parent = b.complexArc(b.root(), "a")
+		child = b.atomArc(parent, "b", value.Int(2))
+	})
+	g := uninternedGraph{scanGraph{NewOEMGraph(db)}, oem.Arc{Parent: parent, Label: label, Child: child}}
+	e := NewEngine()
+	e.Register("g", g)
+	for _, q := range []string{
+		`select X from g.a.<at "1Jan97">` + label + ` X`,
+		`select X from g.<at "1Jan97">a.` + label + ` X`,
+		`select X from g.<at "1Jan97">a.(` + label + `) X`,
+		`select X from g.<at "1Jan97">a.(x|` + label + `) X`,
 	} {
 		res, err := e.Query(q)
 		if err != nil {
@@ -702,9 +740,9 @@ func parsePath(t *testing.T, src string) *PathExpr {
 // histories (shared children, cycles, removed and re-added arcs), on the
 // raw DOEM database, its current snapshot as plain OEM and a graph serving
 // LabelSeeker by scanning, each randomly drawn path must yield exactly the
-// oracle's matches in the oracle's order. The walker's <at> steps read each
-// graph's OutAt (doem.Database.OutAt, OEMGraph.OutAt), which the oracle
-// recomputes from OutAll and ArcLiveAt. Matches are compared from the
+// oracle's matches in the oracle's order. Walker and oracle both read <at>
+// steps from OutAll and ArcLiveAt; the walker takes the label seeker's
+// OutAllLabeled where the graph has one. Matches are compared from the
 // database root, and from bound heads — current nodes, time-travel
 // bindings, a value and null — with the walker prepared once and rerun for
 // every head, as generators rerun it for every outer binding.

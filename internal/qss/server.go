@@ -134,22 +134,18 @@ type ServerConfig struct {
 	// accumulating history, buffering notifications) for this long so a
 	// reconnecting client can resume them. 0 drops them immediately.
 	Linger time.Duration
-	// NotifyBuffer bounds the per-subscription notification replay
-	// buffer while orphaned (default 256; oldest dropped first).
-	NotifyBuffer int
 }
 
 const (
-	defaultMaxMessage   = 1 << 20
-	defaultNotifyBuffer = 256
+	defaultMaxMessage = 1 << 20
+	// notifyBuffer bounds an orphaned subscription's notification replay
+	// buffer; the oldest entry is dropped first.
+	notifyBuffer = 256
 )
 
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxMessage <= 0 {
 		c.MaxMessage = defaultMaxMessage
-	}
-	if c.NotifyBuffer <= 0 {
-		c.NotifyBuffer = defaultNotifyBuffer
 	}
 	return c
 }
@@ -188,8 +184,8 @@ type subRecord struct {
 
 // buffer queues a push for replay on resume, evicting the oldest beyond
 // the cap.
-func (r *subRecord) buffer(resp *Response, cap int) {
-	if len(r.buf) >= cap {
+func (r *subRecord) buffer(resp *Response) {
+	if len(r.buf) >= notifyBuffer {
 		r.buf = r.buf[1:]
 		r.dropped++
 	}
@@ -355,7 +351,7 @@ func (s *Server) deliver(n Notification) {
 	}}
 	owner := rec.owner
 	if owner == nil {
-		rec.buffer(resp, s.cfg.NotifyBuffer)
+		rec.buffer(resp)
 		s.mu.Unlock()
 		return
 	}
@@ -385,7 +381,7 @@ func (s *Server) deliverHealth(ev HealthEvent) {
 	}
 	owner := rec.owner
 	if owner == nil {
-		rec.buffer(resp, s.cfg.NotifyBuffer)
+		rec.buffer(resp)
 		s.mu.Unlock()
 		return
 	}

@@ -142,7 +142,7 @@ func (n *Node) pump(c net.Conn, stop chan struct{}) error {
 		if n.cfg.IdleTimeout > 0 {
 			c.SetReadDeadline(time.Now().Add(n.cfg.IdleTimeout))
 		}
-		f, err := ReadFrame(br, n.cfg.MaxFrame)
+		f, err := ReadFrame(br, DefaultMaxFrame)
 		if err != nil {
 			return err
 		}
@@ -182,11 +182,7 @@ func (n *Node) pump(c net.Conn, stop chan struct{}) error {
 			}
 			n.primaryAddr = addr
 			n.lastContact = time.Now()
-			cb := n.cfg.OnPrimaryAddr
 			n.mu.Unlock()
-			if cb != nil && addr != "" {
-				go cb(addr)
-			}
 		case FrameSnapshot:
 			if err := n.applySnapshot(f); err != nil {
 				return err

@@ -100,10 +100,6 @@ type Config struct {
 	WAL *wal.Options
 	// Clock supplies staleness timestamps. Default: wall clock.
 	Clock Clock
-	// MaxFrame caps frame payloads. Default DefaultMaxFrame.
-	MaxFrame int
-	// BatchBytes bounds one streamed record batch. Default 1 MiB.
-	BatchBytes int
 	// RedialInitial/RedialMax bound the follower redial backoff.
 	// Defaults 50ms / 2s.
 	RedialInitial, RedialMax time.Duration
@@ -116,23 +112,11 @@ type Config struct {
 	// silent for this long — the liveness check that detects a partition
 	// or dead primary. 0 disables.
 	IdleTimeout time.Duration
-	// OnRole, when set, is called (on its own goroutine) after every role
-	// change with the new role and epoch.
-	OnRole func(role Role, epoch uint64)
-	// OnPrimaryAddr, when set, is called (on its own goroutine) when a
-	// follower learns its primary's advertised client address.
-	OnPrimaryAddr func(addr string)
 }
 
 func (c Config) withDefaults() Config {
 	if c.Clock == nil {
 		c.Clock = wallClock{}
-	}
-	if c.MaxFrame <= 0 {
-		c.MaxFrame = DefaultMaxFrame
-	}
-	if c.BatchBytes <= 0 {
-		c.BatchBytes = 1 << 20
 	}
 	if c.RedialInitial <= 0 {
 		c.RedialInitial = 50 * time.Millisecond
@@ -388,13 +372,9 @@ func (n *Node) Promote() error {
 	// The promoted node's entire log is now the authoritative history.
 	n.commit = n.applied
 	n.acked = make(map[string]uint64)
-	cb := n.cfg.OnRole
 	n.cond.Broadcast()
 	n.mu.Unlock()
 	mEpochChanges.Inc()
-	if cb != nil {
-		go cb(RolePrimary, epoch)
-	}
 	return nil
 }
 
@@ -403,26 +383,16 @@ func (n *Node) Promote() error {
 // (pair with Follow). In-flight Apply calls fail unacknowledged.
 func (n *Node) Demote() {
 	n.mu.Lock()
-	var fire func()
 	if n.role == RolePrimary {
 		n.role = RoleFollower
 		n.cond.Broadcast()
-		if cb := n.cfg.OnRole; cb != nil {
-			ep := n.epoch
-			fire = func() { go cb(RoleFollower, ep) }
-		}
 	}
 	n.mu.Unlock()
-	if fire != nil {
-		fire()
-	}
 }
 
 // adoptEpochLocked raises the node's epoch to e (persisting it), deposing
 // a primary if one is running. Callers hold n.mu; e must exceed n.epoch.
-// Returns the OnRole callback to fire (outside the lock) when a
-// deposition happened.
-func (n *Node) adoptEpochLocked(e uint64) func() {
+func (n *Node) adoptEpochLocked(e uint64) {
 	if err := saveEpoch(filepath.Join(n.dir, epochFile), e); err != nil {
 		// Keep the in-memory epoch authoritative even if the disk write
 		// failed; a restart may regress the epoch file but the cluster
@@ -431,31 +401,22 @@ func (n *Node) adoptEpochLocked(e uint64) func() {
 	}
 	n.epoch = e
 	mEpochChanges.Inc()
-	var fire func()
 	if n.role == RolePrimary {
 		n.role = RoleFollower
 		n.fenced = true
 		mFences.Inc()
-		if cb := n.cfg.OnRole; cb != nil {
-			fire = func() { go cb(RoleFollower, e) }
-		}
 	}
 	n.cond.Broadcast()
-	return fire
 }
 
 // adoptEpoch is adoptEpochLocked for callers without the lock; it ignores
 // stale (lower or equal) epochs.
 func (n *Node) adoptEpoch(e uint64) {
 	n.mu.Lock()
-	var fire func()
 	if e > n.epoch {
-		fire = n.adoptEpochLocked(e)
+		n.adoptEpochLocked(e)
 	}
 	n.mu.Unlock()
-	if fire != nil {
-		fire()
-	}
 }
 
 // needAcks returns how many follower acks a write needs before commit.

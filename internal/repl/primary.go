@@ -8,6 +8,9 @@ import (
 	"repro/internal/wal"
 )
 
+// batchBytes bounds one streamed record batch.
+const batchBytes = 1 << 20
+
 // session is one connected follower on the primary side.
 type session struct {
 	node *Node
@@ -37,7 +40,7 @@ func (n *Node) Serve(ln net.Listener) {
 func (n *Node) HandleConn(c net.Conn) {
 	defer c.Close()
 	br := bufio.NewReader(c)
-	hello, err := ReadFrame(br, n.cfg.MaxFrame)
+	hello, err := ReadFrame(br, DefaultMaxFrame)
 	if err != nil || hello.Type != FrameHello {
 		return
 	}
@@ -129,7 +132,7 @@ func (n *Node) HandleConn(c net.Conn) {
 	// Ack reader: collects follower acks and fences us on higher epochs.
 	go func() {
 		for {
-			f, err := ReadFrame(br, n.cfg.MaxFrame)
+			f, err := ReadFrame(br, DefaultMaxFrame)
 			if err != nil {
 				n.mu.Lock()
 				sess.dead = true
@@ -181,7 +184,7 @@ func (n *Node) stream(sess *session, c net.Conn, next, lastCommit uint64) {
 		n.mu.Unlock()
 
 		if applied >= next {
-			recs, _, err := n.log.Records(next, n.cfg.BatchBytes)
+			recs, _, err := n.log.Records(next, batchBytes)
 			if errors.Is(err, wal.ErrCompacted) {
 				// A concurrent Compact outran this slow session; reset the
 				// follower with a fresh snapshot.

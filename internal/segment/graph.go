@@ -242,33 +242,6 @@ func (g *DB) ValueAt(n oem.NodeID, t timestamp.Time) value.Value {
 	return v
 }
 
-// OutAt implements lorel.Graph: the registry arcs of n live at t, in
-// registry (insertion) order — exactly OutAll filtered by ArcLiveAt, but
-// resolving the covering layer once for the whole adjacency list.
-func (g *DB) OutAt(n oem.NodeID, t timestamp.Time) []oem.Arc {
-	g.s.touch()
-	arcs := g.s.registry[n]
-	if len(arcs) == 0 {
-		return nil
-	}
-	out := make([]oem.Arc, 0, len(arcs))
-	if i := g.s.covering(t); i >= 0 {
-		x := g.s.mustIndex(g.s.segs[i])
-		for _, a := range arcs {
-			if g.unannotated(a) || liveInSegment(x, a, t) {
-				out = append(out, a)
-			}
-		}
-		return out
-	}
-	for _, a := range arcs {
-		if g.unannotated(a) || g.liveInActive(a, t) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
 // globalSnapshotAt materializes the snapshot at t (which must be at or
 // after the last seal) exactly as the monolithic SnapshotAt does: every
 // node ever created — live, deleted in the active segment, or deleted in

@@ -13,6 +13,7 @@ import (
 	"repro/internal/change"
 	"repro/internal/doem"
 	"repro/internal/guidegen"
+	"repro/internal/lorel"
 	"repro/internal/obs"
 	"repro/internal/oem"
 	"repro/internal/timestamp"
@@ -101,6 +102,18 @@ func filterArcAnnots(chain []doem.ArcAnnot, w [2]timestamp.Time) []doem.ArcAnnot
 	return out
 }
 
+// liveOut is what a step through <at t> reads of n: OutAll(n) filtered by
+// ArcLiveAt, in insertion order.
+func liveOut(g lorel.Graph, n oem.NodeID, t timestamp.Time) []oem.Arc {
+	var arcs []oem.Arc
+	for _, a := range g.OutAll(n) {
+		if g.ArcLiveAt(a, t) {
+			arcs = append(arcs, a)
+		}
+	}
+	return arcs
+}
+
 // checkGraphParity compares every Graph accessor of the segmented view
 // against the monolithic database, across all nodes, arcs, and candidate
 // instants.
@@ -145,14 +158,8 @@ func checkGraphParity(t testing.TB, mono *doem.Database, st *Store) {
 			if got, want := g.ValueAt(n, at), mono.ValueAt(n, at); !got.Equal(want) {
 				t.Fatalf("ValueAt(%s, %s): segmented %v, monolithic %v", n, at, got, want)
 			}
-			var want []oem.Arc
-			for _, a := range mono.OutAll(n) {
-				if mono.ArcLiveAt(a, at) {
-					want = append(want, a)
-				}
-			}
-			if got := g.OutAt(n, at); fmt.Sprint(got) != fmt.Sprint(want) {
-				t.Fatalf("OutAt(%s, %s): segmented %v, monolithic %v", n, at, got, want)
+			if got, want := liveOut(g, n, at), liveOut(mono, n, at); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("arcs of %s live at %s: segmented %v, monolithic %v", n, at, got, want)
 			}
 		}
 		for _, a := range mono.OutAll(n) {

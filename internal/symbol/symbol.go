@@ -11,8 +11,8 @@
 // pointer-equality fast path in string ==, so hot-path label comparisons
 // on match are word compares instead of byte scans.
 //
-// The dense ids exist for map keys: internal/index keys its per-(node,
-// label) adjacency maps by (NodeID, ID) — a fixed 12-byte comparable —
+// The dense ids exist for map keys: a DOEM database keys its per-(node,
+// label) arc buckets by (NodeID, ID) — a fixed 12-byte comparable —
 // instead of hashing string keys, and the evaluator resolves a path
 // step's label to an id once per walk instead of once per binding.
 //
