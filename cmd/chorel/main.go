@@ -103,20 +103,10 @@ func openSession(storeDir string, pol *segment.Policy, strategy string) (*sessio
 	if s.store, err = lore.OpenSegmented(storeDir, nil, pol); err != nil {
 		return nil, err
 	}
-	for _, ent := range s.store.List() {
-		switch ent.Kind {
-		case "doem":
-			// Queries range over the merged sealed+active history.
-			st, _ := s.store.SegmentStore(ent.Name)
-			s.eng.Register(ent.Name, st.Graph())
-		case "oem":
-			db, err := s.store.GetOEM(ent.Name)
-			if err != nil {
-				s.close()
-				return nil, err
-			}
-			s.eng.Register(ent.Name, lorel.NewOEMGraph(db))
-		}
+	for _, name := range s.store.List() {
+		// Queries range over the merged sealed+active history.
+		st, _ := s.store.SegmentStore(name)
+		s.eng.Register(name, st.Graph())
 	}
 	return s, nil
 }

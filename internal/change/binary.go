@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 
 	"repro/internal/oem"
 	"repro/internal/timestamp"
@@ -206,7 +207,9 @@ func AppendOp(dst []byte, op Op) []byte {
 		dst = appendString(dst, o.Label)
 		return binary.AppendUvarint(dst, uint64(o.Child))
 	default:
-		panic(fmt.Sprintf("change: AppendOp: unknown operation type %T", op))
+		// reflect.TypeOf, unlike %T, leaves op on the caller's stack, so
+		// encoding an operation value allocates nothing.
+		panic(fmt.Sprintf("change: AppendOp: unknown operation type %s", reflect.TypeOf(op)))
 	}
 }
 

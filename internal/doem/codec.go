@@ -6,13 +6,21 @@ import (
 
 	"repro/internal/change"
 	"repro/internal/oem"
-	"repro/internal/oemio"
 )
 
 // The stored form of a DOEM database. Section 3.2 shows that a feasible
-// DOEM database D is D(O_0(D), H(D)), so the pair is all that is stored:
+// DOEM database D is D(O_0(D), H(D)), so the pair is all that is stored,
+// in the one binary encoding of internal/change:
 //
-//	uvarint len(O_0) | O_0 (internal/oemio) | uvarint len(H) | change.AppendStep ...
+//	change.AppendSet(O_0) | uvarint len(H) | change.AppendStep ...
+//
+// O_0 is written as the change set that builds it from oem.New(), the
+// empty database R_0 every history starts from: a creNode for every
+// object but the root in id order, an updNode on the root when its value
+// is not complex, then an addArc for every arc in oem.Arcs() order (parent
+// ascending, each parent's insertion order). Decoding applies the set in
+// written order, which is what keeps each parent's arc order; any other
+// operation is corrupt.
 //
 // A sealed segment file (internal/segment) carries the same pair for its
 // interval. The pair preserves node ids, and replaying it rebuilds every
@@ -23,35 +31,52 @@ import (
 // cannot demand a huge allocation (the bound internal/change uses).
 const maxDecodeCount = 1 << 24
 
-// AppendHistory appends the pair (o, h) to dst.
-func AppendHistory(dst []byte, o *oem.Database, h change.History) ([]byte, error) {
-	base, err := oemio.Marshal(o)
-	if err != nil {
-		return nil, fmt.Errorf("doem: encoding O_0: %w", err)
+// AppendHistory appends the pair (o, h) to dst. It writes the bytes
+// change.AppendSet would for O_0's set without building the set.
+func AppendHistory(dst []byte, o *oem.Database, h change.History) []byte {
+	nodes, arcs := o.Nodes(), o.Arcs()
+	root := o.Root()
+	rootValue := o.MustValue(root)
+	count := len(nodes) - 1 + len(arcs)
+	if !rootValue.IsComplex() {
+		count++
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(base)))
-	dst = append(dst, base...)
+	dst = binary.AppendUvarint(dst, uint64(count))
+	for _, n := range nodes {
+		if n != root {
+			dst = change.AppendOp(dst, change.CreNode{Node: n, Value: o.MustValue(n)})
+		}
+	}
+	if !rootValue.IsComplex() {
+		dst = change.AppendOp(dst, change.UpdNode{Node: root, Value: rootValue})
+	}
+	for _, a := range arcs {
+		dst = change.AppendOp(dst, change.AddArc{Parent: a.Parent, Label: a.Label, Child: a.Child})
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(h)))
 	for _, step := range h {
 		dst = change.AppendStep(dst, step)
 	}
-	return dst, nil
+	return dst
 }
 
 // DecodeHistory decodes a pair written by AppendHistory from the front of
 // data and returns it with the number of bytes read. It checks the
 // encoding only; FromHistory checks the history.
 func DecodeHistory(data []byte) (*oem.Database, change.History, int, error) {
-	blen, n := binary.Uvarint(data)
-	if n <= 0 || blen > uint64(len(data)-n) {
-		return nil, nil, 0, fmt.Errorf("%w: O_0 length", change.ErrCorrupt)
+	// The older layout led with the length of a JSON O_0. A set that is
+	// not empty leads with an opcode, never '{'.
+	if c, n := binary.Uvarint(data); n > 0 && c > 0 && n < len(data) && data[n] == '{' {
+		return nil, nil, 0, fmt.Errorf("%w: O_0 is JSON, the layout of an older version, which is no longer read", change.ErrCorrupt)
 	}
-	off := n
-	o, err := oemio.Unmarshal(data[off : off+int(blen)])
+	set, off, err := change.DecodeSet(data)
+	if err != nil {
+		return nil, nil, 0, fmt.Errorf("O_0: %w", err)
+	}
+	o, err := buildOriginal(set)
 	if err != nil {
 		return nil, nil, 0, fmt.Errorf("%w: O_0: %v", change.ErrCorrupt, err)
 	}
-	off += int(blen)
 	count, n := binary.Uvarint(data[off:])
 	if n <= 0 || count > maxDecodeCount {
 		return nil, nil, 0, fmt.Errorf("%w: step count", change.ErrCorrupt)
@@ -71,11 +96,41 @@ func DecodeHistory(data []byte) (*oem.Database, change.History, int, error) {
 	return o, h, off, nil
 }
 
+// buildOriginal applies the set AppendHistory writes for O_0 to oem.New(),
+// in written order and without reordering it into a canonical set, which
+// would lose each parent's arc order.
+func buildOriginal(set change.Set) (*oem.Database, error) {
+	o := oem.New()
+	for _, op := range set {
+		var err error
+		switch op := op.(type) {
+		case change.CreNode:
+			if op.Node == o.Root() {
+				return nil, fmt.Errorf("creNode(%s) makes a second root", op.Node)
+			}
+			err = o.CreateNodeWithID(op.Node, op.Value)
+		case change.UpdNode:
+			if op.Node != o.Root() {
+				return nil, fmt.Errorf("%s is not on the root", op)
+			}
+			err = o.UpdateNode(op.Node, op.Value)
+		case change.AddArc:
+			err = o.AddArc(op.Parent, op.Label, op.Child)
+		default:
+			return nil, fmt.Errorf("%s does not build a database", op)
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return o, nil
+}
+
 // Append appends the stored form of d to dst: O_0(D), then one step per
 // entry of Steps(), a step that left no annotation as an empty set. A
 // database without annotations is its current snapshot, so it is written
 // as O_0 without materializing one.
-func Append(dst []byte, d *Database) ([]byte, error) {
+func Append(dst []byte, d *Database) []byte {
 	o := d.current
 	if d.annots > 0 {
 		o = d.Original()

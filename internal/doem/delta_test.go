@@ -85,11 +85,7 @@ func TestApplyCollectsByDelta(t *testing.T) {
 					deleted[n] = v
 				}
 			case 13: // continue on the decoded database
-				data, err := Append(nil, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				ud, _, err := Decode(data)
+				ud, _, err := Decode(Append(nil, d))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -169,11 +169,8 @@ func TestAccessPathsFollowCommit(t *testing.T) {
 				d = td
 				checkPaths(t, d, "Truncate")
 			case 13:
-				data, err := Append(nil, d)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if d, _, err = Decode(data); err != nil {
+				var err error
+				if d, _, err = Decode(Append(nil, d)); err != nil {
 					t.Fatal(err)
 				}
 				checkPaths(t, d, "Decode")

@@ -84,11 +84,7 @@ func fullRewrite(b *testing.B, dir string, initial *oem.Database, h change.Histo
 	d := doem.New(initial)
 	path := filepath.Join(dir, "guide.doem")
 	write := func() {
-		data, err := doem.Append(nil, d)
-		if err == nil {
-			err = wal.AtomicWrite(path, data)
-		}
-		if err != nil {
+		if err := wal.AtomicWrite(path, doem.Append(nil, d)); err != nil {
 			b.Fatal(err)
 		}
 	}

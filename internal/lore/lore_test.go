@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/doem"
@@ -29,6 +30,8 @@ func TestOpenRefusesEmptyDir(t *testing.T) {
 	}
 }
 
+// TestOEMStore: a plain OEM database is stored as a DOEM database with an
+// empty history and read back as its current snapshot.
 func TestOEMStore(t *testing.T) {
 	s, err := Open(t.TempDir())
 	if err != nil {
@@ -36,17 +39,17 @@ func TestOEMStore(t *testing.T) {
 	}
 	defer s.Close()
 	db, _ := guidegen.PaperGuide()
-	if err := s.PutOEM("guide", db); err != nil {
+	if err := s.PutDOEM("guide", doem.New(db)); err != nil {
 		t.Fatal(err)
 	}
-	got, err := s.GetOEM("guide")
+	got, err := s.GetDOEM("guide")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(db) {
+	if !got.Current().Equal(db) {
 		t.Error("stored database differs")
 	}
-	if _, err := s.GetOEM("missing"); !errors.Is(err, ErrNotFound) {
+	if _, err := s.GetDOEM("missing"); !errors.Is(err, ErrNotFound) {
 		t.Errorf("missing db: %v", err)
 	}
 }
@@ -59,7 +62,7 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	}
 	db, _ := guidegen.PaperGuide()
 	d := paperDOEM(t)
-	if err := s.PutOEM("guide", db); err != nil {
+	if err := s.PutDOEM("guide", doem.New(db)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutDOEM("guide-history", d); err != nil {
@@ -71,11 +74,11 @@ func TestPersistenceRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := s2.GetOEM("guide")
+	got, err := s2.GetDOEM("guide")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.Equal(db) {
+	if !got.Current().Equal(db) {
 		t.Error("OEM database changed across restart")
 	}
 	gd, err := s2.GetDOEM("guide-history")
@@ -94,21 +97,17 @@ func TestListAndDelete(t *testing.T) {
 		t.Fatal(err)
 	}
 	db, _ := guidegen.PaperGuide()
-	if err := s.PutOEM("b", db); err != nil {
+	if err := s.PutDOEM("b", doem.New(db)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.PutOEM("a", db); err != nil {
+	if err := s.PutDOEM("a", doem.New(db)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.PutDOEM("a", paperDOEM(t)); err != nil {
 		t.Fatal(err)
 	}
-	list := s.List()
-	if len(list) != 3 {
+	if list := s.List(); !reflect.DeepEqual(list, []string{"a", "b"}) {
 		t.Fatalf("List = %v", list)
-	}
-	if list[0].Name != "a" || list[0].Kind != "doem" || list[2].Name != "b" {
-		t.Errorf("List order = %v", list)
 	}
 	if err := s.Delete("a"); err != nil {
 		t.Fatal(err)
@@ -120,8 +119,8 @@ func TestListAndDelete(t *testing.T) {
 		t.Errorf("double delete: %v", err)
 	}
 	// Files are gone too.
-	if _, err := os.Stat(filepath.Join(dir, "a.oem.json")); !os.IsNotExist(err) {
-		t.Error("oem file survived delete")
+	if _, err := os.Stat(filepath.Join(dir, "a"+segExt)); !os.IsNotExist(err) {
+		t.Error("segment store survived delete")
 	}
 }
 
@@ -133,7 +132,7 @@ func TestInvalidNames(t *testing.T) {
 	defer s.Close()
 	db, _ := guidegen.PaperGuide()
 	for _, name := range []string{"", "a/b", `a\b`, ".hidden"} {
-		if err := s.PutOEM(name, db); err == nil {
+		if err := s.PutDOEM(name, doem.New(db)); err == nil {
 			t.Errorf("name %q accepted", name)
 		}
 	}

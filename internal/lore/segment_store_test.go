@@ -1,7 +1,6 @@
 package lore
 
 import (
-	"bytes"
 	"errors"
 	"os"
 	"path/filepath"
@@ -137,33 +136,36 @@ func TestOpenListsSegmentedDirectory(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if got := s2.List(); len(got) != 1 || got[0] != (Entry{Name: "guide", Kind: "doem"}) {
-		t.Fatalf("List = %v, want [{guide doem}]", got)
+	if got := s2.List(); len(got) != 1 || got[0] != "guide" {
+		t.Fatalf("List = %v, want [guide]", got)
 	}
 	checkQueries(t, s2, "guide", want)
 }
 
 // TestOpenRefusesDOEMJSON: a <name>.doem.json file, the layout earlier
-// versions of the store wrote on every step, is no longer read. Open
-// refuses the directory with an error that names the file, and leaves the
-// file where it is.
+// versions of the store wrote on every step, and a <name>.oem.json file,
+// their OEM database, are no longer read. Open refuses the directory with
+// an error that names the file, and leaves the file where it is.
 func TestOpenRefusesDOEMJSON(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "guide"+doemExt)
-	legacy := []byte(`{"current":{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}}`)
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	s, err := Open(dir)
-	if err == nil {
-		s.Close()
-		t.Fatal("Open read a directory holding a .doem.json file")
-	}
-	if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "older version") {
-		t.Errorf("error %q does not name %s as an older layout", err, path)
-	}
-	if data, err := os.ReadFile(path); err != nil || !bytes.Equal(data, legacy) {
-		t.Errorf("the refused file changed: %q, %v", data, err)
+	for name, legacy := range map[string]string{
+		"guide" + doemExt: `{"current":{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}}`,
+		"x" + oemExt:      `{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}`,
+	} {
+		path := filepath.Join(t.TempDir(), name)
+		if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := Open(filepath.Dir(path))
+		if err == nil {
+			s.Close()
+			t.Fatalf("Open read a directory holding %s", name)
+		}
+		if !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "older version") {
+			t.Errorf("error %q does not name %s as an older layout", err, path)
+		}
+		if data, err := os.ReadFile(path); err != nil || string(data) != legacy {
+			t.Errorf("the refused file changed: %q, %v", data, err)
+		}
 	}
 }
 
@@ -236,7 +238,7 @@ func TestOpenRemovesCutShortRemoval(t *testing.T) {
 		t.Fatalf("Open refuses the store over a cut-short removal: %v", err)
 	}
 	defer s.Close()
-	if got := s.List(); len(got) != 1 || got[0].Name != "other" {
+	if got := s.List(); len(got) != 1 || got[0] != "other" {
 		t.Errorf("List = %v, want only other", got)
 	}
 	if left := asideDirs(t, dir); len(left) != 0 {
@@ -277,7 +279,7 @@ func TestRemovalLeavesNoAside(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if got := s.List(); len(got) != 1 || got[0].Name != "guide" {
+	if got := s.List(); len(got) != 1 || got[0] != "guide" {
 		t.Errorf("List after reopen = %v, want only guide", got)
 	}
 	if got, err := s.GetDOEM("guide"); err != nil || !got.Equal(d) {

@@ -1,8 +1,9 @@
 // Package lore is a small storage manager standing in for the Lore DBMS the
-// paper builds on: it keeps named OEM and DOEM databases and persists them
-// to a directory. Every DOEM database it keeps on disk is a segment store
-// (internal/segment): its history is a write-ahead log of change sets whose
-// checkpoints are seals.
+// paper builds on: it keeps named DOEM databases in a directory of segment
+// stores (internal/segment) and nothing else. Each history is a
+// write-ahead log of change sets whose checkpoints are seals. A plain OEM
+// database is a DOEM database with an empty history: store it with
+// PutDOEM(name, doem.New(db)) and read it back as GetDOEM(name)'s Current().
 package lore
 
 import (
@@ -20,16 +21,14 @@ import (
 	"repro/internal/doem"
 	"repro/internal/lorel"
 	"repro/internal/obs"
-	"repro/internal/oem"
-	"repro/internal/oemio"
 	"repro/internal/segment"
 	"repro/internal/timestamp"
 	"repro/internal/wal"
 )
 
-// Store manages named databases under a directory: each DOEM database
-// lives in a <name>.doemseg segment store, ApplySet appends only the delta,
-// and Checkpoint seals; OEM databases are <name>.oem.json files.
+// Store manages named DOEM databases in a directory of segment stores and
+// nothing else: each lives in a <name>.doemseg segment store, ApplySet
+// appends only the delta, and Checkpoint seals.
 //
 // Concurrency: Store methods are safe to call concurrently. Live queries
 // read a DOEM database's whole history through ViewIndexed, which holds
@@ -41,7 +40,6 @@ type Store struct {
 	segPol *segment.Policy
 
 	mu     sync.RWMutex
-	oems   map[string]*oem.Database
 	stores map[string]*segment.Store
 
 	// locks holds one RWMutex per DOEM name, coordinating readers of the
@@ -55,9 +53,10 @@ type Store struct {
 var ErrNotFound = errors.New("lore: database not found")
 
 const (
-	oemExt = ".oem.json"
-	// doemExt is the JSON file in which earlier versions of the store kept
-	// a DOEM database; Open refuses a directory holding one.
+	// oemExt and doemExt are the JSON files in which earlier versions of
+	// the store kept an OEM and a DOEM database; Open refuses a directory
+	// holding one.
+	oemExt  = ".oem.json"
 	doemExt = ".doem.json"
 	segExt  = ".doemseg"
 )
@@ -71,9 +70,9 @@ func Open(dir string) (*Store, error) { return OpenSegmented(dir, nil, nil) }
 // active-segment WAL tail. opt may be nil for default log options; pol
 // controls automatic sealing, and nil seals only on explicit Checkpoint
 // calls. A <name>.doemseg.tmp directory is a removal that a crash cut
-// short (see Delete) and is removed. A <name>.doem.json file, the layout
-// of earlier versions, is no longer read: Open refuses it. A store needs a
-// directory: an empty dir is refused.
+// short (see Delete) and is removed. A <name>.oem.json or <name>.doem.json
+// file, the layout of earlier versions, is no longer read: Open refuses it
+// and removes nothing. A store needs a directory: an empty dir is refused.
 func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, error) {
 	if dir == "" {
 		return nil, errors.New("lore: a store needs a directory")
@@ -83,7 +82,6 @@ func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, e
 		dir:    dir,
 		walOpt: opt,
 		segPol: pol,
-		oems:   make(map[string]*oem.Database),
 		stores: make(map[string]*segment.Store),
 		locks:  make(map[string]*sync.RWMutex),
 	}
@@ -114,21 +112,9 @@ func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, e
 			s.stores[base] = st
 		case ent.IsDir():
 			continue
-		case strings.HasSuffix(name, oemExt):
-			data, err := os.ReadFile(filepath.Join(dir, name))
-			if err != nil {
-				s.Close()
-				return nil, fmt.Errorf("lore: %w", err)
-			}
-			db, err := oemio.Unmarshal(data)
-			if err != nil {
-				s.Close()
-				return nil, fmt.Errorf("lore: loading %s: %w", name, err)
-			}
-			s.oems[strings.TrimSuffix(name, oemExt)] = db
-		case strings.HasSuffix(name, doemExt):
+		case strings.HasSuffix(name, oemExt), strings.HasSuffix(name, doemExt):
 			s.Close()
-			return nil, fmt.Errorf("lore: %s is a DOEM database in the JSON layout of an older version, which is no longer read; move it out of %s",
+			return nil, fmt.Errorf("lore: %s is a database in the JSON layout of an older version, which is no longer read; move it out of %s",
 				filepath.Join(dir, name), dir)
 		}
 	}
@@ -137,35 +123,6 @@ func OpenSegmented(dir string, opt *wal.Options, pol *segment.Policy) (*Store, e
 	log.Printf("lore: opened %s: %d DOEM database(s), replayed %d log record(s) in %s",
 		dir, len(s.stores), replayed, time.Since(wallStart).Round(time.Microsecond))
 	return s, nil
-}
-
-// PutOEM stores (and persists) an OEM database under name.
-func (s *Store) PutOEM(name string, db *oem.Database) error {
-	if err := validName(name); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.oems[name] = db
-	data, err := oemio.Marshal(db)
-	if err != nil {
-		return err
-	}
-	if err := wal.AtomicWrite(filepath.Join(s.dir, name+oemExt), data); err != nil {
-		return fmt.Errorf("lore: %w", err)
-	}
-	return nil
-}
-
-// GetOEM retrieves an OEM database by name.
-func (s *Store) GetOEM(name string) (*oem.Database, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	db, ok := s.oems[name]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNotFound, name)
-	}
-	return db, nil
 }
 
 // PutDOEM stores (and persists) a DOEM database under name, replacing any
@@ -328,55 +285,34 @@ func (s *Store) GetDOEM(name string) (*doem.Database, error) {
 	return st.Replay()
 }
 
-// Delete removes a database (either kind) and its files. A segment store
-// is first renamed aside (wal.RemoveDir), so a crash leaves the name with
-// its whole history or with none, never with a store Open refuses.
+// Delete removes a database and its segment store. The store is first
+// renamed aside (wal.RemoveDir), so a crash leaves the name with its whole
+// history or with none, never with a store Open refuses.
 func (s *Store) Delete(name string) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	_, hadOEM := s.oems[name]
-	st, hadStore := s.stores[name]
-	if !hadOEM && !hadStore {
+	st, ok := s.stores[name]
+	if !ok {
 		return fmt.Errorf("%w: %q", ErrNotFound, name)
 	}
-	delete(s.oems, name)
-	if hadStore {
-		st.Close()
-		delete(s.stores, name)
-	}
-	if err := wal.RemoveEntries(s.dir, name+oemExt); err != nil {
-		return fmt.Errorf("lore: %w", err)
-	}
+	st.Close()
+	delete(s.stores, name)
 	if err := wal.RemoveDir(filepath.Join(s.dir, name+segExt)); err != nil {
 		return fmt.Errorf("lore: %w", err)
 	}
 	return nil
 }
 
-// List returns all database names, sorted, with their kind ("oem"/"doem").
-func (s *Store) List() []Entry {
+// List returns the names of all databases, sorted.
+func (s *Store) List() []string {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var out []Entry
-	for n := range s.oems {
-		out = append(out, Entry{Name: n, Kind: "oem"})
-	}
+	names := make([]string, 0, len(s.stores))
 	for n := range s.stores {
-		out = append(out, Entry{Name: n, Kind: "doem"})
+		names = append(names, n)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name != out[j].Name {
-			return out[i].Name < out[j].Name
-		}
-		return out[i].Kind < out[j].Kind
-	})
-	return out
-}
-
-// Entry describes one stored database.
-type Entry struct {
-	Name string
-	Kind string
+	sort.Strings(names)
+	return names
 }
 
 func validName(name string) error {

@@ -1,8 +1,9 @@
 // Package oemio serializes OEM databases to a cycle-safe JSON wire format.
 // The format is flat — a node table and an arc table — so arbitrary graphs
 // (shared subobjects, cycles) round-trip exactly, preserving node ids and
-// arc insertion order. It is the on-disk format of the lore store and the
-// payload format of the QSS client/server protocol.
+// arc insertion order. It is the answer format of the QSS client/server
+// protocol and the snapshot interchange format of cmd/oemdiff; no stored
+// history uses it (those use the binary encoding of internal/change).
 package oemio
 
 import (

@@ -35,10 +35,7 @@ func snapshotSub(t *testing.T, svc *Service, name string) subSnapshot {
 	svc.mu.Unlock()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	data, err := st.marshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	data := st.marshalState()
 	return subSnapshot{
 		polls: len(st.pollTimes), remap: len(st.remap), annots: st.d.NumAnnotations(),
 		nextID: st.nextID, state: hex.EncodeToString(data),

@@ -21,11 +21,8 @@ import (
 // earlier versions, is refused.
 
 // marshalState serializes the subscription state; st.mu must be held.
-func (st *subState) marshalState() ([]byte, error) {
-	buf, err := doem.Append(nil, st.d)
-	if err != nil {
-		return nil, fmt.Errorf("qss: snapshot: %w", err)
-	}
+func (st *subState) marshalState() []byte {
+	buf := doem.Append(nil, st.d)
 	pairs := make([]remapPair, 0, len(st.remap))
 	for src, id := range st.remap {
 		pairs = append(pairs, remapPair{Src: src, ID: id})
@@ -36,7 +33,7 @@ func (st *subState) marshalState() ([]byte, error) {
 	for _, t := range st.pollTimes {
 		buf = change.AppendTime(buf, t)
 	}
-	return buf, nil
+	return buf
 }
 
 // restoreState deserializes subscription state into st, which a refused

@@ -87,11 +87,8 @@ func (rs *ReplState) Snapshot() ([]byte, error) {
 	for _, name := range names {
 		st := subs[name]
 		st.mu.Lock()
-		data, err := st.marshalState()
+		data := st.marshalState()
 		st.mu.Unlock()
-		if err != nil {
-			return nil, err
-		}
 		buf = change.AppendString(buf, name)
 		buf = binary.AppendUvarint(buf, uint64(len(data)))
 		buf = append(buf, data...)

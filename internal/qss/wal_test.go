@@ -276,40 +276,46 @@ func TestEnableWALGuards(t *testing.T) {
 }
 
 // TestEnableWALRefusesJSONCheckpoint: an oplog checkpoint whose
-// subscription states are JSON, the layout of earlier versions, is no
-// longer read. EnableWAL fails with an error naming the oplog, and the
-// checkpoint stays as it was.
+// subscription states are JSON, or whose DOEM pairs hold a JSON O_0, is in
+// the layout of earlier versions and no longer read. EnableWAL fails with
+// an error naming the oplog, and the checkpoint stays as it was.
 func TestEnableWALRefusesJSONCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	oplog := filepath.Join(dir, "oplog")
-	l, err := wal.Open(oplog, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	state := []byte(`{"name":"R","doem":{"current":{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}},"next_id":1}`)
-	snap := binary.AppendUvarint(change.AppendString(binary.AppendUvarint(nil, 1), "R"), uint64(len(state)))
-	if err := l.Checkpoint(append(snap, state...), 0); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ckpt := filepath.Join(oplog, "CHECKPOINT")
-	before, err := os.ReadFile(ckpt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	svc := NewService(nil)
-	err = svc.EnableWAL(dir, nil)
-	if err == nil {
-		svc.Close()
-		t.Fatal("EnableWAL restored a JSON checkpoint")
-	}
-	if !strings.Contains(err.Error(), oplog) || !strings.Contains(err.Error(), "older version") {
-		t.Errorf("error %q does not name %s as an older layout", err, oplog)
-	}
-	if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, before) {
-		t.Errorf("the refused checkpoint changed (%v)", err)
+	o := `{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}`
+	pair := append(append(binary.AppendUvarint(nil, uint64(len(o))), o...), 0)
+	for name, state := range map[string][]byte{
+		"JSON state": []byte(`{"name":"R","doem":{"current":` + o + `},"next_id":1}`),
+		"JSON O_0":   binary.AppendUvarint(appendRemap(pair, nil, 1), 0),
+	} {
+		dir := t.TempDir()
+		oplog := filepath.Join(dir, "oplog")
+		l, err := wal.Open(oplog, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap := binary.AppendUvarint(change.AppendString(binary.AppendUvarint(nil, 1), "R"), uint64(len(state)))
+		if err := l.Checkpoint(append(snap, state...), 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		ckpt := filepath.Join(oplog, "CHECKPOINT")
+		before, err := os.ReadFile(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		svc := NewService(nil)
+		err = svc.EnableWAL(dir, nil)
+		if err == nil {
+			svc.Close()
+			t.Fatalf("%s: EnableWAL restored the checkpoint", name)
+		}
+		if !strings.Contains(err.Error(), oplog) || !strings.Contains(err.Error(), "older version") {
+			t.Errorf("%s: error %q does not name %s as an older layout", name, err, oplog)
+		}
+		if after, err := os.ReadFile(ckpt); err != nil || !bytes.Equal(after, before) {
+			t.Errorf("%s: the refused checkpoint changed (%v)", name, err)
+		}
 	}
 }
 

@@ -76,10 +76,7 @@ func (s *StoreState) Snapshot() ([]byte, error) {
 	sort.Strings(names)
 	buf := binary.AppendUvarint(nil, uint64(len(names)))
 	for _, name := range names {
-		data, err := doem.Append(nil, s.dbs[name])
-		if err != nil {
-			return nil, err
-		}
+		data := doem.Append(nil, s.dbs[name])
 		buf = change.AppendString(buf, name)
 		buf = binary.AppendUvarint(buf, uint64(len(data)))
 		buf = append(buf, data...)

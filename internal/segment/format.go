@@ -28,13 +28,14 @@ import (
 //	                 its interval (doem.AppendHistory) + orphan arcs
 //	seg-NNNNNN.idx   sealed segment N's annotation index (derived, droppable)
 //
-// The tail checkpoint's payload is the summary of sealed history — the end
-// bound of every committed segment, the id high-water mark, the arc
-// registry and the cre, dead and sealed-status summaries — followed by the
-// active segment's stored DOEM (doem.Append). A segment is committed once a
-// checkpoint counts it: a seal writes its .seg and .idx before that
-// checkpoint, so a segment file beyond the count is a leftover of a seal
-// that never committed, and Open removes it.
+// The tail checkpoint's payload is the summary of sealed history — per
+// committed segment its end bound and the ids of the nodes its index holds
+// upd chains for, each with the old value of its first upd there, the id
+// high-water mark, the arc registry and the cre, dead and sealed-status
+// summaries — followed by the active segment's stored DOEM (doem.Append). A segment is committed once a checkpoint
+// counts it: a seal writes its .seg and .idx before that checkpoint, so a
+// segment file beyond the count is a leftover of a seal that never
+// committed, and Open removes it.
 //
 // Every segment file is framed by wal.FrameFile (a magic string and a
 // trailing CRC-32C of everything before it) and written atomically by
@@ -44,17 +45,20 @@ import (
 // for its interval; the .idx file is derived from it and rebuilt when it is
 // missing, damaged or does not match the checkpoint's bounds.
 //
-// All varints are unsigned LEB128; times and values use the internal/change
-// encoders, so the formats share the WAL payload encoding end to end.
+// All varints are unsigned LEB128; snapshots, steps, times and values use
+// the internal/change encoders, so the formats share the WAL payload
+// encoding end to end.
 //
-// A tail checkpoint without the payload magic (JSON, or a bare DOEM pair)
-// and a directory holding a STATE file are layouts of earlier versions;
-// Open refuses them with an error that names the file.
+// A tail checkpoint without the payload magic (JSON, a bare DOEM pair, or
+// the DCKP1 layout whose snapshots were JSON) and a directory holding a
+// STATE file are layouts of earlier versions; Open refuses them with an
+// error that names the file. A DSEG1 segment cannot outlive its DCKP1
+// checkpoint, which counts it.
 
 var (
-	segMagic  = []byte("DSEG1\n")
+	segMagic  = []byte("DSEG2\n")
 	idxMagic  = []byte("DIDX1\n")
-	ckptMagic = []byte("DCKP1\n")
+	ckptMagic = []byte("DCKP2\n")
 )
 
 // ErrCorrupt reports a missing or undecodable committed segment file, or
@@ -171,11 +175,11 @@ type summary struct {
 }
 
 // checkpoint is the tail checkpoint's payload, the store's committed
-// state: the end bound of every committed segment (segment i covers
-// (ends[i-2], ends[i-1]], the first from -inf), the summary of their
-// history, and the active segment.
+// state: the handle of every committed segment (its end bound, upd node
+// ids and first old values; segment i covers (end of segment i-1, end of segment i], the
+// first from -inf), the summary of their history, and the active segment.
 type checkpoint struct {
-	ends   []timestamp.Time
+	segs   []*handle
 	sum    summary
 	active *doem.Database
 }
@@ -316,20 +320,17 @@ func (d *decoder) done() error {
 
 // ---- segment (.seg) files ----
 
-func encodeSegData(s *segData) ([]byte, error) {
+func encodeSegData(s *segData) []byte {
 	var body []byte
 	body = binary.AppendUvarint(body, uint64(s.id))
 	body = change.AppendTime(body, s.start)
 	body = change.AppendTime(body, s.end)
-	body, err := doem.AppendHistory(body, s.base, s.steps)
-	if err != nil {
-		return nil, fmt.Errorf("segment: %w", err)
-	}
+	body = doem.AppendHistory(body, s.base, s.steps)
 	body = binary.AppendUvarint(body, uint64(len(s.orphans)))
 	for _, a := range s.orphans {
 		body = appendArc(body, a)
 	}
-	return wal.FrameFile(segMagic, body), nil
+	return wal.FrameFile(segMagic, body)
 }
 
 func decodeSegData(data []byte) (*segData, error) {
@@ -460,12 +461,21 @@ func readSection[K, V any](d *decoder, what string, key func() K, cmp func(K, K)
 
 // encodeCheckpoint writes c as the tail checkpoint's payload. The wal
 // checkpoint frame around it carries the CRC.
-func encodeCheckpoint(c *checkpoint) ([]byte, error) {
+func encodeCheckpoint(c *checkpoint) []byte {
 	body := append([]byte(nil), ckptMagic...)
 	body = binary.AppendUvarint(body, uint64(c.sum.maxID))
-	body = binary.AppendUvarint(body, uint64(len(c.ends)))
-	for _, t := range c.ends {
-		body = change.AppendTime(body, t)
+	body = binary.AppendUvarint(body, uint64(len(c.segs)))
+	for _, h := range c.segs {
+		body = change.AppendTime(body, h.end)
+		// Ascending ids, each written as its distance from the previous,
+		// with its first old value.
+		body = binary.AppendUvarint(body, uint64(len(h.upd)))
+		prev := oem.NodeID(0)
+		for i, n := range h.upd {
+			body = binary.AppendUvarint(body, uint64(n-prev))
+			body = change.AppendValue(body, h.first[i])
+			prev = n
+		}
 	}
 
 	parents := make([]oem.NodeID, 0, len(c.sum.registry))
@@ -537,8 +547,24 @@ func decodeCheckpoint(data []byte) (*checkpoint, error) {
 		dead:         make(map[oem.NodeID]value.Value),
 		sealedStatus: make(map[oem.Arc]doem.AnnotKind),
 	}}
+	start := timestamp.NegInf
 	for i, n := 0, d.count("segment"); i < n && d.err == nil; i++ {
-		c.ends = append(c.ends, d.time("segment end"))
+		h := &handle{id: i + 1, start: start, end: d.time("segment end")}
+		m := d.count("upd node")
+		h.upd = make([]oem.NodeID, 0, min(m, len(d.b)/2))
+		h.first = make([]value.Value, 0, cap(h.upd))
+		prev := oem.NodeID(0)
+		for j := 0; j < m && d.err == nil; j++ {
+			node := prev + oem.NodeID(d.uvarint("upd node id"))
+			if node <= prev {
+				d.fail("upd node ids out of order", nil)
+			}
+			h.upd = append(h.upd, node)
+			h.first = append(h.first, d.value("upd first old value"))
+			prev = node
+		}
+		c.segs = append(c.segs, h)
+		start = h.end
 	}
 	for i, n := 0, d.count("registry parent"); i < n && d.err == nil; i++ {
 		p := oem.NodeID(d.uvarint("registry parent id"))

@@ -213,23 +213,26 @@ func (g *DB) liveInActive(a oem.Arc, t timestamp.Time) bool {
 }
 
 // ValueAt implements lorel.Graph: the old value of the earliest upd
-// annotation after t, scanning layers from the one covering t upward, or
-// the merged current value when no later upd exists.
+// annotation after t, from the layer covering t or the first later one
+// that updates n, or the merged current value when no later upd exists.
+// It loads at most the covering sealed index, and only when that segment
+// updates n: a later segment's first old value is in its handle.
 func (g *DB) ValueAt(n oem.NodeID, t timestamp.Time) value.Value {
 	g.s.touch()
 	if i := g.s.covering(t); i >= 0 {
-		for j := i; j < len(g.s.segs); j++ {
-			chain := g.s.mustIndex(g.s.segs[j]).updChain(n)
-			if j == i {
-				// Only the covering segment can hold upds at or before t;
-				// later segments' chains are entirely after it.
-				for _, a := range chain {
-					if a.At.After(t) {
-						return a.Old
-					}
+		// Only the covering segment can hold upds at or before t; later
+		// segments' chains are entirely after it.
+		h := g.s.segs[i]
+		if _, ok := h.firstOld(n); ok {
+			for _, a := range g.s.mustIndex(h).updChain(n) {
+				if a.At.After(t) {
+					return a.Old
 				}
-			} else if len(chain) > 0 {
-				return chain[0].Old
+			}
+		}
+		for _, h := range g.s.segs[i+1:] {
+			if v, ok := h.firstOld(n); ok {
+				return v
 			}
 		}
 	}

@@ -16,14 +16,15 @@ import (
 // policy and pins the SHA-256 of each segment file, so the sealed format
 // cannot change without this test saying so. Seven annotations seal the
 // first two steps; an explicit Seal seals the third. The .seg sums are
-// those of commit dede60e, before the base and steps were written through
-// doem.AppendHistory; the .idx sums those of commit df60909, before the
-// index was held in sorted sections instead of maps. An index rebuilt from
-// its segment has the same bytes as the one the seal wrote.
+// those of the DSEG2 layout, whose base snapshot is the change set that
+// builds it (doem.AppendHistory) rather than JSON; the .idx sums those of
+// commit df60909, before the index was held in sorted sections instead of
+// maps. An index rebuilt from its segment has the same bytes as the one
+// the seal wrote.
 func TestSealedBytesPinned(t *testing.T) {
 	want := map[string]string{
-		"seg-000001.seg": "f049c8542d9787ef03a8021f2cb50aea99b07b920ceeef45e5e6c40b9c315cf6",
-		"seg-000002.seg": "06fec3ed86b7caf16cd2a41ced2fa38bcbefd0b8ea599af81c7912f271086acd",
+		"seg-000001.seg": "a8b4635a57454668ae51b994e60e0f607a6be87fde13ff6d1f0e32566a327ad7",
+		"seg-000002.seg": "a3281273604e74afdc3908381f22fb153ee6cc8ebf38cdb263002bb0b7034991",
 		"seg-000001.idx": "821644f9d779751671e60e7cf58cd0c293f3460a4344085c1d28bd3905abfd66",
 		"seg-000002.idx": "42d3b2586e5e1d3f36928af11b85f2a04f15275bc71fadfe93dc2475171ed12d",
 	}

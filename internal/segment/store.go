@@ -60,15 +60,30 @@ type OpenStats struct {
 	Duration time.Duration // total open time, including recovery
 }
 
-// handle is the in-memory descriptor of one sealed segment. The parsed
-// index is loaded lazily and may be released (Policy.MaxHot); idx and
-// lastUse are guarded by Store.tierMu because queries load indexes while
-// holding only the store's reader-side lock.
+// handle is the in-memory descriptor of one sealed segment. upd holds the
+// ids of the nodes its index has upd chains for, ascending, and first the
+// old value of each one's first upd in the segment, so a value read finds
+// what the segments after the one it covers hold without loading their
+// indexes. The parsed index is loaded lazily and may be released
+// (Policy.MaxHot); idx and lastUse are guarded by Store.tierMu because
+// queries load indexes while holding only the store's reader-side lock.
 type handle struct {
 	id         int
 	start, end timestamp.Time
+	upd        []oem.NodeID
+	first      []value.Value
 	idx        *segIndex
 	lastUse    uint64
+}
+
+// firstOld returns the old value of n's first upd in the segment, and
+// whether the segment updates n at all.
+func (h *handle) firstOld(n oem.NodeID) (value.Value, bool) {
+	i, ok := slices.BinarySearch(h.upd, n)
+	if !ok {
+		return value.Value{}, false
+	}
+	return h.first[i], true
 }
 
 // Store is one history's segmented storage. Mutators (Apply, Seal,
@@ -194,12 +209,10 @@ func (s *Store) recover() (int, error) {
 		if err != nil {
 			return 0, fmt.Errorf("segment: tail checkpoint in %s: %w", s.tail.Dir(), err)
 		}
-		start := timestamp.NegInf
-		for i, end := range c.ends {
-			s.segs = append(s.segs, &handle{id: i + 1, start: start, end: end})
-			start = end
+		s.segs = c.segs
+		if len(s.segs) > 0 {
+			s.lastSeal = s.segs[len(s.segs)-1].end
 		}
-		s.lastSeal = start
 		s.summary = c.sum
 		for _, arcs := range s.registry {
 			for _, a := range arcs {
@@ -373,18 +386,15 @@ func replaySteps(l *wal.Log, fn func(seq uint64, step change.Step) error) error 
 	})
 }
 
-// commit installs the tail checkpoint that makes (ends, sum, d) the
+// commit installs the tail checkpoint that makes (segs, sum, d) the
 // store's committed state, covering every record appended so far. The
 // caller excludes writers of d and the tail for the whole call (the
 // single-writer rule). A failed checkpoint write leaves the state on disk
 // unknown — the rename may or may not have landed — so the store fails
 // stop: the tail closes, later writes fail, and a reopen recovers whichever
 // state committed.
-func (s *Store) commit(ends []timestamp.Time, sum summary, d *doem.Database) error {
-	payload, err := encodeCheckpoint(&checkpoint{ends: ends, sum: sum, active: d})
-	if err != nil {
-		return fmt.Errorf("segment: tail checkpoint: %w", err)
-	}
+func (s *Store) commit(segs []*handle, sum summary, d *doem.Database) error {
+	payload := encodeCheckpoint(&checkpoint{segs: segs, sum: sum, active: d})
 	if err := s.tail.Checkpoint(payload, s.tail.LastSeq()); err != nil {
 		s.tail.Close()
 		return fmt.Errorf("segment: %w", err)
@@ -478,11 +488,7 @@ func (s *Store) seal() error {
 	sd.orphans = s.orphanArcs(sd.base)
 	idx := buildIndex(s.active, sd.base, sd.orphans)
 
-	data, err := encodeSegData(sd)
-	if err != nil {
-		return err
-	}
-	if err := wal.AtomicWrite(filepath.Join(s.dir, segFileName(id)), data); err != nil {
+	if err := wal.AtomicWrite(filepath.Join(s.dir, segFileName(id)), encodeSegData(sd)); err != nil {
 		return err
 	}
 	if err := wal.AtomicWrite(filepath.Join(s.dir, idxFileName(id)), encodeSegIndex(id, sd.start, bound, idx)); err != nil {
@@ -515,17 +521,19 @@ func (s *Store) seal() error {
 			}
 		}
 	}
-	ends := make([]timestamp.Time, 0, id)
-	for _, h := range s.segs {
-		ends = append(ends, h.end)
+	h := &handle{id: id, start: sd.start, end: bound, upd: idx.upd.keys, idx: idx, lastUse: s.ticks.Load()}
+	h.first = make([]value.Value, len(h.upd))
+	for i := range h.upd {
+		h.first[i] = idx.upd.chain(i)[0].Old
 	}
+	segs := append(slices.Clip(s.segs), h)
 	fresh := doem.New(s.active.Current())
-	if err := s.commit(append(ends, bound), next, fresh); err != nil {
+	if err := s.commit(segs, next, fresh); err != nil {
 		return err
 	}
 	s.summary = next
 	s.lastSeal = bound
-	s.segs = append(s.segs, &handle{id: id, start: sd.start, end: bound, idx: idx, lastUse: s.ticks.Load()})
+	s.segs = segs
 	s.adoptActive(fresh)
 	mSeals.Inc()
 	mSealNs.ObserveSince(start)

@@ -412,55 +412,47 @@ func TestCreateRefusesExistingStore(t *testing.T) {
 	}
 }
 
-// TestOpenRefusesJSONTailCheckpoint: a tail checkpoint in JSON, the
-// layout of earlier versions, is no longer read. Open fails with an error
-// naming the tail log and moves, quarantines or rewrites nothing.
+// TestOpenRefusesJSONTailCheckpoint: a tail checkpoint in JSON, or in the
+// DCKP1 layout whose snapshots were JSON (the DSEG1 segments it counts
+// cannot outlive it), is in the layout of an earlier version and no longer
+// read. Open fails with an error naming the tail log and moves,
+// quarantines or rewrites nothing.
 func TestOpenRefusesJSONTailCheckpoint(t *testing.T) {
-	dir := t.TempDir()
-	_, st := buildPair(t, dir, 13, func(i int) bool { return i == 5 }, nil)
-	st.Close()
-	tail := filepath.Join(dir, tailDirName)
-	l, err := wal.Open(tail, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacy := []byte(`{"current":{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}}`)
-	if err := l.Checkpoint(legacy, l.LastSeq()); err != nil {
-		t.Fatal(err)
-	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
-	}
-	list := func() map[string]string {
-		files := make(map[string]string)
-		for _, d := range []string{dir, tail} {
-			entries, err := os.ReadDir(d)
+	for _, layout := range []string{"JSON", "DCKP1"} {
+		dir := t.TempDir()
+		_, st := buildPair(t, dir, 13, func(i int) bool { return i == 5 }, nil)
+		legacy := []byte(`{"current":{"root":1,"nodes":[{"id":1,"kind":"complex"}],"arcs":[]}}`)
+		if layout == "DCKP1" {
+			payload, _, _, err := st.tail.LastCheckpoint()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, e := range entries {
-				if !e.IsDir() {
-					data, err := os.ReadFile(filepath.Join(d, e.Name()))
-					if err != nil {
-						t.Fatal(err)
-					}
-					files[filepath.Join(d, e.Name())] = string(data)
-				}
-			}
+			legacy = append([]byte("DCKP1\n"), payload[len(ckptMagic):]...)
 		}
-		return files
-	}
-	before := list()
-	st, err = Open(dir, nil, nil)
-	if err == nil {
 		st.Close()
-		t.Fatal("Open read a JSON tail checkpoint")
-	}
-	if !strings.Contains(err.Error(), tail) || !strings.Contains(err.Error(), "older version") {
-		t.Errorf("error %q does not name %s as an older layout", err, tail)
-	}
-	if after := list(); !reflect.DeepEqual(after, before) {
-		t.Error("the refused open changed the store's files")
+		tail := filepath.Join(dir, tailDirName)
+		l, err := wal.Open(tail, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Checkpoint(legacy, l.LastSeq()); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+		before := treeFiles(t, dir)
+		st, err = Open(dir, nil, nil)
+		if err == nil {
+			st.Close()
+			t.Fatalf("Open read a %s tail checkpoint", layout)
+		}
+		if !strings.Contains(err.Error(), tail) || !strings.Contains(err.Error(), "older version") {
+			t.Errorf("%s: error %q does not name %s as an older layout", layout, err, tail)
+		}
+		if after := treeFiles(t, dir); !reflect.DeepEqual(after, before) {
+			t.Errorf("%s: the refused open changed the store's files", layout)
+		}
 	}
 }
 
@@ -555,10 +547,7 @@ func TestOpenRefusesMissingCommittedSegment(t *testing.T) {
 func TestOpenRefusesStateLayout(t *testing.T) {
 	dir := t.TempDir()
 	_, st := buildPair(t, dir, 13, func(i int) bool { return i == 5 }, nil)
-	pair, err := doem.Append(nil, st.active)
-	if err != nil {
-		t.Fatal(err)
-	}
+	pair := doem.Append(nil, st.active)
 	st.Close()
 	tail := filepath.Join(dir, tailDirName)
 	l, err := wal.Open(tail, nil)

@@ -160,3 +160,104 @@ func TestWindowedReadCostIgnoresSealedSegments(t *testing.T) {
 	}
 	t.Logf("gate ran in %s", time.Since(begin))
 }
+
+// valueStore builds a guide of 16 prices and a counter. The first of the
+// given number of sealed segments updates every price over four steps;
+// every later step, sealed or active, updates only the counter. It
+// returns the store reopened (so no index is loaded), the same history as
+// a monolithic database, and the time of the first segment's second step.
+func valueStore(t *testing.T, segments int) (*Store, *doem.Database, timestamp.Time) {
+	t.Helper()
+	guide := oem.New()
+	var prices []oem.NodeID
+	for i := 0; i < 16; i++ {
+		p := guide.CreateNode(value.Int(int64(10 + i)))
+		if err := guide.AddArc(guide.Root(), "price", p); err != nil {
+			t.Fatal(err)
+		}
+		prices = append(prices, p)
+	}
+	counter := guide.CreateNode(value.Int(0))
+	if err := guide.AddArc(guide.Root(), "counter", counter); err != nil {
+		t.Fatal(err)
+	}
+	mono := doem.New(guide.Clone())
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := Create(dir, doem.New(guide), &wal.Options{Sync: wal.SyncNever}, &Policy{MaxHot: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	at := timestamp.MustParse("1Jan97")
+	var second timestamp.Time
+	for i := 0; i < 4*segments+4; i++ {
+		at = at.Add(24 * time.Hour)
+		set := change.Set{change.UpdNode{Node: counter, Value: value.Int(int64(i + 1))}}
+		if i < 4 {
+			set = nil
+			for k := 0; k < 4; k++ {
+				set = append(set, change.UpdNode{Node: prices[4*i+k], Value: value.Int(int64(30 + 4*i + k))})
+			}
+		}
+		if i == 1 {
+			second = at
+		}
+		if err := mono.Apply(at, set); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Apply(at, set); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 3 && i < 4*segments {
+			if err := st.Seal(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if st, err = Open(dir, nil, &Policy{MaxHot: 2}); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	if st.Segments() != segments {
+		t.Fatalf("%d sealed segments, want %d", st.Segments(), segments)
+	}
+	return st, mono, second
+}
+
+// TestValueAtLoadsCoveringIndexOnly is the scaling gate of <at T> value
+// reads: reading every price at an instant inside the first sealed
+// segment loads at most the covering index, whether the store holds 2
+// sealed segments or 16; the value a later segment holds is in its
+// handle. The prices updated before the instant are not updated again,
+// so a read that scanned the later segments' indexes for their next upd
+// would load all of them. Its answers are the monolithic database's.
+func TestValueAtLoadsCoveringIndexOnly(t *testing.T) {
+	defer obs.SetEnabled(obs.SetEnabled(true))
+	for _, segments := range []int{2, 16} {
+		st, mono, at := valueStore(t, segments)
+		q := fmt.Sprintf(`select guide.price<at %q>`, at)
+		eng, raw := lorel.NewEngine(), lorel.NewEngine()
+		eng.Register("guide", st.Graph())
+		raw.Register("guide", mono)
+		loads := mIdxLoads.Value() + mIdxRebuilds.Value()
+		got, err := eng.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		answer := got.String()
+		loads = mIdxLoads.Value() + mIdxRebuilds.Value() - loads
+		want, err := raw.Query(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if answer != want.String() || len(want.Rows) != 16 {
+			t.Fatalf("%d segments: %s:\nsegmented:\n%s\nmonolithic:\n%s", segments, q, got, want)
+		}
+		t.Logf("%d segments: %d sealed index loads", segments, loads)
+		if loads > 1 {
+			t.Errorf("%d segments: %d sealed index loads, want at most 1", segments, loads)
+		}
+	}
+}

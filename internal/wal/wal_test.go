@@ -42,11 +42,7 @@ func replayHistory(l *Log) (change.History, error) {
 
 // checkpointDOEM checkpoints d as covering every record appended so far.
 func checkpointDOEM(l *Log, d *doem.Database) error {
-	payload, err := doem.Append(nil, d)
-	if err != nil {
-		return err
-	}
-	return l.Checkpoint(payload, l.LastSeq())
+	return l.Checkpoint(doem.Append(nil, d), l.LastSeq())
 }
 
 // replayDOEM is D(O, H) off the log: the checkpointed database (an empty
