@@ -28,6 +28,9 @@ import (
 //   - a repo path (dir/file, or a bare file name) must exist;
 //   - pkg.Ident or pkg.Type.Member must be declared in non-test code of
 //     internal/pkg (members: methods, struct fields, interface methods);
+//   - a bare call of an exported name, Name(...), must name a function,
+//     method or interface method that some package declares in non-test
+//     code (paper notation such as H(D) or O_t(D) is not such a name);
 //   - a metric-shaped name — snake_case whose first word is the subsystem
 //     of some registered obs metric, optionally with a {label="v"} suffix —
 //     must be registered by non-test code.
@@ -205,12 +208,14 @@ var (
 	reproName   = regexp.MustCompile(`REPRO_[A-Z_]+`)
 	makeCall    = regexp.MustCompile(`^make\s+([\w.-]+)`)
 	pkgIdent    = regexp.MustCompile(`^([a-z][a-z0-9]*)\.([A-Z]\w*)(?:\.([A-Z]\w*))?(?:\(.*\))?$`)
+	bareCall    = regexp.MustCompile(`^([A-Z][A-Za-z0-9]*[a-z][A-Za-z0-9]*)\(.*\)$`) // not math: H(D), O_t(D)
 	bareFile    = regexp.MustCompile(`^[\w.-]+\.(go|md|json|yml|sh|mod)$`)
 	lineSuffix  = regexp.MustCompile(`:\d+(-\d+)?$`)
 	metricShape = regexp.MustCompile(`^[a-z][a-z0-9]*(?:_[a-z0-9]+)+$`)
 	metricLabel = regexp.MustCompile(`\{.*\}$`)
 
 	flagDef   = regexp.MustCompile(`flag\.\w+\(\s*"([\w-]+)"|flag\.\w*Var\([^,]+,\s*"([\w-]+)"`)
+	funcDef   = regexp.MustCompile(`(?m)^(?:func (?:\([^)]*\) )?|\t)([A-Z]\w*)[\[(]`)
 	metricDef = regexp.MustCompile(`\b(?:New(?:Counter|Gauge|Histogram)|RegisterGaugeFunc)\(\s*(?:obs\.LabeledName\(\s*)?"(\w+)"`)
 	cmdSpan   = regexp.MustCompile(`^(?:cmd/)?([a-z]+)$`)
 	sentence  = regexp.MustCompile(`[.!?](?:\s|$)`)
@@ -244,6 +249,7 @@ type codeFacts struct {
 	cmdFlags              map[string]map[string]bool // command under cmd/ (or "benchmark") -> its flags
 	metrics               map[string]bool            // registered obs metric names
 	subsystems            map[string]bool            // first words of the metric names
+	funcs                 map[string]bool            // exported function, method and interface method names
 	testFuncs             map[string]bool            // Test*, Benchmark* and Fuzz* functions of the main module
 }
 
@@ -253,7 +259,7 @@ func loadCodeFacts(t *testing.T) *codeFacts {
 		flags: map[string]bool{}, repro: map[string]bool{}, targets: map[string]bool{},
 		paths: map[string]bool{}, baseNames: map[string]bool{}, decls: map[string]map[string]bool{},
 		cmdFlags: map[string]map[string]bool{}, metrics: map[string]bool{}, subsystems: map[string]bool{},
-		testFuncs: map[string]bool{},
+		testFuncs: map[string]bool{}, funcs: map[string]bool{},
 	}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil || path == ".git" {
@@ -278,6 +284,9 @@ func loadCodeFacts(t *testing.T) *codeFacts {
 				}
 			}
 			return nil
+		}
+		for _, m := range funcDef.FindAllStringSubmatch(string(src), -1) {
+			k.funcs[m[1]] = true
 		}
 		for _, m := range reproRead.FindAllStringSubmatch(string(src), -1) {
 			k.repro[m[1]] = true
@@ -412,6 +421,9 @@ func (k *codeFacts) check(span string) []string {
 		if found, ok := k.declared(m[1], name); ok && !found {
 			problems = append(problems, "internal/"+m[1]+" declares no "+name)
 		}
+	}
+	if m := bareCall.FindStringSubmatch(span); m != nil && !k.funcs[m[1]] {
+		problems = append(problems, "no package declares a function or method "+m[1])
 	}
 	if path := strings.TrimSuffix(lineSuffix.ReplaceAllString(span, ""), "/"); !strings.ContainsAny(path, " <>*…{}?") {
 		if first, _, nested := strings.Cut(path, "/"); nested && k.paths[first] && !k.paths[path] {

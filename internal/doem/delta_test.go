@@ -2,6 +2,7 @@ package doem
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -178,5 +179,36 @@ func TestApplyCostFollowsChangeSet(t *testing.T) {
 	d, _ := growTo(100)
 	if a := testing.AllocsPerRun(100, func() { _ = d.MaxID() }); a != 0 {
 		t.Fatalf("MaxID allocates %v per call", a)
+	}
+}
+
+// extractBytes returns the fewest bytes one ExtractHistory of an
+// unannotated DOEM database over an n-restaurant guide allocated, over a
+// few calls, and checks the history is empty.
+func extractBytes(t *testing.T, n int) uint64 {
+	t.Helper()
+	d := New(guidegen.Synthetic(1, n))
+	best := ^uint64(0)
+	var before, after runtime.MemStats
+	for i := 0; i < 3; i++ {
+		runtime.ReadMemStats(&before)
+		h := d.ExtractHistory()
+		runtime.ReadMemStats(&after)
+		if len(h) != 0 {
+			t.Fatalf("unannotated database has a %d-step history", len(h))
+		}
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestExtractHistoryCostFollowsHistory: an empty history costs the same on
+// a 1k-restaurant and on a 16k-restaurant database, so appending a fresh
+// segment's checkpoint pays nothing for the nodes it has no annotation on.
+func TestExtractHistoryCostFollowsHistory(t *testing.T) {
+	small, large := extractBytes(t, 1000), extractBytes(t, 16000)
+	t.Logf("bytes per ExtractHistory: %d at 1k restaurants, %d at 16k", small, large)
+	if small != large {
+		t.Fatalf("ExtractHistory of an empty history allocates with the database: %d bytes at 1k restaurants, %d at 16k", small, large)
 	}
 }

@@ -57,21 +57,6 @@ func (k AnnotKind) String() string {
 	}
 }
 
-// NodeAnnot is a cre or upd annotation on a node.
-type NodeAnnot struct {
-	Kind AnnotKind // AnnotCre or AnnotUpd
-	At   timestamp.Time
-	Old  value.Value // old value; meaningful only for AnnotUpd
-}
-
-// String renders the annotation in the paper's notation.
-func (a NodeAnnot) String() string {
-	if a.Kind == AnnotUpd {
-		return fmt.Sprintf("upd(%s, %s)", a.At, a.Old)
-	}
-	return fmt.Sprintf("%s(%s)", a.Kind, a.At)
-}
-
 // ArcAnnot is an add or rem annotation on an arc.
 type ArcAnnot struct {
 	Kind AnnotKind // AnnotAdd or AnnotRem
@@ -101,12 +86,14 @@ type ArcEvent struct {
 //
 // Internally it maintains the *current snapshot* as a live OEM database
 // (so unannotated Chorel steps and polling reads are cheap) plus the full
-// arc relation including removed arcs, the annotation maps, and the values
-// of nodes that have been deleted from the current snapshot.
+// arc relation including removed arcs, the annotations, and the values of
+// nodes that have been deleted from the current snapshot. f_N is the cre
+// times and the upd chains; an arc is removed exactly when its last
+// annotation is a rem.
 //
 // It also keeps its own access paths (paths.go): (node, label) buckets of
-// both arc relations, materialized upd chains and planner statistics, which
-// Commit updates with each operation it applies.
+// both arc relations and planner statistics, which Commit updates with each
+// operation it applies.
 //
 // Concurrency: read methods are pure lookups with no interior mutation, so
 // a Database is safe for any number of concurrent readers once built.
@@ -117,13 +104,14 @@ type Database struct {
 	current *oem.Database
 	// outAll holds every arc ever present, per parent, in insertion order.
 	outAll map[oem.NodeID][]oem.Arc
-	// dead marks arcs in outAll that are absent from the current snapshot.
-	dead map[oem.Arc]bool
 	// deletedValues holds the final value of nodes removed from the current
 	// snapshot by unreachability.
 	deletedValues map[oem.NodeID]value.Value
-	nodeAnn       map[oem.NodeID][]NodeAnnot
-	arcAnn        map[oem.Arc][]ArcAnnot
+	// cre holds each node's cre annotation, upds its upd annotations in
+	// timestamp order, each with the new value it set.
+	cre    map[oem.NodeID]timestamp.Time
+	upds   map[oem.NodeID][]UpdInfo
+	arcAnn map[oem.Arc][]ArcAnnot
 	// steps records the timestamps of applied change sets, ascending.
 	steps []timestamp.Time
 	// version counts successful Apply calls; caches of query results over
@@ -135,7 +123,6 @@ type Database struct {
 
 	// Access paths, built by index and kept up by Commit (paths.go).
 	paths  map[pathKey]bucket
-	upds   map[oem.NodeID][]UpdInfo
 	labels map[string]plan.LabelCard
 	annots int
 }
@@ -176,9 +163,9 @@ func wrap(cur *oem.Database) *Database {
 	d := &Database{
 		current:       cur,
 		outAll:        make(map[oem.NodeID][]oem.Arc),
-		dead:          make(map[oem.Arc]bool),
 		deletedValues: make(map[oem.NodeID]value.Value),
-		nodeAnn:       make(map[oem.NodeID][]NodeAnnot),
+		cre:           make(map[oem.NodeID]timestamp.Time),
+		upds:          make(map[oem.NodeID][]UpdInfo),
 		arcAnn:        make(map[oem.Arc][]ArcAnnot),
 	}
 	for _, id := range cur.Nodes() {
@@ -197,9 +184,9 @@ func (d *Database) Clone() *Database {
 	c := &Database{
 		current:       d.current.Clone(),
 		outAll:        make(map[oem.NodeID][]oem.Arc, len(d.outAll)),
-		dead:          maps.Clone(d.dead),
 		deletedValues: maps.Clone(d.deletedValues),
-		nodeAnn:       make(map[oem.NodeID][]NodeAnnot, len(d.nodeAnn)),
+		cre:           maps.Clone(d.cre),
+		upds:          make(map[oem.NodeID][]UpdInfo, len(d.upds)),
 		arcAnn:        make(map[oem.Arc][]ArcAnnot, len(d.arcAnn)),
 		steps:         slices.Clone(d.steps),
 		maxID:         d.maxID,
@@ -207,8 +194,8 @@ func (d *Database) Clone() *Database {
 	for n, arcs := range d.outAll {
 		c.outAll[n] = slices.Clone(arcs)
 	}
-	for n, anns := range d.nodeAnn {
-		c.nodeAnn[n] = slices.Clone(anns)
+	for n, ups := range d.upds {
+		c.upds[n] = slices.Clone(ups)
 	}
 	for a, anns := range d.arcAnn {
 		c.arcAnn[a] = slices.Clone(anns)
@@ -283,12 +270,6 @@ func (d *Database) Out(n oem.NodeID) []oem.Arc { return d.current.Out(n) }
 // in insertion order. The slice must not be modified.
 func (d *Database) OutAll(n oem.NodeID) []oem.Arc { return d.outAll[n] }
 
-// IsDead reports whether arc a is absent from the current snapshot.
-func (d *Database) IsDead(a oem.Arc) bool { return d.dead[a] }
-
-// NodeAnnots returns the annotations on node n in timestamp order.
-func (d *Database) NodeAnnots(n oem.NodeID) []NodeAnnot { return d.nodeAnn[n] }
-
 // ArcAnnots returns the annotations on arc a in timestamp order.
 func (d *Database) ArcAnnots(a oem.Arc) []ArcAnnot { return d.arcAnn[a] }
 
@@ -305,12 +286,8 @@ func (d *Database) ArcAnnotsIn(a oem.Arc, from, to timestamp.Time) []ArcAnnot {
 // CreTime implements the paper's creFun: the creation timestamp of n, if n
 // carries a cre annotation.
 func (d *Database) CreTime(n oem.NodeID) (timestamp.Time, bool) {
-	for _, a := range d.nodeAnn[n] {
-		if a.Kind == AnnotCre {
-			return a.At, true
-		}
-	}
-	return timestamp.Time{}, false
+	t, ok := d.cre[n]
+	return t, ok
 }
 
 // UpdTriples implements the paper's updFun: the (time, old, new) triples of
@@ -431,24 +408,21 @@ func (d *Database) Commit(t timestamp.Time, ops change.Set) {
 		}
 		switch o := op.(type) {
 		case change.CreNode:
-			d.nodeAnn[o.Node] = append(d.nodeAnn[o.Node], NodeAnnot{Kind: AnnotCre, At: t})
+			d.cre[o.Node] = t
 			if o.Node > d.maxID {
 				d.maxID = o.Node
 			}
 		case change.UpdNode:
-			old := oldValues[o.Node]
-			d.nodeAnn[o.Node] = append(d.nodeAnn[o.Node], NodeAnnot{Kind: AnnotUpd, At: t, Old: old})
 			v, _ := d.current.Value(o.Node)
-			d.upds[o.Node] = append(d.upds[o.Node], UpdInfo{At: t, Old: old, New: v})
+			d.upds[o.Node] = append(d.upds[o.Node], UpdInfo{At: t, Old: oldValues[o.Node], New: v})
 		case change.AddArc:
 			// Canonicalize labels so the full-arc relation, the annotation
 			// maps and the current snapshot (whose AddArc canonicalizes the
 			// same way) all share one backing string per distinct label.
 			arc := oem.Arc{Parent: o.Parent, Label: symbol.Canon(o.Label), Child: o.Child}
 			k := keyOf(arc)
-			if d.dead[arc] {
-				delete(d.dead, arc) // re-added after a removal
-				d.addPath(k, arc, false)
+			if !d.ArcLiveAt(arc, timestamp.PosInf) {
+				d.addPath(k, arc, false) // re-added after a removal
 			} else if !slices.Contains(d.paths[k].all, arc) {
 				d.outAll[o.Parent] = append(d.outAll[o.Parent], arc)
 				d.addPath(k, arc, true)
@@ -456,7 +430,6 @@ func (d *Database) Commit(t timestamp.Time, ops change.Set) {
 			d.arcAnn[arc] = append(d.arcAnn[arc], ArcAnnot{Kind: AnnotAdd, At: t})
 		case change.RemArc:
 			arc := oem.Arc{Parent: o.Parent, Label: symbol.Canon(o.Label), Child: o.Child}
-			d.dead[arc] = true
 			d.cutPath(keyOf(arc), &arc)
 			d.arcAnn[arc] = append(d.arcAnn[arc], ArcAnnot{Kind: AnnotRem, At: t})
 		}
@@ -579,6 +552,9 @@ func (d *Database) ArcLiveAt(a oem.Arc, t timestamp.Time) bool {
 // step per distinct annotation timestamp, containing the corresponding
 // basic change operations.
 func (d *Database) ExtractHistory() change.History {
+	if d.annots == 0 {
+		return change.History{}
+	}
 	byTime := make(map[timestamp.Time]*change.Set)
 	var times []timestamp.Time
 	stepFor := func(t timestamp.Time) *change.Set {
@@ -590,26 +566,20 @@ func (d *Database) ExtractHistory() change.History {
 		times = append(times, t)
 		return s
 	}
-	for _, id := range d.AllNodeIDs() {
-		anns := d.nodeAnn[id]
-		ups := d.UpdTriples(id)
-		upIdx := 0
-		for _, a := range anns {
-			switch a.Kind {
-			case AnnotCre:
-				// The created value is the node's value just after creation:
-				// the old value of the first upd, or the current value.
-				v := d.ValueAt(id, a.At)
-				s := stepFor(a.At)
-				*s = append(*s, change.CreNode{Node: id, Value: v})
-			case AnnotUpd:
-				s := stepFor(a.At)
-				*s = append(*s, change.UpdNode{Node: id, Value: ups[upIdx].New})
-				upIdx++
-			}
+	ids := d.AllNodeIDs()
+	for _, id := range ids {
+		if t, ok := d.cre[id]; ok {
+			// The created value is the node's value just after creation:
+			// the old value of the first upd, or the current value.
+			s := stepFor(t)
+			*s = append(*s, change.CreNode{Node: id, Value: d.ValueAt(id, t)})
+		}
+		for _, u := range d.upds[id] {
+			s := stepFor(u.At)
+			*s = append(*s, change.UpdNode{Node: id, Value: u.New})
 		}
 	}
-	for _, id := range d.AllNodeIDs() {
+	for _, id := range ids {
 		for _, arc := range d.outAll[id] {
 			for _, a := range d.arcAnn[arc] {
 				s := stepFor(a.At)
@@ -667,16 +637,21 @@ func (d *Database) Equal(other *Database) bool {
 	if !d.current.Equal(other.current) {
 		return false
 	}
-	if len(d.nodeAnn) != len(other.nodeAnn) || len(d.arcAnn) != len(other.arcAnn) || len(d.dead) != len(other.dead) {
+	if len(d.cre) != len(other.cre) || len(d.upds) != len(other.upds) || len(d.arcAnn) != len(other.arcAnn) {
 		return false
 	}
-	for n, anns := range d.nodeAnn {
-		o := other.nodeAnn[n]
-		if len(o) != len(anns) {
+	for n, t := range d.cre {
+		if ot, ok := other.cre[n]; !ok || !t.Equal(ot) {
 			return false
 		}
-		for i := range anns {
-			if anns[i].Kind != o[i].Kind || !anns[i].At.Equal(o[i].At) || !anns[i].Old.Equal(o[i].Old) {
+	}
+	for n, ups := range d.upds {
+		o := other.upds[n]
+		if len(o) != len(ups) {
+			return false
+		}
+		for i := range ups {
+			if !ups[i].At.Equal(o[i].At) || !ups[i].Old.Equal(o[i].Old) || !ups[i].New.Equal(o[i].New) {
 				return false
 			}
 		}
@@ -690,11 +665,6 @@ func (d *Database) Equal(other *Database) bool {
 			if anns[i] != o[i] {
 				return false
 			}
-		}
-	}
-	for a := range d.dead {
-		if !other.dead[a] {
-			return false
 		}
 	}
 	for n, v := range d.deletedValues {
@@ -722,8 +692,11 @@ func (d *Database) String() string {
 	for _, id := range d.AllNodeIDs() {
 		v, _ := d.Value(id)
 		fmt.Fprintf(&b, "  %s = %s", id, v)
-		for _, a := range d.nodeAnn[id] {
-			fmt.Fprintf(&b, " [%s]", a)
+		if t, ok := d.cre[id]; ok {
+			fmt.Fprintf(&b, " [cre(%s)]", t)
+		}
+		for _, u := range d.upds[id] {
+			fmt.Fprintf(&b, " [upd(%s, %s)]", u.At, u.Old)
 		}
 		if d.isDeleted(id) {
 			b.WriteString(" (deleted)")
@@ -734,7 +707,7 @@ func (d *Database) String() string {
 			for _, a := range d.arcAnn[arc] {
 				fmt.Fprintf(&b, " [%s]", a)
 			}
-			if d.dead[arc] {
+			if !d.ArcLiveAt(arc, timestamp.PosInf) {
 				b.WriteString(" (removed)")
 			}
 			b.WriteString("\n")

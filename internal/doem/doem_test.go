@@ -125,8 +125,8 @@ func TestPaperExample31Annotations(t *testing.T) {
 		t.Errorf("parking rem events = %v", rems)
 	}
 	arc := oem.Arc{Parent: f.janta, Label: "parking", Child: f.parking}
-	if !d.IsDead(arc) {
-		t.Error("removed arc not marked dead")
+	if d.ArcLiveAt(arc, timestamp.PosInf) {
+		t.Error("removed arc still live after its rem")
 	}
 	found := false
 	for _, a := range d.OutAll(f.janta) {
@@ -149,8 +149,10 @@ func TestPaperExample31Annotations(t *testing.T) {
 	}
 
 	// Original nodes carry no annotations.
-	if len(d.NodeAnnots(f.janta)) != 0 || len(d.NodeAnnots(f.guide)) != 0 {
-		t.Error("original nodes must have empty annotation sets")
+	for _, n := range []oem.NodeID{f.janta, f.guide} {
+		if _, ok := d.CreTime(n); ok || len(d.UpdTriples(n)) != 0 {
+			t.Errorf("original node %s must have an empty annotation set", n)
+		}
 	}
 }
 
@@ -316,8 +318,8 @@ func TestArcLiveAtReAdd(t *testing.T) {
 	if !d.ArcLiveAt(arc, timestamp.MustParse("2Jan97")) {
 		t.Error("arc should be live again at 2Jan97")
 	}
-	if d.IsDead(arc) {
-		t.Error("re-added arc should not be marked dead")
+	if !d.ArcLiveAt(arc, timestamp.PosInf) {
+		t.Error("re-added arc should be live")
 	}
 	// The annotation trail shows rem then add.
 	anns := d.ArcAnnots(arc)

@@ -10,10 +10,9 @@ import (
 
 // The database's access paths — the indexes on annotations of the paper's
 // Section 7, kept on the annotated graph itself: (node, label) buckets of
-// the current and full arc relations, each node's upd chain with derived
-// new values, and the planner's per-label cardinalities. New and Clone
-// build them (index); Commit updates them with every operation it
-// applies, so they are never stale.
+// the current and full arc relations and the planner's per-label
+// cardinalities. New and Clone build them (index); Commit updates them
+// with every operation it applies, so they are never stale.
 
 var _ plan.Stats = (*Database)(nil)
 
@@ -54,9 +53,8 @@ func (b bucket) current() []oem.Arc {
 // either copies instead of writing into the other.
 func (d *Database) index() {
 	d.paths = make(map[pathKey]bucket, d.current.NumArcs())
-	d.upds = make(map[oem.NodeID][]UpdInfo)
 	d.labels = make(map[string]plan.LabelCard)
-	d.annots = 0
+	d.annots = len(d.cre)
 	for n, all := range d.outAll {
 		for i, a := range all {
 			k := keyOf(a)
@@ -98,21 +96,8 @@ func (d *Database) index() {
 		}
 		d.labels[label] = lc
 	}
-	for n, anns := range d.nodeAnn {
-		d.annots += len(anns)
-		var ups []UpdInfo
-		for _, a := range anns {
-			if a.Kind == AnnotUpd {
-				if len(ups) > 0 {
-					ups[len(ups)-1].New = a.Old
-				}
-				ups = append(ups, UpdInfo{At: a.At, Old: a.Old})
-			}
-		}
-		if len(ups) > 0 {
-			ups[len(ups)-1].New, _ = d.Value(n)
-			d.upds[n] = ups
-		}
+	for _, ups := range d.upds {
+		d.annots += len(ups)
 	}
 	for _, anns := range d.arcAnn {
 		d.annots += len(anns)

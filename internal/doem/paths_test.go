@@ -2,9 +2,11 @@ package doem
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 	"time"
 
+	"repro/internal/change"
 	"repro/internal/guidegen"
 	"repro/internal/oem"
 	"repro/internal/plan"
@@ -13,42 +15,81 @@ import (
 	"repro/internal/value"
 )
 
-// The linear scans below are what the access paths replace; the tests hold
-// the paths to them.
-
-// scanUpdTriples derives n's upd triples from its node annotations.
-func scanUpdTriples(d *Database, n oem.NodeID) []UpdInfo {
-	var ups []UpdInfo
-	for _, a := range d.nodeAnn[n] {
-		if a.Kind == AnnotUpd {
-			ups = append(ups, UpdInfo{At: a.At, Old: a.Old})
-		}
-	}
-	for i := range ups {
-		if i+1 < len(ups) {
-			ups[i].New = ups[i+1].Old
-		} else if v, ok := d.Value(n); ok {
-			ups[i].New = v
-		}
-	}
-	return ups
+// pathOracle is f_N and f_A of a history replayed step by step on a plain
+// oem.Database, apart from the storage of the Database it checks: each
+// node's cre time and (t, old, new) per upd, each arc's add/rem sequence.
+type pathOracle struct {
+	cur  *oem.Database
+	cre  map[oem.NodeID]timestamp.Time
+	upds map[oem.NodeID][]UpdInfo
+	arcs map[oem.Arc][]ArcAnnot
+	vals map[oem.NodeID]value.Value // final value of every node ever present
 }
 
-// scanValueAt: the current value unless some upd annotation is after t, in
-// which case the old value of the earliest such.
-func scanValueAt(d *Database, n oem.NodeID, t timestamp.Time) value.Value {
-	cur, _ := d.Value(n)
-	for _, a := range d.nodeAnn[n] {
-		if a.Kind == AnnotUpd && a.At.After(t) {
-			return a.Old
-		}
+// newOracle starts from a collected copy of o with no annotations, and
+// replays h on it.
+func newOracle(t *testing.T, o *oem.Database, h change.History) *pathOracle {
+	t.Helper()
+	po := &pathOracle{
+		cur:  o.Clone(),
+		cre:  map[oem.NodeID]timestamp.Time{},
+		upds: map[oem.NodeID][]UpdInfo{},
+		arcs: map[oem.Arc][]ArcAnnot{},
+		vals: map[oem.NodeID]value.Value{},
 	}
-	return cur
+	po.cur.GarbageCollect()
+	for _, n := range po.cur.Nodes() {
+		po.vals[n] = po.cur.MustValue(n)
+	}
+	for _, step := range h {
+		po.apply(t, step.At, step.Ops)
+	}
+	return po
 }
 
-// scanArcLiveAt replays a's annotations up to t from its O_0 state.
-func scanArcLiveAt(d *Database, a oem.Arc, t timestamp.Time) bool {
-	anns := d.arcAnn[a]
+func (po *pathOracle) apply(t *testing.T, at timestamp.Time, set change.Set) {
+	t.Helper()
+	old := map[oem.NodeID]value.Value{}
+	for _, op := range set {
+		if u, ok := op.(change.UpdNode); ok {
+			old[u.Node] = po.cur.MustValue(u.Node)
+		}
+	}
+	for _, op := range set.Canonical() {
+		if err := op.Apply(po.cur); err != nil {
+			t.Fatalf("oracle: %s: %v", op, err)
+		}
+		switch o := op.(type) {
+		case change.CreNode:
+			po.cre[o.Node], po.vals[o.Node] = at, o.Value
+		case change.UpdNode:
+			po.upds[o.Node] = append(po.upds[o.Node], UpdInfo{At: at, Old: old[o.Node], New: o.Value})
+			po.vals[o.Node] = o.Value
+		case change.AddArc:
+			a := oem.Arc{Parent: o.Parent, Label: o.Label, Child: o.Child}
+			po.arcs[a] = append(po.arcs[a], ArcAnnot{Kind: AnnotAdd, At: at})
+		case change.RemArc:
+			a := oem.Arc{Parent: o.Parent, Label: o.Label, Child: o.Child}
+			po.arcs[a] = append(po.arcs[a], ArcAnnot{Kind: AnnotRem, At: at})
+		}
+	}
+	po.cur.GarbageCollect()
+}
+
+// valueAt: the final value unless some upd is after t, in which case the
+// old value of the earliest such.
+func (po *pathOracle) valueAt(n oem.NodeID, t timestamp.Time) value.Value {
+	for _, u := range po.upds[n] {
+		if u.At.After(t) {
+			return u.Old
+		}
+	}
+	return po.vals[n]
+}
+
+// arcLiveAt replays a's annotations up to t from its O_0 state.
+func (po *pathOracle) arcLiveAt(a oem.Arc, t timestamp.Time) bool {
+	anns := po.arcs[a]
 	live := len(anns) == 0 || anns[0].Kind == AnnotRem
 	for _, ann := range anns {
 		if ann.At.After(t) {
@@ -70,14 +111,18 @@ func scanLabel(arcs []oem.Arc, l string) []oem.Arc {
 	return out
 }
 
-// checkPaths recounts every access path of d by scanning Out, OutAll and
-// the annotations, and fails on the first that differs.
-func checkPaths(t *testing.T, d *Database, ctx string) {
+// checkPaths recounts every access path of d by scanning Out and OutAll,
+// holds its annotations to the oracle's replay of the same history, and
+// fails on the first that differs.
+func checkPaths(t *testing.T, d *Database, po *pathOracle, ctx string) {
 	t.Helper()
 	labels := make(map[string]plan.LabelCard)
-	arcs, annots := 0, 0
+	arcs, annotated := 0, 0
 	absent, _ := symbol.Intern("doem-paths-absent-label")
 	ids := d.AllNodeIDs()
+	if len(ids) != len(po.vals) {
+		t.Fatalf("%s: %d nodes ever, oracle %d", ctx, len(ids), len(po.vals))
+	}
 	for _, n := range ids {
 		seen := map[string]bool{}
 		for _, a := range d.OutAll(n) {
@@ -110,13 +155,34 @@ func checkPaths(t *testing.T, d *Database, ctx string) {
 			t.Fatalf("%s: node %s has arcs under a label it never carried", ctx, n)
 		}
 		arcs += len(d.Out(n))
-		annots += len(d.NodeAnnots(n))
 		for _, a := range d.OutAll(n) {
-			annots += len(d.ArcAnnots(a))
+			if got, want := d.ArcAnnots(a), po.arcs[a]; !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: ArcAnnots(%s) = %v, oracle %v", ctx, a, got, want)
+			}
+			if len(po.arcs[a]) > 0 {
+				annotated++
+			}
 		}
-		if got, want := d.UpdTriples(n), scanUpdTriples(d, n); !reflect.DeepEqual(got, want) {
-			t.Fatalf("%s: UpdTriples(%s) = %v, scan %v", ctx, n, got, want)
+		if v, _ := d.Value(n); !v.Equal(po.vals[n]) {
+			t.Fatalf("%s: Value(%s) = %s, oracle %s", ctx, n, v, po.vals[n])
 		}
+		gotCre, gotOK := d.CreTime(n)
+		if wantCre, wantOK := po.cre[n]; gotOK != wantOK || !gotCre.Equal(wantCre) {
+			t.Fatalf("%s: CreTime(%s) = %s %v, oracle %s %v", ctx, n, gotCre, gotOK, wantCre, wantOK)
+		}
+		if got, want := d.UpdTriples(n), po.upds[n]; !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: UpdTriples(%s) = %v, oracle %v", ctx, n, got, want)
+		}
+	}
+	if annotated != len(po.arcs) {
+		t.Fatalf("%s: %d annotated arcs in OutAll, oracle %d", ctx, annotated, len(po.arcs))
+	}
+	annots := len(po.cre)
+	for _, ups := range po.upds {
+		annots += len(ups)
+	}
+	for _, anns := range po.arcs {
+		annots += len(anns)
 	}
 	for l, want := range labels {
 		if got := d.LabelStats(l); got != want {
@@ -142,7 +208,9 @@ func TestAccessPathsFollowCommit(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		c := guidegen.NewChurn(seed, 60)
 		d := New(c.DB)
-		checkPaths(t, d, "New")
+		initial, applied := c.DB.Clone(), change.History(nil)
+		po := newOracle(t, initial, nil)
+		checkPaths(t, d, po, "New")
 		at := timestamp.MustParse("1Jan97")
 		for step := 0; step < 50; step++ {
 			set := c.Step(1 + int(seed+int64(step))%9)
@@ -153,43 +221,49 @@ func TestAccessPathsFollowCommit(t *testing.T) {
 			if err := d.Apply(at, set); err != nil {
 				t.Fatalf("seed %d step %d (%s): %v", seed, step, set, err)
 			}
-			checkPaths(t, d, set.String())
+			applied = append(applied, change.Step{At: at, Ops: set})
+			po.apply(t, at, set)
+			checkPaths(t, d, po, set.String())
 			switch step % 17 {
 			case 3:
 				d = d.Clone()
-				checkPaths(t, d, "Clone")
+				checkPaths(t, d, po, "Clone")
 			case 7: // the instants TestApplyCollectsByDelta truncates at
 				if d.Current().Validate() != nil {
 					break // see TestApplyCollectsByDelta
 				}
-				td, err := d.Truncate(at.Add(-2 * 3600e9))
+				cut := at.Add(-2 * 3600e9)
+				td, err := d.Truncate(cut)
 				if err != nil {
 					t.Fatalf("seed %d step %d: truncate: %v", seed, step, err)
 				}
 				d = td
-				checkPaths(t, d, "Truncate")
+				k := sort.Search(len(applied), func(i int) bool { return applied[i].At.After(cut) })
+				initial, applied = newOracle(t, initial, applied[:k]).cur, applied[k:]
+				po = newOracle(t, initial, applied)
+				checkPaths(t, d, po, "Truncate")
 			case 13:
 				var err error
 				if d, _, err = Decode(Append(nil, d)); err != nil {
 					t.Fatal(err)
 				}
-				checkPaths(t, d, "Decode")
+				checkPaths(t, d, po, "Decode")
 			}
 		}
 	}
 }
 
 // checkTimeTravel holds ValueAt and ArcLiveAt, which binary-search the
-// time-sorted annotations, to the linear scans at instant at.
-func checkTimeTravel(t *testing.T, d *Database, at timestamp.Time) {
+// time-sorted annotations, to the oracle's linear scans at instant at.
+func checkTimeTravel(t *testing.T, d *Database, po *pathOracle, at timestamp.Time) {
 	t.Helper()
 	for _, n := range d.AllNodeIDs() {
-		if got, want := d.ValueAt(n, at), scanValueAt(d, n, at); !got.Equal(want) {
-			t.Fatalf("ValueAt(%s, %s) = %s, scan %s", n, at, got, want)
+		if got, want := d.ValueAt(n, at), po.valueAt(n, at); !got.Equal(want) {
+			t.Fatalf("ValueAt(%s, %s) = %s, oracle %s", n, at, got, want)
 		}
 		for _, a := range d.OutAll(n) {
-			if got, want := d.ArcLiveAt(a, at), scanArcLiveAt(d, a, at); got != want {
-				t.Fatalf("ArcLiveAt(%s, %s) = %v, scan %v", a, at, got, want)
+			if got, want := d.ArcLiveAt(a, at), po.arcLiveAt(a, at); got != want {
+				t.Fatalf("ArcLiveAt(%s, %s) = %v, oracle %v", a, at, got, want)
 			}
 		}
 	}
@@ -205,12 +279,13 @@ func TestTimeTravelMatchesScan(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		po := newOracle(t, initial, h)
 		steps := d.Steps()
-		checkTimeTravel(t, d, steps[0].Add(-86400e9))
-		checkTimeTravel(t, d, steps[len(steps)-1].Add(86400e9))
+		checkTimeTravel(t, d, po, steps[0].Add(-86400e9))
+		checkTimeTravel(t, d, po, steps[len(steps)-1].Add(86400e9))
 		for _, s := range steps {
 			for _, at := range []timestamp.Time{s.Add(-1e9), s, s.Add(1e9)} {
-				checkTimeTravel(t, d, at)
+				checkTimeTravel(t, d, po, at)
 			}
 		}
 	}
@@ -218,7 +293,7 @@ func TestTimeTravelMatchesScan(t *testing.T) {
 
 // FuzzAccessPaths drives randomized histories step by step and holds the
 // access paths Commit keeps up, and the time-travel accessors at an instant
-// anywhere around the history, to the linear scans.
+// anywhere around the history, to the scans and the replay oracle.
 func FuzzAccessPaths(f *testing.F) {
 	f.Add(int64(1), uint8(10), uint8(5), int64(3600))
 	f.Add(int64(7), uint8(3), uint8(2), int64(-60))
@@ -233,14 +308,16 @@ func FuzzAccessPaths(f *testing.F) {
 			initial, h = guidegen.GenerateChurn(seed, 24, nsteps, nops)
 		}
 		d := New(initial)
+		po := newOracle(t, initial, nil)
 		for _, step := range h {
 			if err := d.Apply(step.At, step.Ops); err != nil {
 				t.Skip() // generator produced an unusable history for this input
 			}
-			checkPaths(t, d, "fuzzed history")
+			po.apply(t, step.At, step.Ops)
+			checkPaths(t, d, po, "fuzzed history")
 		}
 		// Exact step timestamps when tOff lands on a day boundary.
 		span := int64(nsteps+2) * 86400
-		checkTimeTravel(t, d, timestamp.MustParse("1Jan97").Add(time.Duration(tOff%span)*time.Second))
+		checkTimeTravel(t, d, po, timestamp.MustParse("1Jan97").Add(time.Duration(tOff%span)*time.Second))
 	})
 }

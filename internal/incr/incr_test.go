@@ -258,49 +258,3 @@ func TestDecideCounts(t *testing.T) {
 		t.Errorf("counters: skips %d->%d evals %d->%d", skips, mSkips.Value(), evals, mEvals.Value())
 	}
 }
-
-func TestIndex(t *testing.T) {
-	db, ids := guidegen.PaperGuide()
-	ix := NewIndex()
-	ix.Put("price", extract(t, `select NV from R.restaurant X, X.price<upd at T to NV>
-		where T > t[-1]`, "R"))
-	ix.Put("cre", extract(t, `select R.restaurant<cre at T> where T > t[-1]`, "R"))
-	ix.Put("always", &Fingerprint{}) // unanalyzable: every probe returns it
-	if ix.Len() != 3 {
-		t.Fatalf("Len = %d", ix.Len())
-	}
-
-	upd := change.Set{change.UpdNode{Node: ids.Price, Value: value.Int(20)}}
-	if err := upd[0].Apply(db); err != nil {
-		t.Fatal(err)
-	}
-	got := ix.Probe(Summarize(upd, db), db)
-	if !reflect.DeepEqual(got, []string{"always", "price"}) {
-		t.Errorf("Probe(upd) = %v", got)
-	}
-
-	cre := change.Set{change.CreNode{Node: 902, Value: value.Str("y")},
-		change.AddArc{Parent: ids.Guide, Label: "restaurant", Child: 902}}
-	for _, op := range cre {
-		if err := op.Apply(db); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got = ix.Probe(Summarize(cre, db), db)
-	if !reflect.DeepEqual(got, []string{"always", "cre"}) {
-		t.Errorf("Probe(cre) = %v", got)
-	}
-
-	ix.Remove("always")
-	ix.Remove("cre")
-	got = ix.Probe(Summarize(cre, db), db)
-	if len(got) != 0 {
-		t.Errorf("Probe after Remove = %v", got)
-	}
-	// Re-Put with a changed fingerprint re-files the id.
-	ix.Put("price", &Fingerprint{})
-	got = ix.Probe(Summarize(upd, db), db)
-	if !reflect.DeepEqual(got, []string{"price"}) {
-		t.Errorf("Probe after re-Put = %v", got)
-	}
-}

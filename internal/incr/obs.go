@@ -18,10 +18,6 @@ var (
 	mSkips = obs.NewCounter("incr_skips_total")
 	// mEvals counts decisions that fell through to full evaluation.
 	mEvals = obs.NewCounter("incr_evals_total")
-	// mProbes counts inverted-index probes (one per applied change set).
-	mProbes = obs.NewCounter("incr_probes_total")
-	// mProbeHits counts subscription ids returned by probes.
-	mProbeHits = obs.NewCounter("incr_probe_hits_total")
 	// mWalkBudget counts backward prefix walks abandoned over budget
 	// (each such walk conservatively reports a match).
 	mWalkBudget = obs.NewCounter("incr_walk_budget_exceeded_total")

@@ -63,20 +63,3 @@ func cloneAnnot(a *AnnotExpr) *AnnotExpr {
 	}
 	return c
 }
-
-// CloneQuery deep-copies a query so a cached parse can be canonicalized and
-// evaluated independently (canonicalization mutates the AST).
-func CloneQuery(q *Query) *Query {
-	c := &Query{}
-	for _, s := range q.Select {
-		c.Select = append(c.Select, SelectItem{Expr: cloneExpr(s.Expr), Label: s.Label})
-	}
-	for _, f := range q.From {
-		c.From = append(c.From, FromItem{Path: clonePath(f.Path), Var: f.Var})
-	}
-	for _, f := range q.WhereGens {
-		c.WhereGens = append(c.WhereGens, FromItem{Path: clonePath(f.Path), Var: f.Var})
-	}
-	c.Where = cloneExpr(q.Where)
-	return c
-}

@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"repro/internal/oem"
-	"repro/internal/timestamp"
 	"repro/internal/value"
 )
 
@@ -40,10 +39,6 @@ func (c Cell) Node() oem.NodeID { return c.b.id }
 
 // Graph returns the graph the cell's node belongs to.
 func (c Cell) Graph() Graph { return c.b.g }
-
-// AsOf returns the time-travel instant of the cell, if the node was reached
-// through a virtual <at T> annotation.
-func (c Cell) AsOf() (timestamp.Time, bool) { return c.b.asOf, c.b.hasAsOf }
 
 // Value returns the value the cell denotes: the atomic value itself, or the
 // (possibly time-travelled) value of the node.

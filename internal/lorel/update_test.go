@@ -217,18 +217,3 @@ func TestCompileUpdateReusable(t *testing.T) {
 		}
 	}
 }
-
-func TestCloneQueryIndependent(t *testing.T) {
-	q := mustParse(t, `select N from guide.restaurant R, R.name N where R.<add at T>price = "x" and T > 1Jan97`)
-	c := CloneQuery(q)
-	if err := Canonicalize(c); err != nil {
-		t.Fatal(err)
-	}
-	// The original remains un-canonicalized and re-canonicalizable.
-	if len(q.WhereGens) != 0 {
-		t.Error("clone canonicalization leaked into the original")
-	}
-	if err := Canonicalize(q); err != nil {
-		t.Fatal(err)
-	}
-}

@@ -93,11 +93,3 @@ func (b *Builder) Build() *Database {
 	b.db = nil
 	return db
 }
-
-// BuildUnchecked returns the database without validating reachability, for
-// intentionally partial fixtures.
-func (b *Builder) BuildUnchecked() *Database {
-	db := b.db
-	b.db = nil
-	return db
-}

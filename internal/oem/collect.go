@@ -86,8 +86,8 @@ func (db *Database) Collect(visit func(NodeID, value.Value)) (dead []NodeID, ful
 	// make it reachable), so walking the dead nodes' out-arcs covers every
 	// arc to delete; only live children need their in-lists repaired.
 	for _, id := range dead {
+		db.nArcs -= len(db.out[id])
 		for _, a := range db.out[id] {
-			delete(db.arcSet, a)
 			if _, live := db.values[a.Child]; live {
 				db.in[a.Child] = removeArc(db.in[a.Child], a)
 			}

@@ -50,7 +50,7 @@ type Database struct {
 	values map[NodeID]value.Value
 	out    map[NodeID][]Arc // insertion-ordered outgoing arcs
 	in     map[NodeID][]Arc // insertion-ordered incoming arcs
-	arcSet map[Arc]struct{} // membership
+	nArcs  int
 	root   NodeID
 	nextID NodeID
 
@@ -81,7 +81,6 @@ func New() *Database {
 		values: make(map[NodeID]value.Value),
 		out:    make(map[NodeID][]Arc),
 		in:     make(map[NodeID][]Arc),
-		arcSet: make(map[Arc]struct{}),
 		nextID: 1,
 	}
 	db.root = db.newNode(value.Complex())
@@ -137,7 +136,7 @@ func (db *Database) NumNodes() int { return len(db.values) }
 func (db *Database) MaxID() NodeID { return db.nextID - 1 }
 
 // NumArcs returns the number of arcs.
-func (db *Database) NumArcs() int { return len(db.arcSet) }
+func (db *Database) NumArcs() int { return db.nArcs }
 
 // Out returns the outgoing arcs of n in insertion order.
 // The returned slice must not be modified.
@@ -158,10 +157,20 @@ func (db *Database) OutLabeled(n NodeID, l string) []Arc {
 	return arcs
 }
 
-// HasArc reports whether the arc (p, l, c) exists.
+// HasArc reports whether the arc (p, l, c) exists. It scans the shorter of
+// p's out-list and c's in-list.
 func (db *Database) HasArc(p NodeID, l string, c NodeID) bool {
-	_, ok := db.arcSet[Arc{p, l, c}]
-	return ok
+	arcs := db.out[p]
+	if in := db.in[c]; len(in) < len(arcs) {
+		arcs = in
+	}
+	a := Arc{p, l, c}
+	for _, x := range arcs {
+		if x == a {
+			return true
+		}
+	}
+	return false
 }
 
 // Arcs returns every arc, ordered by parent id then insertion order.
@@ -173,7 +182,7 @@ func (db *Database) Arcs() []Arc {
 		}
 	}
 	sort.Slice(parents, func(i, j int) bool { return parents[i] < parents[j] })
-	arcs := make([]Arc, 0, len(db.arcSet))
+	arcs := make([]Arc, 0, db.nArcs)
 	for _, p := range parents {
 		arcs = append(arcs, db.out[p]...)
 	}
@@ -247,10 +256,10 @@ func (db *Database) AddArc(p NodeID, l string, c NodeID) error {
 		return fmt.Errorf("%w: %s", ErrNotComplex, p)
 	}
 	a := Arc{p, l, c}
-	if _, ok := db.arcSet[a]; ok {
+	if db.HasArc(p, l, c) {
 		return fmt.Errorf("%w: %s", ErrArcExists, a)
 	}
-	db.arcSet[a] = struct{}{}
+	db.nArcs++
 	db.out[p] = append(db.out[p], a)
 	db.in[c] = append(db.in[c], a)
 	return nil
@@ -259,10 +268,10 @@ func (db *Database) AddArc(p NodeID, l string, c NodeID) error {
 // RemoveArc performs the paper's remArc. The arc must exist.
 func (db *Database) RemoveArc(p NodeID, l string, c NodeID) error {
 	a := Arc{p, l, c}
-	if _, ok := db.arcSet[a]; !ok {
+	if !db.HasArc(p, l, c) {
 		return fmt.Errorf("%w: %s", ErrNoSuchArc, a)
 	}
-	delete(db.arcSet, a)
+	db.nArcs--
 	db.out[p] = removeArc(db.out[p], a)
 	db.in[c] = removeArc(db.in[c], a)
 	db.suspect(c)
@@ -300,12 +309,14 @@ func (db *Database) Reachable() map[NodeID]bool {
 // outgoing arcs, arc endpoints exist, and every node is reachable from the
 // root. It returns the first violation found.
 func (db *Database) Validate() error {
-	for a := range db.arcSet {
-		if !db.Has(a.Parent) || !db.Has(a.Child) {
-			return fmt.Errorf("oem: dangling arc %s", a)
-		}
-		if !db.IsComplex(a.Parent) {
-			return fmt.Errorf("oem: atomic node %s has outgoing arc %s", a.Parent, a)
+	for _, arcs := range db.out {
+		for _, a := range arcs {
+			if !db.Has(a.Parent) || !db.Has(a.Child) {
+				return fmt.Errorf("oem: dangling arc %s", a)
+			}
+			if !db.IsComplex(a.Parent) {
+				return fmt.Errorf("oem: atomic node %s has outgoing arc %s", a.Parent, a)
+			}
 		}
 	}
 	live := db.Reachable()
@@ -324,7 +335,7 @@ func (db *Database) Clone() *Database {
 		values: make(map[NodeID]value.Value, len(db.values)),
 		out:    make(map[NodeID][]Arc, len(db.out)),
 		in:     make(map[NodeID][]Arc, len(db.in)),
-		arcSet: make(map[Arc]struct{}, len(db.arcSet)),
+		nArcs:  db.nArcs,
 		root:   db.root,
 		nextID: db.nextID,
 
@@ -344,16 +355,13 @@ func (db *Database) Clone() *Database {
 			c.in[id] = append([]Arc(nil), arcs...)
 		}
 	}
-	for a := range db.arcSet {
-		c.arcSet[a] = struct{}{}
-	}
 	return c
 }
 
 // Equal reports whether two databases are identical: same root, same node
 // set with equal values, and same arc set. Arc order is not significant.
 func (db *Database) Equal(other *Database) bool {
-	if db.root != other.root || len(db.values) != len(other.values) || len(db.arcSet) != len(other.arcSet) {
+	if db.root != other.root || len(db.values) != len(other.values) || db.nArcs != other.nArcs {
 		return false
 	}
 	for id, v := range db.values {
@@ -362,9 +370,11 @@ func (db *Database) Equal(other *Database) bool {
 			return false
 		}
 	}
-	for a := range db.arcSet {
-		if _, ok := other.arcSet[a]; !ok {
-			return false
+	for _, arcs := range db.out {
+		for _, a := range arcs {
+			if !other.HasArc(a.Parent, a.Label, a.Child) {
+				return false
+			}
 		}
 	}
 	return true

@@ -86,6 +86,9 @@ type subState struct {
 	// mu guards the fields below (history, remap, poll times).
 	mu  sync.Mutex
 	sub Subscription
+	// polling and filter are sub's queries in canonical form, parsed once
+	// at Subscribe; nil on unclaimed replicas.
+	polling, filter *lorel.Query
 	// replica marks state kept by the node with no subscription attached
 	// (no source, no queries): a follower's copy, a history rebuilt from
 	// the oplog before Subscribe re-adopted it, or one Unsubscribe
@@ -128,7 +131,8 @@ func NewService(fn func(Notification)) *Service {
 }
 
 // Subscribe registers a subscription. The polling and filter queries are
-// parsed eagerly so errors surface at subscription time.
+// parsed and canonicalized here, once, so errors surface at subscription
+// time and polls only evaluate them.
 func (s *Service) Subscribe(sub Subscription) error {
 	if sub.Name == "" {
 		return errors.New("qss: subscription needs a name")
@@ -139,10 +143,12 @@ func (s *Service) Subscribe(sub Subscription) error {
 	if sub.Source == nil {
 		return errors.New("qss: subscription needs a source")
 	}
-	if _, err := lorel.Parse(sub.Polling); err != nil {
+	polling, err := canonicalQuery(sub.Polling)
+	if err != nil {
 		return fmt.Errorf("qss: polling query: %w", err)
 	}
-	if _, err := lorel.Parse(sub.Filter); err != nil {
+	filter, err := canonicalQuery(sub.Filter)
+	if err != nil {
 		return fmt.Errorf("qss: filter query: %w", err)
 	}
 	s.mu.Lock()
@@ -157,38 +163,37 @@ func (s *Service) Subscribe(sub Subscription) error {
 		// queries makes it pollable again without losing a step — the
 		// t[-i] alignment survives restarts and failover.
 		prev.mu.Lock()
-		prev.sub = sub
+		prev.sub, prev.polling, prev.filter = sub, polling, filter
 		prev.replica = false
-		prev.fp = filterFingerprint(sub, prev.d)
+		prev.fp = incr.Extract(filter, map[string]lorel.Graph{sub.Name: prev.d})
 		prev.mu.Unlock()
 		return nil
 	}
 	st := &subState{
-		sub: sub,
+		sub:     sub,
+		polling: polling,
+		filter:  filter,
 		// R0 is the empty OEM database (paper Section 6).
 		d:      doem.New(oem.New()),
 		remap:  make(map[oem.NodeID]oem.NodeID),
 		nextID: 1, // the packaged root; alloc pre-increments past it
 		pollNs: obs.NewHistogram(obs.LabeledName("qss_poll_ns", "sub", sub.Name)),
 	}
-	st.fp = filterFingerprint(sub, st.d)
+	st.fp = incr.Extract(filter, map[string]lorel.Graph{sub.Name: st.d})
 	s.subs[sub.Name] = st
 	return nil
 }
 
-// filterFingerprint statically analyzes a subscription's filter query for
-// incremental matching. Queries that fail to parse or canonicalize here
-// come back unanalyzable (never skipped); Subscribe has already surfaced
-// parse errors to the caller.
-func filterFingerprint(sub Subscription, g lorel.Graph) *incr.Fingerprint {
-	q, err := lorel.Parse(sub.Filter)
+// canonicalQuery parses src and canonicalizes the result.
+func canonicalQuery(src string) (*lorel.Query, error) {
+	q, err := lorel.Parse(src)
 	if err != nil {
-		return &incr.Fingerprint{}
+		return nil, err
 	}
 	if err := lorel.Canonicalize(q); err != nil {
-		return &incr.Fingerprint{}
+		return nil, err
 	}
-	return incr.Extract(q, map[string]lorel.Graph{sub.Name: g})
+	return q, nil
 }
 
 // Unsubscribe removes a subscription. A persistent service keeps its
@@ -208,7 +213,7 @@ func (s *Service) Unsubscribe(name string) error {
 		return nil
 	}
 	st.mu.Lock()
-	st.sub = Subscription{}
+	st.sub, st.polling, st.filter = Subscription{}, nil, nil
 	st.replica = true
 	st.mu.Unlock()
 	return nil
@@ -371,7 +376,7 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	}
 	eng := lorel.NewEngine()
 	eng.Register(st.sub.SourceName, lorel.NewOEMGraph(snap))
-	res, err := eng.QueryContext(ctx, st.sub.Polling)
+	res, err := eng.EvalContext(ctx, st.polling)
 	if err != nil {
 		return nil, fmt.Errorf("qss: polling query: %w", err)
 	}
@@ -438,7 +443,7 @@ func (s *Service) pollContext(ctx context.Context, name string, t timestamp.Time
 	feng := lorel.NewEngine()
 	feng.Register(st.sub.Name, st.d)
 	feng.SetPollTimes(st.pollTimes)
-	fres, err := feng.QueryContext(ctx, st.sub.Filter)
+	fres, err := feng.EvalContext(ctx, st.filter)
 	if err != nil {
 		return nil, fmt.Errorf("qss: filter query: %w", err)
 	}

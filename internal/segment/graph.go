@@ -236,10 +236,9 @@ func (g *DB) ValueAt(n oem.NodeID, t timestamp.Time) value.Value {
 			}
 		}
 	}
-	for _, a := range g.s.active.NodeAnnots(n) {
-		if a.Kind == doem.AnnotUpd && a.At.After(t) {
-			return a.Old
-		}
+	ups := g.s.active.UpdTriples(n)
+	if i := sort.Search(len(ups), func(i int) bool { return ups[i].At.After(t) }); i < len(ups) {
+		return ups[i].Old
 	}
 	v, _ := g.Value(n)
 	return v

@@ -505,10 +505,8 @@ func (s *Store) seal() error {
 		maxID:        s.MaxID(),
 	}
 	for _, n := range s.active.AllNodeIDs() {
-		for _, a := range s.active.NodeAnnots(n) {
-			if a.Kind == doem.AnnotCre {
-				next.cre[n] = a.At
-			}
+		if t, ok := s.active.CreTime(n); ok {
+			next.cre[n] = t
 		}
 		if _, ok := s.active.Current().Value(n); !ok {
 			if v, ok := s.active.Value(n); ok {
@@ -572,10 +570,8 @@ func buildIndex(d *doem.Database, base *oem.Database, orphans []oem.Arc) *segInd
 	var ups []updAnnot
 	for _, n := range d.AllNodeIDs() { // ascending
 		ups = ups[:0]
-		for _, a := range d.NodeAnnots(n) {
-			if a.Kind == doem.AnnotUpd {
-				ups = append(ups, updAnnot{At: a.At, Old: a.Old})
-			}
+		for _, u := range d.UpdTriples(n) {
+			ups = append(ups, updAnnot{At: u.At, Old: u.Old})
 		}
 		if len(ups) > 0 {
 			x.upd.add(n, ups)

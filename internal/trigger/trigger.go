@@ -23,6 +23,7 @@ package trigger
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/change"
@@ -66,10 +67,9 @@ type Manager struct {
 	mu       sync.Mutex
 	triggers map[string]*Trigger
 	order    []string
-	// ix is the inverted fingerprint index (internal/incr): Apply probes
-	// it with the applied delta and evaluates only the triggers the delta
-	// can affect, instead of every registered query per change set.
-	ix *incr.Index
+	// fps holds each trigger's fingerprint (internal/incr): Apply
+	// evaluates only the triggers the applied delta can affect.
+	fps map[string]*incr.Fingerprint
 	// MaxCascade bounds recursive firing (actions applying changes that
 	// fire more triggers). Default 8.
 	MaxCascade int
@@ -97,7 +97,7 @@ func NewManager(name string, d *doem.Database) *Manager {
 	return &Manager{
 		name: name, d: d, eng: eng,
 		triggers:   make(map[string]*Trigger),
-		ix:         incr.NewIndex(),
+		fps:        make(map[string]*incr.Fingerprint),
 		MaxCascade: 8,
 	}
 }
@@ -123,19 +123,19 @@ func (m *Manager) Add(t Trigger) error {
 	}
 	m.triggers[t.Name] = &t
 	m.order = append(m.order, t.Name)
-	m.ix.Put(t.Name, m.fingerprint(t.Query))
+	m.fps[t.Name] = m.fingerprint(t.Query)
 	return nil
 }
 
-// fingerprint statically analyzes a trigger query for the index; queries
-// that fail to canonicalize index as unanalyzable (always evaluated).
+// fingerprint statically analyzes a trigger query; queries that fail to
+// canonicalize are unanalyzable (always evaluated).
 func (m *Manager) fingerprint(src string) *incr.Fingerprint {
 	q, err := lorel.Parse(src)
 	if err != nil {
-		return nil
+		return &incr.Fingerprint{}
 	}
 	if err := lorel.Canonicalize(q); err != nil {
-		return nil
+		return &incr.Fingerprint{}
 	}
 	return incr.Extract(q, map[string]lorel.Graph{m.name: m.d})
 }
@@ -148,7 +148,7 @@ func (m *Manager) Remove(name string) error {
 		return fmt.Errorf("%w: %q", ErrNoSuchTrig, name)
 	}
 	delete(m.triggers, name)
-	m.ix.Remove(name)
+	delete(m.fps, name)
 	for i, n := range m.order {
 		if n == name {
 			m.order = append(m.order[:i], m.order[i+1:]...)
@@ -194,19 +194,20 @@ func (m *Manager) applyLocked(t timestamp.Time, ops change.Set, depth int) error
 	// Bind t[0] = this step, t[-1] = previous step.
 	m.eng.SetPollTimes([]timestamp.Time{orNeg(prev), t})
 
-	// Incremental matching: probe the fingerprint index with the applied
-	// delta and evaluate only the triggers it can affect. Probe returns
-	// ids sorted, preserving the deterministic firing order; suppressed
-	// triggers are exactly those whose query provably returns no rows, so
-	// firing behavior is identical to evaluating everything.
+	// Incremental matching: in name order, evaluate only the triggers the
+	// applied delta can affect. Suppressed triggers are exactly those whose
+	// query provably returns no rows, so firing behavior is identical to
+	// evaluating everything.
 	cur := m.d.Current()
-	names := m.ix.Probe(incr.Summarize(ops, cur), cur)
-	mSuppressed.Add(int64(len(m.order) - len(names)))
+	delta := incr.Summarize(ops, cur)
+	names := slices.Clone(m.order)
+	slices.Sort(names)
 	for _, name := range names {
-		tr, ok := m.triggers[name]
-		if !ok {
+		if !m.fps[name].Affected(delta, cur) {
+			mSuppressed.Inc()
 			continue
 		}
+		tr := m.triggers[name]
 		mEvaluated.Inc()
 		res, err := m.eng.Query(tr.Query)
 		if err != nil {
