@@ -243,7 +243,7 @@ func TestAtColdInstantCostsAsHot(t *testing.T) {
 	}
 }
 
-// TestAtNonExactSteps: below <at T>, steps the label buckets cannot serve
+// TestAtNonExactSteps: below <at T>, steps without one exact label
 // ('%' globs, groups, '#') read every arc of the node and keep those live
 // at T, and answer what the same query without <at T> answers over the
 // snapshot O_T, one second before, at and after a spread of steps.

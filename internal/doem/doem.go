@@ -91,9 +91,8 @@ type ArcEvent struct {
 // times and the upd chains; an arc is removed exactly when its last
 // annotation is a rem.
 //
-// It also keeps its own access paths (paths.go): (node, label) buckets of
-// both arc relations and planner statistics, which Commit updates with each
-// operation it applies.
+// It also keeps the planner's statistics (paths.go), which Commit updates
+// with each operation it applies.
 //
 // Concurrency: read methods are pure lookups with no interior mutation, so
 // a Database is safe for any number of concurrent readers once built.
@@ -115,22 +114,18 @@ type Database struct {
 	// steps records the timestamps of applied change sets, ascending.
 	steps []timestamp.Time
 	// version counts successful Apply calls; caches of query results over
-	// the database compare it against the one they were built at.
+	// the database compare it against the one they were built at
+	// (StatsVersion).
 	version uint64
 	// maxID is the largest id among current and deleted nodes, maintained
 	// by New and Apply so MaxID is a field read.
 	maxID oem.NodeID
 
-	// Access paths, built by index and kept up by Commit (paths.go).
-	paths  map[pathKey]bucket
+	// Planner statistics, counted by index and kept up by Commit
+	// (paths.go).
 	labels map[string]plan.LabelCard
 	annots int
 }
-
-// Version returns a counter that advances on every successful Apply.
-// Readers holding the database's read lock (see lore.Store.ViewIndexed) see a
-// stable value; the planner's cached plans key on it.
-func (d *Database) Version() uint64 { return d.version }
 
 // mGCFullWalks counts step-boundary collections that had to walk the whole
 // current snapshot; in steady state collections follow the change set and
@@ -420,17 +415,16 @@ func (d *Database) Commit(t timestamp.Time, ops change.Set) {
 			// maps and the current snapshot (whose AddArc canonicalizes the
 			// same way) all share one backing string per distinct label.
 			arc := oem.Arc{Parent: o.Parent, Label: symbol.Canon(o.Label), Child: o.Child}
-			k := keyOf(arc)
 			if !d.ArcLiveAt(arc, timestamp.PosInf) {
-				d.addPath(k, arc, false) // re-added after a removal
-			} else if !slices.Contains(d.paths[k].all, arc) {
+				d.countAdd(arc, false) // re-added after a removal
+			} else if !slices.Contains(d.outAll[o.Parent], arc) {
+				d.countAdd(arc, true)
 				d.outAll[o.Parent] = append(d.outAll[o.Parent], arc)
-				d.addPath(k, arc, true)
 			}
 			d.arcAnn[arc] = append(d.arcAnn[arc], ArcAnnot{Kind: AnnotAdd, At: t})
 		case change.RemArc:
 			arc := oem.Arc{Parent: o.Parent, Label: symbol.Canon(o.Label), Child: o.Child}
-			d.cutPath(keyOf(arc), &arc)
+			d.countCut(arc, d.current.Out(o.Parent))
 			d.arcAnn[arc] = append(d.arcAnn[arc], ArcAnnot{Kind: AnnotRem, At: t})
 		}
 	}
@@ -442,18 +436,18 @@ func (d *Database) Commit(t timestamp.Time, ops change.Set) {
 	// have orphaned anything, and otherwise examines only what the step's
 	// removals and creations could have cut loose (oem.Database.Collect).
 	// A collected node takes the arcs it still held out of the current
-	// relation; they stay in the full one.
+	// relation, uncounted while the collection still holds them; they stay
+	// in the full one.
 	if ops.NeedsCollection(d.current) {
-		collected, full := d.current.Collect(func(id oem.NodeID, v value.Value) {
+		_, full := d.current.Collect(func(id oem.NodeID, v value.Value) {
 			d.deletedValues[id] = v
+			arcs := d.current.Out(id)
+			for i, a := range arcs {
+				d.countCut(a, arcs[i+1:])
+			}
 		})
 		if full {
 			mGCFullWalks.Inc()
-		}
-		for _, n := range collected {
-			for _, a := range d.outAll[n] {
-				d.cutPath(keyOf(a), nil)
-			}
 		}
 	}
 	d.steps = append(d.steps, t)

@@ -102,11 +102,11 @@ func TestApplyCreThenUpdSameSetRejected(t *testing.T) {
 	}
 	for i, perm := range permutations(base) {
 		d := New(orderBase(t))
-		before := d.Version()
+		before := d.StatsVersion()
 		if err := d.Apply(tApply, perm); err == nil {
 			t.Fatalf("permutation %d: cre+upd of one node in a single set was not rejected", i)
 		}
-		if d.Version() != before {
+		if d.StatsVersion() != before {
 			t.Fatalf("permutation %d: failed Apply advanced the version counter", i)
 		}
 		if d.Has(n5) {

@@ -10,7 +10,6 @@ import (
 	"repro/internal/guidegen"
 	"repro/internal/oem"
 	"repro/internal/plan"
-	"repro/internal/symbol"
 	"repro/internal/timestamp"
 	"repro/internal/value"
 )
@@ -111,14 +110,13 @@ func scanLabel(arcs []oem.Arc, l string) []oem.Arc {
 	return out
 }
 
-// checkPaths recounts every access path of d by scanning Out and OutAll,
-// holds its annotations to the oracle's replay of the same history, and
-// fails on the first that differs.
+// checkPaths recounts the planner statistics of d by scanning Out and
+// OutAll, holds its annotations to the oracle's replay of the same history,
+// and fails on the first that differs.
 func checkPaths(t *testing.T, d *Database, po *pathOracle, ctx string) {
 	t.Helper()
 	labels := make(map[string]plan.LabelCard)
 	arcs, annotated := 0, 0
-	absent, _ := symbol.Intern("doem-paths-absent-label")
 	ids := d.AllNodeIDs()
 	if len(ids) != len(po.vals) {
 		t.Fatalf("%s: %d nodes ever, oracle %d", ctx, len(ids), len(po.vals))
@@ -130,14 +128,7 @@ func checkPaths(t *testing.T, d *Database, po *pathOracle, ctx string) {
 				continue
 			}
 			seen[a.Label] = true
-			sym, _ := symbol.Lookup(a.Label)
 			all, cur := scanLabel(d.OutAll(n), a.Label), scanLabel(d.Out(n), a.Label)
-			if got := d.OutAllLabeled(n, sym); !reflect.DeepEqual(got, all) {
-				t.Fatalf("%s: OutAllLabeled(%s, %q) = %v, scan %v", ctx, n, a.Label, got, all)
-			}
-			if got := d.OutLabeled(n, sym); len(got) != len(cur) || (len(cur) > 0 && !reflect.DeepEqual(got, cur)) {
-				t.Fatalf("%s: OutLabeled(%s, %q) = %v, scan %v", ctx, n, a.Label, got, cur)
-			}
 			lc := labels[a.Label]
 			lc.AllParents++
 			lc.AllArcs += len(all)
@@ -150,9 +141,6 @@ func checkPaths(t *testing.T, d *Database, po *pathOracle, ctx string) {
 				lc.RootOut += len(cur)
 			}
 			labels[a.Label] = lc
-		}
-		if d.OutLabeled(n, absent) != nil || d.OutAllLabeled(n, absent) != nil {
-			t.Fatalf("%s: node %s has arcs under a label it never carried", ctx, n)
 		}
 		arcs += len(d.Out(n))
 		for _, a := range d.OutAll(n) {
@@ -198,13 +186,53 @@ func checkPaths(t *testing.T, d *Database, po *pathOracle, ctx string) {
 	}
 }
 
+// countCases records which of the count upkeep's hard cases a replay met:
+// Commit adjusts a label's parent counts only when no other arc of the
+// parent carries the label, which these are the steps to get wrong.
+type countCases struct {
+	collected bool // a collected node held two arcs of one label and one of another
+	lastOf    bool // a parent lost its last arc of a label but kept others
+	reAdd     bool // an arc was added again after a removal
+}
+
+func (c countCases) all() bool { return c.collected && c.lastOf && c.reAdd }
+
+// observe classifies step set, just applied to d; prev is d's current
+// snapshot before the step.
+func (c *countCases) observe(prev *oem.Database, d *Database, set change.Set) {
+	for _, n := range prev.Nodes() {
+		if d.Current().Has(n) {
+			continue
+		}
+		per := map[string]int{}
+		for _, a := range prev.Out(n) {
+			per[a.Label]++
+		}
+		for _, k := range per {
+			c.collected = c.collected || (k >= 2 && len(per) >= 2)
+		}
+	}
+	for _, op := range set {
+		switch o := op.(type) {
+		case change.AddArc:
+			anns := d.ArcAnnots(oem.Arc{Parent: o.Parent, Label: o.Label, Child: o.Child})
+			c.reAdd = c.reAdd || (len(anns) >= 2 && anns[len(anns)-2].Kind == AnnotRem)
+		case change.RemArc:
+			out := d.Out(o.Parent)
+			c.lastOf = c.lastOf || (d.Current().Has(o.Parent) && len(out) > 0 && scanLabel(out, o.Label) == nil)
+		}
+	}
+}
+
 // TestAccessPathsFollowCommit replays adversarial histories (creates,
 // updates, shared children and cycles, removals that orphan subtrees,
-// re-adds after removal) and after every step holds the paths Commit kept
-// up to a scan. Along the way it continues on a Clone, on a
-// Append/Decode round trip and on a Truncate, whose paths are built
-// from scratch and must then keep up too.
+// re-adds after removal) and after every step holds the statistics Commit
+// kept up to a scan. Along the way it continues on a Clone, on a
+// Append/Decode round trip and on a Truncate, whose statistics are counted
+// from scratch and must then keep up too. The histories must meet every
+// countCases case.
 func TestAccessPathsFollowCommit(t *testing.T) {
+	var cases countCases
 	for seed := int64(1); seed <= 25; seed++ {
 		c := guidegen.NewChurn(seed, 60)
 		d := New(c.DB)
@@ -218,9 +246,11 @@ func TestAccessPathsFollowCommit(t *testing.T) {
 				continue
 			}
 			at = at.Add(3600e9)
+			prev := d.Current().Clone()
 			if err := d.Apply(at, set); err != nil {
 				t.Fatalf("seed %d step %d (%s): %v", seed, step, set, err)
 			}
+			cases.observe(prev, d, set)
 			applied = append(applied, change.Step{At: at, Ops: set})
 			po.apply(t, at, set)
 			checkPaths(t, d, po, set.String())
@@ -250,6 +280,9 @@ func TestAccessPathsFollowCommit(t *testing.T) {
 				checkPaths(t, d, po, "Decode")
 			}
 		}
+	}
+	if !cases.all() {
+		t.Errorf("the histories miss a count upkeep case: %+v", cases)
 	}
 }
 
@@ -291,33 +324,75 @@ func TestTimeTravelMatchesScan(t *testing.T) {
 	}
 }
 
+// accessPathsSeeds is FuzzAccessPaths' seed corpus.
+var accessPathsSeeds = []struct {
+	seed       int64
+	steps, ops uint8
+	tOff       int64
+}{
+	{1, 10, 5, 3600},
+	{7, 3, 2, -60},
+	{42, 30, 7, 86400 * 3},
+	{5, 8, 7, 7200}, // collects a node holding two arcs of one label and one of another
+}
+
+// replayAccessPaths is FuzzAccessPaths' body: it reports the countCases
+// the history met, and ok false when the generator produced a history
+// Apply refuses.
+func replayAccessPaths(t *testing.T, seed int64, steps, ops uint8, tOff int64) (cases countCases, ok bool) {
+	nsteps := int(steps%24) + 1
+	nops := int(ops%8) + 1
+	initial, h := guidegen.GenerateHistory(seed, 6, nsteps, nops)
+	if seed%2 != 0 {
+		// Odd seeds take the adversarial graph: cycles, shared
+		// children, orphaned subtrees, re-added arcs.
+		initial, h = guidegen.GenerateChurn(seed, 24, nsteps, nops)
+	}
+	d := New(initial)
+	po := newOracle(t, initial, nil)
+	for _, step := range h {
+		prev := d.Current().Clone()
+		if err := d.Apply(step.At, step.Ops); err != nil {
+			return cases, false
+		}
+		cases.observe(prev, d, step.Ops)
+		po.apply(t, step.At, step.Ops)
+		checkPaths(t, d, po, "fuzzed history")
+	}
+	// Exact step timestamps when tOff lands on a day boundary.
+	span := int64(nsteps+2) * 86400
+	checkTimeTravel(t, d, po, timestamp.MustParse("1Jan97").Add(time.Duration(tOff%span)*time.Second))
+	return cases, true
+}
+
 // FuzzAccessPaths drives randomized histories step by step and holds the
-// access paths Commit keeps up, and the time-travel accessors at an instant
+// statistics Commit keeps up, and the time-travel accessors at an instant
 // anywhere around the history, to the scans and the replay oracle.
 func FuzzAccessPaths(f *testing.F) {
-	f.Add(int64(1), uint8(10), uint8(5), int64(3600))
-	f.Add(int64(7), uint8(3), uint8(2), int64(-60))
-	f.Add(int64(42), uint8(30), uint8(7), int64(86400*3))
+	for _, s := range accessPathsSeeds {
+		f.Add(s.seed, s.steps, s.ops, s.tOff)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, steps, ops uint8, tOff int64) {
-		nsteps := int(steps%24) + 1
-		nops := int(ops%8) + 1
-		initial, h := guidegen.GenerateHistory(seed, 6, nsteps, nops)
-		if seed%2 != 0 {
-			// Odd seeds take the adversarial graph: cycles, shared
-			// children, orphaned subtrees, re-added arcs.
-			initial, h = guidegen.GenerateChurn(seed, 24, nsteps, nops)
+		if _, ok := replayAccessPaths(t, seed, steps, ops, tOff); !ok {
+			t.Skip() // generator produced an unusable history for this input
 		}
-		d := New(initial)
-		po := newOracle(t, initial, nil)
-		for _, step := range h {
-			if err := d.Apply(step.At, step.Ops); err != nil {
-				t.Skip() // generator produced an unusable history for this input
-			}
-			po.apply(t, step.At, step.Ops)
-			checkPaths(t, d, po, "fuzzed history")
-		}
-		// Exact step timestamps when tOff lands on a day boundary.
-		span := int64(nsteps+2) * 86400
-		checkTimeTravel(t, d, po, timestamp.MustParse("1Jan97").Add(time.Duration(tOff%span)*time.Second))
 	})
+}
+
+// TestAccessPathsSeedsMeetCountCases: FuzzAccessPaths' seed corpus, which
+// every go test run replays, meets every countCases case.
+func TestAccessPathsSeedsMeetCountCases(t *testing.T) {
+	var cases countCases
+	for _, s := range accessPathsSeeds {
+		got, ok := replayAccessPaths(t, s.seed, s.steps, s.ops, s.tOff)
+		if !ok {
+			t.Fatalf("seed %+v: the generator's history is refused", s)
+		}
+		cases.collected = cases.collected || got.collected
+		cases.lastOf = cases.lastOf || got.lastOf
+		cases.reAdd = cases.reAdd || got.reAdd
+	}
+	if !cases.all() {
+		t.Errorf("the seed corpus misses a count upkeep case: %+v", cases)
+	}
 }

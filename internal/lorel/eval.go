@@ -481,34 +481,23 @@ func (e *env) bindNull(g FromItem) {
 func (ev *evaluation) expandGroup(cur binding, grp *PathGroup) []oem.NodeID {
 	g := cur.g
 
-	ls, hasLS := g.(LabelSeeker)
-
 	// followSeq walks one fixed label sequence from a node set.
 	followSeq := func(start map[oem.NodeID]bool, seq []GroupLabel) map[oem.NodeID]bool {
 		frontier := start
 		for _, l := range seq {
 			next := make(map[oem.NodeID]bool)
 			glob := !l.Quoted && strings.Contains(l.Label, "%")
-			sym, known := symbol.None, false
-			if hasLS && !glob && !cur.hasAsOf {
-				sym, known = symbol.Lookup(l.Label)
+			want := l.Label
+			if c, ok := symbol.Lookup(want); ok {
+				want = c // interned arc labels compare by pointer
 			}
 			for n := range frontier {
-				if known {
-					// Exact labels over the current snapshot come straight
-					// from the adjacency index; the frontier is a set, so
-					// arc order is immaterial here.
-					for _, a := range ls.OutLabeled(n, sym) {
-						next[a.Child] = true
-					}
-					continue
-				}
 				for _, a := range ev.liveArcs(cur, g, n) {
 					if glob {
 						if !value.Str(a.Label).Like(l.Label) {
 							continue
 						}
-					} else if a.Label != l.Label {
+					} else if a.Label != want {
 						continue
 					}
 					next[a.Child] = true

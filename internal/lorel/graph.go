@@ -3,7 +3,6 @@ package lorel
 import (
 	"repro/internal/doem"
 	"repro/internal/oem"
-	"repro/internal/symbol"
 	"repro/internal/timestamp"
 	"repro/internal/value"
 )
@@ -55,30 +54,8 @@ type Graph interface {
 	ValueAt(n oem.NodeID, t timestamp.Time) value.Value
 }
 
-// assert *doem.Database implements Graph and LabelSeeker.
-var (
-	_ Graph       = (*doem.Database)(nil)
-	_ LabelSeeker = (*doem.Database)(nil)
-)
-
-// LabelSeeker is an optional Graph extension serving exact-label arc
-// lookups from an adjacency index keyed by interned label symbol, instead
-// of a scan over Out or OutAll. The evaluator resolves a step's label to
-// a symbol once per walk and probes with the id per binding; a label
-// symbol.Lookup does not know matches nothing, and the evaluator falls to
-// the scan. Implementations must return exactly the arcs, in the order,
-// the scan would produce (insertion order, filtered) — the result
-// ordering of indexed evaluation depends on it. *doem.Database provides
-// it from its own label buckets.
-type LabelSeeker interface {
-	// OutLabeled returns the current-snapshot arcs of n whose label is
-	// the canonical string of sym, in insertion order.
-	OutLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc
-	// OutAllLabeled is the same over the full arc relation, removed arcs
-	// included. It serves <add at T>, <rem at T> and <at T> steps, and
-	// steps below an <at T>.
-	OutAllLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc
-}
+// assert *doem.Database implements Graph.
+var _ Graph = (*doem.Database)(nil)
 
 // OEMGraph adapts a plain *oem.Database to the Graph interface: the current
 // snapshot is the whole database and every annotation accessor is empty.

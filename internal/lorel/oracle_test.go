@@ -234,7 +234,7 @@ func parityQuery(rng *rand.Rand, steps []timestamp.Time) string {
 }
 
 // The reference path semantics, as a test oracle: breadth first over the
-// base Graph methods alone, no seekers or scratch, non-binding steps deduped.
+// base Graph methods alone, no scratch, non-binding steps deduped.
 
 // oracleMatch is one match of a path expression: the binding reached and
 // the annotation variables bound on the way, in binding order.

@@ -19,10 +19,10 @@ import (
 //
 // A walker is prepared once per evaluation for each path position (a
 // generator, an exists, an aggregate) and reused for every outer binding:
-// its step matchers, its graph's fast-path interfaces, its consumer and its
-// dedup scratch all survive from one run to the next, and the annotation
-// variables a match binds are written to the evaluation's environment
-// stack for the duration of the yield. In steady state a run allocates
+// its step matchers, its consumer and its dedup scratch all survive from
+// one run to the next, and the annotation variables a match binds are
+// written to the evaluation's environment stack for the duration of the
+// yield. In steady state a run allocates
 // nothing.
 //
 // The walk's order is the path's semantics: the step-k matches come out as
@@ -51,14 +51,11 @@ var errStop = errors.New("lorel: stop iteration")
 type pathYield func(binding) error
 
 // stepCtx is one step of a prepared walker: the resolved label matcher
-// (symbol id, canonical pattern) and the step's first-occurrence dedup
-// scratch.
+// (canonical pattern) and the step's first-occurrence dedup scratch.
 type stepCtx struct {
 	step  *PathStep
-	binds bool // step binds annotation variables; dedup must not apply
-	exact bool // label matches by equality (no '%' glob)
-	sym   symbol.ID
-	symOK bool   // sym resolved: the label is interned
+	binds bool   // step binds annotation variables; dedup must not apply
+	exact bool   // label matches by equality (no '%' glob)
 	canon string // canonical pattern for equality scans
 
 	// from and to close the window of annotation times the step reads
@@ -105,11 +102,8 @@ func (st *stepCtx) init(s *PathStep) {
 	if s.Group == nil && !s.Hash {
 		st.exact = exactLabel(s)
 		st.canon = s.Label
-		if st.exact {
-			if id, ok := symbol.Lookup(s.Label); ok {
-				st.sym, st.symOK = id, true
-				st.canon = symbol.String(id)
-			}
+		if c, ok := symbol.Lookup(s.Label); ok {
+			st.canon = c
 		}
 		st.unique = st.exact && (s.Arc == nil || s.Arc.Op == OpAt) && (s.Node == nil || s.Node.Op != OpUpd)
 	}
@@ -163,9 +157,8 @@ func (s *seenSet) reset() {
 }
 
 // pathWalker is one path position prepared for an evaluation: the step
-// contexts, the head graph's optional LabelSeeker (asserted when the graph
-// changes, not once per binding) and the consumer of its matches. All
-// bindings reached from one head share its graph, so the hoist is sound.
+// contexts, the head graph and the consumer of its matches. All bindings
+// reached from one head share its graph.
 type pathWalker struct {
 	ev    *evaluation
 	path  *PathExpr
@@ -177,8 +170,7 @@ type pathWalker struct {
 	state any
 	n     int // matches delivered by the latest run
 
-	g  Graph
-	ls LabelSeeker // nil where g does not provide it
+	g Graph
 }
 
 func (ev *evaluation) newWalker(p *PathExpr) *pathWalker {
@@ -215,9 +207,8 @@ func (w *pathWalker) run() error {
 		return err
 	}
 	w.n = 0
-	if head.kind == bNode && head.g != w.g {
+	if head.kind == bNode {
 		w.g = head.g
-		w.ls, _ = w.g.(LabelSeeker)
 	}
 	for i := range w.steps {
 		w.steps[i].seen.reset()
@@ -302,18 +293,6 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 		// Below an <at T>, an unannotated step reads the arcs live at T.
 		return w.liveAt(cur, depth, cur.asOf)
 	case step.Arc == nil:
-		// Exact-label steps over the current snapshot resolve from the
-		// adjacency index when the graph provides one, in the same
-		// insertion order the scan below would produce. A label the symbol
-		// table does not know labels no arc, and the scan finds nothing.
-		if st.symOK && w.ls != nil {
-			for _, a := range w.ls.OutLabeled(cur.id, st.sym) {
-				if err := w.child(cur, depth, a.Child, nil); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
 		for _, a := range g.Out(cur.id) {
 			if !st.match(a.Label) {
 				continue
@@ -325,7 +304,7 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 	case step.Arc.Op == OpAdd || step.Arc.Op == OpRem:
 		wantKind := annotKindFor(step.Arc.Op)
 		en := &w.ev.env
-		for _, a := range w.allArcs(st, cur.id) {
+		for _, a := range g.OutAll(cur.id) {
 			if !st.match(a.Label) {
 				continue
 			}
@@ -359,22 +338,12 @@ func (w *pathWalker) expand(cur binding, depth int) error {
 	return nil
 }
 
-// allArcs returns the arcs of n in the full arc relation, removed ones
-// included, that the step's label can match: the (n, label) bucket when
-// the label is exact and the graph keeps buckets, every arc of n otherwise.
-func (w *pathWalker) allArcs(st *stepCtx, n oem.NodeID) []oem.Arc {
-	if st.symOK && w.ls != nil {
-		return w.ls.OutAllLabeled(n, st.sym)
-	}
-	return w.g.OutAll(n)
-}
-
 // liveAt expands cur through the step's arcs that existed at t, delivering
 // each child as of t. It is <at T> as Section 4.2.2 defines it: each arc's
 // own add/rem annotations decide, so no snapshot of t is built.
 func (w *pathWalker) liveAt(cur binding, depth int, t timestamp.Time) error {
 	st := &w.steps[depth]
-	for _, a := range w.allArcs(st, cur.id) {
+	for _, a := range w.g.OutAll(cur.id) {
 		if !st.match(a.Label) || !w.g.ArcLiveAt(a, t) {
 			continue
 		}

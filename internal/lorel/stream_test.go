@@ -228,7 +228,7 @@ func TestRowKeyAllocs(t *testing.T) {
 // not.
 func TestStepMatchAllocs(t *testing.T) {
 	label := "restaurant"
-	symbol.Intern(label)
+	symbol.Canon(label)
 	var st stepCtx
 	st.init(&PathStep{Label: label})
 	if !st.match(label) {
@@ -557,31 +557,12 @@ func renderMatches(ms []oracleMatch) string {
 	return b.String()
 }
 
-// scanGraph serves LabelSeeker by scanning the base Graph methods, so the
-// walker's seeker paths are held to the oracle on answers that are right
-// by construction.
+// scanGraph wraps a Graph so that only its base methods show: a
+// *doem.Database behind it offers the evaluator no planner statistics.
 type scanGraph struct{ Graph }
 
-func labeled(arcs []oem.Arc, sym symbol.ID) []oem.Arc {
-	var out []oem.Arc
-	for _, a := range arcs {
-		if a.Label == symbol.String(sym) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-func (g scanGraph) OutLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc { return labeled(g.Out(n), sym) }
-
-func (g scanGraph) OutAllLabeled(n oem.NodeID, sym symbol.ID) []oem.Arc {
-	return labeled(g.OutAll(n), sym)
-}
-
 // uninternedGraph adds one arc whose label never went through the symbol
-// table, as a graph whose arc constructor skipped symbol.Canon would. Its
-// label seeker is scanGraph's over the base graph, so like a symbol-keyed
-// index it has never seen that label.
+// table, as a graph whose arc constructor skipped symbol.Canon would.
 type uninternedGraph struct {
 	scanGraph
 	extra oem.Arc
@@ -604,9 +585,8 @@ func (g uninternedGraph) ArcLiveAt(a oem.Arc, t timestamp.Time) bool {
 }
 
 // TestExactStepLookupMiss: an exact label the symbol table does not know
-// is not probed through the label seeker; the walker and path groups fall
-// to the scan, which still finds arcs carrying that label, and evaluating
-// the query does not intern it.
+// still matches arcs carrying it, in the walker and in path groups, by
+// comparing bytes, and evaluating the query does not intern it.
 func TestExactStepLookupMiss(t *testing.T) {
 	label := strings.Repeat("uninterned", 2)
 	if _, ok := symbol.Lookup(label); ok {
@@ -639,8 +619,7 @@ func TestExactStepLookupMiss(t *testing.T) {
 }
 
 // TestAtStepLookupMiss: an exact step below <at T> whose label the symbol
-// table does not know reads every arc of the node instead of a label
-// bucket, and still reaches the arc carrying that label.
+// table does not know still reaches the arc carrying that label.
 func TestAtStepLookupMiss(t *testing.T) {
 	label := strings.Repeat("unseenat", 2)
 	if _, ok := symbol.Lookup(label); ok {
@@ -738,11 +717,10 @@ func parsePath(t *testing.T, src string) *PathExpr {
 
 // TestWalkerMatchesOracle is the walker's differential test. Over Churn
 // histories (shared children, cycles, removed and re-added arcs), on the
-// raw DOEM database, its current snapshot as plain OEM and a graph serving
-// LabelSeeker by scanning, each randomly drawn path must yield exactly the
+// raw DOEM database, its current snapshot as plain OEM and the database
+// behind scanGraph, each randomly drawn path must yield exactly the
 // oracle's matches in the oracle's order. Walker and oracle both read <at>
-// steps from OutAll and ArcLiveAt; the walker takes the label seeker's
-// OutAllLabeled where the graph has one. Matches are compared from the
+// steps from OutAll and ArcLiveAt. Matches are compared from the
 // database root, and from bound heads — current nodes, time-travel
 // bindings, a value and null — with the walker prepared once and rerun for
 // every head, as generators rerun it for every outer binding.

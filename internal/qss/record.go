@@ -136,7 +136,8 @@ func decodeRecord(data []byte) (record, error) {
 }
 
 // apply advances the subscription by one record. A poll adds the history
-// step, the remap entries (pruning those whose objects the step deleted),
+// step, the remap entries (pruning those whose objects the step deleted,
+// when it deleted any),
 // the poll time and the high-water mark. A truncation collapses history at
 // or before r.t into the base snapshot and drops the poll times it covers,
 // so t[-i] references keep their alignment with surviving history. A
@@ -152,6 +153,7 @@ func (st *subState) apply(r record) error {
 		st.pruneRemap()
 		return nil
 	}
+	deleted := st.deleted()
 	if len(r.ops) > 0 {
 		if err := st.d.Apply(r.t, r.ops); err != nil {
 			return fmt.Errorf("qss: applying changes: %w", err)
@@ -160,13 +162,17 @@ func (st *subState) apply(r record) error {
 	for _, p := range r.added {
 		st.remap[p.Src] = p.ID
 	}
-	if len(r.ops) > 0 {
-		st.pruneRemap()
+	if st.deleted() > deleted {
+		st.pruneRemap() // only a deletion can leave an entry stale
 	}
 	st.pollTimes = append(st.pollTimes, r.t)
 	st.nextID = r.nextID
 	return nil
 }
+
+// deleted counts the objects the DOEM database has deleted from its
+// current snapshot.
+func (st *subState) deleted() int { return st.d.NodeCount() - st.d.Current().NumNodes() }
 
 // pruneRemap drops remap entries whose packaged object has been deleted
 // from the DOEM database, so a reappearing source object is treated as a

@@ -19,9 +19,8 @@ import (
 // the one segment covering the queried instant, which is what keeps `<at
 // T>` query time flat as total history grows.
 //
-// DB deliberately does not implement lorel.LabelSeeker: the evaluator's
-// scan over Out/OutAll preserves ordering parity without per-segment label
-// indexes.
+// Like a monolithic database it keeps no label-keyed adjacency: the
+// evaluator scans Out/OutAll for a step's label.
 //
 // Concurrency contract: same as *doem.Database — any number of concurrent
 // readers, mutators (Store.Apply/Seal/Truncate) must exclude them. Index

@@ -35,7 +35,7 @@ type statsCache struct {
 // recounted.
 func (g *DB) StatsVersion() uint64 {
 	s := g.s
-	v := s.active.Version()
+	v := s.active.StatsVersion()
 	v = v*0x100000001b3 + uint64(len(s.segs))*0x9e3779b97f4a7c15
 	return v + uint64(s.activeAnnots)
 }
@@ -81,7 +81,7 @@ func (s *Store) dropStats() {
 }
 
 // addFull accounts for one arc newly appended to the registry; first
-// reports that it opened its (parent, label) bucket there.
+// reports that it is its parent's first registry arc with that label.
 func addFull(labels map[string]plan.LabelCard, a oem.Arc, first, fromRoot bool) {
 	lc := labels[a.Label]
 	lc.AllArcs++

@@ -104,9 +104,8 @@ type Store struct {
 
 	// summary is sealed history's contribution, as of the last committed
 	// checkpoint plus the registry arcs and ids the active segment added
-	// since. member is the registry's membership set.
+	// since.
 	summary
-	member map[oem.Arc]bool
 
 	segs []*handle
 
@@ -214,11 +213,6 @@ func (s *Store) recover() (int, error) {
 			s.lastSeal = s.segs[len(s.segs)-1].end
 		}
 		s.summary = c.sum
-		for _, arcs := range s.registry {
-			for _, a := range arcs {
-				s.member[a] = true
-			}
-		}
 		d = c.active
 	}
 	if err := s.sweep(); err != nil {
@@ -295,7 +289,6 @@ func newStore(dir string, pol *Policy) *Store {
 			dead:         make(map[oem.NodeID]value.Value),
 			sealedStatus: make(map[oem.Arc]doem.AnnotKind),
 		},
-		member: make(map[oem.Arc]bool),
 	}
 	if pol != nil {
 		s.pol = *pol
@@ -320,15 +313,9 @@ func (s *Store) adoptActive(d *doem.Database) {
 // when the active OutAll order is the monolithic order.
 func (s *Store) seedRegistryFromActive() {
 	s.registry = make(map[oem.NodeID][]oem.Arc)
-	s.member = make(map[oem.Arc]bool)
 	for _, n := range s.active.AllNodeIDs() {
-		arcs := s.active.OutAll(n)
-		if len(arcs) == 0 {
-			continue
-		}
-		s.registry[n] = append([]oem.Arc(nil), arcs...)
-		for _, a := range arcs {
-			s.member[a] = true
+		if arcs := s.active.OutAll(n); len(arcs) > 0 {
+			s.registry[n] = slices.Clone(arcs)
 		}
 	}
 }
@@ -345,8 +332,7 @@ func (s *Store) mergeOps(ops change.Set, labels map[string]plan.LabelCard) {
 			// Canonical labels keep the registry sharing backing strings
 			// with the active doem database and the oem snapshots.
 			a := oem.Arc{Parent: o.Parent, Label: symbol.Canon(o.Label), Child: o.Child}
-			if !s.member[a] {
-				s.member[a] = true
+			if !slices.Contains(s.registry[o.Parent], a) {
 				if labels != nil {
 					hasLabel := func(x oem.Arc) bool { return x.Label == a.Label }
 					first := !slices.ContainsFunc(s.registry[o.Parent], hasLabel)
